@@ -141,7 +141,7 @@ func cmdNode(args []string) error {
 	name := fs.String("name", "", "this node's name in the config")
 	debugAddr := fs.String("debug-addr", "", "serve /debug/vars on this address (empty = off)")
 	parallel := fs.Int("parallel", 0, "concurrent shard scans per request (0 = all owned shards)")
-	workers := fs.Int("query-workers", 0, "per-query verifier pool (0 = default, 1 = serial)")
+	workers := fs.Int("query-workers", 0, "per-query verifier pool (0 = default 1 = serial; K > 1 = parallel verification)")
 	nosync := fs.Bool("nosync", false, "skip WAL fsyncs (crash-unsafe; benchmarks only)")
 	fs.Parse(args)
 	if *root == "" || *name == "" {

@@ -28,9 +28,9 @@
 //
 // -workers bounds concurrent queries (admission control); -query-workers is
 // the per-query verifier pool of the parallel execution engine (0 = the
-// min(GOMAXPROCS, 8) default, 1 = serial verification). The two compose: all
-// verifiers come from one process-wide pool, so saturated queries degrade to
-// serial verification instead of multiplying goroutines.
+// default of 1, serial verification; K > 1 engages the pool). The two
+// compose: all verifiers come from one process-wide pool, so saturated
+// queries degrade to serial verification instead of multiplying goroutines.
 //
 // -cluster runs the same HTTP API as a cluster router: queries scatter to
 // the nodes owning the relevant shards (see cmd/spbcluster and DESIGN.md
@@ -192,7 +192,7 @@ func run() error {
 	demo := flag.Int("demo", 0, "serve a transient demo index over this many random vectors instead of -dir")
 	dim := flag.Int("dim", 8, "demo vector dimensionality")
 	workers := flag.Int("workers", 0, "concurrent query limit (0 = GOMAXPROCS)")
-	queryWorkers := flag.Int("query-workers", 0, "per-query verifier pool (0 = min(GOMAXPROCS, 8), 1 = serial)")
+	queryWorkers := flag.Int("query-workers", 0, "per-query verifier pool (0 = default 1 = serial; K > 1 = parallel verification)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 2x workers)")
 	timeout := flag.Duration("timeout", 5*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 60*time.Second, "cap on request-supplied deadlines")

@@ -16,6 +16,7 @@
 package bptree
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -68,7 +69,7 @@ type Options struct {
 
 // Tree is a disk-based B+-tree with MBB-augmented non-leaf entries.
 type Tree struct {
-	store page.Store
+	store *page.Cache
 	geo   Geometry
 	dims  int
 
@@ -105,10 +106,12 @@ type child struct {
 	boxHi uint64
 }
 
-// New creates an empty tree on store.
+// New creates an empty tree on store. Nodes are decoded out of borrowed page
+// views (page.Cache.View), so a store that is not already a cache is wrapped
+// in a pass-through one.
 func New(store page.Store, opts Options) (*Tree, error) {
 	t := &Tree{
-		store:       store,
+		store:       page.AsCache(store),
 		geo:         opts.Geometry,
 		maxLeaf:     opts.MaxLeaf,
 		maxInternal: opts.MaxInternal,
@@ -162,7 +165,9 @@ type NodeRef struct {
 	BoxLo, BoxHi uint64
 }
 
-// Node is the decoded form of a tree node.
+// Node is the decoded form of a tree node. ReadNode fills a caller-owned
+// Node, reusing its slices, so a traversal decodes every node it visits into
+// one scratch value.
 type Node struct {
 	// Leaf reports whether the node is a leaf.
 	Leaf bool
@@ -180,40 +185,45 @@ func (n *Node) HasNext() bool { return n.Next != invalidPage }
 // ErrNotFound is returned by Delete when no matching entry exists.
 var ErrNotFound = errors.New("bptree: entry not found")
 
-// ReadNode reads and decodes the node on page id (a physical page access
-// unless the backing store is a cache with the page resident).
-func (t *Tree) ReadNode(id page.ID) (*Node, error) {
-	n, err := t.readNode(id)
+// ReadNode decodes the node on page id into n (a physical page access unless
+// the page is resident in the cache), straight out of the borrowed page view:
+// no page copy, and no allocation once n's slices have grown to a node's
+// fan-out. n's previous contents are overwritten.
+func (t *Tree) ReadNode(id page.ID, n *Node) error {
+	buf, err := t.store.View(id)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("bptree: read node: %w", err)
 	}
-	out := &Node{Leaf: n.leaf, Next: n.next}
-	if n.leaf {
-		out.Keys = append([]uint64(nil), keysOf(n.leafEntries)...)
-		out.Vals = append([]uint64(nil), valsOf(n.leafEntries)...)
-	} else {
-		out.Children = make([]NodeRef, len(n.children))
-		for i, c := range n.children {
-			out.Children[i] = NodeRef{MinKey: c.min.Key, MinVal: c.min.Val, Page: c.page, BoxLo: c.boxLo, BoxHi: c.boxHi}
+	if t.tracer != nil {
+		t.tracer.Event(obs.Event{Kind: obs.EvNodeRead, Src: obs.SrcIndex, Page: uint32(id)})
+	}
+	n.Leaf = buf[0]&1 != 0
+	cnt := int(binary.LittleEndian.Uint16(buf[1:3]))
+	n.Next = page.ID(binary.LittleEndian.Uint32(buf[3:7]))
+	n.Keys, n.Vals, n.Children = n.Keys[:0], n.Vals[:0], n.Children[:0]
+	if n.Leaf {
+		if cnt > maxLeafCap {
+			return fmt.Errorf("bptree: corrupt leaf %d: count %d", id, cnt)
 		}
+		for e := buf[headerSize : headerSize+cnt*leafEntrySize]; len(e) > 0; e = e[leafEntrySize:] {
+			n.Keys = append(n.Keys, binary.LittleEndian.Uint64(e))
+			n.Vals = append(n.Vals, binary.LittleEndian.Uint64(e[8:]))
+		}
+		return nil
 	}
-	return out, nil
-}
-
-func keysOf(es []Pair) []uint64 {
-	out := make([]uint64, len(es))
-	for i, e := range es {
-		out[i] = e.Key
+	if cnt > maxInternalCap(t.dims) {
+		return fmt.Errorf("bptree: corrupt internal node %d: count %d", id, cnt)
 	}
-	return out
-}
-
-func valsOf(es []Pair) []uint64 {
-	out := make([]uint64, len(es))
-	for i, e := range es {
-		out[i] = e.Val
+	for e := buf[headerSize : headerSize+cnt*internalEntrySize]; len(e) > 0; e = e[internalEntrySize:] {
+		n.Children = append(n.Children, NodeRef{
+			MinKey: binary.LittleEndian.Uint64(e),
+			MinVal: binary.LittleEndian.Uint64(e[8:]),
+			Page:   page.ID(binary.LittleEndian.Uint32(e[16:])),
+			BoxLo:  binary.LittleEndian.Uint64(e[20:]),
+			BoxHi:  binary.LittleEndian.Uint64(e[28:]),
+		})
 	}
-	return out
+	return nil
 }
 
 // node is the in-memory working form used by mutation algorithms.
@@ -237,8 +247,8 @@ func (t *Tree) Walk(fn func(depth int, ref NodeRef, n *Node) error) error {
 }
 
 func (t *Tree) walk(depth int, ref NodeRef, fn func(int, NodeRef, *Node) error) error {
-	n, err := t.ReadNode(ref.Page)
-	if err != nil {
+	n := &Node{}
+	if err := t.ReadNode(ref.Page, n); err != nil {
 		return err
 	}
 	if err := fn(depth, ref, n); err != nil {

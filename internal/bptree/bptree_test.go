@@ -405,7 +405,7 @@ func TestIOErrorsSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr.store = page.NewFaultStore(mem, 0)
+	tr.store = page.AsCache(page.NewFaultStore(mem, 0))
 	if err := tr.Insert(99, 99); !errors.Is(err, page.ErrInjected) {
 		t.Errorf("Insert under fault = %v", err)
 	}
@@ -416,7 +416,7 @@ func TestIOErrorsSurface(t *testing.T) {
 	if c.Valid() || !errors.Is(c.Err(), page.ErrInjected) {
 		t.Errorf("cursor under fault: valid=%v err=%v", c.Valid(), c.Err())
 	}
-	if _, err := tr.ReadNode(0); !errors.Is(err, page.ErrInjected) {
+	if err := tr.ReadNode(0, &Node{}); !errors.Is(err, page.ErrInjected) {
 		t.Errorf("ReadNode under fault = %v", err)
 	}
 }
@@ -462,7 +462,7 @@ func TestCorruptNodeRejected(t *testing.T) {
 	if err := mem.Write(0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.ReadNode(0); err == nil {
+	if err := tr.ReadNode(0, &Node{}); err == nil {
 		t.Error("corrupt node decoded without error")
 	}
 }

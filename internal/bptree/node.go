@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"spbtree/internal/obs"
 	"spbtree/internal/page"
 )
 
@@ -32,43 +31,24 @@ func maxInternalCap(dims int) int {
 	return (page.Size - headerSize) / internalEntrySize
 }
 
+// readNode is ReadNode in the mutable working form the mutation algorithms
+// and cursors edit and hold on to.
 func (t *Tree) readNode(id page.ID) (*node, error) {
-	var buf [page.Size]byte
-	if err := t.store.Read(id, buf[:]); err != nil {
-		return nil, fmt.Errorf("bptree: read node: %w", err)
+	var in Node
+	if err := t.ReadNode(id, &in); err != nil {
+		return nil, err
 	}
-	if t.tracer != nil {
-		t.tracer.Event(obs.Event{Kind: obs.EvNodeRead, Src: obs.SrcIndex, Page: uint32(id)})
-	}
-	n := &node{page: id}
-	n.leaf = buf[0]&1 != 0
-	cnt := int(binary.LittleEndian.Uint16(buf[1:3]))
-	n.next = page.ID(binary.LittleEndian.Uint32(buf[3:7]))
-	off := headerSize
+	n := &node{page: id, leaf: in.Leaf, next: in.Next}
 	if n.leaf {
-		if cnt > maxLeafCap {
-			return nil, fmt.Errorf("bptree: corrupt leaf %d: count %d", id, cnt)
-		}
-		n.leafEntries = make([]Pair, cnt)
+		n.leafEntries = make([]Pair, len(in.Keys))
 		for i := range n.leafEntries {
-			n.leafEntries[i].Key = binary.LittleEndian.Uint64(buf[off:])
-			n.leafEntries[i].Val = binary.LittleEndian.Uint64(buf[off+8:])
-			off += leafEntrySize
+			n.leafEntries[i] = Pair{Key: in.Keys[i], Val: in.Vals[i]}
 		}
-	} else {
-		if cnt > maxInternalCap(t.dims) {
-			return nil, fmt.Errorf("bptree: corrupt internal node %d: count %d", id, cnt)
-		}
-		n.children = make([]child, cnt)
-		for i := range n.children {
-			c := &n.children[i]
-			c.min.Key = binary.LittleEndian.Uint64(buf[off:])
-			c.min.Val = binary.LittleEndian.Uint64(buf[off+8:])
-			c.page = page.ID(binary.LittleEndian.Uint32(buf[off+16:]))
-			c.boxLo = binary.LittleEndian.Uint64(buf[off+20:])
-			c.boxHi = binary.LittleEndian.Uint64(buf[off+28:])
-			off += internalEntrySize
-		}
+		return n, nil
+	}
+	n.children = make([]child, len(in.Children))
+	for i, c := range in.Children {
+		n.children[i] = child{min: Pair{Key: c.MinKey, Val: c.MinVal}, page: c.Page, boxLo: c.BoxLo, boxHi: c.BoxHi}
 	}
 	return n, nil
 }

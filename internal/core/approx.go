@@ -6,7 +6,6 @@ import (
 
 	"spbtree/internal/metric"
 	"spbtree/internal/page"
-	"spbtree/internal/sfc"
 )
 
 // KNNApprox answers kNN(q, k) approximately: the best-first traversal of
@@ -36,11 +35,11 @@ func (t *Tree) knnApprox(ctx context.Context, q metric.Object, k, maxVerify int,
 	if k <= 0 || t.count == 0 {
 		return nil, nil
 	}
-	n := len(t.pivots)
+	sc := t.getScratch()
+	defer sc.release()
 	st := qs.stageStart()
-	qvec := make([]float64, n)
-	t.phi(q, qvec)
-	qs.Compdists += int64(n)
+	t.phi(q, sc.qvec)
+	qs.Compdists += int64(len(sc.qvec))
 	qs.stageAdd(&qs.PlanTime, st)
 
 	root, rootOK := t.bpt.Root()
@@ -50,23 +49,16 @@ func (t *Tree) knnApprox(ctx context.Context, q metric.Object, k, maxVerify int,
 	if slots := t.workersFor(); slots > 0 {
 		// The ordered-commit engine enforces the budget at commit time, so
 		// the verified set is exactly the serial prefix (exec.go).
-		return t.knnParallel(ctx, q, qvec, k, math.Inf(1), qs, slots, int64(maxVerify))
+		return t.knnParallel(ctx, q, sc, k, math.Inf(1), qs, slots, int64(maxVerify))
 	}
 
-	res := newKNNResults(k, math.Inf(1))
-	pq := &mindHeap{}
-	boxLo := make(sfc.Point, n)
-	boxHi := make(sfc.Point, n)
-	cell := make(sfc.Point, n)
-
+	res := sc.res.reset(k, math.Inf(1))
+	pq := &sc.pq
 	if rootOK {
-		t.curve.Decode(root.BoxLo, boxLo)
-		t.curve.Decode(root.BoxHi, boxHi)
-		pq.push(mindItem{mind: t.mindToBox(qvec, boxLo, boxHi), page: root.Page, isNode: true})
-		qs.HeapPushes++
+		t.pushBox(sc, root, res.bound(), qs)
 	}
 	if t.deltaActive() {
-		t.seedDeltaKNN(qvec, pq, cell, qs)
+		t.seedDelta(sc, qs)
 	}
 
 	verified := 0
@@ -78,10 +70,10 @@ func (t *Tree) knnApprox(ctx context.Context, q metric.Object, k, maxVerify int,
 		if item.mind > res.bound() {
 			break
 		}
-		if !item.isNode {
+		if !item.isNode() {
 			// A tombstone-shadowed base record verifies nothing and spends no
 			// budget; the serial and parallel budgeted searches agree on that.
-			counted, err := t.verifyKNN(ctx, q, res, item, qs)
+			counted, err := t.verifyKNN(ctx, q, res, pq.cand(item), qs)
 			if err != nil {
 				return res.sorted(), err
 			}
@@ -90,34 +82,11 @@ func (t *Tree) knnApprox(ctx context.Context, q metric.Object, k, maxVerify int,
 			}
 			continue
 		}
-		node, err := t.bpt.ReadNode(item.page)
-		if err != nil {
+		if err := t.readNode(sc, page.ID(item.ref)); err != nil {
 			return res.sorted(), err
 		}
 		qs.NodesRead++
-		if !node.Leaf {
-			for _, c := range node.Children {
-				t.curve.Decode(c.BoxLo, boxLo)
-				t.curve.Decode(c.BoxHi, boxHi)
-				if mind := t.mindToBox(qvec, boxLo, boxHi); mind <= res.bound() {
-					pq.push(mindItem{mind: mind, page: page.ID(c.Page), isNode: true})
-					qs.HeapPushes++
-				} else {
-					qs.NodesPruned++
-				}
-			}
-			continue
-		}
-		for i := range node.Keys {
-			qs.EntriesScanned++
-			t.curve.Decode(node.Keys[i], cell)
-			if mind := t.mindToCell(qvec, cell); mind <= res.bound() {
-				pq.push(mindItem{mind: mind, val: node.Vals[i]})
-				qs.HeapPushes++
-			} else {
-				qs.EntriesPruned++
-			}
-		}
+		t.pushNode(sc, res.bound(), qs)
 	}
 	out := res.sorted()
 	qs.Discarded = qs.Verified - int64(len(out))

@@ -8,12 +8,12 @@ import (
 )
 
 // TestConcurrentReaders: a built tree serves concurrent queries safely (the
-// caches are mutex-guarded and the distance counter is atomic). Run with
-// -race.
+// caches are mutex-guarded, page views are immutable and the distance counter
+// is atomic), each query fanning out to two verifiers. Run with -race.
 func TestConcurrentReaders(t *testing.T) {
 	objs := vectorSet(500, 4, 91)
 	dist := metric.L2(4)
-	tree, err := Build(objs, Options{Distance: dist, Codec: metric.VectorCodec{Dim: 4}, NumPivots: 3})
+	tree, err := Build(objs, Options{Distance: dist, Codec: metric.VectorCodec{Dim: 4}, NumPivots: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

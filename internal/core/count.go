@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"spbtree/internal/metric"
-	"spbtree/internal/page"
 	"spbtree/internal/sfc"
 )
 
@@ -28,41 +27,32 @@ func (t *Tree) RangeCount(q metric.Object, r float64) (int, error) {
 	if r < 0 {
 		return 0, nil
 	}
-	n := len(t.pivots)
-	qvec := make([]float64, n)
+	sc := t.getScratch()
+	defer sc.release()
+	qvec, rrLo, rrHi, boxLo, boxHi, cell, node := sc.qvec, sc.rrLo, sc.rrHi, sc.boxLo, sc.boxHi, sc.cell, &sc.node
 	t.phi(q, qvec)
-
-	rrLo := make(sfc.Point, n)
-	rrHi := make(sfc.Point, n)
 	t.rangeRegion(qvec, r, rrLo, rrHi)
 	if sfc.BoxVolume(rrLo, rrHi) == 0 {
 		return 0, nil
 	}
-
-	boxLo := make(sfc.Point, n)
-	boxHi := make(sfc.Point, n)
-	cell := make(sfc.Point, n)
 	deltaLive := t.deltaActive()
 
 	count := 0
 	if root, ok := t.bpt.Root(); ok {
-		stack := []pageRef{{page: root.Page, boxLo: root.BoxLo, boxHi: root.BoxHi}}
+		stack := append(sc.stack[:0], root)
 		for len(stack) > 0 {
 			ref := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			t.curve.Decode(ref.boxLo, boxLo)
-			t.curve.Decode(ref.boxHi, boxHi)
+			t.curve.Decode(ref.BoxLo, boxLo)
+			t.curve.Decode(ref.BoxHi, boxHi)
 			if !sfc.Intersects(rrLo, rrHi, boxLo, boxHi) {
 				continue
 			}
-			node, err := t.bpt.ReadNode(ref.page)
-			if err != nil {
+			if err := t.bpt.ReadNode(ref.Page, node); err != nil {
 				return 0, err
 			}
 			if !node.Leaf {
-				for _, c := range node.Children {
-					stack = append(stack, pageRef{page: c.Page, boxLo: c.BoxLo, boxHi: c.BoxHi})
-				}
+				stack = append(stack, node.Children...)
 				continue
 			}
 			for i := range node.Keys {
@@ -120,12 +110,6 @@ func (t *Tree) RangeCount(q metric.Object, r float64) (int, error) {
 		}
 	}
 	return count, nil
-}
-
-// pageRef is a lightweight node reference for count traversals.
-type pageRef struct {
-	page         page.ID
-	boxLo, boxHi uint64
 }
 
 // RangeIDs returns the identifiers of RQ(q, O, r), sorted — between

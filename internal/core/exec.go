@@ -44,33 +44,24 @@ import (
 	"time"
 
 	"spbtree/internal/metric"
+	"spbtree/internal/page"
 	"spbtree/internal/sfc"
 )
 
-// maxWorkers caps Options.Workers; defaultWorkerCap bounds the default so a
-// large machine does not dedicate every core to one query.
-const (
-	maxWorkers       = 64
-	defaultWorkerCap = 8
-)
+// maxWorkers caps Options.Workers.
+const maxWorkers = 64
 
-// defaultWorkers is the Workers default: min(GOMAXPROCS, 8).
-func defaultWorkers() int {
-	k := runtime.GOMAXPROCS(0)
-	if k > defaultWorkerCap {
-		k = defaultWorkerCap
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
+// defaultWorkers is the Workers default: one verifier, i.e. serial execution.
+// On the end-to-end benchmark (bench/README.md, two cores) a per-query
+// verifier pool is three to four times slower than the serial path, so the
+// pool is opt-in through Options.Workers / SetWorkers.
+const defaultWorkers = 1
 
 // resolveWorkers normalizes an Options.Workers value to [1, maxWorkers].
 func resolveWorkers(w int) int {
 	switch {
 	case w == 0:
-		return defaultWorkers()
+		return defaultWorkers
 	case w < 1:
 		return 1
 	case w > maxWorkers:
@@ -164,11 +155,7 @@ type rangeSerial struct {
 	r       float64
 	qs      *QueryStats
 	results []Result
-
-	// batch-mode scratch, allocated on first use (t.batch only).
-	buf  []rangeCand
-	cell sfc.Point
-	bs   rangeBatchScratch
+	sc      *queryScratch // pending block, block slices, prepared kernel
 }
 
 // rangeBatchScratch holds one block's reusable verification slices.
@@ -197,8 +184,8 @@ func (b *rangeBatchScratch) grow(n int) {
 
 func (s *rangeSerial) add(key, val uint64, cell sfc.Point) error {
 	if s.t.batch {
-		s.buf = append(s.buf, rangeCand{key: key, val: val})
-		if len(s.buf) >= rangeBatchSize {
+		s.sc.rbuf = append(s.sc.rbuf, rangeCand{key: key, val: val})
+		if len(s.sc.rbuf) >= rangeBatchSize {
 			return s.flush()
 		}
 		return nil
@@ -210,18 +197,15 @@ func (s *rangeSerial) add(key, val uint64, cell sfc.Point) error {
 // the inline scalar path (counted reads), so the error surfaces at the same
 // scan position with the same counters as unbatched execution.
 func (s *rangeSerial) flush() error {
-	if len(s.buf) == 0 {
+	if len(s.sc.rbuf) == 0 {
 		return nil
 	}
-	t, qs := s.t, s.qs
-	cands := s.buf
-	s.buf = s.buf[:0]
-	if s.cell == nil {
-		s.cell = make(sfc.Point, len(t.pivots))
-	}
+	t, qs, bs, cell := s.t, s.qs, &s.sc.bs, s.sc.vcell
+	cands := s.sc.rbuf
+	s.sc.rbuf = cands[:0]
 	n := len(cands)
-	s.bs.grow(n)
-	offsets, objs, plens := s.bs.offsets[:n], s.bs.objs[:n], s.bs.plens[:n]
+	bs.grow(n)
+	offsets, objs, plens := bs.offsets[:n], bs.objs[:n], bs.plens[:n]
 	for i, c := range cands {
 		offsets[i] = c.val
 	}
@@ -229,8 +213,8 @@ func (s *rangeSerial) flush() error {
 	if idx, err := t.raf.ReadBatch(offsets, objs, plens); idx >= 0 || err != nil {
 		qs.stageAdd(&qs.VerifyTime, st)
 		for _, c := range cands {
-			t.curve.Decode(c.key, s.cell)
-			if err := s.addScalar(c.key, c.val, s.cell); err != nil {
+			t.curve.Decode(c.key, cell)
+			if err := s.addScalar(c.key, c.val, cell); err != nil {
 				return err
 			}
 		}
@@ -238,7 +222,7 @@ func (s *rangeSerial) flush() error {
 	}
 	// Pre-filter: tombstone skips and Lemma 2 inclusions peel off exactly as
 	// inline; the remainder is one batch distance evaluation.
-	liveIdx, liveObjs := s.bs.liveIdx[:0], s.bs.liveObjs[:0]
+	liveIdx, liveObjs := bs.liveIdx[:0], bs.liveObjs[:0]
 	for i, c := range cands {
 		obj := objs[i]
 		if t.deltaShadowed(obj.ID()) {
@@ -246,9 +230,9 @@ func (s *rangeSerial) flush() error {
 			qs.TombstonesSkipped++
 			continue
 		}
-		t.curve.Decode(c.key, s.cell)
+		t.curve.Decode(c.key, cell)
 		if !t.noLemma2 {
-			if ub, ok := t.lemma2Bound(s.qvec, s.cell, s.r); ok {
+			if ub, ok := t.lemma2Bound(s.qvec, cell, s.r); ok {
 				qs.Lemma2Included++
 				t.raf.EmitRecordRead(c.val, plens[i])
 				s.results = append(s.results, Result{Object: obj, Dist: ub, Exact: false})
@@ -260,8 +244,8 @@ func (s *rangeSerial) flush() error {
 	}
 	if len(liveObjs) > 0 {
 		m := len(liveObjs)
-		d, within := s.bs.d[:m], s.bs.within[:m]
-		t.verifyBatch(s.q, liveObjs, s.r, d, within)
+		d, within := bs.d[:m], bs.within[:m]
+		t.verifyBatch(s.sc.kernel(t, s.q), liveObjs, s.r, d, within)
 		qs.BatchedCandidates += int64(m)
 		for j, i := range liveIdx {
 			qs.Verified++
@@ -346,6 +330,7 @@ type rangeExec struct {
 	t     *Tree
 	ctx   context.Context
 	q     metric.Object
+	prep  metric.PreparedQuery // the query's batch kernel, shared by the workers
 	qvec  []float64
 	r     float64
 	qs    *QueryStats
@@ -375,9 +360,9 @@ type rangeWorker struct {
 	bs          rangeBatchScratch
 }
 
-func (t *Tree) newRangeExec(ctx context.Context, q metric.Object, qvec []float64, r float64, qs *QueryStats, slots int) *rangeExec {
+func (t *Tree) newRangeExec(ctx context.Context, q metric.Object, prep metric.PreparedQuery, qvec []float64, r float64, qs *QueryStats, slots int) *rangeExec {
 	e := &rangeExec{
-		t: t, ctx: ctx, q: q, qvec: qvec, r: r, qs: qs, timed: qs.timed,
+		t: t, ctx: ctx, q: q, prep: prep, qvec: qvec, r: r, qs: qs, timed: qs.timed,
 		jobs:    make(chan []rangeCand, 2*slots),
 		batch:   make([]rangeCand, 0, rangeBatchSize),
 		workers: make([]rangeWorker, slots),
@@ -529,7 +514,7 @@ func (e *rangeExec) verifyBlock(w *rangeWorker, cands []rangeCand, objs []metric
 	}
 	m := len(liveObjs)
 	d, within := w.bs.d[:m], w.bs.within[:m]
-	t.verifyBatch(e.q, liveObjs, e.r, d, within)
+	t.verifyBatch(e.prep, liveObjs, e.r, d, within)
 	w.batched += int64(m)
 	for j, i := range liveIdx {
 		w.verified++
@@ -642,8 +627,9 @@ type knnExec struct {
 	ctx     context.Context
 	q       metric.Object
 	raw     metric.DistanceFunc
-	bounded bool // probe with the bounded kernel against the committed bound
-	batch   bool // probe greedy leaf blocks through the batch kernel
+	prep    metric.PreparedQuery // the query's batch kernel, shared by the workers
+	bounded bool                 // probe with the bounded kernel against the committed bound
+	batch   bool                 // probe greedy leaf blocks through the batch kernel
 	greedy  bool
 	budget  int64 // max committed verifications; -1 = unlimited
 	qs      *QueryStats
@@ -681,10 +667,10 @@ type knnExec struct {
 	verifyTime     time.Duration
 }
 
-func (t *Tree) newKNNExec(ctx context.Context, q metric.Object, k int, bound0 float64, qs *QueryStats, slots int, budget int64, greedy bool) *knnExec {
+func (t *Tree) newKNNExec(ctx context.Context, q metric.Object, prep metric.PreparedQuery, k int, bound0 float64, qs *QueryStats, slots int, budget int64, greedy bool) *knnExec {
 	res := newKNNResults(k, bound0)
 	ex := &knnExec{
-		t: t, ctx: ctx, q: q, raw: t.dist.Unwrap(), bounded: t.bounded, batch: t.batch, greedy: greedy,
+		t: t, ctx: ctx, q: q, raw: t.dist.Unwrap(), prep: prep, bounded: t.bounded, batch: t.batch, greedy: greedy,
 		budget: budget, qs: qs, timed: qs.timed,
 		jobs:    make(chan knnJob, 2*slots),
 		slots:   slots,
@@ -858,7 +844,7 @@ func (ex *knnExec) worker() {
 				if ex.bounded {
 					eff = ex.bound()
 				}
-				metric.BatchDistanceAtMost(ex.raw, ex.q, probeObjs, eff, pd[:len(probeObjs)], pw[:len(probeObjs)])
+				ex.prep.BatchAtMost(probeObjs, eff, pd[:len(probeObjs)], pw[:len(probeObjs)])
 				ex.batched.Add(int64(len(probeObjs)))
 			}
 			j := 0
@@ -1008,28 +994,19 @@ func (ex *knnExec) finish() ([]Result, error) {
 // with pipelined verification: the traversal below is the serial one, except
 // that admitted entries go to the engine instead of being verified inline,
 // and pruning uses the committed (never tighter than serial) bound.
-func (t *Tree) knnParallel(ctx context.Context, q metric.Object, qvec []float64, k int, bound0 float64, qs *QueryStats, slots int, budget int64) ([]Result, error) {
-	n := len(t.pivots)
+func (t *Tree) knnParallel(ctx context.Context, q metric.Object, sc *queryScratch, k int, bound0 float64, qs *QueryStats, slots int, budget int64) ([]Result, error) {
 	greedy := t.traversal == Greedy && budget < 0
-	ex := t.newKNNExec(ctx, q, k, bound0, qs, slots, budget, greedy)
+	ex := t.newKNNExec(ctx, q, sc.kernel(t, q), k, bound0, qs, slots, budget, greedy)
 
-	boxLo := make(sfc.Point, n)
-	boxHi := make(sfc.Point, n)
-	cell := make(sfc.Point, n)
-	var leafBatch []knnCand
-
-	pq := &mindHeap{}
+	pq := &sc.pq
 	if root, ok := t.bpt.Root(); ok {
-		t.curve.Decode(root.BoxLo, boxLo)
-		t.curve.Decode(root.BoxHi, boxHi)
-		pq.push(mindItem{mind: t.mindToBox(qvec, boxLo, boxHi), page: root.Page, isNode: true})
-		qs.HeapPushes++
+		t.pushBox(sc, root, ex.bound(), qs)
 	}
 	deltaLive := t.deltaActive()
 	if deltaLive {
 		// Buffered inserts enter the same best-first frontier as base entries,
 		// carrying their objects so workers skip the RAF read.
-		t.seedDeltaKNN(qvec, pq, cell, qs)
+		t.seedDelta(sc, qs)
 	}
 
 	var travErr error
@@ -1052,56 +1029,34 @@ func (t *Tree) knnParallel(ctx context.Context, q metric.Object, qvec []float64,
 		if item.mind > ex.bound() {
 			break // Lemma 3 on the committed bound: never earlier than serial
 		}
-		if !item.isNode {
-			ex.dispatch(knnCand{mind: item.mind, val: item.val, obj: item.obj})
+		if !item.isNode() {
+			ex.dispatch(pq.cand(item))
 			continue
 		}
-		node, err := t.bpt.ReadNode(item.page)
-		if err != nil {
+		if err := t.readNode(sc, page.ID(item.ref)); err != nil {
 			travErr = err
 			break
 		}
 		qs.NodesRead++
-		if !node.Leaf {
-			for _, c := range node.Children {
-				t.curve.Decode(c.BoxLo, boxLo)
-				t.curve.Decode(c.BoxHi, boxHi)
-				if mind := t.mindToBox(qvec, boxLo, boxHi); mind <= ex.bound() {
-					pq.push(mindItem{mind: mind, page: c.Page, isNode: true})
-					qs.HeapPushes++
-				} else {
-					qs.NodesPruned++
-				}
-			}
+		if !sc.node.Leaf || !greedy {
+			// One committed-bound snapshot per node: like any stale bound it
+			// only admits extras, which self-discard at commit.
+			t.pushNode(sc, ex.bound(), qs)
 			continue
 		}
-		if greedy {
-			leafBatch = leafBatch[:0]
-			for i := range node.Keys {
-				qs.EntriesScanned++
-				t.curve.Decode(node.Keys[i], cell)
-				mind := t.mindToCell(qvec, cell)
-				if mind > ex.bound() {
-					qs.EntriesPruned++
-					continue
-				}
-				leafBatch = append(leafBatch, knnCand{mind: mind, val: node.Vals[i]})
-			}
-			if len(leafBatch) > 0 {
-				ex.dispatch(leafBatch...)
-			}
-			continue
-		}
-		for i := range node.Keys {
+		leafBatch := sc.kb.cands[:0]
+		for i, val := range sc.node.Vals {
 			qs.EntriesScanned++
-			t.curve.Decode(node.Keys[i], cell)
-			mind := t.mindToCell(qvec, cell)
+			mind := t.mindToCell(sc.qvec, sc.cellAt(i))
 			if mind > ex.bound() {
 				qs.EntriesPruned++
 				continue
 			}
-			pq.push(mindItem{mind: mind, val: node.Vals[i]})
-			qs.HeapPushes++
+			leafBatch = append(leafBatch, knnCand{mind: mind, val: val})
+		}
+		sc.kb.cands = leafBatch
+		if len(leafBatch) > 0 {
+			ex.dispatch(leafBatch...)
 		}
 	}
 

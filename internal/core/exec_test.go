@@ -316,16 +316,20 @@ func TestParallelStressQueriesRebuild(t *testing.T) {
 }
 
 // TestWorkerResolution pins the Options.Workers contract: 0 picks the
-// GOMAXPROCS-derived default, values clamp to [1, maxWorkers], and
-// SetWorkers applies the same resolution.
+// default of one verifier (serial execution), values clamp to
+// [1, maxWorkers], and SetWorkers applies the same resolution.
 func TestWorkerResolution(t *testing.T) {
 	objs := vectorSet(50, 4, 55)
 	tree, err := Build(objs, Options{Distance: metric.L2(4), Codec: metric.VectorCodec{Dim: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := tree.Workers(), defaultWorkers(); got != want {
-		t.Errorf("default workers = %d, want %d", got, want)
+	if got := tree.Workers(); got != 1 {
+		t.Errorf("default workers = %d, want 1", got)
+	}
+	tree.SetWorkers(4)
+	if tree.SetWorkers(0); tree.Workers() != 1 {
+		t.Errorf("SetWorkers(0) resolved to %d, want the default 1", tree.Workers())
 	}
 	tree.SetWorkers(-3)
 	if tree.Workers() != 1 {

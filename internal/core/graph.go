@@ -342,6 +342,7 @@ func (t *Tree) knnGraph(ctx context.Context, q metric.Object, k int, opts Search
 	pd := make([]float64, scratch)
 	pw := make([]bool, scratch)
 	byNode := make(map[int32]metric.Object, 2*ef)
+	prep := metric.Prepare(t.dist.Unwrap(), q)
 
 	eval := func(nodes []int32, thr float64, d []float64, within []bool) error {
 		if err := ctxDone(ctx); err != nil {
@@ -389,7 +390,7 @@ func (t *Tree) knnGraph(ctx context.Context, q metric.Object, k int, opts Search
 			probeObjs = append(probeObjs, objs[i])
 		}
 		if len(probeObjs) > 0 {
-			t.verifyBatch(q, probeObjs, thr, pd[:len(probeObjs)], pw[:len(probeObjs)])
+			t.verifyBatch(prep, probeObjs, thr, pd[:len(probeObjs)], pw[:len(probeObjs)])
 			qs.Verified += int64(len(probeObjs))
 			qs.Compdists += int64(len(probeObjs))
 			qs.GraphCandidates += int64(len(probeObjs))

@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"spbtree/internal/metric"
-	"spbtree/internal/sfc"
+	"spbtree/internal/page"
 )
 
 // NearestIter starts an incremental nearest-neighbor scan from q in the
@@ -38,12 +38,10 @@ func (t *Tree) NearestIter(q metric.Object) *NearestIter {
 // unfinished durable iterator; call Close first. Iterators over non-durable
 // trees are lock-free, as before.
 func (t *Tree) NearestIterWithin(q metric.Object, limit float64) *NearestIter {
-	n := len(t.pivots)
-	it := &NearestIter{t: t, qvec: make([]float64, n), limit: limit}
-	it.q = q
-	it.boxLo = make(sfc.Point, n)
-	it.boxHi = make(sfc.Point, n)
-	it.cell = make(sfc.Point, n)
+	// The scratch stays with the iterator (Next may be called after
+	// exhaustion), so it is never released back to the pool.
+	it := &NearestIter{t: t, q: q, limit: limit, sc: t.getScratch()}
+	it.pq = &it.sc.pq
 	if t.dur != nil {
 		t.mu.RLock()
 		it.locked = true
@@ -53,16 +51,11 @@ func (t *Tree) NearestIterWithin(q metric.Object, limit float64) *NearestIter {
 			return it
 		}
 	}
-	t.phi(q, it.qvec)
+	t.phi(q, it.sc.qvec)
 	if root, ok := t.bpt.Root(); ok {
-		t.curve.Decode(root.BoxLo, it.boxLo)
-		t.curve.Decode(root.BoxHi, it.boxHi)
-		it.pq.push(mindItem{mind: t.mindToBox(it.qvec, it.boxLo, it.boxHi), page: root.Page, isNode: true})
+		t.pushBox(it.sc, root, math.Inf(1), &it.qs)
 	}
-	for _, e := range t.deltaEntriesSorted() {
-		t.curve.Decode(e.key, it.cell)
-		it.pq.push(mindItem{mind: t.mindToCell(it.qvec, it.cell), obj: e.obj})
-	}
+	t.seedDelta(it.sc, &it.qs)
 	return it
 }
 
@@ -71,11 +64,12 @@ func (t *Tree) NearestIterWithin(q metric.Object, limit float64) *NearestIter {
 type NearestIter struct {
 	t     *Tree
 	q     metric.Object
-	qvec  []float64
 	limit float64 // emit only objects with d ≤ limit; +Inf = unbounded
 
-	pq       mindHeap   // unexplored entries by lower bound
-	verified resultHeap // computed but not yet emitted results
+	sc       *queryScratch // pivot distances, frontier, node and batch buffers
+	qs       QueryStats    // sink for the shared push helpers' counters; unread
+	pq       *mindHeap     // sc.pq: unexplored entries by lower bound
+	verified resultHeap    // computed but not yet emitted results
 
 	// pending holds a batch-verified run of entries not yet applied to the
 	// result heap; entries apply one per loop turn, in pop order, so the
@@ -83,12 +77,10 @@ type NearestIter struct {
 	// still count as frontier lower bounds until applied).
 	pending []iterPending
 	pendIdx int
-	noBatch bool      // a coalesced read failed; stay on the scalar path
-	kb      *knnBatch // batch scratch, allocated on first use
+	noBatch bool // a coalesced read failed; stay on the scalar path
 
-	boxLo, boxHi, cell sfc.Point
-	locked             bool // holds t.mu.RLock (durable trees only)
-	err                error
+	locked bool // holds t.mu.RLock (durable trees only)
+	err    error
 }
 
 // iterPending is one batch-verified entry awaiting application: its frontier
@@ -165,22 +157,23 @@ func (it *NearestIter) Next() (res Result, ok bool) {
 			it.pq.items = it.pq.items[:0]
 			continue
 		}
-		if !item.isNode {
+		if !item.isNode() {
 			if it.t.batch && !it.noBatch && it.pq.Len() > 0 && !it.pq.peekIsNode() && it.pq.peekMind() <= it.limit {
 				// A run of in-limit entries sits atop the heap: verify the
 				// block through the batch kernel (DESIGN.md §13) and stage it
 				// in pending. Verification is against the fixed limit — never
 				// a moving bound — so batching changes nothing but the kernel.
-				if it.batchRun(item) {
+				if it.batchRun(it.pq.cand(item)) {
 					continue
 				}
 				// A coalesced read failed: the run is back on the heap and the
 				// scalar path below takes over (permanently, via noBatch).
 			}
-			obj := item.obj
+			c := it.pq.cand(item)
+			obj := c.obj
 			if obj == nil {
 				var err error
-				obj, err = it.t.raf.Read(item.val)
+				obj, err = it.t.raf.Read(c.val)
 				if err != nil {
 					it.err = err
 					it.release()
@@ -196,24 +189,12 @@ func (it *NearestIter) Next() (res Result, ok bool) {
 			}
 			continue
 		}
-		node, err := it.t.bpt.ReadNode(item.page)
-		if err != nil {
+		if err := it.t.readNode(it.sc, page.ID(item.ref)); err != nil {
 			it.err = err
 			it.release()
 			return Result{}, false
 		}
-		if !node.Leaf {
-			for _, c := range node.Children {
-				it.t.curve.Decode(c.BoxLo, it.boxLo)
-				it.t.curve.Decode(c.BoxHi, it.boxHi)
-				it.pq.push(mindItem{mind: it.t.mindToBox(it.qvec, it.boxLo, it.boxHi), page: c.Page, isNode: true})
-			}
-			continue
-		}
-		for i := range node.Keys {
-			it.t.curve.Decode(node.Keys[i], it.cell)
-			it.pq.push(mindItem{mind: it.t.mindToCell(it.qvec, it.cell), val: node.Vals[i]})
-		}
+		it.t.pushNode(it.sc, math.Inf(1), &it.qs)
 	}
 }
 
@@ -226,19 +207,16 @@ func (it *NearestIter) Next() (res Result, ok bool) {
 // pushed back (the heap restores pop order), noBatch pins the scalar path,
 // and the caller re-resolves first scalar-wise, surfacing any real read error
 // at the same position the unbatched scan would.
-func (it *NearestIter) batchRun(first mindItem) bool {
-	if it.kb == nil {
-		it.kb = &knnBatch{}
+func (it *NearestIter) batchRun(first knnCand) bool {
+	kb := &it.sc.kb
+	kb.cands = append(kb.cands[:0], first)
+	for len(kb.cands) < knnIncrementalBlock && it.pq.Len() > 0 && !it.pq.peekIsNode() && it.pq.peekMind() <= it.limit {
+		kb.cands = append(kb.cands, it.pq.cand(it.pq.pop()))
 	}
-	kb := it.kb
-	kb.items = append(kb.items[:0], first)
-	for len(kb.items) < knnIncrementalBlock && it.pq.Len() > 0 && !it.pq.peekIsNode() && it.pq.peekMind() <= it.limit {
-		kb.items = append(kb.items, it.pq.pop())
-	}
-	n := len(kb.items)
+	n := len(kb.cands)
 	kb.grow(n)
 	m := 0
-	for _, x := range kb.items {
+	for _, x := range kb.cands {
 		if x.obj == nil {
 			kb.offsets[m] = x.val
 			m++
@@ -246,8 +224,8 @@ func (it *NearestIter) batchRun(first mindItem) bool {
 	}
 	if m > 0 {
 		if idx, err := it.t.raf.ReadBatch(kb.offsets[:m], kb.readObjs[:m], kb.plens[:m]); idx >= 0 || err != nil {
-			for _, x := range kb.items[1:] {
-				it.pq.push(x)
+			for _, x := range kb.cands[1:] {
+				it.pq.pushCand(x)
 			}
 			it.noBatch = true
 			return false
@@ -259,7 +237,7 @@ func (it *NearestIter) batchRun(first mindItem) bool {
 	it.pending = it.pending[:0]
 	it.pendIdx = 0
 	j := 0
-	for _, x := range kb.items {
+	for _, x := range kb.cands {
 		p := iterPending{mind: x.mind, obj: x.obj}
 		if p.obj == nil {
 			o := kb.readObjs[j]
@@ -279,7 +257,7 @@ func (it *NearestIter) batchRun(first mindItem) bool {
 	}
 	if len(probeObjs) > 0 {
 		p := len(probeObjs)
-		it.t.verifyBatch(it.q, probeObjs, it.limit, kb.pd[:p], kb.pw[:p])
+		it.t.verifyBatch(it.sc.kernel(it.t, it.q), probeObjs, it.limit, kb.pd[:p], kb.pw[:p])
 		for jj, i := range probeIdx {
 			it.pending[i].d = kb.pd[jj]
 			it.pending[i].within = kb.pw[jj]

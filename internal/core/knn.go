@@ -7,7 +7,6 @@ import (
 
 	"spbtree/internal/metric"
 	"spbtree/internal/page"
-	"spbtree/internal/sfc"
 )
 
 // KNN answers kNN(q, k) with the paper's Algorithm 2 (NNA): a best-first
@@ -45,38 +44,30 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 	if k <= 0 || t.count == 0 {
 		return nil, nil
 	}
-	n := len(t.pivots)
+	sc := t.getScratch()
+	defer sc.release()
 	st := qs.stageStart()
-	qvec := make([]float64, n)
-	t.phi(q, qvec)
-	qs.Compdists += int64(n)
+	t.phi(q, sc.qvec)
+	qs.Compdists += int64(len(sc.qvec))
 	qs.stageAdd(&qs.PlanTime, st)
 
 	root, rootOK := t.bpt.Root()
 	if !rootOK && !t.deltaActive() {
 		return nil, nil
 	}
-	if slots := t.planKNNSlots(qvec, k, qs); slots > 0 {
+	if slots := t.planKNNSlots(sc.qvec, k, qs); slots > 0 {
 		// Pipelined verification with ordered commits (exec.go): identical
 		// results and verification counters, concurrent distance work.
-		return t.knnParallel(ctx, q, qvec, k, bound0, qs, slots, -1)
+		return t.knnParallel(ctx, q, sc, k, bound0, qs, slots, -1)
 	}
 
-	res := newKNNResults(k, bound0)
-	pq := &mindHeap{}
-	boxLo := make(sfc.Point, n)
-	boxHi := make(sfc.Point, n)
-	cell := make(sfc.Point, n)
-	var kb knnBatch
-
+	res := sc.res.reset(k, bound0)
+	pq, kb := &sc.pq, &sc.kb
 	if rootOK {
-		t.curve.Decode(root.BoxLo, boxLo)
-		t.curve.Decode(root.BoxHi, boxHi)
-		pq.push(mindItem{mind: t.mindToBox(qvec, boxLo, boxHi), page: root.Page, isNode: true})
-		qs.HeapPushes++
+		t.pushBox(sc, root, res.bound(), qs)
 	}
 	if t.deltaActive() {
-		t.seedDeltaKNN(qvec, pq, cell, qs)
+		t.seedDelta(sc, qs)
 	}
 
 	for pq.Len() > 0 {
@@ -87,17 +78,17 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 		if item.mind > res.bound() {
 			break // Lemma 3 early termination
 		}
-		if !item.isNode {
+		if !item.isNode() {
 			if t.batch && pq.Len() > 0 && !pq.peekIsNode() {
 				// A run of entry pops with no tree node between them: buffer
 				// the block and verify it through the batch kernel with
 				// pop-order bound replay (DESIGN.md §13) — identical results
 				// and counters to popping one entry at a time.
-				kb.items = append(kb.items[:0], item)
-				for len(kb.items) < knnIncrementalBlock && pq.Len() > 0 && !pq.peekIsNode() {
-					kb.items = append(kb.items, pq.pop())
+				kb.cands = append(kb.cands[:0], pq.cand(item))
+				for len(kb.cands) < knnIncrementalBlock && pq.Len() > 0 && !pq.peekIsNode() {
+					kb.cands = append(kb.cands, pq.cand(pq.pop()))
 				}
-				terminated, err := t.verifyKNNIncremental(ctx, q, res, &kb, qs)
+				terminated, err := t.verifyKNNIncremental(ctx, q, sc, qs)
 				if err != nil {
 					return res.sorted(), err
 				}
@@ -107,66 +98,38 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 				continue
 			}
 			// A leaf entry (or buffered insert): fetch the object and verify.
-			if _, err := t.verifyKNN(ctx, q, res, item, qs); err != nil {
+			if _, err := t.verifyKNN(ctx, q, res, pq.cand(item), qs); err != nil {
 				return res.sorted(), err
 			}
 			continue
 		}
-		node, err := t.bpt.ReadNode(item.page)
-		if err != nil {
+		if err := t.readNode(sc, page.ID(item.ref)); err != nil {
 			return res.sorted(), err
 		}
 		qs.NodesRead++
-		if !node.Leaf {
-			for _, c := range node.Children {
-				t.curve.Decode(c.BoxLo, boxLo)
-				t.curve.Decode(c.BoxHi, boxHi)
-				if mind := t.mindToBox(qvec, boxLo, boxHi); mind <= res.bound() {
-					pq.push(mindItem{mind: mind, page: c.Page, isNode: true})
-					qs.HeapPushes++
-				} else {
-					qs.NodesPruned++ // Lemma 3
-				}
-			}
+		if !sc.node.Leaf || t.traversal != Greedy {
+			t.pushNode(sc, res.bound(), qs)
 			continue
 		}
-		if t.traversal == Greedy && t.batch {
-			// Batch the whole leaf (DESIGN.md §13): scan-time pruning uses the
-			// pre-leaf bound, and verifyKNNBatch replays each survivor at its
-			// committed bound — identical results and counters to the inline
-			// loop, whose bound tightens entry by entry.
-			kb.cands = kb.cands[:0]
-			for i := range node.Keys {
-				qs.EntriesScanned++
-				t.curve.Decode(node.Keys[i], cell)
-				mind := t.mindToCell(qvec, cell)
-				if mind > res.bound() {
-					qs.EntriesPruned++ // Lemma 3
-					continue
-				}
-				kb.cands = append(kb.cands, knnCand{mind: mind, val: node.Vals[i]})
-			}
-			if err := t.verifyKNNBatch(ctx, q, res, &kb, qs); err != nil {
+		// Greedy: verify the whole leaf now. With batch kernels the block goes
+		// through verifyKNNBatch (DESIGN.md §13): scan-time pruning uses the
+		// pre-leaf bound, and the batch replays each survivor at its committed
+		// bound — identical results and counters to the inline loop, whose
+		// bound tightens entry by entry.
+		kb.cands = kb.cands[:0]
+		for i, val := range sc.node.Vals {
+			qs.EntriesScanned++
+			c := knnCand{mind: t.mindToCell(sc.qvec, sc.cellAt(i)), val: val}
+			if c.mind > res.bound() {
+				qs.EntriesPruned++ // Lemma 3
+			} else if t.batch {
+				kb.cands = append(kb.cands, c)
+			} else if _, err := t.verifyKNN(ctx, q, res, c, qs); err != nil {
 				return res.sorted(), err
 			}
-			continue
 		}
-		for i := range node.Keys {
-			qs.EntriesScanned++
-			t.curve.Decode(node.Keys[i], cell)
-			mind := t.mindToCell(qvec, cell)
-			if mind > res.bound() {
-				qs.EntriesPruned++ // Lemma 3
-				continue
-			}
-			if t.traversal == Greedy {
-				if _, err := t.verifyKNN(ctx, q, res, mindItem{mind: mind, val: node.Vals[i]}, qs); err != nil {
-					return res.sorted(), err
-				}
-			} else {
-				pq.push(mindItem{mind: mind, val: node.Vals[i]})
-				qs.HeapPushes++
-			}
+		if err := t.verifyKNNBatch(ctx, q, sc, qs); err != nil {
+			return res.sorted(), err
 		}
 	}
 
@@ -202,7 +165,7 @@ func (r *knnResults) sorted() []Result {
 // counted reports whether a verification actually happened: a base record
 // superseded by the write buffer is skipped after its read (it consumes no
 // distance computation and no approximate-search budget).
-func (t *Tree) verifyKNN(ctx context.Context, q metric.Object, res *knnResults, item mindItem, qs *QueryStats) (counted bool, err error) {
+func (t *Tree) verifyKNN(ctx context.Context, q metric.Object, res *knnResults, item knnCand, qs *QueryStats) (counted bool, err error) {
 	if err := ctxDone(ctx); err != nil {
 		return false, err
 	}
@@ -235,11 +198,10 @@ func (t *Tree) verifyKNN(ctx context.Context, q metric.Object, res *knnResults, 
 }
 
 // knnBatch is the serial traversal's batching scratch, reused across blocks:
-// cands feeds the greedy per-leaf batch, items feeds the best-first
-// incremental batch.
+// cands is the block — a greedy leaf's admitted entries, or a best-first run
+// of consecutive entry pops.
 type knnBatch struct {
 	cands     []knnCand
-	items     []mindItem
 	offsets   []uint64
 	objs      []metric.Object
 	readObjs  []metric.Object
@@ -287,15 +249,16 @@ const knnIncrementalBlock = 16
 // scalar path. Every counter and the result set match the scalar loop; a
 // failed coalesced read falls back to it, surfacing the error at the same
 // pop position.
-func (t *Tree) verifyKNNIncremental(ctx context.Context, q metric.Object, res *knnResults, kb *knnBatch, qs *QueryStats) (terminated bool, err error) {
+func (t *Tree) verifyKNNIncremental(ctx context.Context, q metric.Object, sc *queryScratch, qs *QueryStats) (terminated bool, err error) {
 	if err := ctxDone(ctx); err != nil {
 		return false, err
 	}
-	n := len(kb.items)
+	res, kb := &sc.res, &sc.kb
+	n := len(kb.cands)
 	kb.grow(n)
 	st := qs.stageStart()
 	m := 0
-	for _, it := range kb.items {
+	for _, it := range kb.cands {
 		if it.obj == nil {
 			kb.offsets[m] = it.val
 			m++
@@ -306,7 +269,7 @@ func (t *Tree) verifyKNNIncremental(ctx context.Context, q metric.Object, res *k
 			// Coalesced read failed: replay the run on the scalar path, which
 			// surfaces the error at the same pop position.
 			qs.stageAdd(&qs.VerifyTime, st)
-			for _, it := range kb.items {
+			for _, it := range kb.cands {
 				if it.mind > res.bound() {
 					return true, nil
 				}
@@ -321,7 +284,7 @@ func (t *Tree) verifyKNNIncremental(ctx context.Context, q metric.Object, res *k
 	// and build the probe list.
 	probeIdx, probeObjs := kb.probeIdx[:0], kb.probeObjs[:0]
 	j := 0
-	for i, it := range kb.items {
+	for i, it := range kb.cands {
 		if it.obj != nil {
 			kb.objs[i] = it.obj
 			kb.tomb[i] = false
@@ -343,7 +306,7 @@ func (t *Tree) verifyKNNIncremental(ctx context.Context, q metric.Object, res *k
 			eff = res.bound()
 		}
 		p := len(probeObjs)
-		metric.BatchDistanceAtMost(t.dist.Unwrap(), q, probeObjs, eff, kb.pd[:p], kb.pw[:p])
+		sc.kernel(t, q).BatchAtMost(probeObjs, eff, kb.pd[:p], kb.pw[:p])
 		qs.BatchedCandidates += int64(p)
 		for jj, i := range probeIdx {
 			kb.d[i], kb.within[i] = kb.pd[jj], kb.pw[jj]
@@ -351,7 +314,7 @@ func (t *Tree) verifyKNNIncremental(ctx context.Context, q metric.Object, res *k
 	}
 	// Commit in pop order against the live bound.
 	j = 0
-	for i, it := range kb.items {
+	for i, it := range kb.cands {
 		if it.mind > res.bound() {
 			// Lemma 3 termination at this item's turn; the rest of the run is
 			// the heap prefix the serial loop never pops.
@@ -401,7 +364,8 @@ func (t *Tree) verifyKNNIncremental(ctx context.Context, q metric.Object, res *k
 // and evaluations for commit-pruned candidates) stays as invisible as the
 // parallel engine's speculation. A failed coalesced read falls back to the
 // inline scalar path, surfacing the error at the same scan position.
-func (t *Tree) verifyKNNBatch(ctx context.Context, q metric.Object, res *knnResults, kb *knnBatch, qs *QueryStats) error {
+func (t *Tree) verifyKNNBatch(ctx context.Context, q metric.Object, sc *queryScratch, qs *QueryStats) error {
+	res, kb := &sc.res, &sc.kb
 	if len(kb.cands) == 0 {
 		return nil
 	}
@@ -422,7 +386,7 @@ func (t *Tree) verifyKNNBatch(ctx context.Context, q metric.Object, res *knnResu
 				qs.EntriesPruned++
 				continue
 			}
-			if _, err := t.verifyKNN(ctx, q, res, mindItem{mind: c.mind, val: c.val}, qs); err != nil {
+			if _, err := t.verifyKNN(ctx, q, res, c, qs); err != nil {
 				return err
 			}
 		}
@@ -442,7 +406,7 @@ func (t *Tree) verifyKNNBatch(ctx context.Context, q metric.Object, res *knnResu
 			eff = res.bound()
 		}
 		m := len(probeObjs)
-		metric.BatchDistanceAtMost(t.dist.Unwrap(), q, probeObjs, eff, kb.pd[:m], kb.pw[:m])
+		sc.kernel(t, q).BatchAtMost(probeObjs, eff, kb.pd[:m], kb.pw[:m])
 		qs.BatchedCandidates += int64(m)
 		for j, i := range probeIdx {
 			kb.d[i], kb.within[i] = kb.pd[j], kb.pw[j]
@@ -472,19 +436,6 @@ func (t *Tree) verifyKNNBatch(ctx context.Context, q metric.Object, res *knnResu
 	return nil
 }
 
-// seedDeltaKNN pushes every buffered insert onto the kNN frontier with its
-// mapped-space MIND lower bound, exactly as if it were a leaf entry of the
-// base tree; the carried object lets verification skip the RAF read. Callers
-// hold the read lock; cell is caller scratch.
-func (t *Tree) seedDeltaKNN(qvec []float64, pq *mindHeap, cell sfc.Point, qs *QueryStats) {
-	for _, e := range t.deltaEntriesSorted() {
-		qs.EntriesScanned++
-		t.curve.Decode(e.key, cell)
-		pq.push(mindItem{mind: t.mindToCell(qvec, cell), obj: e.obj})
-		qs.HeapPushes++
-	}
-}
-
 // knnResults keeps the k best candidates in a max-heap so curND_k updates in
 // O(log k). bound0 is the seeded starting bound (+Inf when unbounded): the
 // heap then computes the canonical top-k of {x : d(q,x) ≤ bound0} — exactly
@@ -495,13 +446,19 @@ type knnResults struct {
 	items  []Result // max-heap by (Dist, ID)
 }
 
-// newKNNResults constructs a result heap seeded with bound0. A NaN bound is
-// treated as unbounded; 0 is a valid (maximally tight) bound.
+// newKNNResults constructs a result heap seeded with bound0.
 func newKNNResults(k int, bound0 float64) *knnResults {
+	return new(knnResults).reset(k, bound0)
+}
+
+// reset readies r, keeping its backing array, for a query seeded with bound0.
+// A NaN bound is treated as unbounded; 0 is a valid (maximally tight) bound.
+func (r *knnResults) reset(k int, bound0 float64) *knnResults {
 	if math.IsNaN(bound0) {
 		bound0 = math.Inf(1)
 	}
-	return &knnResults{k: k, bound0: bound0}
+	r.k, r.bound0, r.items = k, bound0, r.items[:0]
+	return r
 }
 
 // resultWorse reports whether a ranks strictly after b in the (Dist, ID)
@@ -568,94 +525,3 @@ func (r *knnResults) down(i int) {
 		i = big
 	}
 }
-
-// mindItem is a heap element of Algorithm 2: a tree node (isNode), a leaf
-// entry's object pointer, or — with obj set — a buffered insert from the
-// write buffer carrying its object directly.
-type mindItem struct {
-	mind   float64
-	isNode bool
-	page   page.ID
-	val    uint64
-	obj    metric.Object
-}
-
-// mindLess is a total order on heap items: MIND first, then nodes before
-// entries, then base entries before write-buffer entries, then page, offset
-// or object ID. Totality matters twice — equal-MIND items pop in the same
-// relative order in every execution, so serial and parallel traversals admit
-// identical candidate sequences (and thus identical Verified/Compdists), and
-// results never depend on heap internals.
-func mindLess(a, b mindItem) bool {
-	if a.mind != b.mind {
-		return a.mind < b.mind
-	}
-	if a.isNode != b.isNode {
-		return a.isNode
-	}
-	if a.isNode {
-		return a.page < b.page
-	}
-	if (a.obj != nil) != (b.obj != nil) {
-		return b.obj != nil
-	}
-	if a.obj != nil {
-		return a.obj.ID() < b.obj.ID()
-	}
-	return a.val < b.val
-}
-
-// mindHeap is a concrete binary min-heap of mindItems. Replacing the
-// container/heap implementation removes an interface{} boxing allocation on
-// every push and pop — Algorithm 2 performs one per admitted entry, so the
-// savings scale with EntriesScanned.
-type mindHeap struct {
-	items []mindItem
-}
-
-func (h *mindHeap) Len() int { return len(h.items) }
-
-func (h *mindHeap) push(x mindItem) {
-	h.items = append(h.items, x)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !mindLess(h.items[i], h.items[parent]) {
-			break
-		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
-		i = parent
-	}
-}
-
-func (h *mindHeap) pop() mindItem {
-	top := h.items[0]
-	n := len(h.items) - 1
-	h.items[0] = h.items[n]
-	h.items = h.items[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && mindLess(h.items[l], h.items[small]) {
-			small = l
-		}
-		if r < n && mindLess(h.items[r], h.items[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.items[i], h.items[small] = h.items[small], h.items[i]
-		i = small
-	}
-	return top
-}
-
-// peekMind returns the minimum MIND without popping; the heap must be
-// non-empty.
-func (h *mindHeap) peekMind() float64 { return h.items[0].mind }
-
-// peekIsNode reports whether the heap minimum is a tree node; the heap must
-// be non-empty.
-func (h *mindHeap) peekIsNode() bool { return h.items[0].isNode }

@@ -152,7 +152,7 @@ type OpenOptions struct {
 	// Traversal selects the kNN strategy.
 	Traversal TraversalStrategy
 	// Workers is the per-query verifier pool size (see Options.Workers):
-	// 0 selects the default, 1 forces serial execution.
+	// 0 selects the default of 1, serial execution.
 	Workers int
 	// DisableBoundedKernels turns off threshold-aware distance evaluation
 	// (see Options.DisableBoundedKernels).

@@ -240,7 +240,8 @@ func (t *Tree) planKNNSlots(qvec []float64, k int, qs *QueryStats) int {
 // tests.
 type PlannerState struct {
 	// Enabled is false when Options.DisablePlanner was set or the tree is
-	// single-worker (the planner never engages).
+	// single-worker (the planner never engages) — so it is false at the
+	// default Options.Workers, which is 1.
 	Enabled bool
 	// Calibrated reports whether enough queries have fed the EWMAs for the
 	// planner to act on them.

@@ -39,14 +39,12 @@ func (t *Tree) rangeQuery(ctx context.Context, q metric.Object, r float64, qs *Q
 	if r < 0 {
 		return nil, nil
 	}
-	n := len(t.pivots)
+	sc := t.getScratch()
+	defer sc.release()
 	st := qs.stageStart()
-	qvec := make([]float64, n)
+	qvec, rrLo, rrHi := sc.qvec, sc.rrLo, sc.rrHi
 	t.phi(q, qvec)
-	qs.Compdists += int64(n)
-
-	rrLo := make(sfc.Point, n)
-	rrHi := make(sfc.Point, n)
+	qs.Compdists += int64(len(qvec))
 	t.rangeRegion(qvec, r, rrLo, rrHi)
 	qs.stageAdd(&qs.PlanTime, st)
 	if sfc.BoxVolume(rrLo, rrHi) == 0 {
@@ -59,11 +57,11 @@ func (t *Tree) rangeQuery(ctx context.Context, q metric.Object, r float64, qs *Q
 	if root, ok := t.bpt.Root(); ok {
 		var sink rangeSink
 		if slots := t.planRangeSlots(qvec, r, qs); slots > 0 {
-			sink = t.newRangeExec(ctx, q, qvec, r, qs, slots)
+			sink = t.newRangeExec(ctx, q, sc.kernel(t, q), qvec, r, qs, slots)
 		} else {
-			sink = &rangeSerial{t: t, q: q, qvec: qvec, r: r, qs: qs}
+			sink = &rangeSerial{t: t, q: q, qvec: qvec, r: r, qs: qs, sc: sc}
 		}
-		travErr := t.rangeTraverse(ctx, root, rrLo, rrHi, sink, qs)
+		travErr := t.rangeTraverse(ctx, root, sc, sink, qs)
 		results, err = sink.finish()
 		if err == nil && travErr != nil && travErr != errStopTraversal {
 			err = travErr
@@ -75,7 +73,7 @@ func (t *Tree) rangeQuery(ctx context.Context, q metric.Object, r float64, qs *Q
 	// (tombstoned base objects were already skipped at verification).
 	if err == nil && t.deltaActive() {
 		var dres []Result
-		dres, err = t.rangeDelta(ctx, q, qvec, r, rrLo, rrHi, qs)
+		dres, err = t.rangeDelta(ctx, q, sc, r, qs)
 		results = append(results, dres...)
 	}
 	sortByID(results)
@@ -88,12 +86,12 @@ func (t *Tree) rangeQuery(ctx context.Context, q metric.Object, r float64, qs *Q
 // for the rest. Exactly what the entries would cost had they been in the
 // base tree — only the traversal-side diagnostics (node reads, merge skips)
 // differ.
-func (t *Tree) rangeDelta(ctx context.Context, q metric.Object, qvec []float64, r float64, rrLo, rrHi sfc.Point, qs *QueryStats) ([]Result, error) {
+func (t *Tree) rangeDelta(ctx context.Context, q metric.Object, sc *queryScratch, r float64, qs *QueryStats) ([]Result, error) {
 	entries := t.deltaEntriesSorted()
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	cell := make(sfc.Point, len(t.pivots))
+	qvec, rrLo, rrHi, cell := sc.qvec, sc.rrLo, sc.rrHi, sc.cell
 	var out []Result
 	for _, e := range entries {
 		if err := ctxDone(ctx); err != nil {
@@ -134,15 +132,11 @@ func (t *Tree) rangeDelta(ctx context.Context, q metric.Object, qvec []float64, 
 // strategies, and hands surviving leaf entries to the sink. A corrupt page
 // or cancellation stops the walk; the answers verified so far survive in the
 // sink.
-func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, rrLo, rrHi sfc.Point, sink rangeSink, qs *QueryStats) error {
-	n := len(t.pivots)
-	boxLo := make(sfc.Point, n)
-	boxHi := make(sfc.Point, n)
-	cell := make(sfc.Point, n)
-	iLo := make(sfc.Point, n)
-	iHi := make(sfc.Point, n)
-
-	stack := []bptree.NodeRef{root}
+func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, sc *queryScratch, sink rangeSink, qs *QueryStats) error {
+	rrLo, rrHi, boxLo, boxHi, cell, iLo, iHi := sc.rrLo, sc.rrHi, sc.boxLo, sc.boxHi, sc.cell, sc.iLo, sc.iHi
+	node := &sc.node
+	stack := append(sc.stack[:0], root)
+	defer func() { sc.stack = stack }()
 	for len(stack) > 0 {
 		if err := ctxDone(ctx); err != nil {
 			return err
@@ -155,8 +149,7 @@ func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, rrLo, rrH
 			qs.NodesPruned++
 			continue // Lemma 1
 		}
-		node, err := t.bpt.ReadNode(ref.Page)
-		if err != nil {
+		if err := t.bpt.ReadNode(ref.Page, node); err != nil {
 			return err
 		}
 		qs.NodesRead++

@@ -94,9 +94,11 @@ type Options struct {
 	// engine (DESIGN.md §9): range/kNN/join verification fans out to up to
 	// this many goroutines, drawn non-blockingly from a process-wide pool so
 	// concurrent queries and forest shards compose without goroutine
-	// explosion. 0 selects min(GOMAXPROCS, 8); 1 forces fully serial
-	// execution. Results and the Verified/Compdists counters are identical
-	// in every mode.
+	// explosion. 0 selects the default of 1, fully serial execution — the
+	// fastest setting on every workload of the end-to-end benchmark
+	// (bench/README.md) — so the pool is opt-in: set Workers > 1 to engage
+	// it. Results and the Verified/Compdists counters are identical in
+	// every mode.
 	Workers int
 	// DisableBoundedKernels turns off threshold-aware distance evaluation
 	// (DESIGN.md §10): when the metric implements
@@ -483,7 +485,7 @@ func (t *Tree) SetTraversal(s TraversalStrategy) { t.traversal = s }
 func (t *Tree) Workers() int { return t.workers }
 
 // SetWorkers reconfigures the per-query verifier pool size: 0 restores the
-// default min(GOMAXPROCS, 8), 1 forces serial execution. It takes effect for
+// default of 1 (serial execution), k > 1 engages the pool. It takes effect for
 // queries started afterwards; in-flight queries finish with their pool.
 func (t *Tree) SetWorkers(w int) {
 	t.mu.Lock()
@@ -541,8 +543,8 @@ func (t *Tree) verifyDist(q, obj metric.Object, bound float64) (d float64, withi
 }
 
 // verifyBatch is verifyDist over a block of candidates sharing one bound
-// snapshot: the metric's batch kernel hoists per-query work (coordinate
-// slices, powered budgets, Myers bitmaps) out of the per-candidate loop, and
+// snapshot, through the query's prepared batch kernel (queryScratch.kernel:
+// per-query work such as the Myers bitmaps is built once per query), and
 // every (d[i], within[i]) pair is bit-identical to what verifyDist would
 // return for that candidate. The effective threshold is the caller's bound
 // when bounded kernels are on, +Inf otherwise — so with bounded kernels off a
@@ -550,12 +552,13 @@ func (t *Tree) verifyDist(q, obj metric.Object, bound float64) (d float64, withi
 // path. Counters: the Counter charges len(objs) compdists; the caller counts
 // Verified and Abandoned per candidate as usual, plus len(objs)
 // BatchedCandidates.
-func (t *Tree) verifyBatch(q metric.Object, objs []metric.Object, bound float64, d []float64, within []bool) {
+func (t *Tree) verifyBatch(prep metric.PreparedQuery, objs []metric.Object, bound float64, d []float64, within []bool) {
 	eff := bound
 	if !t.bounded {
 		eff = math.Inf(1)
 	}
-	t.dist.BatchDistanceAtMost(q, objs, eff, d, within)
+	t.dist.Add(int64(len(objs)))
+	prep.BatchAtMost(objs, eff, d, within)
 	if !t.bounded {
 		// Exact mode reports within against the caller's real bound.
 		for i := range d {

@@ -150,21 +150,60 @@ func (h Hamming) BatchDistanceAtMost(q Object, objs []Object, t float64, d []flo
 	}
 }
 
-// BatchDistanceAtMost implements BatchDistanceFunc for edit distance: the
-// query's Myers equality bitmaps (single-word or interned multi-block) are
-// built once and every exact evaluation in the decision tree replays the
-// prebuilt kernel — the per-candidate table build is the dominant cost for
-// dictionary-length strings, so hoisting it is the batch win here. The
-// narrow-band case still runs Ukkonen's banded DP per pair (a band has no
-// hoistable pattern state). Each (d[i], within[i]) pair equals the scalar
-// DistanceAtMost result: both sides compute the same exact integer distance
-// and compare it against the same ⌊t⌋.
-func (e EditDistance) BatchDistanceAtMost(q Object, objs []Object, t float64, d []float64, within []bool) {
+// PreparedQuery is a batch kernel bound to one query object: whatever depends
+// only on the query — for edit distance the Myers equality bitmaps, the
+// dominant per-block cost for dictionary-length strings — is built once by
+// Prepare and reused for every candidate block that query verifies.
+// BatchAtMost has exactly BatchDistanceFunc.BatchDistanceAtMost's contract
+// for that query. A PreparedQuery is immutable once built, so the verifier
+// goroutines of one query share it.
+type PreparedQuery interface {
+	BatchAtMost(objs []Object, t float64, d []float64, within []bool)
+}
+
+// Prepare binds fn's batch kernel to q. Kernels with per-query state build it
+// here; the vector norms and Hamming have none worth keeping (one type
+// assertion per block — their powered budget depends on the moving
+// threshold), so they, and metrics without a batch kernel, are bound as is.
+func Prepare(fn DistanceFunc, q Object) PreparedQuery {
+	if p, ok := fn.(interface{ Prepare(q Object) PreparedQuery }); ok {
+		return p.Prepare(q)
+	}
+	return boundQuery{fn, q}
+}
+
+// boundQuery is Prepare's stateless binding: BatchDistanceAtMost on (fn, q).
+type boundQuery struct {
+	fn DistanceFunc
+	q  Object
+}
+
+func (b boundQuery) BatchAtMost(objs []Object, t float64, d []float64, within []bool) {
+	BatchDistanceAtMost(b.fn, b.q, objs, t, d, within)
+}
+
+// Prepare builds the query's Myers equality bitmaps (single-word or interned
+// multi-block) once; every exact evaluation in the decision tree then replays
+// the prebuilt kernel. The narrow-band case still runs Ukkonen's banded DP
+// per pair (a band has no hoistable pattern state).
+func (e EditDistance) Prepare(q Object) PreparedQuery {
 	sq, ok := q.(*Str)
 	if !ok {
 		panic(badType("EditDistance", "*Str", q))
 	}
-	eq := newEditQuery(sq.S)
+	return newEditQuery(sq.S)
+}
+
+// BatchDistanceAtMost implements BatchDistanceFunc for edit distance through
+// a one-block PreparedQuery.
+func (e EditDistance) BatchDistanceAtMost(q Object, objs []Object, t float64, d []float64, within []bool) {
+	e.Prepare(q).BatchAtMost(objs, t, d, within)
+}
+
+// BatchAtMost implements PreparedQuery. Each (d[i], within[i]) pair equals
+// the scalar DistanceAtMost result: both sides compute the same exact integer
+// distance and compare it against the same ⌊t⌋.
+func (eq *editQuery) BatchAtMost(objs []Object, t float64, d []float64, within []bool) {
 	for i, o := range objs {
 		so, ok := o.(*Str)
 		if !ok {

@@ -457,3 +457,34 @@ func TestIntrinsicDimensionalityWrapper(t *testing.T) {
 		t.Errorf("rho = %v for 3-d uniform", rho)
 	}
 }
+
+// TestCodecsDoNotRetain enforces the Codec contract "implementations must not
+// retain data", which the RAF's zero-copy record decoding depends on: an
+// object decoded from a buffer must re-encode to the original bytes after the
+// buffer has been scribbled over.
+func TestCodecsDoNotRetain(t *testing.T) {
+	for _, tc := range []struct {
+		codec Codec
+		obj   Object
+	}{
+		{StrCodec{}, NewStr(1, "zero-copy")},
+		{SeqCodec{}, &Seq{Id: 2, S: "ACGTTGCA"}},
+		{VectorCodec{Dim: 3}, NewVector(3, []float64{0.25, -1, 7})},
+		{Vector32Codec{Dim: 3}, NewVector32(4, []float32{0.5, 2, -3})},
+		{BitStringCodec{Bytes: 4}, &BitString{Id: 5, Bits: []byte{1, 2, 3, 0xF0}}},
+		{SetCodec{}, &Set{Id: 6, Elems: []uint64{3, 9, 27}}},
+	} {
+		want := tc.obj.AppendBinary(nil)
+		buf := append([]byte(nil), want...)
+		got, err := tc.codec.Decode(tc.obj.ID(), buf)
+		if err != nil {
+			t.Fatalf("%T: %v", tc.codec, err)
+		}
+		for i := range buf {
+			buf[i] = ^buf[i]
+		}
+		if round := got.AppendBinary(nil); string(round) != string(want) {
+			t.Errorf("%T retains its input: re-encodes to %x after the buffer was scribbled, want %x", tc.codec, round, want)
+		}
+	}
+}

@@ -200,3 +200,23 @@ func TestValidation(t *testing.T) {
 		t.Errorf("k=0: %v %v", res, err)
 	}
 }
+
+// TestRecordCodecDoesNotRetain holds recordCodec to the metric.Codec contract
+// "implementations must not retain data" (the RAF decodes out of borrowed page
+// views): a record decoded from a buffer re-encodes to the original bytes
+// after the buffer has been scribbled over.
+func TestRecordCodecDoesNotRetain(t *testing.T) {
+	rec := &record{vec: []float64{0.5, 1.25}, obj: metric.NewStr(9, "borrowed")}
+	want := rec.AppendBinary(nil)
+	buf := append([]byte(nil), want...)
+	got, err := recordCodec{dims: 2, inner: metric.StrCodec{}}.Decode(9, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = ^buf[i]
+	}
+	if round := got.AppendBinary(nil); string(round) != string(want) {
+		t.Errorf("recordCodec retains its input: re-encodes to %x, want %x", round, want)
+	}
+}

@@ -51,16 +51,21 @@ type cacheShard struct {
 	misses   atomic.Int64
 }
 
+// cacheEntry is one cached page. Entries are immutable once published: Write
+// and eviction replace or drop an entry, never modify its bytes, so a view
+// handed out by View stays a valid snapshot for as long as the caller holds
+// it — the garbage collector is the pin.
 type cacheEntry struct {
 	id   ID
 	data [Size]byte
 }
 
-// flight is an in-progress physical read being shared by concurrent misses.
+// flight is an in-progress physical read being shared by concurrent misses;
+// on success its entry becomes the cache entry.
 type flight struct {
-	done chan struct{}
-	data [Size]byte
-	err  error
+	done  chan struct{}
+	entry *cacheEntry
+	err   error
 }
 
 // maxCacheShards bounds the shard count; minShardPages keeps each shard's
@@ -108,95 +113,123 @@ func NewCache(store Store, capacity int) *Cache {
 	return c
 }
 
+// AsCache returns store itself when it already is a Cache and a pass-through
+// (capacity 0) Cache over it otherwise, so the RAF and the B+-tree have one
+// page-view read path whatever store a test hands them.
+func AsCache(store Store) *Cache {
+	if c, ok := store.(*Cache); ok {
+		return c
+	}
+	return NewCache(store, 0)
+}
+
 func (c *Cache) shard(id ID) *cacheShard { return &c.shards[uint64(id)&c.mask] }
 
-// Read implements Store.
+// Read implements Store: View plus a copy into buf.
 func (c *Cache) Read(id ID, buf []byte) error {
 	if len(buf) != Size {
 		return errBufSize
 	}
+	v, err := c.View(id)
+	if err != nil {
+		return err
+	}
+	copy(buf, v[:])
+	return nil
+}
+
+// View returns a borrowed, read-only snapshot of page id: the cached entry's
+// own bytes on a hit, and on a miss the one buffer that is both read into and
+// cached. The caller must never write through it; it stays valid (and keeps
+// showing the bytes of the moment it was taken) across any later Write,
+// Invalidate, Flush or eviction of the page. Hit/miss counters and tracer
+// events are exactly those of Read.
+func (c *Cache) View(id ID) (*[Size]byte, error) {
 	s := c.shard(id)
 	s.mu.Lock()
 	if el, ok := s.index[id]; ok {
 		s.hits.Add(1)
 		s.lru.MoveToFront(el)
-		copy(buf, el.Value.(*cacheEntry).data[:])
+		e := el.Value.(*cacheEntry)
 		s.mu.Unlock()
-		if c.tracer != nil {
-			c.tracer.Event(obs.Event{Kind: obs.EvCacheHit, Src: c.src, Page: uint32(id)})
-		}
-		return nil
+		c.traceRead(id, true)
+		return &e.data, nil
 	}
 	if c.capacity == 0 {
 		// Caching disabled: pure pass-through, every read is physical.
 		s.misses.Add(1)
 		s.mu.Unlock()
-		if err := c.store.Read(id, buf); err != nil {
-			return err
+		pg := new([Size]byte)
+		if err := c.store.Read(id, pg[:]); err != nil {
+			return nil, err
 		}
-		if c.tracer != nil {
-			c.tracer.Event(obs.Event{Kind: obs.EvCacheMiss, Src: c.src, Page: uint32(id)})
-			c.tracer.Event(obs.Event{Kind: obs.EvPageRead, Src: c.src, Page: uint32(id)})
-		}
-		return nil
+		c.traceRead(id, false)
+		return pg, nil
 	}
 	if fl, ok := s.flights[id]; ok {
 		// Another goroutine is already reading this page; share its result.
 		s.mu.Unlock()
 		<-fl.done
 		if fl.err != nil {
-			return fl.err
+			return nil, fl.err
 		}
 		s.hits.Add(1)
-		copy(buf, fl.data[:])
-		if c.tracer != nil {
-			c.tracer.Event(obs.Event{Kind: obs.EvCacheHit, Src: c.src, Page: uint32(id)})
-		}
-		return nil
+		c.traceRead(id, true)
+		return &fl.entry.data, nil
 	}
-	fl := &flight{done: make(chan struct{})}
+	fl := &flight{done: make(chan struct{}), entry: &cacheEntry{id: id}}
 	s.flights[id] = fl
 	s.misses.Add(1)
 	s.mu.Unlock()
 
-	fl.err = c.store.Read(id, fl.data[:])
+	fl.err = c.store.Read(id, fl.entry.data[:])
 	s.mu.Lock()
 	delete(s.flights, id)
 	if fl.err == nil {
-		s.insertLocked(id, fl.data[:])
+		s.insertLocked(fl.entry)
 	}
 	s.mu.Unlock()
 	close(fl.done)
 	if fl.err != nil {
-		return fl.err
+		return nil, fl.err
 	}
-	copy(buf, fl.data[:])
-	if c.tracer != nil {
-		c.tracer.Event(obs.Event{Kind: obs.EvCacheMiss, Src: c.src, Page: uint32(id)})
-		c.tracer.Event(obs.Event{Kind: obs.EvPageRead, Src: c.src, Page: uint32(id)})
-	}
-	return nil
+	c.traceRead(id, false)
+	return &fl.entry.data, nil
 }
 
-// Write implements Store: write-through, updating any cached copy. A failed
-// underlying write evicts the page — the on-disk state is unknown, so a
-// cached copy would mask the failure from later reads.
+// traceRead emits the events of one served read: a hit, or a miss with its
+// physical read.
+func (c *Cache) traceRead(id ID, hit bool) {
+	if c.tracer == nil {
+		return
+	}
+	if hit {
+		c.tracer.Event(obs.Event{Kind: obs.EvCacheHit, Src: c.src, Page: uint32(id)})
+		return
+	}
+	c.tracer.Event(obs.Event{Kind: obs.EvCacheMiss, Src: c.src, Page: uint32(id)})
+	c.tracer.Event(obs.Event{Kind: obs.EvPageRead, Src: c.src, Page: uint32(id)})
+}
+
+// Write implements Store: write-through, replacing any cached entry with a
+// fresh one (views of the old entry keep its bytes). A failed underlying
+// write evicts the page — the on-disk state is unknown, so a cached copy
+// would mask the failure from later reads.
 func (c *Cache) Write(id ID, buf []byte) error {
 	if len(buf) != Size {
 		return errBufSize
 	}
 	s := c.shard(id)
 	s.mu.Lock()
+	s.invalidateLocked(id)
 	if err := c.store.Write(id, buf); err != nil {
-		s.invalidateLocked(id)
 		s.mu.Unlock()
 		return err
 	}
-	if el, ok := s.index[id]; ok {
-		s.lru.MoveToFront(el)
-		copy(el.Value.(*cacheEntry).data[:], buf)
-	} else {
-		s.insertLocked(id, buf)
+	if s.capacity > 0 {
+		e := &cacheEntry{id: id}
+		copy(e.data[:], buf)
+		s.insertLocked(e)
 	}
 	s.mu.Unlock()
 	if c.tracer != nil {
@@ -205,13 +238,11 @@ func (c *Cache) Write(id ID, buf []byte) error {
 	return nil
 }
 
-func (s *cacheShard) insertLocked(id ID, buf []byte) {
-	if s.capacity == 0 {
-		return
-	}
-	e := &cacheEntry{id: id}
-	copy(e.data[:], buf)
-	s.index[id] = s.lru.PushFront(e)
+// insertLocked publishes e as the most recently used entry, evicting from
+// the cold end. The shard's capacity is positive (pass-through caches never
+// insert).
+func (s *cacheShard) insertLocked(e *cacheEntry) {
+	s.index[e.id] = s.lru.PushFront(e)
 	for s.lru.Len() > s.capacity {
 		back := s.lru.Back()
 		delete(s.index, back.Value.(*cacheEntry).id)

@@ -7,9 +7,10 @@
 package raf
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"spbtree/internal/metric"
 	"spbtree/internal/obs"
@@ -27,7 +28,7 @@ const maxPayload = 16 << 20
 // The File must own its store: it assumes pages are allocated densely from
 // zero, so byte offset o lives on page o / page.Size.
 type File struct {
-	store page.Store
+	store *page.Cache
 	codec metric.Codec
 
 	size  uint64 // total bytes appended
@@ -48,9 +49,11 @@ type File struct {
 // with in-flight reads: install tracers before issuing queries.
 func (f *File) SetTracer(tr obs.Tracer) { f.tracer = tr }
 
-// New returns an empty RAF on store, decoding objects with codec.
+// New returns an empty RAF on store, decoding objects with codec. Records are
+// decoded out of borrowed page views (page.Cache.View), so a store that is
+// not already a cache is wrapped in a pass-through one.
 func New(store page.Store, codec metric.Codec) *File {
-	return &File{store: store, codec: codec}
+	return &File{store: page.AsCache(store), codec: codec}
 }
 
 // metaVersion versions the Meta encoding.
@@ -211,8 +214,7 @@ func (f *File) Read(offset uint64) (metric.Object, error) {
 // verification commits, so traced record reads keep matching the per-query
 // Verified+Lemma2Included counts.
 func (f *File) ReadQuiet(offset uint64) (metric.Object, int, error) {
-	var pr pageReader
-	pr.f = f
+	pr := pageReader{f: f}
 	return pr.readRecord(offset)
 }
 
@@ -225,14 +227,17 @@ func (f *File) EmitRecordRead(offset uint64, payloadLen int) {
 }
 
 // readRecord decodes one record through r, so batched reads reuse pages
-// across records.
+// across records. Header and payload are decoded in place out of the page
+// view; only a record that straddles a page boundary is stitched into a
+// buffer first. Codecs must not retain the payload (metric.Codec).
 func (r *pageReader) readRecord(offset uint64) (metric.Object, int, error) {
 	f := r.f
 	if offset+headerSize > f.size {
 		return nil, 0, fmt.Errorf("raf: offset %d out of range (size %d)", offset, f.size)
 	}
-	var hdr [headerSize]byte
-	if err := r.read(offset, hdr[:]); err != nil {
+	var hbuf [headerSize]byte
+	hdr, err := r.bytes(offset, headerSize, hbuf[:])
+	if err != nil {
 		return nil, 0, err
 	}
 	id := binary.LittleEndian.Uint64(hdr[0:8])
@@ -240,8 +245,8 @@ func (r *pageReader) readRecord(offset uint64) (metric.Object, int, error) {
 	if uint64(plen) > maxPayload || offset+headerSize+uint64(plen) > f.size {
 		return nil, 0, fmt.Errorf("raf: corrupt record at %d: payload length %d", offset, plen)
 	}
-	payload := make([]byte, plen)
-	if err := r.read(offset+headerSize, payload); err != nil {
+	payload, err := r.bytes(offset+headerSize, int(plen), nil)
+	if err != nil {
 		return nil, 0, err
 	}
 	obj, err := f.codec.Decode(id, payload)
@@ -268,14 +273,23 @@ func (f *File) ReadBatch(offsets []uint64, out []metric.Object, plens []int) (in
 	if len(out) != len(offsets) || (plens != nil && len(plens) != len(offsets)) {
 		return -1, fmt.Errorf("raf: ReadBatch output length %d, want %d", len(out), len(offsets))
 	}
-	order := make([]int, len(offsets))
-	for i := range order {
-		order[i] = i
+	// A leaf's entries are already in offset order and need no visiting
+	// permutation; a best-first run of pops does, and blocks are small enough
+	// for it to live on the stack.
+	var stack [32]int
+	order := stack[:0]
+	if !slices.IsSorted(offsets) {
+		for i := range offsets {
+			order = append(order, i)
+		}
+		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(offsets[a], offsets[b]) })
 	}
-	sort.Slice(order, func(a, b int) bool { return offsets[order[a]] < offsets[order[b]] })
-	var pr pageReader
-	pr.f = f
-	for _, i := range order {
+	pr := pageReader{f: f}
+	for k := range offsets {
+		i := k
+		if len(order) > 0 {
+			i = order[k]
+		}
 		obj, plen, err := pr.readRecord(offsets[i])
 		if err != nil {
 			return i, err
@@ -288,45 +302,63 @@ func (f *File) ReadBatch(offsets []uint64, out []metric.Object, plens []int) (in
 	return -1, nil
 }
 
-// pageReader copies file bytes out of whole pages, keeping the last page
-// fetched so consecutive reads within one record never touch the store twice
-// for the same page.
+// pageReader decodes file bytes out of borrowed page views, keeping the last
+// view fetched so consecutive reads on one page never touch the store twice.
 type pageReader struct {
-	f     *File
-	id    page.ID
-	valid bool
-	pg    [page.Size]byte
+	f  *File
+	id page.ID
+	pg *[page.Size]byte
 }
 
-// read fills b from the file starting at offset.
-func (r *pageReader) read(offset uint64, b []byte) error {
-	for len(b) > 0 {
-		id := page.ID(offset / page.Size)
-		if !r.valid || id != r.id {
-			if r.f.dirty && id == r.f.curPage {
-				// The tail page still lives in the append buffer; serve it
-				// from memory. Bytes past the write position are stale, but
-				// every record lies within f.size, which ends at exactly
-				// that position, so reads never reach them. Serving the
-				// buffer (instead of flushing it) keeps Read free of
-				// mutation, which concurrent queries rely on.
-				copy(r.pg[:], r.f.buf[:])
-			} else if err := r.f.store.Read(id, r.pg[:]); err != nil {
-				return fmt.Errorf("raf: read page %d: %w", id, err)
-			}
-			r.id, r.valid = id, true
+// bytes returns the n file bytes starting at offset: a slice of the page
+// view when they lie on one page, otherwise stitched into buf (allocated
+// when too small). The result is read-only and valid until the next call.
+func (r *pageReader) bytes(offset uint64, n int, buf []byte) ([]byte, error) {
+	at := int(offset % page.Size)
+	if at+n <= page.Size {
+		pg, err := r.view(page.ID(offset / page.Size))
+		if err != nil {
+			return nil, err
 		}
-		n := copy(b, r.pg[offset%page.Size:])
-		b = b[n:]
-		offset += uint64(n)
+		return pg[at : at+n], nil
 	}
-	return nil
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	for b := buf; len(b) > 0; {
+		pg, err := r.view(page.ID(offset / page.Size))
+		if err != nil {
+			return nil, err
+		}
+		c := copy(b, pg[offset%page.Size:])
+		b = b[c:]
+		offset += uint64(c)
+	}
+	return buf, nil
 }
 
-// readAt fills b from the file starting at offset, reading whole pages.
-func (f *File) readAt(offset uint64, b []byte) error {
-	pr := pageReader{f: f}
-	return pr.read(offset, b)
+// view returns page id, from the reader's last fetch, the append buffer, or
+// the store.
+func (r *pageReader) view(id page.ID) (*[page.Size]byte, error) {
+	if r.pg != nil && id == r.id {
+		return r.pg, nil
+	}
+	if r.f.dirty && id == r.f.curPage {
+		// The tail page still lives in the append buffer; serve it from
+		// memory. Bytes past the write position are stale, but every record
+		// lies within f.size, which ends at exactly that position, so reads
+		// never reach them. Serving the buffer (instead of flushing it)
+		// keeps Read free of mutation, which concurrent queries rely on.
+		r.id, r.pg = id, &r.f.buf
+		return r.pg, nil
+	}
+	pg, err := r.f.store.View(id)
+	if err != nil {
+		return nil, fmt.Errorf("raf: read page %d: %w", id, err)
+	}
+	r.id, r.pg = id, pg
+	return pg, nil
 }
 
 // Scan iterates all records in file order, invoking fn with each record's
@@ -356,11 +388,13 @@ func (f *File) Scan(fn func(offset uint64, obj metric.Object) error) error {
 // reached). Repair uses it to rebuild an index from a surviving RAF when
 // the B+-tree or meta is corrupt.
 func Salvage(store page.Store, codec metric.Codec, size uint64, fn func(obj metric.Object)) (scanned uint64, err error) {
-	f := &File{store: store, codec: codec, size: size}
+	f := &File{store: page.AsCache(store), codec: codec, size: size}
 	var off uint64
 	for off+headerSize <= size {
-		var hdr [headerSize]byte
-		if err := f.readAt(off, hdr[:]); err != nil {
+		var hbuf [headerSize]byte
+		pr := pageReader{f: f}
+		hdr, err := pr.bytes(off, headerSize, hbuf[:])
+		if err != nil {
 			return off, err
 		}
 		id := binary.LittleEndian.Uint64(hdr[0:8])

@@ -253,13 +253,14 @@ func TestE2EDeadlinePartials(t *testing.T) {
 	if len(out.Results) >= s.tree.Len() {
 		t.Fatal("canceled query returned the full answer")
 	}
-	// Partials are well-formed: sorted, within the radius.
+	// Partials are well-formed: in range order (ascending ID), within the
+	// radius.
 	for i, r := range out.Results {
 		if r.Exact && r.Dist > 1.9 {
 			t.Fatalf("partial %d outside radius", i)
 		}
-		if i > 0 && out.Results[i-1].Dist > r.Dist {
-			t.Fatal("partials not sorted")
+		if i > 0 && out.Results[i-1].ID >= r.ID {
+			t.Fatal("partials not sorted by ID")
 		}
 	}
 }
@@ -741,4 +742,3 @@ func TestExpiredInQueue(t *testing.T) {
 		t.Fatalf("parked query finished with %d", c)
 	}
 }
-

@@ -7,6 +7,7 @@ package sfc
 // key with dimension 0 holding the most significant bit of each level.
 type hilbertCurve struct {
 	dims, bits int
+	tab        unpackTable
 }
 
 func (h *hilbertCurve) Dims() int    { return h.dims }
@@ -28,8 +29,20 @@ func (h *hilbertCurve) Decode(key uint64, p Point) {
 	if len(p) != h.dims {
 		panic("sfc: Decode point has wrong dimensionality")
 	}
-	deinterleave(key, p, h.bits)
+	h.tab.deinterleave(key, p, h.bits)
 	transposeToAxes(p, h.bits)
+}
+
+// DecodeBlock implements Curve.
+func (h *hilbertCurve) DecodeBlock(keys []uint64, out []uint32) {
+	if len(out) != len(keys)*h.dims {
+		panic("sfc: DecodeBlock output has wrong length")
+	}
+	for i, key := range keys {
+		p := out[i*h.dims : (i+1)*h.dims]
+		h.tab.deinterleave(key, p, h.bits)
+		transposeToAxes(p, h.bits)
+	}
 }
 
 // maxDims bounds the stack buffer used to avoid allocating per Encode call;
@@ -73,26 +86,30 @@ func axesToTranspose(x []uint32, b int) {
 // back into coordinates in place.
 func transposeToAxes(x []uint32, b int) {
 	n := len(x)
-	nbit := uint32(2) << (b - 1)
 	// Gray decode by H ^ (H/2).
 	t := x[n-1] >> 1
 	for i := n - 1; i > 0; i-- {
 		x[i] ^= x[i-1]
 	}
 	x[0] ^= t
-	// Undo excess work.
-	for q := uint32(2); q != nbit; q <<= 1 {
-		p := q - 1
-		for i := n - 1; i >= 0; i-- {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
-			}
+	// Undo excess work: where x[i] has bit q set, invert x[0]'s low bits,
+	// otherwise exchange the low bits of x[0] and x[i]. This runs once per
+	// leaf entry a traversal scans, so x[0] — which every step reads and
+	// writes — stays in a register, and the data-dependent choice is a mask,
+	// not a branch that mispredicts half the time.
+	x0 := x[0]
+	for lvl := 1; lvl < b; lvl++ {
+		p := uint32(1)<<lvl - 1
+		for i := n - 1; i > 0; i-- {
+			xi := x[i]
+			set := -(xi >> lvl & 1) // all ones iff bit q of x[i] is set
+			t := (x0 ^ xi) & p &^ set
+			x0 ^= t | p&set
+			x[i] = xi ^ t
 		}
+		x0 ^= p & -(x0 >> lvl & 1)
 	}
+	x[0] = x0
 }
 
 // interleave packs the transposed representation into a single key: the bit
@@ -107,20 +124,6 @@ func interleave(x []uint32, b int) uint64 {
 		}
 	}
 	return key
-}
-
-// deinterleave splits key back into the transposed representation.
-func deinterleave(key uint64, x []uint32, b int) {
-	n := len(x)
-	for i := range x {
-		x[i] = 0
-	}
-	for pos := n*b - 1; pos >= 0; pos-- {
-		bit := uint32(key>>pos) & 1
-		level := pos / n
-		dim := n - 1 - pos%n
-		x[dim] |= bit << level
-	}
 }
 
 var _ Curve = (*hilbertCurve)(nil)

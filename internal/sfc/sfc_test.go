@@ -296,3 +296,56 @@ func TestEncodePanicsOutOfRange(t *testing.T) {
 	}()
 	c.Encode(Point{8, 0})
 }
+
+// refDeinterleave is the bit-by-bit reference the byte lookup tables replace:
+// key bit pos is level pos/n of dimension n-1-pos%n.
+func refDeinterleave(key uint64, x []uint32, b int) {
+	n := len(x)
+	clear(x)
+	for pos := n*b - 1; pos >= 0; pos-- {
+		x[n-1-pos%n] |= uint32(key>>pos) & 1 << (pos / n)
+	}
+}
+
+// TestDecodeBlockMatchesReference checks, for every grid of dims 1–9 × bits
+// 1–⌊64/dims⌋ and both curves, that DecodeBlock and Decode agree with the
+// bit-loop reference on every key (small grids) or on edge keys plus a random
+// sample with garbage above the key width (large grids).
+func TestDecodeBlockMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for dims := 1; dims <= 9; dims++ {
+		for bits := 1; bits <= 64/dims && bits <= 32; bits++ {
+			width := uint(dims * bits)
+			var keys []uint64
+			if width <= 12 {
+				for k := uint64(0); k < 1<<width; k++ {
+					keys = append(keys, k)
+				}
+			} else {
+				keys = []uint64{0, 1, 1<<width - 1, ^uint64(0), 0xAAAAAAAAAAAAAAAA, 0x5555555555555555}
+				for i := 0; i < 500; i++ {
+					keys = append(keys, rng.Uint64())
+				}
+			}
+			for _, kind := range []Kind{Hilbert, ZOrder} {
+				c := New(kind, dims, bits)
+				block := make([]uint32, len(keys)*dims)
+				c.DecodeBlock(keys, block)
+				want, got := make(Point, dims), make(Point, dims)
+				for i, key := range keys {
+					refDeinterleave(key, want, bits)
+					if kind == Hilbert {
+						transposeToAxes(want, bits)
+					}
+					c.Decode(key, got)
+					for d := range want {
+						if got[d] != want[d] || block[i*dims+d] != want[d] {
+							t.Fatalf("%s(%d,%d) key %#x dim %d: Decode %d, DecodeBlock %d, reference %d",
+								c.Name(), dims, bits, key, d, got[d], block[i*dims+d], want[d])
+						}
+					}
+				}
+			}
+		}
+	}
+}

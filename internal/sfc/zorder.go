@@ -7,6 +7,7 @@ package sfc
 // for similarity joins.
 type zorderCurve struct {
 	dims, bits int
+	tab        unpackTable
 }
 
 func (z *zorderCurve) Dims() int    { return z.dims }
@@ -30,14 +31,16 @@ func (z *zorderCurve) Decode(key uint64, p Point) {
 	if len(p) != z.dims {
 		panic("sfc: Decode point has wrong dimensionality")
 	}
-	for i := range p {
-		p[i] = 0
+	z.tab.deinterleave(key, p, z.bits)
+}
+
+// DecodeBlock implements Curve.
+func (z *zorderCurve) DecodeBlock(keys []uint64, out []uint32) {
+	if len(out) != len(keys)*z.dims {
+		panic("sfc: DecodeBlock output has wrong length")
 	}
-	for pos := z.dims*z.bits - 1; pos >= 0; pos-- {
-		bit := uint32(key>>pos) & 1
-		level := pos / z.dims
-		dim := z.dims - 1 - pos%z.dims
-		p[dim] |= bit << level
+	for i, key := range keys {
+		z.tab.deinterleave(key, out[i*z.dims:(i+1)*z.dims], z.bits)
 	}
 }
 
