@@ -480,8 +480,8 @@ func BenchmarkFig18JoinCostModel(b *testing.B) {
 }
 
 // BenchmarkKNNWarm — the warm exact-kNN hot path (k = 10, n = 20 000, queries
-// held out of the index, caches filled) at one and two verifiers; allocs/op
-// and B/op are the numbers the allocation-budget test in internal/core gates.
+// held out of the index, caches filled); allocs/op and B/op are the numbers
+// the allocation-budget test in internal/core gates.
 func BenchmarkKNNWarm(b *testing.B) {
 	const n, nq = 20000, 64
 	for _, dsName := range []string{"words", "color32"} {
@@ -489,22 +489,19 @@ func BenchmarkKNNWarm(b *testing.B) {
 		queries := ds.Objects[n:]
 		ds.Objects = ds.Objects[:n]
 		tree := buildCoreTree(b, ds, core.Options{CacheSize: 1024})
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/workers=%d", dsName, workers), func(b *testing.B) {
-				tree.SetWorkers(workers)
-				for _, q := range queries { // warm caches and planner
-					if _, err := tree.KNN(q, 10); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(dsName, func(b *testing.B) {
+			for _, q := range queries { // warm caches
+				if _, err := tree.KNN(q, 10); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := tree.KNN(queries[i%nq], 10); err != nil {
-						b.Fatal(err)
-					}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tree.KNN(queries[i%nq], 10); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -20,8 +20,8 @@ type config struct {
 	n        int    // dataset cardinality (scaled down from the paper's)
 	queries  int    // measured queries (the paper uses 500)
 	seed     int64  // generator seed
-	workers  int    // parallel-mode verifier pool for pr4/pr5 (0 = 8)
-	jsonPath string // pr4/pr5: write the machine-readable report here
+	workers  int    // pr6: harness goroutines (0 = 8)
+	jsonPath string // pr5/pr6/pr8/pr9: write the machine-readable report here
 	out      io.Writer
 }
 

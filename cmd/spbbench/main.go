@@ -10,12 +10,7 @@
 //	spbbench -n 20000 -q 100 all
 //
 // Experiments: table2 table4 table5 table6 table7 fig9 fig10 fig11 fig12
-// fig13 fig14 fig15 fig16 fig17 fig18 ablation forest pr4 pr5 pr6 pr8 pr9 pr10 all
-//
-// pr4 compares serial and parallel verification (see DESIGN.md §9) and
-// enforces the engine's invariants; with -json FILE it writes the
-// machine-readable BENCH_PR4.json report, and -workers sets the
-// parallel-mode pool size.
+// fig13 fig14 fig15 fig16 fig17 fig18 ablation forest pr5 pr6 pr8 pr9 all
 //
 // pr5 compares the threshold-aware distance kernels (DESIGN.md §10) against
 // pre-kernel evaluation on the same persisted index and enforces the kernel
@@ -25,7 +20,8 @@
 // workloads (95/5 and 50/50) on Words and DNAEdit reporting acked-write
 // latency percentiles, read-latency degradation versus an all-read baseline,
 // the WAL's group-commit batching ratio, and acked writes/sec versus writer
-// fan-in with fsync on and off; with -json FILE it writes BENCH_PR6.json.
+// fan-in with fsync on and off; -workers sets the harness goroutine count and
+// with -json FILE it writes BENCH_PR6.json.
 //
 // pr8 compares blocked batch verification (DESIGN.md §13) against the scalar
 // bounded path on the same trees, including the float32 Color32 workload, and
@@ -37,13 +33,6 @@
 // and reporting recall@10 and latency; it enforces the recall floor and the
 // exact path's post-BuildGraph byte identity, and with -json FILE it writes
 // BENCH_PR9.json.
-//
-// pr10 compares the adaptive query planner and staged scatter (DESIGN.md
-// §15) against fixed execution: planner-on versus DisablePlanner on single
-// trees and the staged/pruned forest scatter versus the flat one. It
-// enforces byte-identical results, equal single-tree distance work, the
-// staged scatter's fan-out reduction, and a never-materially-slower wall
-// guard; with -json FILE it writes BENCH_PR10.json.
 package main
 
 import (
@@ -63,8 +52,8 @@ func main() {
 	flag.IntVar(&cfg.n, "n", 10000, "dataset cardinality (the paper uses 112K-1M)")
 	flag.IntVar(&cfg.queries, "q", 50, "measured queries per point (the paper uses 500)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "dataset and pivot-selection seed")
-	flag.IntVar(&cfg.workers, "workers", 0, "pr4/pr5: parallel-mode verifier pool size; pr6: harness goroutines (0 = 8)")
-	flag.StringVar(&cfg.jsonPath, "json", "", "pr4/pr5/pr6/pr8: write a machine-readable report to this file")
+	flag.IntVar(&cfg.workers, "workers", 0, "pr6: harness goroutines (0 = 8)")
+	flag.StringVar(&cfg.jsonPath, "json", "", "pr5/pr6/pr8/pr9: write a machine-readable report to this file")
 	flag.StringVar(&debugAddr, "debugaddr", "", "serve /debug/vars and /debug/pprof on this address while experiments run")
 	flag.Parse()
 	cfg.out = os.Stdout
@@ -80,7 +69,7 @@ func main() {
 
 	if flag.NArg() == 0 {
 		flag.Usage()
-		fmt.Fprintln(os.Stderr, "\nexperiments: table2 table4 table5 table6 table7 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 ablation forest pr4 pr5 pr6 pr8 pr9 pr10 all")
+		fmt.Fprintln(os.Stderr, "\nexperiments: table2 table4 table5 table6 table7 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 ablation forest pr5 pr6 pr8 pr9 all")
 		os.Exit(2)
 	}
 
@@ -102,15 +91,13 @@ func main() {
 		"fig18":    fig18,
 		"ablation": ablation,
 		"forest":   forestExp,
-		"pr4":      pr4,
 		"pr5":      pr5,
 		"pr6":      pr6,
 		"pr8":      pr8,
 		"pr9":      pr9,
-		"pr10":     pr10,
 	}
 	order := []string{"table2", "table4", "fig9", "fig10", "table5", "fig11",
-		"table6", "table7", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "ablation", "forest", "pr4", "pr5", "pr6", "pr8", "pr9", "pr10"}
+		"table6", "table7", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "ablation", "forest", "pr5", "pr6", "pr8", "pr9"}
 
 	var names []string
 	for _, arg := range flag.Args() {

@@ -39,19 +39,13 @@ import (
 //     Color is exempt because math.Pow differs from the fast power in the
 //     last ulp),
 //   - Abandoned is zero in prepr and exact modes, and positive for bounded
-//     queries on Words (the band-collapse workload),
-//   - bounded parallel verification (K = -workers) reproduces the bounded
-//     serial hashes, compdists and Abandoned exactly.
+//     queries on Words (the band-collapse workload).
 //
 // With -json FILE it writes the machine-readable BENCH_PR5.json report.
 func pr5(cfg config) error {
 	header(cfg.out, "PR5: threshold-aware distance kernels, pre-kernel vs exact vs bounded")
-	workers := cfg.workers
-	if workers == 0 {
-		workers = 8
-	}
 	report := pr5Report{
-		N: cfg.n, Queries: cfg.queries, K: 8, Workers: workers,
+		N: cfg.n, Queries: cfg.queries, K: 8,
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		WarmSpeedup:   map[string]map[string]float64{},
 		VerifySpeedup: map[string]map[string]float64{},
@@ -87,7 +81,6 @@ func pr5(cfg config) error {
 				case "bounded":
 					fast.SetBoundedKernels(true)
 				}
-				tree.SetWorkers(1)
 				e, err := pr5Measure(tree, queries, op, r)
 				if err != nil {
 					fast.Close()
@@ -106,27 +99,6 @@ func pr5(cfg config) error {
 				return err
 			}
 			abandonedOnWords += entries["bounded"].Abandoned
-
-			// The bounded kernels must compose with the parallel engine:
-			// worker probes against the committed bound plus commit-time
-			// re-verification reproduce the serial run exactly.
-			fast.SetWorkers(workers)
-			par, err := pr5Measure(fast, queries, op, r)
-			if err != nil {
-				fast.Close()
-				prepr.Close()
-				os.RemoveAll(dir)
-				return err
-			}
-			ser := entries["bounded"]
-			if par.Hash != ser.Hash || par.CD != ser.CD || par.Abandoned != ser.Abandoned {
-				fast.Close()
-				prepr.Close()
-				os.RemoveAll(dir)
-				return fmt.Errorf("pr5: %s/%s: bounded parallel (hash=%x cd=%.1f abandoned=%d) != serial (hash=%x cd=%.1f abandoned=%d)",
-					ds.Name, op, par.Hash, par.CD, par.Abandoned, ser.Hash, ser.CD, ser.Abandoned)
-			}
-			fast.SetWorkers(1)
 
 			if _, ok := report.WarmSpeedup[ds.Name]; !ok {
 				report.WarmSpeedup[ds.Name] = map[string]float64{}
@@ -269,7 +241,6 @@ type pr5Report struct {
 	N          int        `json:"n"`
 	Queries    int        `json:"queries"`
 	K          int        `json:"k"`
-	Workers    int        `json:"workers"`
 	GOMAXPROCS int        `json:"gomaxprocs"`
 	Entries    []pr5Entry `json:"entries"`
 	// WarmSpeedup is end-to-end query wall time, prepr over bounded; it

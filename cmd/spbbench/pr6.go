@@ -61,7 +61,6 @@ func pr6(cfg config) error {
 			os.RemoveAll(dir)
 			return err
 		}
-		tree.SetWorkers(1) // concurrency comes from harness goroutines
 		queries := ds.Queries(cfg.queries)
 		totalOps := cfg.queries * 32
 
@@ -110,7 +109,6 @@ func pr6(cfg config) error {
 			os.RemoveAll(dir)
 			return err
 		}
-		tree.SetWorkers(1)
 		for _, writers := range []int{1, 4, 16} {
 			tp, err := pr6Throughput(tree, ds, writers, 300)
 			if err != nil {

@@ -37,10 +37,7 @@ import (
 //     Abandoned counts,
 //   - BatchedCandidates is zero in scalar mode and positive in batch mode
 //     for every (dataset, op) cell — a silent fallback to the scalar path
-//     fails the run,
-//   - batch parallel verification (K = -workers) reproduces the batch serial
-//     hashes, compdists and Abandoned exactly, and for range queries the
-//     same BatchedCandidates (kNN block shapes are bound-dependent).
+//     fails the run.
 //
 // The float32 story is the Color → Color32 column: the same cluster draw at
 // half the payload width, batch-verified — the verify-stage ratio against
@@ -49,19 +46,15 @@ import (
 // With -json FILE it writes the machine-readable BENCH_PR8.json report.
 func pr8(cfg config) error {
 	header(cfg.out, "PR8: blocked batch verification + float32 vectors, scalar vs batch")
-	workers := cfg.workers
-	if workers == 0 {
-		workers = 8
-	}
 	report := pr8Report{
-		N: cfg.n, Queries: cfg.queries, K: 8, Workers: workers,
+		N: cfg.n, Queries: cfg.queries, K: 8,
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		WarmSpeedup:      map[string]map[string]float64{},
 		VerifySpeedup:    map[string]map[string]float64{},
 		F32VerifySpeedup: map[string]float64{},
 	}
-	fmt.Fprintf(cfg.out, "%-10s %-6s %12s %12s %12s %12s %12s\n",
-		"dataset", "op", "compdists/q", "scalar", "batch", "batch-par", "batched/q")
+	fmt.Fprintf(cfg.out, "%-10s %-6s %12s %12s %12s %12s\n",
+		"dataset", "op", "compdists/q", "scalar", "batch", "batched/q")
 
 	// colorVerify[op] holds Color's scalar float64 verify time so the
 	// Color32 pass can report the cross-representation speedup.
@@ -86,7 +79,6 @@ func pr8(cfg config) error {
 		r := 0.08 * ds.Distance.MaxDistance()
 
 		for _, op := range []string{"knn", "range"} {
-			tree.SetWorkers(1)
 			tree.SetBatchKernels(false)
 			scalar, err := pr8Measure(tree, queries, op, r)
 			if err != nil {
@@ -97,18 +89,12 @@ func pr8(cfg config) error {
 			if err != nil {
 				return fail(err)
 			}
-			tree.SetWorkers(workers)
-			par, err := pr8Measure(tree, queries, op, r)
-			if err != nil {
-				return fail(err)
-			}
-			tree.SetWorkers(1)
-			for i, e := range []*pr8Entry{&scalar, &batch, &par} {
+			for i, e := range []*pr8Entry{&scalar, &batch} {
 				e.Dataset, e.Op = ds.Name, op
-				e.Mode = []string{"scalar", "batch", "batch-par"}[i]
+				e.Mode = []string{"scalar", "batch"}[i]
 				report.Entries = append(report.Entries, *e)
 			}
-			if err := pr8Check(scalar, batch, par, ds.Name, op); err != nil {
+			if err := pr8Check(scalar, batch, ds.Name, op); err != nil {
 				return fail(err)
 			}
 
@@ -124,8 +110,8 @@ func pr8(cfg config) error {
 			if ds.Name == "Color32" && colorVerify[op] > 0 {
 				report.F32VerifySpeedup[op] = colorVerify[op] / batch.VerifyUs
 			}
-			fmt.Fprintf(cfg.out, "%-10s %-6s %12.1f %10.0fµs %10.0fµs %10.0fµs %12.1f\n",
-				ds.Name, op, batch.CD, scalar.VerifyUs, batch.VerifyUs, par.VerifyUs,
+			fmt.Fprintf(cfg.out, "%-10s %-6s %12.1f %10.0fµs %10.0fµs %12.1f\n",
+				ds.Name, op, batch.CD, scalar.VerifyUs, batch.VerifyUs,
 				float64(batch.Batched)/float64(len(queries)))
 		}
 		tree.Close()
@@ -194,7 +180,6 @@ type pr8Report struct {
 	N          int        `json:"n"`
 	Queries    int        `json:"queries"`
 	K          int        `json:"k"`
-	Workers    int        `json:"workers"`
 	GOMAXPROCS int        `json:"gomaxprocs"`
 	Entries    []pr8Entry `json:"entries"`
 	// WarmSpeedup is end-to-end query wall time, scalar over batch; it
@@ -268,7 +253,7 @@ func pr8Measure(tree *core.Tree, queries []metric.Object, op string, r float64) 
 
 // pr8Check enforces the batch layer's machine-independent invariants for one
 // (dataset, op) cell.
-func pr8Check(scalar, batch, par pr8Entry, ds, op string) error {
+func pr8Check(scalar, batch pr8Entry, ds, op string) error {
 	if scalar.Hash != batch.Hash || scalar.CD != batch.CD ||
 		scalar.Results != batch.Results || scalar.Abandoned != batch.Abandoned {
 		return fmt.Errorf("pr8: %s/%s: batch (hash=%x cd=%.1f results=%d abandoned=%d) != scalar (hash=%x cd=%.1f results=%d abandoned=%d)",
@@ -280,16 +265,6 @@ func pr8Check(scalar, batch, par pr8Entry, ds, op string) error {
 	}
 	if batch.Batched == 0 {
 		return fmt.Errorf("pr8: %s/%s: batch mode batched no candidate; blocked verification is not wired in", ds, op)
-	}
-	if par.Hash != batch.Hash || par.CD != batch.CD || par.Abandoned != batch.Abandoned {
-		return fmt.Errorf("pr8: %s/%s: batch parallel (hash=%x cd=%.1f abandoned=%d) != serial (hash=%x cd=%.1f abandoned=%d)",
-			ds, op, par.Hash, par.CD, par.Abandoned, batch.Hash, batch.CD, batch.Abandoned)
-	}
-	if op == "range" && par.Batched != batch.Batched {
-		return fmt.Errorf("pr8: %s/range: parallel batched %d candidates, serial %d", ds, par.Batched, batch.Batched)
-	}
-	if par.Batched == 0 {
-		return fmt.Errorf("pr8: %s/%s: parallel batch mode batched no candidate", ds, op)
 	}
 	return nil
 }

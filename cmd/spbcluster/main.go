@@ -141,7 +141,6 @@ func cmdNode(args []string) error {
 	name := fs.String("name", "", "this node's name in the config")
 	debugAddr := fs.String("debug-addr", "", "serve /debug/vars on this address (empty = off)")
 	parallel := fs.Int("parallel", 0, "concurrent shard scans per request (0 = all owned shards)")
-	workers := fs.Int("query-workers", 0, "per-query verifier pool (0 = default 1 = serial; K > 1 = parallel verification)")
 	nosync := fs.Bool("nosync", false, "skip WAL fsyncs (crash-unsafe; benchmarks only)")
 	fs.Parse(args)
 	if *root == "" || *name == "" {
@@ -165,9 +164,9 @@ func cmdNode(args []string) error {
 		return err
 	}
 	node, err := cluster.OpenNode(cluster.NodeConfig{
-		Name: *name,
-		Dir:  cluster.NodeDir(*root, *name),
-		Load: core.LoadOptions{Distance: dist, Codec: codec, Workers: *workers},
+		Name:     *name,
+		Dir:      cluster.NodeDir(*root, *name),
+		Load:     core.LoadOptions{Distance: dist, Codec: codec},
 		Durable:  core.DurableOptions{NoSync: *nosync},
 		Parallel: *parallel,
 	})

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	spbserve -dir INDEXDIR [-addr :8080] [-workers N] [-queue N]
-//	         [-query-workers K] [-timeout 5s] [-max-timeout 60s] [-nosync] [-graph]
+//	         [-timeout 5s] [-max-timeout 60s] [-nosync] [-graph]
 //	spbserve -demo 50000 [-dim 8] [-addr :8080]
 //	spbserve -cluster cluster.json -placement ROOT/placement.json [-addr :8080]
 //
@@ -26,11 +26,9 @@
 // stale) mode=ann falls back to exact search. Local modes only — in -cluster
 // mode graphs belong to the owning nodes.
 //
-// -workers bounds concurrent queries (admission control); -query-workers is
-// the per-query verifier pool of the parallel execution engine (0 = the
-// default of 1, serial verification; K > 1 engages the pool). The two
-// compose: all verifiers come from one process-wide pool, so saturated
-// queries degrade to serial verification instead of multiplying goroutines.
+// -workers bounds concurrent queries (admission control). Each query runs on
+// one goroutine (DESIGN.md §9.1), so it is also the number of cores the
+// service can keep busy.
 //
 // -cluster runs the same HTTP API as a cluster router: queries scatter to
 // the nodes owning the relevant shards (see cmd/spbcluster and DESIGN.md
@@ -137,7 +135,7 @@ func (cfg serveConfig) resolve() (metric.DistanceFunc, metric.Codec, parsers, er
 // it reopens through the recovery path — WAL tail replayed into the delta,
 // compactor restarted — and serves the write endpoints. A plain index
 // directory loads read-only.
-func openDir(dir string, queryWorkers int, nosync bool) (*core.Tree, parsers, error) {
+func openDir(dir string, nosync bool) (*core.Tree, parsers, error) {
 	cj, err := os.ReadFile(filepath.Join(dir, "config.json"))
 	if err != nil {
 		return nil, parsers{}, err
@@ -150,7 +148,7 @@ func openDir(dir string, queryWorkers int, nosync bool) (*core.Tree, parsers, er
 	if err != nil {
 		return nil, parsers{}, err
 	}
-	lopts := core.LoadOptions{Distance: dist, Codec: codec, Workers: queryWorkers}
+	lopts := core.LoadOptions{Distance: dist, Codec: codec}
 	var tree *core.Tree
 	if _, serr := os.Stat(filepath.Join(dir, core.CurrentFile)); serr == nil {
 		tree, err = core.OpenDurable(dir, lopts, core.DurableOptions{NoSync: nosync})
@@ -164,7 +162,7 @@ func openDir(dir string, queryWorkers int, nosync bool) (*core.Tree, parsers, er
 }
 
 // buildDemo builds a transient Z-order index over n uniform random vectors.
-func buildDemo(n, dim, queryWorkers int) (*core.Tree, parsers, error) {
+func buildDemo(n, dim int) (*core.Tree, parsers, error) {
 	rng := rand.New(rand.NewSource(1))
 	objs := make([]metric.Object, n)
 	for i := range objs {
@@ -178,7 +176,6 @@ func buildDemo(n, dim, queryWorkers int) (*core.Tree, parsers, error) {
 		Distance: metric.L2(dim),
 		Codec:    metric.VectorCodec{Dim: dim},
 		Curve:    sfc.ZOrder,
-		Workers:  queryWorkers,
 	})
 	if err != nil {
 		return nil, parsers{}, err
@@ -192,7 +189,6 @@ func run() error {
 	demo := flag.Int("demo", 0, "serve a transient demo index over this many random vectors instead of -dir")
 	dim := flag.Int("dim", 8, "demo vector dimensionality")
 	workers := flag.Int("workers", 0, "concurrent query limit (0 = GOMAXPROCS)")
-	queryWorkers := flag.Int("query-workers", 0, "per-query verifier pool (0 = default 1 = serial; K > 1 = parallel verification)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 2x workers)")
 	timeout := flag.Duration("timeout", 5*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 60*time.Second, "cap on request-supplied deadlines")
@@ -212,9 +208,9 @@ func run() error {
 		router, ps, err = openCluster(*clusterCfg, *placementFile)
 	case *demo > 0:
 		fmt.Fprintf(os.Stderr, "building demo index: %d vectors, dim %d\n", *demo, *dim)
-		tree, ps, err = buildDemo(*demo, *dim, *queryWorkers)
+		tree, ps, err = buildDemo(*demo, *dim)
 	case *dir != "":
-		tree, ps, err = openDir(*dir, *queryWorkers, *nosync)
+		tree, ps, err = openDir(*dir, *nosync)
 	default:
 		return errors.New("spbserve needs -dir, -demo or -cluster (see -h)")
 	}

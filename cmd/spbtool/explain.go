@@ -10,11 +10,11 @@ import (
 	"spbtree/internal/core"
 )
 
-// cmdExplain prints the adaptive planner's view of a query — the cost-model
-// estimate, the worker decision and, when several directories are given (each
-// treated as one forest shard), the shard relevance hints and staged visit
-// order — without executing anything (DESIGN.md §15). It answers "what would
-// the engine do, and why" for a query that may be too expensive to run.
+// cmdExplain prints the cost model's view of a query — the EDC/EPA estimate
+// and, when several directories are given (each treated as one forest shard),
+// the shard relevance hints and staged visit order — without executing
+// anything (DESIGN.md §15). It answers "what would this query cost, and which
+// shards would it visit" for a query that may be too expensive to run.
 func cmdExplain(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
 	dirs := fs.String("dir", "", "index directory, or a comma-separated list treated as forest shards")
@@ -70,32 +70,23 @@ func cmdExplain(args []string, out io.Writer) error {
 
 	hints := make([]core.ShardHint, len(trees))
 	for i, t := range trees {
-		// The estimate does not need calibrated unit costs, so it prints
-		// even when the plan below falls back to fixed behavior. It also
-		// refreshes a dirty cost-model snapshot, arming the hints.
+		// The estimate refreshes a dirty cost-model snapshot, arming the
+		// hints.
 		var est core.CostEstimate
-		var plan core.PlanInfo
 		if *r >= 0 {
 			est, err = t.EstimateRange(qobj, *r)
 			if err == nil {
 				hints[i], err = t.RangeHint(qobj, *r)
-			}
-			if err == nil {
-				plan, err = t.ExplainRange(qobj, *r)
 			}
 		} else {
 			est, err = t.EstimateKNN(qobj, *k)
 			if err == nil {
 				hints[i], err = t.KNNHint(qobj, *k)
 			}
-			if err == nil {
-				plan, err = t.ExplainKNN(qobj, *k)
-			}
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", names[i], err)
 		}
-		st := t.PlannerState()
 
 		fmt.Fprintf(out, "\nshard %d (%s): %d objects\n", i, names[i], t.Len())
 		fmt.Fprintf(out, "  estimate: EDC=%.1f compdists, EPA=%.1f pages, radius=%g",
@@ -104,21 +95,6 @@ func cmdExplain(args []string, out io.Writer) error {
 			fmt.Fprint(out, " (eND_k)")
 		}
 		fmt.Fprintln(out)
-		fmt.Fprintf(out, "  plan:     mode=%s workers=%d", plan.Mode, plan.Workers)
-		if plan.Mode == core.PlanModePlanned {
-			fmt.Fprintf(out, " — predicted serial cost %.2fms = EDC×%.0fns + EPA×%.0fns",
-				plan.CostNS/1e6, plan.NSPerCompdist, plan.NSPerPage)
-		}
-		fmt.Fprintln(out)
-		switch {
-		case !st.Enabled:
-			fmt.Fprintf(out, "  planner:  disabled (single-worker tree or DisablePlanner)\n")
-		case !st.Calibrated:
-			fmt.Fprintf(out, "  planner:  uncalibrated (%d samples; a fresh process starts cold — the decision above is the fixed fallback)\n", st.Samples)
-		default:
-			fmt.Fprintf(out, "  planner:  calibrated over %d samples: %.0fns/compdist, %.0fns/page\n",
-				st.Samples, st.NSPerCompdist, st.NSPerPage)
-		}
 	}
 
 	// Shard visit order, mirroring the forest scatter's plan (§15.4): range

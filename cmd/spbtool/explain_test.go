@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// TestExplainSingleTree: explain prints the estimate, plan and (trivial)
-// visit order for one directory, without executing the query.
+// TestExplainSingleTree: explain prints the estimate and (trivial) visit order
+// for one directory, without executing the query.
 func TestExplainSingleTree(t *testing.T) {
 	dir := t.TempDir()
 	words := []string{
@@ -28,7 +28,7 @@ func TestExplainSingleTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"not executed", "estimate: EDC=", "plan:", "shard visit order", "only shard"} {
+	for _, want := range []string{"not executed", "estimate: EDC=", "shard visit order", "only shard"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("kNN explain missing %q:\n%s", want, out)
 		}

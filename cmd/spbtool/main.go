@@ -68,7 +68,7 @@ func usage() {
           [-pivots N] [-curve {hilbert|zorder}] [-durable]
   query   -dir DIR (-r RADIUS | -k K) -q QUERY [-stats] [-debugaddr ADDR]
   explain -dir DIR[,DIR...] (-r RADIUS | -k K) -q QUERY
-          print the planner's decision, cost estimates and — with several
+          print the cost model's estimates and — with several
           directories treated as forest shards — the shard visit order,
           without executing the query (DESIGN.md §15)
   stats   -dir DIR [-probe] [-debugaddr ADDR]

@@ -33,7 +33,7 @@ func startCluster(t *testing.T, ds dataset.Dataset, shards int) *testCluster {
 	t.Helper()
 	root := t.TempDir()
 	treeOpts := core.Options{Distance: ds.Distance, Codec: ds.Codec,
-		Curve: sfc.ZOrder, Seed: 1, Workers: 1}
+		Curve: sfc.ZOrder, Seed: 1}
 	names := []string{"n1", "n2", "n3"}
 	cfg := &Config{Type: "words", Shards: shards, Curve: "zorder"}
 	for _, n := range names {
@@ -48,7 +48,7 @@ func startCluster(t *testing.T, ds dataset.Dataset, shards int) *testCluster {
 	for _, name := range names {
 		node, err := OpenNode(NodeConfig{
 			Name: name, Dir: NodeDir(root, name),
-			Load: core.LoadOptions{Distance: ds.Distance, Codec: ds.Codec, Workers: 1},
+			Load: core.LoadOptions{Distance: ds.Distance, Codec: ds.Codec},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -109,8 +109,8 @@ func sameResults(t *testing.T, label string, got, want []core.Result) {
 
 // equivalenceCase runs the full equivalence suite for one dataset: range,
 // kNN and join answers from the 3-node cluster must match the
-// single-process forest byte for byte, and — queries being deterministic
-// with Workers=1 — so must the compdists work counters.
+// single-process forest byte for byte, and — queries being deterministic —
+// so must the compdists work counters.
 func equivalenceCase(t *testing.T, ds dataset.Dataset, radii []float64, eps float64) {
 	tc := startCluster(t, ds, 4)
 	ctx := context.Background()

@@ -656,7 +656,7 @@ func (n *Node) joinPartner(ctx context.Context, ref shardRef, share *core.Tree,
 	t, err := core.Build(objs, core.Options{
 		Distance: n.cfg.Load.Distance, Codec: n.cfg.Load.Codec,
 		Curve: sfc.ZOrder, ShareMapping: share,
-		CacheSize: n.cfg.Load.CacheSize, Workers: n.cfg.Load.Workers,
+		CacheSize: n.cfg.Load.CacheSize,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: join: rebuild shard %d: %w", ref.Shard, err)

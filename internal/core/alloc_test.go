@@ -27,7 +27,6 @@ func TestKNNAllocationBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree.SetWorkers(1)
 		ctx := context.Background()
 		for _, q := range queries {
 			_, qs, err := tree.KNNWithStatsCtx(ctx, q, k) // warms caches and the scratch pool

@@ -14,10 +14,9 @@ import (
 // (DESIGN.md §13): toggling batch kernels on the same tree changes no
 // observable output — byte-identical results and identical Verified /
 // Compdists / Discarded / Abandoned / pruning counters — for every setup,
-// both traversals, every worker count and both bounded modes. It also pins
-// that the batch path actually runs: BatchedCandidates is zero with kernels
-// off and positive for range (always) and kNN (greedy serial and every
-// parallel mode), so a silent fallback to the scalar path fails here.
+// both traversals and both bounded modes. It also pins that the batch path
+// actually runs: BatchedCandidates is zero with kernels off and positive for
+// range and kNN, so a silent fallback to the scalar path fails here.
 func TestBatchMatchesScalar(t *testing.T) {
 	for _, s := range setups() {
 		s := s
@@ -62,53 +61,41 @@ func TestBatchMatchesScalar(t *testing.T) {
 					return out
 				}
 
-				// batched candidates per operation, accumulated across all
-				// bounded modes and worker counts.
+				// batched candidates per operation, accumulated across both
+				// bounded modes.
 				batched := map[string]int64{}
 				for _, bounded := range []bool{true, false} {
 					tree.SetBoundedKernels(bounded)
-					for _, workers := range []int{1, 2, 4, 8} {
-						tree.SetWorkers(workers)
-						tree.SetBatchKernels(false)
-						scalar := collect()
-						for i, o := range scalar {
-							if o.qs.BatchedCandidates != 0 {
-								t.Fatalf("outcome %d: BatchedCandidates = %d with batch kernels off",
-									i, o.qs.BatchedCandidates)
-							}
+					tree.SetBatchKernels(false)
+					scalar := collect()
+					for i, o := range scalar {
+						if o.qs.BatchedCandidates != 0 {
+							t.Fatalf("outcome %d: BatchedCandidates = %d with batch kernels off",
+								i, o.qs.BatchedCandidates)
 						}
-						tree.SetBatchKernels(true)
-						batch := collect()
-						for i := range scalar {
-							label := fmt.Sprintf("%s/%s/bounded=%v/workers=%d/#%d",
-								s.name, trav, bounded, workers, i)
-							sameResults(t, label, scalar[i].res, batch[i].res)
-							a, b := scalar[i].qs, batch[i].qs
-							if a.Verified != b.Verified || a.Compdists != b.Compdists ||
-								a.Lemma2Included != b.Lemma2Included || a.Discarded != b.Discarded ||
-								a.Abandoned != b.Abandoned || a.Results != b.Results {
-								t.Fatalf("%s: counters diverge across batch toggle:\nscalar: %+v\nbatch:  %+v",
-									label, a, b)
-							}
-							// Scan-side counters are deterministic only
-							// serially: in parallel mode scan-time pruning
-							// races with commits, so (like §9) they are not
-							// part of the worker-mode identity.
-							if workers == 1 &&
-								(a.EntriesScanned != b.EntriesScanned || a.EntriesPruned != b.EntriesPruned ||
-									a.TombstonesSkipped != b.TombstonesSkipped) {
-								t.Fatalf("%s: serial scan counters diverge across batch toggle:\nscalar: %+v\nbatch:  %+v",
-									label, a, b)
-							}
-							batched[b.Op] += b.BatchedCandidates
+					}
+					tree.SetBatchKernels(true)
+					batch := collect()
+					for i := range scalar {
+						label := fmt.Sprintf("%s/%s/bounded=%v/#%d", s.name, trav, bounded, i)
+						sameResults(t, label, scalar[i].res, batch[i].res)
+						a, b := scalar[i].qs, batch[i].qs
+						if a.Verified != b.Verified || a.Compdists != b.Compdists ||
+							a.Lemma2Included != b.Lemma2Included || a.Discarded != b.Discarded ||
+							a.Abandoned != b.Abandoned || a.Results != b.Results ||
+							a.EntriesScanned != b.EntriesScanned || a.EntriesPruned != b.EntriesPruned ||
+							a.TombstonesSkipped != b.TombstonesSkipped {
+							t.Fatalf("%s: counters diverge across batch toggle:\nscalar: %+v\nbatch:  %+v",
+								label, a, b)
 						}
+						batched[b.Op] += b.BatchedCandidates
 					}
 				}
 				if batched[OpRange] == 0 {
 					t.Errorf("%s/%s: no range candidate went through a batch kernel", s.name, trav)
 				}
 				// kNN blocks form on both traversals: greedy batches a whole
-				// leaf's survivors, and the best-first serial loop buffers
+				// leaf's survivors, and the best-first loop buffers
 				// consecutive entry pops into incremental blocks.
 				if batched[OpKNN] == 0 {
 					t.Errorf("%s/%s: no kNN candidate went through a batch kernel", s.name, trav)
@@ -184,7 +171,6 @@ func TestBatchStressQueriesMutation(t *testing.T) {
 	fx := newDurableFixture(t, 250, DurableOptions{CompactThreshold: 40})
 	defer fx.tree.Close()
 	tree := fx.tree
-	tree.SetWorkers(4)
 	if !tree.BatchKernels() {
 		t.Fatal("durable tree did not enable batch kernels")
 	}

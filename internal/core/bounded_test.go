@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"spbtree/internal/metric"
@@ -78,60 +79,75 @@ func TestBoundedMatchesExact(t *testing.T) {
 	}
 }
 
-// TestBoundedParallelMatchesSerial re-runs the serial-vs-parallel identity
-// with bounded kernels explicitly enabled across K ∈ {1, 2, 4, 8}: the
-// ordered-commit replay must reproduce the serial bound evolution, so
-// results, Verified, Compdists and Abandoned are identical in every worker
-// mode.
+// TestBoundedParallelMatchesSerial: queries are the unit of parallelism
+// (DESIGN.md §9.1), so the identity that has to hold is across queries. The
+// same range, kNN and budgeted-kNN queries issued from four goroutines at
+// once — sharing the tree's read lock, its page caches and the scratch pool
+// their prepared kernels and candidate blocks come from — return
+// byte-identical results and identical verification counters (Abandoned
+// included: bounded kernels are on) to issuing them one after another, for
+// every setup and both traversal strategies. Run with -race.
 func TestBoundedParallelMatchesSerial(t *testing.T) {
 	for _, s := range setups() {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
-			tree := buildSetup(t, s)
-			defer tree.Close()
-			tree.SetBoundedKernels(true)
-			maxD := s.dist.MaxDistance()
-			queries := s.objs[:5]
-
-			type baseline struct {
-				res []Result
-				qs  QueryStats
-			}
-			run := func(q metric.Object, tag string) baseline {
-				var b baseline
-				var err error
-				switch tag {
-				case "range":
-					b.res, b.qs, err = tree.RangeSearchWithStats(q, 0.12*maxD)
-				case "knn":
-					b.res, b.qs, err = tree.KNNWithStats(q, 7)
-				}
+			for _, trav := range []TraversalStrategy{Incremental, Greedy} {
+				opts := s.opts
+				opts.Traversal = trav
+				opts.Distance = s.dist
+				tree, err := Build(s.objs, opts)
 				if err != nil {
-					t.Fatalf("%s (workers=%d): %v", tag, tree.Workers(), err)
+					t.Fatalf("%s: Build: %v", s.name, err)
 				}
-				return b
-			}
-			tags := []string{"range", "knn"}
+				tree.SetBoundedKernels(true)
+				maxD := s.dist.MaxDistance()
 
-			tree.SetWorkers(1)
-			var serial []baseline
-			for _, q := range queries {
-				for _, tag := range tags {
-					serial = append(serial, run(q, tag))
+				type outcome struct {
+					res []Result
+					qs  QueryStats
+					err error
 				}
-			}
-			for _, workers := range []int{2, 4, 8} {
-				tree.SetWorkers(workers)
-				i := 0
-				for _, q := range queries {
-					for _, tag := range tags {
-						label := s.name + "/" + tag + "/bounded"
-						b := run(q, tag)
-						sameResults(t, label, serial[i].res, b.res)
-						sameVerification(t, label, serial[i].qs, b.qs)
-						i++
+				tags := []string{"range", "knn1", "knn8", "approx"}
+				run := func(job int) (o outcome) {
+					q := s.objs[job/len(tags)]
+					switch tags[job%len(tags)] {
+					case "range":
+						o.res, o.qs, o.err = tree.RangeSearchWithStats(q, 0.12*maxD)
+					case "knn1":
+						o.res, o.qs, o.err = tree.KNNWithStats(q, 1)
+					case "knn8":
+						o.res, o.qs, o.err = tree.KNNWithStats(q, 8)
+					case "approx":
+						o.res, o.qs, o.err = tree.KNNApproxWithStats(q, 5, 40)
 					}
+					return o
 				}
+				serial := make([]outcome, 5*len(tags))
+				for job := range serial {
+					serial[job] = run(job)
+				}
+				const clients = 4
+				parallel := make([]outcome, len(serial))
+				var wg sync.WaitGroup
+				for c := 0; c < clients; c++ {
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						for job := c; job < len(parallel); job += clients {
+							parallel[job] = run(job)
+						}
+					}(c)
+				}
+				wg.Wait()
+				for job := range serial {
+					label := s.name + "/" + trav.String() + "/" + tags[job%len(tags)]
+					if serial[job].err != nil || parallel[job].err != nil {
+						t.Fatalf("%s: serial err %v, parallel err %v", label, serial[job].err, parallel[job].err)
+					}
+					sameResults(t, label, serial[job].res, parallel[job].res)
+					sameVerification(t, label, serial[job].qs, parallel[job].qs)
+				}
+				tree.Close()
 			}
 		})
 	}
@@ -139,8 +155,7 @@ func TestBoundedParallelMatchesSerial(t *testing.T) {
 
 // TestBoundedJoinMatchesExact checks Algorithm 3 under bounded kernels: the
 // ε-bounded evaluation returns the same pairs and counters as exact
-// evaluation, serially and for every worker count, with Abandoned identical
-// across worker modes.
+// evaluation, and abandons some of them.
 func TestBoundedJoinMatchesExact(t *testing.T) {
 	const dim = 4
 	build := func(objs []metric.Object, seed int64, share *Tree) *Tree {
@@ -159,8 +174,6 @@ func TestBoundedJoinMatchesExact(t *testing.T) {
 	defer to.Close()
 	eps := 0.08 * metric.L2(dim).MaxDistance()
 
-	tq.SetWorkers(1)
-	to.SetWorkers(1)
 	tq.SetBoundedKernels(false)
 	to.SetBoundedKernels(false)
 	want, wantQS, err := JoinWithStats(tq, to, eps)
@@ -176,31 +189,25 @@ func TestBoundedJoinMatchesExact(t *testing.T) {
 
 	tq.SetBoundedKernels(true)
 	to.SetBoundedKernels(true)
-	var serialBounded QueryStats
-	for _, workers := range []int{1, 2, 4, 8} {
-		tq.SetWorkers(workers) // the Q side drives the join's worker pool
-		got, gotQS, err := JoinWithStats(tq, to, eps)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	got, gotQS, err := JoinWithStats(tq, to, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d pairs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if want[i].Q.ID() != got[i].Q.ID() || want[i].O.ID() != got[i].O.ID() || want[i].Dist != got[i].Dist {
+			t.Fatalf("pair %d = (%d,%d,%v), want (%d,%d,%v)", i,
+				got[i].Q.ID(), got[i].O.ID(), got[i].Dist, want[i].Q.ID(), want[i].O.ID(), want[i].Dist)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d pairs, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if want[i].Q.ID() != got[i].Q.ID() || want[i].O.ID() != got[i].O.ID() || want[i].Dist != got[i].Dist {
-				t.Fatalf("workers=%d: pair %d = (%d,%d,%v), want (%d,%d,%v)", workers, i,
-					got[i].Q.ID(), got[i].O.ID(), got[i].Dist, want[i].Q.ID(), want[i].O.ID(), want[i].Dist)
-			}
-		}
-		if gotQS.Verified != wantQS.Verified || gotQS.Compdists != wantQS.Compdists || gotQS.Results != wantQS.Results {
-			t.Fatalf("workers=%d: bounded join counters (verified=%d compdists=%d results=%d) != exact (%d, %d, %d)",
-				workers, gotQS.Verified, gotQS.Compdists, gotQS.Results, wantQS.Verified, wantQS.Compdists, wantQS.Results)
-		}
-		if workers == 1 {
-			serialBounded = gotQS
-		} else if gotQS.Abandoned != serialBounded.Abandoned {
-			t.Fatalf("workers=%d: Abandoned = %d, serial bounded = %d", workers, gotQS.Abandoned, serialBounded.Abandoned)
-		}
+	}
+	if gotQS.Verified != wantQS.Verified || gotQS.Compdists != wantQS.Compdists || gotQS.Results != wantQS.Results {
+		t.Fatalf("bounded join counters (verified=%d compdists=%d results=%d) != exact (%d, %d, %d)",
+			gotQS.Verified, gotQS.Compdists, gotQS.Results, wantQS.Verified, wantQS.Compdists, wantQS.Results)
+	}
+	if gotQS.Abandoned == 0 || gotQS.Abandoned != gotQS.Discarded {
+		t.Fatalf("bounded join Abandoned = %d, Discarded = %d: every discarded pair should abandon", gotQS.Abandoned, gotQS.Discarded)
 	}
 }
 

@@ -170,6 +170,41 @@ func buildSetup(t *testing.T, s setup) *Tree {
 	return tree
 }
 
+// sameResults asserts two answer sets are byte-identical: same order, ids,
+// distances and exactness flags.
+func sameResults(t *testing.T, label string, want, got []Result) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if w.Object.ID() != g.Object.ID() || w.Dist != g.Dist || w.Exact != g.Exact {
+			t.Fatalf("%s: result %d: got (id=%d d=%v exact=%v), want (id=%d d=%v exact=%v)",
+				label, i, g.Object.ID(), g.Dist, g.Exact, w.Object.ID(), w.Dist, w.Exact)
+		}
+	}
+}
+
+// sameVerification asserts the verification-stage counters of two executions
+// of one query agree.
+func sameVerification(t *testing.T, label string, want, got QueryStats) {
+	t.Helper()
+	if want.Verified != got.Verified ||
+		want.Compdists != got.Compdists ||
+		want.Lemma2Included != got.Lemma2Included ||
+		want.Discarded != got.Discarded ||
+		want.Abandoned != got.Abandoned ||
+		want.TombstonesSkipped != got.TombstonesSkipped ||
+		want.BatchedCandidates != got.BatchedCandidates ||
+		want.Results != got.Results {
+		t.Fatalf("%s: verification counters diverge:\nwant: verified=%d compdists=%d lemma2=%d discarded=%d abandoned=%d tombstones=%d batched=%d results=%d\ngot:  verified=%d compdists=%d lemma2=%d discarded=%d abandoned=%d tombstones=%d batched=%d results=%d",
+			label,
+			want.Verified, want.Compdists, want.Lemma2Included, want.Discarded, want.Abandoned, want.TombstonesSkipped, want.BatchedCandidates, want.Results,
+			got.Verified, got.Compdists, got.Lemma2Included, got.Discarded, got.Abandoned, got.TombstonesSkipped, got.BatchedCandidates, got.Results)
+	}
+}
+
 // --- tests -----------------------------------------------------------------
 
 func TestRangeQueryMatchesBruteForce(t *testing.T) {

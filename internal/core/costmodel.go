@@ -322,7 +322,7 @@ func (t *Tree) estimateRangeVec(qvec []float64, r float64) CostEstimate {
 }
 
 // estimateKNNVec is the kNN cost estimate for an already-mapped query, with
-// the eND_k reservoir scan capped at sampleCap vectors (the planner's cheap
+// the eND_k reservoir scan capped at sampleCap vectors (the shard hints' cheap
 // profile; pass len(t.cm.vecs) for the full-fidelity estimate). Callers hold
 // the read lock and guarantee the MBB snapshot is clean.
 func (t *Tree) estimateKNNVec(qvec []float64, k, sampleCap int) CostEstimate {

@@ -246,3 +246,74 @@ func TestZOrderTreeEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanEstimateReconciliation is the estimator-accuracy regression gate:
+// the EDC/EPA that EstimateRange and EstimateKNN report for a query — what
+// spbtool explain prints and the forest's shard hints are ordered by — must
+// reconcile with what the query then observes, within the tolerance of the §5
+// accuracy tests, so silent cost-model drift fails here.
+func TestPlanEstimateReconciliation(t *testing.T) {
+	// Caching off (CacheSize < 0): EPA models uncached page accesses, and a
+	// warm 2000-object tree fits the default caches entirely, observing 0.
+	objs := vectorSet(2000, 6, 71)
+	dist := metric.L2(6)
+	tree, err := Build(objs, Options{
+		Distance: dist, Codec: metric.VectorCodec{Dim: 6}, NumPivots: 3, Seed: 3,
+		CacheSize: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	r := 0.08 * dist.MaxDistance()
+	rng := rand.New(rand.NewSource(9))
+	var accEDC, ratioEPA float64
+	const trials = 30
+	for i := 0; i < trials; i++ {
+		q := objs[rng.Intn(len(objs))]
+		est, err := tree.EstimateRange(q, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, qs, err := tree.RangeSearchWithStats(q, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accEDC += accuracy(float64(qs.Compdists), est.EDC)
+		if pa := float64(qs.PageAccesses()); pa > 0 {
+			ratioEPA += est.EPA / pa
+		}
+	}
+	accEDC /= trials
+	ratioEPA /= trials
+	if accEDC < 0.6 {
+		t.Errorf("range EDC accuracy %.2f too low", accEDC)
+	}
+	// EPA models distinct page touches under ideal buffering; uncached
+	// execution re-reads pages per block, so observed PA runs a small factor
+	// above the prediction. Band the ratio rather than demanding equality:
+	// drift to ~0 (model collapse) or past ~2 (model explosion) fails.
+	if ratioEPA < 0.1 || ratioEPA > 2 {
+		t.Errorf("range EPA/observed-PA ratio %.2f outside [0.1, 2]", ratioEPA)
+	}
+
+	// The kNN side first estimates its radius; demand the looser floor of
+	// the §5 kNN accuracy test.
+	var accKNN float64
+	for i := 0; i < trials; i++ {
+		q := objs[rng.Intn(len(objs))]
+		est, err := tree.EstimateKNN(q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, qs, err := tree.KNNWithStats(q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accKNN += accuracy(float64(qs.Compdists), est.EDC)
+	}
+	accKNN /= trials
+	if accKNN < 0.3 {
+		t.Errorf("kNN EDC accuracy %.2f too low", accKNN)
+	}
+}

@@ -92,25 +92,26 @@ func (t *Tree) runRange(ctx context.Context, q metric.Object, r float64, qs *Que
 // ErrCanceled — a usable approximate answer, not garbage.
 func (t *Tree) KNNCtx(ctx context.Context, q metric.Object, k int) ([]Result, error) {
 	qs := QueryStats{Op: OpKNN}
-	return t.runKNN(ctx, q, k, &qs)
+	return t.runKNN(ctx, q, k, math.Inf(1), 0, &qs)
 }
 
 // KNNWithStatsCtx is KNNCtx plus the query's per-stage QueryStats.
 func (t *Tree) KNNWithStatsCtx(ctx context.Context, q metric.Object, k int) ([]Result, QueryStats, error) {
 	qs := QueryStats{Op: OpKNN, timed: true}
-	res, err := t.runKNN(ctx, q, k, &qs)
+	res, err := t.runKNN(ctx, q, k, math.Inf(1), 0, &qs)
 	return res, qs, err
 }
 
-// runKNN executes one kNN query under the tree's read lock.
-func (t *Tree) runKNN(ctx context.Context, q metric.Object, k int, qs *QueryStats) ([]Result, error) {
+// runKNN executes one kNN query — seeded with bound, budgeted when maxVerify
+// > 0 (see knn) — under the tree's read lock.
+func (t *Tree) runKNN(ctx context.Context, q metric.Object, k int, bound float64, maxVerify int, qs *QueryStats) ([]Result, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.closed {
 		return nil, ErrClosed
 	}
 	qt := t.beginQuery(qs)
-	res, err := t.knn(ctx, q, k, math.Inf(1), qs)
+	res, err := t.knn(ctx, q, k, bound, maxVerify, qs)
 	qt.finish(len(res), err)
 	return res, err
 }
@@ -130,27 +131,14 @@ func (t *Tree) KNNWithin(q metric.Object, k int, bound float64) ([]Result, error
 // cancellation contract.
 func (t *Tree) KNNWithinCtx(ctx context.Context, q metric.Object, k int, bound float64) ([]Result, error) {
 	qs := QueryStats{Op: OpKNN}
-	return t.runKNNWithin(ctx, q, k, bound, &qs)
+	return t.runKNN(ctx, q, k, bound, 0, &qs)
 }
 
 // KNNWithinWithStatsCtx is KNNWithinCtx plus the query's per-stage QueryStats.
 func (t *Tree) KNNWithinWithStatsCtx(ctx context.Context, q metric.Object, k int, bound float64) ([]Result, QueryStats, error) {
 	qs := QueryStats{Op: OpKNN, timed: true}
-	res, err := t.runKNNWithin(ctx, q, k, bound, &qs)
+	res, err := t.runKNN(ctx, q, k, bound, 0, &qs)
 	return res, qs, err
-}
-
-// runKNNWithin executes one bounded kNN query under the tree's read lock.
-func (t *Tree) runKNNWithin(ctx context.Context, q metric.Object, k int, bound float64, qs *QueryStats) ([]Result, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.closed {
-		return nil, ErrClosed
-	}
-	qt := t.beginQuery(qs)
-	res, err := t.knn(ctx, q, k, bound, qs)
-	qt.finish(len(res), err)
-	return res, err
 }
 
 // KNNApproxCtx answers budgeted approximate kNN like KNNApprox, honoring ctx.
@@ -160,7 +148,7 @@ func (t *Tree) KNNApproxCtx(ctx context.Context, q metric.Object, k, maxVerify i
 		return t.KNNCtx(ctx, q, k)
 	}
 	qs := QueryStats{Op: OpKNNApprox}
-	return t.runKNNApprox(ctx, q, k, maxVerify, &qs)
+	return t.runKNN(ctx, q, k, math.Inf(1), maxVerify, &qs)
 }
 
 // KNNApproxWithStatsCtx is KNNApproxCtx plus the query's per-stage
@@ -170,21 +158,8 @@ func (t *Tree) KNNApproxWithStatsCtx(ctx context.Context, q metric.Object, k, ma
 		return t.KNNWithStatsCtx(ctx, q, k)
 	}
 	qs := QueryStats{Op: OpKNNApprox, timed: true}
-	res, err := t.runKNNApprox(ctx, q, k, maxVerify, &qs)
+	res, err := t.runKNN(ctx, q, k, math.Inf(1), maxVerify, &qs)
 	return res, qs, err
-}
-
-// runKNNApprox executes one budgeted kNN query under the tree's read lock.
-func (t *Tree) runKNNApprox(ctx context.Context, q metric.Object, k, maxVerify int, qs *QueryStats) ([]Result, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.closed {
-		return nil, ErrClosed
-	}
-	qt := t.beginQuery(qs)
-	res, err := t.knnApprox(ctx, q, k, maxVerify, qs)
-	qt.finish(len(res), err)
-	return res, err
 }
 
 // JoinCtx computes SJ(Q, O, ε) like Join, honoring ctx: cancellation is

@@ -223,7 +223,6 @@ func TestCtxDeadlineLargeTree(t *testing.T) {
 // ErrCanceled with well-formed partials, successful ones stay correct.
 func TestCtxStressQueriesRebuildCancel(t *testing.T) {
 	objs, tree := buildCtxTree(t, 1200, 4, 45)
-	tree.SetWorkers(4) // the default is serial; this stress is about the verifier pool too
 	dist := metric.L2(4)
 	r := 0.3 * dist.MaxDistance()
 	before := runtime.NumGoroutine()

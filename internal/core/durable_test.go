@@ -137,14 +137,13 @@ func rangeResultMap(rs []Result) map[uint64]Result {
 	return out
 }
 
-// checkEquivalence runs every read entry point on the durable tree, serial and
-// parallel, and demands byte-identical answers to the rebuilt reference — and
+// checkEquivalence runs every read entry point on the durable tree and
+// demands byte-identical answers to the rebuilt reference — and
 // identical compdists for range queries, where the verified set is order-free.
 func (fx *durableFixture) checkEquivalence(t *testing.T, qs ...metric.Object) {
 	t.Helper()
 	ref := fx.refTree(t)
 	dur := fx.tree
-	defer dur.SetWorkers(0)
 	const r, k = 0.45, 10
 
 	for _, q := range qs {
@@ -158,74 +157,71 @@ func (fx *durableFixture) checkEquivalence(t *testing.T, qs ...metric.Object) {
 			t.Fatal(err)
 		}
 
-		for _, workers := range []int{0, 4} {
-			dur.SetWorkers(workers)
-			label := fmt.Sprintf("q=%d workers=%d", q.ID(), workers)
+		label := fmt.Sprintf("q=%d", q.ID())
 
-			gotRes, gotQS, err := dur.RangeSearchWithStats(q, r)
-			if err != nil {
-				t.Fatal(err)
+		gotRes, gotQS, err := dur.RangeSearchWithStats(q, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rangeResultMap(gotRes)
+		if len(got) != len(want) {
+			t.Fatalf("%s: range returned %d results, want %d", label, len(got), len(want))
+		}
+		for id, w := range want {
+			g, ok := got[id]
+			if !ok {
+				t.Fatalf("%s: range missing id %d", label, id)
 			}
-			got := rangeResultMap(gotRes)
-			if len(got) != len(want) {
-				t.Fatalf("%s: range returned %d results, want %d", label, len(got), len(want))
+			if g.Dist != w.Dist || g.Exact != w.Exact {
+				t.Fatalf("%s: id %d: got (%v, exact=%v), want (%v, exact=%v)",
+					label, id, g.Dist, g.Exact, w.Dist, w.Exact)
 			}
-			for id, w := range want {
-				g, ok := got[id]
-				if !ok {
-					t.Fatalf("%s: range missing id %d", label, id)
-				}
-				if g.Dist != w.Dist || g.Exact != w.Exact {
-					t.Fatalf("%s: id %d: got (%v, exact=%v), want (%v, exact=%v)",
-						label, id, g.Dist, g.Exact, w.Dist, w.Exact)
-				}
-			}
-			if gotQS.Compdists != wantQS.Compdists {
-				t.Fatalf("%s: range compdists = %d, reference = %d", label, gotQS.Compdists, wantQS.Compdists)
-			}
+		}
+		if gotQS.Compdists != wantQS.Compdists {
+			t.Fatalf("%s: range compdists = %d, reference = %d", label, gotQS.Compdists, wantQS.Compdists)
+		}
 
-			gotKNN, err := dur.KNN(q, k)
-			if err != nil {
-				t.Fatal(err)
+		gotKNN, err := dur.KNN(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gotKNN) != len(wantKNN) {
+			t.Fatalf("%s: kNN returned %d, want %d", label, len(gotKNN), len(wantKNN))
+		}
+		for i := range wantKNN {
+			if gotKNN[i].Object.ID() != wantKNN[i].Object.ID() || gotKNN[i].Dist != wantKNN[i].Dist {
+				t.Fatalf("%s: kNN rank %d: got (%d, %v), want (%d, %v)", label, i,
+					gotKNN[i].Object.ID(), gotKNN[i].Dist, wantKNN[i].Object.ID(), wantKNN[i].Dist)
 			}
-			if len(gotKNN) != len(wantKNN) {
-				t.Fatalf("%s: kNN returned %d, want %d", label, len(gotKNN), len(wantKNN))
-			}
-			for i := range wantKNN {
-				if gotKNN[i].Object.ID() != wantKNN[i].Object.ID() || gotKNN[i].Dist != wantKNN[i].Dist {
-					t.Fatalf("%s: kNN rank %d: got (%d, %v), want (%d, %v)", label, i,
-						gotKNN[i].Object.ID(), gotKNN[i].Dist, wantKNN[i].Object.ID(), wantKNN[i].Dist)
-				}
-			}
+		}
 
-			cnt, err := dur.RangeCount(q, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cnt != len(want) {
-				t.Fatalf("%s: RangeCount = %d, want %d", label, cnt, len(want))
-			}
+		cnt, err := dur.RangeCount(q, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cnt != len(want) {
+			t.Fatalf("%s: RangeCount = %d, want %d", label, cnt, len(want))
 		}
 
 		// The budgeted search has no rebuilt-tree analogue (its answer depends
-		// on traversal order), but serial and parallel must agree exactly.
-		dur.SetWorkers(0)
-		serialApprox, err := dur.KNNApprox(q, k, 25)
+		// on traversal order), but block and entry-at-a-time verification
+		// must agree exactly.
+		blockApprox, err := dur.KNNApprox(q, k, 25)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dur.SetWorkers(4)
-		parallelApprox, err := dur.KNNApprox(q, k, 25)
+		dur.SetBatchKernels(false)
+		scalarApprox, err := dur.KNNApprox(q, k, 25)
+		dur.SetBatchKernels(true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dur.SetWorkers(0)
-		if len(serialApprox) != len(parallelApprox) {
-			t.Fatalf("q=%d: approx serial %d results, parallel %d", q.ID(), len(serialApprox), len(parallelApprox))
+		if len(blockApprox) != len(scalarApprox) {
+			t.Fatalf("q=%d: approx block %d results, scalar %d", q.ID(), len(blockApprox), len(scalarApprox))
 		}
-		for i := range serialApprox {
-			if serialApprox[i].Object.ID() != parallelApprox[i].Object.ID() || serialApprox[i].Dist != parallelApprox[i].Dist {
-				t.Fatalf("q=%d: approx rank %d diverges between serial and parallel", q.ID(), i)
+		for i := range blockApprox {
+			if blockApprox[i].Object.ID() != scalarApprox[i].Object.ID() || blockApprox[i].Dist != scalarApprox[i].Dist {
+				t.Fatalf("q=%d: approx rank %d diverges between block and scalar verification", q.ID(), i)
 			}
 		}
 
@@ -732,8 +728,6 @@ func TestDurableWriteStress(t *testing.T) {
 	fx := newDurableFixture(t, 200, DurableOptions{CompactThreshold: 50})
 	defer fx.tree.Close()
 	tree := fx.tree
-	tree.SetWorkers(2)
-	defer tree.SetWorkers(0)
 
 	const (
 		writers      = 4
@@ -835,7 +829,6 @@ func TestDurableWriteStress(t *testing.T) {
 	if err := tree.CompactNow(); err != nil {
 		t.Fatal(err)
 	}
-	tree.SetWorkers(0)
 	wantIDs := fx.liveIDs()
 	ids, err := tree.RangeIDs(fx.liveObjs()[0], allRadius)
 	if err != nil {

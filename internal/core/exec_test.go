@@ -1,346 +1,254 @@
 package core
 
 import (
-	"context"
 	"errors"
-	"sync"
+	"fmt"
+	"math"
 	"testing"
-	"time"
 
 	"spbtree/internal/metric"
 	"spbtree/internal/page"
 	"spbtree/internal/sfc"
 )
 
-// sameResults asserts two answer sets are byte-identical: same order, ids,
-// distances and exactness flags.
-func sameResults(t *testing.T, label string, serial, parallel []Result) {
+// resolverFixture is a tree whose RAF sits on a FaultStore with caching off,
+// so every record read reaches the store, plus — when delta is set — a live
+// write buffer: tombstones over base records, buffered inserts under new IDs
+// and re-inserted base IDs (the buffered version shadows the base record).
+type resolverFixture struct {
+	tree  *Tree
+	data  *page.FaultStore
+	dist  metric.DistanceFunc
+	live  []metric.Object // base − shadowed + buffered
+	query metric.Object
+}
+
+func newResolverFixture(t *testing.T, trav TraversalStrategy, delta bool) *resolverFixture {
 	t.Helper()
-	if len(serial) != len(parallel) {
-		t.Fatalf("%s: serial %d results, parallel %d", label, len(serial), len(parallel))
+	const dim = 5
+	objs := vectorSet(600, dim, 11)
+	fx := &resolverFixture{
+		data:  page.NewFaultStore(page.NewMemStore(), -1),
+		dist:  metric.L2(dim),
+		query: metric.NewVector(1<<40, []float64{0.45, 0.5, 0.55, 0.5, 0.45}),
 	}
-	for i := range serial {
-		s, p := serial[i], parallel[i]
-		if s.Object.ID() != p.Object.ID() || s.Dist != p.Dist || s.Exact != p.Exact {
-			t.Fatalf("%s: result %d: serial (id=%d d=%v exact=%v), parallel (id=%d d=%v exact=%v)",
-				label, i, s.Object.ID(), s.Dist, s.Exact, p.Object.ID(), p.Dist, p.Exact)
-		}
-	}
-}
-
-// sameVerification asserts the verification-stage counters — the ones
-// DESIGN.md §9 guarantees are identical in every worker mode — agree.
-func sameVerification(t *testing.T, label string, serial, parallel QueryStats) {
-	t.Helper()
-	if serial.Verified != parallel.Verified ||
-		serial.Compdists != parallel.Compdists ||
-		serial.Lemma2Included != parallel.Lemma2Included ||
-		serial.Discarded != parallel.Discarded ||
-		serial.Abandoned != parallel.Abandoned ||
-		serial.Results != parallel.Results {
-		t.Fatalf("%s: verification counters diverge:\nserial:   verified=%d compdists=%d lemma2=%d discarded=%d abandoned=%d results=%d\nparallel: verified=%d compdists=%d lemma2=%d discarded=%d abandoned=%d results=%d",
-			label,
-			serial.Verified, serial.Compdists, serial.Lemma2Included, serial.Discarded, serial.Abandoned, serial.Results,
-			parallel.Verified, parallel.Compdists, parallel.Lemma2Included, parallel.Discarded, parallel.Abandoned, parallel.Results)
-	}
-	// Range queries form identical candidate blocks in every worker mode, so
-	// BatchedCandidates is part of the §9 identity there; kNN block shapes
-	// depend on bound evolution, so only OpRange is pinned (DESIGN.md §13).
-	// This is also the guard against a silent fallback to the scalar path: a
-	// parallel engine that stops batching diverges from the serial count.
-	if serial.Op == OpRange && serial.BatchedCandidates != parallel.BatchedCandidates {
-		t.Fatalf("%s: range BatchedCandidates diverge: serial=%d parallel=%d",
-			label, serial.BatchedCandidates, parallel.BatchedCandidates)
-	}
-}
-
-// TestParallelMatchesSerial is the engine's core property: for every setup
-// (curves, metrics, codecs), both traversal strategies and K ∈ {2,4,8}
-// workers, range, kNN and budgeted kNN return byte-identical results and
-// identical verification counters to fully serial execution.
-func TestParallelMatchesSerial(t *testing.T) {
-	for _, s := range setups() {
-		for _, trav := range []TraversalStrategy{Incremental, Greedy} {
-			opts := s.opts
-			opts.Traversal = trav
-			opts.Distance = s.dist
-			tree, err := Build(s.objs, opts)
-			if err != nil {
-				t.Fatalf("%s: Build: %v", s.name, err)
-			}
-			maxD := s.dist.MaxDistance()
-			queries := s.objs[:5]
-
-			type baseline struct {
-				res []Result
-				qs  QueryStats
-			}
-			var serial []baseline
-			run := func(tag string, qi int, q metric.Object) (baseline, string) {
-				label := s.name + "/" + trav.String() + "/" + tag
-				var b baseline
-				var err error
-				switch tag {
-				case "range":
-					b.res, b.qs, err = tree.RangeSearchWithStats(q, 0.12*maxD)
-				case "knn1":
-					b.res, b.qs, err = tree.KNNWithStats(q, 1)
-				case "knn8":
-					b.res, b.qs, err = tree.KNNWithStats(q, 8)
-				case "approx":
-					b.res, b.qs, err = tree.KNNApproxWithStats(q, 5, 40)
-				}
-				if err != nil {
-					t.Fatalf("%s (q=%d, workers=%d): %v", label, qi, tree.Workers(), err)
-				}
-				return b, label
-			}
-			tags := []string{"range", "knn1", "knn8", "approx"}
-
-			tree.SetWorkers(1)
-			for qi, q := range queries {
-				for _, tag := range tags {
-					b, _ := run(tag, qi, q)
-					serial = append(serial, b)
-				}
-			}
-			for _, workers := range []int{2, 4, 8} {
-				tree.SetWorkers(workers)
-				i := 0
-				for qi, q := range queries {
-					for _, tag := range tags {
-						b, label := run(tag, qi, q)
-						sameResults(t, label, serial[i].res, b.res)
-						sameVerification(t, label, serial[i].qs, b.qs)
-						i++
-					}
-				}
-			}
-			tree.Close()
-		}
-	}
-}
-
-// TestParallelJoinMatchesSerial is the same property for Algorithm 3: the
-// parallel join emits the same pairs in the same order with the same
-// verification counters.
-func TestParallelJoinMatchesSerial(t *testing.T) {
-	const dim = 4
-	build := func(objs []metric.Object, seed int64, share *Tree) *Tree {
-		tree, err := Build(objs, Options{
-			Distance: metric.L2(dim), Codec: metric.VectorCodec{Dim: dim},
-			NumPivots: 3, Curve: sfc.ZOrder, Seed: seed, ShareMapping: share,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tree
-	}
-	tq := build(vectorSet(300, dim, 61), 61, nil)
-	to := build(vectorSet(250, dim, 62), 62, tq)
-	eps := 0.08 * metric.L2(dim).MaxDistance()
-
-	tq.SetWorkers(1)
-	to.SetWorkers(1)
-	want, wantQS, err := JoinWithStats(tq, to, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("join baseline empty; widen eps")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		tq.SetWorkers(workers) // the Q side drives the join's worker pool
-		got, gotQS, err := JoinWithStats(tq, to, eps)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d pairs, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if want[i].Q.ID() != got[i].Q.ID() || want[i].O.ID() != got[i].O.ID() || want[i].Dist != got[i].Dist {
-				t.Fatalf("workers=%d: pair %d = (%d,%d,%v), want (%d,%d,%v)", workers, i,
-					got[i].Q.ID(), got[i].O.ID(), got[i].Dist, want[i].Q.ID(), want[i].O.ID(), want[i].Dist)
-			}
-		}
-		sameVerification(t, "join", wantQS, gotQS)
-	}
-}
-
-// TestParallelCancellationPartials: a deadline expiring while verifier
-// workers are mid-batch still yields ErrCanceled and well-formed partials —
-// every returned result satisfies the predicate.
-func TestParallelCancellationPartials(t *testing.T) {
-	objs := vectorSet(800, 4, 53)
-	sd := &slowDist{DistanceFunc: metric.L2(4)}
-	// DisableLemma2 keeps every candidate on the throttled verification
-	// path, so the deadline reliably expires mid-batch (see the matching
-	// note in TestCtxDeadlinePartials).
-	tree, err := Build(objs, Options{
-		Distance: sd, Codec: metric.VectorCodec{Dim: 4}, NumPivots: 3, Seed: 53,
-		DisableLemma2: true,
+	var err error
+	fx.tree, err = Build(objs, Options{
+		Distance: fx.dist, Codec: metric.VectorCodec{Dim: dim},
+		DataStore: fx.data, CacheSize: -1, Seed: 7, Traversal: trav,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree.SetWorkers(4)
-	q := objs[29]
-	r := 0.9 * sd.MaxDistance()
-
-	sd.delay.Store(int64(100 * time.Microsecond))
-	defer sd.delay.Store(0)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
-	defer cancel()
-	res, err := tree.RangeSearchCtx(ctx, q, r)
-	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("range err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
+	t.Cleanup(func() { fx.tree.Close() })
+	if !delta {
+		fx.live = objs
+		return fx
 	}
-	if len(res) >= len(objs) {
-		t.Fatal("canceled parallel range verified every object")
+
+	tree := fx.tree
+	tree.wbuf = newDeltaState()
+	key := func(o metric.Object) uint64 {
+		vec := make([]float64, len(tree.pivots))
+		tree.phi(o, vec)
+		cells := make(sfc.Point, len(vec))
+		tree.cells(vec, cells)
+		return tree.curve.Encode(cells)
 	}
-	for i, re := range res {
-		if re.Dist > r {
-			t.Fatalf("partial %d at distance %v > r %v", i, re.Dist, r)
+	lsn := uint64(0)
+	for i, o := range objs {
+		switch {
+		case i%5 == 2: // tombstone
+			lsn++
+			if err := tree.applyDeleteLocked(o.ID(), key(o), lsn); err != nil {
+				t.Fatal(err)
+			}
+		case i%25 == 0: // re-insert of a base ID
+			nv := metric.NewVector(o.ID(), o.(*metric.Vector).Coords)
+			lsn++
+			if err := tree.applyInsertLocked(nv, key(nv), lsn); err != nil {
+				t.Fatal(err)
+			}
+			fx.live = append(fx.live, nv)
+		default:
+			fx.live = append(fx.live, o)
 		}
 	}
-
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 2*time.Millisecond)
-	defer cancel2()
-	kres, err := tree.KNNCtx(ctx2, q, 50)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("knn err = %v, want ErrCanceled", err)
+	for i, o := range vectorSet(30, dim, 12) {
+		nv := metric.NewVector(uint64(100000+i), o.(*metric.Vector).Coords)
+		lsn++
+		if err := tree.applyInsertLocked(nv, key(nv), lsn); err != nil {
+			t.Fatal(err)
+		}
+		fx.live = append(fx.live, nv)
 	}
-	for i := 1; i < len(kres); i++ {
-		if kres[i-1].Dist > kres[i].Dist {
-			t.Fatal("knn partials not sorted")
+	if tree.count != len(fx.live) {
+		t.Fatalf("fixture: tree counts %d live objects, want %d", tree.count, len(fx.live))
+	}
+	return fx
+}
+
+// resolverOutcome is what one execution of a caller under a fault returned.
+type resolverOutcome struct {
+	res []Result
+	qs  QueryStats
+	err error
+}
+
+// TestResolveBlockReadFailure covers the read-failure fallback of every
+// caller of resolveBlock. A data page is made unreadable and the same query
+// runs with batch kernels on (blocks go through resolveBlock, whose coalesced
+// read fails, and are replayed one candidate at a time) and off (every
+// candidate is verified inline): both must stop at the same scan position —
+// same partial results, same error, same Verified / Compdists / Abandoned /
+// TombstonesSkipped — and the partials must be true answers over the live
+// set. Every data page takes a turn as the failing one, with the write buffer
+// empty and live.
+func TestResolveBlockReadFailure(t *testing.T) {
+	const k, maxVerify = 6, 25
+	type caller struct {
+		name   string
+		trav   TraversalStrategy
+		radius bool // answers are bounded by r, not by k
+		stats  bool // reports QueryStats
+		run    func(fx *resolverFixture, r float64) resolverOutcome
+	}
+	callers := []caller{
+		{"range", Incremental, true, true, func(fx *resolverFixture, r float64) (o resolverOutcome) {
+			o.res, o.qs, o.err = fx.tree.RangeSearchWithStats(fx.query, r)
+			return o
+		}},
+		{"knn-greedy", Greedy, false, true, func(fx *resolverFixture, _ float64) (o resolverOutcome) {
+			o.res, o.qs, o.err = fx.tree.KNNWithStats(fx.query, k)
+			return o
+		}},
+		{"knn-incremental", Incremental, false, true, func(fx *resolverFixture, _ float64) (o resolverOutcome) {
+			o.res, o.qs, o.err = fx.tree.KNNWithStats(fx.query, k)
+			return o
+		}},
+		{"knn-approx", Incremental, false, true, func(fx *resolverFixture, _ float64) (o resolverOutcome) {
+			o.res, o.qs, o.err = fx.tree.KNNApproxWithStats(fx.query, k, maxVerify)
+			return o
+		}},
+		{"nearest-iter", Incremental, true, false, func(fx *resolverFixture, r float64) (o resolverOutcome) {
+			it := fx.tree.NearestIterWithin(fx.query, r)
+			defer it.Close()
+			for x, ok := it.Next(); ok; x, ok = it.Next() {
+				o.res = append(o.res, x)
+			}
+			o.err = it.Err()
+			return o
+		}},
+	}
+	for _, c := range callers {
+		for _, delta := range []bool{false, true} {
+			c, delta := c, delta
+			t.Run(fmt.Sprintf("%s/delta=%v", c.name, delta), func(t *testing.T) {
+				fx := newResolverFixture(t, c.trav, delta)
+				r := 0.3 * fx.dist.MaxDistance()
+				truth := bfRangeDists(fx.live, fx.query, fx.dist.MaxDistance(), fx.dist)
+				if c.radius {
+					truth = bfRangeDists(fx.live, fx.query, r, fx.dist)
+				}
+				failed, batched := 0, int64(0)
+				for pg := 0; pg < fx.tree.raf.PagesUsed(); pg++ {
+					fx.data.FailPage(page.ID(pg), page.OpRead)
+					fx.tree.SetBatchKernels(true)
+					block := c.run(fx, r)
+					fx.tree.SetBatchKernels(false)
+					scalar := c.run(fx, r)
+					fx.data.ClearPageFaults()
+
+					label := fmt.Sprintf("page %d", pg)
+					if (block.err == nil) != (scalar.err == nil) ||
+						(block.err != nil && block.err.Error() != scalar.err.Error()) {
+						t.Fatalf("%s: block err %v, scalar err %v", label, block.err, scalar.err)
+					}
+					if block.err != nil {
+						failed++
+						if !errors.Is(block.err, page.ErrInjected) {
+							t.Fatalf("%s: err = %v, want the injected fault", label, block.err)
+						}
+					}
+					sameResults(t, label, scalar.res, block.res)
+					b, s := block.qs, scalar.qs
+					if b.Verified != s.Verified || b.Compdists != s.Compdists || b.Abandoned != s.Abandoned ||
+						b.TombstonesSkipped != s.TombstonesSkipped || b.DeltaCandidates != s.DeltaCandidates ||
+						b.Lemma2Included != s.Lemma2Included {
+						t.Fatalf("%s: counters diverge:\nblock:  %+v\nscalar: %+v", label, b, s)
+					}
+					if s.BatchedCandidates != 0 {
+						t.Fatalf("%s: scalar run batched %d candidates", label, s.BatchedCandidates)
+					}
+					batched += b.BatchedCandidates
+					subsetOfTruth(t, label, block.res, truth)
+				}
+				if failed == 0 {
+					t.Fatal("no failing page was ever reached: the fallback was not exercised")
+				}
+				// The iterator keeps no stats; for the rest, blocks on healthy
+				// pages must have gone through the kernel.
+				if c.stats && batched == 0 {
+					t.Fatal("no candidate went through resolveBlock")
+				}
+				if delta && c.stats {
+					fx.tree.SetBatchKernels(true)
+					if o := c.run(fx, r); o.err != nil || o.qs.TombstonesSkipped == 0 || o.qs.DeltaCandidates == 0 {
+						t.Fatalf("healthy run over the write buffer: err %v, %d tombstones skipped, %d delta candidates",
+							o.err, o.qs.TombstonesSkipped, o.qs.DeltaCandidates)
+					}
+				}
+			})
 		}
 	}
 }
 
-// TestParallelCorruptionPartials: corrupt data pages surface ErrCorrupt from
-// the parallel engine exactly as from serial execution, with partial results,
-// and healing the pages restores full answers.
-func TestParallelCorruptionPartials(t *testing.T) {
-	tree, _, dataFault, objs, dist := faultyTree(t, 400)
-	tree.SetWorkers(4)
-	q := objs[5]
-	flipAllPages(dataFault, tree.raf.PagesUsed())
-
-	res, err := tree.KNN(q, 8)
-	if !errors.Is(err, page.ErrCorrupt) {
-		t.Fatalf("knn err = %v, want ErrCorrupt", err)
+// TestKNNApproxBudgetOverWriteBuffer: the budgeted search spends its budget
+// on distance computations only. Over a live write buffer it verifies exactly
+// maxVerify candidates however many superseded base records it meets on the
+// way, with block and with entry-at-a-time verification alike, and returns
+// what the entry-at-a-time search of the commit before the two were merged
+// returned (golden IDs; the fixture is seeded).
+func TestKNNApproxBudgetOverWriteBuffer(t *testing.T) {
+	golden := map[int][]uint64{
+		7:  goldenApprox7,
+		40: goldenApprox40,
 	}
-	if len(res) >= 8 {
-		t.Fatalf("full result set despite every data page corrupt: %d", len(res))
-	}
-	if _, err := tree.RangeQuery(q, 0.4*dist.MaxDistance()); !errors.Is(err, page.ErrCorrupt) {
-		t.Fatalf("range err = %v, want ErrCorrupt", err)
-	}
-
-	dataFault.ClearFlips()
-	res, err = tree.KNN(q, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDists := bfKNNDists(objs, q, 8, dist)
-	if len(res) != len(wantDists) {
-		t.Fatalf("after heal: %d results, want %d", len(res), len(wantDists))
-	}
-	for i := range res {
-		if res[i].Dist != wantDists[i] {
-			t.Fatalf("after heal: dist[%d] = %v, want %v", i, res[i].Dist, wantDists[i])
-		}
-	}
-}
-
-// TestParallelStressQueriesRebuild races concurrent parallel-mode queries
-// (hitting the sharded page caches from many verifier goroutines) against
-// periodic Rebuilds. Run with -race; answers are cross-checked against brute
-// force throughout.
-func TestParallelStressQueriesRebuild(t *testing.T) {
-	objs, tree := buildCtxTree(t, 800, 4, 54)
-	tree.SetWorkers(8)
-	dist := metric.L2(4)
-	r := 0.25 * dist.MaxDistance()
-
-	stop := make(chan struct{})
-	var wg, wgRebuild sync.WaitGroup
-	errCh := make(chan error, 16)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 40; i++ {
-				q := objs[(w*53+i*17)%len(objs)]
-				res, err := tree.RangeQuery(q, r)
-				if err != nil {
-					errCh <- err
-					return
+	for _, m := range []int{7, 40} {
+		for _, batch := range []bool{true, false} {
+			fx := newResolverFixture(t, Incremental, true)
+			fx.tree.SetBatchKernels(batch)
+			res, qs, err := fx.tree.KNNApproxWithStats(fx.query, 5, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("maxVerify=%d batch=%v", m, batch)
+			if qs.Verified != int64(m) {
+				t.Fatalf("%s: verified %d candidates, want exactly %d", label, qs.Verified, m)
+			}
+			if qs.Compdists != int64(m+len(fx.tree.pivots)) {
+				t.Fatalf("%s: compdists %d, want %d", label, qs.Compdists, m+len(fx.tree.pivots))
+			}
+			if m == 40 && (qs.TombstonesSkipped == 0 || qs.DeltaCandidates == 0) {
+				t.Fatalf("%s: met %d superseded records and %d buffered inserts; the fixture should supply both",
+					label, qs.TombstonesSkipped, qs.DeltaCandidates)
+			}
+			if len(res) != len(golden[m]) {
+				t.Fatalf("%s: %d results, want %d", label, len(res), len(golden[m]))
+			}
+			for i, x := range res {
+				if x.Object.ID() != golden[m][i] {
+					t.Fatalf("%s: rank %d is id %d, want %d", label, i, x.Object.ID(), golden[m][i])
 				}
-				want := bfRange(objs, q, r, dist)
-				if len(res) != len(want) {
-					errCh <- errMismatch
-					return
-				}
-				if res, err := tree.KNN(q, 5); err != nil || len(res) != 5 {
-					errCh <- errMismatch
-					return
+				if d := fx.dist.Distance(fx.query, x.Object); math.Abs(d-x.Dist) > 0 {
+					t.Fatalf("%s: rank %d reports distance %v, true %v", label, i, x.Dist, d)
 				}
 			}
-		}(w)
-	}
-	wgRebuild.Add(1)
-	go func() {
-		defer wgRebuild.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := tree.Rebuild(nil, nil); err != nil {
-				errCh <- err
-				return
-			}
 		}
-	}()
-	wg.Wait()
-	close(stop)
-	wgRebuild.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
 	}
 }
 
-// TestWorkerResolution pins the Options.Workers contract: 0 picks the
-// default of one verifier (serial execution), values clamp to
-// [1, maxWorkers], and SetWorkers applies the same resolution.
-func TestWorkerResolution(t *testing.T) {
-	objs := vectorSet(50, 4, 55)
-	tree, err := Build(objs, Options{Distance: metric.L2(4), Codec: metric.VectorCodec{Dim: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tree.Workers(); got != 1 {
-		t.Errorf("default workers = %d, want 1", got)
-	}
-	tree.SetWorkers(4)
-	if tree.SetWorkers(0); tree.Workers() != 1 {
-		t.Errorf("SetWorkers(0) resolved to %d, want the default 1", tree.Workers())
-	}
-	tree.SetWorkers(-3)
-	if tree.Workers() != 1 {
-		t.Errorf("negative workers resolved to %d, want 1", tree.Workers())
-	}
-	tree.SetWorkers(maxWorkers + 100)
-	if tree.Workers() != maxWorkers {
-		t.Errorf("oversized workers resolved to %d, want %d", tree.Workers(), maxWorkers)
-	}
-	tree.SetWorkers(3)
-	if tree.Workers() != 3 {
-		t.Errorf("Workers = %d, want 3", tree.Workers())
-	}
-}
+var (
+	goldenApprox7  = []uint64{366, 118, 26, 306, 318}
+	goldenApprox40 = []uint64{366, 314, 186, 118, 26}
+)

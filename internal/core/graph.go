@@ -44,11 +44,9 @@ type GraphOptions struct {
 	Delta float64
 	// Entries is the number of fixed beam-search entry points.
 	Entries int
-	// Workers bounds the construction's parallel distance evaluators; like
-	// query verifiers they are drawn non-blockingly from the process-wide
-	// slot pool, so a busy process degrades construction to serial instead
-	// of oversubscribing. 0 selects the tree's worker default; 1 is serial.
-	// The built graph is identical for every worker count.
+	// Workers is the number of goroutines evaluating construction distances;
+	// 0 or 1 builds on the calling goroutine. The built graph is identical
+	// for every worker count.
 	Workers int
 	// Seed seeds the construction sampling; 0 means 1.
 	Seed int64
@@ -166,13 +164,7 @@ func (t *Tree) BuildGraphCtx(ctx context.Context, opts GraphOptions) error {
 
 	gopts := graph.Options{
 		K: opts.K, Rho: opts.Rho, MaxIters: opts.MaxIters, Delta: opts.Delta,
-		Entries: opts.Entries, Seed: opts.Seed,
-	}
-	if w := resolveWorkers(opts.Workers); w > 1 {
-		if slots := acquireSlots(w); slots > 0 {
-			gopts.Workers = slots
-			defer releaseSlots(slots)
-		}
+		Entries: opts.Entries, Workers: opts.Workers, Seed: opts.Seed,
 	}
 	dist := func(i, j int, thr float64) (float64, bool) {
 		if bounded {
@@ -300,11 +292,11 @@ func (t *Tree) graphSeeds(q metric.Object, ef int, qs *QueryStats) []int32 {
 	return seeds
 }
 
-// knnGraph is the beam-search body: graph candidates (batch-read from the
-// RAF and batch-evaluated through the metric's kernels), tombstone-filtered,
-// then merged with the buffered durable inserts exactly like the exact
-// paths. Counters: every distance evaluation charges Verified+Compdists
-// (graph-side ones additionally GraphCandidates, buffered ones
+// knnGraph is the beam-search body: graph candidates (each expansion one
+// resolveBlock: batch-read from the RAF, tombstone-filtered, batch-evaluated
+// through the metric's kernels), then merged with the buffered durable
+// inserts exactly like the exact paths. Counters: every distance evaluation
+// charges Verified+Compdists (graph-side ones additionally GraphCandidates, buffered ones
 // DeltaCandidates), expansions charge GraphHops, and shadowed base records
 // charge TombstonesSkipped.
 func (t *Tree) knnGraph(ctx context.Context, q metric.Object, k int, opts SearchOptions, qs *QueryStats) ([]Result, error) {
@@ -330,77 +322,52 @@ func (t *Tree) knnGraph(ctx context.Context, q metric.Object, k int, opts Search
 	seeds := t.graphSeeds(q, ef, qs)
 	qs.stageAdd(&qs.PlanTime, st)
 
-	scratch := g.K
-	if len(g.Entries) > scratch {
-		scratch = len(g.Entries)
-	}
-	offs := make([]uint64, scratch)
-	objs := make([]metric.Object, scratch)
-	plens := make([]int, scratch)
-	probeObjs := make([]metric.Object, 0, scratch)
-	probeIdx := make([]int, 0, scratch)
-	pd := make([]float64, scratch)
-	pw := make([]bool, scratch)
+	sc := t.getScratch()
+	defer sc.release()
+	blk := &sc.blk
 	byNode := make(map[int32]metric.Object, 2*ef)
-	prep := metric.Prepare(t.dist.Unwrap(), q)
 
 	eval := func(nodes []int32, thr float64, d []float64, within []bool) error {
 		if err := ctxDone(ctx); err != nil {
 			return err
 		}
-		st := qs.stageStart()
-		defer qs.stageAdd(&qs.VerifyTime, st)
-		m := len(nodes)
-		if m > len(offs) {
-			// Symmetrized expansion batches are bounded by a node's in-degree,
-			// which a hub can push past the K-sized scratch.
-			offs = make([]uint64, m)
-			objs = make([]metric.Object, m)
-			plens = make([]int, m)
-			pd = make([]float64, m)
-			pw = make([]bool, m)
+		blk.cands = blk.cands[:0]
+		for _, v := range nodes {
+			blk.cands = append(blk.cands, candidate{val: g.Offs[v]})
 		}
+		probed, ok := t.resolveBlock(sc, q, thr, qs)
+		t.dist.Add(int64(probed))
 		for i, v := range nodes {
-			offs[i] = g.Offs[v]
-		}
-		if idx, err := t.raf.ReadBatch(offs[:m], objs[:m], plens[:m]); idx >= 0 || err != nil {
-			// Coalesced read failed: per-record reads surface the error.
-			for i, v := range nodes {
-				o, err := t.raf.Read(g.Offs[v])
-				if err != nil {
+			var obj metric.Object
+			var tomb bool
+			if ok {
+				t.raf.EmitRecordRead(g.Offs[v], blk.plens[i])
+				obj, tomb = blk.objs[i], blk.tomb[i]
+				d[i], within[i] = blk.d[i], blk.within[i]
+			} else {
+				// Coalesced read failed: per-record reads surface the error.
+				var err error
+				if obj, err = t.raf.Read(g.Offs[v]); err != nil {
 					return err
 				}
-				objs[i] = o
+				if tomb = t.deltaShadowed(obj.ID()); !tomb {
+					d[i], within[i] = t.verifyDist(q, obj, thr)
+				}
 			}
-		} else {
-			for i := 0; i < m; i++ {
-				t.raf.EmitRecordRead(offs[i], plens[i])
-			}
-		}
-		probeObjs, probeIdx = probeObjs[:0], probeIdx[:0]
-		for i := range nodes {
-			if t.deltaShadowed(objs[i].ID()) {
+			if tomb {
 				// Shadowed by a tombstone or a newer buffered version: the
 				// buffered side of the merge owns this ID.
 				qs.TombstonesSkipped++
 				d[i], within[i] = math.Inf(1), false
 				continue
 			}
-			probeIdx = append(probeIdx, i)
-			probeObjs = append(probeObjs, objs[i])
-		}
-		if len(probeObjs) > 0 {
-			t.verifyBatch(prep, probeObjs, thr, pd[:len(probeObjs)], pw[:len(probeObjs)])
-			qs.Verified += int64(len(probeObjs))
-			qs.Compdists += int64(len(probeObjs))
-			qs.GraphCandidates += int64(len(probeObjs))
-			for j, i := range probeIdx {
-				d[i], within[i] = pd[j], pw[j]
-				if within[i] {
-					byNode[nodes[i]] = objs[i]
-				} else if t.bounded {
-					qs.Abandoned++
-				}
+			qs.Verified++
+			qs.Compdists++
+			qs.GraphCandidates++
+			if within[i] {
+				byNode[v] = obj
+			} else if t.bounded {
+				qs.Abandoned++
 			}
 		}
 		return nil

@@ -66,40 +66,29 @@ type NearestIter struct {
 	q     metric.Object
 	limit float64 // emit only objects with d ≤ limit; +Inf = unbounded
 
-	sc       *queryScratch // pivot distances, frontier, node and batch buffers
+	sc       *queryScratch // pivot distances, frontier, node and block buffers
 	qs       QueryStats    // sink for the shared push helpers' counters; unread
 	pq       *mindHeap     // sc.pq: unexplored entries by lower bound
 	verified resultHeap    // computed but not yet emitted results
 
-	// pending holds a batch-verified run of entries not yet applied to the
-	// result heap; entries apply one per loop turn, in pop order, so the
-	// emission interleaving matches the unbatched scan exactly (their minds
-	// still count as frontier lower bounds until applied).
-	pending []iterPending
-	pendIdx int
-	noBatch bool // a coalesced read failed; stay on the scalar path
+	// sc.blk's candidates [pendIdx, pendEnd) are a resolved run of entries
+	// not yet applied to the result heap; they apply one per loop turn, in
+	// pop order, so the emission interleaving matches the unbatched scan
+	// exactly (their MINDs still count as frontier lower bounds until
+	// applied).
+	pendIdx, pendEnd int
+	noBatch          bool // a coalesced read failed; stay on the scalar path
 
 	locked bool // holds t.mu.RLock (durable trees only)
 	err    error
 }
 
-// iterPending is one batch-verified entry awaiting application: its frontier
-// lower bound, and — unless it was a record superseded by the write buffer
-// (obj nil, applied as a no-op) — the object with its verdict against the
-// iterator's limit.
-type iterPending struct {
-	mind   float64
-	obj    metric.Object
-	d      float64
-	within bool
-}
-
 // frontier returns the best unexplored lower bound — the next pending entry's
-// MIND if a batch is in flight, the heap minimum otherwise — and whether any
+// MIND if a run is in flight, the heap minimum otherwise — and whether any
 // frontier remains.
 func (it *NearestIter) frontier() (float64, bool) {
-	if it.pendIdx < len(it.pending) {
-		return it.pending[it.pendIdx].mind, true
+	if it.pendIdx < it.pendEnd {
+		return it.sc.blk.cands[it.pendIdx].bound, true
 	}
 	if it.pq.Len() > 0 {
 		return it.pq.peekMind(), true
@@ -133,13 +122,13 @@ func (it *NearestIter) Next() (res Result, ok bool) {
 		if front, ok := it.frontier(); len(it.verified) > 0 && (!ok || it.verified[0].Dist <= front) {
 			return heap.Pop(&it.verified).(Result), true
 		}
-		// Apply one batch-verified entry per turn, keeping the emission
-		// checks between applications.
-		if it.pendIdx < len(it.pending) {
-			p := it.pending[it.pendIdx]
+		// Apply one resolved entry per turn, keeping the emission checks
+		// between applications; a record the write buffer supersedes applies
+		// as a no-op.
+		if i := it.pendIdx; i < it.pendEnd {
 			it.pendIdx++
-			if p.obj != nil && p.within {
-				heap.Push(&it.verified, Result{Object: p.obj, Dist: p.d, Exact: true})
+			if b := &it.sc.blk; !b.tomb[i] && b.within[i] {
+				heap.Push(&it.verified, Result{Object: b.objs[i], Dist: b.d[i], Exact: true})
 			}
 			continue
 		}
@@ -199,70 +188,34 @@ func (it *NearestIter) Next() (res Result, ok bool) {
 }
 
 // batchRun gathers first plus the consecutive non-node, in-limit entries atop
-// the heap (up to knnIncrementalBlock), resolves them with one coalesced RAF
-// read, and batch-verifies the survivors against the iterator's fixed limit
-// into pending — every (d, within) pair bit-identical to the scalar
-// verifyDist, records superseded by the write buffer staged as no-ops. It
-// reports false when the coalesced read failed: the gathered extras are
-// pushed back (the heap restores pop order), noBatch pins the scalar path,
-// and the caller re-resolves first scalar-wise, surfacing any real read error
-// at the same position the unbatched scan would.
-func (it *NearestIter) batchRun(first knnCand) bool {
-	kb := &it.sc.kb
-	kb.cands = append(kb.cands[:0], first)
-	for len(kb.cands) < knnIncrementalBlock && it.pq.Len() > 0 && !it.pq.peekIsNode() && it.pq.peekMind() <= it.limit {
-		kb.cands = append(kb.cands, it.pq.cand(it.pq.pop()))
+// the heap (up to knnIncrementalBlock) and resolves them against the
+// iterator's fixed limit — every (d, within) pair bit-identical to the scalar
+// verifyDist — leaving the run pending. It reports false when the coalesced
+// read failed: the gathered extras are pushed back (the heap restores pop
+// order), noBatch pins the scalar path, and the caller re-resolves first
+// scalar-wise, surfacing any real read error at the same position the
+// unbatched scan would.
+func (it *NearestIter) batchRun(first candidate) bool {
+	t, b := it.t, &it.sc.blk
+	b.cands = append(b.cands[:0], first)
+	for len(b.cands) < knnIncrementalBlock && it.pq.Len() > 0 && !it.pq.peekIsNode() && it.pq.peekMind() <= it.limit {
+		b.cands = append(b.cands, it.pq.cand(it.pq.pop()))
 	}
-	n := len(kb.cands)
-	kb.grow(n)
-	m := 0
-	for _, x := range kb.cands {
-		if x.obj == nil {
-			kb.offsets[m] = x.val
-			m++
+	probed, ok := t.resolveBlock(it.sc, it.q, it.limit, &it.qs)
+	if !ok {
+		for _, c := range b.cands[1:] {
+			it.pq.pushCand(c)
+		}
+		it.noBatch = true
+		return false
+	}
+	t.dist.Add(int64(probed))
+	for i, c := range b.cands {
+		if c.obj == nil {
+			t.raf.EmitRecordRead(c.val, b.plens[i])
 		}
 	}
-	if m > 0 {
-		if idx, err := it.t.raf.ReadBatch(kb.offsets[:m], kb.readObjs[:m], kb.plens[:m]); idx >= 0 || err != nil {
-			for _, x := range kb.cands[1:] {
-				it.pq.pushCand(x)
-			}
-			it.noBatch = true
-			return false
-		}
-		for i := 0; i < m; i++ {
-			it.t.raf.EmitRecordRead(kb.offsets[i], kb.plens[i])
-		}
-	}
-	it.pending = it.pending[:0]
-	it.pendIdx = 0
-	j := 0
-	for _, x := range kb.cands {
-		p := iterPending{mind: x.mind, obj: x.obj}
-		if p.obj == nil {
-			o := kb.readObjs[j]
-			j++
-			if !it.t.deltaShadowed(o.ID()) {
-				p.obj = o
-			}
-		}
-		it.pending = append(it.pending, p)
-	}
-	probeIdx, probeObjs := kb.probeIdx[:0], kb.probeObjs[:0]
-	for i := range it.pending {
-		if it.pending[i].obj != nil {
-			probeIdx = append(probeIdx, i)
-			probeObjs = append(probeObjs, it.pending[i].obj)
-		}
-	}
-	if len(probeObjs) > 0 {
-		p := len(probeObjs)
-		it.t.verifyBatch(it.sc.kernel(it.t, it.q), probeObjs, it.limit, kb.pd[:p], kb.pw[:p])
-		for jj, i := range probeIdx {
-			it.pending[i].d = kb.pd[jj]
-			it.pending[i].within = kb.pw[jj]
-		}
-	}
+	it.pendIdx, it.pendEnd = 0, len(b.cands)
 	return true
 }
 

@@ -79,11 +79,6 @@ func Join(tq, to *Tree, eps float64) ([]JoinPair, error) {
 // ctx is checked at every merge step and before every distance computation;
 // on cancellation the pairs verified so far are returned with a typed
 // ErrCanceled.
-//
-// The merge, list maintenance and geometric pruning (Lemmas 5/6) stay
-// serial; surviving pairs go through a joinSink — verified inline in serial
-// mode, fanned out to workers with dispatch-ordered commits otherwise
-// (exec.go) — so both modes emit identical pairs in identical order.
 func joinImpl(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats) ([]JoinPair, error) {
 	if err := joinCompatible(tq, to); err != nil {
 		return nil, err
@@ -91,17 +86,9 @@ func joinImpl(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats) ([
 	if eps < 0 {
 		return nil, nil
 	}
-	var sink joinSink
-	if slots := tq.workersFor(); slots > 0 {
-		sink = tq.newJoinExec(ctx, eps, qs, slots)
-	} else {
-		sink = &joinSerial{ctx: ctx, t: tq, eps: eps, qs: qs}
-	}
-	travErr := joinMerge(ctx, tq, to, eps, qs, sink)
-	pairs, err := sink.finish()
-	if err == nil && travErr != nil && travErr != errStopTraversal {
-		err = travErr
-	}
+	sink := &joinSerial{ctx: ctx, t: tq, eps: eps, qs: qs}
+	err := joinMerge(ctx, tq, to, eps, qs, sink)
+	pairs := sink.pairs
 	if err == nil && (tq.deltaActive() || to.deltaActive()) {
 		pairs, err = joinDelta(ctx, tq, to, eps, qs, pairs)
 	}
@@ -161,7 +148,7 @@ func joinDelta(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, p
 
 // joinMerge is the merge pass of Algorithm 3, feeding candidate pairs to the
 // sink.
-func joinMerge(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, sink joinSink) error {
+func joinMerge(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, sink *joinSerial) error {
 	n := len(tq.pivots)
 	var listQ, listO []joinElem
 
@@ -198,7 +185,7 @@ func joinMerge(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, s
 				cq.Next()
 				continue
 			}
-			if err := verifyJoin(ctx, elem, &listO, eps, qs, sink, false); err != nil {
+			if err := sink.verifyJoin(elem, &listO, false); err != nil {
 				return err
 			}
 			listQ = append(listQ, elem)
@@ -213,7 +200,7 @@ func joinMerge(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, s
 				co.Next()
 				continue
 			}
-			if err := verifyJoin(ctx, elem, &listQ, eps, qs, sink, true); err != nil {
+			if err := sink.verifyJoin(elem, &listQ, true); err != nil {
 				return err
 			}
 			listO = append(listO, elem)
@@ -311,7 +298,8 @@ func (t *Tree) loadJoinElem(key, val uint64, eps float64, n int, qs *QueryStats)
 // the ⟨q, o⟩ orientation. The sink's per-pair ctx check bounds work between
 // cancellation points so even one element's long candidate list cannot
 // overrun a deadline; pairs emitted before the cancellation stand.
-func verifyJoin(ctx context.Context, cur joinElem, list *[]joinElem, eps float64, qs *QueryStats, sink joinSink, flip bool) error {
+func (sink *joinSerial) verifyJoin(cur joinElem, list *[]joinElem, flip bool) error {
+	qs := sink.qs
 	l := *list
 	defer func() { *list = l }()
 	for i := len(l) - 1; i >= 0; i-- {
@@ -333,6 +321,43 @@ func verifyJoin(ctx context.Context, cur joinElem, list *[]joinElem, eps float64
 		}
 		if err := sink.pair(cur, o, flip); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// joinSerial computes the distances of the candidate pairs that survived
+// Algorithm 3's geometric pruning (Lemmas 5/6) and collects the answers.
+type joinSerial struct {
+	ctx   context.Context
+	t     *Tree
+	eps   float64
+	qs    *QueryStats
+	pairs []JoinPair
+}
+
+// pair verifies ⟨cur, other⟩; flip reports that cur came from the O side, so
+// the emitted pair is ⟨other, cur⟩.
+func (s *joinSerial) pair(cur, other joinElem, flip bool) error {
+	if err := ctxDone(s.ctx); err != nil {
+		return err
+	}
+	qs := s.qs
+	st := qs.stageStart()
+	d, within := s.t.verifyDist(cur.obj, other.obj, s.eps)
+	qs.stageAdd(&qs.VerifyTime, st)
+	qs.Verified++
+	qs.Compdists++
+	if within {
+		if flip {
+			s.pairs = append(s.pairs, JoinPair{Q: other.obj, O: cur.obj, Dist: d})
+		} else {
+			s.pairs = append(s.pairs, JoinPair{Q: cur.obj, O: other.obj, Dist: d})
+		}
+	} else {
+		qs.Discarded++
+		if s.t.bounded {
+			qs.Abandoned++
 		}
 	}
 	return nil

@@ -209,7 +209,7 @@ func TestJoinListEviction(t *testing.T) {
 		cells: sfc.Point{0, 0},
 	}
 	sink := &joinSerial{ctx: context.Background(), t: tDummy, eps: 1, qs: &QueryStats{}}
-	if err := verifyJoin(context.Background(), cur, &list, 1, &QueryStats{}, sink, false); err != nil {
+	if err := sink.verifyJoin(cur, &list, false); err != nil {
 		t.Fatal(err)
 	}
 	if len(sink.pairs) != 0 {

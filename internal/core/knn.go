@@ -40,7 +40,12 @@ func (t *Tree) KNN(q metric.Object, k int) ([]Result, error) {
 // distance bound0 (with infinite IDs) preceded the search. +Inf means
 // unbounded. The forest's staged kNN scatter passes the first shard's k-th
 // distance here so the remaining shards run bounded probes.
-func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, qs *QueryStats) ([]Result, error) {
+//
+// maxVerify > 0 makes the search approximate (KNNApprox): the traversal is
+// the best-first one whatever the tree's strategy, and it stops once
+// maxVerify distances have been computed. A record the write buffer
+// supersedes verifies nothing and spends no budget.
+func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, maxVerify int, qs *QueryStats) ([]Result, error) {
 	if k <= 0 || t.count == 0 {
 		return nil, nil
 	}
@@ -55,14 +60,14 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 	if !rootOK && !t.deltaActive() {
 		return nil, nil
 	}
-	if slots := t.planKNNSlots(sc.qvec, k, qs); slots > 0 {
-		// Pipelined verification with ordered commits (exec.go): identical
-		// results and verification counters, concurrent distance work.
-		return t.knnParallel(ctx, q, sc, k, bound0, qs, slots, -1)
+	greedy := t.traversal == Greedy && maxVerify <= 0
+	limit := int64(math.MaxInt64) // on qs.Verified
+	if maxVerify > 0 {
+		limit = qs.Verified + int64(maxVerify)
 	}
 
 	res := sc.res.reset(k, bound0)
-	pq, kb := &sc.pq, &sc.kb
+	pq, blk := &sc.pq, &sc.blk
 	if rootOK {
 		t.pushBox(sc, root, res.bound(), qs)
 	}
@@ -70,7 +75,7 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 		t.seedDelta(sc, qs)
 	}
 
-	for pq.Len() > 0 {
+	for pq.Len() > 0 && qs.Verified < limit {
 		if err := ctxDone(ctx); err != nil {
 			return res.sorted(), err
 		}
@@ -79,27 +84,30 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 			break // Lemma 3 early termination
 		}
 		if !item.isNode() {
-			if t.batch && pq.Len() > 0 && !pq.peekIsNode() {
-				// A run of entry pops with no tree node between them: buffer
-				// the block and verify it through the batch kernel with
-				// pop-order bound replay (DESIGN.md §13) — identical results
-				// and counters to popping one entry at a time.
-				kb.cands = append(kb.cands[:0], pq.cand(item))
-				for len(kb.cands) < knnIncrementalBlock && pq.Len() > 0 && !pq.peekIsNode() {
-					kb.cands = append(kb.cands, pq.cand(pq.pop()))
+			// A leaf entry (or buffered insert). With batch kernels, a run of
+			// entry pops with no tree node between them is verified as one
+			// block (DESIGN.md §13) — identical results and counters to
+			// popping one entry at a time; the budget caps the run so a block
+			// never reads a record the entry-at-a-time search would not reach.
+			blk.cands = append(blk.cands[:0], pq.cand(item))
+			if t.batch {
+				run := min(knnIncrementalBlock, limit-qs.Verified)
+				for int64(len(blk.cands)) < run && pq.Len() > 0 && !pq.peekIsNode() {
+					blk.cands = append(blk.cands, pq.cand(pq.pop()))
 				}
-				terminated, err := t.verifyKNNIncremental(ctx, q, sc, qs)
-				if err != nil {
+			}
+			if len(blk.cands) == 1 {
+				if err := t.verifyKNN(ctx, q, res, blk.cands[0], qs); err != nil {
 					return res.sorted(), err
-				}
-				if terminated {
-					break // Lemma 3 early termination mid-run
 				}
 				continue
 			}
-			// A leaf entry (or buffered insert): fetch the object and verify.
-			if _, err := t.verifyKNN(ctx, q, res, pq.cand(item), qs); err != nil {
+			terminated, err := t.verifyKNNBlock(ctx, q, sc, qs, limit, false)
+			if err != nil {
 				return res.sorted(), err
+			}
+			if terminated {
+				break // Lemma 3 early termination, or the budget, mid-run
 			}
 			continue
 		}
@@ -107,29 +115,30 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 			return res.sorted(), err
 		}
 		qs.NodesRead++
-		if !sc.node.Leaf || t.traversal != Greedy {
+		if !sc.node.Leaf || !greedy {
 			t.pushNode(sc, res.bound(), qs)
 			continue
 		}
-		// Greedy: verify the whole leaf now. With batch kernels the block goes
-		// through verifyKNNBatch (DESIGN.md §13): scan-time pruning uses the
-		// pre-leaf bound, and the batch replays each survivor at its committed
-		// bound — identical results and counters to the inline loop, whose
-		// bound tightens entry by entry.
-		kb.cands = kb.cands[:0]
+		// Greedy: verify the whole leaf now. With batch kernels the leaf is one
+		// block: scan-time pruning uses the pre-leaf bound, and the commit
+		// replays each survivor at its own turn's bound — identical results
+		// and counters to the inline loop, whose bound tightens entry by entry.
+		blk.cands = blk.cands[:0]
 		for i, val := range sc.node.Vals {
 			qs.EntriesScanned++
-			c := knnCand{mind: t.mindToCell(sc.qvec, sc.cellAt(i)), val: val}
-			if c.mind > res.bound() {
+			c := candidate{bound: t.mindToCell(sc.qvec, sc.cellAt(i)), val: val}
+			if c.bound > res.bound() {
 				qs.EntriesPruned++ // Lemma 3
 			} else if t.batch {
-				kb.cands = append(kb.cands, c)
-			} else if _, err := t.verifyKNN(ctx, q, res, c, qs); err != nil {
+				blk.cands = append(blk.cands, c)
+			} else if err := t.verifyKNN(ctx, q, res, c, qs); err != nil {
 				return res.sorted(), err
 			}
 		}
-		if err := t.verifyKNNBatch(ctx, q, sc, qs); err != nil {
-			return res.sorted(), err
+		if len(blk.cands) > 0 {
+			if _, err := t.verifyKNNBlock(ctx, q, sc, qs, limit, true); err != nil {
+				return res.sorted(), err
+			}
 		}
 	}
 
@@ -160,27 +169,25 @@ func (r *knnResults) sorted() []Result {
 // observable. A candidate at exactly curND_k still completes (within ⇔ d ≤
 // bound), so the heap's ID tie-break sees it. The ctx check gives
 // verification-batch granularity: a canceled query stops before the next RAF
-// page read and distance computation.
-//
-// counted reports whether a verification actually happened: a base record
-// superseded by the write buffer is skipped after its read (it consumes no
-// distance computation and no approximate-search budget).
-func (t *Tree) verifyKNN(ctx context.Context, q metric.Object, res *knnResults, item knnCand, qs *QueryStats) (counted bool, err error) {
+// page read and distance computation. A base record superseded by the write
+// buffer is skipped after its read: it counts no verification.
+func (t *Tree) verifyKNN(ctx context.Context, q metric.Object, res *knnResults, c candidate, qs *QueryStats) error {
 	if err := ctxDone(ctx); err != nil {
-		return false, err
+		return err
 	}
 	st := qs.stageStart()
-	obj := item.obj
+	obj := c.obj
 	if obj == nil {
-		obj, err = t.raf.Read(item.val)
+		var err error
+		obj, err = t.raf.Read(c.val)
 		if err != nil {
 			qs.stageAdd(&qs.VerifyTime, st)
-			return false, err
+			return err
 		}
 		if t.deltaShadowed(obj.ID()) {
 			qs.stageAdd(&qs.VerifyTime, st)
 			qs.TombstonesSkipped++
-			return false, nil
+			return nil
 		}
 	} else {
 		qs.DeltaCandidates++
@@ -194,246 +201,76 @@ func (t *Tree) verifyKNN(ctx context.Context, q metric.Object, res *knnResults, 
 	} else if t.bounded {
 		qs.Abandoned++
 	}
-	return true, nil
-}
-
-// knnBatch is the serial traversal's batching scratch, reused across blocks:
-// cands is the block — a greedy leaf's admitted entries, or a best-first run
-// of consecutive entry pops.
-type knnBatch struct {
-	cands     []knnCand
-	offsets   []uint64
-	objs      []metric.Object
-	readObjs  []metric.Object
-	plens     []int
-	tomb      []bool
-	d         []float64
-	within    []bool
-	probeIdx  []int
-	probeObjs []metric.Object
-	pd        []float64
-	pw        []bool
-}
-
-// grow sizes the per-candidate slices for n candidates.
-func (b *knnBatch) grow(n int) {
-	if cap(b.offsets) < n {
-		b.offsets = make([]uint64, n)
-		b.objs = make([]metric.Object, n)
-		b.readObjs = make([]metric.Object, n)
-		b.plens = make([]int, n)
-		b.tomb = make([]bool, n)
-		b.d = make([]float64, n)
-		b.within = make([]bool, n)
-		b.probeIdx = make([]int, n)
-		b.probeObjs = make([]metric.Object, n)
-		b.pd = make([]float64, n)
-		b.pw = make([]bool, n)
-	}
+	return nil
 }
 
 // knnIncrementalBlock caps how many consecutive entry pops the best-first
-// traversal buffers into one batch verification.
+// traversal buffers into one block.
 const knnIncrementalBlock = 16
 
-// verifyKNNIncremental resolves a run of consecutive entry pops — no tree
-// node between them, so verifying them pushes nothing onto the frontier and
-// the run is exactly the prefix the one-at-a-time loop would pop next — by
-// one coalesced RAF read and one batch-kernel call, then replays each verdict
-// in pop order against the live bound, exactly like verifyKNNBatch. The one
-// difference from the per-leaf batch: the pop loop's reaction to MIND ≥
-// curND_k is termination, not a per-entry prune, so the replay reports
-// terminated=true at the first such item and discards the rest of the run —
-// the serial loop would have broken there and never popped them. Buffered
-// inserts in the run carry their object and count DeltaCandidates, as in the
-// scalar path. Every counter and the result set match the scalar loop; a
-// failed coalesced read falls back to it, surfacing the error at the same
-// pop position.
-func (t *Tree) verifyKNNIncremental(ctx context.Context, q metric.Object, sc *queryScratch, qs *QueryStats) (terminated bool, err error) {
+// verifyKNNBlock verifies sc.blk.cands — a greedy leaf's admitted entries in
+// scan order, or a best-first run of consecutive entry pops (no tree node
+// between them, so verifying them pushes nothing onto the frontier and the
+// run is exactly the prefix the one-at-a-time loop would pop next). The block
+// is resolved against the bound before its first candidate; each candidate
+// then commits at its own turn against the live bound, which only tightens:
+//
+//   - its MIND is re-checked first. In a greedy leaf a crossing is the Lemma 3
+//     prune the inline loop applies at that entry's turn (EntriesPruned totals
+//     match); in a best-first run it ends the query — the one-at-a-time loop
+//     would have broken there and never popped the rest — as does an exhausted
+//     verification budget (limit, on qs.Verified). terminated reports either.
+//   - a completed distance is re-checked: an excess is the abandon the inline
+//     bounded evaluation would have reported.
+//
+// Only committed verifications count Verified/Compdists and advance the
+// lifetime distance counter, so every counter and the result set equal the
+// inline loop's; the reads and evaluations of candidates a commit pruned stay
+// invisible. After a failed coalesced read the same loop verifies inline, so
+// the error surfaces at the same scan position.
+func (t *Tree) verifyKNNBlock(ctx context.Context, q metric.Object, sc *queryScratch, qs *QueryStats, limit int64, greedy bool) (terminated bool, err error) {
 	if err := ctxDone(ctx); err != nil {
 		return false, err
 	}
-	res, kb := &sc.res, &sc.kb
-	n := len(kb.cands)
-	kb.grow(n)
-	st := qs.stageStart()
-	m := 0
-	for _, it := range kb.cands {
-		if it.obj == nil {
-			kb.offsets[m] = it.val
-			m++
-		}
-	}
-	if m > 0 {
-		if idx, rerr := t.raf.ReadBatch(kb.offsets[:m], kb.readObjs[:m], kb.plens[:m]); idx >= 0 || rerr != nil {
-			// Coalesced read failed: replay the run on the scalar path, which
-			// surfaces the error at the same pop position.
-			qs.stageAdd(&qs.VerifyTime, st)
-			for _, it := range kb.cands {
-				if it.mind > res.bound() {
-					return true, nil
-				}
-				if _, err := t.verifyKNN(ctx, q, res, it, qs); err != nil {
-					return false, err
-				}
-			}
-			return false, nil
-		}
-	}
-	// Expand the compact read results to per-item slots, filter tombstones,
-	// and build the probe list.
-	probeIdx, probeObjs := kb.probeIdx[:0], kb.probeObjs[:0]
-	j := 0
-	for i, it := range kb.cands {
-		if it.obj != nil {
-			kb.objs[i] = it.obj
-			kb.tomb[i] = false
-			probeIdx = append(probeIdx, i)
-			probeObjs = append(probeObjs, it.obj)
-			continue
-		}
-		kb.objs[i] = kb.readObjs[j]
-		j++
-		kb.tomb[i] = t.deltaShadowed(kb.objs[i].ID())
-		if !kb.tomb[i] {
-			probeIdx = append(probeIdx, i)
-			probeObjs = append(probeObjs, kb.objs[i])
-		}
-	}
-	if len(probeObjs) > 0 {
-		eff := math.Inf(1)
-		if t.bounded {
-			eff = res.bound()
-		}
-		p := len(probeObjs)
-		sc.kernel(t, q).BatchAtMost(probeObjs, eff, kb.pd[:p], kb.pw[:p])
-		qs.BatchedCandidates += int64(p)
-		for jj, i := range probeIdx {
-			kb.d[i], kb.within[i] = kb.pd[jj], kb.pw[jj]
-		}
-	}
-	// Commit in pop order against the live bound.
-	j = 0
-	for i, it := range kb.cands {
-		if it.mind > res.bound() {
-			// Lemma 3 termination at this item's turn; the rest of the run is
-			// the heap prefix the serial loop never pops.
-			qs.stageAdd(&qs.VerifyTime, st)
-			return true, nil
-		}
-		base := it.obj == nil
-		var plen int
-		if base {
-			plen = kb.plens[j]
-			j++
-		}
-		if kb.tomb[i] {
-			t.raf.EmitRecordRead(it.val, plen)
-			qs.TombstonesSkipped++
-			continue
-		}
-		if base {
-			t.raf.EmitRecordRead(it.val, plen)
-		} else {
-			qs.DeltaCandidates++
-		}
-		qs.Verified++
-		qs.Compdists++
-		t.dist.Add(1)
-		if kb.within[i] && (!t.bounded || kb.d[i] <= res.bound()) {
-			res.offer(Result{Object: kb.objs[i], Dist: kb.d[i], Exact: true})
-		} else if t.bounded {
-			qs.Abandoned++
-		}
-	}
-	qs.stageAdd(&qs.VerifyTime, st)
-	return false, nil
-}
-
-// verifyKNNBatch resolves one greedy leaf's admitted candidates through the
-// batch kernel, replaying each verdict in scan order exactly as the parallel
-// engine's ordered commit (exec.go): the batch evaluates against the pre-leaf
-// bound snapshot on the unwrapped metric; each commit then re-checks the
-// candidate's MIND against the current bound (a prune there is the Lemma 3
-// prune the inline loop would have applied at that entry's turn, so
-// EntriesPruned totals match) and re-checks a completed distance against the
-// current bound (an excess there is the abandon the inline bounded evaluation
-// would have reported). Only committed verifications count Verified/Compdists
-// and advance the lifetime distance counter, so every counter — and the
-// result set — is identical to the inline loop; the batch's extra work (reads
-// and evaluations for commit-pruned candidates) stays as invisible as the
-// parallel engine's speculation. A failed coalesced read falls back to the
-// inline scalar path, surfacing the error at the same scan position.
-func (t *Tree) verifyKNNBatch(ctx context.Context, q metric.Object, sc *queryScratch, qs *QueryStats) error {
-	res, kb := &sc.res, &sc.kb
-	if len(kb.cands) == 0 {
-		return nil
-	}
-	if err := ctxDone(ctx); err != nil {
-		return err
-	}
-	n := len(kb.cands)
-	kb.grow(n)
-	offsets, objs, plens := kb.offsets[:n], kb.objs[:n], kb.plens[:n]
-	for i, c := range kb.cands {
-		offsets[i] = c.val
-	}
-	st := qs.stageStart()
-	if idx, err := t.raf.ReadBatch(offsets, objs, plens); idx >= 0 || err != nil {
-		qs.stageAdd(&qs.VerifyTime, st)
-		for _, c := range kb.cands {
-			if c.mind > res.bound() {
+	res, b := &sc.res, &sc.blk
+	probed, ok := t.resolveBlock(sc, q, res.bound(), qs)
+	qs.BatchedCandidates += int64(probed)
+	for i, c := range b.cands {
+		if c.bound > res.bound() {
+			if greedy {
 				qs.EntriesPruned++
 				continue
 			}
-			if _, err := t.verifyKNN(ctx, q, res, c, qs); err != nil {
-				return err
+			return true, nil
+		}
+		if qs.Verified >= limit {
+			return true, nil
+		}
+		if !ok {
+			if err := t.verifyKNN(ctx, q, res, c, qs); err != nil {
+				return false, err
 			}
-		}
-		return nil
-	}
-	probeIdx, probeObjs := kb.probeIdx[:0], kb.probeObjs[:0]
-	for i := range kb.cands {
-		kb.tomb[i] = t.deltaShadowed(objs[i].ID())
-		if !kb.tomb[i] {
-			probeIdx = append(probeIdx, i)
-			probeObjs = append(probeObjs, objs[i])
-		}
-	}
-	if len(probeObjs) > 0 {
-		eff := math.Inf(1)
-		if t.bounded {
-			eff = res.bound()
-		}
-		m := len(probeObjs)
-		sc.kernel(t, q).BatchAtMost(probeObjs, eff, kb.pd[:m], kb.pw[:m])
-		qs.BatchedCandidates += int64(m)
-		for j, i := range probeIdx {
-			kb.d[i], kb.within[i] = kb.pd[j], kb.pw[j]
-		}
-	}
-	for i, c := range kb.cands {
-		if c.mind > res.bound() {
-			qs.EntriesPruned++ // the inline loop's Lemma 3 prune at this turn
 			continue
 		}
-		if kb.tomb[i] {
-			t.raf.EmitRecordRead(c.val, plens[i])
-			qs.TombstonesSkipped++
-			continue
+		if c.obj != nil {
+			qs.DeltaCandidates++
+		} else {
+			t.raf.EmitRecordRead(c.val, b.plens[i])
+			if b.tomb[i] {
+				qs.TombstonesSkipped++
+				continue
+			}
 		}
 		qs.Verified++
 		qs.Compdists++
 		t.dist.Add(1)
-		t.raf.EmitRecordRead(c.val, plens[i])
-		if kb.within[i] && (!t.bounded || kb.d[i] <= res.bound()) {
-			res.offer(Result{Object: objs[i], Dist: kb.d[i], Exact: true})
+		if b.within[i] && b.d[i] <= res.bound() {
+			res.offer(Result{Object: b.objs[i], Dist: b.d[i], Exact: true})
 		} else if t.bounded {
 			qs.Abandoned++
 		}
 	}
-	qs.stageAdd(&qs.VerifyTime, st)
-	return nil
+	return false, nil
 }
 
 // knnResults keeps the k best candidates in a max-heap so curND_k updates in
@@ -464,8 +301,8 @@ func (r *knnResults) reset(k int, bound0 float64) *knnResults {
 // resultWorse reports whether a ranks strictly after b in the (Dist, ID)
 // total order. Using it as the heap priority makes the k-th boundary
 // deterministic under distance ties: of two equal-distance candidates the
-// smaller ID wins a slot, regardless of arrival order — so serial and
-// parallel executions return identical result sets.
+// smaller ID wins a slot, regardless of arrival order — so every traversal
+// strategy and every shard visit order returns the same result set.
 func resultWorse(a, b Result) bool {
 	if a.Dist != b.Dist {
 		return a.Dist > b.Dist

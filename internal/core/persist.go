@@ -151,18 +151,12 @@ type OpenOptions struct {
 	CacheSize int
 	// Traversal selects the kNN strategy.
 	Traversal TraversalStrategy
-	// Workers is the per-query verifier pool size (see Options.Workers):
-	// 0 selects the default of 1, serial execution.
-	Workers int
 	// DisableBoundedKernels turns off threshold-aware distance evaluation
 	// (see Options.DisableBoundedKernels).
 	DisableBoundedKernels bool
 	// DisableBatchKernels turns off blocked batch verification
 	// (see Options.DisableBatchKernels).
 	DisableBatchKernels bool
-	// DisablePlanner turns off the adaptive query planner
-	// (see Options.DisablePlanner).
-	DisablePlanner bool
 }
 
 // Open reopens a tree persisted with WriteMeta.
@@ -190,11 +184,9 @@ func Open(meta io.Reader, opts OpenOptions) (*Tree, error) {
 		dist:      metric.NewCounter(opts.Distance),
 		codec:     opts.Codec,
 		traversal: opts.Traversal,
-		workers:   resolveWorkers(opts.Workers),
 		bounded:   !opts.DisableBoundedKernels && metric.IsBounded(opts.Distance),
 		batch:     !opts.DisableBatchKernels && metric.IsBatch(opts.Distance),
 	}
-	t.plr.off = opts.DisablePlanner
 	t.kind = sfc.Kind(r.u8())
 	t.bits = int(r.u8())
 	t.exact = r.u8() == 1

@@ -31,10 +31,8 @@ func (t *Tree) RangeQuery(q metric.Object, r float64) ([]Result, error) {
 // checked at every node visit and every verification; on cancellation the
 // answers verified so far are returned with a typed ErrCanceled.
 //
-// The traversal prunes serially; verification goes through a rangeSink —
-// inline when the tree runs serially, a worker pool otherwise (exec.go). The
-// candidate set does not depend on the answers, so both modes verify exactly
-// the same objects.
+// The traversal prunes; surviving entries are verified by a rangeSerial
+// (exec.go).
 func (t *Tree) rangeQuery(ctx context.Context, q metric.Object, r float64, qs *QueryStats) ([]Result, error) {
 	if r < 0 {
 		return nil, nil
@@ -52,18 +50,13 @@ func (t *Tree) rangeQuery(ctx context.Context, q metric.Object, r float64, qs *Q
 		// are region-tested like any entry), so the delta needs no pass.
 		return nil, nil
 	}
-	var results []Result
+	sink := &rangeSerial{t: t, q: q, r: r, qs: qs, sc: sc}
 	var err error
 	if root, ok := t.bpt.Root(); ok {
-		var sink rangeSink
-		if slots := t.planRangeSlots(qvec, r, qs); slots > 0 {
-			sink = t.newRangeExec(ctx, q, sc.kernel(t, q), qvec, r, qs, slots)
-		} else {
-			sink = &rangeSerial{t: t, q: q, qvec: qvec, r: r, qs: qs, sc: sc}
-		}
+		// A block the traversal left pending is verified even when the walk
+		// failed: its entries were scanned before the failure.
 		travErr := t.rangeTraverse(ctx, root, sc, sink, qs)
-		results, err = sink.finish()
-		if err == nil && travErr != nil && travErr != errStopTraversal {
+		if err = sink.flush(); err == nil {
 			err = travErr
 		}
 	}
@@ -72,12 +65,10 @@ func (t *Tree) rangeQuery(ctx context.Context, q metric.Object, r float64, qs *Q
 	// its compdists — is identical to a tree rebuilt over the live set
 	// (tombstoned base objects were already skipped at verification).
 	if err == nil && t.deltaActive() {
-		var dres []Result
-		dres, err = t.rangeDelta(ctx, q, sc, r, qs)
-		results = append(results, dres...)
+		err = t.rangeDelta(ctx, sink)
 	}
-	sortByID(results)
-	return results, err
+	sortByID(sink.results)
+	return sink.results, err
 }
 
 // rangeDelta runs Algorithm 1's candidate pipeline over the buffered
@@ -86,53 +77,39 @@ func (t *Tree) rangeQuery(ctx context.Context, q metric.Object, r float64, qs *Q
 // for the rest. Exactly what the entries would cost had they been in the
 // base tree — only the traversal-side diagnostics (node reads, merge skips)
 // differ.
-func (t *Tree) rangeDelta(ctx context.Context, q metric.Object, sc *queryScratch, r float64, qs *QueryStats) ([]Result, error) {
-	entries := t.deltaEntriesSorted()
-	if len(entries) == 0 {
-		return nil, nil
-	}
-	qvec, rrLo, rrHi, cell := sc.qvec, sc.rrLo, sc.rrHi, sc.cell
-	var out []Result
-	for _, e := range entries {
+func (t *Tree) rangeDelta(ctx context.Context, s *rangeSerial) error {
+	sc, qs := s.sc, s.qs
+	for _, e := range t.deltaEntriesSorted() {
 		if err := ctxDone(ctx); err != nil {
-			return out, err
+			return err
 		}
 		qs.EntriesScanned++
-		t.curve.Decode(e.key, cell)
-		if !sfc.Contains(rrLo, rrHi, cell) {
+		t.curve.Decode(e.key, sc.cell)
+		if !sfc.Contains(sc.rrLo, sc.rrHi, sc.cell) {
 			qs.EntriesPruned++
 			continue // Lemma 1
 		}
 		qs.DeltaCandidates++
 		if !t.noLemma2 {
-			if ub, ok := t.lemma2Bound(qvec, cell, r); ok {
+			if ub, ok := t.lemma2Bound(sc.qvec, sc.cell, s.r); ok {
 				qs.Lemma2Included++
-				out = append(out, Result{Object: e.obj, Dist: ub, Exact: false})
+				s.results = append(s.results, Result{Object: e.obj, Dist: ub, Exact: false})
 				continue
 			}
 		}
 		st := qs.stageStart()
-		d, within := t.verifyDist(q, e.obj, r)
-		qs.Verified++
-		qs.Compdists++
-		if within {
-			out = append(out, Result{Object: e.obj, Dist: d, Exact: true})
-		} else {
-			qs.Discarded++
-			if t.bounded {
-				qs.Abandoned++
-			}
-		}
+		d, within := t.verifyDist(s.q, e.obj, s.r)
+		s.verified(e.obj, d, within)
 		qs.stageAdd(&qs.VerifyTime, st)
 	}
-	return out, nil
+	return nil
 }
 
 // rangeTraverse walks the B+-tree, pruning with Lemma 1 and the SFC merge
 // strategies, and hands surviving leaf entries to the sink. A corrupt page
 // or cancellation stops the walk; the answers verified so far survive in the
 // sink.
-func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, sc *queryScratch, sink rangeSink, qs *QueryStats) error {
+func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, sc *queryScratch, sink *rangeSerial, qs *QueryStats) error {
 	rrLo, rrHi, boxLo, boxHi, cell, iLo, iHi := sc.rrLo, sc.rrHi, sc.boxLo, sc.boxHi, sc.cell, sc.iLo, sc.iHi
 	node := &sc.node
 	stack := append(sc.stack[:0], root)
@@ -250,11 +227,10 @@ func sortByID(results []Result) {
 
 // scanRQ is the traversal side of VerifyRQ (Algorithm 1): cancellation
 // check, scan count, and the optional Lemma 1 region re-check; the surviving
-// candidate goes to the sink, which verifies it inline (serial) or ships it
-// to the verifier pool. The ctx check here gives verification-batch
-// granularity: a canceled query stops before the next RAF page read and
-// distance computation.
-func (t *Tree) scanRQ(ctx context.Context, sink rangeSink, key, val uint64, checkRegion bool, cell, rrLo, rrHi sfc.Point, qs *QueryStats) error {
+// candidate goes to the sink, which verifies it. The ctx check here gives
+// verification-batch granularity: a canceled query stops before the next RAF
+// page read and distance computation.
+func (t *Tree) scanRQ(ctx context.Context, sink *rangeSerial, key, val uint64, checkRegion bool, cell, rrLo, rrHi sfc.Point, qs *QueryStats) error {
 	if err := ctxDone(ctx); err != nil {
 		return err
 	}
@@ -264,5 +240,5 @@ func (t *Tree) scanRQ(ctx context.Context, sink rangeSink, key, val uint64, chec
 		qs.EntriesPruned++
 		return nil // Lemma 1
 	}
-	return sink.add(key, val, cell)
+	return sink.add(val, cell)
 }

@@ -137,9 +137,6 @@ type LoadOptions struct {
 	CacheSize int
 	// Traversal selects the kNN strategy.
 	Traversal TraversalStrategy
-	// Workers is the per-query verifier pool size (see Options.Workers):
-	// 0 selects the default, 1 forces serial execution.
-	Workers int
 	// DisableBoundedKernels turns off threshold-aware distance evaluation
 	// (see Options.DisableBoundedKernels).
 	DisableBoundedKernels bool
@@ -170,7 +167,7 @@ func Load(dir string, opts LoadOptions) (*Tree, error) {
 		Distance: opts.Distance, Codec: opts.Codec,
 		IndexStore: idx, DataStore: data,
 		CacheSize: opts.CacheSize, Traversal: opts.Traversal,
-		Workers: opts.Workers, DisableBoundedKernels: opts.DisableBoundedKernels,
+		DisableBoundedKernels: opts.DisableBoundedKernels,
 	})
 	if err != nil {
 		idx.Close()

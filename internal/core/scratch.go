@@ -12,25 +12,21 @@ import (
 // queryScratch holds everything one query builds that depends only on the
 // query or is reused block after block — the pivot distances, the SFC cell
 // and box buffers, the decoded node, the kNN frontier and result heap, the
-// batch verification slices and the prepared distance kernel — so the read
-// path allocates per decoded object, not per node, block or candidate
-// (DESIGN.md §9.7). A scratch belongs to one query goroutine at a time and is
-// recycled through scratchPool; only the prepared kernel, immutable once
-// built, is shared with verifier workers.
+// candidate block and the prepared distance kernel — so the read path
+// allocates per decoded object, not per node, block or candidate
+// (DESIGN.md §9.7). A scratch belongs to one query at a time and is recycled
+// through scratchPool.
 type queryScratch struct {
 	qvec []float64
-	// Traversal-side cell buffers: a node MBB, one entry's cell, the range
-	// region and its intersection with a leaf MBB; vcell is the
-	// verification side's (a range block is verified mid-scan).
-	boxLo, boxHi, cell, rrLo, rrHi, iLo, iHi, vcell sfc.Point
+	// Cell buffers: a node MBB, one entry's cell, the range region and its
+	// intersection with a leaf MBB.
+	boxLo, boxHi, cell, rrLo, rrHi, iLo, iHi sfc.Point
 
 	node  bptree.Node
 	cells []uint32 // a leaf's keys, block-decoded: entry i at [i*dims, (i+1)*dims)
 	pq    mindHeap
 	res   knnResults
-	kb    knnBatch
-	bs    rangeBatchScratch
-	rbuf  []rangeCand // the serial range sink's pending block
+	blk   candBlock
 	stack []bptree.NodeRef
 	prep  metric.PreparedQuery
 }
@@ -43,8 +39,8 @@ func (t *Tree) getScratch() *queryScratch {
 	sc := scratchPool.Get().(*queryScratch)
 	if n := len(t.pivots); len(sc.qvec) != n {
 		sc.qvec = make([]float64, n)
-		pts := make(sfc.Point, 8*n)
-		for _, p := range []*sfc.Point{&sc.boxLo, &sc.boxHi, &sc.cell, &sc.rrLo, &sc.rrHi, &sc.iLo, &sc.iHi, &sc.vcell} {
+		pts := make(sfc.Point, 7*n)
+		for _, p := range []*sfc.Point{&sc.boxLo, &sc.boxHi, &sc.cell, &sc.rrLo, &sc.rrHi, &sc.iLo, &sc.iHi} {
 			*p, pts = pts[:n:n], pts[n:]
 		}
 	}
@@ -57,16 +53,18 @@ func (sc *queryScratch) release() {
 	sc.prep = nil
 	sc.pq.items, sc.pq.delta = sc.pq.items[:0], sc.pq.delta[:0]
 	sc.res.items = sc.res.items[:0]
-	clear(sc.kb.cands[:cap(sc.kb.cands)])
+	clear(sc.blk.cands[:cap(sc.blk.cands)])
+	sc.blk.cands = sc.blk.cands[:0]
 	clear(sc.res.items[:cap(sc.res.items)])
-	for _, objs := range [][]metric.Object{sc.pq.delta, sc.kb.objs, sc.kb.readObjs, sc.kb.probeObjs, sc.bs.objs, sc.bs.liveObjs} {
+	for _, objs := range [][]metric.Object{sc.pq.delta, sc.blk.objs, sc.blk.readObjs, sc.blk.probeObjs} {
 		clear(objs[:cap(objs)])
 	}
 	scratchPool.Put(sc)
 }
 
 // kernel returns the query's prepared batch kernel on the unwrapped metric,
-// building it on first use; callers charge the distance counter themselves.
+// building it on first use (per-query work such as the Myers bitmaps is done
+// once per query, not per block).
 func (sc *queryScratch) kernel(t *Tree, q metric.Object) metric.PreparedQuery {
 	if sc.prep == nil {
 		sc.prep = metric.Prepare(t.dist.Unwrap(), q)
@@ -136,7 +134,7 @@ func (t *Tree) seedDelta(sc *queryScratch, qs *QueryStats) {
 	for _, e := range t.deltaEntriesSorted() {
 		qs.EntriesScanned++
 		t.curve.Decode(e.key, sc.cell)
-		sc.pq.pushCand(knnCand{mind: t.mindToCell(sc.qvec, sc.cell), obj: e.obj})
+		sc.pq.pushCand(candidate{bound: t.mindToCell(sc.qvec, sc.cell), obj: e.obj})
 		qs.HeapPushes++
 	}
 }
@@ -163,9 +161,9 @@ func (x mindItem) isNode() bool { return x.tag == tagNode }
 // mindLess is a total order on heap items: MIND first, then nodes before
 // entries, then base entries before write-buffer entries, then page, offset
 // or object ID. Totality matters twice — equal-MIND items pop in the same
-// relative order in every execution, so serial and parallel traversals admit
-// identical candidate sequences (and thus identical Verified/Compdists), and
-// results never depend on heap internals.
+// relative order in every execution, so block and entry-at-a-time
+// verification admit identical candidate sequences (and thus identical
+// Verified/Compdists), and results never depend on heap internals.
 func mindLess(a, b mindItem) bool {
 	if a.mind != b.mind {
 		return a.mind < b.mind
@@ -228,21 +226,21 @@ func (h *mindHeap) pop() mindItem {
 }
 
 // pushCand pushes a leaf entry, or — with obj set — a buffered insert.
-func (h *mindHeap) pushCand(c knnCand) {
+func (h *mindHeap) pushCand(c candidate) {
 	if c.obj == nil {
-		h.push(mindItem{mind: c.mind, ref: c.val, tag: tagEntry})
+		h.push(mindItem{mind: c.bound, ref: c.val, tag: tagEntry})
 		return
 	}
-	h.push(mindItem{mind: c.mind, ref: c.obj.ID(), tag: tagDelta + uint32(len(h.delta))})
+	h.push(mindItem{mind: c.bound, ref: c.obj.ID(), tag: tagDelta + uint32(len(h.delta))})
 	h.delta = append(h.delta, c.obj)
 }
 
 // cand resolves a popped non-node item to the candidate it stands for.
-func (h *mindHeap) cand(x mindItem) knnCand {
+func (h *mindHeap) cand(x mindItem) candidate {
 	if x.tag >= tagDelta {
-		return knnCand{mind: x.mind, obj: h.delta[x.tag-tagDelta]}
+		return candidate{bound: x.mind, obj: h.delta[x.tag-tagDelta]}
 	}
-	return knnCand{mind: x.mind, val: x.ref}
+	return candidate{bound: x.mind, val: x.ref}
 }
 
 // peekMind returns the minimum MIND without popping; the heap must be

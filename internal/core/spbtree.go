@@ -90,16 +90,6 @@ type Options struct {
 	// 14-20), falling back to per-entry region tests. Results are
 	// identical; the flag exists for the ablation benchmarks.
 	DisableSFCMerge bool
-	// Workers is the per-query verifier pool size for the parallel execution
-	// engine (DESIGN.md §9): range/kNN/join verification fans out to up to
-	// this many goroutines, drawn non-blockingly from a process-wide pool so
-	// concurrent queries and forest shards compose without goroutine
-	// explosion. 0 selects the default of 1, fully serial execution — the
-	// fastest setting on every workload of the end-to-end benchmark
-	// (bench/README.md) — so the pool is opt-in: set Workers > 1 to engage
-	// it. Results and the Verified/Compdists counters are identical in
-	// every mode.
-	Workers int
 	// DisableBoundedKernels turns off threshold-aware distance evaluation
 	// (DESIGN.md §10): when the metric implements
 	// metric.BoundedDistanceFunc, verification normally passes its live
@@ -118,14 +108,6 @@ type Options struct {
 	// changes. The flag exists for the batch-vs-scalar benchmarks
 	// (spbbench pr8).
 	DisableBatchKernels bool
-	// DisablePlanner turns off the cost-model-driven adaptive planner
-	// (DESIGN.md §15): every query then uses the fixed pre-planner behavior
-	// — a Workers-sized pool whenever Workers > 1. Results and the
-	// Verified/Compdists counters are identical either way (the parallel
-	// engine is worker-count-invariant); the flag exists for the
-	// planner-on-vs-off benchmarks (spbbench pr10) and as an operational
-	// escape hatch.
-	DisablePlanner bool
 }
 
 // Tree is a built SPB-tree. Queries may run concurrently with each other;
@@ -163,9 +145,6 @@ type Tree struct {
 	noLemma2   bool // ablation: skip Lemma 2 inclusion
 	noSFCMerge bool // ablation: skip the computeSFC merge step
 
-	// workers is the resolved per-query verifier pool size (≥ 1; 1 = serial).
-	workers int
-
 	// bounded enables threshold-aware verification: true iff the metric
 	// implements metric.BoundedDistanceFunc and bounded kernels are not
 	// disabled. See verifyDist and DESIGN.md §10.
@@ -173,7 +152,7 @@ type Tree struct {
 
 	// batch enables blocked batch verification: true iff the metric
 	// implements metric.BatchDistanceFunc and batch kernels are not
-	// disabled. See verifyBatch and DESIGN.md §13.
+	// disabled. See resolveBlock and DESIGN.md §13.
 	batch bool
 
 	// count is the live object total: base objects not shadowed by the write
@@ -201,10 +180,6 @@ type Tree struct {
 	graph *graphTier
 
 	cm costModel
-
-	// plr is the adaptive planner's online unit-cost calibration (plan.go);
-	// its fields are atomics, fed by every finished query.
-	plr planner
 
 	// tracer is the hook installed by SetTracer, fanned out to the B+-tree,
 	// both caches and the RAF by wireTracer (and re-fanned after Rebuild).
@@ -251,11 +226,9 @@ func Build(objs []metric.Object, opts Options) (*Tree, error) {
 		dPlus:      opts.Distance.MaxDistance(),
 		noLemma2:   opts.DisableLemma2,
 		noSFCMerge: opts.DisableSFCMerge,
-		workers:    resolveWorkers(opts.Workers),
 		bounded:    !opts.DisableBoundedKernels && metric.IsBounded(opts.Distance),
 		batch:      !opts.DisableBatchKernels && metric.IsBatch(opts.Distance),
 	}
-	t.plr.off = opts.DisablePlanner
 
 	// Pivot table: either shared with a partner tree (joins need a common
 	// mapped space) or freshly selected.
@@ -481,17 +454,11 @@ func (t *Tree) Traversal() TraversalStrategy { return t.traversal }
 // SetTraversal switches the kNN traversal strategy.
 func (t *Tree) SetTraversal(s TraversalStrategy) { t.traversal = s }
 
-// Workers returns the per-query verifier pool size (1 = serial execution).
-func (t *Tree) Workers() int { return t.workers }
-
-// SetWorkers reconfigures the per-query verifier pool size: 0 restores the
-// default of 1 (serial execution), k > 1 engages the pool. It takes effect for
-// queries started afterwards; in-flight queries finish with their pool.
-func (t *Tree) SetWorkers(w int) {
-	t.mu.Lock()
-	t.workers = resolveWorkers(w)
-	t.mu.Unlock()
-}
+// SetWorkers does nothing: every query runs on its caller's goroutine. It
+// exists only because the frozen benchmark harness (bench/) still calls it
+// for its tree / tree.serial rung; it goes with that rung in the next
+// benchmark-only change.
+func (t *Tree) SetWorkers(int) {}
 
 // BoundedKernels reports whether verification uses threshold-aware distance
 // evaluation (the metric implements metric.BoundedDistanceFunc and kernels
@@ -540,31 +507,6 @@ func (t *Tree) verifyDist(q, obj metric.Object, bound float64) (d float64, withi
 	}
 	d = t.dist.Distance(q, obj)
 	return d, d <= bound
-}
-
-// verifyBatch is verifyDist over a block of candidates sharing one bound
-// snapshot, through the query's prepared batch kernel (queryScratch.kernel:
-// per-query work such as the Myers bitmaps is built once per query), and
-// every (d[i], within[i]) pair is bit-identical to what verifyDist would
-// return for that candidate. The effective threshold is the caller's bound
-// when bounded kernels are on, +Inf otherwise — so with bounded kernels off a
-// batch evaluation is exact for every candidate, exactly like the scalar
-// path. Counters: the Counter charges len(objs) compdists; the caller counts
-// Verified and Abandoned per candidate as usual, plus len(objs)
-// BatchedCandidates.
-func (t *Tree) verifyBatch(prep metric.PreparedQuery, objs []metric.Object, bound float64, d []float64, within []bool) {
-	eff := bound
-	if !t.bounded {
-		eff = math.Inf(1)
-	}
-	t.dist.Add(int64(len(objs)))
-	prep.BatchAtMost(objs, eff, d, within)
-	if !t.bounded {
-		// Exact mode reports within against the caller's real bound.
-		for i := range d {
-			within[i] = d[i] <= bound
-		}
-	}
 }
 
 // Stats is a per-operation measurement in the paper's metrics.

@@ -35,24 +35,15 @@ const (
 // the tree concurrently. On a partial-result error the stats cover the work
 // done up to the failure.
 //
-// Under the parallel execution engine (Options.Workers > 1, the default;
-// DESIGN.md §9) the verification counters — Lemma2Included, Verified,
-// Discarded, Abandoned, Compdists — and the result set are still identical
-// to serial execution: ranges and joins verify a bound-independent candidate
-// set, and kNN commits verdicts in dispatch order against the committed
-// bound.
-// VerifyTime becomes the summed worker time (it can exceed Elapsed), and on
-// error or cancellation the traversal-side diagnostics may include work a
-// serial run would not have reached before stopping.
+// A query runs on its caller's goroutine (DESIGN.md §9), so the stage clocks
+// partition Elapsed.
 type QueryStats struct {
 	// Op identifies the operation: OpRange, OpKNN, OpKNNApprox, OpKNNGraph
 	// or OpJoin.
 	Op string
 
-	// Plan records the adaptive planner's execution decision and its inputs
-	// (plan.go); the zero value means no planner ran for this query. On a
-	// scatter-gather query the forest/cluster gather side adds its shard
-	// pruning and staging fields.
+	// Plan records how a scatter-gather query visited its shards (plan.go):
+	// the forest/cluster gather side fills it; zero on a single tree.
 	Plan PlanInfo
 
 	// --- filtering stage (index traversal, no objects touched) ----------
@@ -113,7 +104,7 @@ type QueryStats struct {
 	// actually engaged (a silent fallback to scalar shows up as zero). It is
 	// ≥ Verified's batched share and can exceed Verified for kNN, where a
 	// batched candidate may still be pruned at commit (counted under
-	// EntriesPruned, exactly like the parallel engine's stale-bound prunes).
+	// EntriesPruned, as the entry-at-a-time scan counts it).
 	// Zero when the metric has no batch kernel or batch kernels are disabled.
 	BatchedCandidates int64
 	// GraphHops counts beam-search expansions of a graph-tier query
@@ -157,7 +148,11 @@ type QueryStats struct {
 	// FilterTime is the remainder of Elapsed: index traversal and pruning.
 	// Populated by the WithStats entry points only.
 	FilterTime time.Duration
-	// Elapsed is the query's total wall time.
+	// Elapsed is the query's total wall time. On stats merged from a
+	// scatter-gather query (Merge) it is the slowest branch's Elapsed, not
+	// the gather's own wall time — the branches ran side by side — and the
+	// three stage times above are likewise per-branch maxima, possibly of
+	// different branches, so they need not sum to it.
 	Elapsed time.Duration
 
 	// timed enables the per-stage clocks; the plain entry points leave it
@@ -171,19 +166,17 @@ func (s *QueryStats) PageAccesses() int64 { return s.IndexPA + s.DataPA }
 // Merge folds another query's stats into s — the gather-side aggregation of
 // a scatter-gather query (forest shards, cluster nodes). Work counters and
 // cost totals add, so Compdists/PA reconcile with the total work across all
-// branches exactly as on a single tree; wall clocks take the maximum, the
-// honest elapsed figure for branches that ran in parallel. Merge only reads
-// exported fields, so it works identically on stats decoded from a wire
-// payload (gob drops the unexported timing flag, which only gates clock
-// collection, not reporting).
+// branches exactly as on a single tree. The wall clocks do not add: Elapsed,
+// PlanTime, VerifyTime and FilterTime each become the maximum over the
+// branches — the per-shard maximum, each field on its own — which bounds the
+// gather's wall time from below when branches ran side by side and says
+// nothing about the total CPU time spent. Plan is left alone: the gather side
+// fills it with the whole query's view. Merge only reads exported fields, so
+// it works identically on stats decoded from a wire payload (gob drops the
+// unexported timing flag, which only gates clock collection, not reporting).
 func (s *QueryStats) Merge(o QueryStats) {
 	if s.Op == "" {
 		s.Op = o.Op
-	}
-	if s.Plan.Mode == "" {
-		// Keep the first branch's plan; the forest/cluster gather overwrites
-		// the scatter fields afterwards with the whole query's view.
-		s.Plan = o.Plan
 	}
 	s.NodesRead += o.NodesRead
 	s.NodesPruned += o.NodesPruned
@@ -289,7 +282,6 @@ func (qt *queryTimer) finish(results int, err error) {
 			qs.FilterTime = ft
 		}
 	}
-	qt.t.plr.observe(qs)
 	qt.t.metrics.Op(qs.Op).Observe(qs.Compdists, qs.IndexPA, qs.DataPA, int64(results), qs.Elapsed, err != nil)
 }
 

@@ -108,6 +108,10 @@ type ShardHint struct {
 	Estimated bool
 }
 
+// hintEstSampleCap bounds the reservoir scan of a kNN hint's eND_k estimate,
+// so hinting stays a small fraction of the query it orders.
+const hintEstSampleCap = 256
+
 // RangeHint returns the shard's relevance and cost hint for RangeQuery(q, r).
 // The φ(q) computation uses the unwrapped metric, so probing shards for
 // hints never perturbs compdists accounting on shards that end up pruned;
@@ -134,8 +138,7 @@ func (t *Tree) RangeHint(q metric.Object, r float64) (ShardHint, error) {
 
 // KNNHint returns the shard's relevance and cost hint for KNN(q, k): MinDist
 // orders shards by how close their contents can possibly be, EDC/EPA (at the
-// estimated eND_k radius) order equally-close shards by predicted work. The
-// eND_k estimate uses the planner's capped reservoir profile.
+// estimated eND_k radius) order equally-close shards by predicted work.
 func (t *Tree) KNNHint(q metric.Object, k int) (ShardHint, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -149,7 +152,7 @@ func (t *Tree) KNNHint(q metric.Object, k int) (ShardHint, error) {
 	s := t.summaryLocked()
 	h := ShardHint{MinDist: boxMinDist(qvec, s.Lo, s.Hi)}
 	if !t.cm.dirty {
-		ce := t.estimateKNNVec(qvec, k, plannerEstSampleCap)
+		ce := t.estimateKNNVec(qvec, k, hintEstSampleCap)
 		h.EDC, h.EPA, h.Estimated = ce.EDC, ce.EPA, true
 	}
 	return h, nil

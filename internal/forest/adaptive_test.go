@@ -27,8 +27,8 @@ func words(n int, seed int64, base uint64) []metric.Object {
 
 // TestAdaptiveEquivalenceMatrix is the §15.6 CI matrix: pruned/staged
 // adaptive scatter versus the flat scatter, across traversal strategies ×
-// per-shard worker counts × continuous and discrete metrics, for range and
-// kNN. Byte identity, not set equality.
+// continuous and discrete metrics, for range and kNN. Byte identity, not set
+// equality.
 func TestAdaptiveEquivalenceMatrix(t *testing.T) {
 	type space struct {
 		name  string
@@ -43,46 +43,44 @@ func TestAdaptiveEquivalenceMatrix(t *testing.T) {
 	for _, sp := range spaces {
 		maxD := sp.dist.MaxDistance()
 		for _, trav := range []core.TraversalStrategy{core.Incremental, core.Greedy} {
-			for _, workers := range []int{1, 4} {
-				f, err := Build(sp.objs, Options{
-					Tree: core.Options{
-						Distance: sp.dist, Codec: sp.codec, Seed: 2,
-						Traversal: trav, Workers: workers,
-					},
-					Shards: 5,
-				})
+			f, err := Build(sp.objs, Options{
+				Tree: core.Options{
+					Distance: sp.dist, Codec: sp.codec, Seed: 2,
+					Traversal: trav,
+				},
+				Shards: 5,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := sp.name + "/" + trav.String()
+			for trial := 0; trial < 8; trial++ {
+				q := sp.objs[trial*13]
+				r := (0.05 + 0.03*float64(trial)) * maxD
+
+				f.SetAdaptive(true)
+				ar, _, err := f.RangeQueryWithStatsCtx(context.Background(), q, r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := sp.name + "/" + trav.String()
-				for trial := 0; trial < 8; trial++ {
-					q := sp.objs[trial*13]
-					r := (0.05 + 0.03*float64(trial)) * maxD
+				ak, aqs, err := f.KNNWithStatsCtx(context.Background(), q, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.SetAdaptive(false)
+				fr, _, err := f.RangeQueryWithStatsCtx(context.Background(), q, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fk, _, err := f.KNNWithStatsCtx(context.Background(), q, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-					f.SetAdaptive(true)
-					ar, _, err := f.RangeQueryWithStatsCtx(context.Background(), q, r)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ak, aqs, err := f.KNNWithStatsCtx(context.Background(), q, 10)
-					if err != nil {
-						t.Fatal(err)
-					}
-					f.SetAdaptive(false)
-					fr, _, err := f.RangeQueryWithStatsCtx(context.Background(), q, r)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fk, _, err := f.KNNWithStatsCtx(context.Background(), q, 10)
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					sameResultSlices(t, label+"/range", fr, ar)
-					sameResultSlices(t, label+"/knn", fk, ak)
-					if !aqs.Plan.Staged || aqs.Plan.ShardsTotal != 5 {
-						t.Fatalf("%s: adaptive kNN plan not staged: %+v", label, aqs.Plan)
-					}
+				sameResultSlices(t, label+"/range", fr, ar)
+				sameResultSlices(t, label+"/knn", fk, ak)
+				if !aqs.Plan.Staged || aqs.Plan.ShardsTotal != 5 {
+					t.Fatalf("%s: adaptive kNN plan not staged: %+v", label, aqs.Plan)
 				}
 			}
 		}

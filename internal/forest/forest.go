@@ -31,11 +31,6 @@ import (
 type Options struct {
 	// Tree configures each shard (Distance and Codec are required;
 	// IndexStore/DataStore must stay nil — every shard allocates its own).
-	// Tree.Workers > 1 additionally enables intra-query parallel verification
-	// inside each shard (off by default); it composes safely with Parallel because every
-	// shard draws its verifiers non-blockingly from one process-wide pool,
-	// so shard fan-out times per-shard workers cannot exceed that cap —
-	// saturated shards simply verify serially.
 	Tree core.Options
 	// Shards is the partition count; 0 means 4.
 	Shards int

@@ -37,8 +37,7 @@ func (f *Forest) BuildGraph(opts core.GraphOptions) error {
 }
 
 // BuildGraphCtx scatters graph construction to every shard (bounded by the
-// forest's parallelism limit, each shard drawing construction workers from
-// the shared slot pool). Every shard must support construction — an
+// forest's parallelism limit). Every shard must support construction — an
 // assembled forest with remote shards cannot build graphs from here; build
 // them on the owning nodes instead.
 func (f *Forest) BuildGraphCtx(ctx context.Context, opts core.GraphOptions) error {

@@ -155,8 +155,7 @@ func (h Hamming) BatchDistanceAtMost(q Object, objs []Object, t float64, d []flo
 // dominant per-block cost for dictionary-length strings — is built once by
 // Prepare and reused for every candidate block that query verifies.
 // BatchAtMost has exactly BatchDistanceFunc.BatchDistanceAtMost's contract
-// for that query. A PreparedQuery is immutable once built, so the verifier
-// goroutines of one query share it.
+// for that query. A PreparedQuery is immutable once built.
 type PreparedQuery interface {
 	BatchAtMost(objs []Object, t float64, d []float64, within []bool)
 }

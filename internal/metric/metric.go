@@ -116,11 +116,11 @@ func (c *Counter) Count() int64 { return c.n.Load() }
 func (c *Counter) Reset() { c.n.Store(0) }
 
 // Add folds n distance computations performed outside the wrapper into the
-// count. The parallel query engine uses it: verifier workers compute
-// speculative distances with Unwrap (uncounted, since a stale pruning bound
-// may discard them), and the ordered commit step adds exactly the
-// computations the equivalent serial execution would have performed, keeping
-// the lifetime counter reconcilable with per-query Compdists.
+// count. Block verification uses it: a block of candidates is evaluated with
+// Unwrap (uncounted, since a kNN bound that tightened in the meantime may
+// discard some of them), and the commit step adds exactly the computations
+// verifying the candidates one at a time would have performed, keeping the
+// lifetime counter reconcilable with per-query Compdists.
 func (c *Counter) Add(n int64) { c.n.Add(n) }
 
 // Unwrap returns the underlying DistanceFunc.

@@ -14,9 +14,8 @@ import (
 // where the cache is flushed before each query and PA measures the misses.
 //
 // The cache is sharded: page IDs map onto a power-of-two number of
-// independently locked LRU lists (id & mask), so concurrent queries — and the
-// parallel verifier workers within one query — do not serialize on a single
-// mutex. Sequential page IDs land on distinct shards round-robin, which
+// independently locked LRU lists (id & mask), so concurrent queries do not
+// serialize on a single mutex. Sequential page IDs land on distinct shards round-robin, which
 // spreads the SFC-local access patterns of the B+-tree and RAF evenly.
 // Capacity is divided across shards; small caches collapse to one shard so
 // per-shard LRU behavior stays close to the paper's global LRU.

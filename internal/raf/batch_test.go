@@ -74,7 +74,7 @@ func TestReadBatchMatchesRead(t *testing.T) {
 	// the coalesced batch touches each page once.
 	store.Stats().Reset()
 	for _, off := range batchOff {
-		if _, _, err := f.ReadQuiet(off); err != nil {
+		if _, err := f.Read(off); err != nil {
 			t.Fatal(err)
 		}
 	}

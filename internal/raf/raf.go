@@ -199,7 +199,8 @@ func (f *File) Close() error {
 // Append/Flush runs alongside them — the locking discipline the tree's
 // reader-writer lock provides.
 func (f *File) Read(offset uint64) (metric.Object, error) {
-	obj, plen, err := f.ReadQuiet(offset)
+	pr := pageReader{f: f}
+	obj, plen, err := pr.readRecord(offset)
 	if err != nil {
 		return nil, err
 	}
@@ -207,19 +208,11 @@ func (f *File) Read(offset uint64) (metric.Object, error) {
 	return obj, nil
 }
 
-// ReadQuiet is Read without the per-record tracer event, additionally
-// returning the record's payload length. Callers that may discard the read
-// speculatively — the parallel kNN verifiers racing a stale pruning bound —
-// use it and emit the event themselves via EmitRecordRead only when the
-// verification commits, so traced record reads keep matching the per-query
-// Verified+Lemma2Included counts.
-func (f *File) ReadQuiet(offset uint64) (metric.Object, int, error) {
-	pr := pageReader{f: f}
-	return pr.readRecord(offset)
-}
-
-// EmitRecordRead fires the EvRecordRead tracer event a ReadQuiet suppressed
-// (a no-op without a tracer).
+// EmitRecordRead fires the EvRecordRead tracer event for a record ReadBatch
+// decoded (a no-op without a tracer). A block's records may be read and then
+// not used — a kNN block candidate pruned at its commit turn — so the caller
+// emits only for those it does use, and traced record reads count the same
+// records as reading them one at a time.
 func (f *File) EmitRecordRead(offset uint64, payloadLen int) {
 	if f.tracer != nil {
 		f.tracer.Event(obs.Event{Kind: obs.EvRecordRead, Src: obs.SrcData, Offset: offset, Bytes: int32(payloadLen)})

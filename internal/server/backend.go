@@ -126,20 +126,12 @@ func (b *TreeBackend) Delta() int {
 // StatsFields implements Backend with the tree's shape and per-operation
 // aggregates (the documented /v1/stats top-level keys).
 func (b *TreeBackend) StatsFields() map[string]interface{} {
-	ps := b.T.PlannerState()
 	m := map[string]interface{}{
 		"objects":       b.T.Len(),
 		"pivots":        len(b.T.Pivots()),
 		"curve":         b.T.CurveKind().String(),
 		"storage_bytes": b.T.StorageBytes(),
 		"tree":          b.T.Metrics().Snapshot(),
-		"planner": map[string]interface{}{
-			"enabled":         ps.Enabled,
-			"calibrated":      ps.Calibrated,
-			"samples":         ps.Samples,
-			"ns_per_compdist": ps.NSPerCompdist,
-			"ns_per_page":     ps.NSPerPage,
-		},
 	}
 	if b.T.Durable() {
 		m["delta"] = b.T.DeltaLen()

@@ -272,19 +272,17 @@ type response struct {
 	PageAccesses int64 `json:"page_accesses"`
 	// ElapsedUS is the query's wall time in microseconds (queueing excluded).
 	ElapsedUS int64 `json:"elapsed_us"`
-	// Plan echoes the adaptive planner's execution decision (DESIGN.md §15)
-	// when one ran; absent for joins and pre-planner backends.
+	// Plan reports how a scatter-gather query visited its shards (DESIGN.md
+	// §15); absent on a single-tree backend.
 	Plan *planJSON `json:"plan,omitempty"`
 }
 
 // planJSON is the wire rendering of core.PlanInfo.
 type planJSON struct {
-	Mode         string `json:"mode,omitempty"`
-	Workers      int    `json:"workers,omitempty"`
-	ShardsTotal  int    `json:"shards_total,omitempty"`
-	ShardsPruned int    `json:"shards_pruned,omitempty"`
-	Staged       bool   `json:"staged,omitempty"`
-	FirstShard   int    `json:"first_shard,omitempty"`
+	ShardsTotal  int  `json:"shards_total,omitempty"`
+	ShardsPruned int  `json:"shards_pruned,omitempty"`
+	Staged       bool `json:"staged,omitempty"`
+	FirstShard   int  `json:"first_shard,omitempty"`
 }
 
 // mutateResponse is the JSON body of /v1/insert and /v1/delete.
@@ -411,7 +409,6 @@ func (s *Server) handleQuery(op string) http.HandlerFunc {
 		resp.ElapsedUS = qs.Elapsed.Microseconds()
 		if p := qs.Plan; p != (core.PlanInfo{}) {
 			resp.Plan = &planJSON{
-				Mode: p.Mode, Workers: p.Workers,
 				ShardsTotal: p.ShardsTotal, ShardsPruned: p.ShardsPruned,
 				Staged: p.Staged, FirstShard: p.FirstShard,
 			}
