@@ -17,6 +17,7 @@ import (
 	"spbtree/internal/mindex"
 	"spbtree/internal/mtree"
 	"spbtree/internal/omni"
+	"spbtree/internal/page"
 	"spbtree/internal/pivot"
 	"spbtree/internal/pmtree"
 	"spbtree/internal/sfc"
@@ -503,5 +504,38 @@ func BenchmarkKNNWarm(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkKNNCold — the same query on an index some sixty times its buffer
+// cache (Color32, n = 20 000, file stores, 32-page caches): most data pages
+// of a query miss, and B/op shows whether a miss still costs a page buffer.
+func BenchmarkKNNCold(b *testing.B) {
+	const n, nq = 20000, 64
+	ds, _ := dataset.ByName("color32", n+nq, benchSeed)
+	queries := ds.Objects[n:]
+	ds.Objects = ds.Objects[:n]
+	var opts core.Options
+	opts.CacheSize = 32
+	for _, st := range []*page.Store{&opts.IndexStore, &opts.DataStore} {
+		fs, err := page.NewTempFileStore()
+		if err != nil {
+			b.Fatal(err)
+		}
+		*st = fs
+	}
+	tree := buildCoreTree(b, ds, opts)
+	defer tree.Close()
+	for _, q := range queries { // fill the caches and the scratch pool
+		if _, err := tree.KNN(q, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tree.KNN(queries[i%nq], 10); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -106,8 +106,8 @@ type child struct {
 	boxHi uint64
 }
 
-// New creates an empty tree on store. Nodes are decoded out of borrowed page
-// views (page.Cache.View), so a store that is not already a cache is wrapped
+// New creates an empty tree on store. Nodes are decoded out of pinned cache
+// frames (page.Cache.Pin), so a store that is not already a cache is wrapped
 // in a pass-through one.
 func New(store page.Store, opts Options) (*Tree, error) {
 	t := &Tree{
@@ -186,17 +186,25 @@ func (n *Node) HasNext() bool { return n.Next != invalidPage }
 var ErrNotFound = errors.New("bptree: entry not found")
 
 // ReadNode decodes the node on page id into n (a physical page access unless
-// the page is resident in the cache), straight out of the borrowed page view:
-// no page copy, and no allocation once n's slices have grown to a node's
-// fan-out. n's previous contents are overwritten.
+// the page is resident in the cache), straight out of the cache frame, which
+// stays pinned for just the decode: no page copy, and no allocation once n's
+// slices have grown to a node's fan-out. n's previous contents are
+// overwritten.
 func (t *Tree) ReadNode(id page.ID, n *Node) error {
-	buf, err := t.store.View(id)
+	frame, err := t.store.Pin(id)
 	if err != nil {
 		return fmt.Errorf("bptree: read node: %w", err)
 	}
 	if t.tracer != nil {
 		t.tracer.Event(obs.Event{Kind: obs.EvNodeRead, Src: obs.SrcIndex, Page: uint32(id)})
 	}
+	err = t.decodeNode(id, frame.Data(), n)
+	t.store.Unpin(frame)
+	return err
+}
+
+// decodeNode decodes the image buf of the node on page id into n.
+func (t *Tree) decodeNode(id page.ID, buf *[page.Size]byte, n *Node) error {
 	n.Leaf = buf[0]&1 != 0
 	cnt := int(binary.LittleEndian.Uint16(buf[1:3]))
 	n.Next = page.ID(binary.LittleEndian.Uint32(buf[3:7]))

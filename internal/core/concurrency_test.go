@@ -8,7 +8,7 @@ import (
 )
 
 // TestConcurrentReaders: a built tree serves concurrent queries safely (the
-// caches are mutex-guarded, page views are immutable and the distance counter
+// caches are mutex-guarded, a pinned frame is not written and the distance counter
 // is atomic). Run with -race.
 func TestConcurrentReaders(t *testing.T) {
 	objs := vectorSet(500, 4, 91)

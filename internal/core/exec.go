@@ -36,15 +36,22 @@ type candidate struct {
 
 // candBlock is a query's current block of candidates and, after resolveBlock,
 // their resolution, index-aligned with cands.
+//
+// A base candidate's object is borrowed: it is a decode slot that the next
+// resolveBlock overwrites, good for evaluating the candidate and reading its
+// ID. A caller that accepts the candidate — into a result list, the kNN heap,
+// the graph search's node table — takes the object with keep.
 type candBlock struct {
 	cands  []candidate
 	objs   []metric.Object
 	plens  []int  // RAF payload length of a base candidate, for EmitRecordRead
 	tomb   []bool // base record superseded by the write buffer: not evaluated
+	slot   []int  // a base candidate's index in readObjs; -1 for a buffered insert
 	d      []float64
 	within []bool
 
-	// Compact staging for the coalesced read and the kernel call.
+	// Compact staging for the coalesced read and the kernel call. readObjs
+	// are the decode slots, kept from block to block and query to query.
 	offsets   []uint64
 	readObjs  []metric.Object
 	readPlens []int
@@ -54,16 +61,20 @@ type candBlock struct {
 	pw        []bool
 }
 
-// grow sizes the per-candidate slices for n candidates.
+// grow sizes the per-candidate slices for n candidates; the decode slots
+// filled so far carry over.
 func (b *candBlock) grow(n int) {
+	if len(b.readObjs) < n {
+		b.readObjs = append(b.readObjs, make([]metric.Object, n-len(b.readObjs))...)
+	}
 	if cap(b.objs) < n {
 		b.objs = make([]metric.Object, n)
 		b.plens = make([]int, n)
 		b.tomb = make([]bool, n)
+		b.slot = make([]int, n)
 		b.d = make([]float64, n)
 		b.within = make([]bool, n)
 		b.offsets = make([]uint64, n)
-		b.readObjs = make([]metric.Object, n)
 		b.readPlens = make([]int, n)
 		b.probeIdx = make([]int, n)
 		b.probeObjs = make([]metric.Object, n)
@@ -72,8 +83,20 @@ func (b *candBlock) grow(n int) {
 	}
 }
 
+// keep returns candidate i's object for the caller to hold on to. A borrowed
+// slot object is handed over as it is — no copy — and its slot left empty, so
+// the next block decodes a new object there: the read path allocates per
+// accepted candidate, not per verified one.
+func (b *candBlock) keep(i int) metric.Object {
+	if j := b.slot[i]; j >= 0 {
+		b.readObjs[j] = nil
+	}
+	return b.objs[i]
+}
+
 // resolveBlock resolves sc.blk.cands: the base candidates' records come from
-// one coalesced RAF read, buffered inserts bring their object, records the
+// one coalesced RAF read into the block's decode slots (see candBlock: the
+// objects are borrowed), buffered inserts bring their object, records the
 // write buffer supersedes are marked tomb, and the rest — except candidates
 // already proved — are evaluated against bound by one call of the query's
 // prepared kernel, so that within[i] ⇔ d(q, objs[i]) ≤ bound and d[i] is the
@@ -106,9 +129,9 @@ func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs
 	j := 0
 	for i, c := range b.cands {
 		obj := c.obj
-		b.tomb[i] = false
+		b.tomb[i], b.slot[i] = false, -1
 		if obj == nil {
-			obj, b.plens[i] = b.readObjs[j], b.readPlens[j]
+			obj, b.plens[i], b.slot[i] = b.readObjs[j], b.readPlens[j], j
 			j++
 			b.tomb[i] = t.deltaShadowed(obj.ID())
 		}
@@ -194,7 +217,11 @@ func (s *rangeSerial) flush() error {
 	qs.BatchedCandidates += int64(probed)
 	for i, c := range cands {
 		t.raf.EmitRecordRead(c.val, b.plens[i])
-		s.commit(c, b.objs[i], b.tomb[i], b.d[i], b.within[i])
+		obj := b.objs[i]
+		if !b.tomb[i] && (c.proved || b.within[i]) {
+			obj = b.keep(i) // an answer
+		}
+		s.commit(c, obj, b.tomb[i], b.d[i], b.within[i])
 	}
 	return nil
 }

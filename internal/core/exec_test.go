@@ -252,3 +252,212 @@ var (
 	goldenApprox7  = []uint64{366, 118, 26, 306, 318}
 	goldenApprox40 = []uint64{366, 314, 186, 118, 26}
 )
+
+// keptAnswer is one query's answer held on to while later queries run: the
+// results as returned, a copy of each made at once (encoded payload and all),
+// and how to check them against brute force.
+type keptAnswer struct {
+	label string
+	query metric.Object
+	res   []Result
+	snap  []string
+	check func(t *testing.T, label string, res []Result)
+}
+
+func snapshotResult(r Result) string {
+	return fmt.Sprintf("%d %v %v %x", r.Object.ID(), r.Dist, r.Exact, r.Object.AppendBinary(nil))
+}
+
+// TestResultsOwnTheirObjects is the slot rule (DESIGN.md §9.7) from the
+// caller's side: candidates are decoded into slots that the next block
+// overwrites, so every object that leaves a query — a kNN or KNNApprox
+// result, a range result verified or included by Lemma 2, an iterator
+// emission, a graph-search result, a partial answer returned with an error —
+// must have been taken out of its slot. The test keeps such answers, runs
+// fifty more queries on the same goroutine (same pooled scratch, every slot
+// overwritten many times; the kept iterators advance too), then requires each
+// kept result to equal the copy made when it was returned, to lie at its
+// reported distance from its query, and to be the brute-force answer.
+func TestResultsOwnTheirObjects(t *testing.T) {
+	const n, k = 1500, 8
+	for _, tc := range []struct {
+		name  string
+		objs  []metric.Object
+		dist  metric.DistanceFunc
+		codec metric.Codec
+		trav  TraversalStrategy
+	}{
+		{"vector", vectorSet(n+60, 6, 71), metric.L2(6), metric.VectorCodec{Dim: 6}, Incremental},
+		{"vector32-greedy", vector32Set(n+60, 6, 72), metric.L2(6), metric.Vector32Codec{Dim: 6}, Greedy},
+		{"words", wordSet(n+60, 73), metric.EditDistance{MaxLen: 15}, metric.StrCodec{}, Incremental},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			objs, queries := tc.objs[:n], tc.objs[n:]
+			data := page.NewFaultStore(page.NewMemStore(), -1)
+			tree, err := Build(objs, Options{
+				Distance: tc.dist, Codec: tc.codec, DataStore: data,
+				CacheSize: 8, NumPivots: 3, Seed: 71, Traversal: tc.trav,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tree.Close()
+			if err := tree.BuildGraph(GraphOptions{Seed: 71}); err != nil {
+				t.Fatal(err)
+			}
+			r := 0.12 * tc.dist.MaxDistance()
+			if tc.dist.Discrete() {
+				r = 3
+			}
+
+			trueDist := func(t *testing.T, label string, q metric.Object, res []Result) {
+				t.Helper()
+				for i, x := range res {
+					d := tc.dist.Distance(q, x.Object)
+					if (x.Exact && d != x.Dist) || d > x.Dist {
+						t.Errorf("%s: result %d (id %d) reports distance %v (exact=%v), its object is at %v",
+							label, i, x.Object.ID(), x.Dist, x.Exact, d)
+					}
+				}
+			}
+			topK := func(q metric.Object) func(*testing.T, string, []Result) {
+				return func(t *testing.T, label string, res []Result) {
+					t.Helper()
+					want := bfKNNDists(objs, q, k, tc.dist)
+					if len(res) != len(want) {
+						t.Fatalf("%s: %d results, want %d", label, len(res), len(want))
+					}
+					for i, x := range res {
+						if x.Dist != want[i] {
+							t.Errorf("%s: rank %d at distance %v, brute force %v", label, i, x.Dist, want[i])
+						}
+					}
+				}
+			}
+			subset := func(q metric.Object, r float64) func(*testing.T, string, []Result) {
+				return func(t *testing.T, label string, res []Result) {
+					t.Helper()
+					subsetOfTruth(t, label, res, bfRangeDists(objs, q, r, tc.dist))
+				}
+			}
+
+			var kept []keptAnswer
+			keep := func(label string, q metric.Object, res []Result, check func(*testing.T, string, []Result)) {
+				a := keptAnswer{label: label, query: q, res: res, check: check}
+				for _, x := range res {
+					a.snap = append(a.snap, snapshotResult(x))
+				}
+				kept = append(kept, a)
+			}
+			var iters []*NearestIter
+			var lemma2 int64
+			for qi, q := range queries[:6] {
+				res, err := tree.KNN(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keep(fmt.Sprintf("knn %d", qi), q, res, topK(q))
+
+				res, qs, err := tree.RangeSearchWithStats(q, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lemma2 += qs.Lemma2Included
+				want := bfRange(objs, q, r, tc.dist)
+				keep(fmt.Sprintf("range %d", qi), q, res, func(t *testing.T, label string, res []Result) {
+					t.Helper()
+					if got := resultIDs(res); len(got) != len(want) || len(res) != len(want) {
+						t.Errorf("%s: %d results (%d distinct), brute force %d", label, len(res), len(got), len(want))
+					}
+					subset(q, r)(t, label, res)
+				})
+
+				if res, err = tree.KNNApprox(q, k, 60); err != nil {
+					t.Fatal(err)
+				}
+				keep(fmt.Sprintf("approx %d", qi), q, res, subset(q, math.Inf(1)))
+
+				if res, err = tree.KNNGraph(q, k, SearchOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				keep(fmt.Sprintf("graph %d", qi), q, res, subset(q, math.Inf(1)))
+
+				it := tree.NearestIter(q)
+				iters = append(iters, it)
+				res = nil
+				for len(res) < k {
+					x, ok := it.Next()
+					if !ok {
+						t.Fatalf("iterator %d ended after %d results: %v", qi, len(res), it.Err())
+					}
+					res = append(res, x)
+				}
+				keep(fmt.Sprintf("iter %d", qi), q, res, topK(q))
+			}
+			if lemma2 == 0 && !tc.dist.Discrete() {
+				t.Error("no range result was included by Lemma 2: the proved path is not covered")
+			}
+
+			// Partial answers: fail each data page in turn and keep what the
+			// queries return alongside their error.
+			partials := 0
+			q := queries[6]
+			for pg := 0; pg < tree.raf.PagesUsed(); pg++ {
+				data.FailPage(page.ID(pg), page.OpRead)
+				tree.dataCache.Flush() // a cached copy would hide the fault
+				res, err := tree.KNN(q, k)
+				if err != nil && len(res) > 0 {
+					if !errors.Is(err, page.ErrInjected) {
+						t.Fatalf("page %d: err = %v, want the injected fault", pg, err)
+					}
+					keep(fmt.Sprintf("knn partial, page %d", pg), q, res, subset(q, math.Inf(1)))
+					partials++
+				}
+				res, err = tree.RangeQuery(q, 2*r)
+				if err != nil && len(res) > 0 {
+					keep(fmt.Sprintf("range partial, page %d", pg), q, res, subset(q, 2*r))
+					partials++
+				}
+				res, err = tree.KNNGraph(q, k, SearchOptions{})
+				if err != nil && len(res) > 0 {
+					keep(fmt.Sprintf("graph partial, page %d", pg), q, res, subset(q, math.Inf(1)))
+					partials++
+				}
+				data.ClearPageFaults()
+			}
+			if partials == 0 {
+				t.Fatal("no query returned a partial answer with its error")
+			}
+
+			// Fifty more queries, and the iterators move on.
+			for i := 0; i < 50; i++ {
+				q := queries[10+i]
+				if _, err := tree.KNN(q, k); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tree.RangeQuery(q, r); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tree.KNNGraph(q, k, SearchOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				for _, it := range iters {
+					it.Next()
+				}
+			}
+			for _, it := range iters {
+				it.Close()
+			}
+
+			for _, a := range kept {
+				for i, x := range a.res {
+					if got := snapshotResult(x); got != a.snap[i] {
+						t.Errorf("%s: result %d changed after it was returned:\n got %s\nwant %s", a.label, i, got, a.snap[i])
+					}
+				}
+				trueDist(t, a.label, a.query, a.res)
+				a.check(t, a.label, a.res)
+			}
+		})
+	}
+}

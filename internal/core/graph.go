@@ -365,6 +365,9 @@ func (t *Tree) knnGraph(ctx context.Context, q metric.Object, k int, opts Search
 			qs.Compdists++
 			qs.GraphCandidates++
 			if within[i] {
+				if ok {
+					obj = blk.keep(i)
+				}
 				byNode[v] = obj
 			} else if t.bounded {
 				qs.Abandoned++

@@ -128,7 +128,7 @@ func (it *NearestIter) Next() (res Result, ok bool) {
 		if i := it.pendIdx; i < it.pendEnd {
 			it.pendIdx++
 			if b := &it.sc.blk; !b.tomb[i] && b.within[i] {
-				heap.Push(&it.verified, Result{Object: b.objs[i], Dist: b.d[i], Exact: true})
+				heap.Push(&it.verified, Result{Object: b.keep(i), Dist: b.d[i], Exact: true})
 			}
 			continue
 		}

@@ -265,7 +265,7 @@ func (t *Tree) verifyKNNBlock(ctx context.Context, q metric.Object, sc *queryScr
 		qs.Compdists++
 		t.dist.Add(1)
 		if b.within[i] && b.d[i] <= res.bound() {
-			res.offer(Result{Object: b.objs[i], Dist: b.d[i], Exact: true})
+			res.offer(Result{Object: b.keep(i), Dist: b.d[i], Exact: true})
 		} else if t.bounded {
 			qs.Abandoned++
 		}

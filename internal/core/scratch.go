@@ -12,9 +12,9 @@ import (
 // queryScratch holds everything one query builds that depends only on the
 // query or is reused block after block — the pivot distances, the SFC cell
 // and box buffers, the decoded node, the kNN frontier and result heap, the
-// candidate block and the prepared distance kernel — so the read path
-// allocates per decoded object, not per node, block or candidate
-// (DESIGN.md §9.7). A scratch belongs to one query at a time and is recycled
+// candidate block with its decode slots and the prepared distance kernel — so
+// the read path allocates per accepted candidate, not per node, block or
+// verified candidate (DESIGN.md §9.7). A scratch belongs to one query at a time and is recycled
 // through scratchPool.
 type queryScratch struct {
 	qvec []float64
@@ -47,8 +47,9 @@ func (t *Tree) getScratch() *queryScratch {
 	return sc
 }
 
-// release drops every object reference the query left behind — a pooled
-// scratch must not pin decoded objects — and returns the scratch to the pool.
+// release drops every reference to an object somebody else owns — a pooled
+// scratch must not pin results or buffered inserts; the block's decode slots
+// are its own and stay — and returns the scratch to the pool.
 func (sc *queryScratch) release() {
 	sc.prep = nil
 	sc.pq.items, sc.pq.delta = sc.pq.items[:0], sc.pq.delta[:0]
@@ -56,7 +57,7 @@ func (sc *queryScratch) release() {
 	clear(sc.blk.cands[:cap(sc.blk.cands)])
 	sc.blk.cands = sc.blk.cands[:0]
 	clear(sc.res.items[:cap(sc.res.items)])
-	for _, objs := range [][]metric.Object{sc.pq.delta, sc.blk.objs, sc.blk.readObjs, sc.blk.probeObjs} {
+	for _, objs := range [][]metric.Object{sc.pq.delta, sc.blk.objs, sc.blk.probeObjs} {
 		clear(objs[:cap(objs)])
 	}
 	scratchPool.Put(sc)

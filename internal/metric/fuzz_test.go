@@ -2,6 +2,7 @@ package metric
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -263,12 +264,36 @@ func FuzzCodecsNoPanic(f *testing.F) {
 		if obj.ID() != 42 {
 			t.Fatalf("decoded id %d", obj.ID())
 		}
-		// The RAF decodes out of borrowed page views: the object must not
+		// The RAF decodes out of pinned cache frames: the object must not
 		// alias the buffer it was decoded from.
 		for i := range in {
 			in[i] = ^in[i]
 		}
 		round := obj.AppendBinary(nil)
+
+		// The decode-into path, over a slot that holds another value (the
+		// payload reversed, where that decodes) or none: same object, and
+		// independent of the payload and of a slot it did not take over.
+		rev := append([]byte(nil), data...)
+		slices.Reverse(rev)
+		slot, _ := c.Decode(7, rev)
+		in = append(in[:0], data...)
+		into, err := DecodeInto(c, slot, 42, in)
+		if err != nil {
+			t.Fatalf("DecodeInto fails where Decode succeeds: %v", err)
+		}
+		for i := range in {
+			in[i] = ^in[i]
+		}
+		if slot != nil && into != slot {
+			if _, err := DecodeInto(c, slot, 7, rev); err != nil {
+				t.Fatalf("decode into a used slot: %v", err)
+			}
+		}
+		if into.ID() != 42 || string(into.AppendBinary(nil)) != string(round) {
+			t.Fatalf("DecodeInto gives object %d %x, Decode gives %x", into.ID(), into.AppendBinary(nil), round)
+		}
+
 		if string(round) != string(data) {
 			// Sets normalize (sort/dedup); re-decoding the normalized form
 			// must then be stable.

@@ -50,8 +50,32 @@ type DistanceFunc interface {
 // Each object kind has a matching codec so the RAF can reconstruct payloads.
 type Codec interface {
 	// Decode reconstructs an object with the given id from its payload bytes.
-	// Implementations must not retain data.
+	// Implementations must not retain data: the RAF passes a slice of a
+	// pinned cache frame, which the next page miss may overwrite.
 	Decode(id uint64, data []byte) (Object, error)
+}
+
+// SlotCodec is an optional Codec capability: decoding over an object the
+// caller has finished with instead of allocating a new one. The exact read
+// path verifies some hundred candidates per result it returns, so it decodes
+// each into a reused slot, evaluates it, and keeps the object only when it is
+// an answer.
+type SlotCodec interface {
+	Codec
+	// DecodeInto is Decode that may overwrite slot — a value an earlier
+	// Decode or DecodeInto of this codec returned, which nobody reads any
+	// more — and return it. A nil slot, or one of another kind, decodes into
+	// a new object. On error slot's contents are unspecified.
+	DecodeInto(slot Object, id uint64, data []byte) (Object, error)
+}
+
+// DecodeInto decodes with c into slot when c is a SlotCodec and slot is
+// non-nil, and is c.Decode otherwise.
+func DecodeInto(c Codec, slot Object, id uint64, data []byte) (Object, error) {
+	if sc, ok := c.(SlotCodec); ok && slot != nil {
+		return sc.DecodeInto(slot, id, data)
+	}
+	return c.Decode(id, data)
 }
 
 // Counter wraps a DistanceFunc and counts invocations. The count is the

@@ -461,18 +461,30 @@ func TestIntrinsicDimensionalityWrapper(t *testing.T) {
 // TestCodecsDoNotRetain enforces the Codec contract "implementations must not
 // retain data", which the RAF's zero-copy record decoding depends on: an
 // object decoded from a buffer must re-encode to the original bytes after the
-// buffer has been scribbled over.
+// buffer has been scribbled over. The decode-into path (SlotCodec, and
+// DecodeInto's fallback for the codecs without it) gets the same treatment
+// over every kind of slot — none, one holding a longer and one a shorter
+// value of the same kind, one of another kind: the result is the new value
+// whatever the slot held, and it owns its storage — overwriting a slot it did
+// not take over, or decoding something else into another slot, leaves it
+// alone.
 func TestCodecsDoNotRetain(t *testing.T) {
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] = ^b[i]
+		}
+	}
 	for _, tc := range []struct {
-		codec Codec
-		obj   Object
+		codec         Codec
+		obj           Object
+		longer, other Object // same kind, different values
 	}{
-		{StrCodec{}, NewStr(1, "zero-copy")},
-		{SeqCodec{}, &Seq{Id: 2, S: "ACGTTGCA"}},
-		{VectorCodec{Dim: 3}, NewVector(3, []float64{0.25, -1, 7})},
-		{Vector32Codec{Dim: 3}, NewVector32(4, []float32{0.5, 2, -3})},
-		{BitStringCodec{Bytes: 4}, &BitString{Id: 5, Bits: []byte{1, 2, 3, 0xF0}}},
-		{SetCodec{}, &Set{Id: 6, Elems: []uint64{3, 9, 27}}},
+		{StrCodec{}, NewStr(1, "zero-copy"), NewStr(7, "a considerably longer string"), NewStr(8, "x")},
+		{SeqCodec{}, &Seq{Id: 2, S: "ACGTTGCA"}, &Seq{Id: 7, S: "ACGTTGCAACGTTGCA"}, &Seq{Id: 8, S: "T"}},
+		{VectorCodec{Dim: 3}, NewVector(3, []float64{0.25, -1, 7}), NewVector(7, []float64{1, 2, 3}), NewVector(8, []float64{4, 5, 6})},
+		{Vector32Codec{Dim: 3}, NewVector32(4, []float32{0.5, 2, -3}), NewVector32(7, []float32{1, 2, 3}), NewVector32(8, []float32{4, 5, 6})},
+		{BitStringCodec{Bytes: 4}, &BitString{Id: 5, Bits: []byte{1, 2, 3, 0xF0}}, &BitString{Id: 7, Bits: []byte{9, 9, 9, 9}}, &BitString{Id: 8, Bits: []byte{0, 0, 0, 0}}},
+		{SetCodec{}, &Set{Id: 6, Elems: []uint64{3, 9, 27}}, &Set{Id: 7, Elems: []uint64{1, 2, 3, 4, 5, 6}}, &Set{Id: 8, Elems: []uint64{5}}},
 	} {
 		want := tc.obj.AppendBinary(nil)
 		buf := append([]byte(nil), want...)
@@ -480,11 +492,49 @@ func TestCodecsDoNotRetain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: %v", tc.codec, err)
 		}
-		for i := range buf {
-			buf[i] = ^buf[i]
-		}
+		scribble(buf)
 		if round := got.AppendBinary(nil); string(round) != string(want) {
 			t.Errorf("%T retains its input: re-encodes to %x after the buffer was scribbled, want %x", tc.codec, round, want)
 		}
+
+		decoded := func(o Object) Object { // o as the codec decodes it: a slot
+			d, err := tc.codec.Decode(o.ID(), o.AppendBinary(nil))
+			if err != nil {
+				t.Fatalf("%T: %v", tc.codec, err)
+			}
+			return d
+		}
+		otherBytes := tc.other.AppendBinary(nil)
+		for name, slot := range map[string]Object{
+			"no slot":      nil,
+			"longer slot":  decoded(tc.longer),
+			"shorter slot": decoded(tc.other),
+			"foreign slot": &foreignObject{},
+		} {
+			buf := append([]byte(nil), want...)
+			got, err := DecodeInto(tc.codec, slot, tc.obj.ID(), buf)
+			if err != nil {
+				t.Fatalf("%T into %s: %v", tc.codec, name, err)
+			}
+			scribble(buf)
+			if _, foreign := slot.(*foreignObject); slot != nil && got != slot && !foreign {
+				// The slot was not taken over: overwriting it is its owner's right.
+				if _, err := DecodeInto(tc.codec, slot, 99, otherBytes); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := DecodeInto(tc.codec, decoded(tc.longer), 98, otherBytes); err != nil {
+				t.Fatal(err)
+			}
+			if round := got.AppendBinary(nil); got.ID() != tc.obj.ID() || string(round) != string(want) {
+				t.Errorf("%T into %s: object %d re-encodes to %x, want object %d %x", tc.codec, name, got.ID(), round, tc.obj.ID(), want)
+			}
+		}
 	}
 }
+
+// foreignObject is a slot of a kind no codec of this package decodes into.
+type foreignObject struct{}
+
+func (*foreignObject) ID() uint64                   { return 0 }
+func (*foreignObject) AppendBinary(b []byte) []byte { return b }

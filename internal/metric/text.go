@@ -1,11 +1,18 @@
 package metric
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Str is a string object, used for the Words workload under edit distance.
 type Str struct {
 	Id uint64
 	S  string
+
+	// buf is the storage of S in an object StrCodec decoded, kept so that a
+	// DecodeInto can overwrite it; nil in every other Str.
+	buf []byte
 }
 
 // NewStr returns a string object.
@@ -24,8 +31,24 @@ func (s *Str) String() string { return fmt.Sprintf("Str(%d, %q)", s.Id, s.S) }
 type StrCodec struct{}
 
 // Decode implements Codec.
-func (StrCodec) Decode(id uint64, data []byte) (Object, error) {
-	return &Str{Id: id, S: string(data)}, nil
+func (c StrCodec) Decode(id uint64, data []byte) (Object, error) {
+	return c.DecodeInto(nil, id, data)
+}
+
+// DecodeInto implements SlotCodec, reusing a *Str slot and the bytes behind
+// its string. A string must never change while it exists: the slot's old S is
+// dropped before its bytes are overwritten, and by the SlotCodec contract
+// nobody else still holds it. Only bytes the codec allocated are ever written
+// — a Str from anywhere else has no buf and gets one.
+func (StrCodec) DecodeInto(slot Object, id uint64, data []byte) (Object, error) {
+	s, ok := slot.(*Str)
+	if !ok {
+		s = new(Str)
+	}
+	s.Id, s.S = id, ""
+	s.buf = append(s.buf[:0], data...)
+	s.S = unsafe.String(unsafe.SliceData(s.buf), len(s.buf))
+	return s, nil
 }
 
 // EditDistance is the Levenshtein distance over byte strings. Distances are
@@ -244,5 +267,5 @@ func boundedEditDistance(a, b string, t float64) (int, bool) {
 var (
 	_ DistanceFunc        = EditDistance{}
 	_ BoundedDistanceFunc = EditDistance{}
-	_ Codec               = StrCodec{}
+	_ SlotCodec           = StrCodec{}
 )

@@ -42,14 +42,27 @@ type VectorCodec struct {
 
 // Decode implements Codec.
 func (c VectorCodec) Decode(id uint64, data []byte) (Object, error) {
+	return c.DecodeInto(nil, id, data)
+}
+
+// DecodeInto implements SlotCodec, reusing a *Vector slot and its coordinate
+// array.
+func (c VectorCodec) DecodeInto(slot Object, id uint64, data []byte) (Object, error) {
 	if len(data) != 8*c.Dim {
 		return nil, fmt.Errorf("metric: vector payload is %d bytes, want %d (dim %d)", len(data), 8*c.Dim, c.Dim)
 	}
-	coords := make([]float64, c.Dim)
-	for i := range coords {
-		coords[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	v, ok := slot.(*Vector)
+	if !ok {
+		v = new(Vector)
 	}
-	return &Vector{Id: id, Coords: coords}, nil
+	if cap(v.Coords) < c.Dim {
+		v.Coords = make([]float64, c.Dim)
+	}
+	v.Id, v.Coords = id, v.Coords[:c.Dim]
+	for i := range v.Coords {
+		v.Coords[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	return v, nil
 }
 
 // LpNorm is the Minkowski distance of order P over vectors whose coordinates
@@ -356,5 +369,5 @@ var (
 	_ BoundedDistanceFunc = LpNorm{}
 	_ DistanceFunc        = LInf{}
 	_ BoundedDistanceFunc = LInf{}
-	_ Codec               = VectorCodec{}
+	_ SlotCodec           = VectorCodec{}
 )

@@ -68,14 +68,27 @@ type Vector32Codec struct {
 
 // Decode implements Codec.
 func (c Vector32Codec) Decode(id uint64, data []byte) (Object, error) {
+	return c.DecodeInto(nil, id, data)
+}
+
+// DecodeInto implements SlotCodec, reusing a *Vector32 slot and its
+// coordinate array.
+func (c Vector32Codec) DecodeInto(slot Object, id uint64, data []byte) (Object, error) {
 	if len(data) != 4*c.Dim {
 		return nil, fmt.Errorf("metric: float32 vector payload is %d bytes, want %d (dim %d)", len(data), 4*c.Dim, c.Dim)
 	}
-	coords := make([]float32, c.Dim)
-	for i := range coords {
-		coords[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+	v, ok := slot.(*Vector32)
+	if !ok {
+		v = new(Vector32)
 	}
-	return &Vector32{Id: id, Coords: coords}, nil
+	if cap(v.Coords) < c.Dim {
+		v.Coords = make([]float32, c.Dim)
+	}
+	v.Id, v.Coords = id, v.Coords[:c.Dim]
+	for i := range v.Coords {
+		v.Coords[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+	}
+	return v, nil
 }
 
-var _ Codec = Vector32Codec{}
+var _ SlotCodec = Vector32Codec{}

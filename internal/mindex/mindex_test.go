@@ -202,8 +202,8 @@ func TestValidation(t *testing.T) {
 }
 
 // TestRecordCodecDoesNotRetain holds recordCodec to the metric.Codec contract
-// "implementations must not retain data" (the RAF decodes out of borrowed page
-// views): a record decoded from a buffer re-encodes to the original bytes
+// "implementations must not retain data" (the RAF decodes out of pinned cache
+// frames): a record decoded from a buffer re-encodes to the original bytes
 // after the buffer has been scribbled over.
 func TestRecordCodecDoesNotRetain(t *testing.T) {
 	rec := &record{vec: []float64{0.5, 1.25}, obj: metric.NewStr(9, "borrowed")}

@@ -1,7 +1,6 @@
 package page
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
@@ -19,6 +18,11 @@ import (
 // spreads the SFC-local access patterns of the B+-tree and RAF evenly.
 // Capacity is divided across shards; small caches collapse to one shard so
 // per-shard LRU behavior stays close to the paper's global LRU.
+//
+// Pages live in frames. Pin hands out a frame whose bytes stay valid until
+// the matching Unpin, whatever happens to the page meanwhile; a miss reads
+// into the buffer of the unpinned LRU victim it evicts, so a cache at
+// capacity serves misses without allocating (DESIGN.md §9.7).
 //
 // Concurrent misses on the same page are coalesced: one goroutine performs
 // the physical read while the rest wait for its result, so a burst of
@@ -42,30 +46,37 @@ type Cache struct {
 // cacheShard is one independently locked LRU over a slice of the ID space.
 type cacheShard struct {
 	mu       sync.Mutex
+	loaded   *sync.Cond // on mu: some frame of the shard finished loading
 	capacity int
-	lru      *list.List // front = most recently used; values are *cacheEntry
-	index    map[ID]*list.Element
-	flights  map[ID]*flight
+	index    map[ID]*Frame // cached frames, loading ones included
+	mru, lru *Frame        // list of the n loaded cached frames, both ends
+	n        int
+	limbo    *Frame // poisonFrames builds only: see takeFrameLocked
 	hits     atomic.Int64
 	misses   atomic.Int64
 }
 
-// cacheEntry is one cached page. Entries are immutable once published: Write
-// and eviction replace or drop an entry, never modify its bytes, so a view
-// handed out by View stays a valid snapshot for as long as the caller holds
-// it — the garbage collector is the pin.
-type cacheEntry struct {
-	id   ID
+// Frame is one page-sized buffer of a Cache, handed out pinned by Pin. Its
+// bytes are read-only and valid until Unpin; everything else about it is the
+// cache's, guarded by the shard lock. A frame is cached while it is the
+// shard's index entry for its page: Write, Invalidate, Flush and eviction
+// drop it from the index and never touch its bytes, so whoever has it pinned
+// keeps reading the page as pinned.
+type Frame struct {
 	data [Size]byte
+	id   ID
+	pins int
+
+	// loading: the miss that created the frame is still reading into it;
+	// err is that read's failure, for the pins that waited on it.
+	loading    bool
+	err        error
+	prev, next *Frame // toward mru, toward lru
 }
 
-// flight is an in-progress physical read being shared by concurrent misses;
-// on success its entry becomes the cache entry.
-type flight struct {
-	done  chan struct{}
-	entry *cacheEntry
-	err   error
-}
+// Data returns the frame's page image, read-only and valid until the frame
+// is unpinned.
+func (f *Frame) Data() *[Size]byte { return &f.data }
 
 // maxCacheShards bounds the shard count; minShardPages keeps each shard's
 // LRU deep enough that sharding a small cache does not degrade its
@@ -105,16 +116,15 @@ func NewCache(store Store, capacity int) *Cache {
 		if i < extra {
 			s.capacity++
 		}
-		s.lru = list.New()
-		s.index = make(map[ID]*list.Element, s.capacity)
-		s.flights = make(map[ID]*flight)
+		s.loaded = sync.NewCond(&s.mu)
+		s.index = make(map[ID]*Frame, s.capacity)
 	}
 	return c
 }
 
 // AsCache returns store itself when it already is a Cache and a pass-through
 // (capacity 0) Cache over it otherwise, so the RAF and the B+-tree have one
-// page-view read path whatever store a test hands them.
+// pinned-frame read path whatever store a test hands them.
 func AsCache(store Store) *Cache {
 	if c, ok := store.(*Cache); ok {
 		return c
@@ -124,76 +134,129 @@ func AsCache(store Store) *Cache {
 
 func (c *Cache) shard(id ID) *cacheShard { return &c.shards[uint64(id)&c.mask] }
 
-// Read implements Store: View plus a copy into buf.
+// Read implements Store: Pin, a copy into buf, Unpin.
 func (c *Cache) Read(id ID, buf []byte) error {
 	if len(buf) != Size {
 		return errBufSize
 	}
-	v, err := c.View(id)
+	f, err := c.Pin(id)
 	if err != nil {
 		return err
 	}
-	copy(buf, v[:])
+	copy(buf, f.data[:])
+	c.Unpin(f)
 	return nil
 }
 
-// View returns a borrowed, read-only snapshot of page id: the cached entry's
-// own bytes on a hit, and on a miss the one buffer that is both read into and
-// cached. The caller must never write through it; it stays valid (and keeps
-// showing the bytes of the moment it was taken) across any later Write,
-// Invalidate, Flush or eviction of the page. Hit/miss counters and tracer
-// events are exactly those of Read.
-func (c *Cache) View(id ID) (*[Size]byte, error) {
+// Pin returns the frame holding page id, pinned: the cached frame on a hit,
+// and on a miss the frame the page was read into and is now cached in. The
+// caller reads the page through Frame.Data, never writes through it, and
+// calls Unpin exactly once when done; until then the bytes are those of the
+// moment of the Pin, across any later Write, Invalidate, Flush or eviction of
+// the page. Hit/miss counters and tracer events are exactly those of Read.
+func (c *Cache) Pin(id ID) (*Frame, error) {
 	s := c.shard(id)
 	s.mu.Lock()
-	if el, ok := s.index[id]; ok {
+	if f, ok := s.index[id]; ok {
+		f.pins++
+		if !f.loading {
+			s.touchLocked(f)
+		}
+		// Another goroutine is already reading this page: share its result.
+		for f.loading {
+			s.loaded.Wait()
+		}
+		if err := f.err; err != nil {
+			f.pins--
+			s.mu.Unlock()
+			return nil, err
+		}
 		s.hits.Add(1)
-		s.lru.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
 		s.mu.Unlock()
 		c.traceRead(id, true)
-		return &e.data, nil
+		return f, nil
 	}
+	s.misses.Add(1)
 	if c.capacity == 0 {
 		// Caching disabled: pure pass-through, every read is physical.
-		s.misses.Add(1)
 		s.mu.Unlock()
-		pg := new([Size]byte)
-		if err := c.store.Read(id, pg[:]); err != nil {
+		f := &Frame{id: id, pins: 1}
+		if err := c.store.Read(id, f.data[:]); err != nil {
 			return nil, err
 		}
 		c.traceRead(id, false)
-		return pg, nil
+		return f, nil
 	}
-	if fl, ok := s.flights[id]; ok {
-		// Another goroutine is already reading this page; share its result.
-		s.mu.Unlock()
-		<-fl.done
-		if fl.err != nil {
-			return nil, fl.err
-		}
-		s.hits.Add(1)
-		c.traceRead(id, true)
-		return &fl.entry.data, nil
-	}
-	fl := &flight{done: make(chan struct{}), entry: &cacheEntry{id: id}}
-	s.flights[id] = fl
-	s.misses.Add(1)
+	f := s.takeFrameLocked()
+	f.id, f.pins, f.loading = id, 1, true
+	s.index[id] = f
 	s.mu.Unlock()
 
-	fl.err = c.store.Read(id, fl.entry.data[:])
+	err := c.store.Read(id, f.data[:])
 	s.mu.Lock()
-	delete(s.flights, id)
-	if fl.err == nil {
-		s.insertLocked(fl.entry)
+	f.loading, f.err = false, err
+	if s.index[id] == f { // not dropped by a Write, Invalidate or Flush meanwhile
+		if err == nil {
+			s.insertLocked(f)
+		} else {
+			delete(s.index, id) // and the frame goes with its error, never reused
+		}
 	}
+	s.loaded.Broadcast()
 	s.mu.Unlock()
-	close(fl.done)
-	if fl.err != nil {
-		return nil, fl.err
+	if err != nil {
+		return nil, err
 	}
 	c.traceRead(id, false)
-	return &fl.entry.data, nil
+	return f, nil
+}
+
+// Unpin releases a frame obtained from Pin; its bytes must not be read
+// afterwards.
+func (c *Cache) Unpin(f *Frame) {
+	s := c.shard(f.id)
+	s.mu.Lock()
+	f.pins--
+	pins := f.pins
+	s.mu.Unlock()
+	if pins < 0 {
+		panic("page: Unpin of a frame that is not pinned")
+	}
+}
+
+// poisonByte fills a retired frame in poisonFrames builds: a record header or
+// node count read out of it is far out of range, so the decoders reject it.
+const poisonByte = 0xDB
+
+// takeFrameLocked returns the frame a miss or a write will fill. Below
+// capacity that is a new one. At capacity the LRU victim is evicted first and
+// its frame reused — there is no pool of spare frames, so the cache never
+// holds more than capacity buffers — unless somebody still has the victim
+// pinned: then it is left to the garbage collector and a new frame takes its
+// place, so reuse is an optimization the pin rule never depends on.
+//
+// In poisonFrames builds (the race detector's) a victim is first overwritten
+// with poisonByte and sits out one eviction in limbo, so a reader that keeps
+// using a frame after Unpin decodes garbage and fails, instead of silently
+// reading the page that replaced it.
+func (s *cacheShard) takeFrameLocked() *Frame {
+	if s.n < s.capacity {
+		return new(Frame)
+	}
+	v := s.lru
+	s.dropLocked(v)
+	if v.pins > 0 {
+		return new(Frame)
+	}
+	if poisonFrames {
+		for i := range v.data {
+			v.data[i] = poisonByte
+		}
+		if v, s.limbo = s.limbo, v; v == nil {
+			return new(Frame)
+		}
+	}
+	return v
 }
 
 // traceRead emits the events of one served read: a hit, or a miss with its
@@ -210,25 +273,33 @@ func (c *Cache) traceRead(id ID, hit bool) {
 	c.tracer.Event(obs.Event{Kind: obs.EvPageRead, Src: c.src, Page: uint32(id)})
 }
 
-// Write implements Store: write-through, replacing any cached entry with a
-// fresh one (views of the old entry keep its bytes). A failed underlying
-// write evicts the page — the on-disk state is unknown, so a cached copy
-// would mask the failure from later reads.
+// Write implements Store: write-through, replacing any cached frame of the
+// page (pins of the old frame keep its bytes). A failed underlying write
+// evicts the page — the on-disk state is unknown, so a cached copy would mask
+// the failure from later reads.
 func (c *Cache) Write(id ID, buf []byte) error {
 	if len(buf) != Size {
 		return errBufSize
 	}
 	s := c.shard(id)
 	s.mu.Lock()
-	s.invalidateLocked(id)
+	old := s.index[id]
+	if old != nil {
+		s.dropLocked(old)
+	}
 	if err := c.store.Write(id, buf); err != nil {
 		s.mu.Unlock()
 		return err
 	}
 	if s.capacity > 0 {
-		e := &cacheEntry{id: id}
-		copy(e.data[:], buf)
-		s.insertLocked(e)
+		f := old
+		if f == nil || f.pins > 0 || f.loading {
+			f = s.takeFrameLocked()
+		}
+		copy(f.data[:], buf)
+		f.id = id
+		s.index[id] = f
+		s.insertLocked(f)
 	}
 	s.mu.Unlock()
 	if c.tracer != nil {
@@ -237,16 +308,53 @@ func (c *Cache) Write(id ID, buf []byte) error {
 	return nil
 }
 
-// insertLocked publishes e as the most recently used entry, evicting from
-// the cold end. The shard's capacity is positive (pass-through caches never
-// insert).
-func (s *cacheShard) insertLocked(e *cacheEntry) {
-	s.index[e.id] = s.lru.PushFront(e)
-	for s.lru.Len() > s.capacity {
-		back := s.lru.Back()
-		delete(s.index, back.Value.(*cacheEntry).id)
-		s.lru.Remove(back)
+// insertLocked links f, cached and loaded, in as the most recently used
+// frame, evicting from the cold end whatever then exceeds the capacity.
+func (s *cacheShard) insertLocked(f *Frame) {
+	f.prev, f.next = nil, s.mru
+	if s.mru != nil {
+		s.mru.prev = f
+	} else {
+		s.lru = f
 	}
+	s.mru = f
+	s.n++
+	for s.n > s.capacity {
+		s.dropLocked(s.lru)
+	}
+}
+
+// touchLocked makes the loaded cached frame f the most recently used.
+func (s *cacheShard) touchLocked(f *Frame) {
+	if s.mru != f {
+		s.unlinkLocked(f)
+		s.insertLocked(f)
+	}
+}
+
+// dropLocked removes the cached frame f from the index and, once loaded,
+// from the LRU list; a frame still loading is just not cached when its read
+// completes.
+func (s *cacheShard) dropLocked(f *Frame) {
+	delete(s.index, f.id)
+	if !f.loading {
+		s.unlinkLocked(f)
+	}
+}
+
+func (s *cacheShard) unlinkLocked(f *Frame) {
+	if f.prev != nil {
+		f.prev.next = f.next
+	} else {
+		s.mru = f.next
+	}
+	if f.next != nil {
+		f.next.prev = f.prev
+	} else {
+		s.lru = f.prev
+	}
+	f.prev, f.next = nil, nil
+	s.n--
 }
 
 // Invalidate evicts page id from the cache (a no-op if absent), forcing the
@@ -256,13 +364,8 @@ func (c *Cache) Invalidate(id ID) {
 	s := c.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.invalidateLocked(id)
-}
-
-func (s *cacheShard) invalidateLocked(id ID) {
-	if el, ok := s.index[id]; ok {
-		delete(s.index, id)
-		s.lru.Remove(el)
+	if f := s.index[id]; f != nil {
+		s.dropLocked(f)
 	}
 }
 
@@ -289,8 +392,8 @@ func (c *Cache) Flush() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.lru.Init()
 		clear(s.index)
+		s.mru, s.lru, s.n = nil, nil, 0
 		s.mu.Unlock()
 	}
 }

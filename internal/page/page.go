@@ -144,9 +144,10 @@ func (m *MemStore) Sync() error { return nil }
 func (m *MemStore) Close() error { return nil }
 
 // FileStore is a Store backed by a single flat file: page i occupies bytes
-// [i*Size, (i+1)*Size).
+// [i*Size, (i+1)*Size). Reads share the lock, so the misses of concurrent
+// queries overlap on the device; Write, Alloc, Sync and Close are exclusive.
 type FileStore struct {
-	mu    sync.Mutex
+	mu    sync.RWMutex
 	f     *os.File
 	n     int
 	stats Stats
@@ -196,8 +197,8 @@ func (s *FileStore) Read(id ID, buf []byte) error {
 	if len(buf) != Size {
 		return errBufSize
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if int(id) >= s.n {
 		return fmt.Errorf("%w: read %d of %d", ErrOutOfRange, id, s.n)
 	}
@@ -242,8 +243,8 @@ func (s *FileStore) Alloc() (ID, error) {
 
 // NumPages implements Store.
 func (s *FileStore) NumPages() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.n
 }
 

@@ -1,6 +1,7 @@
 package page
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -88,10 +89,10 @@ func TestCacheCoalescesConcurrentMisses(t *testing.T) {
 
 func TestCacheShardCount(t *testing.T) {
 	cases := []struct{ capacity, want int }{
-		{0, 1},   // disabled cache: one pass-through shard
-		{8, 1},   // too small to split without starving a shard
-		{16, 2},  // 2 shards x 8 pages
-		{64, 8},  // 8 shards x 8 pages, the minShardPages floor
+		{0, 1},  // disabled cache: one pass-through shard
+		{8, 1},  // too small to split without starving a shard
+		{16, 2}, // 2 shards x 8 pages
+		{64, 8}, // 8 shards x 8 pages, the minShardPages floor
 		{256, 16},
 		{1 << 20, 16}, // capped by maxCacheShards
 	}
@@ -114,8 +115,11 @@ func TestCacheShardCount(t *testing.T) {
 }
 
 // TestCacheConcurrentHammer drives readers across many pages concurrently
-// with Flush and Invalidate; run under -race it is the shard-locking proof,
-// and the content checks catch torn or misrouted pages.
+// with Flush, Invalidate and Write; run under -race it is the shard-locking
+// proof, and the content checks catch torn or misrouted pages. Half the
+// readers hold their page pinned while they check it, first on a cache of
+// half the working set and then on a thrashing 8-page one, where nearly every
+// access recycles the frame some other reader just unpinned.
 func TestCacheConcurrentHammer(t *testing.T) {
 	mem := NewMemStore()
 	const pages = 64
@@ -126,40 +130,75 @@ func TestCacheConcurrentHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf := make([]byte, Size)
-		copy(buf, fmt.Sprintf("page-%03d", p))
+		for i := 0; i < Size; i += 8 { // the same tag all over the page: a torn frame shows
+			copy(buf[i:], fmt.Sprintf("page-%03d", p))
+		}
 		want[p] = buf
 		if err := mem.Write(id, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cache := NewCache(mem, 32) // half the working set: constant eviction
-
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			buf := make([]byte, Size)
-			for i := 0; i < 500; i++ {
-				p := (w*31 + i*7) % pages
-				if err := cache.Read(ID(p), buf); err != nil {
-					t.Errorf("read page %d: %v", p, err)
-					return
+	for _, capacity := range []int{32, 8} {
+		cache := NewCache(mem, capacity)
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				buf := make([]byte, Size)
+				var held *Frame
+				var heldPage int
+				for i := 0; i < 500; i++ {
+					p := (w*31 + i*7) % pages
+					if w%2 == 0 {
+						if err := cache.Read(ID(p), buf); err != nil {
+							t.Errorf("read page %d: %v", p, err)
+							return
+						}
+						if !bytes.Equal(buf, want[p]) {
+							t.Errorf("capacity %d: page %d read wrong contents %q", capacity, p, buf[:8])
+							return
+						}
+						continue
+					}
+					f, err := cache.Pin(ID(p))
+					if err != nil {
+						t.Errorf("pin page %d: %v", p, err)
+						return
+					}
+					if !bytes.Equal(f.Data()[:], want[p]) {
+						t.Errorf("capacity %d: page %d pinned with wrong contents %q", capacity, p, f.Data()[:8])
+					}
+					if i%10 != 0 {
+						cache.Unpin(f)
+						continue
+					}
+					// Keep every tenth pin across the next accesses: its page
+					// is evicted under it, and its frame must not be reused.
+					if held != nil {
+						if !bytes.Equal(held.Data()[:], want[heldPage]) {
+							t.Errorf("capacity %d: page %d changed while pinned", capacity, heldPage)
+						}
+						cache.Unpin(held)
+					}
+					held, heldPage = f, p
 				}
-				if string(buf[:8]) != string(want[p][:8]) {
-					t.Errorf("page %d served wrong contents %q", p, buf[:8])
-					return
+				if held != nil {
+					cache.Unpin(held)
+				}
+			}(w)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				cache.Flush()
+				cache.Invalidate(ID(i % pages))
+				if err := cache.Write(ID(i%pages), want[i%pages]); err != nil {
+					t.Errorf("write page %d: %v", i%pages, err)
 				}
 			}
-		}(w)
+		}()
+		wg.Wait()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			cache.Flush()
-			cache.Invalidate(ID(i % pages))
-		}
-	}()
-	wg.Wait()
 }

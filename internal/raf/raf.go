@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 
 	"spbtree/internal/metric"
 	"spbtree/internal/obs"
@@ -50,8 +51,8 @@ type File struct {
 func (f *File) SetTracer(tr obs.Tracer) { f.tracer = tr }
 
 // New returns an empty RAF on store, decoding objects with codec. Records are
-// decoded out of borrowed page views (page.Cache.View), so a store that is
-// not already a cache is wrapped in a pass-through one.
+// decoded out of pinned cache frames (page.Cache.Pin), so a store that is not
+// already a cache is wrapped in a pass-through one.
 func New(store page.Store, codec metric.Codec) *File {
 	return &File{store: page.AsCache(store), codec: codec}
 }
@@ -199,13 +200,20 @@ func (f *File) Close() error {
 // Append/Flush runs alongside them — the locking discipline the tree's
 // reader-writer lock provides.
 func (f *File) Read(offset uint64) (metric.Object, error) {
+	obj, _, err := f.read(offset)
+	return obj, err
+}
+
+// read is Read that also returns the record's payload length.
+func (f *File) read(offset uint64) (metric.Object, int, error) {
 	pr := pageReader{f: f}
-	obj, plen, err := pr.readRecord(offset)
+	obj, plen, err := pr.readRecord(offset, nil)
+	pr.release()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	f.EmitRecordRead(offset, plen)
-	return obj, nil
+	return obj, plen, nil
 }
 
 // EmitRecordRead fires the EvRecordRead tracer event for a record ReadBatch
@@ -220,10 +228,12 @@ func (f *File) EmitRecordRead(offset uint64, payloadLen int) {
 }
 
 // readRecord decodes one record through r, so batched reads reuse pages
-// across records. Header and payload are decoded in place out of the page
-// view; only a record that straddles a page boundary is stitched into a
-// buffer first. Codecs must not retain the payload (metric.Codec).
-func (r *pageReader) readRecord(offset uint64) (metric.Object, int, error) {
+// across records. Header and payload are decoded in place out of the pinned
+// frame; only a record that straddles a page boundary is stitched into a
+// buffer first. Codecs must not retain the payload (metric.Codec). slot, when
+// non-nil, is an object the caller is done with that the codec may decode
+// into (metric.DecodeInto).
+func (r *pageReader) readRecord(offset uint64, slot metric.Object) (metric.Object, int, error) {
 	f := r.f
 	if offset+headerSize > f.size {
 		return nil, 0, fmt.Errorf("raf: offset %d out of range (size %d)", offset, f.size)
@@ -238,16 +248,31 @@ func (r *pageReader) readRecord(offset uint64) (metric.Object, int, error) {
 	if uint64(plen) > maxPayload || offset+headerSize+uint64(plen) > f.size {
 		return nil, 0, fmt.Errorf("raf: corrupt record at %d: payload length %d", offset, plen)
 	}
-	payload, err := r.bytes(offset+headerSize, int(plen), nil)
+	at := offset + headerSize
+	var payload []byte
+	if at%page.Size+uint64(plen) <= page.Size {
+		payload, err = r.bytes(at, int(plen), nil) // within one page: no copy
+	} else {
+		bp := stitchPool.Get().(*[]byte)
+		defer stitchPool.Put(bp)
+		if payload, err = r.bytes(at, int(plen), *bp); err == nil {
+			*bp = payload
+		}
+	}
 	if err != nil {
 		return nil, 0, err
 	}
-	obj, err := f.codec.Decode(id, payload)
+	obj, err := metric.DecodeInto(f.codec, slot, id, payload)
 	if err != nil {
 		return nil, 0, fmt.Errorf("raf: decode record at %d: %w", offset, err)
 	}
 	return obj, int(plen), nil
 }
+
+// stitchPool holds the buffers a record that straddles a page boundary is
+// assembled in before decoding; codecs do not retain the payload, so a buffer
+// goes back as soon as its record is decoded.
+var stitchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // ReadBatch decodes the records at offsets, filling out[i] (and, when plens
 // is non-nil, plens[i]) from offsets[i]. Offsets are visited in ascending
@@ -257,11 +282,18 @@ func (r *pageReader) readRecord(offset uint64) (metric.Object, int, error) {
 // together. No tracer events fire; callers emit per-record events via
 // EmitRecordRead once a record's fate is decided.
 //
+// out is also an input: a non-nil out[i] is a decode slot, an object of an
+// earlier ReadBatch that the caller no longer uses, and the codec may
+// overwrite it in place instead of allocating (metric.DecodeInto). A caller
+// that keeps a decoded object beyond its next ReadBatch over the same out
+// sets that entry to nil, which hands the object over and leaves the slot to
+// be filled afresh.
+//
 // On the first failing record (first in ascending-offset order, which need
 // not be the first input index) ReadBatch stops and returns that record's
-// input index with the error; entries already decoded remain valid. Callers
-// needing input-order error semantics fall back to per-record reads — the
-// pages are warm by then.
+// input index with the error; entries already decoded remain valid, the rest
+// of out is as it was. Callers needing input-order error semantics fall back
+// to per-record reads — the pages are warm by then.
 func (f *File) ReadBatch(offsets []uint64, out []metric.Object, plens []int) (int, error) {
 	if len(out) != len(offsets) || (plens != nil && len(plens) != len(offsets)) {
 		return -1, fmt.Errorf("raf: ReadBatch output length %d, want %d", len(out), len(offsets))
@@ -278,12 +310,13 @@ func (f *File) ReadBatch(offsets []uint64, out []metric.Object, plens []int) (in
 		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(offsets[a], offsets[b]) })
 	}
 	pr := pageReader{f: f}
+	defer pr.release()
 	for k := range offsets {
 		i := k
 		if len(order) > 0 {
 			i = order[k]
 		}
-		obj, plen, err := pr.readRecord(offsets[i])
+		obj, plen, err := pr.readRecord(offsets[i], out[i])
 		if err != nil {
 			return i, err
 		}
@@ -295,16 +328,28 @@ func (f *File) ReadBatch(offsets []uint64, out []metric.Object, plens []int) (in
 	return -1, nil
 }
 
-// pageReader decodes file bytes out of borrowed page views, keeping the last
-// view fetched so consecutive reads on one page never touch the store twice.
+// pageReader decodes file bytes out of pinned cache frames, keeping the last
+// page fetched pinned so consecutive reads on one page never touch the store
+// twice. It holds at most one pin, dropped when it moves to another page and
+// by release, which every user calls when done.
 type pageReader struct {
-	f  *File
-	id page.ID
-	pg *[page.Size]byte
+	f     *File
+	id    page.ID
+	pg    *[page.Size]byte
+	frame *page.Frame // pins pg; nil while pg is the append buffer
 }
 
-// bytes returns the n file bytes starting at offset: a slice of the page
-// view when they lie on one page, otherwise stitched into buf (allocated
+// release unpins the reader's current page; the reader stays usable.
+func (r *pageReader) release() {
+	if r.frame != nil {
+		r.f.store.Unpin(r.frame)
+		r.frame = nil
+	}
+	r.pg = nil
+}
+
+// bytes returns the n file bytes starting at offset: a slice of the pinned
+// page when they lie on one page, otherwise stitched into buf (allocated
 // when too small). The result is read-only and valid until the next call.
 func (r *pageReader) bytes(offset uint64, n int, buf []byte) ([]byte, error) {
 	at := int(offset % page.Size)
@@ -337,6 +382,7 @@ func (r *pageReader) view(id page.ID) (*[page.Size]byte, error) {
 	if r.pg != nil && id == r.id {
 		return r.pg, nil
 	}
+	r.release()
 	if r.f.dirty && id == r.f.curPage {
 		// The tail page still lives in the append buffer; serve it from
 		// memory. Bytes past the write position are stale, but every record
@@ -346,12 +392,12 @@ func (r *pageReader) view(id page.ID) (*[page.Size]byte, error) {
 		r.id, r.pg = id, &r.f.buf
 		return r.pg, nil
 	}
-	pg, err := r.f.store.View(id)
+	frame, err := r.f.store.Pin(id)
 	if err != nil {
 		return nil, fmt.Errorf("raf: read page %d: %w", id, err)
 	}
-	r.id, r.pg = id, pg
-	return pg, nil
+	r.id, r.pg, r.frame = id, frame.Data(), frame
+	return r.pg, nil
 }
 
 // Scan iterates all records in file order, invoking fn with each record's
@@ -359,15 +405,14 @@ func (r *pageReader) view(id page.ID) (*[page.Size]byte, error) {
 func (f *File) Scan(fn func(offset uint64, obj metric.Object) error) error {
 	var off uint64
 	for i := 0; i < f.count; i++ {
-		obj, err := f.Read(off)
+		obj, plen, err := f.read(off)
 		if err != nil {
 			return err
 		}
 		if err := fn(off, obj); err != nil {
 			return err
 		}
-		payload := obj.AppendBinary(nil)
-		off += headerSize + uint64(len(payload))
+		off += headerSize + uint64(plen)
 	}
 	return nil
 }
@@ -388,10 +433,11 @@ func Salvage(store page.Store, codec metric.Codec, size uint64, fn func(obj metr
 		pr := pageReader{f: f}
 		hdr, err := pr.bytes(off, headerSize, hbuf[:])
 		if err != nil {
-			return off, err
+			return off, err // a failed fetch leaves nothing pinned
 		}
 		id := binary.LittleEndian.Uint64(hdr[0:8])
 		plen := binary.LittleEndian.Uint32(hdr[8:12])
+		pr.release()
 		if id == 0 && plen == 0 && off > 0 {
 			// Zeroed tail-page padding after the last record.
 			return off, nil
