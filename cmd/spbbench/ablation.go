@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"spbtree/internal/core"
@@ -67,7 +68,7 @@ func ablation(cfg config) error {
 				ids[r.Object.ID()] = true
 			}
 			tree.ResetStats()
-			approx, err := tree.KNNApprox(q, k, budget)
+			approx, _, err := tree.Query(context.Background(), core.Query{Op: core.OpKNNApprox, Q: q, K: k, MaxVerify: budget})
 			if err != nil {
 				return err
 			}

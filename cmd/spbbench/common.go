@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -67,11 +68,11 @@ func (a spbAdapter) KNNCount(q metric.Object, k int) (int, error) {
 	return len(res), err
 }
 func (a spbAdapter) RangeStats(q metric.Object, r float64) (int, core.QueryStats, error) {
-	res, qs, err := a.t.RangeSearchWithStats(q, r)
+	res, qs, err := a.t.Query(context.Background(), core.Query{Op: core.OpRange, Q: q, Radius: r, Timed: true})
 	return len(res), qs, err
 }
 func (a spbAdapter) KNNStats(q metric.Object, k int) (int, core.QueryStats, error) {
-	res, qs, err := a.t.KNNWithStats(q, k)
+	res, qs, err := a.t.Query(context.Background(), core.Query{Op: core.OpKNN, Q: q, K: k, Timed: true})
 	return len(res), qs, err
 }
 func (a spbAdapter) Insert(o metric.Object) error { return a.t.Insert(o) }

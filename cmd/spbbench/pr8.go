@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -213,14 +214,11 @@ func pr8Measure(tree *core.Tree, queries []metric.Object, op string, r float64) 
 	h := fnv.New64a()
 	var buf [16]byte
 	for _, q := range queries {
-		var res []core.Result
-		var qs core.QueryStats
-		var err error
+		req := core.Query{Op: core.OpRange, Q: q, Radius: r, Timed: true}
 		if op == "knn" {
-			res, qs, err = tree.KNNWithStats(q, 8)
-		} else {
-			res, qs, err = tree.RangeSearchWithStats(q, r)
+			req = core.Query{Op: core.OpKNN, Q: q, K: 8, Timed: true}
 		}
+		res, qs, err := tree.Query(context.Background(), req)
 		if err != nil {
 			return e, err
 		}

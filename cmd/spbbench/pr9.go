@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -153,7 +154,7 @@ func pr9Exact(tree *core.Tree, queries []metric.Object, k int) (pr9Entry, [][]ui
 	ids := make([][]uint64, len(queries))
 	kth := make([]float64, len(queries))
 	for qi, q := range queries {
-		res, qs, err := tree.KNNWithStats(q, k)
+		res, qs, err := tree.Query(context.Background(), core.Query{Op: core.OpKNN, Q: q, K: k, Timed: true})
 		if err != nil {
 			return e, nil, nil, err
 		}
@@ -183,14 +184,14 @@ func pr9Graph(tree *core.Tree, queries []metric.Object, k, ef int, exactIDs [][]
 	e := pr9Entry{Ef: ef}
 	opts := core.SearchOptions{Ef: ef}
 	for _, q := range queries {
-		if _, err := tree.KNNGraph(q, k, opts); err != nil {
+		if _, _, err := tree.Query(context.Background(), core.Query{Op: core.OpKNNGraph, Q: q, K: k, Search: opts}); err != nil {
 			return e, err
 		}
 	}
 	recalls := make([]float64, 0, len(queries))
 	tieRecalls := make([]float64, 0, len(queries))
 	for qi, q := range queries {
-		res, qs, err := tree.KNNGraphWithStats(q, k, opts)
+		res, qs, err := tree.Query(context.Background(), core.Query{Op: core.OpKNNGraph, Q: q, K: k, Search: opts, Timed: true})
 		if err != nil {
 			return e, err
 		}

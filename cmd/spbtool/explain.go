@@ -127,16 +127,7 @@ func cmdExplain(args []string, out io.Writer) error {
 		return nil
 	}
 
-	sort.Slice(order, func(a, b int) bool {
-		ha, hb := hints[order[a]], hints[order[b]]
-		if ha.MinDist != hb.MinDist {
-			return ha.MinDist < hb.MinDist
-		}
-		if ha.Estimated && hb.Estimated && ha.EDC != hb.EDC {
-			return ha.EDC < hb.EDC
-		}
-		return order[a] < order[b]
-	})
+	order = core.StagedOrder(hints)
 	fmt.Fprintf(out, "\nshard visit order (staged kNN scatter):\n")
 	for pos, i := range order {
 		cost := "no cost hint (dirty model)"

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -396,13 +397,11 @@ func cmdQuery(args []string, out io.Writer) error {
 
 	tree.ResetStats()
 	start := time.Now()
-	var results []core.Result
-	var qs core.QueryStats
+	req := core.Query{Op: core.OpKNN, Q: qobj, K: *k, Timed: true}
 	if *r >= 0 {
-		results, qs, err = tree.RangeSearchWithStats(qobj, *r)
-	} else {
-		results, qs, err = tree.KNNWithStats(qobj, *k)
+		req = core.Query{Op: core.OpRange, Q: qobj, Radius: *r, Timed: true}
 	}
+	results, qs, err := tree.Query(context.Background(), req)
 	if err != nil {
 		return err
 	}
@@ -445,7 +444,7 @@ func cmdStats(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "storage:    %.1f KB\n", float64(tree.StorageBytes())/1024)
 	if *probe && tree.Len() > 0 {
 		tree.ResetStats()
-		_, qs, err := tree.KNNWithStats(tree.Pivots()[0], 10)
+		_, qs, err := tree.Query(context.Background(), core.Query{Op: core.OpKNN, Q: tree.Pivots()[0], K: 10, Timed: true})
 		if err != nil {
 			return err
 		}

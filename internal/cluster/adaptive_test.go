@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"spbtree/internal/core"
 	"spbtree/internal/dataset"
 	"spbtree/internal/metric"
 )
@@ -22,12 +23,12 @@ func TestClusterAdaptiveVsFlat(t *testing.T) {
 		for qi, q := range queries {
 			for _, r := range []float64{1, 2, 3} {
 				tc.router.SetAdaptive(true)
-				ares, aqs, err := tc.router.Range(ctx, q, r)
+				ares, aqs, err := tc.router.Query(ctx, core.Query{Op: core.OpRange, Q: q, Radius: r, Timed: true})
 				if err != nil {
 					t.Fatalf("%s adaptive range: %v", phase, err)
 				}
 				tc.router.SetAdaptive(false)
-				fres, fqs, err := tc.router.Range(ctx, q, r)
+				fres, fqs, err := tc.router.Query(ctx, core.Query{Op: core.OpRange, Q: q, Radius: r, Timed: true})
 				if err != nil {
 					t.Fatalf("%s flat range: %v", phase, err)
 				}
@@ -41,12 +42,12 @@ func TestClusterAdaptiveVsFlat(t *testing.T) {
 			}
 			for _, k := range []int{1, 5, 20} {
 				tc.router.SetAdaptive(true)
-				ares, aqs, err := tc.router.KNN(ctx, q, k)
+				ares, aqs, err := tc.router.Query(ctx, core.Query{Op: core.OpKNN, Q: q, K: k, Timed: true})
 				if err != nil {
 					t.Fatalf("%s adaptive knn: %v", phase, err)
 				}
 				tc.router.SetAdaptive(false)
-				fres, _, err := tc.router.KNN(ctx, q, k)
+				fres, _, err := tc.router.Query(ctx, core.Query{Op: core.OpKNN, Q: q, K: k, Timed: true})
 				if err != nil {
 					t.Fatalf("%s flat knn: %v", phase, err)
 				}
@@ -82,7 +83,7 @@ func TestClusterAdaptiveVsFlat(t *testing.T) {
 
 	// The inserted objects are visible through the adaptive path.
 	tc.router.SetAdaptive(true)
-	res, _, err := tc.router.Range(ctx, extra[0], 0)
+	res, _, err := tc.router.Query(ctx, core.Query{Op: core.OpRange, Q: extra[0], Radius: 0, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestClusterRangePruningOverWire(t *testing.T) {
 		far[i] = 50
 	}
 	q := metric.NewVector(990001, far)
-	res, qs, err := tc.router.Range(ctx, q, 0.01)
+	res, qs, err := tc.router.Query(ctx, core.Query{Op: core.OpRange, Q: q, Radius: 0.01, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestClusterRangePruningOverWire(t *testing.T) {
 
 	// The flat scatter visits every node and agrees on the answer.
 	tc.router.SetAdaptive(false)
-	fres, _, err := tc.router.Range(ctx, q, 0.01)
+	fres, _, err := tc.router.Query(ctx, core.Query{Op: core.OpRange, Q: q, Radius: 0.01, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +168,11 @@ func TestClusterStagedMatchesForest(t *testing.T) {
 	ctx := context.Background()
 	for qi := 0; qi < 6; qi++ {
 		q := tc.objs[(qi*89)%len(tc.objs)]
-		got, gotStats, err := tc.router.KNN(ctx, q, 10)
+		got, gotStats, err := tc.router.Query(ctx, core.Query{Op: core.OpKNN, Q: q, K: 10, Timed: true})
 		if err != nil {
 			t.Fatalf("cluster knn: %v", err)
 		}
-		want, wantStats, err := tc.ref.KNNWithStatsCtx(ctx, q, 10)
+		want, wantStats, err := tc.ref.Query(ctx, core.Query{Op: core.OpKNN, Q: q, K: 10, Timed: true})
 		if err != nil {
 			t.Fatalf("forest knn: %v", err)
 		}

@@ -27,19 +27,13 @@ type ServerBackend struct {
 // endpoints must answer even with a node down.
 const statsTimeout = 2 * time.Second
 
-// RangeSearchWithStatsCtx implements the backend query surface.
-func (b *ServerBackend) RangeSearchWithStatsCtx(ctx context.Context, q metric.Object, r float64) ([]core.Result, core.QueryStats, error) {
-	return b.R.Range(ctx, q, r)
-}
-
-// KNNWithStatsCtx implements the backend query surface.
-func (b *ServerBackend) KNNWithStatsCtx(ctx context.Context, q metric.Object, k int) ([]core.Result, core.QueryStats, error) {
-	return b.R.KNN(ctx, q, k)
-}
-
-// KNNApproxWithStatsCtx implements the backend query surface.
-func (b *ServerBackend) KNNApproxWithStatsCtx(ctx context.Context, q metric.Object, k, maxVerify int) ([]core.Result, core.QueryStats, error) {
-	return b.R.KNNApprox(ctx, q, k, maxVerify)
+// Query implements the backend query surface. The cluster has no graph tier
+// across the wire, so a graph request (mode=ann) is answered exactly.
+func (b *ServerBackend) Query(ctx context.Context, q core.Query) ([]core.Result, core.QueryStats, error) {
+	if q.Op == core.OpKNNGraph {
+		q = q.Exact()
+	}
+	return b.R.Query(ctx, q)
 }
 
 // SelfJoinWithStatsCtx implements the backend join surface as the cluster

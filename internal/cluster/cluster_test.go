@@ -31,10 +31,16 @@ type testCluster struct {
 // objects and options.
 func startCluster(t *testing.T, ds dataset.Dataset, shards int) *testCluster {
 	t.Helper()
+	return startClusterOn(t, ds, shards, []string{"n1", "n2", "n3"}, 0)
+}
+
+// startClusterOn is startCluster over the named nodes, each running its
+// shard group with the given forest parallelism (0 = all shards at once).
+func startClusterOn(t *testing.T, ds dataset.Dataset, shards int, names []string, parallel int) *testCluster {
+	t.Helper()
 	root := t.TempDir()
 	treeOpts := core.Options{Distance: ds.Distance, Codec: ds.Codec,
 		Curve: sfc.ZOrder, Seed: 1}
-	names := []string{"n1", "n2", "n3"}
 	cfg := &Config{Type: "words", Shards: shards, Curve: "zorder"}
 	for _, n := range names {
 		cfg.Nodes = append(cfg.Nodes, NodeDef{Name: n, Addr: "pending"})
@@ -47,7 +53,7 @@ func startCluster(t *testing.T, ds dataset.Dataset, shards int) *testCluster {
 	tc := &testCluster{objs: ds.Objects, ds: ds}
 	for _, name := range names {
 		node, err := OpenNode(NodeConfig{
-			Name: name, Dir: NodeDir(root, name),
+			Name: name, Dir: NodeDir(root, name), Parallel: parallel,
 			Load: core.LoadOptions{Distance: ds.Distance, Codec: ds.Codec},
 		})
 		if err != nil {
@@ -73,7 +79,7 @@ func startCluster(t *testing.T, ds dataset.Dataset, shards int) *testCluster {
 	}
 	t.Cleanup(func() { tc.router.Close() })
 
-	tc.ref, err = forest.Build(ds.Objects, forest.Options{Tree: treeOpts, Shards: shards})
+	tc.ref, err = forest.Build(ds.Objects, forest.Options{Tree: treeOpts, Shards: shards, Parallel: parallel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +123,11 @@ func equivalenceCase(t *testing.T, ds dataset.Dataset, radii []float64, eps floa
 	for qi := 0; qi < 6; qi++ {
 		q := tc.objs[(qi*97)%len(tc.objs)]
 		for _, r := range radii {
-			got, gotStats, err := tc.router.Range(ctx, q, r)
+			got, gotStats, err := tc.router.Query(ctx, core.Query{Op: core.OpRange, Q: q, Radius: r, Timed: true})
 			if err != nil {
 				t.Fatalf("cluster range: %v", err)
 			}
-			want, wantStats, err := tc.ref.RangeQueryWithStatsCtx(ctx, q, r)
+			want, wantStats, err := tc.ref.Query(ctx, core.Query{Op: core.OpRange, Q: q, Radius: r, Timed: true})
 			if err != nil {
 				t.Fatalf("forest range: %v", err)
 			}
@@ -132,11 +138,11 @@ func equivalenceCase(t *testing.T, ds dataset.Dataset, radii []float64, eps floa
 			}
 		}
 		for _, k := range []int{1, 10} {
-			got, gotStats, err := tc.router.KNN(ctx, q, k)
+			got, gotStats, err := tc.router.Query(ctx, core.Query{Op: core.OpKNN, Q: q, K: k, Timed: true})
 			if err != nil {
 				t.Fatalf("cluster knn: %v", err)
 			}
-			want, wantStats, err := tc.ref.KNNWithStatsCtx(ctx, q, k)
+			want, wantStats, err := tc.ref.Query(ctx, core.Query{Op: core.OpKNN, Q: q, K: k, Timed: true})
 			if err != nil {
 				t.Fatalf("forest knn: %v", err)
 			}
@@ -212,7 +218,7 @@ func TestClusterNodeDownPartials(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	start := time.Now()
-	got, _, err := tc.router.Range(ctx, q, 2)
+	got, _, err := tc.router.Query(ctx, core.Query{Op: core.OpRange, Q: q, Radius: 2, Timed: true})
 	if elapsed := time.Since(start); elapsed > 8*time.Second {
 		t.Fatalf("query with a down node took %v; partials must come back fast", elapsed)
 	}
@@ -277,7 +283,7 @@ func TestClusterMidQueryKill(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	start := time.Now()
-	got, _, err := tc.router.Range(ctx, q, 2)
+	got, _, err := tc.router.Query(ctx, core.Query{Op: core.OpRange, Q: q, Radius: 2, Timed: true})
 	if elapsed := time.Since(start); elapsed > 8*time.Second {
 		t.Fatalf("mid-query kill took %v to surface", elapsed)
 	}
@@ -308,7 +314,7 @@ func TestClusterDeadlinePropagation(t *testing.T) {
 	tc := startCluster(t, ds, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := tc.router.Range(ctx, tc.objs[0], 2)
+	_, _, err := tc.router.Query(ctx, core.Query{Op: core.OpRange, Q: tc.objs[0], Radius: 2, Timed: true})
 	if err == nil {
 		t.Fatal("want cancellation error")
 	}
@@ -329,7 +335,7 @@ func TestClusterMutations(t *testing.T) {
 	if err := tc.router.Insert(ctx, obj); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	got, _, err := tc.router.Range(ctx, obj, 0)
+	got, _, err := tc.router.Query(ctx, core.Query{Op: core.OpRange, Q: obj, Radius: 0, Timed: true})
 	if err != nil {
 		t.Fatalf("range after insert: %v", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"spbtree/internal/core"
 	"spbtree/internal/dataset"
 	"spbtree/internal/forest"
 	"spbtree/internal/metric"
@@ -64,7 +65,7 @@ func TestHandoffMovesShard(t *testing.T) {
 	// Equivalence still holds through the moved shard.
 	for qi := 0; qi < 4; qi++ {
 		q := tc.objs[qi*41]
-		got, _, err := tc.router.Range(ctx, q, 2)
+		got, _, err := tc.router.Query(ctx, core.Query{Op: core.OpRange, Q: q, Radius: 2, Timed: true})
 		if err != nil {
 			t.Fatalf("range after handoff: %v", err)
 		}
@@ -84,7 +85,7 @@ func TestHandoffMovesShard(t *testing.T) {
 	if err := tc.router.Insert(ctx, obj); err != nil {
 		t.Fatalf("insert into moved shard: %v", err)
 	}
-	got, _, err := tc.router.Range(ctx, obj, 0)
+	got, _, err := tc.router.Query(ctx, core.Query{Op: core.OpRange, Q: obj, Radius: 0, Timed: true})
 	if err != nil || len(got) == 0 {
 		t.Fatalf("inserted object not found after handoff (err %v)", err)
 	}
@@ -115,7 +116,7 @@ func TestHandoffStaleRouterRetries(t *testing.T) {
 	}
 
 	q := tc.objs[7]
-	got, _, err := stale.Range(ctx, q, 2)
+	got, _, err := stale.Query(ctx, core.Query{Op: core.OpRange, Q: q, Radius: 2, Timed: true})
 	if err != nil {
 		t.Fatalf("stale router range: %v", err)
 	}
@@ -172,7 +173,7 @@ func TestHandoffDuringQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
 				c := cases[(w+i)%len(cases)]
-				got, _, err := tc.router.Range(ctx, c.q, 2)
+				got, _, err := tc.router.Query(ctx, core.Query{Op: core.OpRange, Q: c.q, Radius: 2, Timed: true})
 				if err != nil {
 					errCh <- fmt.Errorf("worker %d: %w", w, err)
 					return

@@ -347,26 +347,23 @@ func reqContext(deadlineUS int64) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), time.Duration(deadlineUS)*time.Microsecond)
 }
 
-// forestFor assembles the owned shards named by ids into a query forest.
-// The trees stay owned by the node; the forest is a per-request view.
-func (n *Node) forestFor(ids []int) (*forest.Forest, []*core.Tree, error) {
+// ownedTrees resolves the shard ids a request names to the node's trees, in
+// request order. The trees stay owned by the node.
+func (n *Node) ownedTrees(ids []int) ([]*core.Tree, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if len(ids) == 0 {
-		return nil, nil, fmt.Errorf("cluster: request names no shards")
+		return nil, fmt.Errorf("cluster: request names no shards")
 	}
-	shards := make([]forest.Shard, 0, len(ids))
 	trees := make([]*core.Tree, 0, len(ids))
 	for _, id := range ids {
 		st, ok := n.shards[id]
 		if !ok {
-			return nil, nil, fmt.Errorf("%w: %s does not own shard %d", ErrNotOwner, n.cfg.Name, id)
+			return nil, fmt.Errorf("%w: %s does not own shard %d", ErrNotOwner, n.cfg.Name, id)
 		}
-		shards = append(shards, st.tree)
 		trees = append(trees, st.tree)
 	}
-	f, err := forest.FromShards(shards, n.cfg.Parallel)
-	return f, trees, err
+	return trees, nil
 }
 
 // staleClosed maps a query failure on a just-dropped shard to ErrNotOwner.
@@ -403,72 +400,58 @@ func toWireResults(results []core.Result) []wireResult {
 	return out
 }
 
-// handleRange answers a range RPC over the named owned shards. Partial
-// results travel alongside the error, preserving the library contract.
+// handleRange answers a range RPC as a core.Query.
 func (n *Node) handleRange(req rpcRangeReq) (interface{}, bool) {
-	f, _, err := n.forestFor(req.Shards)
-	if err != nil {
-		return rpcQueryResp{Err: toWireErr(err)}, true
-	}
-	q, err := n.decodeQuery(req.Q)
-	if err != nil {
-		return rpcQueryResp{Err: toWireErr(err)}, true
-	}
-	ctx, cancel := reqContext(req.DeadlineUS)
-	defer cancel()
-	var results []core.Result
-	var qs core.QueryStats
-	if req.WithStats {
-		results, qs, err = f.RangeQueryWithStatsCtx(ctx, q, req.R)
-	} else {
-		results, err = f.RangeQueryCtx(ctx, q, req.R)
-	}
-	err = n.staleClosed(err, req.Shards)
-	return rpcQueryResp{Results: toWireResults(results), Stats: qs, Err: toWireErr(err)}, err != nil
+	return n.runQuery(req.Shards, req.Q, req.DeadlineUS,
+		core.Query{Op: core.OpRange, Radius: req.R, Timed: req.WithStats})
 }
 
-// handleKNN answers an exact or budgeted-approximate kNN RPC.
+// handleKNN answers an exact, bounded or budgeted-approximate kNN RPC as a
+// core.Query. Flag combinations the wire can spell but the library rejects
+// (Bounded with Approx) fail core.Query.Validate inside runQuery.
 func (n *Node) handleKNN(req rpcKNNReq) (interface{}, bool) {
-	f, _, err := n.forestFor(req.Shards)
+	q := core.Query{Op: core.OpKNN, K: req.K, MaxVerify: req.MaxVerify,
+		Bounded: req.Bounded, Bound: req.Bound, Timed: req.WithStats}
+	if req.Approx {
+		q.Op = core.OpKNNApprox
+	}
+	return n.runQuery(req.Shards, req.Q, req.DeadlineUS, q)
+}
+
+// runQuery executes one query RPC: q arrives from outside the process, so it
+// is validated (forest.Query does, before any shard work) and then answered
+// by a per-request forest over the named owned shards — the same gather body
+// a single-process forest runs. Partial results travel alongside the error,
+// preserving the library contract.
+func (n *Node) runQuery(shards []int, wq wireObj, deadlineUS int64, q core.Query) (interface{}, bool) {
+	trees, err := n.ownedTrees(shards)
 	if err != nil {
 		return rpcQueryResp{Err: toWireErr(err)}, true
 	}
-	q, err := n.decodeQuery(req.Q)
+	if q.Q, err = n.decodeQuery(wq); err != nil {
+		return rpcQueryResp{Err: toWireErr(err)}, true
+	}
+	f, err := forest.FromShards(trees, n.cfg.Parallel)
 	if err != nil {
 		return rpcQueryResp{Err: toWireErr(err)}, true
 	}
-	ctx, cancel := reqContext(req.DeadlineUS)
+	ctx, cancel := reqContext(deadlineUS)
 	defer cancel()
-	var results []core.Result
-	var qs core.QueryStats
-	switch {
-	case req.Bounded && req.Approx:
-		err = fmt.Errorf("cluster: bounded and approximate kNN are mutually exclusive")
-		return rpcQueryResp{Err: toWireErr(err)}, true
-	case req.Bounded && req.WithStats:
-		results, qs, err = f.KNNWithinWithStatsCtx(ctx, q, req.K, req.Bound)
-	case req.Bounded:
-		results, err = f.KNNWithinCtx(ctx, q, req.K, req.Bound)
-	case req.Approx && req.WithStats:
-		results, qs, err = f.KNNApproxWithStatsCtx(ctx, q, req.K, req.MaxVerify)
-	case req.Approx:
-		results, err = f.KNNApproxCtx(ctx, q, req.K, req.MaxVerify)
-	case req.WithStats:
-		results, qs, err = f.KNNWithStatsCtx(ctx, q, req.K)
-	default:
-		results, err = f.KNNCtx(ctx, q, req.K)
-	}
-	err = n.staleClosed(err, req.Shards)
+	results, qs, err := f.Query(ctx, q)
+	err = n.staleClosed(err, shards)
 	return rpcQueryResp{Results: toWireResults(results), Stats: qs, Err: toWireErr(err)}, err != nil
 }
 
 // handleHint answers per-shard planning hints for the router's adaptive
-// scatter (DESIGN.md §15.4). Hints run node-side because computing one needs
-// the shard's pivots and the space's distance function, which the router
-// does not hold; the φ(q) probes use uncounted distances, so asking for
-// hints never perturbs the work counters of shards that end up pruned.
+// scatter (DESIGN.md §15.4), straight from the owned trees. Hints run
+// node-side because computing one needs the shard's pivots and the space's
+// distance function, which the router does not hold; the φ(q) probes use
+// uncounted distances, so asking for hints never perturbs the work counters
+// of shards that end up pruned. Any hint error fails the whole call: the
+// router must fall back to the flat scatter rather than plan on partial
+// information.
 func (n *Node) handleHint(req rpcHintReq) (interface{}, bool) {
-	f, _, err := n.forestFor(req.Shards)
+	trees, err := n.ownedTrees(req.Shards)
 	if err != nil {
 		return rpcHintResp{Err: toWireErr(err)}, true
 	}
@@ -476,18 +459,19 @@ func (n *Node) handleHint(req rpcHintReq) (interface{}, bool) {
 	if err != nil {
 		return rpcHintResp{Err: toWireErr(err)}, true
 	}
-	var hints []core.ShardHint
-	switch req.Hint {
-	case hintRange:
-		hints, err = f.HintRange(q, req.R)
-	case hintKNN:
-		hints, err = f.HintKNN(q, req.K)
-	default:
-		err = fmt.Errorf("cluster: unknown hint flavor %d", req.Hint)
-	}
-	err = n.staleClosed(err, req.Shards)
-	if err != nil {
-		return rpcHintResp{Err: toWireErr(err)}, true
+	hints := make([]core.ShardHint, len(trees))
+	for i, t := range trees {
+		switch req.Hint {
+		case hintRange:
+			hints[i], err = t.RangeHint(q, req.R)
+		case hintKNN:
+			hints[i], err = t.KNNHint(q, req.K)
+		default:
+			err = fmt.Errorf("cluster: unknown hint flavor %d", req.Hint)
+		}
+		if err = n.staleClosed(err, req.Shards); err != nil {
+			return rpcHintResp{Err: toWireErr(err)}, true
+		}
 	}
 	return rpcHintResp{Hints: hints}, false
 }
@@ -588,7 +572,7 @@ func (n *Node) handleExport(req rpcExportReq) (interface{}, bool) {
 // space (ShareMapping guarantees identical pruning geometry, so the pairs
 // match a single-process join exactly).
 func (n *Node) handleJoin(req rpcJoinReq) (interface{}, bool) {
-	_, qTrees, err := n.forestFor(req.QShards)
+	qTrees, err := n.ownedTrees(req.QShards)
 	if err != nil {
 		return rpcJoinResp{Err: toWireErr(err)}, true
 	}

@@ -279,10 +279,10 @@ func (r *Router) decodeResults(in []wireResult) ([]core.Result, error) {
 	return out, nil
 }
 
-// gather merges per-node query responses: results decode and merge via
-// merge, stats accumulate via core.QueryStats.Merge.
-func (r *Router) gather(resps []rpcQueryResp, err error,
-	merge func([][]core.Result) []core.Result) ([]core.Result, core.QueryStats, error) {
+// gather merges per-node query responses into the whole query's answer:
+// results decode and merge via core.MergeResults, stats accumulate via
+// core.QueryStats.Merge.
+func (r *Router) gather(q core.Query, resps []rpcQueryResp, err error) ([]core.Result, core.QueryStats, error) {
 	per := make([][]core.Result, 0, len(resps))
 	var stats core.QueryStats
 	for _, resp := range resps {
@@ -293,7 +293,7 @@ func (r *Router) gather(resps []rpcQueryResp, err error,
 			err = errors.Join(err, derr)
 		}
 	}
-	out := merge(per)
+	out := core.MergeResults(q.Op, q.K, per)
 	stats.Results = len(out)
 	return out, stats, err
 }
@@ -303,9 +303,10 @@ func (r *Router) gather(resps []rpcQueryResp, err error,
 // node failure — down, stale placement, or a pre-hint version on the other
 // side — returns ok=false, and the caller falls back to the flat scatter,
 // which answers identically and owns the failure-tolerance machinery.
-func (r *Router) shardHints(ctx context.Context, calls []nodeCall, wq wireObj,
-	flavor byte, radius float64, k int) (map[int]core.ShardHint, bool) {
+func (r *Router) shardHints(ctx context.Context, p *Placement, wq wireObj,
+	flavor byte, radius float64, k int) ([]core.ShardHint, bool) {
 
+	calls := plan(p)
 	if ctx.Err() != nil {
 		return nil, false
 	}
@@ -330,7 +331,7 @@ func (r *Router) shardHints(ctx context.Context, calls []nodeCall, wq wireObj,
 		}(i, call)
 	}
 	wg.Wait()
-	hints := make(map[int]core.ShardHint, len(calls))
+	hints := make([]core.ShardHint, p.Shards)
 	for i, call := range calls {
 		if errs[i] != nil {
 			return nil, false
@@ -346,7 +347,7 @@ func (r *Router) shardHints(ctx context.Context, calls []nodeCall, wq wireObj,
 // node calls left with no shards — the "fewer RPCs" half of §15.4. Pruning
 // is per-shard and proof-based, so the surviving scatter's merged answer is
 // byte-identical to the full one.
-func pruneCalls(calls []nodeCall, hints map[int]core.ShardHint) ([]nodeCall, int) {
+func pruneCalls(calls []nodeCall, hints []core.ShardHint) ([]nodeCall, int) {
 	out := make([]nodeCall, 0, len(calls))
 	pruned := 0
 	for _, c := range calls {
@@ -366,143 +367,118 @@ func pruneCalls(calls []nodeCall, hints map[int]core.ShardHint) ([]nodeCall, int
 	return out, pruned
 }
 
-// Range answers RQ(q, r) across the cluster. On node failures the healthy
-// nodes' answers come back with one NodeError per failed node (joined);
-// errors.Is(err, core.ErrCanceled) identifies deadline-canceled slices.
-// With the adaptive scatter enabled, a hint round first skips every shard
-// whose summary box provably misses the query ball — nodes all of whose
-// shards are pruned get no query RPC at all.
-func (r *Router) Range(ctx context.Context, q metric.Object, radius float64) ([]core.Result, core.QueryStats, error) {
-	wq := wireObj{ID: q.ID(), Data: q.AppendBinary(nil)}
+// Query answers one search request across the cluster and returns the merged
+// QueryStats: work counters add across nodes, the stage clocks are per-branch
+// maxima, Plan describes the visit, and Elapsed is the router's own wall
+// clock around the whole gather — the hint round, every query round and the
+// wire included. On node failures the healthy nodes' answers come back with
+// one NodeError per failed node (joined); errors.Is(err, core.ErrCanceled)
+// identifies deadline-canceled slices.
+//
+// The request travels as the kRange/kKNN messages. OpRange with the adaptive
+// scatter enabled first runs a hint round and skips every shard whose summary
+// box provably misses the query ball — nodes all of whose shards are pruned
+// get no query RPC at all. OpKNN runs the §15.4 staged visit when the planner
+// can: the most promising shard answers first and its k-th distance bounds
+// everyone else. OpKNNApprox stays flat — its per-shard answers are not the
+// canonical subsets the staging proof needs — and so does an OpKNN that
+// already carries a bound. The wire has no graph message, so OpKNNGraph
+// answers core.ErrNoGraph and the caller degrades to Query.Exact as on a
+// tree without a graph.
+func (r *Router) Query(ctx context.Context, q core.Query) ([]core.Result, core.QueryStats, error) {
+	if err := q.Validate(); err != nil {
+		return nil, core.QueryStats{Op: q.Op}, err
+	}
+	if q.Op == core.OpKNNGraph {
+		return nil, core.QueryStats{Op: q.Op}, fmt.Errorf("cluster: %w across the wire", core.ErrNoGraph)
+	}
+	start := time.Now()
+	wq := wireObj{ID: q.Q.ID(), Data: q.Q.AppendBinary(nil)}
 	p := r.placement.Load()
+	info := core.PlanInfo{ShardsTotal: p.Shards}
 	calls := plan(p)
-	pruned := 0
-	if r.adaptive.Load() {
-		if hints, ok := r.shardHints(ctx, calls, wq, hintRange, radius, 0); ok {
-			calls, pruned = pruneCalls(calls, hints)
+	var resps []rpcQueryResp
+	adaptive := r.adaptive.Load()
+	switch {
+	case adaptive && q.Op == core.OpRange:
+		if hints, ok := r.shardHints(ctx, p, wq, hintRange, q.Radius, 0); ok {
+			calls, info.ShardsPruned = pruneCalls(calls, hints)
+		}
+	case adaptive && q.Op == core.OpKNN && !q.Bounded && q.K > 0 && p.Shards >= 2:
+		if order, bound, resp0, ok := r.stageOne(ctx, p, wq, q); ok {
+			info.Staged, info.FirstShard = true, order[0]
+			q.Bounded, q.Bound = true, bound
+			calls = regroup(p, order[1:])
+			resps = append(resps, resp0)
 		}
 	}
-	resps, err := r.scatterQuery(ctx, "range", calls, func(shards []int) (byte, interface{}) {
-		return kRange, rpcRangeReq{Shards: shards, Q: wq, R: radius,
-			DeadlineUS: deadlineUS(ctx), WithStats: true}
+	scattered, err := r.scatterQuery(ctx, q.Op, calls, func(shards []int) (byte, interface{}) {
+		return wireQuery(shards, wq, q, deadlineUS(ctx))
 	})
-	res, qs, err := r.gather(resps, err, func(per [][]core.Result) []core.Result {
-		var all []core.Result
-		for _, res := range per {
-			all = append(all, res...)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].Object.ID() < all[j].Object.ID() })
-		return all
-	})
-	qs.Plan.ShardsTotal = p.Shards
-	qs.Plan.ShardsPruned = pruned
+	res, qs, err := r.gather(q, append(scattered, resps...), err)
+	qs.Plan = info
+	qs.Elapsed = time.Since(start)
 	return res, qs, err
 }
 
-// KNN answers kNN(q, k) across the cluster, merging per-node top-k sets
-// under the total (dist, ID) order.
-func (r *Router) KNN(ctx context.Context, q metric.Object, k int) ([]core.Result, core.QueryStats, error) {
-	return r.knn(ctx, q, k, 0, false)
-}
-
-// KNNApprox answers budgeted approximate kNN: each shard verifies at most
-// maxVerify candidates.
-func (r *Router) KNNApprox(ctx context.Context, q metric.Object, k, maxVerify int) ([]core.Result, core.QueryStats, error) {
-	return r.knn(ctx, q, k, maxVerify, true)
-}
-
-func (r *Router) knn(ctx context.Context, q metric.Object, k, maxVerify int, approx bool) ([]core.Result, core.QueryStats, error) {
-	wq := wireObj{ID: q.ID(), Data: q.AppendBinary(nil)}
-	op := "knn"
-	if approx {
-		op = "knn_approx"
+// wireQuery renders q as the wire request for one node's shard group.
+func wireQuery(shards []int, wq wireObj, q core.Query, deadlineUS int64) (byte, interface{}) {
+	if q.Op == core.OpRange {
+		return kRange, rpcRangeReq{Shards: shards, Q: wq, R: q.Radius,
+			DeadlineUS: deadlineUS, WithStats: q.Timed}
 	}
-	p := r.placement.Load()
-	// Exact kNN runs the §15.4 staged visit when the planner can: the most
-	// promising shard answers first and its k-th distance bounds everyone
-	// else. Approximate kNN stays flat — its per-shard answers are not the
-	// canonical subsets the staging proof needs.
-	if !approx && k > 0 && p.Shards >= 2 && r.adaptive.Load() {
-		if res, qs, err, ok := r.knnStaged(ctx, p, wq, k); ok {
-			return res, qs, err
-		}
-	}
-	resps, err := r.scatterQuery(ctx, op, plan(p), func(shards []int) (byte, interface{}) {
-		return kKNN, rpcKNNReq{Shards: shards, Q: wq, K: k, MaxVerify: maxVerify,
-			Approx: approx, DeadlineUS: deadlineUS(ctx), WithStats: true}
-	})
-	res, qs, gerr := r.gather(resps, err, func(per [][]core.Result) []core.Result {
-		return forest.MergeKNN(per, k)
-	})
-	qs.Plan.ShardsTotal = p.Shards
-	return res, qs, gerr
+	return kKNN, rpcKNNReq{Shards: shards, Q: wq, K: q.K, MaxVerify: q.MaxVerify,
+		Approx: q.Op == core.OpKNNApprox, DeadlineUS: deadlineUS, WithStats: q.Timed,
+		Bounded: q.Bounded, Bound: q.Bound}
 }
 
-// knnStaged runs the two-stage cluster kNN (DESIGN.md §15.4): a hint round
-// orders the shards exactly as forest.knnPlan would (ascending summary-box
-// MinDist, predicted distance work when both hints carry estimates, shard
-// index last), the best shard answers plain canonical kNN via its owner,
-// and the remaining shards are scattered with its k-th distance as a
-// Bounded probe — per-shard bounded probes on every node, merged with the
-// same reduction as the flat scatter, so the answer is byte-identical
-// (§15.2). ok=false means planning was impossible (a hint or stage-1
-// failure); the caller reruns the flat scatter, which answers identically
-// and owns the failure-tolerance and placement-refresh machinery. Stage-2
-// node failures are tolerated the usual way: partials plus NodeErrors.
-func (r *Router) knnStaged(ctx context.Context, p *Placement, wq wireObj, k int) ([]core.Result, core.QueryStats, error, bool) {
-	hints, ok := r.shardHints(ctx, plan(p), wq, hintKNN, 0, k)
+// stageOne runs the first half of the two-stage cluster kNN (DESIGN.md
+// §15.4): a hint round orders the shards by core.StagedOrder, exactly as the
+// forest does, and the best shard (order[0]) answers plain canonical kNN via
+// its owner. The caller then scatters the remaining shards with its k-th
+// distance (bound; +Inf when it held fewer than k) as the request's bound —
+// per-shard bounded probes on every node, merged with the same reduction as
+// the flat scatter, so the answer is byte-identical (§15.2). ok=false means planning was impossible (a hint or stage-1
+// failure); the caller runs the flat scatter, which answers identically and
+// owns the failure-tolerance and placement-refresh machinery. Stage-2 node
+// failures are tolerated the usual way: partials plus NodeErrors.
+func (r *Router) stageOne(ctx context.Context, p *Placement, wq wireObj, q core.Query) (order []int, bound float64, resp rpcQueryResp, ok bool) {
+	hints, ok := r.shardHints(ctx, p, wq, hintKNN, 0, q.K)
 	if !ok {
-		return nil, core.QueryStats{}, nil, false
+		return nil, 0, rpcQueryResp{}, false
 	}
-	order := make([]int, p.Shards)
-	for s := range order {
-		order[s] = s
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ha, hb := hints[order[a]], hints[order[b]]
-		if ha.MinDist != hb.MinDist {
-			return ha.MinDist < hb.MinDist
-		}
-		if ha.Estimated && hb.Estimated && ha.EDC != hb.EDC {
-			return ha.EDC < hb.EDC
-		}
-		return order[a] < order[b]
-	})
-
-	// Stage 1: the best shard alone, through its owner.
-	first := order[0]
-	owner := p.Owners[first]
-	var resp0 rpcQueryResp
-	err := r.callNode(ctx, owner, p.Nodes[owner], "knn", true, kKNN,
-		rpcKNNReq{Shards: []int{first}, Q: wq, K: k,
-			DeadlineUS: deadlineUS(ctx), WithStats: true}, &resp0)
+	order = core.StagedOrder(hints)
+	owner := p.Owners[order[0]]
+	kind, req := wireQuery([]int{order[0]}, wq, q, deadlineUS(ctx))
+	err := r.callNode(ctx, owner, p.Nodes[owner], q.Op, true, kind, req, &resp)
 	if err == nil {
-		err = fromWireErr(resp0.Err)
-		resp0.Err = nil
+		err = fromWireErr(resp.Err)
+		resp.Err = nil
 	}
 	if err != nil {
-		return nil, core.QueryStats{}, nil, false
+		return nil, 0, rpcQueryResp{}, false
 	}
-	bound := math.Inf(1)
-	if len(resp0.Results) == k {
+	bound = math.Inf(1)
+	if len(resp.Results) == q.K {
 		// Node answers arrive in canonical (dist, ID) order, so the k-th
 		// distance reads straight off the wire results.
-		bound = resp0.Results[k-1].Dist
+		bound = resp.Results[q.K-1].Dist
 	}
+	return order, bound, resp, true
+}
 
-	// Stage 2: every other shard probes within the bound, grouped by owner.
-	resps, serr := r.scatterQuery(ctx, "knn", regroup(p, order[1:]), func(shards []int) (byte, interface{}) {
-		return kKNN, rpcKNNReq{Shards: shards, Q: wq, K: k, Bounded: true, Bound: bound,
-			DeadlineUS: deadlineUS(ctx), WithStats: true}
-	})
-	resps = append(resps, resp0)
-	res, qs, gerr := r.gather(resps, serr, func(per [][]core.Result) []core.Result {
-		return forest.MergeKNN(per, k)
-	})
-	qs.Plan.ShardsTotal = p.Shards
-	qs.Plan.Staged = true
-	qs.Plan.FirstShard = first
-	return res, qs, gerr, true
+// The two methods below are kept only because the frozen benchmark harness
+// (bench/) calls them by name; each is one call into Query, nothing else in
+// the repository may use them, and they go with the harness's next revision.
+
+// KNN is harness-kept: Query with Op core.OpKNN, Timed.
+func (r *Router) KNN(ctx context.Context, q metric.Object, k int) ([]core.Result, core.QueryStats, error) {
+	return r.Query(ctx, core.Query{Op: core.OpKNN, Q: q, K: k, Timed: true})
+}
+
+// Range is harness-kept: Query with Op core.OpRange, Timed.
+func (r *Router) Range(ctx context.Context, q metric.Object, radius float64) ([]core.Result, core.QueryStats, error) {
+	return r.Query(ctx, core.Query{Op: core.OpRange, Q: q, Radius: radius, Timed: true})
 }
 
 // Join computes the cluster self-join SJ(C, C, ε): each node joins its

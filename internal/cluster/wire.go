@@ -76,6 +76,9 @@ const (
 	ecClosed
 	ecNotOwner
 	ecFrozen
+	// ecInvalidQuery was added after the codes above; codes are append-only,
+	// and a receiver that predates one decodes it as a generic error.
+	ecInvalidQuery
 )
 
 // wireErr is an error crossing the wire: a code for the typed identity and
@@ -103,6 +106,8 @@ func toWireErr(err error) *wireErr {
 		code = ecNotOwner
 	case errors.Is(err, ErrShardFrozen):
 		code = ecFrozen
+	case errors.Is(err, core.ErrInvalidQuery):
+		code = ecInvalidQuery
 	}
 	return &wireErr{Code: code, Msg: err.Error()}
 }
@@ -125,6 +130,8 @@ func fromWireErr(we *wireErr) error {
 		return fmt.Errorf("%w: %s", ErrNotOwner, we.Msg)
 	case ecFrozen:
 		return fmt.Errorf("%w: %s", ErrShardFrozen, we.Msg)
+	case ecInvalidQuery:
+		return fmt.Errorf("%w: %s", core.ErrInvalidQuery, we.Msg)
 	}
 	return errors.New(we.Msg)
 }

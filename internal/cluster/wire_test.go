@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"spbtree/internal/core"
+	"spbtree/internal/dataset"
 )
 
 // TestFrameRoundTrip: a frame written with writeFrame reads back with the
@@ -53,7 +56,7 @@ func TestFrameRejectsOversize(t *testing.T) {
 func TestWireErrPreservesIs(t *testing.T) {
 	cases := []error{
 		core.ErrCanceled, core.ErrNotFound, core.ErrClosed,
-		ErrNotOwner, ErrShardFrozen,
+		ErrNotOwner, ErrShardFrozen, core.ErrInvalidQuery,
 	}
 	for _, sentinel := range cases {
 		back := fromWireErr(toWireErr(sentinel))
@@ -69,6 +72,51 @@ func TestWireErrPreservesIs(t *testing.T) {
 	}
 	if toWireErr(nil) != nil {
 		t.Fatal("nil error should encode as nil")
+	}
+}
+
+// TestNodeRejectsInvalidWireQuery: a node treats a query RPC as input from
+// outside the process. Requests the wire structs can spell but the library
+// rejects — a bounded approximate kNN, a NaN radius — come back as
+// core.ErrInvalidQuery over the wire, without a panic, and the node keeps
+// serving.
+func TestNodeRejectsInvalidWireQuery(t *testing.T) {
+	tc := startCluster(t, dataset.Words(300, 51), 4)
+	p := tc.router.Placement()
+	ctx := context.Background()
+	q := tc.objs[0]
+	wq := wireObj{ID: q.ID(), Data: q.AppendBinary(nil)}
+	for node, shards := range p.ByOwner() {
+		c := NewClient(p.Nodes[node])
+		defer c.Close()
+		for name, call := range map[string]struct {
+			kind byte
+			req  interface{}
+		}{
+			"bounded+approx":  {kKNN, rpcKNNReq{Shards: shards, Q: wq, K: 5, MaxVerify: 10, Approx: true, Bounded: true, Bound: 1}},
+			"budget on exact": {kKNN, rpcKNNReq{Shards: shards, Q: wq, K: 5, MaxVerify: 10}},
+			"NaN bound":       {kKNN, rpcKNNReq{Shards: shards, Q: wq, K: 5, Bounded: true, Bound: math.NaN()}},
+			"NaN radius":      {kRange, rpcRangeReq{Shards: shards, Q: wq, R: math.NaN()}},
+		} {
+			var resp rpcQueryResp
+			if err := c.Call(ctx, call.kind, call.req, &resp); err != nil {
+				t.Fatalf("%s/%s: transport: %v", node, name, err)
+			}
+			if err := fromWireErr(resp.Err); !errors.Is(err, core.ErrInvalidQuery) {
+				t.Fatalf("%s/%s: err = %v, want ErrInvalidQuery", node, name, err)
+			}
+			if len(resp.Results) != 0 {
+				t.Fatalf("%s/%s: rejected request returned %d results", node, name, len(resp.Results))
+			}
+		}
+		// The same connection still answers a well-formed request.
+		var resp rpcQueryResp
+		if err := c.Call(ctx, kKNN, rpcKNNReq{Shards: shards, Q: wq, K: 5}, &resp); err != nil || resp.Err != nil {
+			t.Fatalf("%s: node stopped serving after invalid requests: %v %v", node, err, resp.Err)
+		}
+		if len(resp.Results) != 5 {
+			t.Fatalf("%s: follow-up kNN returned %d results, want 5", node, len(resp.Results))
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ func TestKNNAllocationBudget(t *testing.T) {
 		}
 		ctx := context.Background()
 		for _, q := range queries {
-			_, qs, err := tree.KNNWithStatsCtx(ctx, q, k) // warms caches and the scratch pool
+			_, qs, err := tree.Query(ctx, Query{Op: OpKNN, Q: q, K: k, Timed: true}) // warms caches and the scratch pool
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestKNNAllocationBudget(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			allocs := testing.AllocsPerRun(runs, func() {
-				if _, err := tree.KNNCtx(ctx, q, k); err != nil {
+				if _, _, err := tree.Query(ctx, Query{Op: OpKNN, Q: q, K: k}); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"spbtree/internal/metric"
@@ -28,7 +29,7 @@ func TestKNNApproxFallsBackToExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaZero, err := tree.KNNApprox(objs[0], 8, 0)
+	viaZero, _, err := tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: objs[0], K: 8, MaxVerify: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestKNNApproxFallsBackToExact(t *testing.T) {
 		}
 	}
 	// A huge budget is also exact.
-	viaBig, err := tree.KNNApprox(objs[0], 8, 1<<20)
+	viaBig, _, err := tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: objs[0], K: 8, MaxVerify: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestKNNApproxRecallAndBudget(t *testing.T) {
 		var totalCD int64
 		for qi := range exactIDs {
 			tree.ResetStats()
-			approx, err := tree.KNNApprox(objs[qi*83], k, budget)
+			approx, _, err := tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: objs[qi*83], K: k, MaxVerify: budget})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +110,7 @@ func TestKNNApproxNeverExceedsBudget(t *testing.T) {
 	}
 	for _, budget := range []int{1, 5, 25} {
 		tree.ResetStats()
-		if _, err := tree.KNNApprox(objs[3], 10, budget); err != nil {
+		if _, _, err := tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: objs[3], K: 10, MaxVerify: budget}); err != nil {
 			t.Fatal(err)
 		}
 		cd := tree.TakeStats().DistanceComputations

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -42,17 +43,17 @@ func TestBatchMatchesScalar(t *testing.T) {
 				collect := func() []outcome {
 					var out []outcome
 					for _, q := range queries {
-						res, qs, err := tree.RangeSearchWithStats(q, 0.15*maxD)
+						res, qs, err := tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: 0.15 * maxD, Timed: true})
 						if err != nil {
 							t.Fatal(err)
 						}
 						out = append(out, outcome{res, qs})
-						res, qs, err = tree.KNNWithStats(q, 6)
+						res, qs, err = tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 6, Timed: true})
 						if err != nil {
 							t.Fatal(err)
 						}
 						out = append(out, outcome{res, qs})
-						res, qs, err = tree.KNNApproxWithStats(q, 4, 40)
+						res, qs, err = tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: 4, MaxVerify: 40, Timed: true})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -123,7 +124,7 @@ func TestDisableBatchKernelsOption(t *testing.T) {
 	if tree.BatchKernels() {
 		t.Fatal("DisableBatchKernels did not disable kernels")
 	}
-	_, qs, err := tree.RangeSearchWithStats(s.objs[0], 0.2*s.dist.MaxDistance())
+	_, qs, err := tree.Query(context.Background(), Query{Op: OpRange, Q: s.objs[0], Radius: 0.2 * s.dist.MaxDistance(), Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestDisableBatchKernelsOption(t *testing.T) {
 	if !tree.BatchKernels() {
 		t.Fatal("SetBatchKernels(true) did not re-enable for a batch metric")
 	}
-	_, qs, err = tree.RangeSearchWithStats(s.objs[0], 0.2*s.dist.MaxDistance())
+	_, qs, err = tree.Query(context.Background(), Query{Op: OpRange, Q: s.objs[0], Radius: 0.2 * s.dist.MaxDistance(), Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestBatchStressQueriesMutation(t *testing.T) {
 			q := fx.live[uint64(100+r)]
 			var local int64
 			for i := 0; i < readRounds; i++ {
-				res, qs, err := tree.RangeSearchWithStats(q, 0.4)
+				res, qs, err := tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: 0.4, Timed: true})
 				if err != nil {
 					t.Errorf("reader range: %v", err)
 					return
@@ -219,7 +220,7 @@ func TestBatchStressQueriesMutation(t *testing.T) {
 					return
 				}
 				local += qs.BatchedCandidates
-				if _, qs, err = tree.KNNWithStats(q, 5); err != nil {
+				if _, qs, err = tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 5, Timed: true}); err != nil {
 					t.Errorf("reader knn: %v", err)
 					return
 				}

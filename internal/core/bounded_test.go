@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sort"
 	"sync"
@@ -36,12 +37,12 @@ func TestBoundedMatchesExact(t *testing.T) {
 			collect := func() []outcome {
 				var out []outcome
 				for _, q := range queries {
-					res, qs, err := tree.RangeSearchWithStats(q, 0.15*maxD)
+					res, qs, err := tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: 0.15 * maxD, Timed: true})
 					if err != nil {
 						t.Fatal(err)
 					}
 					out = append(out, outcome{res, qs})
-					res, qs, err = tree.KNNWithStats(q, 6)
+					res, qs, err = tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 6, Timed: true})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -112,13 +113,13 @@ func TestBoundedParallelMatchesSerial(t *testing.T) {
 					q := s.objs[job/len(tags)]
 					switch tags[job%len(tags)] {
 					case "range":
-						o.res, o.qs, o.err = tree.RangeSearchWithStats(q, 0.12*maxD)
+						o.res, o.qs, o.err = tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: 0.12 * maxD, Timed: true})
 					case "knn1":
-						o.res, o.qs, o.err = tree.KNNWithStats(q, 1)
+						o.res, o.qs, o.err = tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 1, Timed: true})
 					case "knn8":
-						o.res, o.qs, o.err = tree.KNNWithStats(q, 8)
+						o.res, o.qs, o.err = tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 8, Timed: true})
 					case "approx":
-						o.res, o.qs, o.err = tree.KNNApproxWithStats(q, 5, 40)
+						o.res, o.qs, o.err = tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: 5, MaxVerify: 40, Timed: true})
 					}
 					return o
 				}
@@ -296,7 +297,7 @@ func TestDisableBoundedKernelsOption(t *testing.T) {
 	if tree.BoundedKernels() {
 		t.Fatal("DisableBoundedKernels did not disable kernels")
 	}
-	_, qs, err := tree.RangeSearchWithStats(s.objs[0], 2)
+	_, qs, err := tree.Query(context.Background(), Query{Op: OpRange, Q: s.objs[0], Radius: 2, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -275,7 +276,7 @@ func TestPlanEstimateReconciliation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, qs, err := tree.RangeSearchWithStats(q, r)
+		_, qs, err := tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: r, Timed: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +307,7 @@ func TestPlanEstimateReconciliation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, qs, err := tree.KNNWithStats(q, 8)
+		_, qs, err := tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 8, Timed: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,10 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
-
-	"spbtree/internal/metric"
 )
 
 // ErrCanceled matches (errors.Is) every query abandoned because its context
@@ -53,113 +50,6 @@ func rlockPair(a, b *Tree) func() {
 	a.mu.RLock()
 	b.mu.RLock()
 	return func() { b.mu.RUnlock(); a.mu.RUnlock() }
-}
-
-// RangeSearchCtx answers RQ(q, O, r) like RangeQuery, honoring ctx:
-// cancellation is checked at every node visit and every object verification,
-// so an expired deadline stops page I/O and distance computations within one
-// entry's work. On cancellation the answers verified so far are returned
-// (sorted) with an error matching ErrCanceled.
-func (t *Tree) RangeSearchCtx(ctx context.Context, q metric.Object, r float64) ([]Result, error) {
-	qs := QueryStats{Op: OpRange}
-	return t.runRange(ctx, q, r, &qs)
-}
-
-// RangeSearchWithStatsCtx is RangeSearchCtx plus the query's per-stage
-// QueryStats (covering the work completed before any cancellation).
-func (t *Tree) RangeSearchWithStatsCtx(ctx context.Context, q metric.Object, r float64) ([]Result, QueryStats, error) {
-	qs := QueryStats{Op: OpRange, timed: true}
-	res, err := t.runRange(ctx, q, r, &qs)
-	return res, qs, err
-}
-
-// runRange executes one range query under the tree's read lock.
-func (t *Tree) runRange(ctx context.Context, q metric.Object, r float64, qs *QueryStats) ([]Result, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.closed {
-		return nil, ErrClosed
-	}
-	qt := t.beginQuery(qs)
-	res, err := t.rangeQuery(ctx, q, r, qs)
-	qt.finish(len(res), err)
-	return res, err
-}
-
-// KNNCtx answers kNN(q, k) like KNN, honoring ctx with the same cancellation
-// granularity as RangeSearchCtx. On cancellation the best candidates verified
-// so far are returned (sorted by distance) with an error matching
-// ErrCanceled — a usable approximate answer, not garbage.
-func (t *Tree) KNNCtx(ctx context.Context, q metric.Object, k int) ([]Result, error) {
-	qs := QueryStats{Op: OpKNN}
-	return t.runKNN(ctx, q, k, math.Inf(1), 0, &qs)
-}
-
-// KNNWithStatsCtx is KNNCtx plus the query's per-stage QueryStats.
-func (t *Tree) KNNWithStatsCtx(ctx context.Context, q metric.Object, k int) ([]Result, QueryStats, error) {
-	qs := QueryStats{Op: OpKNN, timed: true}
-	res, err := t.runKNN(ctx, q, k, math.Inf(1), 0, &qs)
-	return res, qs, err
-}
-
-// runKNN executes one kNN query — seeded with bound, budgeted when maxVerify
-// > 0 (see knn) — under the tree's read lock.
-func (t *Tree) runKNN(ctx context.Context, q metric.Object, k int, bound float64, maxVerify int, qs *QueryStats) ([]Result, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.closed {
-		return nil, ErrClosed
-	}
-	qt := t.beginQuery(qs)
-	res, err := t.knn(ctx, q, k, bound, maxVerify, qs)
-	qt.finish(len(res), err)
-	return res, err
-}
-
-// KNNWithin answers kNN(q, k) restricted to objects within the given distance
-// bound: the canonical top-k of {x : d(q, x) ≤ bound}, possibly fewer than k
-// results. It is exactly KNN over the shard plus k phantom results at
-// (bound, ∞), so a caller holding a k-th-distance bound from elsewhere — the
-// forest's staged scatter visits its first shard to obtain one — prunes with
-// it from the first heap pop instead of rediscovering it. bound = +Inf is
-// plain KNN.
-func (t *Tree) KNNWithin(q metric.Object, k int, bound float64) ([]Result, error) {
-	return t.KNNWithinCtx(context.Background(), q, k, bound)
-}
-
-// KNNWithinCtx is KNNWithin honoring ctx, with KNNCtx's partial-result
-// cancellation contract.
-func (t *Tree) KNNWithinCtx(ctx context.Context, q metric.Object, k int, bound float64) ([]Result, error) {
-	qs := QueryStats{Op: OpKNN}
-	return t.runKNN(ctx, q, k, bound, 0, &qs)
-}
-
-// KNNWithinWithStatsCtx is KNNWithinCtx plus the query's per-stage QueryStats.
-func (t *Tree) KNNWithinWithStatsCtx(ctx context.Context, q metric.Object, k int, bound float64) ([]Result, QueryStats, error) {
-	qs := QueryStats{Op: OpKNN, timed: true}
-	res, err := t.runKNN(ctx, q, k, bound, 0, &qs)
-	return res, qs, err
-}
-
-// KNNApproxCtx answers budgeted approximate kNN like KNNApprox, honoring ctx.
-// A budget of zero or less falls back to the exact KNNCtx.
-func (t *Tree) KNNApproxCtx(ctx context.Context, q metric.Object, k, maxVerify int) ([]Result, error) {
-	if maxVerify <= 0 {
-		return t.KNNCtx(ctx, q, k)
-	}
-	qs := QueryStats{Op: OpKNNApprox}
-	return t.runKNN(ctx, q, k, math.Inf(1), maxVerify, &qs)
-}
-
-// KNNApproxWithStatsCtx is KNNApproxCtx plus the query's per-stage
-// QueryStats. A budget of zero or less falls back to KNNWithStatsCtx.
-func (t *Tree) KNNApproxWithStatsCtx(ctx context.Context, q metric.Object, k, maxVerify int) ([]Result, QueryStats, error) {
-	if maxVerify <= 0 {
-		return t.KNNWithStatsCtx(ctx, q, k)
-	}
-	qs := QueryStats{Op: OpKNNApprox, timed: true}
-	res, err := t.runKNN(ctx, q, k, math.Inf(1), maxVerify, &qs)
-	return res, qs, err
 }
 
 // JoinCtx computes SJ(Q, O, ε) like Join, honoring ctx: cancellation is

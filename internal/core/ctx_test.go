@@ -44,8 +44,9 @@ func buildCtxTree(t *testing.T, n, dim int, seed int64) ([]metric.Object, *Tree)
 	return objs, tree
 }
 
-// TestCtxBackgroundEquivalence: the Ctx entry points under context.Background
-// answer exactly like the plain ones — the delegation adds no behavior.
+// TestCtxBackgroundEquivalence: the paper-named conveniences (RangeQuery, KNN,
+// Join) answer exactly like Query / JoinCtx under context.Background — the
+// delegation adds no behavior.
 func TestCtxBackgroundEquivalence(t *testing.T) {
 	objs, tree := buildCtxTree(t, 300, 4, 41)
 	q := objs[7]
@@ -54,7 +55,7 @@ func TestCtxBackgroundEquivalence(t *testing.T) {
 	ctx := context.Background()
 
 	plain, err1 := tree.RangeQuery(q, r)
-	withCtx, err2 := tree.RangeSearchCtx(ctx, q, r)
+	withCtx, _, err2 := tree.Query(ctx, Query{Op: OpRange, Q: q, Radius: r})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -63,7 +64,7 @@ func TestCtxBackgroundEquivalence(t *testing.T) {
 	}
 
 	plainK, err1 := tree.KNN(q, 10)
-	ctxK, err2 := tree.KNNCtx(ctx, q, 10)
+	ctxK, _, err2 := tree.Query(ctx, Query{Op: OpKNN, Q: q, K: 10})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -99,24 +100,24 @@ func TestCtxAlreadyCanceled(t *testing.T) {
 			t.Fatalf("%s: cause %v not preserved", name, err)
 		}
 	}
-	res, err := tree.RangeSearchCtx(ctx, q, 0.5)
+	res, _, err := tree.Query(ctx, Query{Op: OpRange, Q: q, Radius: 0.5})
 	checkErr("range", err)
 	for i := 1; i < len(res); i++ {
 		if res[i-1].Object.ID() >= res[i].Object.ID() {
 			t.Fatal("range partials not in id order")
 		}
 	}
-	if _, err := tree.KNNCtx(ctx, q, 5); !errors.Is(err, ErrCanceled) {
+	if _, _, err := tree.Query(ctx, Query{Op: OpKNN, Q: q, K: 5}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("knn: %v", err)
 	}
-	if _, err := tree.KNNApproxCtx(ctx, q, 5, 50); !errors.Is(err, ErrCanceled) {
+	if _, _, err := tree.Query(ctx, Query{Op: OpKNNApprox, Q: q, K: 5, MaxVerify: 50}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("knn approx: %v", err)
 	}
 	if _, err := JoinCtx(ctx, tree, tree, 0.1); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("join: %v", err)
 	}
-	// The WithStats variants carry the same contract and still fill stats.
-	_, qs, err := tree.RangeSearchWithStatsCtx(ctx, q, 0.5)
+	// A Timed query carries the same contract and still fills stats.
+	_, qs, err := tree.Query(ctx, Query{Op: OpRange, Q: q, Radius: 0.5, Timed: true})
 	checkErr("range stats", err)
 	if qs.Op != OpRange {
 		t.Fatalf("stats not populated on cancellation: %+v", qs)
@@ -147,7 +148,7 @@ func TestCtxDeadlinePartials(t *testing.T) {
 	defer sd.delay.Store(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	res, err := tree.RangeSearchCtx(ctx, q, r)
+	res, _, err := tree.Query(ctx, Query{Op: OpRange, Q: q, Radius: r})
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
 	}
@@ -194,7 +195,7 @@ func TestCtxDeadlineLargeTree(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start = time.Now()
-	partial, err := tree.RangeSearchCtx(ctx, q, r)
+	partial, _, err := tree.Query(ctx, Query{Op: OpRange, Q: q, Radius: r})
 	canceled := time.Since(start)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("1ms deadline on %v-long query returned err=%v", uncancelled, err)
@@ -252,14 +253,14 @@ func TestCtxStressQueriesRebuildCancel(t *testing.T) {
 				var res []Result
 				switch i % 4 {
 				case 0, 1:
-					res, err = tree.RangeSearchCtx(ctx, q, r)
+					res, _, err = tree.Query(ctx, Query{Op: OpRange, Q: q, Radius: r})
 					for _, re := range res {
 						if re.Dist > r {
 							wrong.Add(1)
 						}
 					}
 				case 2:
-					res, err = tree.KNNCtx(ctx, q, 5)
+					res, _, err = tree.Query(ctx, Query{Op: OpKNN, Q: q, K: 5})
 					if err == nil && len(res) != 5 {
 						wrong.Add(1)
 					}
@@ -319,7 +320,7 @@ func TestCtxKNNPartialUsable(t *testing.T) {
 	defer sd.delay.Store(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	res, err := tree.KNNCtx(ctx, q, 200)
+	res, _, err := tree.Query(ctx, Query{Op: OpKNN, Q: q, K: 200})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

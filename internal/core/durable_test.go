@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -147,7 +148,7 @@ func (fx *durableFixture) checkEquivalence(t *testing.T, qs ...metric.Object) {
 	const r, k = 0.45, 10
 
 	for _, q := range qs {
-		wantRes, wantQS, err := ref.RangeSearchWithStats(q, r)
+		wantRes, wantQS, err := ref.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: r, Timed: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +160,7 @@ func (fx *durableFixture) checkEquivalence(t *testing.T, qs ...metric.Object) {
 
 		label := fmt.Sprintf("q=%d", q.ID())
 
-		gotRes, gotQS, err := dur.RangeSearchWithStats(q, r)
+		gotRes, gotQS, err := dur.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: r, Timed: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,12 +207,12 @@ func (fx *durableFixture) checkEquivalence(t *testing.T, qs ...metric.Object) {
 		// The budgeted search has no rebuilt-tree analogue (its answer depends
 		// on traversal order), but block and entry-at-a-time verification
 		// must agree exactly.
-		blockApprox, err := dur.KNNApprox(q, k, 25)
+		blockApprox, _, err := dur.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: k, MaxVerify: 25})
 		if err != nil {
 			t.Fatal(err)
 		}
 		dur.SetBatchKernels(false)
-		scalarApprox, err := dur.KNNApprox(q, k, 25)
+		scalarApprox, _, err := dur.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: k, MaxVerify: 25})
 		dur.SetBatchKernels(true)
 		if err != nil {
 			t.Fatal(err)
@@ -348,7 +349,7 @@ func TestDurableQueryEquivalence(t *testing.T) {
 		t.Fatal("mutations did not buffer")
 	}
 	// Sanity that queries actually crossed the merge path.
-	_, qs, err := fx.tree.RangeSearchWithStats(fx.live[3], allRadius)
+	_, qs, err := fx.tree.Query(context.Background(), Query{Op: OpRange, Q: fx.live[3], Radius: allRadius, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,12 +646,12 @@ func TestDurableClosedEntryPoints(t *testing.T) {
 	assertClosed("Delete", fx.tree.Delete(q))
 	_, err := fx.tree.RangeQuery(q, 0.4)
 	assertClosed("RangeQuery", err)
-	_, _, err = fx.tree.RangeSearchWithStats(q, 0.4)
-	assertClosed("RangeSearchWithStats", err)
+	_, _, err = fx.tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: 0.4, Timed: true})
+	assertClosed("Query(range)", err)
 	_, err = fx.tree.KNN(q, 5)
 	assertClosed("KNN", err)
-	_, err = fx.tree.KNNApprox(q, 5, 10)
-	assertClosed("KNNApprox", err)
+	_, _, err = fx.tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: 5, MaxVerify: 10})
+	assertClosed("Query(knn_approx)", err)
 	_, err = fx.tree.RangeCount(q, 0.4)
 	assertClosed("RangeCount", err)
 	_, err = fx.tree.RangeIDs(q, 0.4)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -115,19 +116,19 @@ func TestResolveBlockReadFailure(t *testing.T) {
 	}
 	callers := []caller{
 		{"range", Incremental, true, true, func(fx *resolverFixture, r float64) (o resolverOutcome) {
-			o.res, o.qs, o.err = fx.tree.RangeSearchWithStats(fx.query, r)
+			o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpRange, Q: fx.query, Radius: r, Timed: true})
 			return o
 		}},
 		{"knn-greedy", Greedy, false, true, func(fx *resolverFixture, _ float64) (o resolverOutcome) {
-			o.res, o.qs, o.err = fx.tree.KNNWithStats(fx.query, k)
+			o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpKNN, Q: fx.query, K: k, Timed: true})
 			return o
 		}},
 		{"knn-incremental", Incremental, false, true, func(fx *resolverFixture, _ float64) (o resolverOutcome) {
-			o.res, o.qs, o.err = fx.tree.KNNWithStats(fx.query, k)
+			o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpKNN, Q: fx.query, K: k, Timed: true})
 			return o
 		}},
 		{"knn-approx", Incremental, false, true, func(fx *resolverFixture, _ float64) (o resolverOutcome) {
-			o.res, o.qs, o.err = fx.tree.KNNApproxWithStats(fx.query, k, maxVerify)
+			o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: fx.query, K: k, MaxVerify: maxVerify, Timed: true})
 			return o
 		}},
 		{"nearest-iter", Incremental, true, false, func(fx *resolverFixture, r float64) (o resolverOutcome) {
@@ -218,7 +219,7 @@ func TestKNNApproxBudgetOverWriteBuffer(t *testing.T) {
 		for _, batch := range []bool{true, false} {
 			fx := newResolverFixture(t, Incremental, true)
 			fx.tree.SetBatchKernels(batch)
-			res, qs, err := fx.tree.KNNApproxWithStats(fx.query, 5, m)
+			res, qs, err := fx.tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: fx.query, K: 5, MaxVerify: m, Timed: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +271,7 @@ func snapshotResult(r Result) string {
 
 // TestResultsOwnTheirObjects is the slot rule (DESIGN.md §9.7) from the
 // caller's side: candidates are decoded into slots that the next block
-// overwrites, so every object that leaves a query — a kNN or KNNApprox
+// overwrites, so every object that leaves a query — a kNN or approximate kNN
 // result, a range result verified or included by Lemma 2, an iterator
 // emission, a graph-search result, a partial answer returned with an error —
 // must have been taken out of its slot. The test keeps such answers, runs
@@ -358,7 +359,7 @@ func TestResultsOwnTheirObjects(t *testing.T) {
 				}
 				keep(fmt.Sprintf("knn %d", qi), q, res, topK(q))
 
-				res, qs, err := tree.RangeSearchWithStats(q, r)
+				res, qs, err := tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: r, Timed: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -372,12 +373,12 @@ func TestResultsOwnTheirObjects(t *testing.T) {
 					subset(q, r)(t, label, res)
 				})
 
-				if res, err = tree.KNNApprox(q, k, 60); err != nil {
+				if res, _, err = tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: k, MaxVerify: 60}); err != nil {
 					t.Fatal(err)
 				}
 				keep(fmt.Sprintf("approx %d", qi), q, res, subset(q, math.Inf(1)))
 
-				if res, err = tree.KNNGraph(q, k, SearchOptions{}); err != nil {
+				if res, _, err = tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: q, K: k}); err != nil {
 					t.Fatal(err)
 				}
 				keep(fmt.Sprintf("graph %d", qi), q, res, subset(q, math.Inf(1)))
@@ -418,7 +419,7 @@ func TestResultsOwnTheirObjects(t *testing.T) {
 					keep(fmt.Sprintf("range partial, page %d", pg), q, res, subset(q, 2*r))
 					partials++
 				}
-				res, err = tree.KNNGraph(q, k, SearchOptions{})
+				res, _, err = tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: q, K: k})
 				if err != nil && len(res) > 0 {
 					keep(fmt.Sprintf("graph partial, page %d", pg), q, res, subset(q, math.Inf(1)))
 					partials++
@@ -438,7 +439,7 @@ func TestResultsOwnTheirObjects(t *testing.T) {
 				if _, err := tree.RangeQuery(q, r); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := tree.KNNGraph(q, k, SearchOptions{}); err != nil {
+				if _, _, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: q, K: k}); err != nil {
 					t.Fatal(err)
 				}
 				for _, it := range iters {

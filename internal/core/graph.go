@@ -12,11 +12,11 @@ import (
 	"spbtree/internal/sfc"
 )
 
-// ErrNoGraph is returned by the KNNGraph entry points when the tree has no
+// ErrNoGraph is returned by an OpKNNGraph Query when the tree has no
 // live approximate graph: none was ever built, the last one was invalidated
 // by a structural mutation (Insert/Delete/Rebuild/compaction swap), or a
 // BuildGraph has not yet been re-run. Callers are expected to fall back to
-// the exact KNN path — the forest and HTTP layers do exactly that.
+// the exact path (Query.Exact) — the forest and HTTP layers do exactly that.
 var ErrNoGraph = errors.New("core: no approximate graph built")
 
 // ErrGraphStale is returned by BuildGraph when a structural mutation swapped
@@ -192,51 +192,6 @@ func (t *Tree) BuildGraphCtx(ctx context.Context, opts GraphOptions) error {
 	}
 	t.graph = newGraphTier(g, baseRAF)
 	return nil
-}
-
-// KNNGraph answers approximate kNN(q, k) by greedy beam search over the
-// NN-descent graph (build one first with BuildGraph; ErrNoGraph otherwise).
-// Results are sorted by (distance, ID) with exact distances, drawn from the
-// graph's candidates merged with any buffered durable inserts; objects
-// shadowed by tombstones or newer buffered versions never surface. Unlike
-// exact KNN the answer may miss true neighbors — SearchOptions.Ef dials the
-// recall/latency trade-off.
-func (t *Tree) KNNGraph(q metric.Object, k int, opts SearchOptions) ([]Result, error) {
-	return t.KNNGraphCtx(context.Background(), q, k, opts)
-}
-
-// KNNGraphCtx is KNNGraph honoring ctx: cancellation is checked at every
-// graph hop, and on expiry the best candidates found so far are returned
-// (sorted) with an error matching ErrCanceled.
-func (t *Tree) KNNGraphCtx(ctx context.Context, q metric.Object, k int, opts SearchOptions) ([]Result, error) {
-	qs := QueryStats{Op: OpKNNGraph}
-	return t.runKNNGraph(ctx, q, k, opts, &qs)
-}
-
-// KNNGraphWithStats is KNNGraph plus the query's per-stage QueryStats,
-// including the GraphHops/GraphCandidates counters.
-func (t *Tree) KNNGraphWithStats(q metric.Object, k int, opts SearchOptions) ([]Result, QueryStats, error) {
-	return t.KNNGraphWithStatsCtx(context.Background(), q, k, opts)
-}
-
-// KNNGraphWithStatsCtx is KNNGraphCtx plus the query's per-stage QueryStats.
-func (t *Tree) KNNGraphWithStatsCtx(ctx context.Context, q metric.Object, k int, opts SearchOptions) ([]Result, QueryStats, error) {
-	qs := QueryStats{Op: OpKNNGraph, timed: true}
-	res, err := t.runKNNGraph(ctx, q, k, opts, &qs)
-	return res, qs, err
-}
-
-// runKNNGraph executes one graph query under the tree's read lock.
-func (t *Tree) runKNNGraph(ctx context.Context, q metric.Object, k int, opts SearchOptions, qs *QueryStats) ([]Result, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.closed {
-		return nil, ErrClosed
-	}
-	qt := t.beginQuery(qs)
-	res, err := t.knnGraph(ctx, q, k, opts, qs)
-	qt.finish(len(res), err)
-	return res, err
 }
 
 // graphSeeds translates the query's position on the space-filling curve into
@@ -533,7 +488,7 @@ func (t *Tree) CalibrateEfCtx(ctx context.Context, target float64, sample int) (
 	// lock), so calibration composes with live traffic.
 	exactIDs := make([][]uint64, len(queries))
 	for i, q := range queries {
-		res, err := t.KNNCtx(ctx, q, k)
+		res, _, err := t.Query(ctx, Query{Op: OpKNN, Q: q, K: k})
 		if err != nil {
 			return 0, err
 		}
@@ -548,7 +503,7 @@ func (t *Tree) CalibrateEfCtx(ctx context.Context, target float64, sample int) (
 	for _, ef := range calibrateEfWidths {
 		var sum float64
 		for i, q := range queries {
-			res, err := t.KNNGraphCtx(ctx, q, k, SearchOptions{Ef: ef})
+			res, _, err := t.Query(ctx, Query{Op: OpKNNGraph, Q: q, K: k, Search: SearchOptions{Ef: ef}})
 			if err != nil {
 				return 0, err
 			}

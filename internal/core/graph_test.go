@@ -48,7 +48,7 @@ func TestGraphKNNRecallFloor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, qs, err := tree.KNNGraphWithStats(q, k, SearchOptions{})
+		got, qs, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: q, K: k, Timed: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestGraphNoGraphTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tree.Close()
-	if _, err := tree.KNNGraph(objs[0], 5, SearchOptions{}); !errors.Is(err, ErrNoGraph) {
+	if _, _, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: objs[0], K: 5}); !errors.Is(err, ErrNoGraph) {
 		t.Fatalf("err = %v, want ErrNoGraph", err)
 	}
 	if tree.HasGraph() {
@@ -103,8 +103,8 @@ func TestGraphInvalidationOnMutation(t *testing.T) {
 		if tree.HasGraph() != want {
 			t.Fatalf("%s: HasGraph = %v, want %v", stage, !want, want)
 		}
-		if _, err := tree.KNNGraph(objs[0], 5, SearchOptions{}); (err == nil) != want {
-			t.Fatalf("%s: KNNGraph err = %v", stage, err)
+		if _, _, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: objs[0], K: 5}); (err == nil) != want {
+			t.Fatalf("%s: graph query err = %v", stage, err)
 		}
 	}
 	check("initial", true)
@@ -144,7 +144,7 @@ func TestGraphBuildDeterministic(t *testing.T) {
 		if err := tree.BuildGraph(GraphOptions{Seed: 15, Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
-		res, err := tree.KNNGraph(objs[5], 8, SearchOptions{Ef: 48})
+		res, _, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: objs[5], K: 8, Search: SearchOptions{Ef: 48}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestGraphBuildDeterministic(t *testing.T) {
 		}
 	}
 	// Repeated searches on one graph are deterministic too.
-	again, err := t1.KNNGraph(objs[5], 8, SearchOptions{Ef: 48})
+	again, _, err := t1.Query(context.Background(), Query{Op: OpKNNGraph, Q: objs[5], K: 8, Search: SearchOptions{Ef: 48}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +211,8 @@ func TestGraphCtxCanceled(t *testing.T) {
 	}
 	canceled, cancelNow := context.WithCancel(context.Background())
 	cancelNow()
-	if _, err := tree.KNNGraphCtx(canceled, objs[0], 5, SearchOptions{}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("KNNGraphCtx err = %v, want ErrCanceled", err)
+	if _, _, err := tree.Query(canceled, Query{Op: OpKNNGraph, Q: objs[0], K: 5}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("graph query err = %v, want ErrCanceled", err)
 	}
 }
 
@@ -299,7 +299,7 @@ func TestGraphDeltaMerge(t *testing.T) {
 	if !tree.HasGraph() {
 		t.Fatal("buffered writes invalidated the graph")
 	}
-	got, qs, err := tree.KNNGraphWithStats(q, 5, SearchOptions{Ef: 64})
+	got, qs, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: q, K: 5, Search: SearchOptions{Ef: 64}, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestGraphDeltaMerge(t *testing.T) {
 	if tree.HasGraph() {
 		t.Fatal("graph survived the compaction swap")
 	}
-	if _, err := tree.KNNGraph(q, 5, SearchOptions{}); !errors.Is(err, ErrNoGraph) {
+	if _, _, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: q, K: 5}); !errors.Is(err, ErrNoGraph) {
 		t.Fatalf("err = %v, want ErrNoGraph after compaction", err)
 	}
 }
@@ -356,7 +356,7 @@ func TestGraphPersistenceRoundtrip(t *testing.T) {
 	if err := tree.BuildGraph(GraphOptions{Seed: 19}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := tree.KNNGraph(objs[3], 7, SearchOptions{Ef: 40})
+	want, _, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: objs[3], K: 7, Search: SearchOptions{Ef: 40}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestGraphPersistenceRoundtrip(t *testing.T) {
 	if !re.HasGraph() {
 		t.Fatal("graph not reattached by Load")
 	}
-	got, err := re.KNNGraph(objs[3], 7, SearchOptions{Ef: 40})
+	got, _, err := re.Query(context.Background(), Query{Op: OpKNNGraph, Q: objs[3], K: 7, Search: SearchOptions{Ef: 40}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestGraphStressQueriesWrites(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				dead := snapshotDeleted()
-				res, err := tree.KNNGraph(objs[(w*37+i)%len(objs)], 8, SearchOptions{Ef: 32})
+				res, _, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: objs[(w*37+i)%len(objs)], K: 8, Search: SearchOptions{Ef: 32}})
 				if err != nil {
 					qmu.Lock()
 					qerr = err
@@ -626,7 +626,7 @@ func TestCalibrateEfTargetRecall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tree.KNNGraph(q, k, SearchOptions{TargetRecall: 0.95})
+		got, _, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: q, K: k, Search: SearchOptions{TargetRecall: 0.95}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -638,10 +638,10 @@ func TestCalibrateEfTargetRecall(t *testing.T) {
 
 	// Explicit Ef beats TargetRecall; without either, DefaultEf applies —
 	// both must keep working with a curve stored.
-	if _, err := tree.KNNGraph(objs[0], k, SearchOptions{Ef: 32, TargetRecall: 0.99}); err != nil {
+	if _, _, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: objs[0], K: k, Search: SearchOptions{Ef: 32, TargetRecall: 0.99}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tree.KNNGraph(objs[0], k, SearchOptions{}); err != nil {
+	if _, _, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: objs[0], K: k}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -25,10 +25,10 @@ import (
 // returned (sorted by distance) alongside the non-nil error, so callers get
 // a best-effort partial answer rather than silently losing objects.
 //
-// Use KNNWithStats to additionally observe the query's per-stage QueryStats,
-// and KNNCtx for deadline- and cancellation-aware execution.
+// KNN is Query with Op OpKNN under context.Background(); use Query for the
+// query's QueryStats, a deadline, a seed bound or a verification budget.
 func (t *Tree) KNN(q metric.Object, k int) ([]Result, error) {
-	return t.KNNCtx(context.Background(), q, k)
+	return answers(t.Query(context.Background(), Query{Op: OpKNN, Q: q, K: k}))
 }
 
 // knn is Algorithm 2, accumulating per-stage counts into qs. ctx is checked
@@ -41,7 +41,7 @@ func (t *Tree) KNN(q metric.Object, k int) ([]Result, error) {
 // unbounded. The forest's staged kNN scatter passes the first shard's k-th
 // distance here so the remaining shards run bounded probes.
 //
-// maxVerify > 0 makes the search approximate (KNNApprox): the traversal is
+// maxVerify > 0 makes the search approximate (OpKNNApprox): the traversal is
 // the best-first one whatever the tree's strategy, and it stops once
 // maxVerify distances have been computed. A record the write buffer
 // supersedes verifies nothing and spends no budget.
@@ -288,12 +288,10 @@ func newKNNResults(k int, bound0 float64) *knnResults {
 	return new(knnResults).reset(k, bound0)
 }
 
-// reset readies r, keeping its backing array, for a query seeded with bound0.
-// A NaN bound is treated as unbounded; 0 is a valid (maximally tight) bound.
+// reset readies r, keeping its backing array, for a query seeded with bound0
+// (+Inf for none; 0 is a valid, maximally tight bound; Query.Validate has
+// already rejected NaN).
 func (r *knnResults) reset(k int, bound0 float64) *knnResults {
-	if math.IsNaN(bound0) {
-		bound0 = math.Inf(1)
-	}
 	r.k, r.bound0, r.items = k, bound0, r.items[:0]
 	return r
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -40,13 +41,13 @@ func TestKNNWithinMatchesKNN(t *testing.T) {
 				}
 				kth := exact[len(exact)-1].Dist
 
-				inf, err := tree.KNNWithin(q, k, math.Inf(1))
+				inf, _, err := tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: k, Bounded: true, Bound: math.Inf(1)})
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameResults(t, label+"/seed=inf", exact, inf)
 
-				atKth, err := tree.KNNWithin(q, k, kth)
+				atKth, _, err := tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: k, Bounded: true, Bound: kth})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -60,7 +61,7 @@ func TestKNNWithinMatchesKNN(t *testing.T) {
 						want = append(want, x)
 					}
 				}
-				got, err := tree.KNNWithin(q, k, tight)
+				got, _, err := tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: k, Bounded: true, Bound: tight})
 				if err != nil {
 					t.Fatal(err)
 				}

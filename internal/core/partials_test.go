@@ -69,7 +69,7 @@ func TestParallelCancellationPartials(t *testing.T) {
 		defer wg.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 		defer cancel()
-		res, err := tree.RangeSearchCtx(ctx, q, r)
+		res, _, err := tree.Query(ctx, Query{Op: OpRange, Q: q, Radius: r})
 		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("range err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
 		}
@@ -82,7 +82,7 @@ func TestParallelCancellationPartials(t *testing.T) {
 		defer wg.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 		defer cancel()
-		res, err := tree.KNNCtx(ctx, q, 50)
+		res, _, err := tree.Query(ctx, Query{Op: OpKNN, Q: q, K: 50})
 		if !errors.Is(err, ErrCanceled) {
 			t.Errorf("knn err = %v, want ErrCanceled", err)
 		}

@@ -20,11 +20,10 @@ import (
 // returned (sorted) alongside the non-nil error — objects are never
 // silently dropped, and the error tells the caller the set is incomplete.
 //
-// Use RangeSearchWithStats to additionally observe the query's per-stage
-// QueryStats, and RangeSearchCtx for deadline- and cancellation-aware
-// execution.
+// RangeQuery is Query with Op OpRange under context.Background(); use Query
+// for the query's QueryStats or a deadline.
 func (t *Tree) RangeQuery(q metric.Object, r float64) ([]Result, error) {
-	return t.RangeSearchCtx(context.Background(), q, r)
+	return answers(t.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: r}))
 }
 
 // rangeQuery is Algorithm 1, accumulating per-stage counts into qs. ctx is

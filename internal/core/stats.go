@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"spbtree/internal/metric"
 	"spbtree/internal/obs"
 )
 
@@ -140,23 +139,24 @@ type QueryStats struct {
 	// --- wall clock -------------------------------------------------------
 
 	// PlanTime covers query preparation: the pivot mapping φ(q) and range-
-	// region computation. Populated by the WithStats entry points only.
+	// region computation. Populated for Timed queries (and the WithStats join
+	// entry points) only.
 	PlanTime time.Duration
-	// VerifyTime covers RAF reads plus distance computations. Populated by
-	// the WithStats entry points only.
+	// VerifyTime covers RAF reads plus distance computations. Timed only.
 	VerifyTime time.Duration
 	// FilterTime is the remainder of Elapsed: index traversal and pruning.
-	// Populated by the WithStats entry points only.
+	// Timed only.
 	FilterTime time.Duration
-	// Elapsed is the query's total wall time. On stats merged from a
-	// scatter-gather query (Merge) it is the slowest branch's Elapsed, not
-	// the gather's own wall time — the branches ran side by side — and the
-	// three stage times above are likewise per-branch maxima, possibly of
-	// different branches, so they need not sum to it.
+	// Elapsed is the query's total wall time at the level that returned the
+	// stats: a tree's own clock, and for a scatter-gather query the forest's
+	// or router's clock around the whole gather (every serial round and the
+	// wire included). The three stage times above stay per-branch
+	// maxima under Merge, possibly of different branches, so on gathered stats
+	// they need not sum to it.
 	Elapsed time.Duration
 
-	// timed enables the per-stage clocks; the plain entry points leave it
-	// off so the hot path never calls time.Now per verified object.
+	// timed enables the per-stage clocks (Query.Timed); plain queries leave
+	// it off so the hot path never calls time.Now per verified object.
 	timed bool
 }
 
@@ -170,10 +170,12 @@ func (s *QueryStats) PageAccesses() int64 { return s.IndexPA + s.DataPA }
 // PlanTime, VerifyTime and FilterTime each become the maximum over the
 // branches — the per-shard maximum, each field on its own — which bounds the
 // gather's wall time from below when branches ran side by side and says
-// nothing about the total CPU time spent. Plan is left alone: the gather side
-// fills it with the whole query's view. Merge only reads exported fields, so
-// it works identically on stats decoded from a wire payload (gob drops the
-// unexported timing flag, which only gates clock collection, not reporting).
+// nothing about the total CPU time spent. Plan is left alone, and Elapsed is
+// provisional: the gather side fills Plan with the whole query's view and
+// overwrites Elapsed with its own clock around the gather. Merge only reads
+// exported fields, so it works identically on stats decoded from a wire
+// payload (gob drops the unexported timing flag, which only gates clock
+// collection, not reporting).
 func (s *QueryStats) Merge(o QueryStats) {
 	if s.Op == "" {
 		s.Op = o.Op
@@ -340,32 +342,6 @@ func (t *Tree) wireTracer() {
 	t.idxCache.SetTracer(t.tracer, obs.SrcIndex)
 	t.dataCache.SetTracer(t.tracer, obs.SrcData)
 	t.raf.SetTracer(t.tracer)
-}
-
-// RangeSearchWithStats answers RQ(q, O, r) like RangeQuery and additionally
-// returns the query's per-stage QueryStats, including the per-stage wall
-// clocks. On a partial-result error the stats cover the work completed.
-func (t *Tree) RangeSearchWithStats(q metric.Object, r float64) ([]Result, QueryStats, error) {
-	return t.RangeSearchWithStatsCtx(context.Background(), q, r)
-}
-
-// KNNWithStats answers kNN(q, k) like KNN and additionally returns the
-// query's per-stage QueryStats.
-func (t *Tree) KNNWithStats(q metric.Object, k int) ([]Result, QueryStats, error) {
-	return t.KNNWithStatsCtx(context.Background(), q, k)
-}
-
-// KNNWithinWithStats answers bounded kNN like KNNWithin and additionally
-// returns the query's per-stage QueryStats.
-func (t *Tree) KNNWithinWithStats(q metric.Object, k int, bound float64) ([]Result, QueryStats, error) {
-	return t.KNNWithinWithStatsCtx(context.Background(), q, k, bound)
-}
-
-// KNNApproxWithStats answers budgeted approximate kNN like KNNApprox and
-// additionally returns the query's per-stage QueryStats. A budget of zero or
-// less falls back to the exact search (reported under OpKNN).
-func (t *Tree) KNNApproxWithStats(q metric.Object, k, maxVerify int) ([]Result, QueryStats, error) {
-	return t.KNNApproxWithStatsCtx(context.Background(), q, k, maxVerify)
 }
 
 // JoinWithStats computes SJ(Q, O, ε) like Join and additionally returns the

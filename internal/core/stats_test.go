@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestQueryStatsExactSmallTree(t *testing.T) {
 	q := metric.NewVector(100, []float64{0.5, 0.5, 0.5})
 
 	tree.ResetStats()
-	res, qs, err := tree.RangeSearchWithStats(q, dist.MaxDistance())
+	res, qs, err := tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: dist.MaxDistance(), Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestQueryStatsExactSmallTree(t *testing.T) {
 	// Warm repeat: both pages are cached, so PA must be zero and the reads
 	// must surface as cache hits instead.
 	tree.WarmReset()
-	_, qs2, err := tree.RangeSearchWithStats(q, dist.MaxDistance())
+	_, qs2, err := tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: dist.MaxDistance(), Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestQueryStatsReconcile(t *testing.T) {
 	}
 
 	tree.ResetStats()
-	_, qs, err := tree.RangeSearchWithStats(q, 0.12*dist.MaxDistance())
+	_, qs, err := tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: 0.12 * dist.MaxDistance(), Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestQueryStatsReconcile(t *testing.T) {
 	check("range", qs)
 
 	tree.ResetStats()
-	res, qs, err := tree.KNNWithStats(q, 10)
+	res, qs, err := tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 10, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestQueryStatsReconcile(t *testing.T) {
 	check("knn", qs)
 
 	tree.ResetStats()
-	_, qs, err = tree.KNNApproxWithStats(q, 10, 25)
+	_, qs, err = tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: 10, MaxVerify: 25, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestTracerMatchesQueryStats(t *testing.T) {
 
 	tree.ResetStats()
 	q := metric.NewVector(9000, []float64{0.5, 0.4, 0.6})
-	_, qs, err := tree.KNNWithStats(q, 5)
+	_, qs, err := tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 5, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestAggregateMetrics(t *testing.T) {
 	if _, err := tree.KNN(q, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tree.KNNWithStats(q, 3); err != nil {
+	if _, _, err := tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 3, Timed: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tree.RangeQuery(q, 0.1); err != nil {
@@ -302,7 +303,7 @@ func BenchmarkKNNWithStats(b *testing.B) {
 	tree, q := benchTree(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tree.KNNWithStats(q, 10); err != nil {
+		if _, _, err := tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 10, Timed: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 
 	"spbtree/internal/metric"
 	"spbtree/internal/sfc"
@@ -106,6 +107,29 @@ type ShardHint struct {
 	// snapshot) withholds them rather than rebuilding under the read lock.
 	EDC, EPA  float64
 	Estimated bool
+}
+
+// StagedOrder returns the shard visit order of a staged kNN scatter from
+// per-shard KNNHints (indexed by shard): ascending box MinDist (how close the
+// shard's contents can possibly be), predicted distance work as the tie-break
+// when both hints carry an estimate, shard index last for determinism. The
+// forest, the cluster router and spbtool explain all order by this one rule.
+func StagedOrder(hints []ShardHint) []int {
+	order := make([]int, len(hints))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ha, hb := hints[order[a]], hints[order[b]]
+		if ha.MinDist != hb.MinDist {
+			return ha.MinDist < hb.MinDist
+		}
+		if ha.Estimated && hb.Estimated && ha.EDC != hb.EDC {
+			return ha.EDC < hb.EDC
+		}
+		return order[a] < order[b]
+	})
+	return order
 }
 
 // hintEstSampleCap bounds the reservoir scan of a kNN hint's eND_k estimate,

@@ -1,10 +1,7 @@
 package forest
 
 import (
-	"context"
-	"fmt"
 	"math"
-	"sort"
 
 	"spbtree/internal/core"
 	"spbtree/internal/metric"
@@ -17,34 +14,7 @@ import (
 // proves they cannot intersect the query ball; staged kNN visits the most
 // promising shard first and probes the rest with its k-th distance as a
 // seed bound (sound because every shard answers the canonical (dist, ID)
-// top-k — §15.1/§15.2). Shards without the planning capabilities, and any
-// hint failure, degrade to the flat scatter.
-
-// Planner is the optional shard capability for adaptive scatter planning:
-// a shard that can report its relevance and predicted cost for a query
-// without executing it. Local trees implement it; remote cluster handles
-// answer from the owning node's summaries.
-type Planner interface {
-	// RangeHint reports the shard's relevance for RQ(q, r); Prunable proves
-	// the shard contributes nothing.
-	RangeHint(q metric.Object, r float64) (core.ShardHint, error)
-	// KNNHint reports the shard's relevance and predicted cost for kNN(q, k).
-	KNNHint(q metric.Object, k int) (core.ShardHint, error)
-}
-
-// BoundedKNN is the optional shard capability for seeded kNN: the canonical
-// top-k of {o : d(q,o) ≤ bound} (core.Tree.KNNWithin), which the staged
-// scatter's second stage probes shards with.
-type BoundedKNN interface {
-	KNNWithinCtx(ctx context.Context, q metric.Object, k int, bound float64) ([]core.Result, error)
-	KNNWithinWithStatsCtx(ctx context.Context, q metric.Object, k int, bound float64) ([]core.Result, core.QueryStats, error)
-}
-
-// Local trees provide both capabilities.
-var (
-	_ Planner    = (*core.Tree)(nil)
-	_ BoundedKNN = (*core.Tree)(nil)
-)
+// top-k — §15.1/§15.2). Any hint failure degrades to the flat scatter.
 
 // SetAdaptive toggles the §15 adaptive scatter (shard pruning and staged
 // kNN); on by default. Off restores the unconditional flat scatter — the
@@ -57,29 +27,20 @@ func (f *Forest) SetAdaptive(on bool) { f.adaptive = on }
 func (f *Forest) Adaptive() bool { return f.adaptive }
 
 // rangePlan decides which shards a range query must visit. It returns the
-// visit list and how many shards were proven irrelevant; on any missing
-// capability or hint failure the shard stays in the visit list — pruning
-// only ever skips shards whose summary box provably misses the query ball.
+// visit list and how many shards were proven irrelevant; on a hint failure
+// the shard stays in the visit list — pruning only ever skips shards whose
+// summary box provably misses the query ball.
 func (f *Forest) rangePlan(q metric.Object, r float64) (visit []int, pruned int) {
-	visit = make([]int, 0, len(f.shards))
 	if !f.adaptive {
-		for i := range f.shards {
-			visit = append(visit, i)
-		}
-		return visit, 0
+		return f.allShards(), 0
 	}
-	for i, s := range f.shards {
-		p, ok := s.(Planner)
-		if !ok {
-			visit = append(visit, i)
+	visit = make([]int, 0, len(f.trees))
+	for i, t := range f.trees {
+		if h, err := t.RangeHint(q, r); err == nil && h.Prunable {
+			pruned++
 			continue
 		}
-		h, err := p.RangeHint(q, r)
-		if err != nil || !h.Prunable {
-			visit = append(visit, i)
-			continue
-		}
-		pruned++
+		visit = append(visit, i)
 	}
 	return visit, pruned
 }
@@ -87,47 +48,21 @@ func (f *Forest) rangePlan(q metric.Object, r float64) (visit []int, pruned int)
 // knnPlan orders shards for the staged kNN visit: ascending box MinDist
 // (how close the shard's contents can possibly be), predicted distance work
 // as the tie-break, shard index last for determinism. Staging applies only
-// when every shard supports both planning capabilities and every hint
-// succeeds — a mixed or failing forest falls back to the flat scatter, which
-// returns the identical answer.
+// when every hint succeeds — otherwise the query falls back to the flat
+// scatter, which returns the identical answer.
 func (f *Forest) knnPlan(q metric.Object, k int) (order []int, staged bool) {
-	if !f.adaptive || len(f.shards) < 2 {
+	if !f.adaptive || len(f.trees) < 2 {
 		return nil, false
 	}
-	type ranked struct {
-		i int
-		h core.ShardHint
-	}
-	rs := make([]ranked, 0, len(f.shards))
-	for i, s := range f.shards {
-		p, ok := s.(Planner)
-		if !ok {
-			return nil, false
-		}
-		if _, ok := s.(BoundedKNN); !ok {
-			return nil, false
-		}
-		h, err := p.KNNHint(q, k)
+	hints := make([]core.ShardHint, len(f.trees))
+	for i, t := range f.trees {
+		h, err := t.KNNHint(q, k)
 		if err != nil {
 			return nil, false
 		}
-		rs = append(rs, ranked{i, h})
+		hints[i] = h
 	}
-	sort.Slice(rs, func(a, b int) bool {
-		if rs[a].h.MinDist != rs[b].h.MinDist {
-			return rs[a].h.MinDist < rs[b].h.MinDist
-		}
-		ae, be := rs[a].h, rs[b].h
-		if ae.Estimated && be.Estimated && ae.EDC != be.EDC {
-			return ae.EDC < be.EDC
-		}
-		return rs[a].i < rs[b].i
-	})
-	order = make([]int, len(rs))
-	for i, r := range rs {
-		order[i] = r.i
-	}
-	return order, true
+	return core.StagedOrder(hints), true
 }
 
 // stageBound extracts the seed bound for the staged scatter's second stage:
@@ -138,71 +73,4 @@ func stageBound(res []core.Result, k int) float64 {
 		return res[k-1].Dist
 	}
 	return math.Inf(1)
-}
-
-// KNNWithinCtx answers the canonical top-k of {o : d(q,o) ≤ bound} across
-// every shard: a flat scatter of per-shard bounded probes merged under the
-// total (dist, ID) order. This is the receiving half of a staged scatter —
-// the cluster router sends its stage-1 bound here (DESIGN.md §15.4) — so it
-// does no staging of its own. Every shard must support BoundedKNN.
-func (f *Forest) KNNWithinCtx(ctx context.Context, q metric.Object, k int, bound float64) ([]core.Result, error) {
-	per := make([][]core.Result, len(f.shards))
-	err := f.scatter(ctx, func(i int, s Shard) error {
-		b, ok := s.(BoundedKNN)
-		if !ok {
-			return fmt.Errorf("forest: shard %d does not support bounded kNN", i)
-		}
-		res, err := b.KNNWithinCtx(ctx, q, k, bound)
-		per[i] = res
-		return err
-	})
-	return MergeKNN(per, k), err
-}
-
-// KNNWithinWithStatsCtx is KNNWithinCtx, additionally gathering the merged
-// per-shard QueryStats.
-func (f *Forest) KNNWithinWithStatsCtx(ctx context.Context, q metric.Object, k int, bound float64) ([]core.Result, core.QueryStats, error) {
-	per := make([][]core.Result, len(f.shards))
-	stats := make([]core.QueryStats, len(f.shards))
-	err := f.scatter(ctx, func(i int, s Shard) error {
-		b, ok := s.(BoundedKNN)
-		if !ok {
-			return fmt.Errorf("forest: shard %d does not support bounded kNN", i)
-		}
-		res, qs, err := b.KNNWithinWithStatsCtx(ctx, q, k, bound)
-		per[i], stats[i] = res, qs
-		return err
-	})
-	out := MergeKNN(per, k)
-	return out, gatherStats(stats, len(out)), err
-}
-
-// HintRange returns per-shard range hints for RQ(q, r), in shard order — the
-// node-side answer to the cluster router's hint RPC. Any shard lacking the
-// Planner capability, or any hint error, fails the whole call: the remote
-// planner must fall back to the flat scatter rather than plan on partial
-// information.
-func (f *Forest) HintRange(q metric.Object, r float64) ([]core.ShardHint, error) {
-	return f.hints(func(p Planner) (core.ShardHint, error) { return p.RangeHint(q, r) })
-}
-
-// HintKNN is HintRange for kNN(q, k).
-func (f *Forest) HintKNN(q metric.Object, k int) ([]core.ShardHint, error) {
-	return f.hints(func(p Planner) (core.ShardHint, error) { return p.KNNHint(q, k) })
-}
-
-func (f *Forest) hints(hint func(Planner) (core.ShardHint, error)) ([]core.ShardHint, error) {
-	out := make([]core.ShardHint, len(f.shards))
-	for i, s := range f.shards {
-		p, ok := s.(Planner)
-		if !ok {
-			return nil, fmt.Errorf("forest: shard %d cannot answer planning hints", i)
-		}
-		h, err := hint(p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = h
-	}
-	return out, nil
 }

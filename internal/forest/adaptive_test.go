@@ -59,20 +59,20 @@ func TestAdaptiveEquivalenceMatrix(t *testing.T) {
 				r := (0.05 + 0.03*float64(trial)) * maxD
 
 				f.SetAdaptive(true)
-				ar, _, err := f.RangeQueryWithStatsCtx(context.Background(), q, r)
+				ar, _, err := f.Query(context.Background(), core.Query{Op: core.OpRange, Q: q, Radius: r, Timed: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				ak, aqs, err := f.KNNWithStatsCtx(context.Background(), q, 10)
+				ak, aqs, err := f.Query(context.Background(), core.Query{Op: core.OpKNN, Q: q, K: 10, Timed: true})
 				if err != nil {
 					t.Fatal(err)
 				}
 				f.SetAdaptive(false)
-				fr, _, err := f.RangeQueryWithStatsCtx(context.Background(), q, r)
+				fr, _, err := f.Query(context.Background(), core.Query{Op: core.OpRange, Q: q, Radius: r, Timed: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				fk, _, err := f.KNNWithStatsCtx(context.Background(), q, 10)
+				fk, _, err := f.Query(context.Background(), core.Query{Op: core.OpKNN, Q: q, K: 10, Timed: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +102,7 @@ func TestAdaptiveRangePruning(t *testing.T) {
 	}
 	// A far-away query at a tiny radius: its ball misses the data cube.
 	q := metric.NewVector(990001, []float64{9, 9, 9, 9})
-	res, qs, err := f.RangeQueryWithStatsCtx(context.Background(), q, 0.05)
+	res, qs, err := f.Query(context.Background(), core.Query{Op: core.OpRange, Q: q, Radius: 0.05, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestAdaptiveRangePruning(t *testing.T) {
 
 	// The flat scatter visits everyone and agrees on the answer.
 	f.SetAdaptive(false)
-	fres, fqs, err := f.RangeQueryWithStatsCtx(context.Background(), q, 0.05)
+	fres, fqs, err := f.Query(context.Background(), core.Query{Op: core.OpRange, Q: q, Radius: 0.05, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +148,12 @@ func TestStagedKNNSavesWork(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		q := objs[trial*101]
 		f.SetAdaptive(true)
-		_, aqs, err := f.KNNWithStatsCtx(context.Background(), q, 10)
+		_, aqs, err := f.Query(context.Background(), core.Query{Op: core.OpKNN, Q: q, K: 10, Timed: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.SetAdaptive(false)
-		_, fqs, err := f.KNNWithStatsCtx(context.Background(), q, 10)
+		_, fqs, err := f.Query(context.Background(), core.Query{Op: core.OpKNN, Q: q, K: 10, Timed: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestAdaptiveAfterWrites(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		q := all[trial*171]
 		f.SetAdaptive(true)
-		ak, _, err := f.KNNWithStatsCtx(context.Background(), q, 8)
+		ak, _, err := f.Query(context.Background(), core.Query{Op: core.OpKNN, Q: q, K: 8, Timed: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestAdaptiveAfterWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.SetAdaptive(false)
-		fk, _, err := f.KNNWithStatsCtx(context.Background(), q, 8)
+		fk, _, err := f.Query(context.Background(), core.Query{Op: core.OpKNN, Q: q, K: 8, Timed: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func TestScatterStopsOnCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var launched atomic.Int32
-	err = f.scatter(ctx, func(i int, s Shard) error {
+	err = f.scatter(ctx, f.allShards(), func(i int, _ *core.Tree) error {
 		if launched.Add(1) == 1 {
 			cancel() // cancel while the first shard is still running
 		}
@@ -63,7 +63,7 @@ func TestScatterNoDispatchAfterCancelObserved(t *testing.T) {
 	for iter := 0; iter < 50; iter++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		var launched atomic.Int32
-		err := f.scatter(ctx, func(i int, s Shard) error {
+		err := f.scatter(ctx, f.allShards(), func(i int, _ *core.Tree) error {
 			launched.Add(1)
 			cancel() // observable before this shard's slot frees
 			return nil
@@ -94,7 +94,7 @@ func TestScatterStopsOnError(t *testing.T) {
 	}
 	boom := errors.New("shard exploded")
 	var launched atomic.Int32
-	err = f.scatter(context.Background(), func(i int, s Shard) error {
+	err = f.scatter(context.Background(), f.allShards(), func(i int, _ *core.Tree) error {
 		launched.Add(1)
 		if i == 0 {
 			return boom
@@ -126,23 +126,23 @@ func TestForestQueryCtxPartials(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := f.RangeQueryCtx(ctx, objs[0], 0.3); !errors.Is(err, core.ErrCanceled) {
+	if _, _, err := f.Query(ctx, core.Query{Op: core.OpRange, Q: objs[0], Radius: 0.3}); !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("range: err = %v, want ErrCanceled", err)
 	}
-	if _, err := f.KNNCtx(ctx, objs[0], 5); !errors.Is(err, core.ErrCanceled) {
+	if _, _, err := f.Query(ctx, core.Query{Op: core.OpKNN, Q: objs[0], K: 5}); !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("knn: err = %v, want ErrCanceled", err)
 	}
 
-	// Background contexts stay equivalent to the plain entry points.
+	// The RangeQuery convenience is Query under a background context.
 	plain, err := f.RangeQuery(objs[0], 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := f.RangeQueryCtx(context.Background(), objs[0], 0.3)
+	withCtx, _, err := f.Query(context.Background(), core.Query{Op: core.OpRange, Q: objs[0], Radius: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plain) != len(withCtx) {
-		t.Fatalf("ctx variant disagrees: %d vs %d", len(plain), len(withCtx))
+		t.Fatalf("RangeQuery disagrees with Query: %d vs %d", len(plain), len(withCtx))
 	}
 }

@@ -10,12 +10,8 @@ import (
 	"spbtree/internal/recall"
 )
 
-// exactOnlyShard wraps a Shard hiding the graph capabilities, standing in for
-// a remote cluster handle.
-type exactOnlyShard struct{ Shard }
-
 // TestForestGraphKNN pins the scattered graph tier end to end: BuildGraph
-// reaches every shard, KNNGraph merges the per-shard beams with recall@10
+// reaches every shard, an OpKNNGraph Query merges the per-shard beams with recall@10
 // at least 0.9 against the forest's exact answer, and the stats gather
 // carries the graph counters.
 func TestForestGraphKNN(t *testing.T) {
@@ -44,7 +40,7 @@ func TestForestGraphKNN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, qs, err := f.KNNGraphWithStatsCtx(context.Background(), q, k, core.SearchOptions{})
+		got, qs, err := f.Query(context.Background(), core.Query{Op: core.OpKNNGraph, Q: q, K: k, Timed: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,8 +63,7 @@ func TestForestGraphKNN(t *testing.T) {
 }
 
 // TestForestGraphFallback pins the per-shard degradation contract: shards
-// with no live graph — whether they lack the graph itself (ErrNoGraph) or
-// the capability interface entirely — answer through the exact path, and the
+// with no live graph (ErrNoGraph) answer through the exact path, and the
 // merged result is still correct.
 func TestForestGraphFallback(t *testing.T) {
 	objs := vectors(600, 4, 22, 0)
@@ -81,13 +76,13 @@ func TestForestGraphFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// No shard has a graph: KNNGraph must equal exact KNN bit for bit.
+	// No shard has a graph: the graph query must equal exact KNN bit for bit.
 	q := objs[5]
 	exact, err := f.KNN(q, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, qs, err := f.KNNGraphWithStatsCtx(context.Background(), q, 8, core.SearchOptions{})
+	got, qs, err := f.Query(context.Background(), core.Query{Op: core.OpKNNGraph, Q: q, K: 8, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +95,7 @@ func TestForestGraphFallback(t *testing.T) {
 	if err := f.Shards()[0].BuildGraph(core.GraphOptions{Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
-	got, qs, err = f.KNNGraphWithStatsCtx(context.Background(), q, 8, core.SearchOptions{Ef: 256})
+	got, qs, err = f.Query(context.Background(), core.Query{Op: core.OpKNNGraph, Q: q, K: 8, Search: core.SearchOptions{Ef: 256}, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,25 +104,6 @@ func TestForestGraphFallback(t *testing.T) {
 	}
 	if len(got) != 8 {
 		t.Fatalf("mixed scatter returned %d results, want 8", len(got))
-	}
-
-	// A shard type without the capability interfaces falls back too, and
-	// blocks forest-level construction with a shard-naming error.
-	wrapped := make([]Shard, len(f.Shards()))
-	for i, tr := range f.Shards() {
-		wrapped[i] = exactOnlyShard{tr}
-	}
-	fw, err := FromShards(wrapped, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = fw.KNNGraph(q, 8, core.SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResultList(t, "capability-fallback", exact, got)
-	if err := fw.BuildGraph(core.GraphOptions{}); err == nil {
-		t.Fatal("BuildGraph over capability-less shards did not fail")
 	}
 }
 

@@ -10,20 +10,18 @@ import (
 )
 
 // Backend is the index the HTTP layer serves — the seam at which a single
-// local tree and a whole cluster are interchangeable. The query methods
-// mirror core.Tree's context entry points (partials travel with typed
-// errors; errors.Is(err, core.ErrCanceled) marks deadline cancellations),
-// so *core.Tree satisfies the query half verbatim and TreeBackend only
-// adapts the mutation and stats surface. A cluster router mounts here via
-// its own adapter (internal/cluster's ServerBackend), giving spbserve its
-// router mode without the HTTP layer knowing about nodes or placement.
+// local tree and a whole cluster are interchangeable. Query is
+// core.Tree.Query's signature and contract (partials travel with typed
+// errors; errors.Is(err, core.ErrCanceled) marks deadline cancellations), so
+// TreeBackend forwards it and only adapts the mutation and stats surface. A
+// cluster router mounts here via its own adapter (internal/cluster's
+// ServerBackend), giving spbserve its router mode without the HTTP layer
+// knowing about nodes or placement.
 type Backend interface {
-	// RangeSearchWithStatsCtx answers RQ(q, r) with the query's stats.
-	RangeSearchWithStatsCtx(ctx context.Context, q metric.Object, r float64) ([]core.Result, core.QueryStats, error)
-	// KNNWithStatsCtx answers kNN(q, k) with the query's stats.
-	KNNWithStatsCtx(ctx context.Context, q metric.Object, k int) ([]core.Result, core.QueryStats, error)
-	// KNNApproxWithStatsCtx answers budgeted approximate kNN.
-	KNNApproxWithStatsCtx(ctx context.Context, q metric.Object, k, maxVerify int) ([]core.Result, core.QueryStats, error)
+	// Query answers one range or kNN request with the query's stats. An
+	// OpKNNGraph request on an index with no live graph answers
+	// core.ErrNoGraph, and the server degrades it to the exact request.
+	Query(ctx context.Context, q core.Query) ([]core.Result, core.QueryStats, error)
 	// SelfJoinWithStatsCtx computes SJ(D, D, eps) over the backend's own
 	// object set, as ID pairs.
 	SelfJoinWithStatsCtx(ctx context.Context, eps float64) ([]core.IDPair, core.QueryStats, error)
@@ -48,15 +46,6 @@ type Backend interface {
 	StatsFields() map[string]interface{}
 }
 
-// GraphBackend is the optional Backend capability behind /v1/knn's
-// mode=ann: answering kNN from the approximate graph tier (DESIGN.md §14).
-// Backends that lack the method — and capable backends whose index has no
-// live graph (core.ErrNoGraph) — are served by the exact path instead, so
-// mode=ann degrades rather than fails.
-type GraphBackend interface {
-	KNNGraphWithStatsCtx(ctx context.Context, q metric.Object, k int, opts core.SearchOptions) ([]core.Result, core.QueryStats, error)
-}
-
 // TreeBackend serves one local SPB-tree — the Backend every pre-cluster
 // deployment uses, and the one Config.Tree wraps implicitly.
 type TreeBackend struct {
@@ -66,24 +55,9 @@ type TreeBackend struct {
 // NewTreeBackend wraps t.
 func NewTreeBackend(t *core.Tree) *TreeBackend { return &TreeBackend{T: t} }
 
-// RangeSearchWithStatsCtx implements Backend.
-func (b *TreeBackend) RangeSearchWithStatsCtx(ctx context.Context, q metric.Object, r float64) ([]core.Result, core.QueryStats, error) {
-	return b.T.RangeSearchWithStatsCtx(ctx, q, r)
-}
-
-// KNNWithStatsCtx implements Backend.
-func (b *TreeBackend) KNNWithStatsCtx(ctx context.Context, q metric.Object, k int) ([]core.Result, core.QueryStats, error) {
-	return b.T.KNNWithStatsCtx(ctx, q, k)
-}
-
-// KNNGraphWithStatsCtx implements GraphBackend.
-func (b *TreeBackend) KNNGraphWithStatsCtx(ctx context.Context, q metric.Object, k int, opts core.SearchOptions) ([]core.Result, core.QueryStats, error) {
-	return b.T.KNNGraphWithStatsCtx(ctx, q, k, opts)
-}
-
-// KNNApproxWithStatsCtx implements Backend.
-func (b *TreeBackend) KNNApproxWithStatsCtx(ctx context.Context, q metric.Object, k, maxVerify int) ([]core.Result, core.QueryStats, error) {
-	return b.T.KNNApproxWithStatsCtx(ctx, q, k, maxVerify)
+// Query implements Backend.
+func (b *TreeBackend) Query(ctx context.Context, q core.Query) ([]core.Result, core.QueryStats, error) {
+	return b.T.Query(ctx, q)
 }
 
 // SelfJoinWithStatsCtx implements Backend as SJ(T, T, eps).

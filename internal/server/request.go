@@ -166,9 +166,6 @@ func (req *Request) validate(op string) error {
 			if req.Ef > MaxK {
 				return badf("ef is %d, limit %d", req.Ef, MaxK)
 			}
-			if req.Ef > 0 && req.Mode != "ann" {
-				return badf("ef applies only to mode=ann")
-			}
 		}
 	case core.OpJoin:
 		if hasObject {
@@ -190,7 +187,30 @@ func (req *Request) validate(op string) error {
 	default:
 		return badf("unknown operation %q", op)
 	}
+	if op == core.OpRange || op == core.OpKNN || op == core.OpKNNApprox {
+		// The library's own request invariants (ef only with mode=ann, ...).
+		if err := req.coreQuery(op, nil).Validate(); err != nil {
+			return badf("%v", err)
+		}
+	}
 	return nil
+}
+
+// coreQuery renders a query endpoint's request as the library's request
+// value over the parsed query object q: /v1/knn with mode=ann is the graph
+// operation, every HTTP query is Timed.
+func (req *Request) coreQuery(op string, q metric.Object) core.Query {
+	cq := core.Query{Op: op, Q: q, K: req.K, Search: core.SearchOptions{Ef: req.Ef}, Timed: true}
+	if req.Radius != nil {
+		cq.Radius = *req.Radius
+	}
+	if op == core.OpKNN && req.Mode == "ann" {
+		cq.Op = core.OpKNNGraph
+	}
+	if op == core.OpKNNApprox {
+		cq.MaxVerify = req.MaxVerify
+	}
+	return cq
 }
 
 // finiteNonNegative reports whether v is a usable radius/threshold.

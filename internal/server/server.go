@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"spbtree/internal/core"
-	"spbtree/internal/metric"
 	"spbtree/internal/obs"
 )
 
@@ -270,7 +269,9 @@ type response struct {
 	// Compdists and PageAccesses are the query's cost in the paper's metrics.
 	Compdists    int64 `json:"compdists"`
 	PageAccesses int64 `json:"page_accesses"`
-	// ElapsedUS is the query's wall time in microseconds (queueing excluded).
+	// ElapsedUS is the query's wall time in the backend, in microseconds:
+	// admission queueing excluded; behind a cluster router it covers the whole
+	// gather — hint round, every scatter round and the wire.
 	ElapsedUS int64 `json:"elapsed_us"`
 	// Plan reports how a scatter-gather query visited its shards (DESIGN.md
 	// §15); absent on a single-tree backend.
@@ -570,17 +571,12 @@ func (s *Server) planQuery(op string, req Request) (func(context.Context) (respo
 	if err != nil {
 		return nil, err
 	}
+	cq := req.coreQuery(op, q)
 	return func(ctx context.Context) (response, core.QueryStats, error) {
-		var results []core.Result
-		var qs core.QueryStats
-		var qerr error
-		switch op {
-		case core.OpRange:
-			results, qs, qerr = s.tree.RangeSearchWithStatsCtx(ctx, q, *req.Radius)
-		case core.OpKNN:
-			results, qs, qerr = s.knn(ctx, q, req)
-		default:
-			results, qs, qerr = s.tree.KNNApproxWithStatsCtx(ctx, q, req.K, req.MaxVerify)
+		results, qs, qerr := s.tree.Query(ctx, cq)
+		if cq.Op == core.OpKNNGraph && errors.Is(qerr, core.ErrNoGraph) {
+			// mode=ann is never an error just because no graph was built.
+			results, qs, qerr = s.tree.Query(ctx, cq.Exact())
 		}
 		var resp response
 		resp.Results = make([]resultJSON, len(results))
@@ -589,22 +585,6 @@ func (s *Server) planQuery(op string, req Request) (func(context.Context) (respo
 		}
 		return resp, qs, qerr
 	}, nil
-}
-
-// knn routes /v1/knn by mode: "ann" answers from the approximate graph tier
-// when the backend has one, falling back to exact search when the backend
-// lacks the GraphBackend capability or its index has no live graph — a
-// mode=ann request is never an error just because no graph was built.
-func (s *Server) knn(ctx context.Context, q metric.Object, req Request) ([]core.Result, core.QueryStats, error) {
-	if req.Mode == "ann" {
-		if gb, ok := s.tree.(GraphBackend); ok {
-			res, qs, err := gb.KNNGraphWithStatsCtx(ctx, q, req.K, core.SearchOptions{Ef: req.Ef})
-			if !errors.Is(err, core.ErrNoGraph) {
-				return res, qs, err
-			}
-		}
-	}
-	return s.tree.KNNWithStatsCtx(ctx, q, req.K)
 }
 
 // rejectDraining answers a request arriving during shutdown drain.

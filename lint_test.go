@@ -8,6 +8,10 @@ package spbtree
 //     package is documented.
 //   - TestMarkdownLinks: every relative link in the repo's markdown files
 //     points at a file or directory that exists.
+//
+// Two repository-hygiene lints ride along: TestNoTrackedBinaries (no build
+// output is committed) and TestWorkflowRunPatterns (every test CI names
+// exists).
 
 import (
 	"go/ast"
@@ -15,6 +19,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -73,8 +78,8 @@ func TestPackageDocs(t *testing.T) {
 
 // TestExportedDocs fails for any exported top-level declaration without a
 // doc comment — in the root package (the public API) and in the packages
-// whose exported surface other layers program against (the forest's Shard
-// seam and the whole cluster layer).
+// whose exported surface other layers program against (the forest, the
+// cluster layer, the HTTP server).
 func TestExportedDocs(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -290,5 +295,96 @@ func TestOperationsRunbook(t *testing.T) {
 		if !known[m[1]] {
 			t.Errorf("OPERATIONS.md shows `spbcluster %s`, not a real subcommand", m[1])
 		}
+	}
+}
+
+// TestNoTrackedBinaries keeps build output out of the repository: no tracked
+// file is an ELF executable or larger than 1 MB. It reads the index through
+// git, so it is skipped in a checkout without .git (an exported tarball).
+func TestNoTrackedBinaries(t *testing.T) {
+	if _, err := os.Stat(".git"); err != nil {
+		t.Skip("not a git checkout")
+	}
+	out, err := exec.Command("git", "ls-files", "-z").Output()
+	if err != nil {
+		t.Skipf("git ls-files: %v", err)
+	}
+	for _, name := range strings.Split(strings.TrimRight(string(out), "\x00"), "\x00") {
+		f, err := os.Open(name)
+		if err != nil {
+			continue // tracked but removed from the working tree
+		}
+		st, err := f.Stat()
+		var magic [4]byte
+		n, _ := f.Read(magic[:])
+		f.Close()
+		if err != nil || st.IsDir() {
+			continue
+		}
+		if st.Size() > 1<<20 {
+			t.Errorf("%s is tracked and %d bytes; files over 1 MB do not belong in the repository", name, st.Size())
+		}
+		if n == 4 && string(magic[:]) == "\x7fELF" {
+			t.Errorf("%s is a tracked ELF binary; build it, do not commit it (see .gitignore)", name)
+		}
+	}
+}
+
+// workflowRun matches the -run argument of a `go test` line in a workflow.
+var workflowRun = regexp.MustCompile(`-run '([^']+)'`)
+
+// TestWorkflowRunPatterns checks that every alternative of every `-run`
+// pattern in the CI workflow matches at least one test function: `go test
+// -run` with a pattern that matches nothing passes silently, so a renamed
+// test would otherwise drop out of its CI step unnoticed.
+func TestWorkflowRunPatterns(t *testing.T) {
+	data, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Skipf("no workflow to check: %v", err)
+	}
+	var tests []string
+	testFunc := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			tests = append(tests, m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, m := range workflowRun.FindAllStringSubmatch(string(data), -1) {
+		if m[1] == "^$" {
+			continue // "run no tests": the benchmark and fuzz steps
+		}
+		for _, alt := range strings.Split(m[1], "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("ci.yml: -run alternative %q does not compile: %v", alt, err)
+				continue
+			}
+			checked++
+			matched := false
+			for _, name := range tests {
+				if re.MatchString(name) {
+					matched = true
+					break
+				}
+			}
+			if !matched {
+				t.Errorf("ci.yml: -run alternative %q matches no test function", alt)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no -run patterns in ci.yml; the matcher is out of date")
 	}
 }

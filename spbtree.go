@@ -20,6 +20,14 @@
 //	res, err := tree.RangeQuery(spbtree.NewStr(99, "defoliates"), 1)
 //	nn, err := tree.KNN(spbtree.NewStr(99, "defoliates"), 3)
 //
+// RangeQuery and KNN are the paper's two operations by name; everything else
+// a search can carry — a deadline, per-stage statistics, a verification
+// budget, the graph tier, a seed bound — is a field of one request value:
+//
+//	nn, stats, err := tree.Query(ctx, spbtree.Query{
+//		Op: spbtree.OpKNN, Q: spbtree.NewStr(99, "defoliates"), K: 3, Timed: true,
+//	})
+//
 // For similarity joins, build two trees over the same mapped space with the
 // Z-order curve and call Join:
 //
@@ -53,6 +61,9 @@ type (
 	Options = core.Options
 	// Result is one similarity-search answer.
 	Result = core.Result
+	// Query is one search request — operation, object and parameters — taken
+	// by Tree.Query and Forest.Query.
+	Query = core.Query
 	// JoinPair is one similarity-join answer.
 	JoinPair = core.JoinPair
 	// Stats carries the paper's per-operation metrics (page accesses,
@@ -302,9 +313,8 @@ func JoinForests(fq, fo *Forest, eps float64) ([]JoinPair, error) {
 
 // Observability surface: per-query stage statistics, aggregate metrics and
 // structured tracing hooks. DESIGN.md §7 defines every counter and maps it
-// to the paper's metrics. The WithStats entry points (e.g.
-// Tree.RangeSearchWithStats, Tree.KNNWithStats, JoinWithStats) return a
-// QueryStats per query; Tree.Metrics and Tree.PublishExpvar expose the
+// to the paper's metrics. Tree.Query, Forest.Query and JoinWithStats return a
+// QueryStats per query (Query.Timed adds the stage clocks); Tree.Metrics and Tree.PublishExpvar expose the
 // running aggregates; Tree.SetTracer installs a TraceEvent hook on every
 // storage layer (no-op and allocation-free when unset).
 type (
@@ -358,8 +368,8 @@ const (
 
 // Approximate graph tier: an NN-descent k-neighbor graph over the tree's
 // live objects, queried by greedy beam search (DESIGN.md §14). Build with
-// Tree.BuildGraph / BuildGraphCtx, query with Tree.KNNGraph and its
-// Ctx/WithStats variants; Tree.HasGraph reports liveness. The tier is
+// Tree.BuildGraph / BuildGraphCtx, query with Tree.Query under Op OpKNNGraph
+// (Query.Search tunes the beam); Tree.HasGraph reports liveness. The tier is
 // opt-in and degrades, never fails: graph queries return ErrNoGraph when no
 // graph is live (callers fall back to exact kNN — the forest and spbserve's
 // mode=ann do so automatically), a deleted object never surfaces (the
@@ -390,9 +400,8 @@ func JoinWithStats(tq, to *Tree, eps float64) ([]JoinPair, QueryStats, error) {
 	return core.JoinWithStats(tq, to, eps)
 }
 
-// Cancellation surface. Every search entry point has a context-honoring
-// variant (Tree.RangeSearchCtx, Tree.KNNCtx, Tree.KNNApproxCtx, JoinCtx and
-// their WithStats forms): cancellation is checked at leaf-scan and
+// Cancellation surface. Tree.Query, Forest.Query, JoinCtx and
+// JoinWithStatsCtx honor their context: cancellation is checked at leaf-scan and
 // verification granularity, and an interrupted query returns the answers
 // verified so far together with an error matching ErrCanceled — partial
 // results plus a typed error, the same contract the durability layer uses
@@ -403,6 +412,8 @@ var (
 	// context was canceled or its deadline expired; the context's own cause
 	// (e.g. context.DeadlineExceeded) stays matchable through it.
 	ErrCanceled = core.ErrCanceled
+	// ErrInvalidQuery matches every request Query.Validate rejects.
+	ErrInvalidQuery = core.ErrInvalidQuery
 )
 
 // JoinCtx computes the similarity join like Join, honoring ctx: cancellation

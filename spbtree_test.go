@@ -2,6 +2,7 @@ package spbtree_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -385,7 +386,7 @@ func TestPublicIterAndCount(t *testing.T) {
 	if n != len(full) {
 		t.Fatalf("RangeCount %d != RangeQuery %d", n, len(full))
 	}
-	if _, err := tree.KNNApprox(objs[3], 5, 10); err != nil {
+	if _, _, err := tree.Query(context.Background(), spbtree.Query{Op: spbtree.OpKNNApprox, Q: objs[3], K: 5, MaxVerify: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tree.Rebuild(spbtree.NewMemStore(), spbtree.NewMemStore()); err != nil {
