@@ -22,7 +22,7 @@ type config struct {
 	queries  int    // measured queries (the paper uses 500)
 	seed     int64  // generator seed
 	workers  int    // pr6: harness goroutines (0 = 8)
-	jsonPath string // pr5/pr6/pr8/pr9: write the machine-readable report here
+	jsonPath string // pr6/pr9: write the machine-readable report here
 	out      io.Writer
 }
 

@@ -10,11 +10,7 @@
 //	spbbench -n 20000 -q 100 all
 //
 // Experiments: table2 table4 table5 table6 table7 fig9 fig10 fig11 fig12
-// fig13 fig14 fig15 fig16 fig17 fig18 ablation forest pr5 pr6 pr8 pr9 all
-//
-// pr5 compares the threshold-aware distance kernels (DESIGN.md §10) against
-// pre-kernel evaluation on the same persisted index and enforces the kernel
-// layer's byte-identity invariants; with -json FILE it writes BENCH_PR5.json.
+// fig13 fig14 fig15 fig16 fig17 fig18 ablation forest pr6 pr9 all
 //
 // pr6 exercises the durable write path (DESIGN.md §11): mixed read/write
 // workloads (95/5 and 50/50) on Words and DNAEdit reporting acked-write
@@ -22,11 +18,6 @@
 // the WAL's group-commit batching ratio, and acked writes/sec versus writer
 // fan-in with fsync on and off; -workers sets the harness goroutine count and
 // with -json FILE it writes BENCH_PR6.json.
-//
-// pr8 compares blocked batch verification (DESIGN.md §13) against the scalar
-// bounded path on the same trees, including the float32 Color32 workload, and
-// enforces the batch layer's byte-identity invariants; with -json FILE it
-// writes BENCH_PR8.json.
 //
 // pr9 compares the approximate graph tier (DESIGN.md §14) — NN-descent
 // construction plus beam search — against exact kNN, sweeping the beam width
@@ -53,7 +44,7 @@ func main() {
 	flag.IntVar(&cfg.queries, "q", 50, "measured queries per point (the paper uses 500)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "dataset and pivot-selection seed")
 	flag.IntVar(&cfg.workers, "workers", 0, "pr6: harness goroutines (0 = 8)")
-	flag.StringVar(&cfg.jsonPath, "json", "", "pr5/pr6/pr8/pr9: write a machine-readable report to this file")
+	flag.StringVar(&cfg.jsonPath, "json", "", "pr6/pr9: write a machine-readable report to this file")
 	flag.StringVar(&debugAddr, "debugaddr", "", "serve /debug/vars and /debug/pprof on this address while experiments run")
 	flag.Parse()
 	cfg.out = os.Stdout
@@ -69,7 +60,7 @@ func main() {
 
 	if flag.NArg() == 0 {
 		flag.Usage()
-		fmt.Fprintln(os.Stderr, "\nexperiments: table2 table4 table5 table6 table7 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 ablation forest pr5 pr6 pr8 pr9 all")
+		fmt.Fprintln(os.Stderr, "\nexperiments: table2 table4 table5 table6 table7 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 ablation forest pr6 pr9 all")
 		os.Exit(2)
 	}
 
@@ -91,13 +82,11 @@ func main() {
 		"fig18":    fig18,
 		"ablation": ablation,
 		"forest":   forestExp,
-		"pr5":      pr5,
 		"pr6":      pr6,
-		"pr8":      pr8,
 		"pr9":      pr9,
 	}
 	order := []string{"table2", "table4", "fig9", "fig10", "table5", "fig11",
-		"table6", "table7", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "ablation", "forest", "pr5", "pr6", "pr8", "pr9"}
+		"table6", "table7", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "ablation", "forest", "pr6", "pr9"}
 
 	var names []string
 	for _, arg := range flag.Args() {

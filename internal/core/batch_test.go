@@ -12,153 +12,117 @@ import (
 )
 
 // TestBatchMatchesScalar is the blocked-verification contract end to end
-// (DESIGN.md §13): toggling batch kernels on the same tree changes no
-// observable output — byte-identical results and identical Verified /
-// Compdists / Discarded / Abandoned / pruning counters — for every setup,
-// both traversals and both bounded modes. It also pins that the batch path
-// actually runs: BatchedCandidates is zero with kernels off and positive for
-// range and kNN, so a silent fallback to the scalar path fails here.
+// (DESIGN.md §13): verifying candidates in blocks through the query's prepared
+// kernel changes no observable output. Answers are checked against a
+// brute-force scan of the live set; results (hashed) and every counter the
+// verification stage owns are checked against goldens — the entry-at-a-time
+// scalar path, frozen at the last commit that had one (golden_test.go) — for
+// every setup, both traversals, range / kNN / budgeted kNN, with the write
+// buffer empty and live. It also pins that the block path is the one that
+// runs: BatchedCandidates is positive for range and kNN on every metric, the
+// two without a kernel of their own included.
 func TestBatchMatchesScalar(t *testing.T) {
+	defer writeGoldens(t)
 	for _, s := range setups() {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
+			maxD := s.dist.MaxDistance()
 			for _, trav := range []TraversalStrategy{Incremental, Greedy} {
-				opts := s.opts
-				opts.Traversal = trav
-				opts.Distance = s.dist
-				tree, err := Build(s.objs, opts)
-				if err != nil {
-					t.Fatalf("Build: %v", err)
-				}
-				if !tree.BatchKernels() {
-					t.Fatalf("batch kernels not enabled by Build for %T", s.dist)
-				}
-				maxD := s.dist.MaxDistance()
-				queries := s.objs[:4]
-
-				type outcome struct {
-					res []Result
-					qs  QueryStats
-				}
-				collect := func() []outcome {
-					var out []outcome
-					for _, q := range queries {
-						res, qs, err := tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: 0.15 * maxD, Timed: true})
-						if err != nil {
-							t.Fatal(err)
-						}
-						out = append(out, outcome{res, qs})
-						res, qs, err = tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 6, Timed: true})
-						if err != nil {
-							t.Fatal(err)
-						}
-						out = append(out, outcome{res, qs})
-						res, qs, err = tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: 4, MaxVerify: 40, Timed: true})
-						if err != nil {
-							t.Fatal(err)
-						}
-						out = append(out, outcome{res, qs})
+				for _, delta := range []bool{false, true} {
+					base, extra := s.objs, []metric.Object(nil)
+					if delta {
+						base, extra = s.objs[:len(s.objs)-20], s.objs[len(s.objs)-20:]
 					}
-					return out
-				}
-
-				// batched candidates per operation, accumulated across both
-				// bounded modes.
-				batched := map[string]int64{}
-				for _, bounded := range []bool{true, false} {
-					tree.SetBoundedKernels(bounded)
-					tree.SetBatchKernels(false)
-					scalar := collect()
-					for i, o := range scalar {
-						if o.qs.BatchedCandidates != 0 {
-							t.Fatalf("outcome %d: BatchedCandidates = %d with batch kernels off",
-								i, o.qs.BatchedCandidates)
+					opts := s.opts
+					opts.Traversal = trav
+					opts.Distance = s.dist
+					tree, err := Build(base, opts)
+					if err != nil {
+						t.Fatalf("Build: %v", err)
+					}
+					live := base
+					if delta {
+						live = addWriteBuffer(t, tree, base, extra)
+					}
+					for _, op := range []Query{
+						{Op: OpRange, Radius: 0.15 * maxD},
+						{Op: OpKNN, K: 6},
+						{Op: OpKNNApprox, K: 4, MaxVerify: 40},
+					} {
+						label := fmt.Sprintf("query/%s/%s/%s/delta=%v", s.name, trav, op.Op, delta)
+						var row golden
+						var batched int64
+						for _, q := range s.objs[:4] {
+							op.Q = q
+							res, qs, err := tree.Query(context.Background(), op)
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							row.add(res, qs, nil)
+							batched += qs.BatchedCandidates
+							truth := bfRangeDists(live, q, maxD, s.dist)
+							subsetOfTruth(t, label, res, truth)
+							switch op.Op {
+							case OpRange:
+								if want := bfRange(live, q, op.Radius, s.dist); len(res) != len(want) || len(resultIDs(res)) != len(want) {
+									t.Fatalf("%s: %d results, brute force %d", label, len(res), len(want))
+								}
+							case OpKNN:
+								want := bfKNNDists(live, q, op.K, s.dist)
+								if len(res) != len(want) {
+									t.Fatalf("%s: %d results, brute force %d", label, len(res), len(want))
+								}
+								for i, x := range res {
+									if x.Dist != want[i] {
+										t.Fatalf("%s: rank %d at distance %v, brute force %v", label, i, x.Dist, want[i])
+									}
+								}
+							}
+							if !delta && qs.BatchedCandidates < qs.Verified {
+								t.Errorf("%s: %d candidates verified, only %d through a block", label, qs.Verified, qs.BatchedCandidates)
+							}
+						}
+						checkGolden(t, label, row)
+						if batched == 0 {
+							t.Errorf("%s: no candidate went through the block path", label)
+						}
+						if !metric.IsBounded(s.dist) && row.Abandoned != 0 {
+							t.Errorf("%s: %d evaluations abandoned by a metric that cannot abandon", label, row.Abandoned)
 						}
 					}
-					tree.SetBatchKernels(true)
-					batch := collect()
-					for i := range scalar {
-						label := fmt.Sprintf("%s/%s/bounded=%v/#%d", s.name, trav, bounded, i)
-						sameResults(t, label, scalar[i].res, batch[i].res)
-						a, b := scalar[i].qs, batch[i].qs
-						if a.Verified != b.Verified || a.Compdists != b.Compdists ||
-							a.Lemma2Included != b.Lemma2Included || a.Discarded != b.Discarded ||
-							a.Abandoned != b.Abandoned || a.Results != b.Results ||
-							a.EntriesScanned != b.EntriesScanned || a.EntriesPruned != b.EntriesPruned ||
-							a.TombstonesSkipped != b.TombstonesSkipped {
-							t.Fatalf("%s: counters diverge across batch toggle:\nscalar: %+v\nbatch:  %+v",
-								label, a, b)
-						}
-						batched[b.Op] += b.BatchedCandidates
-					}
+					tree.Close()
 				}
-				if batched[OpRange] == 0 {
-					t.Errorf("%s/%s: no range candidate went through a batch kernel", s.name, trav)
-				}
-				// kNN blocks form on both traversals: greedy batches a whole
-				// leaf's survivors, and the best-first loop buffers
-				// consecutive entry pops into incremental blocks.
-				if batched[OpKNN] == 0 {
-					t.Errorf("%s/%s: no kNN candidate went through a batch kernel", s.name, trav)
-				}
-				tree.Close()
 			}
 		})
 	}
 }
 
-// TestDisableBatchKernelsOption pins the Options escape hatch: a tree built
-// with DisableBatchKernels reports BatchKernels() == false and never counts
-// a batched candidate; SetBatchKernels(true) re-enables for a metric with a
-// batch kernel and stays off for one without.
-func TestDisableBatchKernelsOption(t *testing.T) {
-	s := setups()[0]
-	opts := s.opts
-	opts.Distance = s.dist
-	opts.DisableBatchKernels = true
-	tree, err := Build(s.objs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestKernelsWiredIn keeps what the retired kernel benchmarks gated on that
+// does not depend on the machine: on the words workload, where edit distance
+// abandons aggressively, range and kNN both abandon evaluations (the live
+// bound reaches the kernel) and every verification goes through a block.
+func TestKernelsWiredIn(t *testing.T) {
+	s := setupNamed(t, "words-edit")
+	tree := buildSetup(t, s)
 	defer tree.Close()
-	if tree.BatchKernels() {
-		t.Fatal("DisableBatchKernels did not disable kernels")
-	}
-	_, qs, err := tree.Query(context.Background(), Query{Op: OpRange, Q: s.objs[0], Radius: 0.2 * s.dist.MaxDistance(), Timed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qs.BatchedCandidates != 0 {
-		t.Fatalf("BatchedCandidates = %d on a batch-disabled tree", qs.BatchedCandidates)
-	}
-	tree.SetBatchKernels(true)
-	if !tree.BatchKernels() {
-		t.Fatal("SetBatchKernels(true) did not re-enable for a batch metric")
-	}
-	_, qs, err = tree.Query(context.Background(), Query{Op: OpRange, Q: s.objs[0], Radius: 0.2 * s.dist.MaxDistance(), Timed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qs.BatchedCandidates == 0 {
-		t.Fatal("no candidate batched after SetBatchKernels(true)")
-	}
-
-	// A metric with no batch kernel can never be switched on.
-	objs := make([]metric.Object, 64)
-	for i := range objs {
-		objs[i] = metric.NewSeq(uint64(i), wordSet(1, int64(i))[0].(*metric.Str).S+"ACGTACGT")
-	}
-	plain, err := Build(objs, Options{Distance: metric.TrigramAngular{}, Codec: metric.SeqCodec{}, NumPivots: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if plain.BatchKernels() {
-		t.Fatal("TrigramAngular reported batch kernels")
-	}
-	plain.SetBatchKernels(true)
-	if plain.BatchKernels() {
-		t.Fatal("SetBatchKernels(true) enabled kernels for a batchless metric")
+	for _, op := range []Query{{Op: OpRange, Radius: 2}, {Op: OpKNN, K: 6}} {
+		var abandoned, batched, verified int64
+		for _, q := range s.objs[:8] {
+			op.Q = q
+			_, qs, err := tree.Query(context.Background(), op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			abandoned += qs.Abandoned
+			batched += qs.BatchedCandidates
+			verified += qs.Verified
+		}
+		if abandoned == 0 {
+			t.Errorf("%s: no evaluation abandoned: the bound does not reach the kernel", op.Op)
+		}
+		if batched == 0 || batched < verified {
+			t.Errorf("%s: %d candidates verified, %d through a block", op.Op, verified, batched)
+		}
 	}
 }
 
@@ -172,10 +136,6 @@ func TestBatchStressQueriesMutation(t *testing.T) {
 	fx := newDurableFixture(t, 250, DurableOptions{CompactThreshold: 40})
 	defer fx.tree.Close()
 	tree := fx.tree
-	if !tree.BatchKernels() {
-		t.Fatal("durable tree did not enable batch kernels")
-	}
-
 	const (
 		writers    = 2
 		perWriter  = 30

@@ -12,71 +12,66 @@ import (
 )
 
 // TestBoundedMatchesExact is the kernel layer's end-to-end contract
-// (DESIGN.md §10): toggling threshold-aware kernels on the same tree changes
-// no observable output — byte-identical results and identical Verified /
-// Compdists / Discarded counters for range and kNN — while Abandoned stays
-// zero with kernels off and becomes positive on workloads where early
-// abandoning fires.
+// (DESIGN.md §10): verification hands the kernel its live bound, and what
+// comes back is the exact scan's answer — at the boundary too. For every
+// setup, range queries at a radius that is exactly some object's distance,
+// and at the float just below it, return the brute-force ID set; every exact
+// result's distance is bit-identical to Distance; kNN returns the brute-force
+// distances; and only a metric with a bounded kernel ever abandons.
 func TestBoundedMatchesExact(t *testing.T) {
-	totalAbandoned := map[string]int64{}
 	for _, s := range setups() {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
 			tree := buildSetup(t, s)
 			defer tree.Close()
-			if !tree.BoundedKernels() {
-				t.Fatalf("%s: bounded kernels not enabled by Build for %T", s.name, s.dist)
-			}
-			maxD := s.dist.MaxDistance()
-			queries := s.objs[:8]
-
-			type outcome struct {
-				res []Result
-				qs  QueryStats
-			}
-			collect := func() []outcome {
-				var out []outcome
-				for _, q := range queries {
-					res, qs, err := tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: 0.15 * maxD, Timed: true})
+			for qi, q := range s.objs[:8] {
+				at := s.dist.Distance(q, s.objs[len(s.objs)-1-qi])
+				for _, r := range []float64{at, math.Nextafter(at, 0)} {
+					res, qs, err := tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: r})
 					if err != nil {
 						t.Fatal(err)
 					}
-					out = append(out, outcome{res, qs})
-					res, qs, err = tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 6, Timed: true})
-					if err != nil {
-						t.Fatal(err)
+					want := bfRangeDists(s.objs, q, r, s.dist)
+					if len(res) != len(want) {
+						t.Fatalf("query %d, r=%v: %d results, brute force %d", qi, r, len(res), len(want))
 					}
-					out = append(out, outcome{res, qs})
+					subsetOfTruth(t, s.name, res, want)
+					for _, x := range res {
+						if !x.Exact && (x.Dist < want[x.Object.ID()] || x.Dist > r) {
+							t.Fatalf("query %d, r=%v: id %d included with bound %v, true distance %v",
+								qi, r, x.Object.ID(), x.Dist, want[x.Object.ID()])
+						}
+					}
+					checkAbandoned(t, s, qs)
 				}
-				return out
-			}
-
-			tree.SetBoundedKernels(false)
-			exact := collect()
-			for i, o := range exact {
-				if o.qs.Abandoned != 0 {
-					t.Fatalf("query %d: Abandoned = %d with kernels disabled", i, o.qs.Abandoned)
+				res, qs, err := tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 6})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			tree.SetBoundedKernels(true)
-			bounded := collect()
-
-			for i := range exact {
-				label := s.name + "/toggle"
-				sameResults(t, label, exact[i].res, bounded[i].res)
-				e, b := exact[i].qs, bounded[i].qs
-				if e.Verified != b.Verified || e.Compdists != b.Compdists || e.Discarded != b.Discarded {
-					t.Fatalf("query %d: counters diverge across toggle:\nexact:   verified=%d compdists=%d discarded=%d\nbounded: verified=%d compdists=%d discarded=%d",
-						i, e.Verified, e.Compdists, e.Discarded, b.Verified, b.Compdists, b.Discarded)
+				want := bfKNNDists(s.objs, q, 6, s.dist)
+				if len(res) != len(want) {
+					t.Fatalf("query %d: kNN returned %d, want %d", qi, len(res), len(want))
 				}
-				totalAbandoned[s.name] += b.Abandoned
+				for i, x := range res {
+					if x.Dist != want[i] || x.Dist != s.dist.Distance(q, x.Object) {
+						t.Fatalf("query %d: rank %d at distance %v, brute force %v", qi, i, x.Dist, want[i])
+					}
+				}
+				checkAbandoned(t, s, qs)
 			}
 		})
 	}
-	// Edit distance over words abandons aggressively (band collapse on short
-	// thresholds); if this is ever zero the kernels are not actually wired in.
-	if totalAbandoned["words-edit"] == 0 {
-		t.Error("words-edit: no evaluation abandoned with bounded kernels on")
+}
+
+// checkAbandoned: abandoned evaluations are verified, discarded ones, and a
+// metric without a bounded kernel has none.
+func checkAbandoned(t *testing.T, s setup, qs QueryStats) {
+	t.Helper()
+	if qs.Abandoned > qs.Discarded || qs.Discarded > qs.Verified {
+		t.Fatalf("%s: abandoned %d > discarded %d > verified %d", qs.Op, qs.Abandoned, qs.Discarded, qs.Verified)
+	}
+	if !metric.IsBounded(s.dist) && qs.Abandoned != 0 {
+		t.Fatalf("%s: %d evaluations abandoned by a metric that cannot abandon", qs.Op, qs.Abandoned)
 	}
 }
 
@@ -86,8 +81,8 @@ func TestBoundedMatchesExact(t *testing.T) {
 // once — sharing the tree's read lock, its page caches and the scratch pool
 // their prepared kernels and candidate blocks come from — return
 // byte-identical results and identical verification counters (Abandoned
-// included: bounded kernels are on) to issuing them one after another, for
-// every setup and both traversal strategies. Run with -race.
+// included) to issuing them one after another, for every setup and both
+// traversal strategies. Run with -race.
 func TestBoundedParallelMatchesSerial(t *testing.T) {
 	for _, s := range setups() {
 		s := s
@@ -100,7 +95,6 @@ func TestBoundedParallelMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Build: %v", s.name, err)
 				}
-				tree.SetBoundedKernels(true)
 				maxD := s.dist.MaxDistance()
 
 				type outcome struct {
@@ -154,14 +148,16 @@ func TestBoundedParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBoundedJoinMatchesExact checks Algorithm 3 under bounded kernels: the
-// ε-bounded evaluation returns the same pairs and counters as exact
-// evaluation, and abandons some of them.
+// TestBoundedJoinMatchesExact checks Algorithm 3's ε-bounded evaluation
+// against a brute-force nested loop: the same pairs at bit-identical
+// distances, one verification per reported or discarded pair, and every
+// discarded pair abandoned.
 func TestBoundedJoinMatchesExact(t *testing.T) {
 	const dim = 4
+	dist := metric.L2(dim)
 	build := func(objs []metric.Object, seed int64, share *Tree) *Tree {
 		tree, err := Build(objs, Options{
-			Distance: metric.L2(dim), Codec: metric.VectorCodec{Dim: dim},
+			Distance: dist, Codec: metric.VectorCodec{Dim: dim},
 			NumPivots: 3, Curve: sfc.ZOrder, Seed: seed, ShareMapping: share,
 		})
 		if err != nil {
@@ -169,46 +165,42 @@ func TestBoundedJoinMatchesExact(t *testing.T) {
 		}
 		return tree
 	}
-	tq := build(vectorSet(300, dim, 71), 71, nil)
-	to := build(vectorSet(250, dim, 72), 72, tq)
+	qObjs, oObjs := vectorSet(300, dim, 71), vectorSet(250, dim, 72)
+	tq := build(qObjs, 71, nil)
+	to := build(oObjs, 72, tq)
 	defer tq.Close()
 	defer to.Close()
-	eps := 0.08 * metric.L2(dim).MaxDistance()
+	eps := 0.08 * dist.MaxDistance()
 
-	tq.SetBoundedKernels(false)
-	to.SetBoundedKernels(false)
-	want, wantQS, err := JoinWithStats(tq, to, eps)
-	if err != nil {
-		t.Fatal(err)
+	want := map[[2]uint64]float64{}
+	for _, q := range qObjs {
+		for _, o := range oObjs {
+			if d := dist.Distance(q, o); d <= eps {
+				want[[2]uint64{q.ID(), o.ID()}] = d
+			}
+		}
 	}
 	if len(want) == 0 {
 		t.Fatal("join baseline empty; widen eps")
 	}
-	if wantQS.Abandoned != 0 {
-		t.Fatalf("exact join Abandoned = %d, want 0", wantQS.Abandoned)
-	}
 
-	tq.SetBoundedKernels(true)
-	to.SetBoundedKernels(true)
-	got, gotQS, err := JoinWithStats(tq, to, eps)
+	got, qs, err := JoinWithStats(tq, to, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d pairs, want %d", len(got), len(want))
 	}
-	for i := range want {
-		if want[i].Q.ID() != got[i].Q.ID() || want[i].O.ID() != got[i].O.ID() || want[i].Dist != got[i].Dist {
-			t.Fatalf("pair %d = (%d,%d,%v), want (%d,%d,%v)", i,
-				got[i].Q.ID(), got[i].O.ID(), got[i].Dist, want[i].Q.ID(), want[i].O.ID(), want[i].Dist)
+	for i, p := range got {
+		if d, ok := want[[2]uint64{p.Q.ID(), p.O.ID()}]; !ok || d != p.Dist {
+			t.Fatalf("pair %d = (%d,%d,%v), brute force (%v, present=%v)", i, p.Q.ID(), p.O.ID(), p.Dist, d, ok)
 		}
 	}
-	if gotQS.Verified != wantQS.Verified || gotQS.Compdists != wantQS.Compdists || gotQS.Results != wantQS.Results {
-		t.Fatalf("bounded join counters (verified=%d compdists=%d results=%d) != exact (%d, %d, %d)",
-			gotQS.Verified, gotQS.Compdists, gotQS.Results, wantQS.Verified, wantQS.Compdists, wantQS.Results)
+	if qs.Results != len(want) || qs.Verified != int64(qs.Results)+qs.Discarded {
+		t.Fatalf("join counters: results=%d verified=%d discarded=%d over %d pairs", qs.Results, qs.Verified, qs.Discarded, len(want))
 	}
-	if gotQS.Abandoned == 0 || gotQS.Abandoned != gotQS.Discarded {
-		t.Fatalf("bounded join Abandoned = %d, Discarded = %d: every discarded pair should abandon", gotQS.Abandoned, gotQS.Discarded)
+	if qs.Abandoned == 0 || qs.Abandoned != qs.Discarded {
+		t.Fatalf("join Abandoned = %d, Discarded = %d: every discarded pair should abandon", qs.Abandoned, qs.Discarded)
 	}
 }
 
@@ -216,7 +208,7 @@ func TestBoundedJoinMatchesExact(t *testing.T) {
 // range-query answer set in ascending distance order (objects at the limit
 // included), and a +Inf limit degenerates to the full NearestIter scan.
 func TestNearestIterWithin(t *testing.T) {
-	s := setups()[0]
+	s := setupNamed(t, "vectors-L2-hilbert")
 	tree := buildSetup(t, s)
 	defer tree.Close()
 	q := s.objs[11]
@@ -277,53 +269,5 @@ func TestNearestIterWithin(t *testing.T) {
 	}
 	if n != len(s.objs) {
 		t.Fatalf("+Inf limit enumerated %d objects, want %d", n, len(s.objs))
-	}
-}
-
-// TestDisableBoundedKernelsOption pins the Options escape hatch: a tree
-// built with DisableBoundedKernels never abandons and reports
-// BoundedKernels() == false, and SetBoundedKernels(true) on a metric with no
-// kernel stays off.
-func TestDisableBoundedKernelsOption(t *testing.T) {
-	s := setups()[2] // words-edit: the workload where abandoning fires
-	opts := s.opts
-	opts.Distance = s.dist
-	opts.DisableBoundedKernels = true
-	tree, err := Build(s.objs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree.Close()
-	if tree.BoundedKernels() {
-		t.Fatal("DisableBoundedKernels did not disable kernels")
-	}
-	_, qs, err := tree.Query(context.Background(), Query{Op: OpRange, Q: s.objs[0], Radius: 2, Timed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qs.Abandoned != 0 {
-		t.Fatalf("Abandoned = %d on a kernel-disabled tree", qs.Abandoned)
-	}
-	tree.SetBoundedKernels(true)
-	if !tree.BoundedKernels() {
-		t.Fatal("SetBoundedKernels(true) did not re-enable for a bounded metric")
-	}
-
-	// A metric with no kernel can never be switched on.
-	objs := make([]metric.Object, 64)
-	for i := range objs {
-		objs[i] = metric.NewSeq(uint64(i), wordSet(1, int64(i))[0].(*metric.Str).S+"ACGTACGT")
-	}
-	plain, err := Build(objs, Options{Distance: metric.TrigramAngular{}, Codec: metric.SeqCodec{}, NumPivots: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if plain.BoundedKernels() {
-		t.Fatal("TrigramAngular reported bounded kernels")
-	}
-	plain.SetBoundedKernels(true)
-	if plain.BoundedKernels() {
-		t.Fatal("SetBoundedKernels(true) enabled kernels for an unbounded metric")
 	}
 }

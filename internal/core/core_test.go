@@ -83,6 +83,50 @@ func sigSet(n int, seed int64) []metric.Object {
 	return objs
 }
 
+// seqSet is n DNA-like sequences, four families of point-mutated copies: the
+// object kind of TrigramAngular, a metric with neither a bounded nor a batch
+// kernel.
+func seqSet(n int, seed int64) []metric.Object {
+	rng := rand.New(rand.NewSource(seed))
+	roots := make([][]byte, 4)
+	for i := range roots {
+		roots[i] = make([]byte, 40+rng.Intn(20))
+		for j := range roots[i] {
+			roots[i][j] = "ACGT"[rng.Intn(4)]
+		}
+	}
+	objs := make([]metric.Object, n)
+	for i := range objs {
+		s := append([]byte(nil), roots[i%len(roots)]...)
+		for m := rng.Intn(12); m > 0; m-- {
+			s[rng.Intn(len(s))] = "ACGT"[rng.Intn(4)]
+		}
+		objs[i] = metric.NewSeq(uint64(i), string(s))
+	}
+	return objs
+}
+
+// setSet is n element sets, four overlapping families with elements dropped
+// and added at random: the object kind of Jaccard, the other kernel-less
+// metric.
+func setSet(n int, seed int64) []metric.Object {
+	rng := rand.New(rand.NewSource(seed))
+	objs := make([]metric.Object, n)
+	for i := range objs {
+		var elems []uint64
+		for e := uint64(0); e < 14; e++ {
+			if rng.Intn(5) > 0 {
+				elems = append(elems, uint64(i%4)*10+e)
+			}
+		}
+		for x := rng.Intn(3); x > 0; x-- {
+			elems = append(elems, 100+uint64(rng.Intn(40)))
+		}
+		objs[i] = metric.NewSet(uint64(i), elems)
+	}
+	return objs
+}
+
 // --- brute-force references ----------------------------------------------
 
 func bfRange(objs []metric.Object, q metric.Object, r float64, d metric.DistanceFunc) map[uint64]bool {
@@ -105,6 +149,19 @@ func bfKNNDists(objs []metric.Object, q metric.Object, k int, d metric.DistanceF
 		k = len(ds)
 	}
 	return ds[:k]
+}
+
+// bfSorted is the brute-force scan as results: every object within limit of
+// q at its exact distance, in (distance, ID) order.
+func bfSorted(objs []metric.Object, q metric.Object, limit float64, d metric.DistanceFunc) []Result {
+	var out []Result
+	for _, o := range objs {
+		if x := d.Distance(q, o); x <= limit {
+			out = append(out, Result{Object: o, Dist: x, Exact: true})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return resultWorse(out[j], out[i]) })
+	return out
 }
 
 func resultIDs(rs []Result) map[uint64]bool {
@@ -156,7 +213,34 @@ func setups() []setup {
 			dist: metric.Hamming{Bytes: 8},
 			opts: Options{Codec: metric.BitStringCodec{Bytes: 8}, NumPivots: 3},
 		},
+		// The two metrics without a bounded or a batch kernel: their
+		// candidates reach the block path through metric.Prepare's fallback.
+		{
+			name: "seqs-trigram",
+			objs: seqSet(250, 6),
+			dist: metric.TrigramAngular{},
+			opts: Options{Codec: metric.SeqCodec{}, NumPivots: 3},
+		},
+		{
+			name: "sets-jaccard",
+			objs: setSet(250, 7),
+			dist: metric.Jaccard{},
+			opts: Options{Codec: metric.SetCodec{}, NumPivots: 3},
+		},
 	}
+}
+
+// setupNamed returns the setups() row called name; tests that need one
+// particular workload pick it by name, not by position.
+func setupNamed(t *testing.T, name string) setup {
+	t.Helper()
+	for _, s := range setups() {
+		if s.name == name {
+			return s
+		}
+	}
+	t.Fatalf("no setup named %q", name)
+	return setup{}
 }
 
 func buildSetup(t *testing.T, s setup) *Tree {
@@ -302,7 +386,7 @@ func TestGreedyTraversalSameResults(t *testing.T) {
 }
 
 func TestRangeQueryRadiusZeroAndNegative(t *testing.T) {
-	s := setups()[0]
+	s := setupNamed(t, "vectors-L2-hilbert")
 	tree := buildSetup(t, s)
 	q := s.objs[0]
 	got, err := tree.RangeQuery(q, 0)
@@ -443,7 +527,7 @@ func TestGet(t *testing.T) {
 }
 
 func TestStatsCounting(t *testing.T) {
-	s := setups()[0]
+	s := setupNamed(t, "vectors-L2-hilbert")
 	tree := buildSetup(t, s)
 	tree.ResetStats()
 	if st := tree.TakeStats(); st.PageAccesses != 0 || st.DistanceComputations != 0 {

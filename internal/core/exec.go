@@ -3,15 +3,15 @@
 // can be verified together — a range query's pending block, a greedy kNN
 // leaf, a best-first run of entry pops, an iterator run, a graph expansion —
 // are resolved by resolveBlock: one coalesced RAF read, the write buffer's
-// tombstone filter, one batch-kernel call. Each caller then commits the
-// verdicts in scan order under its own rule (fixed radius, prune on crossing
-// the bound, terminate on crossing it), which is what keeps results and every
-// counter identical to verifying the candidates one at a time.
+// tombstone filter, one call of the query's prepared kernel. It is the only
+// place on the query path where a record is read and a distance evaluated.
+// Each caller then commits the verdicts in scan order under its own rule
+// (fixed radius, prune on crossing the bound, terminate on crossing it), which
+// is what keeps results and every counter identical to verifying the
+// candidates one at a time.
 package core
 
 import (
-	"math"
-
 	"spbtree/internal/metric"
 	"spbtree/internal/sfc"
 )
@@ -99,16 +99,21 @@ func (b *candBlock) keep(i int) metric.Object {
 // objects are borrowed), buffered inserts bring their object, records the
 // write buffer supersedes are marked tomb, and the rest — except candidates
 // already proved — are evaluated against bound by one call of the query's
-// prepared kernel, so that within[i] ⇔ d(q, objs[i]) ≤ bound and d[i] is the
+// prepared kernel (metric.Prepare: the metric's own, or the generic binding
+// of one without), so that within[i] ⇔ d(q, objs[i]) ≤ bound and d[i] is the
 // exact distance when within[i], bit-identical to verifyDist. The evaluation
 // runs on the unwrapped metric and fires no tracer event: the caller charges
 // the distance counter and emits the record reads for what it commits.
 //
-// It returns how many candidates the kernel evaluated, and false when the
-// coalesced read failed; the caller then replays the block one candidate at a
-// time, which surfaces the error at the scan position unbatched execution
-// reports it.
-func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs *QueryStats) (int, bool) {
+// It returns how many leading candidates are resolved and how many of those
+// the kernel evaluated. When the coalesced read fails, the records are read
+// again one at a time in scan order — the coalesced read visits them in
+// offset order, so its failing record need not be the scan's first — up to
+// the first that fails: resolved is that candidate's index and err its error.
+// A caller returns err if and only if its commit loop reaches index resolved,
+// which is where verifying the candidates one at a time would have stopped; a
+// loop that ends earlier (Lemma 3, an exhausted budget) never sees it.
+func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs *QueryStats) (resolved, probed int, err error) {
 	b := &sc.blk
 	b.grow(len(b.cands))
 	st := qs.stageStart()
@@ -119,18 +124,25 @@ func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs
 			m++
 		}
 	}
-	if m > 0 {
-		if idx, err := t.raf.ReadBatch(b.offsets[:m], b.readObjs[:m], b.readPlens[:m]); idx >= 0 || err != nil {
-			qs.stageAdd(&qs.VerifyTime, st)
-			return 0, false
+	if _, rerr := t.raf.ReadBatch(b.offsets[:m], b.readObjs[:m], b.readPlens[:m]); rerr != nil {
+		for j := 0; j < m; j++ {
+			if _, err = t.raf.ReadBatch(b.offsets[j:j+1], b.readObjs[j:j+1], b.readPlens[j:j+1]); err != nil {
+				m = j // base records read
+				break
+			}
 		}
 	}
 	probeIdx, probeObjs := b.probeIdx[:0], b.probeObjs[:0]
+	resolved = len(b.cands)
 	j := 0
 	for i, c := range b.cands {
 		obj := c.obj
 		b.tomb[i], b.slot[i] = false, -1
 		if obj == nil {
+			if j == m {
+				resolved = i // the record that failed
+				break
+			}
 			obj, b.plens[i], b.slot[i] = b.readObjs[j], b.readPlens[j], j
 			j++
 			b.tomb[i] = t.deltaShadowed(obj.ID())
@@ -141,34 +153,23 @@ func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs
 			probeObjs = append(probeObjs, obj)
 		}
 	}
-	p := len(probeObjs)
-	if p > 0 {
-		// With bounded kernels off the evaluation is exact for every
-		// candidate, like the scalar path, and within is decided here.
-		eff := bound
-		if !t.bounded {
-			eff = math.Inf(1)
-		}
-		pd, pw := b.pd[:p], b.pw[:p]
-		sc.kernel(t, q).BatchAtMost(probeObjs, eff, pd, pw)
+	probed = len(probeObjs)
+	if probed > 0 {
+		pd, pw := b.pd[:probed], b.pw[:probed]
+		sc.kernel(t, q).BatchAtMost(probeObjs, bound, pd, pw)
 		for j, i := range probeIdx {
 			b.d[i], b.within[i] = pd[j], pw[j]
-			if !t.bounded {
-				b.within[i] = pd[j] <= bound
-			}
 		}
 	}
 	qs.stageAdd(&qs.VerifyTime, st)
-	return p, true
+	return resolved, probed, err
 }
 
 // rangeSerial is the verification tail of the paper's VerifyRQ for the
 // entries that survived Algorithm 1's traversal-side pruning: the tombstone
-// filter, Lemma 2 inclusion, then fetch + distance. With batch kernels
-// (DESIGN.md §13) candidates are buffered into blocks and resolved together;
-// the radius is a fixed bound, so a block's verdicts are exactly the
-// per-candidate decisions, and every counter except BatchedCandidates is
-// unchanged.
+// filter, Lemma 2 inclusion, then fetch + distance. Candidates are buffered
+// into blocks and resolved together (DESIGN.md §13); the radius is a fixed
+// bound, so a block's verdicts are exactly the per-candidate decisions.
 type rangeSerial struct {
 	t       *Tree
 	q       metric.Object
@@ -185,9 +186,6 @@ func (s *rangeSerial) add(val uint64, cell sfc.Point) error {
 	if !s.t.noLemma2 {
 		c.bound, c.proved = s.t.lemma2Bound(s.sc.qvec, cell, s.r)
 	}
-	if !s.t.batch {
-		return s.verifyOne(c)
-	}
 	b := &s.sc.blk
 	b.cands = append(b.cands, c)
 	if len(b.cands) >= rangeBatchSize {
@@ -196,73 +194,38 @@ func (s *rangeSerial) add(val uint64, cell sfc.Point) error {
 	return nil
 }
 
-// flush verifies the pending block.
+// flush verifies the pending block. A range scan reaches every candidate, so
+// a read error is returned once the candidates before it are committed.
 func (s *rangeSerial) flush() error {
 	t, qs, b := s.t, s.qs, &s.sc.blk
 	if len(b.cands) == 0 {
 		return nil
 	}
-	probed, ok := t.resolveBlock(s.sc, s.q, s.r, qs)
+	resolved, probed, err := t.resolveBlock(s.sc, s.q, s.r, qs)
 	cands := b.cands
 	b.cands = cands[:0]
-	if !ok {
-		for _, c := range cands {
-			if err := s.verifyOne(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	t.dist.Add(int64(probed))
 	qs.BatchedCandidates += int64(probed)
-	for i, c := range cands {
+	for i, c := range cands[:resolved] {
 		t.raf.EmitRecordRead(c.val, b.plens[i])
-		obj := b.objs[i]
-		if !b.tomb[i] && (c.proved || b.within[i]) {
-			obj = b.keep(i) // an answer
+		switch {
+		case b.tomb[i]:
+			// Superseded by the write buffer (tombstone or newer version):
+			// the delta pass reports the live one, if any. The page read
+			// already happened — what the skip saves is the distance work.
+			qs.TombstonesSkipped++
+		case c.proved:
+			qs.Lemma2Included++
+			s.results = append(s.results, Result{Object: b.keep(i), Dist: c.bound, Exact: false})
+		default:
+			obj := b.objs[i]
+			if b.within[i] {
+				obj = b.keep(i) // an answer
+			}
+			s.verified(obj, b.d[i], b.within[i])
 		}
-		s.commit(c, obj, b.tomb[i], b.d[i], b.within[i])
 	}
-	return nil
-}
-
-// verifyOne is the inline verification of one candidate (the only path when
-// batch kernels are off).
-func (s *rangeSerial) verifyOne(c candidate) error {
-	t, qs := s.t, s.qs
-	st := qs.stageStart()
-	obj, err := t.raf.Read(c.val)
-	if err != nil {
-		qs.stageAdd(&qs.VerifyTime, st)
-		return err
-	}
-	// A superseded record's page read already happened — what the skip saves
-	// is the distance work.
-	tomb := t.deltaShadowed(obj.ID())
-	var d float64
-	var within bool
-	if !tomb && !c.proved {
-		d, within = t.verifyDist(s.q, obj, s.r)
-	}
-	qs.stageAdd(&qs.VerifyTime, st)
-	s.commit(c, obj, tomb, d, within)
-	return nil
-}
-
-// commit counts one fetched candidate and keeps it if it is an answer. A
-// record the write buffer supersedes (tombstone or newer version) is skipped:
-// the delta pass reports the live one, if any.
-func (s *rangeSerial) commit(c candidate, obj metric.Object, tomb bool, d float64, within bool) {
-	qs := s.qs
-	switch {
-	case tomb:
-		qs.TombstonesSkipped++
-	case c.proved:
-		qs.Lemma2Included++
-		s.results = append(s.results, Result{Object: obj, Dist: c.bound, Exact: false})
-	default:
-		s.verified(obj, d, within)
-	}
+	return err
 }
 
 // verified counts one distance evaluation against the radius.

@@ -20,6 +20,7 @@ type resolverFixture struct {
 	tree  *Tree
 	data  *page.FaultStore
 	dist  metric.DistanceFunc
+	base  []metric.Object // what the tree was built from
 	live  []metric.Object // base − shadowed + buffered
 	query metric.Object
 }
@@ -42,12 +43,23 @@ func newResolverFixture(t *testing.T, trav TraversalStrategy, delta bool) *resol
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fx.tree.Close() })
-	if !delta {
-		fx.live = objs
-		return fx
+	fx.base, fx.live = objs, objs
+	if delta {
+		extra := vectorSet(30, dim, 12)
+		for i, o := range extra {
+			extra[i] = metric.NewVector(uint64(100000+i), o.(*metric.Vector).Coords)
+		}
+		fx.live = addWriteBuffer(t, fx.tree, objs, extra)
 	}
+	return fx
+}
 
-	tree := fx.tree
+// addWriteBuffer gives tree a live write buffer over base, the objects it was
+// built from: every fifth is tombstoned, every twenty-fifth re-inserted under
+// its own ID (the buffered version shadows the base record), and extra is
+// inserted under new IDs. It returns the live set: base − shadowed + buffered.
+func addWriteBuffer(t *testing.T, tree *Tree, base, extra []metric.Object) (live []metric.Object) {
+	t.Helper()
 	tree.wbuf = newDeltaState()
 	key := func(o metric.Object) uint64 {
 		vec := make([]float64, len(tree.pivots))
@@ -57,7 +69,14 @@ func newResolverFixture(t *testing.T, trav TraversalStrategy, delta bool) *resol
 		return tree.curve.Encode(cells)
 	}
 	lsn := uint64(0)
-	for i, o := range objs {
+	insert := func(o metric.Object) {
+		lsn++
+		if err := tree.applyInsertLocked(o, key(o), lsn); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, o)
+	}
+	for i, o := range base {
 		switch {
 		case i%5 == 2: // tombstone
 			lsn++
@@ -65,28 +84,18 @@ func newResolverFixture(t *testing.T, trav TraversalStrategy, delta bool) *resol
 				t.Fatal(err)
 			}
 		case i%25 == 0: // re-insert of a base ID
-			nv := metric.NewVector(o.ID(), o.(*metric.Vector).Coords)
-			lsn++
-			if err := tree.applyInsertLocked(nv, key(nv), lsn); err != nil {
-				t.Fatal(err)
-			}
-			fx.live = append(fx.live, nv)
+			insert(o)
 		default:
-			fx.live = append(fx.live, o)
+			live = append(live, o)
 		}
 	}
-	for i, o := range vectorSet(30, dim, 12) {
-		nv := metric.NewVector(uint64(100000+i), o.(*metric.Vector).Coords)
-		lsn++
-		if err := tree.applyInsertLocked(nv, key(nv), lsn); err != nil {
-			t.Fatal(err)
-		}
-		fx.live = append(fx.live, nv)
+	for _, o := range extra {
+		insert(o)
 	}
-	if tree.count != len(fx.live) {
-		t.Fatalf("fixture: tree counts %d live objects, want %d", tree.count, len(fx.live))
+	if tree.count != len(live) {
+		t.Fatalf("write buffer: tree counts %d live objects, want %d", tree.count, len(live))
 	}
-	return fx
+	return live
 }
 
 // resolverOutcome is what one execution of a caller under a fault returned.
@@ -96,43 +105,50 @@ type resolverOutcome struct {
 	err error
 }
 
-// TestResolveBlockReadFailure covers the read-failure fallback of every
-// caller of resolveBlock. A data page is made unreadable and the same query
-// runs with batch kernels on (blocks go through resolveBlock, whose coalesced
-// read fails, and are replayed one candidate at a time) and off (every
-// candidate is verified inline): both must stop at the same scan position —
-// same partial results, same error, same Verified / Compdists / Abandoned /
-// TombstonesSkipped — and the partials must be true answers over the live
-// set. Every data page takes a turn as the failing one, with the write buffer
-// empty and live.
+// TestResolveBlockReadFailure covers the read-failure contract of every
+// caller of resolveBlock. A data page is made unreadable, so the coalesced
+// read of a block that touches it fails and resolveBlock re-reads the block
+// record by record up to the failing one: the query must stop at the scan
+// position entry-at-a-time execution stops at — same partial results, same
+// error, same Verified / Compdists / Abandoned / TombstonesSkipped /
+// DeltaCandidates / Lemma2Included as the goldens, which are that execution
+// frozen (golden_test.go) — and the partials must be true answers over the
+// live set. A best-first run that terminates before the bad record reports no
+// error. Every data page takes a turn as the failing one, with the write
+// buffer empty and live.
 func TestResolveBlockReadFailure(t *testing.T) {
+	defer writeGoldens(t)
 	const k, maxVerify = 6, 25
 	type caller struct {
 		name   string
 		trav   TraversalStrategy
 		radius bool // answers are bounded by r, not by k
 		stats  bool // reports QueryStats
-		run    func(fx *resolverFixture, r float64) resolverOutcome
+		from   int  // query from this base object; 0 = the fixture's own query point
+		run    func(fx *resolverFixture, q metric.Object, r float64) resolverOutcome
+	}
+	knn := func(fx *resolverFixture, q metric.Object, _ float64) (o resolverOutcome) {
+		o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: k})
+		return o
 	}
 	callers := []caller{
-		{"range", Incremental, true, true, func(fx *resolverFixture, r float64) (o resolverOutcome) {
-			o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpRange, Q: fx.query, Radius: r, Timed: true})
+		{"range", Incremental, true, true, 0, func(fx *resolverFixture, q metric.Object, r float64) (o resolverOutcome) {
+			o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: r})
 			return o
 		}},
-		{"knn-greedy", Greedy, false, true, func(fx *resolverFixture, _ float64) (o resolverOutcome) {
-			o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpKNN, Q: fx.query, K: k, Timed: true})
+		{"knn-greedy", Greedy, false, true, 0, knn},
+		// From base object 16, with data page 2 unreadable, the greedy leaf
+		// scan prunes the unreadable record at its turn and goes on to
+		// readable ones: entry-at-a-time execution never reads it, and the
+		// query succeeds.
+		{"knn-greedy-skip", Greedy, false, true, 16, knn},
+		{"knn-incremental", Incremental, false, true, 0, knn},
+		{"knn-approx", Incremental, false, true, 0, func(fx *resolverFixture, q metric.Object, _ float64) (o resolverOutcome) {
+			o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: k, MaxVerify: maxVerify})
 			return o
 		}},
-		{"knn-incremental", Incremental, false, true, func(fx *resolverFixture, _ float64) (o resolverOutcome) {
-			o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpKNN, Q: fx.query, K: k, Timed: true})
-			return o
-		}},
-		{"knn-approx", Incremental, false, true, func(fx *resolverFixture, _ float64) (o resolverOutcome) {
-			o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: fx.query, K: k, MaxVerify: maxVerify, Timed: true})
-			return o
-		}},
-		{"nearest-iter", Incremental, true, false, func(fx *resolverFixture, r float64) (o resolverOutcome) {
-			it := fx.tree.NearestIterWithin(fx.query, r)
+		{"nearest-iter", Incremental, true, false, 0, func(fx *resolverFixture, q metric.Object, r float64) (o resolverOutcome) {
+			it := fx.tree.NearestIterWithin(q, r)
 			defer it.Close()
 			for x, ok := it.Next(); ok; x, ok = it.Next() {
 				o.res = append(o.res, x)
@@ -147,54 +163,50 @@ func TestResolveBlockReadFailure(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/delta=%v", c.name, delta), func(t *testing.T) {
 				fx := newResolverFixture(t, c.trav, delta)
 				r := 0.3 * fx.dist.MaxDistance()
-				truth := bfRangeDists(fx.live, fx.query, fx.dist.MaxDistance(), fx.dist)
+				q := fx.query
+				if c.from > 0 {
+					q = fx.base[c.from]
+				}
+				truth := bfRangeDists(fx.live, q, fx.dist.MaxDistance(), fx.dist)
 				if c.radius {
-					truth = bfRangeDists(fx.live, fx.query, r, fx.dist)
+					truth = bfRangeDists(fx.live, q, r, fx.dist)
 				}
 				failed, batched := 0, int64(0)
 				for pg := 0; pg < fx.tree.raf.PagesUsed(); pg++ {
 					fx.data.FailPage(page.ID(pg), page.OpRead)
-					fx.tree.SetBatchKernels(true)
-					block := c.run(fx, r)
-					fx.tree.SetBatchKernels(false)
-					scalar := c.run(fx, r)
+					o := c.run(fx, q, r)
 					fx.data.ClearPageFaults()
 
-					label := fmt.Sprintf("page %d", pg)
-					if (block.err == nil) != (scalar.err == nil) ||
-						(block.err != nil && block.err.Error() != scalar.err.Error()) {
-						t.Fatalf("%s: block err %v, scalar err %v", label, block.err, scalar.err)
-					}
-					if block.err != nil {
+					label := fmt.Sprintf("fault/%s/delta=%v/page %d", c.name, delta, pg)
+					if o.err != nil {
 						failed++
-						if !errors.Is(block.err, page.ErrInjected) {
-							t.Fatalf("%s: err = %v, want the injected fault", label, block.err)
+						if !errors.Is(o.err, page.ErrInjected) {
+							t.Fatalf("%s: err = %v, want the injected fault", label, o.err)
 						}
 					}
-					sameResults(t, label, scalar.res, block.res)
-					b, s := block.qs, scalar.qs
-					if b.Verified != s.Verified || b.Compdists != s.Compdists || b.Abandoned != s.Abandoned ||
-						b.TombstonesSkipped != s.TombstonesSkipped || b.DeltaCandidates != s.DeltaCandidates ||
-						b.Lemma2Included != s.Lemma2Included {
-						t.Fatalf("%s: counters diverge:\nblock:  %+v\nscalar: %+v", label, b, s)
-					}
-					if s.BatchedCandidates != 0 {
-						t.Fatalf("%s: scalar run batched %d candidates", label, s.BatchedCandidates)
-					}
-					batched += b.BatchedCandidates
-					subsetOfTruth(t, label, block.res, truth)
+					// The counters entry-at-a-time execution shares with a
+					// failed block; the traversal's scan counts run ahead of
+					// the failure by up to one block and are left out.
+					var row golden
+					row.add(o.res, QueryStats{
+						Verified: o.qs.Verified, Compdists: o.qs.Compdists, Abandoned: o.qs.Abandoned,
+						TombstonesSkipped: o.qs.TombstonesSkipped, DeltaCandidates: o.qs.DeltaCandidates,
+						Lemma2Included: o.qs.Lemma2Included,
+					}, o.err)
+					checkGolden(t, label, row)
+					batched += o.qs.BatchedCandidates
+					subsetOfTruth(t, label, o.res, truth)
 				}
 				if failed == 0 {
-					t.Fatal("no failing page was ever reached: the fallback was not exercised")
+					t.Fatal("no failing page was ever reached: the replay was not exercised")
 				}
 				// The iterator keeps no stats; for the rest, blocks on healthy
 				// pages must have gone through the kernel.
 				if c.stats && batched == 0 {
 					t.Fatal("no candidate went through resolveBlock")
 				}
-				if delta && c.stats {
-					fx.tree.SetBatchKernels(true)
-					if o := c.run(fx, r); o.err != nil || o.qs.TombstonesSkipped == 0 || o.qs.DeltaCandidates == 0 {
+				if delta && c.stats && c.from == 0 {
+					if o := c.run(fx, q, r); o.err != nil || o.qs.TombstonesSkipped == 0 || o.qs.DeltaCandidates == 0 {
 						t.Fatalf("healthy run over the write buffer: err %v, %d tombstones skipped, %d delta candidates",
 							o.err, o.qs.TombstonesSkipped, o.qs.DeltaCandidates)
 					}
@@ -207,43 +219,39 @@ func TestResolveBlockReadFailure(t *testing.T) {
 // TestKNNApproxBudgetOverWriteBuffer: the budgeted search spends its budget
 // on distance computations only. Over a live write buffer it verifies exactly
 // maxVerify candidates however many superseded base records it meets on the
-// way, with block and with entry-at-a-time verification alike, and returns
-// what the entry-at-a-time search of the commit before the two were merged
-// returned (golden IDs; the fixture is seeded).
+// way, and returns what the entry-at-a-time search of the commit before block
+// verification replaced it returned (golden IDs; the fixture is seeded).
 func TestKNNApproxBudgetOverWriteBuffer(t *testing.T) {
-	golden := map[int][]uint64{
+	want := map[int][]uint64{
 		7:  goldenApprox7,
 		40: goldenApprox40,
 	}
 	for _, m := range []int{7, 40} {
-		for _, batch := range []bool{true, false} {
-			fx := newResolverFixture(t, Incremental, true)
-			fx.tree.SetBatchKernels(batch)
-			res, qs, err := fx.tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: fx.query, K: 5, MaxVerify: m, Timed: true})
-			if err != nil {
-				t.Fatal(err)
+		fx := newResolverFixture(t, Incremental, true)
+		res, qs, err := fx.tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: fx.query, K: 5, MaxVerify: m, Timed: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("maxVerify=%d", m)
+		if qs.Verified != int64(m) {
+			t.Fatalf("%s: verified %d candidates, want exactly %d", label, qs.Verified, m)
+		}
+		if qs.Compdists != int64(m+len(fx.tree.pivots)) {
+			t.Fatalf("%s: compdists %d, want %d", label, qs.Compdists, m+len(fx.tree.pivots))
+		}
+		if m == 40 && (qs.TombstonesSkipped == 0 || qs.DeltaCandidates == 0) {
+			t.Fatalf("%s: met %d superseded records and %d buffered inserts; the fixture should supply both",
+				label, qs.TombstonesSkipped, qs.DeltaCandidates)
+		}
+		if len(res) != len(want[m]) {
+			t.Fatalf("%s: %d results, want %d", label, len(res), len(want[m]))
+		}
+		for i, x := range res {
+			if x.Object.ID() != want[m][i] {
+				t.Fatalf("%s: rank %d is id %d, want %d", label, i, x.Object.ID(), want[m][i])
 			}
-			label := fmt.Sprintf("maxVerify=%d batch=%v", m, batch)
-			if qs.Verified != int64(m) {
-				t.Fatalf("%s: verified %d candidates, want exactly %d", label, qs.Verified, m)
-			}
-			if qs.Compdists != int64(m+len(fx.tree.pivots)) {
-				t.Fatalf("%s: compdists %d, want %d", label, qs.Compdists, m+len(fx.tree.pivots))
-			}
-			if m == 40 && (qs.TombstonesSkipped == 0 || qs.DeltaCandidates == 0) {
-				t.Fatalf("%s: met %d superseded records and %d buffered inserts; the fixture should supply both",
-					label, qs.TombstonesSkipped, qs.DeltaCandidates)
-			}
-			if len(res) != len(golden[m]) {
-				t.Fatalf("%s: %d results, want %d", label, len(res), len(golden[m]))
-			}
-			for i, x := range res {
-				if x.Object.ID() != golden[m][i] {
-					t.Fatalf("%s: rank %d is id %d, want %d", label, i, x.Object.ID(), golden[m][i])
-				}
-				if d := fx.dist.Distance(fx.query, x.Object); math.Abs(d-x.Dist) > 0 {
-					t.Fatalf("%s: rank %d reports distance %v, true %v", label, i, x.Dist, d)
-				}
+			if d := fx.dist.Distance(fx.query, x.Object); math.Abs(d-x.Dist) > 0 {
+				t.Fatalf("%s: rank %d reports distance %v, true %v", label, i, x.Dist, d)
 			}
 		}
 	}

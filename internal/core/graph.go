@@ -137,7 +137,6 @@ func (t *Tree) BuildGraphCtx(ctx context.Context, opts GraphOptions) error {
 	baseRAF := t.raf
 	baseCount := t.raf.Count()
 	baseSize := t.raf.Size()
-	bounded := t.bounded
 	var (
 		ids  []uint64
 		offs []uint64
@@ -167,11 +166,7 @@ func (t *Tree) BuildGraphCtx(ctx context.Context, opts GraphOptions) error {
 		Entries: opts.Entries, Workers: opts.Workers, Seed: opts.Seed,
 	}
 	dist := func(i, j int, thr float64) (float64, bool) {
-		if bounded {
-			return t.dist.DistanceAtMost(objs[i], objs[j], thr)
-		}
-		d := t.dist.Distance(objs[i], objs[j])
-		return d, d <= thr
+		return t.dist.DistanceAtMost(objs[i], objs[j], thr)
 	}
 	g, err := graph.Build(ctx, len(objs), dist, gopts)
 	if err != nil {
@@ -290,40 +285,26 @@ func (t *Tree) knnGraph(ctx context.Context, q metric.Object, k int, opts Search
 		for _, v := range nodes {
 			blk.cands = append(blk.cands, candidate{val: g.Offs[v]})
 		}
-		probed, ok := t.resolveBlock(sc, q, thr, qs)
+		resolved, probed, rerr := t.resolveBlock(sc, q, thr, qs)
 		t.dist.Add(int64(probed))
 		for i, v := range nodes {
-			var obj metric.Object
-			var tomb bool
-			if ok {
-				t.raf.EmitRecordRead(g.Offs[v], blk.plens[i])
-				obj, tomb = blk.objs[i], blk.tomb[i]
-				d[i], within[i] = blk.d[i], blk.within[i]
-			} else {
-				// Coalesced read failed: per-record reads surface the error.
-				var err error
-				if obj, err = t.raf.Read(g.Offs[v]); err != nil {
-					return err
-				}
-				if tomb = t.deltaShadowed(obj.ID()); !tomb {
-					d[i], within[i] = t.verifyDist(q, obj, thr)
-				}
+			if i == resolved {
+				return rerr
 			}
-			if tomb {
+			t.raf.EmitRecordRead(g.Offs[v], blk.plens[i])
+			if blk.tomb[i] {
 				// Shadowed by a tombstone or a newer buffered version: the
 				// buffered side of the merge owns this ID.
 				qs.TombstonesSkipped++
 				d[i], within[i] = math.Inf(1), false
 				continue
 			}
+			d[i], within[i] = blk.d[i], blk.within[i]
 			qs.Verified++
 			qs.Compdists++
 			qs.GraphCandidates++
 			if within[i] {
-				if ok {
-					obj = blk.keep(i)
-				}
-				byNode[v] = obj
+				byNode[v] = blk.keep(i)
 			} else if t.bounded {
 				qs.Abandoned++
 			}

@@ -73,11 +73,12 @@ type NearestIter struct {
 
 	// sc.blk's candidates [pendIdx, pendEnd) are a resolved run of entries
 	// not yet applied to the result heap; they apply one per loop turn, in
-	// pop order, so the emission interleaving matches the unbatched scan
-	// exactly (their MINDs still count as frontier lower bounds until
-	// applied).
+	// pop order, so the emission interleaving is that of a scan that
+	// verifies one entry at a time (their MINDs still count as frontier
+	// lower bounds until applied). A non-nil pendErr is the read error of
+	// candidate pendEnd, which ends the scan when its turn comes.
 	pendIdx, pendEnd int
-	noBatch          bool // a coalesced read failed; stay on the scalar path
+	pendErr          error
 
 	locked bool // holds t.mu.RLock (durable trees only)
 	err    error
@@ -87,7 +88,7 @@ type NearestIter struct {
 // MIND if a run is in flight, the heap minimum otherwise — and whether any
 // frontier remains.
 func (it *NearestIter) frontier() (float64, bool) {
-	if it.pendIdx < it.pendEnd {
+	if it.pendIdx < it.pendEnd || it.pendErr != nil {
 		return it.sc.blk.cands[it.pendIdx].bound, true
 	}
 	if it.pq.Len() > 0 {
@@ -132,6 +133,11 @@ func (it *NearestIter) Next() (res Result, ok bool) {
 			}
 			continue
 		}
+		if it.pendErr != nil {
+			it.err = it.pendErr
+			it.release()
+			return Result{}, false
+		}
 		if it.pq.Len() == 0 {
 			if len(it.verified) == 0 {
 				it.release()
@@ -147,35 +153,7 @@ func (it *NearestIter) Next() (res Result, ok bool) {
 			continue
 		}
 		if !item.isNode() {
-			if it.t.batch && !it.noBatch && it.pq.Len() > 0 && !it.pq.peekIsNode() && it.pq.peekMind() <= it.limit {
-				// A run of in-limit entries sits atop the heap: verify the
-				// block through the batch kernel (DESIGN.md §13) and stage it
-				// in pending. Verification is against the fixed limit — never
-				// a moving bound — so batching changes nothing but the kernel.
-				if it.batchRun(it.pq.cand(item)) {
-					continue
-				}
-				// A coalesced read failed: the run is back on the heap and the
-				// scalar path below takes over (permanently, via noBatch).
-			}
-			c := it.pq.cand(item)
-			obj := c.obj
-			if obj == nil {
-				var err error
-				obj, err = it.t.raf.Read(c.val)
-				if err != nil {
-					it.err = err
-					it.release()
-					return Result{}, false
-				}
-				if it.t.deltaShadowed(obj.ID()) {
-					continue // superseded by the write buffer
-				}
-			}
-			d, within := it.t.verifyDist(it.q, obj, it.limit)
-			if within {
-				heap.Push(&it.verified, Result{Object: obj, Dist: d, Exact: true})
-			}
+			it.batchRun(it.pq.cand(item))
 			continue
 		}
 		if err := it.t.readNode(it.sc, page.ID(item.ref)); err != nil {
@@ -187,36 +165,26 @@ func (it *NearestIter) Next() (res Result, ok bool) {
 	}
 }
 
-// batchRun gathers first plus the consecutive non-node, in-limit entries atop
-// the heap (up to knnIncrementalBlock) and resolves them against the
-// iterator's fixed limit — every (d, within) pair bit-identical to the scalar
-// verifyDist — leaving the run pending. It reports false when the coalesced
-// read failed: the gathered extras are pushed back (the heap restores pop
-// order), noBatch pins the scalar path, and the caller re-resolves first
-// scalar-wise, surfacing any real read error at the same position the
-// unbatched scan would.
-func (it *NearestIter) batchRun(first candidate) bool {
+// batchRun gathers first plus the consecutive non-node, in-limit entries
+// atop the heap (up to knnIncrementalBlock) and resolves them as one block
+// (DESIGN.md §13) against the iterator's fixed limit — never a moving bound,
+// so every (d, within) pair is what verifying the entry alone would give —
+// leaving the run pending.
+func (it *NearestIter) batchRun(first candidate) {
 	t, b := it.t, &it.sc.blk
 	b.cands = append(b.cands[:0], first)
 	for len(b.cands) < knnIncrementalBlock && it.pq.Len() > 0 && !it.pq.peekIsNode() && it.pq.peekMind() <= it.limit {
 		b.cands = append(b.cands, it.pq.cand(it.pq.pop()))
 	}
-	probed, ok := t.resolveBlock(it.sc, it.q, it.limit, &it.qs)
-	if !ok {
-		for _, c := range b.cands[1:] {
-			it.pq.pushCand(c)
-		}
-		it.noBatch = true
-		return false
-	}
+	var probed int
+	it.pendIdx = 0
+	it.pendEnd, probed, it.pendErr = t.resolveBlock(it.sc, it.q, it.limit, &it.qs)
 	t.dist.Add(int64(probed))
-	for i, c := range b.cands {
+	for i, c := range b.cands[:it.pendEnd] {
 		if c.obj == nil {
 			t.raf.EmitRecordRead(c.val, b.plens[i])
 		}
 	}
-	it.pendIdx, it.pendEnd = 0, len(b.cands)
-	return true
 }
 
 // Err returns the first error the iterator encountered.

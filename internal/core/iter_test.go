@@ -250,56 +250,42 @@ func TestRebuildCompacts(t *testing.T) {
 	}
 }
 
-// TestNearestIterBatchMatchesScalar pins the incremental scan's batched
-// verification: with batch kernels toggled, the full emitted sequence —
-// object IDs, distances, order, and length — is byte-identical to the scalar
-// path, across every setup, with and without a distance limit, and on a
-// durable tree whose write buffer holds inserts and tombstones.
+// TestNearestIterBatchMatchesScalar pins the incremental scan's block
+// verification against the scalar reference it has to reproduce — a
+// brute-force scan of the live set sorted by distance: the full emitted
+// sequence — object IDs, distances, ascending order (objects at one distance
+// may come in any order), and length — is identical, across every setup, with
+// and without a distance limit, and on a durable tree whose write buffer holds
+// inserts and tombstones.
 func TestNearestIterBatchMatchesScalar(t *testing.T) {
-	drain := func(tree *Tree, q metric.Object, limit float64) []Result {
+	compare := func(label string, tree *Tree, live []metric.Object, dist metric.DistanceFunc, q metric.Object, limit float64) {
 		t.Helper()
 		it := tree.NearestIterWithin(q, limit)
 		defer it.Close()
-		var out []Result
-		for {
-			r, ok := it.Next()
-			if !ok {
-				break
+		var got []Result
+		for r, ok := it.Next(); ok; r, ok = it.Next() {
+			if n := len(got); n > 0 && r.Dist < got[n-1].Dist {
+				t.Fatalf("%s: emission %d at distance %v after one at %v", label, n, r.Dist, got[n-1].Dist)
 			}
-			out = append(out, r)
+			got = append(got, r)
 		}
 		if it.Err() != nil {
 			t.Fatal(it.Err())
 		}
-		return out
-	}
-	compare := func(label string, tree *Tree, q metric.Object, limit float64) {
-		t.Helper()
-		tree.SetBatchKernels(false)
-		scalar := drain(tree, q, limit)
-		tree.SetBatchKernels(true)
-		batch := drain(tree, q, limit)
-		if len(scalar) != len(batch) {
-			t.Fatalf("%s: %d vs %d emissions", label, len(scalar), len(batch))
-		}
-		for i := range scalar {
-			if scalar[i].Object.ID() != batch[i].Object.ID() || scalar[i].Dist != batch[i].Dist {
-				t.Fatalf("%s: emission %d diverges: (%d, %v) vs (%d, %v)", label, i,
-					scalar[i].Object.ID(), scalar[i].Dist, batch[i].Object.ID(), batch[i].Dist)
-			}
-		}
+		sort.Slice(got, func(i, j int) bool { return resultWorse(got[j], got[i]) })
+		sameResults(t, label, bfSorted(live, q, limit, dist), got)
 	}
 
 	for _, s := range setups() {
 		tree := buildSetup(t, s)
 		for _, limit := range []float64{math.Inf(1), 0.3 * s.dist.MaxDistance()} {
-			compare(s.name, tree, s.objs[2], limit)
+			compare(s.name, tree, s.objs, s.dist, s.objs[2], limit)
 		}
 		tree.Close()
 	}
 
 	// Durable tree: buffered inserts join the scan, tombstoned base records
-	// are skipped — on both paths identically.
+	// are skipped.
 	objs := vectorSet(400, 5, 131)
 	dist := metric.L2(5)
 	tree, err := CreateDurable(t.TempDir(), objs[:350], Options{
@@ -314,11 +300,19 @@ func TestNearestIterBatchMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	deleted := map[uint64]bool{}
 	for i := 0; i < 40; i++ {
 		if err := tree.Delete(objs[i*7]); err != nil {
 			t.Fatal(err)
 		}
+		deleted[objs[i*7].ID()] = true
 	}
-	compare("durable-delta", tree, objs[5], math.Inf(1))
-	compare("durable-delta-limited", tree, objs[5], 0.25*dist.MaxDistance())
+	var live []metric.Object
+	for _, o := range objs {
+		if !deleted[o.ID()] {
+			live = append(live, o)
+		}
+	}
+	compare("durable-delta", tree, live, dist, objs[5], math.Inf(1))
+	compare("durable-delta-limited", tree, live, dist, objs[5], 0.25*dist.MaxDistance())
 }

@@ -84,23 +84,15 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 			break // Lemma 3 early termination
 		}
 		if !item.isNode() {
-			// A leaf entry (or buffered insert). With batch kernels, a run of
-			// entry pops with no tree node between them is verified as one
-			// block (DESIGN.md §13) — identical results and counters to
-			// popping one entry at a time; the budget caps the run so a block
-			// never reads a record the entry-at-a-time search would not reach.
+			// A leaf entry (or buffered insert). A run of entry pops with no
+			// tree node between them is verified as one block (DESIGN.md §13)
+			// — identical results and counters to popping one entry at a
+			// time; the budget caps the run so a block never reads a record
+			// the entry-at-a-time search would not reach.
 			blk.cands = append(blk.cands[:0], pq.cand(item))
-			if t.batch {
-				run := min(knnIncrementalBlock, limit-qs.Verified)
-				for int64(len(blk.cands)) < run && pq.Len() > 0 && !pq.peekIsNode() {
-					blk.cands = append(blk.cands, pq.cand(pq.pop()))
-				}
-			}
-			if len(blk.cands) == 1 {
-				if err := t.verifyKNN(ctx, q, res, blk.cands[0], qs); err != nil {
-					return res.sorted(), err
-				}
-				continue
+			run := min(knnIncrementalBlock, limit-qs.Verified)
+			for int64(len(blk.cands)) < run && pq.Len() > 0 && !pq.peekIsNode() {
+				blk.cands = append(blk.cands, pq.cand(pq.pop()))
 			}
 			terminated, err := t.verifyKNNBlock(ctx, q, sc, qs, limit, false)
 			if err != nil {
@@ -119,20 +111,18 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 			t.pushNode(sc, res.bound(), qs)
 			continue
 		}
-		// Greedy: verify the whole leaf now. With batch kernels the leaf is one
-		// block: scan-time pruning uses the pre-leaf bound, and the commit
-		// replays each survivor at its own turn's bound — identical results
-		// and counters to the inline loop, whose bound tightens entry by entry.
+		// Greedy: verify the whole leaf now, as one block: scan-time pruning
+		// uses the pre-leaf bound, and the commit replays each survivor at its
+		// own turn's bound — identical results and counters to a loop whose
+		// bound tightens entry by entry.
 		blk.cands = blk.cands[:0]
 		for i, val := range sc.node.Vals {
 			qs.EntriesScanned++
 			c := candidate{bound: t.mindToCell(sc.qvec, sc.cellAt(i)), val: val}
 			if c.bound > res.bound() {
 				qs.EntriesPruned++ // Lemma 3
-			} else if t.batch {
+			} else {
 				blk.cands = append(blk.cands, c)
-			} else if err := t.verifyKNN(ctx, q, res, c, qs); err != nil {
-				return res.sorted(), err
 			}
 		}
 		if len(blk.cands) > 0 {
@@ -160,50 +150,6 @@ func (r *knnResults) sorted() []Result {
 	return out
 }
 
-// verifyKNN resolves one admitted candidate — a base leaf entry (read from
-// the RAF) or a buffered insert (object in hand) — computes its distance
-// against the live curND_k bound and feeds the running top-k. With bounded
-// kernels the evaluation abandons once the distance provably exceeds the
-// bound — an offer would reject such a candidate anyway (its distance ranks
-// after the heap top regardless of ID), so skipping it changes nothing
-// observable. A candidate at exactly curND_k still completes (within ⇔ d ≤
-// bound), so the heap's ID tie-break sees it. The ctx check gives
-// verification-batch granularity: a canceled query stops before the next RAF
-// page read and distance computation. A base record superseded by the write
-// buffer is skipped after its read: it counts no verification.
-func (t *Tree) verifyKNN(ctx context.Context, q metric.Object, res *knnResults, c candidate, qs *QueryStats) error {
-	if err := ctxDone(ctx); err != nil {
-		return err
-	}
-	st := qs.stageStart()
-	obj := c.obj
-	if obj == nil {
-		var err error
-		obj, err = t.raf.Read(c.val)
-		if err != nil {
-			qs.stageAdd(&qs.VerifyTime, st)
-			return err
-		}
-		if t.deltaShadowed(obj.ID()) {
-			qs.stageAdd(&qs.VerifyTime, st)
-			qs.TombstonesSkipped++
-			return nil
-		}
-	} else {
-		qs.DeltaCandidates++
-	}
-	d, within := t.verifyDist(q, obj, res.bound())
-	qs.stageAdd(&qs.VerifyTime, st)
-	qs.Verified++
-	qs.Compdists++
-	if within {
-		res.offer(Result{Object: obj, Dist: d, Exact: true})
-	} else if t.bounded {
-		qs.Abandoned++
-	}
-	return nil
-}
-
 // knnIncrementalBlock caps how many consecutive entry pops the best-first
 // traversal buffers into one block.
 const knnIncrementalBlock = 16
@@ -211,29 +157,39 @@ const knnIncrementalBlock = 16
 // verifyKNNBlock verifies sc.blk.cands — a greedy leaf's admitted entries in
 // scan order, or a best-first run of consecutive entry pops (no tree node
 // between them, so verifying them pushes nothing onto the frontier and the
-// run is exactly the prefix the one-at-a-time loop would pop next). The block
-// is resolved against the bound before its first candidate; each candidate
-// then commits at its own turn against the live bound, which only tightens:
+// run is exactly the prefix a one-at-a-time loop would pop next). The ctx
+// check gives verification-block granularity: a canceled query stops before
+// the next RAF read and kernel call. The block is resolved against the bound
+// before its first candidate; each candidate then commits at its own turn
+// against the live bound, which only tightens:
 //
 //   - its MIND is re-checked first. In a greedy leaf a crossing is the Lemma 3
-//     prune the inline loop applies at that entry's turn (EntriesPruned totals
-//     match); in a best-first run it ends the query — the one-at-a-time loop
-//     would have broken there and never popped the rest — as does an exhausted
-//     verification budget (limit, on qs.Verified). terminated reports either.
-//   - a completed distance is re-checked: an excess is the abandon the inline
-//     bounded evaluation would have reported.
+//     prune an entry-by-entry loop applies at that entry's turn (EntriesPruned
+//     totals match); in a best-first run it ends the query — a one-at-a-time
+//     loop would have broken there and never popped the rest — as does an
+//     exhausted verification budget (limit, on qs.Verified). terminated
+//     reports either.
+//   - a record resolveBlock could not read ends the query with its error —
+//     at this turn, not before: a run that terminates first reports none, and
+//     a greedy leaf that prunes the record never read it.
+//   - a base record superseded by the write buffer is skipped after its read:
+//     it counts no verification and spends no budget.
+//   - a completed distance is re-checked against the live bound: an excess is
+//     the abandon a bounded evaluation at that bound would have reported. An
+//     offer would reject such a candidate anyway (its distance ranks after
+//     the heap top regardless of ID); a candidate at exactly curND_k still
+//     completes (within ⇔ d ≤ bound), so the heap's ID tie-break sees it.
 //
 // Only committed verifications count Verified/Compdists and advance the
-// lifetime distance counter, so every counter and the result set equal the
-// inline loop's; the reads and evaluations of candidates a commit pruned stay
-// invisible. After a failed coalesced read the same loop verifies inline, so
-// the error surfaces at the same scan position.
+// lifetime distance counter, so every counter and the result set equal those
+// of verifying one candidate at a time; the reads and evaluations of
+// candidates a commit pruned stay invisible.
 func (t *Tree) verifyKNNBlock(ctx context.Context, q metric.Object, sc *queryScratch, qs *QueryStats, limit int64, greedy bool) (terminated bool, err error) {
 	if err := ctxDone(ctx); err != nil {
 		return false, err
 	}
 	res, b := &sc.res, &sc.blk
-	probed, ok := t.resolveBlock(sc, q, res.bound(), qs)
+	resolved, probed, rerr := t.resolveBlock(sc, q, res.bound(), qs)
 	qs.BatchedCandidates += int64(probed)
 	for i, c := range b.cands {
 		if c.bound > res.bound() {
@@ -246,11 +202,14 @@ func (t *Tree) verifyKNNBlock(ctx context.Context, q metric.Object, sc *queryScr
 		if qs.Verified >= limit {
 			return true, nil
 		}
-		if !ok {
-			if err := t.verifyKNN(ctx, q, res, c, qs); err != nil {
-				return false, err
-			}
-			continue
+		if i == resolved {
+			return false, rerr
+		}
+		if i > resolved {
+			// The greedy scan pruned the unreadable record and goes on: the
+			// rest of the leaf is a block of its own.
+			b.cands = b.cands[:copy(b.cands, b.cands[i:])]
+			return t.verifyKNNBlock(ctx, q, sc, qs, limit, greedy)
 		}
 		if c.obj != nil {
 			qs.DeltaCandidates++

@@ -73,13 +73,12 @@ func TestKNNWithinMatchesKNN(t *testing.T) {
 }
 
 // TestKNNCanonicalAcrossStrategies pins the §15.1 canonicalization: on a
-// discrete metric riddled with distance ties, both traversal strategies, with
-// block and with entry-at-a-time verification, return the identical
-// (dist, ID) top-k — the property the forest's staged scatter is built on.
+// discrete metric riddled with distance ties, both traversal strategies
+// return the identical (dist, ID) top-k — the brute-force one — which is the
+// property the forest's staged scatter is built on.
 func TestKNNCanonicalAcrossStrategies(t *testing.T) {
 	objs := wordSet(1500, 63)
 	dist := metric.EditDistance{MaxLen: 24}
-	var baseline [][]Result
 	for _, trav := range []TraversalStrategy{Incremental, Greedy} {
 		tree, err := Build(objs, Options{
 			Distance: dist, Codec: metric.StrCodec{}, NumPivots: 3, Seed: 5,
@@ -88,23 +87,13 @@ func TestKNNCanonicalAcrossStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, batch := range []bool{true, false} {
-			tree.SetBatchKernels(batch)
-			var runs [][]Result
-			for qi := 0; qi < 8; qi++ {
-				res, err := tree.KNN(objs[qi*11], 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				runs = append(runs, res)
+		for qi := 0; qi < 8; qi++ {
+			q := objs[qi*11]
+			res, err := tree.KNN(q, 10)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if baseline == nil {
-				baseline = runs
-				continue
-			}
-			for qi := range runs {
-				sameResults(t, trav.String(), baseline[qi], runs[qi])
-			}
+			sameResults(t, trav.String(), bfSorted(objs, q, math.Inf(1), dist)[:10], res)
 		}
 		tree.Close()
 	}

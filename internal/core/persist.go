@@ -151,12 +151,6 @@ type OpenOptions struct {
 	CacheSize int
 	// Traversal selects the kNN strategy.
 	Traversal TraversalStrategy
-	// DisableBoundedKernels turns off threshold-aware distance evaluation
-	// (see Options.DisableBoundedKernels).
-	DisableBoundedKernels bool
-	// DisableBatchKernels turns off blocked batch verification
-	// (see Options.DisableBatchKernels).
-	DisableBatchKernels bool
 }
 
 // Open reopens a tree persisted with WriteMeta.
@@ -184,8 +178,7 @@ func Open(meta io.Reader, opts OpenOptions) (*Tree, error) {
 		dist:      metric.NewCounter(opts.Distance),
 		codec:     opts.Codec,
 		traversal: opts.Traversal,
-		bounded:   !opts.DisableBoundedKernels && metric.IsBounded(opts.Distance),
-		batch:     !opts.DisableBatchKernels && metric.IsBatch(opts.Distance),
+		bounded:   metric.IsBounded(opts.Distance),
 	}
 	t.kind = sfc.Kind(r.u8())
 	t.bits = int(r.u8())

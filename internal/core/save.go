@@ -137,9 +137,6 @@ type LoadOptions struct {
 	CacheSize int
 	// Traversal selects the kNN strategy.
 	Traversal TraversalStrategy
-	// DisableBoundedKernels turns off threshold-aware distance evaluation
-	// (see Options.DisableBoundedKernels).
-	DisableBoundedKernels bool
 }
 
 // Load reopens an index directory written by SaveAtomic (or spbtool build):
@@ -167,7 +164,6 @@ func Load(dir string, opts LoadOptions) (*Tree, error) {
 		Distance: opts.Distance, Codec: opts.Codec,
 		IndexStore: idx, DataStore: data,
 		CacheSize: opts.CacheSize, Traversal: opts.Traversal,
-		DisableBoundedKernels: opts.DisableBoundedKernels,
 	})
 	if err != nil {
 		idx.Close()

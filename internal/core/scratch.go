@@ -162,8 +162,8 @@ func (x mindItem) isNode() bool { return x.tag == tagNode }
 // mindLess is a total order on heap items: MIND first, then nodes before
 // entries, then base entries before write-buffer entries, then page, offset
 // or object ID. Totality matters twice — equal-MIND items pop in the same
-// relative order in every execution, so block and entry-at-a-time
-// verification admit identical candidate sequences (and thus identical
+// relative order in every execution, so however the pops are cut into
+// blocks the candidate sequence is the same (and with it
 // Verified/Compdists), and results never depend on heap internals.
 func mindLess(a, b mindItem) bool {
 	if a.mind != b.mind {

@@ -48,7 +48,10 @@ func (s TraversalStrategy) String() string {
 	return "incremental"
 }
 
-// Options configures Build.
+// Options configures Build. How a candidate is verified is not configurable:
+// every metric is evaluated at the caller's live bound through its prepared
+// kernel (DESIGN.md §9.8); the Disable* fields below are the paper's own
+// ablations.
 type Options struct {
 	// Distance is the metric; required.
 	Distance metric.DistanceFunc
@@ -90,24 +93,6 @@ type Options struct {
 	// 14-20), falling back to per-entry region tests. Results are
 	// identical; the flag exists for the ablation benchmarks.
 	DisableSFCMerge bool
-	// DisableBoundedKernels turns off threshold-aware distance evaluation
-	// (DESIGN.md §10): when the metric implements
-	// metric.BoundedDistanceFunc, verification normally passes its live
-	// bound (the range radius, join ε, or kNN curND_k) to DistanceAtMost so
-	// evaluations provably exceeding the bound can stop early. Results,
-	// Verified and Compdists are identical either way — only wall time and
-	// the QueryStats.Abandoned counter change. The flag exists for the
-	// exact-vs-bounded benchmarks (spbbench pr5).
-	DisableBoundedKernels bool
-	// DisableBatchKernels turns off blocked batch verification (DESIGN.md
-	// §13): when the metric implements metric.BatchDistanceFunc, the
-	// verification stage normally evaluates a whole leaf-page block of
-	// candidates through one BatchDistanceAtMost call, hoisting per-query
-	// work out of the per-candidate loop. Results and every counter except
-	// QueryStats.BatchedCandidates are identical either way — only wall time
-	// changes. The flag exists for the batch-vs-scalar benchmarks
-	// (spbbench pr8).
-	DisableBatchKernels bool
 }
 
 // Tree is a built SPB-tree. Queries may run concurrently with each other;
@@ -145,15 +130,11 @@ type Tree struct {
 	noLemma2   bool // ablation: skip Lemma 2 inclusion
 	noSFCMerge bool // ablation: skip the computeSFC merge step
 
-	// bounded enables threshold-aware verification: true iff the metric
-	// implements metric.BoundedDistanceFunc and bounded kernels are not
-	// disabled. See verifyDist and DESIGN.md §10.
+	// bounded records that the metric implements metric.BoundedDistanceFunc,
+	// so an evaluation that ends over its bound was abandoned early and
+	// counts as QueryStats.Abandoned (DESIGN.md §10). Derived from the metric
+	// at construction; it selects no code path.
 	bounded bool
-
-	// batch enables blocked batch verification: true iff the metric
-	// implements metric.BatchDistanceFunc and batch kernels are not
-	// disabled. See resolveBlock and DESIGN.md §13.
-	batch bool
 
 	// count is the live object total: base objects not shadowed by the write
 	// buffer, plus buffered inserts. Maintained incrementally by the apply
@@ -226,8 +207,7 @@ func Build(objs []metric.Object, opts Options) (*Tree, error) {
 		dPlus:      opts.Distance.MaxDistance(),
 		noLemma2:   opts.DisableLemma2,
 		noSFCMerge: opts.DisableSFCMerge,
-		bounded:    !opts.DisableBoundedKernels && metric.IsBounded(opts.Distance),
-		batch:      !opts.DisableBatchKernels && metric.IsBatch(opts.Distance),
+		bounded:    metric.IsBounded(opts.Distance),
 	}
 
 	// Pivot table: either shared with a partner tree (joins need a common
@@ -460,53 +440,16 @@ func (t *Tree) SetTraversal(s TraversalStrategy) { t.traversal = s }
 // benchmark-only change.
 func (t *Tree) SetWorkers(int) {}
 
-// BoundedKernels reports whether verification uses threshold-aware distance
-// evaluation (the metric implements metric.BoundedDistanceFunc and kernels
-// were not disabled).
-func (t *Tree) BoundedKernels() bool { return t.bounded }
-
-// SetBoundedKernels toggles threshold-aware verification at runtime.
-// Enabling is a no-op when the metric has no bounded kernel. Results and the
-// Verified/Compdists counters are identical either way (DESIGN.md §10); the
-// toggle exists so benchmarks can compare exact and bounded evaluation on
-// the same tree. It takes effect for queries started afterwards.
-func (t *Tree) SetBoundedKernels(on bool) {
-	t.mu.Lock()
-	t.bounded = on && t.dist.Bounded()
-	t.mu.Unlock()
-}
-
-// BatchKernels reports whether verification evaluates leaf-page candidate
-// blocks through the metric's batch kernel (the metric implements
-// metric.BatchDistanceFunc and batch kernels were not disabled).
-func (t *Tree) BatchKernels() bool { return t.batch }
-
-// SetBatchKernels toggles blocked batch verification at runtime. Enabling is
-// a no-op when the metric has no batch kernel. Results and every counter
-// except QueryStats.BatchedCandidates are identical either way (DESIGN.md
-// §13); the toggle exists so benchmarks can compare batch and scalar
-// verification on the same tree. It takes effect for queries started
-// afterwards.
-func (t *Tree) SetBatchKernels(on bool) {
-	t.mu.Lock()
-	t.batch = on && t.dist.Batch()
-	t.mu.Unlock()
-}
-
-// verifyDist evaluates d(q, obj) against the caller's live bound: with
-// bounded kernels the evaluation may stop as soon as the distance provably
-// exceeds the bound (within = false, d unspecified), otherwise it is exact.
-// Either way within ⇔ d(q, obj) ≤ bound, and d is the exact distance when
-// within — so callers decide results purely on within and the decision is
-// identical in exact and bounded modes. The caller still counts the
-// evaluation (Verified/Compdists) and, when !within under bounded kernels,
-// one Abandoned.
+// verifyDist is the pairwise evaluator of the paths that verify one pair at
+// a time — the join, RangeCount and the write buffer's delta passes; query
+// candidates go through resolveBlock. It evaluates d(q, obj) against the
+// caller's live bound: a metric with a bounded kernel may stop as soon as the
+// distance provably exceeds the bound (within = false, d unspecified), any
+// other evaluates exactly. Either way within ⇔ d(q, obj) ≤ bound, and d is
+// the exact distance when within. The caller counts the evaluation
+// (Verified/Compdists) and, when !within and t.bounded, one Abandoned.
 func (t *Tree) verifyDist(q, obj metric.Object, bound float64) (d float64, within bool) {
-	if t.bounded {
-		return t.dist.DistanceAtMost(q, obj, bound)
-	}
-	d = t.dist.Distance(q, obj)
-	return d, d <= bound
+	return t.dist.DistanceAtMost(q, obj, bound)
 }
 
 // Stats is a per-operation measurement in the paper's metrics.

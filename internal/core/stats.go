@@ -92,19 +92,18 @@ type QueryStats struct {
 	// (DESIGN.md §10) without completing the exact distance: the evaluation
 	// proved d > bound and stopped. Always ≤ Verified, and each abandoned
 	// evaluation still counts one Compdists — the cost model charges
-	// evaluations, so exact and bounded runs report identical Compdists.
-	// Zero when the metric has no bounded kernel or kernels are disabled.
+	// evaluations, so Compdists does not depend on how many were abandoned.
+	// Zero when the metric has no bounded kernel.
 	Abandoned int64
-	// BatchedCandidates counts candidates whose verification went through a
-	// blocked batch kernel (DESIGN.md §13) — a whole leaf page of candidates
-	// evaluated by one metric.BatchDistanceAtMost call — rather than a scalar
-	// evaluation. Results and every other counter are identical either way;
-	// this counter exists so benchmarks and tests can prove the batch path
-	// actually engaged (a silent fallback to scalar shows up as zero). It is
-	// ≥ Verified's batched share and can exceed Verified for kNN, where a
-	// batched candidate may still be pruned at commit (counted under
-	// EntriesPruned, as the entry-at-a-time scan counts it).
-	// Zero when the metric has no batch kernel or batch kernels are disabled.
+	// BatchedCandidates counts the candidates a range, kNN or budgeted-kNN
+	// query evaluated in blocks through its prepared kernel (DESIGN.md §13):
+	// a pending range block, a greedy leaf, a best-first run of entry pops,
+	// down to a run of one. Every such query verifies its tree candidates
+	// this way, so it is ≥ the Verified they account for, and can exceed it
+	// for kNN, where an evaluated candidate may still be pruned at commit
+	// (counted under EntriesPruned, as an entry-at-a-time scan counts it).
+	// Buffered inserts a range query verifies in its delta pass, the join,
+	// RangeCount and the graph tier do not count here.
 	BatchedCandidates int64
 	// GraphHops counts beam-search expansions of a graph-tier query
 	// (DESIGN.md §14): nodes whose neighbor list was explored. Zero on every

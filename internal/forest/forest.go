@@ -373,15 +373,6 @@ func (f *Forest) BuildPartner(objs []metric.Object, opts Options) (*Forest, erro
 	return Build(objs, opts)
 }
 
-// SetBoundedKernels toggles threshold-aware distance evaluation (see
-// core.Tree.SetBoundedKernels) on every shard. Enabling is a no-op when the
-// metric implements no bounded kernel.
-func (f *Forest) SetBoundedKernels(on bool) {
-	for _, t := range f.trees {
-		t.SetBoundedKernels(on)
-	}
-}
-
 // ResetStats resets every shard.
 func (f *Forest) ResetStats() {
 	for _, t := range f.trees {

@@ -39,17 +39,6 @@ func BatchDistanceAtMost(fn DistanceFunc, q Object, objs []Object, t float64, d 
 	}
 }
 
-// IsBatch reports whether fn has a batch kernel (implements
-// BatchDistanceFunc), unwrapping a Counter if needed. The tree uses it to
-// decide whether the QueryStats.BatchedCandidates accounting applies.
-func IsBatch(fn DistanceFunc) bool {
-	if c, ok := fn.(*Counter); ok {
-		fn = c.Unwrap()
-	}
-	_, ok := fn.(BatchDistanceFunc)
-	return ok
-}
-
 // BatchDistanceAtMost implements BatchDistanceFunc for the Minkowski norms:
 // the query's coordinate slice is type-asserted once and the powered abandon
 // budget t^p computed once; each candidate then runs the same shared kernel

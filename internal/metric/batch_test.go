@@ -95,7 +95,7 @@ func TestBatchMatchesScalarKernels(t *testing.T) {
 	for _, c := range batchCases(42) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			if !IsBatch(c.fn) {
+			if _, ok := c.fn.(BatchDistanceFunc); !ok {
 				t.Fatalf("%T has no batch kernel", c.fn)
 			}
 			maxD := c.fn.MaxDistance()
@@ -114,13 +114,11 @@ func TestBatchMatchesScalarKernels(t *testing.T) {
 	}
 }
 
-// TestBatchFallbackAndCounter pins the package helper and the Counter
-// wrapper: a metric without a kernel falls back to an element-wise scalar
-// loop with identical outputs, IsBatch sees through Counter, and a counted
-// batch evaluation adds exactly len(objs) to the lifetime counter.
+// TestBatchFallbackAndCounter pins the package helper on what has no batch
+// kernel of its own: a kernel-less metric falls back to an element-wise scalar
+// loop with identical outputs, and a Counter — which the fallback reaches
+// through its DistanceAtMost — counts exactly one computation per candidate.
 func TestBatchFallbackAndCounter(t *testing.T) {
-	// TrigramAngular has no batch kernel: fallback must still satisfy the
-	// element-wise contract.
 	rng := rand.New(rand.NewSource(7))
 	seqs := make([]Object, 12)
 	for i := range seqs {
@@ -131,34 +129,25 @@ func TestBatchFallbackAndCounter(t *testing.T) {
 		seqs[i] = NewSeq(uint64(i), string(b))
 	}
 	ta := TrigramAngular{}
-	if IsBatch(ta) {
-		t.Fatal("TrigramAngular unexpectedly reports a batch kernel")
+	if _, ok := DistanceFunc(ta).(BatchDistanceFunc); ok {
+		t.Fatal("TrigramAngular unexpectedly has a batch kernel")
 	}
 	checkBatchAgainstScalar(t, "trigram-fallback", ta, seqs[0], seqs, 0.4*ta.MaxDistance())
 
-	// Counter: batched evaluation counts one computation per candidate —
-	// same accounting as the scalar loop it replaces.
-	cnt := NewCounter(L2(9))
-	if !IsBatch(cnt) || !cnt.Batch() {
-		t.Fatal("Counter did not surface the wrapped batch kernel")
-	}
-	cases := batchCases(43)[0]
-	d := make([]float64, len(cases.objs))
-	within := make([]bool, len(cases.objs))
-	cnt.BatchDistanceAtMost(cases.objs[0], cases.objs, 0.2, d, within)
-	if got := cnt.Count(); got != int64(len(cases.objs)) {
-		t.Fatalf("counted batch added %d computations, want %d", got, len(cases.objs))
-	}
-	// A Counter around a kernel-less metric must count without batching.
-	pc := NewCounter(TrigramAngular{})
-	if pc.Batch() {
-		t.Fatal("Counter reports batch for TrigramAngular")
-	}
-	pd := make([]float64, len(seqs))
-	pw := make([]bool, len(seqs))
-	pc.BatchDistanceAtMost(seqs[0], seqs, 1, pd, pw)
-	if got := pc.Count(); got != int64(len(seqs)) {
-		t.Fatalf("fallback batch counted %d, want %d (double count?)", got, len(seqs))
+	for _, c := range []struct {
+		fn   DistanceFunc
+		objs []Object
+	}{
+		{L2(9), batchCases(43)[0].objs},
+		{ta, seqs},
+	} {
+		cnt := NewCounter(c.fn)
+		d := make([]float64, len(c.objs))
+		within := make([]bool, len(c.objs))
+		BatchDistanceAtMost(cnt, c.objs[0], c.objs, 0.2, d, within)
+		if got := cnt.Count(); got != int64(len(c.objs)) {
+			t.Fatalf("%s: counted %d computations for a block of %d", c.fn.Name(), got, len(c.objs))
+		}
 	}
 }
 

@@ -197,11 +197,8 @@ func TestDistanceAtMostHelperAndIsBounded(t *testing.T) {
 	}
 
 	// Counter: DistanceAtMost counts one compdist per call, abandoned or not,
-	// and Bounded unwraps.
+	// and IsBounded unwraps.
 	c := NewCounter(EditDistance{MaxLen: 10})
-	if !c.Bounded() {
-		t.Fatal("Counter over EditDistance not bounded")
-	}
 	if !IsBounded(c) {
 		t.Fatal("IsBounded failed to unwrap Counter")
 	}
@@ -211,7 +208,7 @@ func TestDistanceAtMostHelperAndIsBounded(t *testing.T) {
 	if got := c.Count(); got != 2 {
 		t.Fatalf("Counter.Count = %d after two bounded evaluations, want 2", got)
 	}
-	if NewCounter(TrigramAngular{}).Bounded() {
+	if IsBounded(NewCounter(TrigramAngular{})) {
 		t.Fatal("Counter over TrigramAngular reported bounded")
 	}
 }

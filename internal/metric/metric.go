@@ -119,20 +119,6 @@ func (c *Counter) DistanceAtMost(a, b Object, t float64) (float64, bool) {
 	return DistanceAtMost(c.fn, a, b, t)
 }
 
-// Bounded reports whether the wrapped function has a threshold-aware kernel.
-func (c *Counter) Bounded() bool { return IsBounded(c.fn) }
-
-// BatchDistanceAtMost evaluates the query against a block of candidates (see
-// BatchDistanceFunc) and increments the counter by len(objs) — one compdist
-// per candidate, exactly as the equivalent scalar loop would charge.
-func (c *Counter) BatchDistanceAtMost(q Object, objs []Object, t float64, d []float64, within []bool) {
-	c.n.Add(int64(len(objs)))
-	BatchDistanceAtMost(c.fn, q, objs, t, d, within)
-}
-
-// Batch reports whether the wrapped function has a batch kernel.
-func (c *Counter) Batch() bool { return IsBatch(c.fn) }
-
 // Count returns the number of distance computations since the last Reset.
 func (c *Counter) Count() int64 { return c.n.Load() }
 
@@ -153,7 +139,6 @@ func (c *Counter) Unwrap() DistanceFunc { return c.fn }
 var (
 	_ DistanceFunc        = (*Counter)(nil)
 	_ BoundedDistanceFunc = (*Counter)(nil)
-	_ BatchDistanceFunc   = (*Counter)(nil)
 )
 
 func badType(fn, want string, got Object) string {

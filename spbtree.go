@@ -253,9 +253,6 @@ var (
 	// the metric's batch kernel when it implements one and a scalar loop
 	// otherwise. See metric.BatchDistanceAtMost.
 	BatchDistanceAtMost = metric.BatchDistanceAtMost
-	// IsBatch reports whether a DistanceFunc implements a blocked batch
-	// kernel. See metric.IsBatch.
-	IsBatch = metric.IsBatch
 )
 
 // Object constructors.
