@@ -18,12 +18,10 @@ import (
 
 // config carries the harness-wide knobs.
 type config struct {
-	n        int    // dataset cardinality (scaled down from the paper's)
-	queries  int    // measured queries (the paper uses 500)
-	seed     int64  // generator seed
-	workers  int    // pr6: harness goroutines (0 = 8)
-	jsonPath string // pr6/pr9: write the machine-readable report here
-	out      io.Writer
+	n       int   // dataset cardinality (scaled down from the paper's)
+	queries int   // measured queries (the paper uses 500)
+	seed    int64 // generator seed
+	out     io.Writer
 }
 
 // measured aggregates the paper's three metrics over a query batch.

@@ -10,20 +10,7 @@
 //	spbbench -n 20000 -q 100 all
 //
 // Experiments: table2 table4 table5 table6 table7 fig9 fig10 fig11 fig12
-// fig13 fig14 fig15 fig16 fig17 fig18 ablation forest pr6 pr9 all
-//
-// pr6 exercises the durable write path (DESIGN.md §11): mixed read/write
-// workloads (95/5 and 50/50) on Words and DNAEdit reporting acked-write
-// latency percentiles, read-latency degradation versus an all-read baseline,
-// the WAL's group-commit batching ratio, and acked writes/sec versus writer
-// fan-in with fsync on and off; -workers sets the harness goroutine count and
-// with -json FILE it writes BENCH_PR6.json.
-//
-// pr9 compares the approximate graph tier (DESIGN.md §14) — NN-descent
-// construction plus beam search — against exact kNN, sweeping the beam width
-// and reporting recall@10 and latency; it enforces the recall floor and the
-// exact path's post-BuildGraph byte identity, and with -json FILE it writes
-// BENCH_PR9.json.
+// fig13 fig14 fig15 fig16 fig17 fig18 ablation forest all
 package main
 
 import (
@@ -43,8 +30,6 @@ func main() {
 	flag.IntVar(&cfg.n, "n", 10000, "dataset cardinality (the paper uses 112K-1M)")
 	flag.IntVar(&cfg.queries, "q", 50, "measured queries per point (the paper uses 500)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "dataset and pivot-selection seed")
-	flag.IntVar(&cfg.workers, "workers", 0, "pr6: harness goroutines (0 = 8)")
-	flag.StringVar(&cfg.jsonPath, "json", "", "pr6/pr9: write a machine-readable report to this file")
 	flag.StringVar(&debugAddr, "debugaddr", "", "serve /debug/vars and /debug/pprof on this address while experiments run")
 	flag.Parse()
 	cfg.out = os.Stdout
@@ -60,7 +45,7 @@ func main() {
 
 	if flag.NArg() == 0 {
 		flag.Usage()
-		fmt.Fprintln(os.Stderr, "\nexperiments: table2 table4 table5 table6 table7 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 ablation forest pr6 pr9 all")
+		fmt.Fprintln(os.Stderr, "\nexperiments: table2 table4 table5 table6 table7 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 ablation forest all")
 		os.Exit(2)
 	}
 
@@ -82,11 +67,9 @@ func main() {
 		"fig18":    fig18,
 		"ablation": ablation,
 		"forest":   forestExp,
-		"pr6":      pr6,
-		"pr9":      pr9,
 	}
 	order := []string{"table2", "table4", "fig9", "fig10", "table5", "fig11",
-		"table6", "table7", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "ablation", "forest", "pr6", "pr9"}
+		"table6", "table7", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "ablation", "forest"}
 
 	var names []string
 	for _, arg := range flag.Args() {

@@ -69,17 +69,15 @@ func loadPlacement(cfg *cluster.Config, root string) (*cluster.Placement, error)
 	return &p, nil
 }
 
-// savePlacement persists the placement atomically (write + rename).
+// savePlacement persists the placement atomically and durably: a crash
+// leaves the old placement.json or the new one, never an empty file that
+// loadPlacement would refuse and no node could restart from.
 func savePlacement(root string, p *cluster.Placement) error {
 	b, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := placementPath(root) + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, placementPath(root))
+	return core.WriteFileAtomic(placementPath(root), append(b, '\n'))
 }
 
 // cmdInit bootstraps the cluster's on-disk state from a generated dataset.

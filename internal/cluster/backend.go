@@ -106,7 +106,6 @@ func (b *ServerBackend) StatsFields() map[string]interface{} {
 			"placement_version": cs.Placement.Version,
 			"shards":            cs.Placement.Shards,
 			"nodes":             nodes,
-			"adaptive":          b.R.Adaptive(),
 		},
 	}
 	if len(cs.Errors) > 0 {

@@ -116,7 +116,9 @@ func sameResults(t *testing.T, label string, got, want []core.Result) {
 // equivalenceCase runs the full equivalence suite for one dataset: range,
 // kNN and join answers from the 3-node cluster must match the
 // single-process forest byte for byte, and — queries being deterministic —
-// so must the compdists work counters.
+// so must the compdists work counters: a range query's equal the forest's
+// (pruning is per shard), a kNN's equal its nodes' shard groups run as local
+// forests (each node stages on its own).
 func equivalenceCase(t *testing.T, ds dataset.Dataset, radii []float64, eps float64) {
 	tc := startCluster(t, ds, 4)
 	ctx := context.Background()
@@ -142,14 +144,14 @@ func equivalenceCase(t *testing.T, ds dataset.Dataset, radii []float64, eps floa
 			if err != nil {
 				t.Fatalf("cluster knn: %v", err)
 			}
-			want, wantStats, err := tc.ref.Query(ctx, core.Query{Op: core.OpKNN, Q: q, K: k, Timed: true})
+			want, _, err := tc.ref.Query(ctx, core.Query{Op: core.OpKNN, Q: q, K: k, Timed: true})
 			if err != nil {
 				t.Fatalf("forest knn: %v", err)
 			}
 			sameResults(t, fmt.Sprintf("knn q%d k=%d", qi, k), got, want)
-			if gotStats.Compdists != wantStats.Compdists {
-				t.Fatalf("knn q%d k=%d: cluster compdists %d, forest %d",
-					qi, k, gotStats.Compdists, wantStats.Compdists)
+			if groups := tc.nodeGroupCompdists(t, core.Query{Op: core.OpKNN, Q: q, K: k}); gotStats.Compdists != groups {
+				t.Fatalf("knn q%d k=%d: cluster compdists %d, its nodes' groups as local forests %d",
+					qi, k, gotStats.Compdists, groups)
 			}
 		}
 	}

@@ -250,8 +250,6 @@ func kindName(kind byte) string {
 		return "rpc.range"
 	case kKNN:
 		return "rpc.knn"
-	case kHint:
-		return "rpc.hint"
 	case kJoin:
 		return "rpc.join"
 	case kMutate:
@@ -287,11 +285,6 @@ func (n *Node) dispatch(kind byte, payload []byte) (resp interface{}, failed boo
 		var req rpcKNNReq
 		if err = decodePayload(payload, &req); err == nil {
 			return n.handleKNN(req)
-		}
-	case kHint:
-		var req rpcHintReq
-		if err = decodePayload(payload, &req); err == nil {
-			return n.handleHint(req)
 		}
 	case kJoin:
 		var req rpcJoinReq
@@ -421,8 +414,9 @@ func (n *Node) handleKNN(req rpcKNNReq) (interface{}, bool) {
 // runQuery executes one query RPC: q arrives from outside the process, so it
 // is validated (forest.Query does, before any shard work) and then answered
 // by a per-request forest over the named owned shards — the same gather body
-// a single-process forest runs. Partial results travel alongside the error,
-// preserving the library contract.
+// a single-process forest runs, and the only place a cluster query's visit
+// list is pruned or its kNN staged (DESIGN.md §15.4). Partial results travel
+// alongside the error, preserving the library contract.
 func (n *Node) runQuery(shards []int, wq wireObj, deadlineUS int64, q core.Query) (interface{}, bool) {
 	trees, err := n.ownedTrees(shards)
 	if err != nil {
@@ -440,40 +434,6 @@ func (n *Node) runQuery(shards []int, wq wireObj, deadlineUS int64, q core.Query
 	results, qs, err := f.Query(ctx, q)
 	err = n.staleClosed(err, shards)
 	return rpcQueryResp{Results: toWireResults(results), Stats: qs, Err: toWireErr(err)}, err != nil
-}
-
-// handleHint answers per-shard planning hints for the router's adaptive
-// scatter (DESIGN.md §15.4), straight from the owned trees. Hints run
-// node-side because computing one needs the shard's pivots and the space's
-// distance function, which the router does not hold; the φ(q) probes use
-// uncounted distances, so asking for hints never perturbs the work counters
-// of shards that end up pruned. Any hint error fails the whole call: the
-// router must fall back to the flat scatter rather than plan on partial
-// information.
-func (n *Node) handleHint(req rpcHintReq) (interface{}, bool) {
-	trees, err := n.ownedTrees(req.Shards)
-	if err != nil {
-		return rpcHintResp{Err: toWireErr(err)}, true
-	}
-	q, err := n.decodeQuery(req.Q)
-	if err != nil {
-		return rpcHintResp{Err: toWireErr(err)}, true
-	}
-	hints := make([]core.ShardHint, len(trees))
-	for i, t := range trees {
-		switch req.Hint {
-		case hintRange:
-			hints[i], err = t.RangeHint(q, req.R)
-		case hintKNN:
-			hints[i], err = t.KNNHint(q, req.K)
-		default:
-			err = fmt.Errorf("cluster: unknown hint flavor %d", req.Hint)
-		}
-		if err = n.staleClosed(err, req.Shards); err != nil {
-			return rpcHintResp{Err: toWireErr(err)}, true
-		}
-	}
-	return rpcHintResp{Hints: hints}, false
 }
 
 // handleMutate applies one insert or delete to an owned shard.

@@ -173,17 +173,28 @@ func TestQueryEquivalenceAcrossLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	forestWith := func(staging bool) func(core.Query) ([]core.Result, core.QueryStats, error) {
-		return func(q core.Query) ([]core.Result, core.QueryStats, error) {
-			tc.ref.SetAdaptive(staging)
-			return tc.ref.Query(ctx, q)
+	// flatGather is the planner's reference: every shard of the reference
+	// forest answers q on its own and the answers merge — no pruning, no
+	// staging, no graph fallback.
+	flatGather := func(q core.Query) ([]core.Result, core.QueryStats, error) {
+		per := make([][]core.Result, 0, tc.ref.NumShards())
+		var total core.QueryStats
+		for _, sh := range tc.ref.Shards() {
+			res, qs, err := sh.Query(ctx, q)
+			if err != nil {
+				return nil, total, err
+			}
+			per = append(per, res)
+			total.Merge(qs)
 		}
+		return core.MergeResults(q.Op, q.K, per), total, nil
 	}
 	layers := []queryLayer{
 		{name: "tree", passThrough: true, graph: "graph",
 			run: func(q core.Query) ([]core.Result, core.QueryStats, error) { return tree.Query(ctx, q) }},
-		{name: "forest/staged", graph: "fallback", run: forestWith(true)},
-		{name: "forest/flat", graph: "fallback", run: forestWith(false)},
+		{name: "forest", graph: "fallback",
+			run: func(q core.Query) ([]core.Result, core.QueryStats, error) { return tc.ref.Query(ctx, q) }},
+		{name: "shards/flat", graph: "graph", run: flatGather},
 		{name: "router", graph: "none",
 			run: func(q core.Query) ([]core.Result, core.QueryStats, error) { return tc.router.Query(ctx, q) }},
 		{name: "http/tree", passThrough: true, graph: "fallback", run: httpLayer(t, overTree)},
@@ -355,9 +366,9 @@ func (d slowQueryDist) Distance(a, b metric.Object) float64 {
 }
 
 // TestElapsedCoversTheGather: behind a forest or a router, QueryStats.Elapsed
-// is that layer's wall clock around the whole gather — every serial round of
-// a staged kNN, the hint round and the wire included — not the slowest
-// shard's own time, and never more than the caller's clock around the call.
+// is that layer's wall clock around the whole gather — the hints, every serial
+// round of a staged kNN and the wire included — not the slowest shard's own
+// time, and never more than the caller's clock around the call.
 // One node running its shards one at a time makes the whole query serial, so
 // every delayed distance evaluation is a hard floor under the gather's clock.
 func TestElapsedCoversTheGather(t *testing.T) {
@@ -376,8 +387,8 @@ func TestElapsedCoversTheGather(t *testing.T) {
 	for _, l := range []struct {
 		name string
 		// uncounted is the number of delayed evaluations QueryStats.Compdists
-		// does not report: the router's hint round maps the query through
-		// every shard's pivots with the uncounted metric.
+		// does not report and the floor claims anyway: the node's hints map
+		// the query through every shard's pivots with the uncounted metric.
 		uncounted int64
 		run       func() ([]core.Result, core.QueryStats, error)
 	}{

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,11 +16,13 @@ import (
 	"spbtree/internal/retry"
 )
 
-// Router fronts a cluster: it scatters each query to the nodes owning the
-// relevant shards (one RPC per node, carrying that node's shard group) and
+// Router fronts a cluster: it scatters each query once to the nodes owning
+// shards (one RPC per node, carrying that node's shard group) and
 // gather-merges the per-node answers with the forest's associative
 // reductions, so the cluster's answer is byte-identical to the equivalent
-// single-process forest.
+// single-process forest. It plans nothing: which shards a query visits and in
+// what order is decided by each node's forest over the shards it owns
+// (DESIGN.md §15.4, §15.7).
 //
 // Unlike the in-process forest scatter (which stops dispatching on the
 // first shard error, because all shards share a fate), the router's
@@ -48,11 +49,6 @@ type Router struct {
 	reg obs.Registry
 	// fanout counts node RPCs issued per scatter, by node name.
 	fanout sync.Map // string → *atomic.Int64
-
-	// adaptive enables the §15.4 scatter planning: per-query hint RPCs that
-	// let the router skip provably-irrelevant nodes on range queries and run
-	// kNN as a two-stage bounded visit. On by default; see SetAdaptive.
-	adaptive atomic.Bool
 }
 
 // NewRouter returns a router over the given placement. codec decodes result
@@ -63,18 +59,8 @@ func NewRouter(p *Placement, codec metric.Codec) (*Router, error) {
 	}
 	r := &Router{codec: codec, clients: make(map[string]*Client)}
 	r.placement.Store(p)
-	r.adaptive.Store(true)
 	return r, nil
 }
-
-// SetAdaptive toggles the adaptive scatter (DESIGN.md §15.4): node pruning
-// for range queries and the staged bounded kNN visit. Off restores the
-// unconditional flat scatter; answers are byte-identical either way. Safe
-// for concurrent use.
-func (r *Router) SetAdaptive(on bool) { r.adaptive.Store(on) }
-
-// Adaptive reports whether the adaptive scatter is enabled.
-func (r *Router) Adaptive() bool { return r.adaptive.Load() }
 
 // Placement returns the router's current placement (do not mutate).
 func (r *Router) Placement() *Placement { return r.placement.Load() }
@@ -158,9 +144,17 @@ type nodeCall struct {
 	shards []int
 }
 
-// plan groups the placement's shards by owner.
-func plan(p *Placement) []nodeCall {
+// plan groups shards by their owner under p, one call per node in name
+// order. A nil shards means every shard of the placement — the scatter of a
+// whole query; a subset is the retry of a stale call after a refresh.
+func plan(p *Placement, shards []int) []nodeCall {
 	byOwner := p.ByOwner()
+	if shards != nil {
+		byOwner = make(map[string][]int)
+		for _, s := range shards {
+			byOwner[p.Owners[s]] = append(byOwner[p.Owners[s]], s)
+		}
+	}
 	names := make([]string, 0, len(byOwner))
 	for n := range byOwner {
 		names = append(names, n)
@@ -177,8 +171,7 @@ func plan(p *Placement) []nodeCall {
 // per-node results and errors. Failed nodes become NodeErrors; healthy
 // nodes' answers always come back. A node answering ErrNotOwner triggers
 // one placement refresh and one retry of that node's shards against the
-// new owners (the handoff-during-query path). Callers pass plan(p) for the
-// full flat scatter or a planned subset (§15.4 pruning/staging).
+// new owners (the handoff-during-query path).
 func (r *Router) scatterQuery(ctx context.Context, op string, calls []nodeCall,
 	build func(shards []int) (byte, interface{})) ([]rpcQueryResp, error) {
 
@@ -217,7 +210,7 @@ func (r *Router) scatterQuery(ctx context.Context, op string, calls []nodeCall,
 					continue
 				}
 				resps[i], errs[i] = rpcQueryResp{}, nil
-				for _, rc := range regroup(np, calls[i].shards) {
+				for _, rc := range plan(np, calls[i].shards) {
 					var resp rpcQueryResp
 					kind, req := build(rc.shards)
 					rerr := r.callNode(ctx, rc.node, rc.addr, op, true, kind, req, &resp)
@@ -246,24 +239,6 @@ func anyNotOwner(errs []error) bool {
 		}
 	}
 	return false
-}
-
-// regroup plans RPCs for a shard subset under a (new) placement.
-func regroup(p *Placement, shards []int) []nodeCall {
-	byNode := make(map[string][]int)
-	for _, s := range shards {
-		byNode[p.Owners[s]] = append(byNode[p.Owners[s]], s)
-	}
-	names := make([]string, 0, len(byNode))
-	for n := range byNode {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	calls := make([]nodeCall, 0, len(names))
-	for _, n := range names {
-		calls = append(calls, nodeCall{node: n, addr: p.Nodes[n], shards: byNode[n]})
-	}
-	return calls
 }
 
 // decodeResults reconstitutes wire results into core results.
@@ -298,93 +273,20 @@ func (r *Router) gather(q core.Query, resps []rpcQueryResp, err error) ([]core.R
 	return out, stats, err
 }
 
-// shardHints fetches per-shard planning hints from every node in calls, one
-// kHint RPC per node (DESIGN.md §15.4). The answer is all-or-nothing: any
-// node failure — down, stale placement, or a pre-hint version on the other
-// side — returns ok=false, and the caller falls back to the flat scatter,
-// which answers identically and owns the failure-tolerance machinery.
-func (r *Router) shardHints(ctx context.Context, p *Placement, wq wireObj,
-	flavor byte, radius float64, k int) ([]core.ShardHint, bool) {
-
-	calls := plan(p)
-	if ctx.Err() != nil {
-		return nil, false
-	}
-	resps := make([]rpcHintResp, len(calls))
-	errs := make([]error, len(calls))
-	var wg sync.WaitGroup
-	for i, call := range calls {
-		wg.Add(1)
-		go func(i int, call nodeCall) {
-			defer wg.Done()
-			req := rpcHintReq{Shards: call.shards, Q: wq, Hint: flavor,
-				R: radius, K: k, DeadlineUS: deadlineUS(ctx)}
-			err := r.callNode(ctx, call.node, call.addr, "hint", true, kHint, req, &resps[i])
-			if err == nil {
-				err = fromWireErr(resps[i].Err)
-			}
-			if err == nil && len(resps[i].Hints) != len(call.shards) {
-				err = fmt.Errorf("cluster: node %s answered %d hints for %d shards",
-					call.node, len(resps[i].Hints), len(call.shards))
-			}
-			errs[i] = err
-		}(i, call)
-	}
-	wg.Wait()
-	hints := make([]core.ShardHint, p.Shards)
-	for i, call := range calls {
-		if errs[i] != nil {
-			return nil, false
-		}
-		for j, s := range call.shards {
-			hints[s] = resps[i].Hints[j]
-		}
-	}
-	return hints, true
-}
-
-// pruneCalls drops range-prunable shards from a planned scatter, removing
-// node calls left with no shards — the "fewer RPCs" half of §15.4. Pruning
-// is per-shard and proof-based, so the surviving scatter's merged answer is
-// byte-identical to the full one.
-func pruneCalls(calls []nodeCall, hints []core.ShardHint) ([]nodeCall, int) {
-	out := make([]nodeCall, 0, len(calls))
-	pruned := 0
-	for _, c := range calls {
-		keep := make([]int, 0, len(c.shards))
-		for _, s := range c.shards {
-			if hints[s].Prunable {
-				pruned++
-				continue
-			}
-			keep = append(keep, s)
-		}
-		if len(keep) == 0 {
-			continue
-		}
-		out = append(out, nodeCall{node: c.node, addr: c.addr, shards: keep})
-	}
-	return out, pruned
-}
-
-// Query answers one search request across the cluster and returns the merged
-// QueryStats: work counters add across nodes, the stage clocks are per-branch
-// maxima, Plan describes the visit, and Elapsed is the router's own wall
-// clock around the whole gather — the hint round, every query round and the
-// wire included. On node failures the healthy nodes' answers come back with
-// one NodeError per failed node (joined); errors.Is(err, core.ErrCanceled)
-// identifies deadline-canceled slices.
+// Query answers one search request across the cluster: one scatter, one query
+// RPC per owning node, gather. The router plans nothing — each node runs its
+// shard group as a forest (forest.Query), which is where a range query's
+// shards are pruned and an exact kNN is staged (DESIGN.md §15.4), and the
+// request travels as the one query value says, Bounded and Bound included.
+// In the merged QueryStats work counters add across nodes, the stage clocks
+// are per-branch maxima, Plan folds the nodes' plans over the placement's
+// shard count, and Elapsed is the router's own wall clock around the whole
+// gather, the wire included. On node failures the healthy nodes' answers come
+// back with one NodeError per failed node (joined); errors.Is(err,
+// core.ErrCanceled) identifies deadline-canceled slices.
 //
-// The request travels as the kRange/kKNN messages. OpRange with the adaptive
-// scatter enabled first runs a hint round and skips every shard whose summary
-// box provably misses the query ball — nodes all of whose shards are pruned
-// get no query RPC at all. OpKNN runs the §15.4 staged visit when the planner
-// can: the most promising shard answers first and its k-th distance bounds
-// everyone else. OpKNNApprox stays flat — its per-shard answers are not the
-// canonical subsets the staging proof needs — and so does an OpKNN that
-// already carries a bound. The wire has no graph message, so OpKNNGraph
-// answers core.ErrNoGraph and the caller degrades to Query.Exact as on a
-// tree without a graph.
+// The wire has no graph message, so OpKNNGraph answers core.ErrNoGraph and
+// the caller degrades to Query.Exact as on a tree without a graph.
 func (r *Router) Query(ctx context.Context, q core.Query) ([]core.Result, core.QueryStats, error) {
 	if err := q.Validate(); err != nil {
 		return nil, core.QueryStats{Op: q.Op}, err
@@ -395,28 +297,11 @@ func (r *Router) Query(ctx context.Context, q core.Query) ([]core.Result, core.Q
 	start := time.Now()
 	wq := wireObj{ID: q.Q.ID(), Data: q.Q.AppendBinary(nil)}
 	p := r.placement.Load()
-	info := core.PlanInfo{ShardsTotal: p.Shards}
-	calls := plan(p)
-	var resps []rpcQueryResp
-	adaptive := r.adaptive.Load()
-	switch {
-	case adaptive && q.Op == core.OpRange:
-		if hints, ok := r.shardHints(ctx, p, wq, hintRange, q.Radius, 0); ok {
-			calls, info.ShardsPruned = pruneCalls(calls, hints)
-		}
-	case adaptive && q.Op == core.OpKNN && !q.Bounded && q.K > 0 && p.Shards >= 2:
-		if order, bound, resp0, ok := r.stageOne(ctx, p, wq, q); ok {
-			info.Staged, info.FirstShard = true, order[0]
-			q.Bounded, q.Bound = true, bound
-			calls = regroup(p, order[1:])
-			resps = append(resps, resp0)
-		}
-	}
-	scattered, err := r.scatterQuery(ctx, q.Op, calls, func(shards []int) (byte, interface{}) {
+	resps, err := r.scatterQuery(ctx, q.Op, plan(p, nil), func(shards []int) (byte, interface{}) {
 		return wireQuery(shards, wq, q, deadlineUS(ctx))
 	})
-	res, qs, err := r.gather(q, append(scattered, resps...), err)
-	qs.Plan = info
+	res, qs, err := r.gather(q, resps, err)
+	qs.Plan.ShardsTotal = p.Shards
 	qs.Elapsed = time.Since(start)
 	return res, qs, err
 }
@@ -430,41 +315,6 @@ func wireQuery(shards []int, wq wireObj, q core.Query, deadlineUS int64) (byte, 
 	return kKNN, rpcKNNReq{Shards: shards, Q: wq, K: q.K, MaxVerify: q.MaxVerify,
 		Approx: q.Op == core.OpKNNApprox, DeadlineUS: deadlineUS, WithStats: q.Timed,
 		Bounded: q.Bounded, Bound: q.Bound}
-}
-
-// stageOne runs the first half of the two-stage cluster kNN (DESIGN.md
-// §15.4): a hint round orders the shards by core.StagedOrder, exactly as the
-// forest does, and the best shard (order[0]) answers plain canonical kNN via
-// its owner. The caller then scatters the remaining shards with its k-th
-// distance (bound; +Inf when it held fewer than k) as the request's bound —
-// per-shard bounded probes on every node, merged with the same reduction as
-// the flat scatter, so the answer is byte-identical (§15.2). ok=false means planning was impossible (a hint or stage-1
-// failure); the caller runs the flat scatter, which answers identically and
-// owns the failure-tolerance and placement-refresh machinery. Stage-2 node
-// failures are tolerated the usual way: partials plus NodeErrors.
-func (r *Router) stageOne(ctx context.Context, p *Placement, wq wireObj, q core.Query) (order []int, bound float64, resp rpcQueryResp, ok bool) {
-	hints, ok := r.shardHints(ctx, p, wq, hintKNN, 0, q.K)
-	if !ok {
-		return nil, 0, rpcQueryResp{}, false
-	}
-	order = core.StagedOrder(hints)
-	owner := p.Owners[order[0]]
-	kind, req := wireQuery([]int{order[0]}, wq, q, deadlineUS(ctx))
-	err := r.callNode(ctx, owner, p.Nodes[owner], q.Op, true, kind, req, &resp)
-	if err == nil {
-		err = fromWireErr(resp.Err)
-		resp.Err = nil
-	}
-	if err != nil {
-		return nil, 0, rpcQueryResp{}, false
-	}
-	bound = math.Inf(1)
-	if len(resp.Results) == q.K {
-		// Node answers arrive in canonical (dist, ID) order, so the k-th
-		// distance reads straight off the wire results.
-		bound = resp.Results[q.K-1].Dist
-	}
-	return order, bound, resp, true
 }
 
 // The two methods below are kept only because the frozen benchmark harness
@@ -491,7 +341,7 @@ func (r *Router) Join(ctx context.Context, eps float64) ([]core.IDPair, error) {
 	for s := 0; s < p.Shards; s++ {
 		refs = append(refs, shardRef{Shard: s, Addr: p.Nodes[p.Owners[s]]})
 	}
-	calls := plan(p)
+	calls := plan(p, nil)
 	resps := make([]rpcJoinResp, len(calls))
 	errs := make([]error, len(calls))
 	var wg sync.WaitGroup

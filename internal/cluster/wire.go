@@ -62,9 +62,11 @@ const (
 	kDrop
 	kPing
 	kErr
-	// kHint was added after the v1 kinds (DESIGN.md §15.4); kinds are
-	// append-only so every byte value above stays wire-stable.
-	kHint
+	// 17 is reserved: it was the hint request of the router-side planner
+	// (DESIGN.md §15.7). Kinds are append-only and never reused, so every
+	// other value stays wire-stable and an old sender's frame gets the
+	// unknown-kind error.
+	_
 )
 
 // Error codes carried by wireErr, mapping wire failures back onto the
@@ -168,12 +170,13 @@ type rpcRangeReq struct {
 }
 
 // rpcKNNReq asks for kNN (or budgeted approximate kNN when Approx is set)
-// over the listed shards. With Bounded set the request is a staged scatter's
-// second-stage probe (DESIGN.md §15.4): the receiver answers the canonical
-// top-k among objects within Bound of Q instead of the unrestricted top-k.
-// Bounded and Approx are mutually exclusive. Old receivers never see these
-// fields set (only the adaptive router sends them), and gob decodes their
-// absence as false/0 — plain kNN — on old senders.
+// over the listed shards. Bounded and Bound carry core.Query's fields of the
+// same names: with Bounded set the receiver answers the canonical top-k among
+// objects within Bound of Q instead of the unrestricted top-k, and scatters
+// it flat — a request that arrives bounded is not staged again (DESIGN.md
+// §15.4). Bounded and Approx are mutually exclusive. The router sends what
+// its caller's query says, and gob decodes the fields' absence as false/0 —
+// plain kNN — on old senders.
 type rpcKNNReq struct {
 	Shards     []int
 	Q          wireObj
@@ -194,33 +197,6 @@ type rpcQueryResp struct {
 	Results []wireResult
 	Stats   core.QueryStats
 	Err     *wireErr
-}
-
-// Hint flavors carried by rpcHintReq.
-const (
-	hintRange byte = 1
-	hintKNN   byte = 2
-)
-
-// rpcHintReq asks the owning node for per-shard planning hints (DESIGN.md
-// §15.4) without executing the query: relevance (summary-box MinDist, range
-// prunability) and predicted cost for each listed shard. The router plans
-// its scatter from the answers — which shards to skip, which to visit first.
-type rpcHintReq struct {
-	Shards     []int
-	Q          wireObj
-	Hint       byte // hintRange or hintKNN
-	R          float64
-	K          int
-	DeadlineUS int64
-}
-
-// rpcHintResp carries one hint per requested shard, in request order. Hints
-// are all-or-nothing: any per-shard failure fails the response, and the
-// router falls back to the flat scatter (which answers identically).
-type rpcHintResp struct {
-	Hints []core.ShardHint
-	Err   *wireErr
 }
 
 // shardRef names a shard and the address of the node serving it; an empty

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"spbtree/internal/core"
@@ -116,6 +118,32 @@ func TestNodeRejectsInvalidWireQuery(t *testing.T) {
 		}
 		if len(resp.Results) != 5 {
 			t.Fatalf("%s: follow-up kNN returned %d results, want 5", node, len(resp.Results))
+		}
+	}
+}
+
+// TestNodeRejectsRetiredHintKind: kind 17 carried the router-side planner's
+// hint request and stays reserved. A frame with it — an old router's —
+// answers the unknown-kind error, and the connection keeps serving.
+func TestNodeRejectsRetiredHintKind(t *testing.T) {
+	const retiredHint = kErr + 1
+	tc := startCluster(t, dataset.Words(300, 53), 4)
+	p := tc.router.Placement()
+	ctx := context.Background()
+	for node, addr := range p.Nodes {
+		c := NewClient(addr)
+		defer c.Close()
+		var resp errOnly
+		if err := c.Call(ctx, retiredHint, struct{ Shards []int }{p.ShardsOf(node)}, &resp); err != nil {
+			t.Fatalf("%s: transport: %v", node, err)
+		}
+		want := fmt.Sprintf("unknown frame kind %d", retiredHint)
+		if err := fromWireErr(resp.Err); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: err = %v, want %q", node, err, want)
+		}
+		var pong rpcPingResp
+		if err := c.Call(ctx, kPing, rpcPingReq{}, &pong); err != nil || pong.Name != node {
+			t.Fatalf("%s: node stopped serving after a retired-kind frame: %v %+v", node, err, pong)
 		}
 	}
 }

@@ -392,6 +392,39 @@ func TestSaveAtomicSyncFailureLeavesMetaUntouched(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomic: the one file-publish helper replaces the content,
+// leaves no staging file behind, and — when it fails before the rename —
+// leaves the old content readable.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "placement.json")
+	for _, content := range []string{"first\n", "second, longer\n", "3\n"} {
+		if err := WriteFileAtomic(path, []byte(content)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != content {
+			t.Fatalf("read back %q, %v; want %q", got, err, content)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil || len(ents) != 1 {
+			t.Fatalf("directory holds %v (%v) after a publish, want the one file", ents, err)
+		}
+	}
+
+	// A directory squatting on the staging name fails the publish before the
+	// rename; the published content must be what it was.
+	if err := os.Mkdir(path+tmpSuffix, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(path, []byte("never published\n")); err == nil {
+		t.Fatal("publish through an unopenable staging file succeeded")
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "3\n" {
+		t.Fatalf("failed publish left %q, %v; want the old content", got, err)
+	}
+}
+
 func TestLoadRejectsCorruptMeta(t *testing.T) {
 	dir := t.TempDir()
 	objs := vectorSet(200, 5, 61)

@@ -28,8 +28,9 @@ var ErrClosed = errors.New("core: tree closed")
 const (
 	// CurrentFile points at the live generation directory.
 	CurrentFile = "CURRENT"
-	// currentTmpFile stages CURRENT before the atomic rename.
-	currentTmpFile = "CURRENT.tmp"
+	// currentTmpFile is CURRENT's staging name under WriteFileAtomic; a crash
+	// can leave one behind, and OpenDurable sweeps it.
+	currentTmpFile = CurrentFile + tmpSuffix
 	// WALDir holds the write-ahead log segments.
 	WALDir = "wal"
 	// AppliedLSNFile records, inside a generation directory, the WAL
@@ -100,31 +101,14 @@ type durableState struct {
 // genName formats a generation directory name.
 func genName(gen uint64) string { return fmt.Sprintf("%s%06d", genPrefix, gen) }
 
-// writeCurrent atomically points dir/CURRENT at the given generation:
-// temp write + fsync + rename + directory fsync, the same discipline as
-// SaveAtomic. After it returns, reopening the directory loads that
+// writeCurrent atomically points dir/CURRENT at the given generation
+// (WriteFileAtomic). After it returns, reopening the directory loads that
 // generation.
 func writeCurrent(dir string, gen uint64) error {
-	tmp := filepath.Join(dir, currentTmpFile)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := WriteFileAtomic(filepath.Join(dir, CurrentFile), []byte(genName(gen)+"\n")); err != nil {
 		return fmt.Errorf("core: write CURRENT: %w", err)
 	}
-	if _, err := f.Write([]byte(genName(gen) + "\n")); err != nil {
-		f.Close()
-		return fmt.Errorf("core: write CURRENT: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("core: sync CURRENT: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("core: write CURRENT: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, CurrentFile)); err != nil {
-		return fmt.Errorf("core: write CURRENT: %w", err)
-	}
-	return syncDir(dir)
+	return nil
 }
 
 // readCurrent reads which generation dir/CURRENT points at.
@@ -145,23 +129,15 @@ func readCurrent(dir string) (uint64, error) {
 }
 
 // writeAppliedLSN records the WAL watermark inside a generation directory,
-// footer-checksummed like the tree meta. No atomicity is needed: the file is
-// written before CURRENT makes the generation reachable.
+// footer-checksummed like the tree meta. Atomicity is not needed — the file
+// is written before CURRENT makes the generation reachable — but durability
+// is, and WriteFileAtomic is the one way files are made durable here.
 func writeAppliedLSN(genDir string, lsn uint64) error {
-	payload := binary.LittleEndian.AppendUint64(nil, lsn)
-	f, err := os.OpenFile(filepath.Join(genDir, AppliedLSNFile), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	payload := appendMetaFooter(binary.LittleEndian.AppendUint64(nil, lsn))
+	if err := WriteFileAtomic(filepath.Join(genDir, AppliedLSNFile), payload); err != nil {
 		return fmt.Errorf("core: write applied.lsn: %w", err)
 	}
-	if _, err := f.Write(appendMetaFooter(payload)); err != nil {
-		f.Close()
-		return fmt.Errorf("core: write applied.lsn: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("core: sync applied.lsn: %w", err)
-	}
-	return f.Close()
+	return nil
 }
 
 // readAppliedLSN reads a generation's WAL watermark.

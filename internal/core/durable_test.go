@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"spbtree/internal/dataset"
 	"spbtree/internal/metric"
 	"spbtree/internal/sfc"
 	"spbtree/internal/wal"
@@ -862,5 +863,78 @@ func TestDurableWriteStress(t *testing.T) {
 	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableWriteConservation: a mixed read/write workload conserves the
+// live set. Workers interleave warm kNN queries with delete/re-insert toggles
+// of the same IDs (each over a private slice of the objects, so no two race
+// on one ID) while the threshold compaction runs underneath; every operation
+// must succeed, and once the deleted objects are restored and the delta is
+// folded down with CompactNow, the live count is the dataset's cardinality —
+// a lost or duplicated write shows up as a different count.
+func TestDurableWriteConservation(t *testing.T) {
+	ds := dataset.Words(600, 5)
+	tree, err := CreateDurable(t.TempDir(), ds.Objects,
+		Options{Distance: ds.Distance, Codec: ds.Codec, Seed: 5}, DurableOptions{CompactThreshold: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	const workers, perWorker = 4, 60
+	pool := ds.Objects[:len(ds.Objects)/5]
+	for _, writePct := range []int{5, 50} {
+		deleted := make([][]metric.Object, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(writePct*100 + w)))
+				mine := pool[w*len(pool)/workers : (w+1)*len(pool)/workers]
+				gone := make([]bool, len(mine))
+				next := 0
+				for i := 0; i < perWorker && errs[w] == nil; i++ {
+					if rng.Intn(100) >= writePct {
+						_, errs[w] = tree.KNN(ds.Objects[(w*perWorker+i)%len(ds.Objects)], 8)
+						continue
+					}
+					j := next % len(mine)
+					next++
+					if gone[j] {
+						errs[w] = tree.Insert(mine[j])
+					} else {
+						errs[w] = tree.Delete(mine[j])
+					}
+					gone[j] = !gone[j]
+				}
+				for j, g := range gone {
+					if g {
+						deleted[w] = append(deleted[w], mine[j])
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("%d%% writes: worker %d: %v", writePct, w, err)
+			}
+		}
+		for _, objs := range deleted {
+			for _, o := range objs {
+				if err := tree.Insert(o); err != nil {
+					t.Fatalf("%d%% writes: restore %d: %v", writePct, o.ID(), err)
+				}
+			}
+		}
+		if err := tree.CompactNow(); err != nil {
+			t.Fatalf("%d%% writes: CompactNow: %v", writePct, err)
+		}
+		if got := tree.Len(); got != len(ds.Objects) {
+			t.Fatalf("%d%% writes: %d live objects after restore and compaction, want %d — a write was lost or duplicated",
+				writePct, got, len(ds.Objects))
+		}
 	}
 }

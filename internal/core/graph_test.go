@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"spbtree/internal/dataset"
 	"spbtree/internal/graph"
 	"spbtree/internal/metric"
 	"spbtree/internal/page"
@@ -67,6 +68,68 @@ func TestGraphKNNRecallFloor(t *testing.T) {
 	}
 	if r := recall.Mean(recalls); r < 0.9 {
 		t.Fatalf("mean recall@10 = %.3f, want >= 0.90", r)
+	}
+}
+
+// TestGraphLeavesExactPathUnchanged: building the graph tier perturbs nothing
+// on the exact path. On each of the four benchmark datasets the exact kNN
+// answers and their distance-computation counts are the same before and after
+// BuildGraph, and on Color the graph's own answers reach the recall floor at
+// the default ef.
+func TestGraphLeavesExactPathUnchanged(t *testing.T) {
+	const k = 10
+	for _, name := range []string{"words", "color", "color32", "dnaedit"} {
+		ds, _ := dataset.ByName(name, 800, 3)
+		tree, err := Build(ds.Objects, Options{Distance: ds.Distance, Codec: ds.Codec, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := ds.Queries(10)
+		exactPass := func() ([][]Result, int64) {
+			var compdists int64
+			out := make([][]Result, len(queries))
+			for i, q := range queries {
+				res, qs, err := tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: k})
+				if err != nil {
+					t.Fatalf("%s: exact kNN: %v", name, err)
+				}
+				out[i], compdists = res, compdists+qs.Compdists
+			}
+			return out, compdists
+		}
+		before, cdBefore := exactPass()
+		if err := tree.BuildGraph(GraphOptions{Seed: 3}); err != nil {
+			t.Fatalf("%s: BuildGraph: %v", name, err)
+		}
+		after, cdAfter := exactPass()
+		if cdBefore != cdAfter {
+			t.Fatalf("%s: exact kNN compdists %d before BuildGraph, %d after", name, cdBefore, cdAfter)
+		}
+		for i := range queries {
+			if len(before[i]) != len(after[i]) {
+				t.Fatalf("%s q%d: %d results before BuildGraph, %d after", name, i, len(before[i]), len(after[i]))
+			}
+			for j := range before[i] {
+				if b, a := before[i][j], after[i][j]; b.Object.ID() != a.Object.ID() || b.Dist != a.Dist {
+					t.Fatalf("%s q%d: result %d changed after BuildGraph: (%d, %v) -> (%d, %v)",
+						name, i, j, b.Object.ID(), b.Dist, a.Object.ID(), a.Dist)
+				}
+			}
+		}
+		if name == "color" {
+			recalls := make([]float64, len(queries))
+			for i, q := range queries {
+				got, _, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: q, K: k})
+				if err != nil {
+					t.Fatalf("%s: graph kNN: %v", name, err)
+				}
+				recalls[i] = recall.AtK(resultIDList(before[i]), resultIDList(got), k)
+			}
+			if r := recall.Mean(recalls); r < 0.9 {
+				t.Fatalf("Color recall@10 at the default ef = %.3f, want >= 0.90", r)
+			}
+		}
+		tree.Close()
 	}
 }
 

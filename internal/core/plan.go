@@ -1,9 +1,9 @@
 package core
 
 // PlanInfo records how a scatter-gather query visited its shards
-// (DESIGN.md §15); the forest and the cluster router fill it on the gather
-// side, and it travels inside QueryStats, including over the cluster wire.
-// The zero value is what a single tree reports.
+// (DESIGN.md §15). The forest fills it where the visit is planned; it travels
+// inside QueryStats, including over the cluster wire, and the router reports
+// the fold of its nodes' plans. The zero value is what a single tree reports.
 type PlanInfo struct {
 	// Workers is always 0. It exists only because the frozen benchmark
 	// harness (bench/) still reads it for its tree / tree.serial rung; it goes
@@ -14,9 +14,8 @@ type PlanInfo struct {
 	// shards the per-shard MBB summaries proved irrelevant (range only).
 	ShardsTotal  int
 	ShardsPruned int
-	// Staged reports the two-stage kNN visit: FirstShard (an index into the
-	// forest's shard order) ran first to obtain the k-th-distance bound the
-	// remaining shards were probed with.
-	Staged     bool
-	FirstShard int
+	// Staged reports the two-stage kNN visit: one shard ran first to obtain
+	// the k-th-distance bound the remaining shards were probed with. Behind a
+	// router it says some node staged its shard group.
+	Staged bool
 }

@@ -20,19 +20,51 @@ const (
 	DataPagesFile = "data.pages"
 	// MetaFile holds the WriteMeta blob (checksummed footer included).
 	MetaFile = "tree.meta"
-	// metaTmpFile is the staging name SaveAtomic writes before renaming.
-	metaTmpFile = "tree.meta.tmp"
+	// metaTmpFile is the staging name WriteFileAtomic gives the meta; the
+	// crash harness plants torn copies there.
+	metaTmpFile = MetaFile + tmpSuffix
 	// GraphFile holds the approximate graph tier (versioned, checksummed;
 	// see internal/graph). Absent when no graph was built at save time.
 	GraphFile = "graph.bin"
-	// graphTmpFile is the staging name for GraphFile's atomic write.
-	graphTmpFile = "graph.bin.tmp"
+	// tmpSuffix is appended to a file's name to stage its next content.
+	tmpSuffix = ".tmp"
 )
 
+// WriteFileAtomic publishes data as the content of path so that a crash at
+// any point leaves either the previous content or the new one, never a torn
+// or empty file: it writes path+".tmp", fsyncs it, renames it over path, and
+// fsyncs the directory so the rename itself survives. Every small file whose
+// loss or truncation would stop a restart — tree.meta, graph.bin, CURRENT,
+// applied.lsn, a cluster's placement.json — is written this way. On success
+// no staging file remains; on failure path is untouched and the staging file
+// is removed if it can be.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + tmpSuffix
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) // best effort; the next publish truncates it anyway
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
 // SaveAtomic persists the tree's meta to dir/tree.meta crash-safely. The
-// sequence is: flush the RAF tail, fsync both page stores, write the meta
-// blob (with its checksummed footer) to a temp file, fsync it, rename it
-// over tree.meta, and fsync the directory. A crash at any point leaves
+// sequence is: flush the RAF tail, fsync both page stores, then publish the
+// meta blob (with its checksummed footer) with WriteFileAtomic — temp file,
+// fsync, rename over tree.meta, directory fsync. A crash at any point leaves
 // either the previous meta or the new one — and because the meta embeds the
 // checksum of every page it references, a meta that does not match the page
 // files is detected as corruption rather than silently serving wrong
@@ -48,34 +80,15 @@ func (t *Tree) SaveAtomic(dir string) error {
 	if err := t.WriteMeta(&buf); err != nil {
 		return fmt.Errorf("core: save: %w", err)
 	}
-	tmp := filepath.Join(dir, metaTmpFile)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := WriteFileAtomic(filepath.Join(dir, MetaFile), buf.Bytes()); err != nil {
 		return fmt.Errorf("core: save: %w", err)
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		return fmt.Errorf("core: save: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("core: save: sync meta: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("core: save: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, MetaFile)); err != nil {
-		return fmt.Errorf("core: save: %w", err)
-	}
-	if err := t.saveGraph(dir); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return t.saveGraph(dir)
 }
 
-// saveGraph persists the live approximate graph alongside the meta (same
-// tmp/fsync/rename discipline), or removes a stale graph.bin when the tree
-// has none — a reload must never pair an old graph with a newer base.
+// saveGraph persists the live approximate graph alongside the meta (with
+// WriteFileAtomic), or removes a stale graph.bin when the tree has none — a
+// reload must never pair an old graph with a newer base.
 func (t *Tree) saveGraph(dir string) error {
 	t.mu.RLock()
 	var blob []byte
@@ -84,28 +97,16 @@ func (t *Tree) saveGraph(dir string) error {
 	}
 	t.mu.RUnlock()
 	if blob == nil {
-		if err := os.Remove(filepath.Join(dir, GraphFile)); err != nil && !os.IsNotExist(err) {
+		err := os.Remove(filepath.Join(dir, GraphFile))
+		if os.IsNotExist(err) {
+			return nil
+		}
+		if err != nil {
 			return fmt.Errorf("core: save: %w", err)
 		}
-		return nil
+		return syncDir(dir)
 	}
-	tmp := filepath.Join(dir, graphTmpFile)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("core: save: %w", err)
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		return fmt.Errorf("core: save: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("core: save: sync graph: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("core: save: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, GraphFile)); err != nil {
+	if err := WriteFileAtomic(filepath.Join(dir, GraphFile), blob); err != nil {
 		return fmt.Errorf("core: save: %w", err)
 	}
 	return nil

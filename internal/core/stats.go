@@ -169,9 +169,11 @@ func (s *QueryStats) PageAccesses() int64 { return s.IndexPA + s.DataPA }
 // PlanTime, VerifyTime and FilterTime each become the maximum over the
 // branches — the per-shard maximum, each field on its own — which bounds the
 // gather's wall time from below when branches ran side by side and says
-// nothing about the total CPU time spent. Plan is left alone, and Elapsed is
-// provisional: the gather side fills Plan with the whole query's view and
-// overwrites Elapsed with its own clock around the gather. Merge only reads
+// nothing about the total CPU time spent. Plan folds — the shard counts add
+// and Staged is true if any branch staged — so a router reports the pruning
+// and staging its nodes did; a forest's branches are single trees with a zero
+// Plan, and it sets its own. Elapsed is provisional: the gather side
+// overwrites it with its own clock around the gather. Merge only reads
 // exported fields, so it works identically on stats decoded from a wire
 // payload (gob drops the unexported timing flag, which only gates clock
 // collection, not reporting).
@@ -179,6 +181,9 @@ func (s *QueryStats) Merge(o QueryStats) {
 	if s.Op == "" {
 		s.Op = o.Op
 	}
+	s.Plan.ShardsTotal += o.Plan.ShardsTotal
+	s.Plan.ShardsPruned += o.Plan.ShardsPruned
+	s.Plan.Staged = s.Plan.Staged || o.Plan.Staged
 	s.NodesRead += o.NodesRead
 	s.NodesPruned += o.NodesPruned
 	s.EntriesScanned += o.EntriesScanned

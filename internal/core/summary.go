@@ -93,8 +93,9 @@ func boxMinDist(qvec, lo, hi []float64) float64 {
 // ShardHint is one shard's answer to "how relevant and how expensive is this
 // query here?" — the planning input of the forest's shard pruning and staged
 // kNN scatter (DESIGN.md §15). Each shard computes its hint against its own
-// pivots, so hints compose across shards that do not share a mapping, and
-// identically on the far side of a cluster RPC.
+// pivots, so hints compose across shards that do not share a mapping. A hint
+// is an in-process value: a cluster node computes it over the shards it owns
+// and it never crosses the wire.
 type ShardHint struct {
 	// MinDist lower-bounds d(q, o) over the shard's live objects (+Inf for
 	// an empty shard). For a range query at radius r, MinDist > r proves the
@@ -113,7 +114,7 @@ type ShardHint struct {
 // per-shard KNNHints (indexed by shard): ascending box MinDist (how close the
 // shard's contents can possibly be), predicted distance work as the tie-break
 // when both hints carry an estimate, shard index last for determinism. The
-// forest, the cluster router and spbtool explain all order by this one rule.
+// forest and spbtool explain both order by this one rule.
 func StagedOrder(hints []ShardHint) []int {
 	order := make([]int, len(hints))
 	for i := range order {

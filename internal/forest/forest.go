@@ -8,10 +8,12 @@
 // Every shard is a local *core.Tree owning its page stores, caches and
 // counters, exactly as separate nodes would: Build produces them from one
 // object set, and FromShards assembles a Forest over existing trees sharing
-// one pivot mapping. Every search goes through one entry point, Query, whose
-// single gather body is exactly what a cluster node runs over its
-// locally-owned shards; the cluster router repeats the same merge
-// (core.MergeResults) one level up, across nodes (DESIGN.md §12).
+// one pivot mapping. Every search goes through one entry point, Query, which
+// plans the visit (adaptive.go: range pruning, staged kNN — DESIGN.md §15)
+// and gathers it. A cluster node runs exactly this over its locally-owned
+// shards, which makes it the cluster's only planner too; the router scatters
+// once and repeats the same merge (core.MergeResults) one level up, across
+// nodes (DESIGN.md §12).
 package forest
 
 import (
@@ -43,9 +45,6 @@ type Options struct {
 type Forest struct {
 	trees    []*core.Tree
 	parallel int
-	// adaptive enables the §15 scatter planning (shard pruning, staged kNN);
-	// see SetAdaptive.
-	adaptive bool
 }
 
 // PartitionOf returns the shard index objects with this ID hash-partition
@@ -82,7 +81,7 @@ func Build(objs []metric.Object, opts Options) (*Forest, error) {
 			return nil, fmt.Errorf("forest: shard %d is empty; fewer shards than distinct objects required", i)
 		}
 	}
-	f := &Forest{parallel: opts.Parallel, adaptive: true}
+	f := &Forest{parallel: opts.Parallel}
 	first := opts.Tree
 	t0, err := core.Build(parts[0], first)
 	if err != nil {
@@ -108,7 +107,7 @@ func FromShards(trees []*core.Tree, parallel int) (*Forest, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("forest: FromShards needs at least one shard")
 	}
-	return &Forest{trees: trees, parallel: parallel, adaptive: true}, nil
+	return &Forest{trees: trees, parallel: parallel}, nil
 }
 
 // Shards returns the per-shard trees (read-only use).
@@ -200,12 +199,11 @@ func (f *Forest) allShards() []int {
 //
 //   - OpRange visits the shards whose summary box can meet the query ball
 //     (rangePlan) and concatenates their answers in ascending ID.
-//   - OpKNN runs the staged visit when the adaptive scatter applies (knnPlan):
-//     the most promising shard answers alone, and its k-th distance becomes
-//     the Bound of the same request sent to the rest. A request that already
-//     carries a bound is a stage 2 arriving from a router, and is scattered
-//     flat with it. The per-shard top-k sets merge under the total
-//     (dist, ID) order.
+//   - OpKNN runs the staged visit when knnPlan can order the shards: the
+//     most promising shard answers alone, and its k-th distance becomes the
+//     Bound of the same request sent to the rest. A request that already
+//     carries a bound is scattered flat with it. The per-shard top-k sets
+//     merge under the total (dist, ID) order.
 //   - OpKNNApprox scatters flat: every shard verifies at most MaxVerify
 //     candidates, so the forest-wide budget is shards×MaxVerify.
 //   - OpKNNGraph scatters flat, and a shard with no live graph
@@ -235,7 +233,7 @@ func (f *Forest) Query(ctx context.Context, q core.Query) ([]core.Result, core.Q
 	case q.Op == core.OpKNN && !q.Bounded && q.K > 0:
 		if order, staged := f.knnPlan(q.Q, q.K); staged {
 			first := order[0]
-			plan.Staged, plan.FirstShard = true, first
+			plan.Staged = true
 			per[first], stats[first], err = f.trees[first].Query(ctx, q)
 			q.Bounded, q.Bound = true, stageBound(per[first], q.K)
 			visit = order[1:]

@@ -161,19 +161,19 @@ func TestEditQueryBranches(t *testing.T) {
 		q, text string
 		t       float64
 	}{
-		{"kitten", "sitting", -1},              // t < 0
-		{"same", "same", 5},                    // q == text
-		{"kitten", "sitting", 100},             // t ≥ n: exact, always within
-		{"ab", "abcdefghij", 3},                // n - m > k after strip
-		{"prefix", "prefixtail", 4},            // m == 0 after affix strip
-		{"prefix", "prefixtail", 2},            // m == 0, gap > k → not within
-		{"abcde", "vwxyz", 4},                  // 2k+1 ≥ m: wide band, exact
+		{"kitten", "sitting", -1},                   // t < 0
+		{"same", "same", 5},                         // q == text
+		{"kitten", "sitting", 100},                  // t ≥ n: exact, always within
+		{"ab", "abcdefghij", 3},                     // n - m > k after strip
+		{"prefix", "prefixtail", 4},                 // m == 0 after affix strip
+		{"prefix", "prefixtail", 2},                 // m == 0, gap > k → not within
+		{"abcde", "vwxyz", 4},                       // 2k+1 ≥ m: wide band, exact
 		{"abcdefghijklmnop", "ponmlkjihgfedcba", 3}, // narrow band → banded DP
-		{long, long[:90] + "zzzzzz", 8},        // blocked Myers, shared prefix
-		{long[:64], long[:64] + "xy", 1},       // exactly one word
-		{long[:65], long[:60], 10},             // just past one word
-		{"", "nonempty", 3},                    // empty query
-		{"nonempty", "", 3},                    // empty text
+		{long, long[:90] + "zzzzzz", 8},             // blocked Myers, shared prefix
+		{long[:64], long[:64] + "xy", 1},            // exactly one word
+		{long[:65], long[:60], 10},                  // just past one word
+		{"", "nonempty", 3},                         // empty query
+		{"nonempty", "", 3},                         // empty text
 	}
 	ed := EditDistance{MaxLen: 120}
 	for _, c := range cases {

@@ -271,7 +271,7 @@ type response struct {
 	PageAccesses int64 `json:"page_accesses"`
 	// ElapsedUS is the query's wall time in the backend, in microseconds:
 	// admission queueing excluded; behind a cluster router it covers the whole
-	// gather — hint round, every scatter round and the wire.
+	// gather — the scatter, the wire and the slowest node's forest.
 	ElapsedUS int64 `json:"elapsed_us"`
 	// Plan reports how a scatter-gather query visited its shards (DESIGN.md
 	// §15); absent on a single-tree backend.
@@ -283,7 +283,6 @@ type planJSON struct {
 	ShardsTotal  int  `json:"shards_total,omitempty"`
 	ShardsPruned int  `json:"shards_pruned,omitempty"`
 	Staged       bool `json:"staged,omitempty"`
-	FirstShard   int  `json:"first_shard,omitempty"`
 }
 
 // mutateResponse is the JSON body of /v1/insert and /v1/delete.
@@ -409,10 +408,7 @@ func (s *Server) handleQuery(op string) http.HandlerFunc {
 		resp.PageAccesses = qs.PageAccesses()
 		resp.ElapsedUS = qs.Elapsed.Microseconds()
 		if p := qs.Plan; p != (core.PlanInfo{}) {
-			resp.Plan = &planJSON{
-				ShardsTotal: p.ShardsTotal, ShardsPruned: p.ShardsPruned,
-				Staged: p.Staged, FirstShard: p.FirstShard,
-			}
+			resp.Plan = &planJSON{ShardsTotal: p.ShardsTotal, ShardsPruned: p.ShardsPruned, Staged: p.Staged}
 		}
 		s.reg.Op(op).Observe(qs.Compdists, qs.IndexPA, qs.DataPA, int64(resp.Count), time.Since(start), qerr != nil)
 		w.Header().Set("Content-Type", "application/json")
