@@ -19,7 +19,6 @@ import (
 	"spbtree/internal/omni"
 	"spbtree/internal/page"
 	"spbtree/internal/pivot"
-	"spbtree/internal/pmtree"
 	"spbtree/internal/sfc"
 )
 
@@ -158,6 +157,13 @@ func BenchmarkFig11Delta(b *testing.B) {
 	}
 }
 
+// mtreeFamily is the two competitors internal/mtree provides: the PM-tree is
+// the M-tree with hyper-rings to 4 global pivots.
+var mtreeFamily = []struct {
+	name   string
+	pivots int
+}{{"M-tree", 0}, {"PM-tree", 4}}
+
 // BenchmarkTable6Build — Table 6: construction of each MAM.
 func BenchmarkTable6Build(b *testing.B) {
 	ds, _ := dataset.ByName("color", benchN, benchSeed)
@@ -170,17 +176,19 @@ func BenchmarkTable6Build(b *testing.B) {
 			}
 		}
 	})
-	b.Run("M-tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			t, err := mtree.New(mtree.Options{Distance: ds.Distance, Codec: ds.Codec, Seed: benchSeed})
-			if err != nil {
-				b.Fatal(err)
+	for _, m := range mtreeFamily {
+		b.Run(m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t, err := mtree.New(mtree.Options{Distance: ds.Distance, Codec: ds.Codec, Seed: benchSeed, Pivots: m.pivots})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := t.BulkLoad(ds.Objects); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if err := t.BulkLoad(ds.Objects); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 	b.Run("OmniR-tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := omni.Build(ds.Objects, omni.Options{Distance: ds.Distance, Codec: ds.Codec, Seed: benchSeed}); err != nil {
@@ -191,17 +199,6 @@ func BenchmarkTable6Build(b *testing.B) {
 	b.Run("M-Index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := mindex.Build(ds.Objects, mindex.Options{Distance: ds.Distance, Codec: ds.Codec, Seed: benchSeed}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("PM-tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			t, err := pmtree.New(pmtree.Options{Distance: ds.Distance, Codec: ds.Codec, Seed: benchSeed})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := t.BulkLoad(ds.Objects); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -253,29 +250,31 @@ func BenchmarkFig12Range(b *testing.B) {
 			return err
 		}, qs)
 	})
-	b.Run("M-tree", func(b *testing.B) {
-		t, err := mtree.New(mtree.Options{Distance: ds.Distance, Codec: ds.Codec, Seed: benchSeed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := t.BulkLoad(ds.Objects); err != nil {
-			b.Fatal(err)
-		}
-		cyc := &queryCycler{qs: qs}
-		var pa, cd int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t.ResetStats()
-			if _, err := t.RangeQuery(cyc.next(), r); err != nil {
+	for _, m := range mtreeFamily {
+		b.Run(m.name, func(b *testing.B) {
+			t, err := mtree.New(mtree.Options{Distance: ds.Distance, Codec: ds.Codec, Seed: benchSeed, Pivots: m.pivots})
+			if err != nil {
 				b.Fatal(err)
 			}
-			p, c := t.TakeStats()
-			pa += p
-			cd += c
-		}
-		b.ReportMetric(float64(pa)/float64(b.N), "PA/op")
-		b.ReportMetric(float64(cd)/float64(b.N), "dists/op")
-	})
+			if err := t.BulkLoad(ds.Objects); err != nil {
+				b.Fatal(err)
+			}
+			cyc := &queryCycler{qs: qs}
+			var pa, cd int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.ResetStats()
+				if _, err := t.RangeQuery(cyc.next(), r); err != nil {
+					b.Fatal(err)
+				}
+				p, c := t.TakeStats()
+				pa += p
+				cd += c
+			}
+			b.ReportMetric(float64(pa)/float64(b.N), "PA/op")
+			b.ReportMetric(float64(cd)/float64(b.N), "dists/op")
+		})
+	}
 	b.Run("OmniR-tree", func(b *testing.B) {
 		t, err := omni.Build(ds.Objects, omni.Options{Distance: ds.Distance, Codec: ds.Codec, Seed: benchSeed})
 		if err != nil {
@@ -299,29 +298,6 @@ func BenchmarkFig12Range(b *testing.B) {
 	b.Run("M-Index", func(b *testing.B) {
 		t, err := mindex.Build(ds.Objects, mindex.Options{Distance: ds.Distance, Codec: ds.Codec, Seed: benchSeed})
 		if err != nil {
-			b.Fatal(err)
-		}
-		cyc := &queryCycler{qs: qs}
-		var pa, cd int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t.ResetStats()
-			if _, err := t.RangeQuery(cyc.next(), r); err != nil {
-				b.Fatal(err)
-			}
-			p, c := t.TakeStats()
-			pa += p
-			cd += c
-		}
-		b.ReportMetric(float64(pa)/float64(b.N), "PA/op")
-		b.ReportMetric(float64(cd)/float64(b.N), "dists/op")
-	})
-	b.Run("PM-tree", func(b *testing.B) {
-		t, err := pmtree.New(pmtree.Options{Distance: ds.Distance, Codec: ds.Codec, Seed: benchSeed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := t.BulkLoad(ds.Objects); err != nil {
 			b.Fatal(err)
 		}
 		cyc := &queryCycler{qs: qs}

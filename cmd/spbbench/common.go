@@ -12,7 +12,6 @@ import (
 	"spbtree/internal/mindex"
 	"spbtree/internal/mtree"
 	"spbtree/internal/omni"
-	"spbtree/internal/pmtree"
 	"spbtree/internal/sfc"
 )
 
@@ -34,44 +33,42 @@ func (m measured) String() string {
 	return fmt.Sprintf("PA=%.1f compdists=%.1f time=%v", m.pa, m.cd, m.t.Round(time.Microsecond))
 }
 
+// cost is what one query cost the index that answered it.
+type cost struct {
+	pa, cd int64
+	t      time.Duration
+}
+
 // searchIndex is the minimal surface the harness needs from every MAM.
+// Range and KNN follow the paper's cold-cache protocol: counters reset and
+// caches flushed before the query, whose own cost they return.
 type searchIndex interface {
-	RangeCount(q metric.Object, r float64) (int, error)
-	KNNCount(q metric.Object, k int) (int, error)
+	Range(q metric.Object, r float64) (cost, error)
+	KNN(q metric.Object, k int) (cost, error)
 	Insert(o metric.Object) error
 	ResetStats()
 	Stats() (pa, cd int64)
 	StorageBytes() int64
 }
 
-// queryStatsIndex is the per-query observability surface: indexes that
-// implement it (the SPB-tree) are measured from each query's own QueryStats
-// instead of the reset+delta counter protocol, so the reported PA/compdists
-// are attributable per query and the wall time excludes harness overhead.
-type queryStatsIndex interface {
-	RangeStats(q metric.Object, r float64) (int, core.QueryStats, error)
-	KNNStats(q metric.Object, k int) (int, core.QueryStats, error)
-}
-
 // --- adapters ----------------------------------------------------------------
 
+// spbAdapter reads a query's cost from its own QueryStats, so the reported
+// PA/compdists are attributable per query and the wall time excludes harness
+// overhead.
 type spbAdapter struct{ t *core.Tree }
 
-func (a spbAdapter) RangeCount(q metric.Object, r float64) (int, error) {
-	res, err := a.t.RangeQuery(q, r)
-	return len(res), err
+func (a spbAdapter) query(q core.Query) (cost, error) {
+	a.t.ResetStats()
+	q.Timed = true
+	_, qs, err := a.t.Query(context.Background(), q)
+	return cost{pa: qs.PageAccesses(), cd: qs.Compdists, t: qs.Elapsed}, err
 }
-func (a spbAdapter) KNNCount(q metric.Object, k int) (int, error) {
-	res, err := a.t.KNN(q, k)
-	return len(res), err
+func (a spbAdapter) Range(q metric.Object, r float64) (cost, error) {
+	return a.query(core.Query{Op: core.OpRange, Q: q, Radius: r})
 }
-func (a spbAdapter) RangeStats(q metric.Object, r float64) (int, core.QueryStats, error) {
-	res, qs, err := a.t.Query(context.Background(), core.Query{Op: core.OpRange, Q: q, Radius: r, Timed: true})
-	return len(res), qs, err
-}
-func (a spbAdapter) KNNStats(q metric.Object, k int) (int, core.QueryStats, error) {
-	res, qs, err := a.t.Query(context.Background(), core.Query{Op: core.OpKNN, Q: q, K: k, Timed: true})
-	return len(res), qs, err
+func (a spbAdapter) KNN(q metric.Object, k int) (cost, error) {
+	return a.query(core.Query{Op: core.OpKNN, Q: q, K: k})
 }
 func (a spbAdapter) Insert(o metric.Object) error { return a.t.Insert(o) }
 func (a spbAdapter) ResetStats()                  { a.t.ResetStats() }
@@ -81,69 +78,45 @@ func (a spbAdapter) Stats() (int64, int64) {
 }
 func (a spbAdapter) StorageBytes() int64 { return a.t.StorageBytes() }
 
-type mtreeAdapter struct{ t *mtree.Tree }
+// baseline is the method set the four baseline MAMs share; R is the
+// package's own Result type.
+type baseline[R any] interface {
+	RangeQuery(q metric.Object, r float64) ([]R, error)
+	KNN(q metric.Object, k int) ([]R, error)
+	Insert(o metric.Object) error
+	ResetStats()
+	TakeStats() (pa, compdists int64)
+	StorageBytes() int64
+}
 
-func (a mtreeAdapter) RangeCount(q metric.Object, r float64) (int, error) {
-	res, err := a.t.RangeQuery(q, r)
-	return len(res), err
-}
-func (a mtreeAdapter) KNNCount(q metric.Object, k int) (int, error) {
-	res, err := a.t.KNN(q, k)
-	return len(res), err
-}
-func (a mtreeAdapter) Insert(o metric.Object) error { return a.t.Insert(o) }
-func (a mtreeAdapter) ResetStats()                  { a.t.ResetStats() }
-func (a mtreeAdapter) Stats() (int64, int64)        { return a.t.TakeStats() }
-func (a mtreeAdapter) StorageBytes() int64          { return a.t.StorageBytes() }
+// baselineAdapter measures a baseline with the reset+delta counter protocol.
+type baselineAdapter[R any] struct{ baseline[R] }
 
-type omniAdapter struct{ t *omni.Tree }
-
-func (a omniAdapter) RangeCount(q metric.Object, r float64) (int, error) {
-	res, err := a.t.RangeQuery(q, r)
-	return len(res), err
+func (a baselineAdapter[R]) measure(run func() ([]R, error)) (cost, error) {
+	a.ResetStats()
+	start := time.Now()
+	if _, err := run(); err != nil {
+		return cost{}, err
+	}
+	t := time.Since(start)
+	pa, cd := a.TakeStats()
+	return cost{pa: pa, cd: cd, t: t}, nil
 }
-func (a omniAdapter) KNNCount(q metric.Object, k int) (int, error) {
-	res, err := a.t.KNN(q, k)
-	return len(res), err
+func (a baselineAdapter[R]) Range(q metric.Object, r float64) (cost, error) {
+	return a.measure(func() ([]R, error) { return a.RangeQuery(q, r) })
 }
-func (a omniAdapter) Insert(o metric.Object) error { return a.t.Insert(o) }
-func (a omniAdapter) ResetStats()                  { a.t.ResetStats() }
-func (a omniAdapter) Stats() (int64, int64)        { return a.t.TakeStats() }
-func (a omniAdapter) StorageBytes() int64          { return a.t.StorageBytes() }
-
-type pmtreeAdapter struct{ t *pmtree.Tree }
-
-func (a pmtreeAdapter) RangeCount(q metric.Object, r float64) (int, error) {
-	res, err := a.t.RangeQuery(q, r)
-	return len(res), err
+func (a baselineAdapter[R]) KNN(q metric.Object, k int) (cost, error) {
+	return a.measure(func() ([]R, error) { return a.baseline.KNN(q, k) })
 }
-func (a pmtreeAdapter) KNNCount(q metric.Object, k int) (int, error) {
-	res, err := a.t.KNN(q, k)
-	return len(res), err
-}
-func (a pmtreeAdapter) Insert(o metric.Object) error { return a.t.Insert(o) }
-func (a pmtreeAdapter) ResetStats()                  { a.t.ResetStats() }
-func (a pmtreeAdapter) Stats() (int64, int64)        { return a.t.TakeStats() }
-func (a pmtreeAdapter) StorageBytes() int64          { return a.t.StorageBytes() }
-
-type mindexAdapter struct{ t *mindex.Tree }
-
-func (a mindexAdapter) RangeCount(q metric.Object, r float64) (int, error) {
-	res, err := a.t.RangeQuery(q, r)
-	return len(res), err
-}
-func (a mindexAdapter) KNNCount(q metric.Object, k int) (int, error) {
-	res, err := a.t.KNN(q, k)
-	return len(res), err
-}
-func (a mindexAdapter) Insert(o metric.Object) error { return a.t.Insert(o) }
-func (a mindexAdapter) ResetStats()                  { a.t.ResetStats() }
-func (a mindexAdapter) Stats() (int64, int64)        { return a.t.TakeStats() }
-func (a mindexAdapter) StorageBytes() int64          { return a.t.StorageBytes() }
+func (a baselineAdapter[R]) Stats() (int64, int64) { return a.TakeStats() }
 
 // mamNames orders the competitors as the paper's tables do, with the
 // PM-tree (related-work hybrid, Section 2.1) added as a fifth comparator.
 var mamNames = []string{"M-tree", "PM-tree", "OmniR-tree", "M-Index", "SPB-tree"}
+
+// mtreePivots is what tells the two M-tree-family competitors apart: the
+// PM-tree is the M-tree with hyper-rings to 4 global pivots.
+var mtreePivots = map[string]int{"M-tree": 0, "PM-tree": 4}
 
 // buildResult captures Table 6's construction columns.
 type buildResult struct {
@@ -168,46 +141,36 @@ func buildMAM(name string, ds dataset.Dataset, seed int64) (buildResult, error) 
 		s := t.TakeStats()
 		return buildResult{idx: spbAdapter{t}, pa: s.PageAccesses, cd: s.DistanceComputations,
 			elapsed: time.Since(start), storage: t.StorageBytes()}, nil
-	case "M-tree":
-		t, err := mtree.New(mtree.Options{Distance: ds.Distance, Codec: ds.Codec, Seed: seed})
+	case "M-tree", "PM-tree":
+		t, err := mtree.New(mtree.Options{Distance: ds.Distance, Codec: ds.Codec, Seed: seed, Pivots: mtreePivots[name]})
 		if err != nil {
 			return buildResult{}, err
 		}
 		if err := t.BulkLoad(ds.Objects); err != nil {
 			return buildResult{}, err
 		}
-		pa, cd := t.TakeStats()
-		return buildResult{idx: mtreeAdapter{t}, pa: pa, cd: cd,
-			elapsed: time.Since(start), storage: t.StorageBytes()}, nil
-	case "PM-tree":
-		t, err := pmtree.New(pmtree.Options{Distance: ds.Distance, Codec: ds.Codec, Seed: seed})
-		if err != nil {
-			return buildResult{}, err
-		}
-		if err := t.BulkLoad(ds.Objects); err != nil {
-			return buildResult{}, err
-		}
-		pa, cd := t.TakeStats()
-		return buildResult{idx: pmtreeAdapter{t}, pa: pa, cd: cd,
-			elapsed: time.Since(start), storage: t.StorageBytes()}, nil
+		return builtBaseline[mtree.Result](t, start), nil
 	case "OmniR-tree":
 		t, err := omni.Build(ds.Objects, omni.Options{Distance: ds.Distance, Codec: ds.Codec, Seed: seed})
 		if err != nil {
 			return buildResult{}, err
 		}
-		pa, cd := t.TakeStats()
-		return buildResult{idx: omniAdapter{t}, pa: pa, cd: cd,
-			elapsed: time.Since(start), storage: t.StorageBytes()}, nil
+		return builtBaseline[omni.Result](t, start), nil
 	case "M-Index":
 		t, err := mindex.Build(ds.Objects, mindex.Options{Distance: ds.Distance, Codec: ds.Codec, Seed: seed})
 		if err != nil {
 			return buildResult{}, err
 		}
-		pa, cd := t.TakeStats()
-		return buildResult{idx: mindexAdapter{t}, pa: pa, cd: cd,
-			elapsed: time.Since(start), storage: t.StorageBytes()}, nil
+		return builtBaseline[mindex.Result](t, start), nil
 	}
 	return buildResult{}, fmt.Errorf("unknown MAM %q", name)
+}
+
+// builtBaseline reads the construction columns off a freshly built baseline.
+func builtBaseline[R any](t baseline[R], start time.Time) buildResult {
+	pa, cd := t.TakeStats()
+	return buildResult{idx: baselineAdapter[R]{t}, pa: pa, cd: cd,
+		elapsed: time.Since(start), storage: t.StorageBytes()}
 }
 
 // buildSPB builds an SPB-tree with extra options for the parameter studies.
@@ -220,33 +183,17 @@ func buildSPB(ds dataset.Dataset, seed int64, opts core.Options) (*core.Tree, er
 	return core.Build(ds.Objects, opts)
 }
 
-// runRange measures averaged range queries (the paper's cold-cache
-// protocol: counters reset and caches flushed before each query). Indexes
-// exposing per-query stats are read from those; others fall back to the
-// reset+delta counter protocol.
-func runRange(idx searchIndex, queries []metric.Object, r float64) (measured, error) {
+// measure averages the cost of one query per workload object.
+func measure(queries []metric.Object, one func(q metric.Object) (cost, error)) (measured, error) {
 	var m measured
-	qsi, hasQS := idx.(queryStatsIndex)
 	for _, q := range queries {
-		idx.ResetStats()
-		if hasQS {
-			_, qs, err := qsi.RangeStats(q, r)
-			if err != nil {
-				return m, err
-			}
-			m.t += qs.Elapsed
-			m.pa += float64(qs.PageAccesses())
-			m.cd += float64(qs.Compdists)
-			continue
-		}
-		start := time.Now()
-		if _, err := idx.RangeCount(q, r); err != nil {
+		c, err := one(q)
+		if err != nil {
 			return m, err
 		}
-		m.t += time.Since(start)
-		pa, cd := idx.Stats()
-		m.pa += float64(pa)
-		m.cd += float64(cd)
+		m.pa += float64(c.pa)
+		m.cd += float64(c.cd)
+		m.t += c.t
 	}
 	n := float64(len(queries))
 	m.pa /= n
@@ -255,37 +202,14 @@ func runRange(idx searchIndex, queries []metric.Object, r float64) (measured, er
 	return m, nil
 }
 
-// runKNN measures averaged kNN queries, preferring per-query stats like
-// runRange.
+// runRange measures averaged range queries of radius r.
+func runRange(idx searchIndex, queries []metric.Object, r float64) (measured, error) {
+	return measure(queries, func(q metric.Object) (cost, error) { return idx.Range(q, r) })
+}
+
+// runKNN measures averaged kNN queries.
 func runKNN(idx searchIndex, queries []metric.Object, k int) (measured, error) {
-	var m measured
-	qsi, hasQS := idx.(queryStatsIndex)
-	for _, q := range queries {
-		idx.ResetStats()
-		if hasQS {
-			_, qs, err := qsi.KNNStats(q, k)
-			if err != nil {
-				return m, err
-			}
-			m.t += qs.Elapsed
-			m.pa += float64(qs.PageAccesses())
-			m.cd += float64(qs.Compdists)
-			continue
-		}
-		start := time.Now()
-		if _, err := idx.KNNCount(q, k); err != nil {
-			return m, err
-		}
-		m.t += time.Since(start)
-		pa, cd := idx.Stats()
-		m.pa += float64(pa)
-		m.cd += float64(cd)
-	}
-	n := float64(len(queries))
-	m.pa /= n
-	m.cd /= n
-	m.t /= time.Duration(len(queries))
-	return m, nil
+	return measure(queries, func(q metric.Object) (cost, error) { return idx.KNN(q, k) })
 }
 
 // scaledDataset returns the named dataset at the harness cardinality. DNA's

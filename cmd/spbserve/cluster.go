@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"spbtree/internal/cluster"
+	"spbtree/internal/metric"
 )
 
 // routerState is spbserve's router-mode machinery: the scatter-gather
@@ -38,11 +39,7 @@ func openCluster(cfgPath, placementFile string) (*routerState, parsers, error) {
 			return nil, parsers{}, rerr
 		}
 	}
-	_, _, ps, err := serveConfig{Type: cc.Type, Dim: cc.Dim, MaxLen: cc.MaxLen}.resolve()
-	if err != nil {
-		return nil, parsers{}, err
-	}
-	_, codec, err := cc.Space()
+	_, codec, ps, err := resolve(metric.Space{Type: cc.Type, Dim: cc.Dim, MaxLen: cc.MaxLen})
 	if err != nil {
 		return nil, parsers{}, err
 	}

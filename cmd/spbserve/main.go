@@ -45,7 +45,6 @@ package main
 
 import (
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -55,7 +54,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -64,15 +62,6 @@ import (
 	"spbtree/internal/server"
 	"spbtree/internal/sfc"
 )
-
-// serveConfig mirrors spbtool's config.json: the dataset type and its
-// parameters, persisted next to the index at build time.
-type serveConfig struct {
-	Type   string `json:"type"`
-	Dim    int    `json:"dim,omitempty"`
-	Width  int    `json:"width,omitempty"`
-	MaxLen int    `json:"maxlen,omitempty"`
-}
 
 // parsers bundles the request parsers derived from a persisted config: one
 // for query objects (reserved id) and one for insert/delete objects (caller
@@ -87,47 +76,18 @@ func lineParsers(parse func(id uint64, line string) (metric.Object, error)) pars
 	return parsers{query: server.TextParser(parse), obj: server.TextObjects(parse)}
 }
 
-// resolve returns the metric, codec and request parsers for a persisted
-// config.
-func (cfg serveConfig) resolve() (metric.DistanceFunc, metric.Codec, parsers, error) {
-	switch cfg.Type {
-	case "vectors":
-		if cfg.Dim <= 0 {
-			return nil, nil, parsers{}, fmt.Errorf("config.json: vectors need dim")
-		}
-		return metric.L2(cfg.Dim), metric.VectorCodec{Dim: cfg.Dim},
-			parsers{query: server.VectorParser(cfg.Dim), obj: server.VectorObjects(cfg.Dim)}, nil
-	case "words":
-		maxLen := cfg.MaxLen
-		if maxLen == 0 {
-			maxLen = 64
-		}
-		return metric.EditDistance{MaxLen: maxLen}, metric.StrCodec{},
-			lineParsers(func(id uint64, line string) (metric.Object, error) {
-				return metric.NewStr(id, line), nil
-			}), nil
-	case "dna":
-		return metric.TrigramAngular{}, metric.SeqCodec{},
-			lineParsers(func(id uint64, line string) (metric.Object, error) {
-				return metric.NewSeq(id, line), nil
-			}), nil
-	case "signatures":
-		if cfg.Width <= 0 {
-			return nil, nil, parsers{}, fmt.Errorf("config.json: signatures need width")
-		}
-		return metric.Hamming{Bytes: cfg.Width}, metric.BitStringCodec{Bytes: cfg.Width},
-			lineParsers(func(id uint64, line string) (metric.Object, error) {
-				b, err := hex.DecodeString(strings.TrimSpace(line))
-				if err != nil {
-					return nil, err
-				}
-				if len(b) != cfg.Width {
-					return nil, fmt.Errorf("signature is %d bytes, want %d", len(b), cfg.Width)
-				}
-				return metric.NewBitString(id, b), nil
-			}), nil
+// resolve returns the metric, codec and request parsers of a persisted
+// space (spbtool's config.json, or the one a cluster config embeds).
+func resolve(sp metric.Space) (metric.DistanceFunc, metric.Codec, parsers, error) {
+	dist, codec, parse, err := sp.Resolve()
+	if err != nil {
+		return nil, nil, parsers{}, fmt.Errorf("config.json: %w", err)
 	}
-	return nil, nil, parsers{}, fmt.Errorf("config.json: unknown type %q (words|vectors|dna|signatures)", cfg.Type)
+	if sp.Type == "vectors" {
+		// Requests carry a vector as a JSON array, not as a CSV line.
+		return dist, codec, parsers{query: server.VectorParser(sp.Dim), obj: server.VectorObjects(sp.Dim)}, nil
+	}
+	return dist, codec, lineParsers(parse), nil
 }
 
 // openDir loads the persisted index at dir along with its request parsers. A
@@ -140,11 +100,11 @@ func openDir(dir string, nosync bool) (*core.Tree, parsers, error) {
 	if err != nil {
 		return nil, parsers{}, err
 	}
-	var cfg serveConfig
+	var cfg metric.Space
 	if err := json.Unmarshal(cj, &cfg); err != nil {
 		return nil, parsers{}, fmt.Errorf("parse config.json: %w", err)
 	}
-	dist, codec, ps, err := cfg.resolve()
+	dist, codec, ps, err := resolve(cfg)
 	if err != nil {
 		return nil, parsers{}, err
 	}

@@ -22,15 +22,6 @@ import (
 	"spbtree/internal/sfc"
 )
 
-// toolConfig is persisted next to the index so query/stats reconstruct the
-// same metric without re-specifying every parameter.
-type toolConfig struct {
-	Type   string `json:"type"`
-	Dim    int    `json:"dim,omitempty"`    // vectors
-	Width  int    `json:"width,omitempty"`  // signatures, bytes
-	MaxLen int    `json:"maxlen,omitempty"` // words, for d+
-}
-
 const (
 	indexFile  = core.IndexPagesFile
 	dataFile   = core.DataPagesFile
@@ -48,84 +39,35 @@ type kind struct {
 	describe func(o metric.Object) string
 }
 
-func kindFor(cfg toolConfig) (kind, error) {
+// kindFor resolves the space persisted next to the index (config.json), so
+// query/stats reconstruct the same metric without re-specifying every
+// parameter, and adds the type's renderer.
+func kindFor(cfg metric.Space) (kind, error) {
+	dist, codec, parse, err := cfg.Resolve()
+	if err != nil {
+		return kind{}, err
+	}
+	k := kind{dist: dist, codec: codec, parse: parse}
 	switch cfg.Type {
 	case "words":
-		maxLen := cfg.MaxLen
-		if maxLen == 0 {
-			maxLen = 64
-		}
-		return kind{
-			dist:  metric.EditDistance{MaxLen: maxLen},
-			codec: metric.StrCodec{},
-			parse: func(id uint64, line string) (metric.Object, error) {
-				return metric.NewStr(id, line), nil
-			},
-			describe: func(o metric.Object) string { return o.(*metric.Str).S },
-		}, nil
+		k.describe = func(o metric.Object) string { return o.(*metric.Str).S }
 	case "vectors":
-		if cfg.Dim <= 0 {
-			return kind{}, fmt.Errorf("vectors need -dim")
+		k.describe = func(o metric.Object) string {
+			v := o.(*metric.Vector)
+			parts := make([]string, len(v.Coords))
+			for i, c := range v.Coords {
+				parts[i] = strconv.FormatFloat(c, 'g', 4, 64)
+			}
+			return strings.Join(parts, ",")
 		}
-		return kind{
-			dist:  metric.L2(cfg.Dim),
-			codec: metric.VectorCodec{Dim: cfg.Dim},
-			parse: func(id uint64, line string) (metric.Object, error) {
-				fields := strings.Split(line, ",")
-				if len(fields) != cfg.Dim {
-					return nil, fmt.Errorf("line has %d fields, want %d", len(fields), cfg.Dim)
-				}
-				coords := make([]float64, cfg.Dim)
-				for i, f := range fields {
-					v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-					if err != nil {
-						return nil, fmt.Errorf("field %d: %w", i, err)
-					}
-					coords[i] = v
-				}
-				return metric.NewVector(id, coords), nil
-			},
-			describe: func(o metric.Object) string {
-				v := o.(*metric.Vector)
-				parts := make([]string, len(v.Coords))
-				for i, c := range v.Coords {
-					parts[i] = strconv.FormatFloat(c, 'g', 4, 64)
-				}
-				return strings.Join(parts, ",")
-			},
-		}, nil
 	case "dna":
-		return kind{
-			dist:  metric.TrigramAngular{},
-			codec: metric.SeqCodec{},
-			parse: func(id uint64, line string) (metric.Object, error) {
-				return metric.NewSeq(id, line), nil
-			},
-			describe: func(o metric.Object) string { return o.(*metric.Seq).S },
-		}, nil
+		k.describe = func(o metric.Object) string { return o.(*metric.Seq).S }
 	case "signatures":
-		if cfg.Width <= 0 {
-			return kind{}, fmt.Errorf("signatures need a width (derived from the first input line)")
+		k.describe = func(o metric.Object) string {
+			return hex.EncodeToString(o.(*metric.BitString).Bits)
 		}
-		return kind{
-			dist:  metric.Hamming{Bytes: cfg.Width},
-			codec: metric.BitStringCodec{Bytes: cfg.Width},
-			parse: func(id uint64, line string) (metric.Object, error) {
-				b, err := hex.DecodeString(line)
-				if err != nil {
-					return nil, err
-				}
-				if len(b) != cfg.Width {
-					return nil, fmt.Errorf("signature is %d bytes, want %d", len(b), cfg.Width)
-				}
-				return metric.NewBitString(id, b), nil
-			},
-			describe: func(o metric.Object) string {
-				return hex.EncodeToString(o.(*metric.BitString).Bits)
-			},
-		}, nil
 	}
-	return kind{}, fmt.Errorf("unknown type %q (words|vectors|dna|signatures)", cfg.Type)
+	return k, nil
 }
 
 func cmdBuild(args []string, out io.Writer) error {
@@ -152,7 +94,7 @@ func cmdBuild(args []string, out io.Writer) error {
 	if len(lines) == 0 {
 		return fmt.Errorf("no input lines in %s", *in)
 	}
-	cfg := toolConfig{Type: *typ, Dim: *dim}
+	cfg := metric.Space{Type: *typ, Dim: *dim}
 	if *typ == "signatures" {
 		cfg.Width = len(lines[0]) / 2
 	}
@@ -256,7 +198,7 @@ func dirKind(dir string) (kind, error) {
 	if err != nil {
 		return kind{}, err
 	}
-	var cfg toolConfig
+	var cfg metric.Space
 	if err := json.Unmarshal(cj, &cfg); err != nil {
 		return kind{}, fmt.Errorf("parse %s: %w", configFile, err)
 	}

@@ -228,19 +228,11 @@ func (c *Config) Validate() error {
 // Space resolves the config's metric space: the distance function and
 // codec every node, router and bootstrap of this cluster must share.
 func (c *Config) Space() (metric.DistanceFunc, metric.Codec, error) {
-	switch c.Type {
-	case "vectors":
-		return metric.L2(c.Dim), metric.VectorCodec{Dim: c.Dim}, nil
-	case "words":
-		maxLen := c.MaxLen
-		if maxLen == 0 {
-			maxLen = 64
-		}
-		return metric.EditDistance{MaxLen: maxLen}, metric.StrCodec{}, nil
-	case "dna":
-		return metric.TrigramAngular{}, metric.SeqCodec{}, nil
+	dist, codec, _, err := metric.Space{Type: c.Type, Dim: c.Dim, MaxLen: c.MaxLen}.Resolve()
+	if err != nil {
+		return nil, nil, fmt.Errorf("cluster: %w", err)
 	}
-	return nil, nil, fmt.Errorf("cluster: unknown type %q", c.Type)
+	return dist, codec, nil
 }
 
 // CurveKind resolves the config's SFC family (Hilbert unless "zorder").

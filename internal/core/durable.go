@@ -6,14 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
-	"spbtree/internal/bptree"
 	"spbtree/internal/metric"
 	"spbtree/internal/page"
-	"spbtree/internal/raf"
 	"spbtree/internal/wal"
 )
 
@@ -405,10 +402,6 @@ func (d *durableState) compactOnce(t *Tree) error {
 	defer d.compactMu.Unlock()
 
 	// Phase 1: snapshot under the read lock.
-	type liveEntry struct {
-		key uint64
-		obj metric.Object
-	}
 	// The exclusive inflight acquisition drains every mutator sitting between
 	// its WAL acknowledgement and its write-buffer apply: once it is held,
 	// every allocated LSN is visible in wbuf, so max(wbuf LSNs) is a gap-free
@@ -439,7 +432,7 @@ func (d *durableState) compactOnce(t *Tree) error {
 			highLSN = lsn
 		}
 	}
-	var live []liveEntry
+	var live []keyed
 	for c := t.bpt.SeekFirst(); c.Valid(); c.Next() {
 		obj, err := t.raf.Read(c.Val())
 		if err != nil {
@@ -449,7 +442,7 @@ func (d *durableState) compactOnce(t *Tree) error {
 		if t.deltaShadowed(obj.ID()) {
 			continue
 		}
-		live = append(live, liveEntry{key: c.Key(), obj: obj})
+		live = append(live, keyed{key: c.Key(), obj: obj})
 	}
 	if c := t.bpt.SeekFirst(); c.Err() != nil {
 		err := c.Err()
@@ -457,19 +450,14 @@ func (d *durableState) compactOnce(t *Tree) error {
 		return err
 	}
 	for _, e := range t.wbuf.entries {
-		live = append(live, liveEntry{key: e.key, obj: e.obj})
+		live = append(live, keyed{key: e.key, obj: e.obj})
 	}
 	countSnap := t.count
 	cmSnap := t.cm.snapshot()
 	idxCap, dataCap := t.idxCache.Capacity(), t.dataCache.Capacity()
 	snapDone()
 
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].key != live[j].key {
-			return live[i].key < live[j].key
-		}
-		return live[i].obj.ID() < live[j].obj.ID()
-	})
+	sortKeyed(live)
 
 	// Phase 2: build the next generation off-lock.
 	newGen := d.gen + 1
@@ -487,34 +475,14 @@ func (d *durableState) compactOnce(t *Tree) error {
 		idxStore.Close()
 		return err
 	}
-	newIdxSums := page.NewChecksumStore(idxStore)
-	newDataSums := page.NewChecksumStore(dataStore)
-	newIdxCache := page.NewCache(newIdxSums, idxCap)
-	newDataCache := page.NewCache(newDataSums, dataCap)
 	fail := func(err error) error {
-		newIdxCache.Close()
-		newDataCache.Close()
+		idxStore.Close()
+		dataStore.Close()
 		os.RemoveAll(genDir)
 		return err
 	}
-	newBpt, err := bptree.New(newIdxCache, bptree.Options{Geometry: curveGeometry{t.curve}})
+	sub, err := bulkLoad(idxStore, dataStore, idxCap, dataCap, t.curve, t.codec, live)
 	if err != nil {
-		return fail(err)
-	}
-	newRAF := raf.New(newDataCache, t.codec)
-	entries := make([]bptree.Pair, len(live))
-	for i, e := range live {
-		off, err := newRAF.Append(e.obj)
-		if err != nil {
-			return fail(err)
-		}
-		entries[i] = bptree.Pair{Key: e.key, Val: off}
-	}
-	if err := newRAF.Flush(); err != nil {
-		return fail(err)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
-	if err := newBpt.BulkLoad(entries); err != nil {
 		return fail(err)
 	}
 	// A shadow tree over the new substrates gives SaveAtomic/WriteMeta the
@@ -523,12 +491,9 @@ func (d *durableState) compactOnce(t *Tree) error {
 	shadow := &Tree{
 		codec: t.codec, pivots: t.pivots, curve: t.curve, kind: t.kind,
 		delta: t.delta, exact: t.exact, bits: t.bits, dPlus: t.dPlus,
-		noLemma2: t.noLemma2, noSFCMerge: t.noSFCMerge,
-		bpt: newBpt, raf: newRAF,
-		idxSums: newIdxSums, dataSums: newDataSums,
-		idxCache: newIdxCache, dataCache: newDataCache,
-		count: len(live), cm: cmSnap,
+		noLemma2: t.noLemma2, noSFCMerge: t.noSFCMerge, cm: cmSnap,
 	}
+	shadow.adopt(sub, len(live))
 	if err := shadow.SaveAtomic(genDir); err != nil {
 		return fail(err)
 	}
@@ -549,8 +514,8 @@ func (d *durableState) compactOnce(t *Tree) error {
 		if err := d.hookAfterCurrent(); err != nil {
 			// Past the rename the new generation IS the durable truth; do
 			// not delete it. The in-memory swap simply has not happened.
-			newIdxCache.Close()
-			newDataCache.Close()
+			idxStore.Close()
+			dataStore.Close()
 			return err
 		}
 	}
@@ -559,18 +524,15 @@ func (d *durableState) compactOnce(t *Tree) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		newIdxCache.Close()
-		newDataCache.Close()
+		idxStore.Close()
+		dataStore.Close()
 		return ErrClosed
 	}
 	oldIdxCache, oldDataCache := t.idxCache, t.dataCache
 	oldGen := d.gen
-	t.bpt = newBpt
-	t.raf = newRAF
-	t.idxSums = newIdxSums
-	t.dataSums = newDataSums
-	t.idxCache = newIdxCache
-	t.dataCache = newDataCache
+	// The snapshot's live total plus whatever the post-snapshot mutations
+	// contributed incrementally.
+	t.adopt(sub, len(live)+(t.count-countSnap))
 	// Mutations applied while phases 2–3 ran stay buffered (their LSNs are
 	// above the watermark) and keep shadowing the new base; everything at or
 	// below it is now base state.
@@ -584,9 +546,6 @@ func (d *durableState) compactOnce(t *Tree) error {
 			delete(t.wbuf.tombs, id)
 		}
 	}
-	// The snapshot's live total plus whatever the post-snapshot mutations
-	// contributed incrementally.
-	t.count = len(live) + (t.count - countSnap)
 	d.gen = newGen
 	d.applied = highLSN
 	t.cm.markDirty()

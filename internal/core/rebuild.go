@@ -1,13 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"spbtree/internal/bptree"
-	"spbtree/internal/metric"
-	"spbtree/internal/page"
-	"spbtree/internal/raf"
-)
+import "spbtree/internal/page"
 
 // Rebuild compacts the tree into fresh page stores: live objects are read in
 // index order, re-appended to a new RAF in exact SFC order, and the B+-tree
@@ -42,56 +35,22 @@ func (t *Tree) Rebuild(indexStore, dataStore page.Store) error {
 		dataStore = page.NewMemStore()
 	}
 	// Collect live entries in key order from the leaf chain.
-	type liveEntry struct {
-		key uint64
-		obj metric.Object
-	}
-	var live []liveEntry
+	var live []keyed
 	for c := t.bpt.SeekFirst(); c.Valid(); c.Next() {
 		obj, err := t.raf.Read(c.Val())
 		if err != nil {
 			return err
 		}
-		live = append(live, liveEntry{key: c.Key(), obj: obj})
+		live = append(live, keyed{key: c.Key(), obj: obj})
 	}
 	if c := t.bpt.SeekFirst(); c.Err() != nil {
 		return c.Err()
 	}
-
-	cacheSize := t.idxCache.Capacity()
-	newIdxSums := page.NewChecksumStore(indexStore)
-	newDataSums := page.NewChecksumStore(dataStore)
-	newIdx := page.NewCache(newIdxSums, cacheSize)
-	newData := page.NewCache(newDataSums, t.dataCache.Capacity())
-	newBpt, err := bptree.New(newIdx, bptree.Options{Geometry: curveGeometry{t.curve}})
+	sub, err := bulkLoad(indexStore, dataStore, t.idxCache.Capacity(), t.dataCache.Capacity(), t.curve, t.codec, live)
 	if err != nil {
 		return err
 	}
-	newRAF := raf.New(newData, t.codec)
-
-	entries := make([]bptree.Pair, len(live))
-	for i, e := range live {
-		off, err := newRAF.Append(e.obj)
-		if err != nil {
-			return err
-		}
-		entries[i] = bptree.Pair{Key: e.key, Val: off}
-	}
-	if err := newRAF.Flush(); err != nil {
-		return err
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
-	if err := newBpt.BulkLoad(entries); err != nil {
-		return err
-	}
-
-	t.bpt = newBpt
-	t.raf = newRAF
-	t.idxSums = newIdxSums
-	t.dataSums = newDataSums
-	t.idxCache = newIdx
-	t.dataCache = newData
-	t.count = len(live)
+	t.adopt(sub, len(live))
 	t.cm.markDirty()
 	// The approximate graph indexed the old RAF's offsets; drop it.
 	t.graph = nil

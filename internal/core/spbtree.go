@@ -258,20 +258,6 @@ func Build(objs []metric.Object, opts Options) (*Tree, error) {
 	if cacheSize < 0 {
 		cacheSize = 0
 	}
-	// Every page write is checksummed below the buffer cache, so cache
-	// misses validate the bytes the moment they come off the store.
-	t.idxSums = page.NewChecksumStore(idxStore)
-	t.dataSums = page.NewChecksumStore(dataStore)
-	t.idxCache = page.NewCache(t.idxSums, cacheSize)
-	t.dataCache = page.NewCache(t.dataSums, cacheSize)
-
-	var err error
-	t.bpt, err = bptree.New(t.idxCache, bptree.Options{Geometry: curveGeometry{t.curve}})
-	if err != nil {
-		return nil, err
-	}
-	t.raf = raf.New(t.dataCache, t.codec)
-
 	t.cm.init(len(t.pivots), t.dPlus, opts.CostSample, seed)
 	t.cm.cellWidth = t.delta
 	if opts.ShareMapping != nil {
@@ -304,11 +290,7 @@ func Build(objs []metric.Object, opts Options) (*Tree, error) {
 
 	// First mapping stage: φ(o) for every object, collecting cost-model
 	// distributions on the way.
-	type mapped struct {
-		obj metric.Object
-		key uint64
-	}
-	ms := make([]mapped, len(objs))
+	ms := make([]keyed, len(objs))
 	vec := make([]float64, len(t.pivots))
 	cells := make(sfc.Point, len(t.pivots))
 	for i, o := range objs {
@@ -318,38 +300,87 @@ func Build(objs []metric.Object, opts Options) (*Tree, error) {
 		}
 		t.cm.observe(vec, rng)
 		t.cells(vec, cells)
-		ms[i] = mapped{obj: o, key: t.curve.Encode(cells)}
+		ms[i] = keyed{key: t.curve.Encode(cells), obj: o}
 	}
-	// Second stage: order by SFC value; ties broken by id for determinism.
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].key != ms[j].key {
-			return ms[i].key < ms[j].key
-		}
-		return ms[i].obj.ID() < ms[j].obj.ID()
-	})
-
-	// RAF in SFC order, then bulk-load the B+-tree with (key, offset).
-	entries := make([]bptree.Pair, len(ms))
-	for i, m := range ms {
-		off, err := t.raf.Append(m.obj)
-		if err != nil {
-			return nil, err
-		}
-		entries[i] = bptree.Pair{Key: m.key, Val: off}
-	}
-	if err := t.raf.Flush(); err != nil {
+	// Second stage: RAF in ascending SFC order, then the B+-tree
+	// bulk-loaded with (key, offset).
+	sortKeyed(ms)
+	sub, err := bulkLoad(idxStore, dataStore, cacheSize, cacheSize, t.curve, t.codec, ms)
+	if err != nil {
 		return nil, err
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
-	if err := t.bpt.BulkLoad(entries); err != nil {
-		return nil, err
-	}
-	t.count = len(objs)
+	t.adopt(sub, len(objs))
 
 	if err := t.cm.snapshotBoxes(t); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// keyed is one live object under its SFC key.
+type keyed struct {
+	key uint64
+	obj metric.Object
+}
+
+// sortKeyed orders by SFC value; ties broken by id for determinism.
+func sortKeyed(live []keyed) {
+	sort.Slice(live, func(i, j int) bool {
+		if live[i].key != live[j].key {
+			return live[i].key < live[j].key
+		}
+		return live[i].obj.ID() < live[j].obj.ID()
+	})
+}
+
+// substrates are the six values a tree reaches its base through: per store
+// a checksum layer and the buffer cache above it, the B+-tree over the index
+// cache and the RAF over the data cache.
+type substrates struct {
+	idxSums, dataSums   *page.ChecksumStore
+	idxCache, dataCache *page.Cache
+	bpt                 *bptree.Tree
+	raf                 *raf.File
+}
+
+// bulkLoad builds fresh substrates over the two stores and loads live into
+// them: the objects appended to the RAF in the order given, the RAF flushed,
+// the B+-tree bulk-loaded with the sorted (key, offset) pairs. Every page
+// write is checksummed below the buffer cache, so cache misses validate the
+// bytes the moment they come off the store. The stores stay the caller's to
+// close, on failure too.
+func bulkLoad(idxStore, dataStore page.Store, idxCap, dataCap int, curve sfc.Curve, codec metric.Codec, live []keyed) (substrates, error) {
+	var s substrates
+	s.idxSums = page.NewChecksumStore(idxStore)
+	s.dataSums = page.NewChecksumStore(dataStore)
+	s.idxCache = page.NewCache(s.idxSums, idxCap)
+	s.dataCache = page.NewCache(s.dataSums, dataCap)
+	var err error
+	if s.bpt, err = bptree.New(s.idxCache, bptree.Options{Geometry: curveGeometry{curve}}); err != nil {
+		return s, err
+	}
+	s.raf = raf.New(s.dataCache, codec)
+	entries := make([]bptree.Pair, len(live))
+	for i, e := range live {
+		off, err := s.raf.Append(e.obj)
+		if err != nil {
+			return s, err
+		}
+		entries[i] = bptree.Pair{Key: e.key, Val: off}
+	}
+	if err := s.raf.Flush(); err != nil {
+		return s, err
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
+	return s, s.bpt.BulkLoad(entries)
+}
+
+// adopt switches the tree onto s and its count of live objects.
+func (t *Tree) adopt(s substrates, count int) {
+	t.idxSums, t.dataSums = s.idxSums, s.dataSums
+	t.idxCache, t.dataCache = s.idxCache, s.dataCache
+	t.bpt, t.raf = s.bpt, s.raf
+	t.count = count
 }
 
 // chooseQuantization fixes δ and the per-dimension bit budget. Discrete

@@ -12,7 +12,10 @@ import (
 // every object to its nearest seed (this is where the M-tree's large
 // construction compdists of Table 6 come from), and recurse per group.
 // Groups are not re-balanced, so subtree heights may differ slightly — a
-// known simplification that does not affect search correctness.
+// known simplification that does not affect search correctness. A PM-tree
+// first selects its global pivots from objs, then additionally computes the
+// per-object pivot distances (|O|×np computations — its extra construction
+// cost) and the per-subtree hyper-rings bottom-up.
 func (t *Tree) BulkLoad(objs []metric.Object) error {
 	if t.hasRoot {
 		return fmt.Errorf("mtree: BulkLoad on non-empty tree")
@@ -20,29 +23,32 @@ func (t *Tree) BulkLoad(objs []metric.Object) error {
 	if len(objs) == 0 {
 		return nil
 	}
-	pg, _, height, err := t.bulkBuild(objs, nil, 0)
+	if err := t.selectPivots(objs); err != nil {
+		return err
+	}
+	pg, _, _, err := t.bulkBuild(objs, nil, 0)
 	if err != nil {
 		return err
 	}
 	t.rootPage = pg
 	t.hasRoot = true
 	t.count = len(objs)
-	t.height = height
 	return nil
 }
 
 // bulkBuild builds a subtree over objs whose parent routing object is parent
 // (nil at the root). It returns the subtree's page, its covering radius
-// w.r.t. parent, and its height.
-func (t *Tree) bulkBuild(objs []metric.Object, parent metric.Object, depth int) (page.ID, float64, int, error) {
+// w.r.t. parent, and its hyper-rings.
+func (t *Tree) bulkBuild(objs []metric.Object, parent metric.Object, depth int) (page.ID, float64, []ring, error) {
 	if depth > 64 {
-		return 0, 0, 0, fmt.Errorf("mtree: bulk-load recursion too deep (degenerate data?)")
+		return 0, 0, nil, fmt.Errorf("mtree: bulk-load recursion too deep (degenerate data?)")
 	}
 	if t.leafFits(objs) {
 		n, err := t.allocNode(true)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, nil, err
 		}
+		hr := emptyRings(len(t.pivots))
 		var radius float64
 		n.entries = make([]entry, len(objs))
 		for i, o := range objs {
@@ -53,12 +59,14 @@ func (t *Tree) bulkBuild(objs []metric.Object, parent metric.Object, depth int) 
 			if dp > radius {
 				radius = dp
 			}
-			n.entries[i] = entry{obj: o, objLen: len(o.AppendBinary(nil)), dParent: dp, isLeaf: true}
+			pd := t.pivotDists(o)
+			expandPD(hr, pd)
+			n.entries[i] = entry{obj: o, objLen: len(o.AppendBinary(nil)), dParent: dp, isLeaf: true, pd: pd}
 		}
 		if err := t.writeNode(n); err != nil {
-			return 0, 0, 0, err
+			return 0, 0, nil, err
 		}
-		return n.page, radius, 1, nil
+		return n.page, radius, hr, nil
 	}
 
 	f := t.fanoutEstimate(objs)
@@ -88,20 +96,17 @@ func (t *Tree) bulkBuild(objs []metric.Object, parent metric.Object, depth int) 
 		}
 	}
 
+	hr := emptyRings(len(t.pivots))
 	var radius float64
-	maxH := 0
 	var rents []entry
 	for gi, group := range groups {
 		if len(group) == 0 {
 			continue
 		}
 		seed := seeds[gi]
-		childPg, childRad, h, err := t.bulkBuild(group, seed, depth+1)
+		childPg, childRad, childHR, err := t.bulkBuild(group, seed, depth+1)
 		if err != nil {
-			return 0, 0, 0, err
-		}
-		if h > maxH {
-			maxH = h
+			return 0, 0, nil, err
 		}
 		var dp float64
 		if parent != nil {
@@ -110,41 +115,44 @@ func (t *Tree) bulkBuild(objs []metric.Object, parent metric.Object, depth int) 
 		if cover := dp + childRad; cover > radius {
 			radius = cover
 		}
+		expandRings(hr, childHR)
 		rents = append(rents, entry{
 			obj: seed, objLen: len(seed.AppendBinary(nil)),
-			dParent: dp, radius: childRad, child: childPg,
+			dParent: dp, radius: childRad, child: childPg, hr: childHR,
 		})
 	}
-	pg, extraLevels, err := t.packEntries(rents, parent)
+	pg, err := t.packEntries(rents, parent)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, nil, err
 	}
-	return pg, radius, maxH + 1 + extraLevels, nil
+	return pg, radius, hr, nil
 }
 
 // packEntries writes routing entries into one internal node, or — when
 // variable-size routing objects exceed the page budget the fan-out estimate
 // assumed — spills them into several nodes under a fresh internal level,
-// recomputing parent distances for the interposed routing objects.
-func (t *Tree) packEntries(rents []entry, parent metric.Object) (page.ID, int, error) {
-	if nodeBytes(rents) <= page.Size || len(rents) < 2 {
+// recomputing distances to the interposed routing objects so the
+// parent-distance pruning invariant holds.
+func (t *Tree) packEntries(rents []entry, parent metric.Object) (page.ID, error) {
+	if t.nodeBytes(rents) <= page.Size || len(rents) < 2 {
 		n, err := t.allocNode(false)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		n.entries = rents
 		if err := t.writeNode(n); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
-		return n.page, 0, nil
+		return n.page, nil
 	}
+	// Greedy byte packing into fitting chunks.
 	var supers []entry
 	start := 0
 	for start < len(rents) {
 		end := start + 1
-		size := nodeHeader + rents[start].bytes()
+		size := nodeHeader + t.routingEntryBytes(rents[start].objLen)
 		for end < len(rents) {
-			next := rents[end].bytes()
+			next := t.routingEntryBytes(rents[end].objLen)
 			if size+next > page.Size {
 				break
 			}
@@ -156,6 +164,7 @@ func (t *Tree) packEntries(rents []entry, parent metric.Object) (page.ID, int, e
 		start = end
 
 		pivotObj := chunk[0].obj
+		hr := emptyRings(len(t.pivots))
 		var radius float64
 		for i := range chunk {
 			d := t.dist.Distance(chunk[i].obj, pivotObj)
@@ -163,14 +172,15 @@ func (t *Tree) packEntries(rents []entry, parent metric.Object) (page.ID, int, e
 			if cover := d + chunk[i].radius; cover > radius {
 				radius = cover
 			}
+			expandRings(hr, chunk[i].hr)
 		}
 		n, err := t.allocNode(false)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		n.entries = chunk
 		if err := t.writeNode(n); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		var dp float64
 		if parent != nil {
@@ -178,21 +188,20 @@ func (t *Tree) packEntries(rents []entry, parent metric.Object) (page.ID, int, e
 		}
 		supers = append(supers, entry{
 			obj: pivotObj, objLen: len(pivotObj.AppendBinary(nil)),
-			dParent: dp, radius: radius, child: n.page,
+			dParent: dp, radius: radius, child: n.page, hr: hr,
 		})
 	}
 	if len(supers) >= len(rents) {
-		return 0, 0, fmt.Errorf("mtree: routing entries too large to pack (objects near page size?)")
+		return 0, fmt.Errorf("mtree: routing entries too large to pack (objects near page size?)")
 	}
-	pg, extra, err := t.packEntries(supers, parent)
-	return pg, extra + 1, err
+	return t.packEntries(supers, parent)
 }
 
 // leafFits reports whether objs serialize into a single leaf page.
 func (t *Tree) leafFits(objs []metric.Object) bool {
 	n := nodeHeader
 	for _, o := range objs {
-		n += leafEntryBytes(len(o.AppendBinary(nil)))
+		n += t.leafEntryBytes(len(o.AppendBinary(nil)))
 		if n > page.Size {
 			return false
 		}
@@ -211,7 +220,7 @@ func (t *Tree) fanoutEstimate(objs []metric.Object) int {
 		total += len(objs[i].AppendBinary(nil))
 	}
 	avg := total/sampleN + 1
-	f := (page.Size - nodeHeader) / routingEntryBytes(avg)
+	f := (page.Size - nodeHeader) / t.routingEntryBytes(avg)
 	if f < 2 {
 		f = 2
 	}

@@ -10,24 +10,30 @@ import (
 // Insert adds one object with the classic M-tree insertion: descend into the
 // subtree whose covering ball already contains the object (or needs the
 // least enlargement), split overflowing nodes with random/farthest promotion
-// and generalized-hyperplane partitioning.
+// and generalized-hyperplane partitioning. A PM-tree also expands the
+// hyper-rings along the path and stores the object's pivot distances at the
+// leaf.
 func (t *Tree) Insert(o metric.Object) error {
 	if !t.hasRoot {
+		if len(t.pivots) == 0 {
+			if err := t.selectPivots([]metric.Object{o}); err != nil {
+				return err
+			}
+		}
 		n, err := t.allocNode(true)
 		if err != nil {
 			return err
 		}
-		n.entries = []entry{{obj: o, objLen: len(o.AppendBinary(nil)), isLeaf: true}}
+		n.entries = []entry{{obj: o, objLen: len(o.AppendBinary(nil)), isLeaf: true, pd: t.pivotDists(o)}}
 		if err := t.writeNode(n); err != nil {
 			return err
 		}
 		t.rootPage = n.page
 		t.hasRoot = true
 		t.count = 1
-		t.height = 1
 		return nil
 	}
-	split, err := t.insertAt(t.rootPage, o, nil)
+	split, err := t.insertAt(t.rootPage, o, t.pivotDists(o), nil)
 	if err != nil {
 		return err
 	}
@@ -41,17 +47,16 @@ func (t *Tree) Insert(o metric.Object) error {
 			return err
 		}
 		t.rootPage = root.page
-		t.height++
 	}
 	t.count++
 	return nil
 }
 
-// insertAt inserts o into the subtree rooted at pg, whose routing object in
-// the parent is parent (nil at the root). A non-nil return carries the two
+// insertAt inserts o, whose pivot distances are pd, into the subtree rooted
+// at pg, whose routing object in the parent is parent (nil at the root). A non-nil return carries the two
 // routing entries that replace this subtree after a split; their dParent is
 // unset (the caller knows its own routing object).
-func (t *Tree) insertAt(pg page.ID, o metric.Object, parent metric.Object) ([]entry, error) {
+func (t *Tree) insertAt(pg page.ID, o metric.Object, pd []float64, parent metric.Object) ([]entry, error) {
 	n, err := t.readNode(pg)
 	if err != nil {
 		return nil, err
@@ -61,8 +66,8 @@ func (t *Tree) insertAt(pg page.ID, o metric.Object, parent metric.Object) ([]en
 		if parent != nil {
 			dp = t.dist.Distance(o, parent)
 		}
-		n.entries = append(n.entries, entry{obj: o, objLen: len(o.AppendBinary(nil)), dParent: dp, isLeaf: true})
-		if nodeBytes(n.entries) <= page.Size {
+		n.entries = append(n.entries, entry{obj: o, objLen: len(o.AppendBinary(nil)), dParent: dp, isLeaf: true, pd: pd})
+		if t.nodeBytes(n.entries) <= page.Size {
 			return nil, t.writeNode(n)
 		}
 		return t.split(n)
@@ -90,7 +95,8 @@ func (t *Tree) insertAt(pg page.ID, o metric.Object, parent metric.Object) ([]en
 		n.entries[bestIdx].radius = enlargeD
 	}
 	chosen := &n.entries[bestIdx]
-	split, err := t.insertAt(chosen.child, o, chosen.obj)
+	expandPD(chosen.hr, pd)
+	split, err := t.insertAt(chosen.child, o, pd, chosen.obj)
 	if err != nil {
 		return nil, err
 	}
@@ -104,15 +110,15 @@ func (t *Tree) insertAt(pg page.ID, o metric.Object, parent metric.Object) ([]en
 		n.entries[bestIdx] = split[0]
 		n.entries = append(n.entries, split[1])
 	}
-	if nodeBytes(n.entries) <= page.Size {
+	if t.nodeBytes(n.entries) <= page.Size {
 		return nil, t.writeNode(n)
 	}
 	return t.split(n)
 }
 
 // split partitions an overflowing node by random/farthest promotion and
-// returns the two routing entries for the caller to adopt. The original page
-// is reused for the first partition.
+// returns the two routing entries, with their recomputed hyper-rings, for
+// the caller to adopt. The original page is reused for the first partition.
 func (t *Tree) split(n *node) ([]entry, error) {
 	entries := n.entries
 	if len(entries) < 2 {
@@ -130,48 +136,48 @@ func (t *Tree) split(n *node) ([]entry, error) {
 	o1, o2 := entries[p1].obj, entries[p2].obj
 
 	left := &node{page: n.page, leaf: n.leaf}
-	rightNode, err := t.allocNode(n.leaf)
+	right, err := t.allocNode(n.leaf)
 	if err != nil {
 		return nil, err
 	}
+	hr1 := emptyRings(len(t.pivots))
+	hr2 := emptyRings(len(t.pivots))
 	var r1, r2 float64
+	addTo := func(dst *node, hr []ring, e entry, dp float64, r *float64) {
+		e.dParent = dp
+		if cover := dp + e.radius; cover > *r {
+			*r = cover
+		}
+		if e.isLeaf {
+			expandPD(hr, e.pd)
+		} else {
+			expandRings(hr, e.hr)
+		}
+		dst.entries = append(dst.entries, e)
+	}
 	for i := range entries {
 		e := entries[i]
 		d2 := t.dist.Distance(e.obj, o2)
 		if d1s[i] <= d2 || i == p1 {
-			e.dParent = d1s[i]
-			cover := d1s[i] + e.radius
-			if cover > r1 {
-				r1 = cover
-			}
-			left.entries = append(left.entries, e)
+			addTo(left, hr1, e, d1s[i], &r1)
 		} else {
-			e.dParent = d2
-			cover := d2 + e.radius
-			if cover > r2 {
-				r2 = cover
-			}
-			rightNode.entries = append(rightNode.entries, e)
+			addTo(right, hr2, e, d2, &r2)
 		}
 	}
 	// Guard against a degenerate one-sided partition.
-	if len(rightNode.entries) == 0 {
+	if len(right.entries) == 0 {
 		last := left.entries[len(left.entries)-1]
 		left.entries = left.entries[:len(left.entries)-1]
-		last.dParent = t.dist.Distance(last.obj, o2)
-		if cover := last.dParent + last.radius; cover > r2 {
-			r2 = cover
-		}
-		rightNode.entries = append(rightNode.entries, last)
+		addTo(right, hr2, last, t.dist.Distance(last.obj, o2), &r2)
 	}
 	if err := t.writeNode(left); err != nil {
 		return nil, err
 	}
-	if err := t.writeNode(rightNode); err != nil {
+	if err := t.writeNode(right); err != nil {
 		return nil, err
 	}
 	return []entry{
-		{obj: o1, objLen: len(o1.AppendBinary(nil)), radius: r1, child: left.page},
-		{obj: o2, objLen: len(o2.AppendBinary(nil)), radius: r2, child: rightNode.page},
+		{obj: o1, objLen: len(o1.AppendBinary(nil)), radius: r1, child: left.page, hr: hr1},
+		{obj: o2, objLen: len(o2.AppendBinary(nil)), radius: r2, child: right.page, hr: hr2},
 	}, nil
 }

@@ -1,6 +1,8 @@
 // Package mtree implements the M-tree of Ciaccia, Patella and Zezula — the
 // classic compact-partitioning metric access method and the first baseline
-// of the paper's evaluation (Tables 6-7, Figs. 12-13).
+// of the paper's evaluation (Tables 6-7, Figs. 12-13) — and, with
+// Options.Pivots > 0, the PM-tree of Skopal, Pokorný and Snášel, the hybrid
+// the paper's related work discusses (Section 2.1).
 //
 // An M-tree node holds routing entries ⟨routing object, covering radius,
 // distance to parent, child⟩; leaves hold ⟨object, distance to parent⟩.
@@ -8,6 +10,16 @@
 // RAF), which is exactly why its storage footprint and construction I/O are
 // larger. Distances to parents enable the standard pruning
 // |d(q, parent) − d(parent, o)| > r + r_cov without extra computations.
+//
+// The PM-tree is the same tree whose routing entries additionally carry
+// hyper-ring (HR) intervals of subtree distances to a set of global pivots,
+// and whose leaf entries carry the pre-computed pivot distances (PD)
+// themselves. The rings sharpen pruning the way the SPB-tree's mapped range
+// region does, but the pre-computed distances are stored uncompressed inside
+// the index — the storage overhead the paper contrasts with the SPB-tree's
+// SFC encoding. With no pivots every ring test is vacuous and every entry is
+// its M-tree width, so Pivots: 0 is the M-tree, page for page and count for
+// count.
 package mtree
 
 import (
@@ -19,6 +31,7 @@ import (
 
 	"spbtree/internal/metric"
 	"spbtree/internal/page"
+	"spbtree/internal/pivot"
 )
 
 // Options configures an M-tree.
@@ -27,34 +40,37 @@ type Options struct {
 	Distance metric.DistanceFunc
 	// Codec decodes objects from node pages; required.
 	Codec metric.Codec
+	// Pivots is the number of global pivots: 0 is the classic M-tree, n > 0
+	// the PM-tree with n HF-selected pivots (fewer when the first load has
+	// fewer distinct objects to choose from).
+	Pivots int
 	// Store backs the tree; nil selects a fresh in-memory store.
 	Store page.Store
 	// CacheSize is the buffer-cache capacity in pages (default 32; negative
 	// disables).
 	CacheSize int
-	// MinFanout splits aim for at least this many entries per node when the
-	// byte budget allows; 0 means 4.
-	MinFanout int
-	// Seed seeds bulk-load sampling; 0 means 1.
+	// Seed seeds pivot selection, bulk-load sampling and split promotion;
+	// 0 means 1.
 	Seed int64
 }
 
-// Tree is a disk-based M-tree.
+// Tree is a disk-based M-tree (or PM-tree, see Options.Pivots).
 type Tree struct {
-	dist  *metric.Counter
-	codec metric.Codec
-	store *page.Cache
-	rng   *rand.Rand
+	dist      *metric.Counter
+	codec     metric.Codec
+	store     *page.Cache
+	rng       *rand.Rand
+	numPivots int             // Options.Pivots
+	pivots    []metric.Object // selected at the first load; fixes entry widths
 
 	rootPage page.ID
 	hasRoot  bool
 	count    int
-	height   int
-	minFan   int
 }
 
-// entry is the in-memory node entry form. Leaf entries have child == none;
-// routing entries carry the covering radius and subtree page.
+// entry is the in-memory node entry form. Leaf entries carry pd; routing
+// entries carry the covering radius, the subtree page and hr. pd and hr
+// have one element per global pivot, none in a plain M-tree.
 type entry struct {
 	obj     metric.Object
 	objLen  int // cached serialized payload length
@@ -62,6 +78,8 @@ type entry struct {
 	radius  float64
 	child   page.ID
 	isLeaf  bool
+	pd      []float64 // leaf: d(obj, pivot_t)
+	hr      []ring    // routing: subtree distance rings
 }
 
 type node struct {
@@ -72,10 +90,14 @@ type node struct {
 
 const noPage = ^page.ID(0)
 
-// New creates an empty M-tree.
+// New creates an empty tree. Global pivots, if any, are selected at BulkLoad
+// (or first Insert) time from the data.
 func New(opts Options) (*Tree, error) {
 	if opts.Distance == nil || opts.Codec == nil {
 		return nil, fmt.Errorf("mtree: Distance and Codec are required")
+	}
+	if opts.Pivots < 0 {
+		return nil, fmt.Errorf("mtree: Pivots %d is negative", opts.Pivots)
 	}
 	store := opts.Store
 	if store == nil {
@@ -92,25 +114,21 @@ func New(opts Options) (*Tree, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	minFan := opts.MinFanout
-	if minFan == 0 {
-		minFan = 4
-	}
 	return &Tree{
-		dist:     metric.NewCounter(opts.Distance),
-		codec:    opts.Codec,
-		store:    page.NewCache(store, cs),
-		rng:      rand.New(rand.NewSource(seed)),
-		rootPage: noPage,
-		minFan:   minFan,
+		dist:      metric.NewCounter(opts.Distance),
+		codec:     opts.Codec,
+		store:     page.NewCache(store, cs),
+		rng:       rand.New(rand.NewSource(seed)),
+		numPivots: opts.Pivots,
+		rootPage:  noPage,
 	}, nil
 }
 
 // Len returns the number of indexed objects.
 func (t *Tree) Len() int { return t.count }
 
-// Height returns the number of levels.
-func (t *Tree) Height() int { return t.height }
+// Pivots returns the global pivot set; empty for a plain M-tree.
+func (t *Tree) Pivots() []metric.Object { return t.pivots }
 
 // ResetStats zeroes I/O and distance counters and flushes the cache.
 func (t *Tree) ResetStats() {
@@ -129,6 +147,106 @@ func (t *Tree) StorageBytes() int64 {
 	return int64(t.store.NumPages()) * page.Size
 }
 
+// --- global pivots and hyper-rings ------------------------------------------
+
+// selectPivots initializes the global pivots (HF, as the PM-tree authors
+// use) from the first load; quiet, matching the harness accounting where
+// construction compdists count the mapping work. A plain M-tree selects
+// nothing and draws nothing from the random stream.
+func (t *Tree) selectPivots(objs []metric.Object) error {
+	if t.numPivots == 0 {
+		return nil
+	}
+	t.pivots = pivot.HF{}.Select(objs, t.dist.Unwrap(), t.numPivots, t.rng)
+	if len(t.pivots) == 0 {
+		return fmt.Errorf("mtree: pivot selection failed")
+	}
+	return nil
+}
+
+// pivotDists computes d(o, pivot_t) for every global pivot: a leaf entry's
+// pre-computed distances, and once per query the query's.
+func (t *Tree) pivotDists(o metric.Object) []float64 {
+	pd := make([]float64, len(t.pivots))
+	for i, p := range t.pivots {
+		pd[i] = t.dist.Distance(o, p)
+	}
+	return pd
+}
+
+// ring is a [min, max] interval of distances to one global pivot.
+type ring struct{ lo, hi float64 }
+
+func emptyRings(n int) []ring {
+	rs := make([]ring, n)
+	for i := range rs {
+		rs[i] = ring{lo: math.Inf(1), hi: math.Inf(-1)}
+	}
+	return rs
+}
+
+// expandPD widens the rings to cover one object's pivot distances.
+func expandPD(hr []ring, pd []float64) {
+	for i, d := range pd {
+		if d < hr[i].lo {
+			hr[i].lo = d
+		}
+		if d > hr[i].hi {
+			hr[i].hi = d
+		}
+	}
+}
+
+// expandRings widens dst to cover src.
+func expandRings(dst []ring, src []ring) {
+	for i := range dst {
+		if src[i].lo < dst[i].lo {
+			dst[i].lo = src[i].lo
+		}
+		if src[i].hi > dst[i].hi {
+			dst[i].hi = src[i].hi
+		}
+	}
+}
+
+// ringsPrune reports whether the query ball (qp, r) misses the hyper-rings:
+// some pivot ring lies entirely outside [qp_t − r, qp_t + r].
+func ringsPrune(qp []float64, r float64, hr []ring) bool {
+	for t, rg := range hr {
+		if qp[t]-r > rg.hi || qp[t]+r < rg.lo {
+			return true
+		}
+	}
+	return false
+}
+
+// ringsLowerBound returns the HR-based lower bound on d(q, o) for any o in
+// the subtree.
+func ringsLowerBound(qp []float64, hr []ring) float64 {
+	var m float64
+	for t, rg := range hr {
+		if d := qp[t] - rg.hi; d > m {
+			m = d
+		}
+		if d := rg.lo - qp[t]; d > m {
+			m = d
+		}
+	}
+	return m
+}
+
+// pdLowerBound is max_t |d(q,p_t) − d(o,p_t)|, the lower bound on d(q, o)
+// that a leaf entry's pre-computed pivot distances prove.
+func pdLowerBound(qp, pd []float64) float64 {
+	var m float64
+	for t := range qp {
+		if d := math.Abs(qp[t] - pd[t]); d > m {
+			m = d
+		}
+	}
+	return m
+}
+
 // --- queries ---------------------------------------------------------------
 
 // Result is one search answer.
@@ -137,14 +255,15 @@ type Result struct {
 	Dist   float64
 }
 
-// RangeQuery returns every object within distance r of q.
+// RangeQuery returns every object within distance r of q, pruning subtrees
+// by covering balls and hyper-rings and leaf entries by parent and
+// pre-computed pivot distances.
 func (t *Tree) RangeQuery(q metric.Object, r float64) ([]Result, error) {
 	if !t.hasRoot || r < 0 {
 		return nil, nil
 	}
 	var out []Result
-	err := t.rangeSearch(t.rootPage, q, r, 0, true, &out)
-	if err != nil {
+	if err := t.rangeSearch(t.rootPage, q, t.pivotDists(q), r, 0, true, &out); err != nil {
 		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Object.ID() < out[j].Object.ID() })
@@ -153,7 +272,7 @@ func (t *Tree) RangeQuery(q metric.Object, r float64) ([]Result, error) {
 
 // rangeSearch descends the subtree. dQParent is d(q, parent routing object),
 // valid unless atRoot.
-func (t *Tree) rangeSearch(pg page.ID, q metric.Object, r float64, dQParent float64, atRoot bool, out *[]Result) error {
+func (t *Tree) rangeSearch(pg page.ID, q metric.Object, qp []float64, r, dQParent float64, atRoot bool, out *[]Result) error {
 	n, err := t.readNode(pg)
 	if err != nil {
 		return err
@@ -165,15 +284,21 @@ func (t *Tree) rangeSearch(pg page.ID, q metric.Object, r float64, dQParent floa
 		if !atRoot && math.Abs(dQParent-e.dParent) > r+e.radius {
 			continue
 		}
-		d := t.dist.Distance(q, e.obj)
 		if n.leaf {
-			if d <= r {
+			if pdLowerBound(qp, e.pd) > r {
+				continue // pre-computed distances prove the miss, no computation
+			}
+			if d := t.dist.Distance(q, e.obj); d <= r {
 				*out = append(*out, Result{Object: e.obj, Dist: d})
 			}
 			continue
 		}
+		if ringsPrune(qp, r, e.hr) {
+			continue // hyper-ring pruning, no computation
+		}
+		d := t.dist.Distance(q, e.obj)
 		if d <= r+e.radius {
-			if err := t.rangeSearch(e.child, q, r, d, false, out); err != nil {
+			if err := t.rangeSearch(e.child, q, qp, r, d, false, out); err != nil {
 				return err
 			}
 		}
@@ -181,11 +306,17 @@ func (t *Tree) rangeSearch(pg page.ID, q metric.Object, r float64, dQParent floa
 	return nil
 }
 
-// KNN returns the k nearest neighbors of q.
+// KNN returns the k nearest neighbors of q, best-first over the maximum of
+// the ball and hyper-ring lower bounds.
 func (t *Tree) KNN(q metric.Object, k int) ([]Result, error) {
 	if !t.hasRoot || k <= 0 {
 		return nil, nil
 	}
+	qp := t.pivotDists(q)
+	// A bound of 0 from no pivots is no evidence: only a PM-tree may skip an
+	// entry on it, so that the M-tree's counts are those of the classic
+	// algorithm even when the k-th distance is already 0.
+	ringed := len(qp) > 0
 	res := &topK{k: k}
 	pq := &pqueue{}
 	heap.Push(pq, pqItem{dmin: 0, page: t.rootPage, atRoot: true})
@@ -203,12 +334,19 @@ func (t *Tree) KNN(q metric.Object, k int) ([]Result, error) {
 			if !item.atRoot && math.Abs(item.dParent-e.dParent)-e.radius >= res.bound() {
 				continue
 			}
-			d := t.dist.Distance(q, e.obj)
 			if n.leaf {
-				res.offer(Result{Object: e.obj, Dist: d})
+				if ringed && pdLowerBound(qp, e.pd) >= res.bound() {
+					continue
+				}
+				res.offer(Result{Object: e.obj, Dist: t.dist.Distance(q, e.obj)})
 				continue
 			}
-			if dmin := math.Max(0, d-e.radius); dmin < res.bound() {
+			hrLB := ringsLowerBound(qp, e.hr)
+			if ringed && hrLB >= res.bound() {
+				continue
+			}
+			d := t.dist.Distance(q, e.obj)
+			if dmin := math.Max(math.Max(0, d-e.radius), hrLB); dmin < res.bound() {
 				heap.Push(pq, pqItem{dmin: dmin, page: e.child, dParent: d})
 			}
 		}

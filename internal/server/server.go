@@ -311,84 +311,106 @@ func errorJSON(w http.ResponseWriter, status int, msg string) {
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-// handleQuery returns the handler for one query operation: decode and
-// validate, derive the request deadline, pass admission control into the
-// worker pool, execute with the context threaded through the whole read
-// path, and render full or partial results.
+// admit is the path every POST endpoint shares, from the first byte to the
+// worker pool and back: refuse while draining (503) or, for a write, on a
+// read-only index (403); decode and validate the body (413, 400); let plan
+// turn the request into the closure a worker will run, surfacing parse and
+// configuration errors before admission (400); derive the request deadline;
+// pass admission control (503, 429 + Retry-After); and wait for the worker or
+// the deadline, whichever comes first. ok is false when admit has already
+// written the response. Otherwise err is the closure's error — or
+// ErrCanceled when it never ran, so nothing it would have written exists.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, op string, write bool,
+	plan func(Request) (func(context.Context) error, error)) (req Request, ok bool, err error) {
+	if s.draining.Load() {
+		s.rejectDraining(w)
+		return req, false, nil
+	}
+	if write && !s.tree.Writable() {
+		s.rejectedReadOnly.Add(1)
+		errorJSON(w, http.StatusForbidden,
+			"index is read-only: writes need a durable index (build with spbtool build -durable)")
+		return req, false, nil
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	req, err = DecodeRequest(r.Body, op)
+	var run func(context.Context) error
+	if err == nil {
+		run, err = plan(req)
+	}
+	if err != nil {
+		s.badRequests.Add(1)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		errorJSON(w, status, err.Error())
+		return req, false, nil
+	}
+
+	timeout := s.defaultTimeout
+	if req.TimeoutMS > 0 {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	}
+	if timeout > s.maxTimeout {
+		timeout = s.maxTimeout
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
+
+	t := &task{ctx: ctx, done: make(chan struct{})}
+	t.fn = func() { err = run(ctx) }
+
+	// Admission control: the inflight count is taken before the draining
+	// re-check so Shutdown's Wait covers every request that could still
+	// enqueue; the non-blocking send bounds queued work at QueueDepth.
+	s.inflight.Add(1)
+	defer s.inflight.Done()
+	if s.draining.Load() {
+		s.rejectDraining(w)
+		return req, false, nil
+	}
+	select {
+	case s.tasks <- t:
+	default:
+		s.rejectedBusy.Add(1)
+		w.Header().Set("Retry-After", "1")
+		errorJSON(w, http.StatusTooManyRequests, "query queue is full")
+		return req, false, nil
+	}
+	select {
+	case <-t.done:
+	case <-ctx.Done():
+		// Deadline expired before a worker freed up. Try to take the task
+		// back; if a worker claimed it in the meantime, its run is imminent
+		// (it sees the same expired ctx) — wait it out.
+		if !t.state.CompareAndSwap(taskQueued, taskAbandoned) {
+			<-t.done
+		}
+	}
+	if !t.ran {
+		// Never executed (expired or abandoned while queued): canceled with
+		// no partials, and for a write nothing was logged — it is guaranteed
+		// absent.
+		err = fmt.Errorf("%w: %w", core.ErrCanceled, context.Cause(ctx))
+	}
+	return req, true, err
+}
+
+// handleQuery returns the handler for one query operation: admit it, execute
+// with the context threaded through the whole read path, and render full or
+// partial results.
 func (s *Server) handleQuery(op string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		if s.draining.Load() {
-			s.rejectDraining(w)
-			return
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-		req, err := DecodeRequest(r.Body, op)
-		if err != nil {
-			s.badRequests.Add(1)
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				errorJSON(w, http.StatusRequestEntityTooLarge, err.Error())
-				return
-			}
-			errorJSON(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		run, err := s.planQuery(op, req)
-		if err != nil {
-			s.badRequests.Add(1)
-			errorJSON(w, http.StatusBadRequest, err.Error())
-			return
-		}
-
-		timeout := s.defaultTimeout
-		if req.TimeoutMS > 0 {
-			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		}
-		if timeout > s.maxTimeout {
-			timeout = s.maxTimeout
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-
 		var resp response
 		var qs core.QueryStats
-		var qerr error
-		t := &task{ctx: ctx, done: make(chan struct{})}
-		t.fn = func() { resp, qs, qerr = run(ctx) }
-
-		// Admission control: the inflight count is taken before the draining
-		// re-check so Shutdown's Wait covers every request that could still
-		// enqueue; the non-blocking send bounds queued work at QueueDepth.
-		s.inflight.Add(1)
-		defer s.inflight.Done()
-		if s.draining.Load() {
-			s.rejectDraining(w)
+		_, ok, qerr := s.admit(w, r, op, false, func(req Request) (func(context.Context) error, error) {
+			return s.planQuery(op, req, &resp, &qs)
+		})
+		if !ok {
 			return
-		}
-		select {
-		case s.tasks <- t:
-		default:
-			s.rejectedBusy.Add(1)
-			w.Header().Set("Retry-After", "1")
-			errorJSON(w, http.StatusTooManyRequests, "query queue is full")
-			return
-		}
-		select {
-		case <-t.done:
-		case <-ctx.Done():
-			// Deadline expired before a worker freed up. Try to take the
-			// task back; if a worker claimed it in the meantime, its run is
-			// imminent (the query sees the same expired ctx) — wait it out.
-			if !t.state.CompareAndSwap(taskQueued, taskAbandoned) {
-				<-t.done
-			}
-		}
-
-		if !t.ran {
-			// Never executed (expired or abandoned while queued): canceled
-			// with no partials.
-			qerr = fmt.Errorf("%w: %w", core.ErrCanceled, context.Cause(ctx))
 		}
 		status := http.StatusOK
 		switch {
@@ -428,87 +450,22 @@ func (s *Server) handleQuery(op string) http.HandlerFunc {
 func (s *Server) handleMutate(op string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		if s.draining.Load() {
-			s.rejectDraining(w)
-			return
-		}
-		if !s.tree.Writable() {
-			s.rejectedReadOnly.Add(1)
-			errorJSON(w, http.StatusForbidden,
-				"index is read-only: writes need a durable index (build with spbtool build -durable)")
-			return
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-		req, err := DecodeRequest(r.Body, op)
-		if err != nil {
-			s.badRequests.Add(1)
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				errorJSON(w, http.StatusRequestEntityTooLarge, err.Error())
-				return
+		req, ok, merr := s.admit(w, r, op, true, func(req Request) (func(context.Context) error, error) {
+			if s.parseObj == nil {
+				return nil, errors.New("server: no ParseObject configured")
 			}
-			errorJSON(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if s.parseObj == nil {
-			s.badRequests.Add(1)
-			errorJSON(w, http.StatusBadRequest, "server: no ParseObject configured")
-			return
-		}
-		obj, err := s.parseObj(*req.ID, req)
-		if err != nil {
-			s.badRequests.Add(1)
-			errorJSON(w, http.StatusBadRequest, err.Error())
-			return
-		}
-
-		timeout := s.defaultTimeout
-		if req.TimeoutMS > 0 {
-			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		}
-		if timeout > s.maxTimeout {
-			timeout = s.maxTimeout
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-
-		var merr error
-		t := &task{ctx: ctx, done: make(chan struct{})}
-		t.fn = func() {
+			obj, err := s.parseObj(*req.ID, req)
+			if err != nil {
+				return nil, err
+			}
 			if op == opInsert {
-				merr = s.tree.Insert(ctx, obj)
-			} else {
-				merr = s.tree.Delete(ctx, obj)
+				return func(ctx context.Context) error { return s.tree.Insert(ctx, obj) }, nil
 			}
-		}
-
-		s.inflight.Add(1)
-		defer s.inflight.Done()
-		if s.draining.Load() {
-			s.rejectDraining(w)
+			return func(ctx context.Context) error { return s.tree.Delete(ctx, obj) }, nil
+		})
+		if !ok {
 			return
 		}
-		select {
-		case s.tasks <- t:
-		default:
-			s.rejectedBusy.Add(1)
-			w.Header().Set("Retry-After", "1")
-			errorJSON(w, http.StatusTooManyRequests, "query queue is full")
-			return
-		}
-		select {
-		case <-t.done:
-		case <-ctx.Done():
-			if !t.state.CompareAndSwap(taskQueued, taskAbandoned) {
-				<-t.done
-			}
-		}
-		if !t.ran {
-			// Never reached the tree: nothing was logged, so "canceled" is an
-			// honest answer — the write is guaranteed absent.
-			merr = fmt.Errorf("%w: %w", core.ErrCanceled, context.Cause(ctx))
-		}
-
 		resp := mutateResponse{Op: op, ID: *req.ID}
 		status := http.StatusOK
 		switch {
@@ -543,21 +500,21 @@ func (s *Server) handleMutate(op string) http.HandlerFunc {
 }
 
 // planQuery resolves a validated request into a closure executing the
-// operation, surfacing parse/config errors before admission.
-func (s *Server) planQuery(op string, req Request) (func(context.Context) (response, core.QueryStats, error), error) {
+// operation into resp and qs, surfacing parse/config errors before admission.
+func (s *Server) planQuery(op string, req Request, resp *response, qs *core.QueryStats) (func(context.Context) error, error) {
 	if op == core.OpJoin {
 		if err := s.tree.CanJoin(); err != nil {
 			return nil, badf("%s", err)
 		}
 		eps := *req.Eps
-		return func(ctx context.Context) (response, core.QueryStats, error) {
-			pairs, qs, err := s.tree.SelfJoinWithStatsCtx(ctx, eps)
-			var resp response
+		return func(ctx context.Context) error {
+			pairs, st, err := s.tree.SelfJoinWithStatsCtx(ctx, eps)
+			*qs = st
 			resp.Pairs = make([]pairJSON, len(pairs))
 			for i, p := range pairs {
 				resp.Pairs[i] = pairJSON{QID: p.QID, OID: p.OID, Dist: p.Dist}
 			}
-			return resp, qs, err
+			return err
 		}, nil
 	}
 	if s.parse == nil {
@@ -568,18 +525,18 @@ func (s *Server) planQuery(op string, req Request) (func(context.Context) (respo
 		return nil, err
 	}
 	cq := req.coreQuery(op, q)
-	return func(ctx context.Context) (response, core.QueryStats, error) {
-		results, qs, qerr := s.tree.Query(ctx, cq)
+	return func(ctx context.Context) error {
+		results, st, qerr := s.tree.Query(ctx, cq)
 		if cq.Op == core.OpKNNGraph && errors.Is(qerr, core.ErrNoGraph) {
 			// mode=ann is never an error just because no graph was built.
-			results, qs, qerr = s.tree.Query(ctx, cq.Exact())
+			results, st, qerr = s.tree.Query(ctx, cq.Exact())
 		}
-		var resp response
+		*qs = st
 		resp.Results = make([]resultJSON, len(results))
 		for i, res := range results {
 			resp.Results[i] = resultJSON{ID: res.Object.ID(), Dist: res.Dist, Exact: res.Exact}
 		}
-		return resp, qs, qerr
+		return qerr
 	}, nil
 }
 

@@ -451,13 +451,15 @@ func (l *Log) commit(batch []*appendReq) {
 		l.syncs.Add(1)
 	}
 	l.size += int64(len(buf))
+	// Count before acknowledging: a caller that reads Stats right after its
+	// append returns must find it counted.
+	l.appends.Add(int64(len(batch)))
+	l.batches.Add(1)
 	for _, r := range batch {
 		r.lsn = l.nextLSN
 		l.nextLSN++
 		close(r.done)
 	}
-	l.appends.Add(int64(len(batch)))
-	l.batches.Add(1)
 }
 
 // rollbackLocked truncates the active segment back to size after a failed

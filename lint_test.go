@@ -9,6 +9,9 @@ package spbtree
 //   - TestMarkdownLinks: every relative link in the repo's markdown files
 //     points at a file or directory that exists.
 //
+//   - TestReadmeArchitectureTable: README's Architecture table names every
+//     directory under internal/ and none that does not exist.
+//
 // Two repository-hygiene lints ride along: TestNoTrackedBinaries (no build
 // output is committed) and TestWorkflowRunPatterns (every test CI names
 // exists).
@@ -327,6 +330,51 @@ func TestNoTrackedBinaries(t *testing.T) {
 		if n == 4 && string(magic[:]) == "\x7fELF" {
 			t.Errorf("%s is a tracked ELF binary; build it, do not commit it (see .gitignore)", name)
 		}
+	}
+}
+
+// readmeInternalPkg matches an `internal/<name>` in a README table cell.
+var readmeInternalPkg = regexp.MustCompile("`internal/(\\w+)`")
+
+// TestReadmeArchitectureTable keeps README's Architecture table in step with
+// the tree: every directory under internal/ has a row naming it, and every
+// `internal/...` a row names exists — so deleting, adding or renaming a
+// package cannot leave the table stale.
+func TestReadmeArchitectureTable(t *testing.T) {
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(data), "\n## Architecture\n")
+	if !ok {
+		t.Fatal("README.md has no Architecture section")
+	}
+	section, _, _ := strings.Cut(rest, "\n## ")
+	named := make(map[string]bool)
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		cells := strings.Split(line, "|")
+		for _, m := range readmeInternalPkg.FindAllStringSubmatch(cells[1], -1) {
+			named[m[1]] = true
+		}
+	}
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		if !named[d.Name()] {
+			t.Errorf("README.md: Architecture table has no row for internal/%s", d.Name())
+		}
+		delete(named, d.Name())
+	}
+	for name := range named {
+		t.Errorf("README.md: Architecture table names internal/%s, which does not exist", name)
 	}
 }
 
