@@ -90,7 +90,8 @@ func (t *Tree) deltaEntriesSorted() []deltaEntry {
 // baseHasLocked reports whether the base tree indexes an object with this
 // SFC key and ID, by the same leaf scan Delete uses. Callers hold t.mu.
 func (t *Tree) baseHasLocked(key, id uint64) (bool, error) {
-	for c := t.bpt.Seek(key); c.Valid() && c.Key() == key; c.Next() {
+	c := t.bpt.Seek(key)
+	for ; c.Valid() && c.Key() == key; c.Next() {
 		obj, err := t.raf.Read(c.Val())
 		if err != nil {
 			return false, err
@@ -99,10 +100,7 @@ func (t *Tree) baseHasLocked(key, id uint64) (bool, error) {
 			return true, nil
 		}
 	}
-	if c := t.bpt.Seek(key); c.Err() != nil {
-		return false, c.Err()
-	}
-	return false, nil
+	return false, c.Err()
 }
 
 // applyInsertLocked folds one durable insert into the write buffer and

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"spbtree/internal/bptree"
 	"spbtree/internal/metric"
 	"spbtree/internal/page"
 	"spbtree/internal/sfc"
+	"spbtree/internal/wal"
 )
 
 // faultyTree builds a tree whose stores sit on FaultStores *below* the
@@ -166,6 +169,184 @@ func TestJoinSurfacesCorruptionWithPartialPairs(t *testing.T) {
 	if len(partial) >= len(full) {
 		t.Fatalf("join over corrupt store returned %d pairs, healthy join %d", len(partial), len(full))
 	}
+}
+
+// TestFullScansSurfaceLeafReadFaults: Rebuild, CompactNow, BuildGraph and
+// CalibrateEf each walk the whole leaf chain. A read fault on a leaf past the
+// first must fail the call with that fault instead of letting it act on the
+// prefix read so far: once the medium heals, the tree's size, its exact and
+// graph answers and its graph are what they were before the call.
+func TestFullScansSurfaceLeafReadFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*Tree) error
+	}{
+		{"Rebuild", func(tree *Tree) error { return tree.Rebuild(nil, nil) }},
+		{"CompactNow", func(tree *Tree) error { return tree.CompactNow() }},
+		{"BuildGraph", func(tree *Tree) error { return tree.BuildGraph(GraphOptions{Seed: 5}) }},
+		{"CalibrateEf", func(tree *Tree) error { _, err := tree.CalibrateEf(0.9, 16); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tree, idxFault, _, objs, _ := faultyTree(t, 1200)
+			defer tree.Close()
+			if tc.name == "CompactNow" {
+				// Arm the durable write path in place and buffer one insert,
+				// so compaction has a delta to fold.
+				dir := t.TempDir()
+				log, err := wal.Open(filepath.Join(dir, WALDir), wal.Options{NoSync: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tree.attachDurable(dir, 1, 0, log, DurableOptions{CompactThreshold: -1, NoSync: true})
+				extra := vectorSet(1, 5, 77)[0].(*metric.Vector)
+				extra.Id = 100000
+				if err := tree.Insert(extra); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tree.BuildGraph(GraphOptions{Seed: 3}); err != nil {
+				t.Fatal(err)
+			}
+			answers := func() []Result {
+				t.Helper()
+				var all []Result
+				for _, op := range []string{OpKNN, OpKNNGraph} {
+					for _, q := range objs[:5] {
+						res, _, err := tree.Query(context.Background(), Query{Op: op, Q: q, K: 8})
+						if err != nil {
+							t.Fatal(err)
+						}
+						all = append(all, res...)
+					}
+				}
+				return all
+			}
+			wantLen, wantAnswers := tree.Len(), answers()
+
+			// Caching is off, so every leaf read reaches the faulty store.
+			second, _ := nextLeaf(t, tree, 0)
+			idxFault.FailPage(second, page.OpRead)
+			if err := tc.run(tree); !errors.Is(err, page.ErrInjected) {
+				t.Fatalf("err = %v, want the injected leaf fault", err)
+			}
+			idxFault.ClearPageFaults()
+
+			if got := tree.Len(); got != wantLen {
+				t.Fatalf("Len = %d after the failed call, want %d", got, wantLen)
+			}
+			if !tree.HasGraph() {
+				t.Fatal("the failed call dropped the graph")
+			}
+			if tree.EfCurve() != nil {
+				t.Fatal("the failed call stored an ef calibration")
+			}
+			got := answers()
+			if len(got) != len(wantAnswers) {
+				t.Fatalf("%d answers after the failed call, want %d", len(got), len(wantAnswers))
+			}
+			for i := range got {
+				if got[i].Object.ID() != wantAnswers[i].Object.ID() || got[i].Dist != wantAnswers[i].Dist {
+					t.Fatalf("answer %d changed: (%d, %v), want (%d, %v)", i,
+						got[i].Object.ID(), got[i].Dist, wantAnswers[i].Object.ID(), wantAnswers[i].Dist)
+				}
+			}
+		})
+	}
+}
+
+// TestKeyRunScansSurfaceLeafReadFaults: Get, Delete and the durable Delete's
+// base lookup scan the run of entries sharing one SFC key. When that run
+// continues into a leaf that fails to read, each must return the fault, not
+// ErrNotFound, and leave the tree's size as it was.
+func TestKeyRunScansSurfaceLeafReadFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		durable bool
+		run     func(*Tree, metric.Object) error
+	}{
+		{"Get", false, func(tree *Tree, o metric.Object) error { _, err := tree.Get(o); return err }},
+		{"Delete", false, func(tree *Tree, o metric.Object) error { return tree.Delete(o) }},
+		{"DurableDelete", true, func(tree *Tree, o metric.Object) error { return tree.Delete(o) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// 600 copies of one vector share one key, a run longer than a leaf.
+			objs := vectorSet(300, 5, 11)
+			twin := objs[0].(*metric.Vector).Coords
+			for i := 0; i < 600; i++ {
+				objs = append(objs, metric.NewVector(uint64(10000+i), twin))
+			}
+			idxFault := page.NewFaultStore(page.NewMemStore(), -1)
+			tree, err := Build(objs, Options{
+				Distance: metric.L2(5), Codec: metric.VectorCodec{Dim: 5},
+				IndexStore: idxFault, CacheSize: -1, Seed: 7,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tree.Close()
+			if tc.durable {
+				dir := t.TempDir()
+				log, err := wal.Open(filepath.Join(dir, WALDir), wal.Options{NoSync: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tree.attachDurable(dir, 1, 0, log, DurableOptions{CompactThreshold: -1, NoSync: true})
+			}
+			// An absent ID with the twins' key: only the whole run can rule it out.
+			absent := metric.NewVector(20000, twin)
+			vec := make([]float64, len(tree.pivots))
+			tree.phi(absent, vec)
+			cells := make(sfc.Point, len(vec))
+			tree.cells(vec, cells)
+			key := tree.curve.Encode(cells)
+			next, last := nextLeaf(t, tree, key)
+			if last != key {
+				t.Fatal("the twins' run ends in the leaf it starts in")
+			}
+			wantLen := tree.Len()
+
+			idxFault.FailPage(next, page.OpRead)
+			if err := tc.run(tree, absent); !errors.Is(err, page.ErrInjected) {
+				t.Fatalf("err = %v, want the injected leaf fault", err)
+			}
+			idxFault.ClearPageFaults()
+			if got := tree.Len(); got != wantLen {
+				t.Fatalf("Len = %d after the failed call, want %d", got, wantLen)
+			}
+			if err := tc.run(tree, absent); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("after heal: err = %v, want ErrNotFound", err)
+			}
+		})
+	}
+}
+
+// nextLeaf returns the page of the leaf a cursor from Seek(key) crosses into
+// first, and the last key of the leaf that cursor starts on.
+func nextLeaf(t *testing.T, tree *Tree, key uint64) (page.ID, uint64) {
+	t.Helper()
+	var (
+		next  page.ID
+		last  uint64
+		found bool
+	)
+	err := tree.bpt.Walk(func(_ int, _ bptree.NodeRef, n *bptree.Node) error {
+		// Walk visits children in order, so leaves come in chain order.
+		if !n.Leaf || found || len(n.Keys) == 0 || n.Keys[len(n.Keys)-1] < key {
+			return nil
+		}
+		if !n.HasNext() {
+			return errors.New("the cursor starts on the last leaf")
+		}
+		next, last, found = n.Next, n.Keys[len(n.Keys)-1], true
+		return nil
+	})
+	if err == nil && !found {
+		err = errors.New("no leaf holds the key")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return next, last
 }
 
 func TestBuildSurfacesProbabilisticFaults(t *testing.T) {

@@ -433,7 +433,8 @@ func (d *durableState) compactOnce(t *Tree) error {
 		}
 	}
 	var live []keyed
-	for c := t.bpt.SeekFirst(); c.Valid(); c.Next() {
+	c := t.bpt.SeekFirst()
+	for ; c.Valid(); c.Next() {
 		obj, err := t.raf.Read(c.Val())
 		if err != nil {
 			snapDone()
@@ -444,8 +445,7 @@ func (d *durableState) compactOnce(t *Tree) error {
 		}
 		live = append(live, keyed{key: c.Key(), obj: obj})
 	}
-	if c := t.bpt.SeekFirst(); c.Err() != nil {
-		err := c.Err()
+	if err := c.Err(); err != nil {
 		snapDone()
 		return err
 	}

@@ -44,10 +44,6 @@ type GraphOptions struct {
 	Delta float64
 	// Entries is the number of fixed beam-search entry points.
 	Entries int
-	// Workers is the number of goroutines evaluating construction distances;
-	// 0 or 1 builds on the calling goroutine. The built graph is identical
-	// for every worker count.
-	Workers int
 	// Seed seeds the construction sampling; 0 means 1.
 	Seed int64
 }
@@ -125,9 +121,10 @@ func (t *Tree) BuildGraph(opts GraphOptions) error {
 // buffer into a new base (which invalidates the graph; rebuild it after).
 // Non-durable Insert/Delete and Rebuild invalidate the graph immediately.
 //
-// Construction distances are evaluated through the tree's counted metric —
-// threshold-aware when the metric has a bounded kernel — so the lifetime
-// compdists counter covers construction cost.
+// Construction runs on runtime.GOMAXPROCS(0) goroutines and builds the same
+// graph at any setting. Its distances are evaluated through the tree's
+// counted metric — threshold-aware when the metric has a bounded kernel — so
+// the lifetime compdists counter covers construction cost.
 func (t *Tree) BuildGraphCtx(ctx context.Context, opts GraphOptions) error {
 	t.mu.RLock()
 	if t.closed {
@@ -142,7 +139,8 @@ func (t *Tree) BuildGraphCtx(ctx context.Context, opts GraphOptions) error {
 		offs []uint64
 		objs []metric.Object
 	)
-	for c := t.bpt.SeekFirst(); c.Valid(); c.Next() {
+	c := t.bpt.SeekFirst()
+	for ; c.Valid(); c.Next() {
 		obj, err := t.raf.Read(c.Val())
 		if err != nil {
 			t.mu.RUnlock()
@@ -155,15 +153,14 @@ func (t *Tree) BuildGraphCtx(ctx context.Context, opts GraphOptions) error {
 		offs = append(offs, c.Val())
 		objs = append(objs, obj)
 	}
-	if c := t.bpt.SeekFirst(); c.Err() != nil {
-		t.mu.RUnlock()
-		return c.Err()
-	}
 	t.mu.RUnlock()
+	if err := c.Err(); err != nil {
+		return err
+	}
 
 	gopts := graph.Options{
 		K: opts.K, Rho: opts.Rho, MaxIters: opts.MaxIters, Delta: opts.Delta,
-		Entries: opts.Entries, Workers: opts.Workers, Seed: opts.Seed,
+		Entries: opts.Entries, Seed: opts.Seed,
 	}
 	dist := func(i, j int, thr float64) (float64, bool) {
 		return t.dist.DistanceAtMost(objs[i], objs[j], thr)
@@ -445,7 +442,8 @@ func (t *Tree) CalibrateEfCtx(ctx context.Context, target float64, sample int) (
 			stride = 1
 		}
 		i := 0
-		for c := t.bpt.SeekFirst(); c.Valid() && len(queries) < sample; c.Next() {
+		c := t.bpt.SeekFirst()
+		for ; c.Valid() && len(queries) < sample; c.Next() {
 			if i%stride == 0 {
 				obj, err := t.raf.Read(c.Val())
 				if err != nil {
@@ -457,6 +455,10 @@ func (t *Tree) CalibrateEfCtx(ctx context.Context, target float64, sample int) (
 				}
 			}
 			i++
+		}
+		if err := c.Err(); err != nil {
+			t.mu.RUnlock()
+			return 0, err
 		}
 	}
 	t.mu.RUnlock()

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -192,53 +193,71 @@ func TestGraphInvalidationOnMutation(t *testing.T) {
 	check("after Rebuild", false)
 }
 
-// TestGraphBuildDeterministic: the same seed yields the same graph — and
-// byte-identical query answers — for every construction worker count.
+// graphBuildGoldens froze, for BuildGraph(GraphOptions{Seed: 1}) on a tree
+// built with Seed 1 over 3 000 seeded objects, the distance computations the
+// build charged to the tree's counter and the golden row of 20 OpKNNGraph
+// queries (k = 10, default ef) over the dataset's first objects. They were
+// recorded from the single-goroutine build, before construction fanned out.
+var graphBuildGoldens = []struct {
+	dataset string
+	build   int64
+	knn     golden
+}{
+	{"color32", 943710, golden{Hash: 0x89866ee0f7ae94ba, Verified: 5492, Compdists: 5592, Abandoned: 2468, Discarded: 5292, Results: 200}},
+	{"words", 1626528, golden{Hash: 0x97f8fb8d70976826, Verified: 15404, Compdists: 15504, Abandoned: 10580, Discarded: 15204, Results: 200}},
+	// TrigramAngular compares one decoded *Seq on several goroutines at once.
+	{"dna", 678089, golden{Hash: 0xeaeadc79558a2a20, Verified: 3788, Compdists: 3888, Discarded: 3588, Results: 200}},
+}
+
+// TestGraphBuildDeterministic: whatever GOMAXPROCS construction runs at, it
+// charges the frozen compdists and yields a graph whose answers — and their
+// counters — are the frozen ones.
 func TestGraphBuildDeterministic(t *testing.T) {
-	objs := vectorSet(600, 6, 15)
-	build := func(workers int) ([]Result, *Tree) {
-		tree, err := Build(objs, Options{
-			Distance: metric.L2(6), Codec: metric.VectorCodec{Dim: 6},
-			NumPivots: 3, Seed: 15,
-		})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, gc := range graphBuildGoldens {
+		ds, _ := dataset.ByName(gc.dataset, 3000, 1)
+		tree, err := Build(ds.Objects, Options{Distance: ds.Distance, Codec: ds.Codec, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tree.BuildGraph(GraphOptions{Seed: 15, Workers: workers}); err != nil {
-			t.Fatal(err)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			before := tree.dist.Count()
+			if err := tree.BuildGraph(GraphOptions{Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+			charged := tree.dist.Count() - before
+			var got golden
+			for _, q := range ds.Queries(20) {
+				res, qs, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: q, K: 10})
+				got.add(res, qs, err)
+			}
+			if charged != gc.build || got != gc.knn {
+				t.Errorf("%s at GOMAXPROCS %d: build charged %d compdists, answers %+v; want %d, %+v",
+					gc.dataset, procs, charged, got, gc.build, gc.knn)
+			}
 		}
-		res, _, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: objs[5], K: 8, Search: SearchOptions{Ef: 48}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, tree
-	}
-	serial, t1 := build(1)
-	defer t1.Close()
-	parallel, t2 := build(4)
-	defer t2.Close()
-	if len(serial) != len(parallel) {
-		t.Fatalf("result counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i].Dist != parallel[i].Dist || serial[i].Object.ID() != parallel[i].Object.ID() {
-			t.Fatalf("result %d differs across worker counts: %v vs %v", i, serial[i], parallel[i])
-		}
-	}
-	// Repeated searches on one graph are deterministic too.
-	again, _, err := t1.Query(context.Background(), Query{Op: OpKNNGraph, Q: objs[5], K: 8, Search: SearchOptions{Ef: 48}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i].Dist != again[i].Dist || serial[i].Object.ID() != again[i].Object.ID() {
-			t.Fatalf("repeated search differs at %d", i)
-		}
+		tree.Close()
 	}
 }
 
+// countdownDist cancels a context at its N-th Distance call once armed.
+type countdownDist struct {
+	metric.DistanceFunc
+	left   atomic.Int64 // calls until cancel; ≤ 0 disarms
+	cancel context.CancelFunc
+}
+
+func (c *countdownDist) Distance(a, b metric.Object) float64 {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.DistanceFunc.Distance(a, b)
+}
+
 // TestGraphCtxCanceled: the graph entry points honor the typed cancellation
-// contract, and a canceled construction neither leaks goroutines nor leaves a
+// contract, and a canceled construction — by deadline, or canceled inside the
+// first local-join round — neither leaks goroutines nor leaves a
 // half-attached graph.
 func TestGraphCtxCanceled(t *testing.T) {
 	sd := &slowDist{DistanceFunc: metric.L2(4)}
@@ -253,7 +272,7 @@ func TestGraphCtxCanceled(t *testing.T) {
 	sd.delay.Store(int64(200 * time.Microsecond))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	err = tree.BuildGraphCtx(ctx, GraphOptions{Workers: 4})
+	err = tree.BuildGraphCtx(ctx, GraphOptions{})
 	sd.delay.Store(0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("BuildGraphCtx err = %v, want DeadlineExceeded", err)
@@ -261,13 +280,27 @@ func TestGraphCtxCanceled(t *testing.T) {
 	if tree.HasGraph() {
 		t.Fatal("canceled build attached a graph")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	waitGoroutines(t, before)
+
+	// The random initialization evaluates at most n·K pairs, so call
+	// n·K + 500 falls in the first local-join round.
+	cd := &countdownDist{DistanceFunc: metric.L2(4)}
+	joinTree, err := Build(objs, Options{Distance: cd, Codec: metric.VectorCodec{Dim: 4}, NumPivots: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if g := runtime.NumGoroutine(); g > before {
-		t.Fatalf("goroutines leaked by canceled build: %d > %d", g, before)
+	defer joinTree.Close()
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	cd.cancel = cancel
+	cd.left.Store(int64(len(objs)*16 + 500))
+	if err := joinTree.BuildGraphCtx(ctx, GraphOptions{K: 16}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("BuildGraphCtx canceled in the local join: err = %v, want context.Canceled", err)
 	}
+	if joinTree.HasGraph() {
+		t.Fatal("build canceled in the local join attached a graph")
+	}
+	waitGoroutines(t, before)
 
 	if err := tree.BuildGraph(GraphOptions{Seed: 3}); err != nil {
 		t.Fatal(err)
@@ -276,6 +309,19 @@ func TestGraphCtxCanceled(t *testing.T) {
 	cancelNow()
 	if _, _, err := tree.Query(canceled, Query{Op: OpKNNGraph, Q: objs[0], K: 5}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("graph query err = %v, want ErrCanceled", err)
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// before within five seconds.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Fatalf("goroutines leaked by canceled build: %d > %d", g, before)
 	}
 }
 

@@ -82,7 +82,8 @@ func (t *Tree) Delete(o metric.Object) error {
 	t.cells(vec, cells)
 	key := t.curve.Encode(cells)
 
-	for c := t.bpt.Seek(key); c.Valid() && c.Key() == key; c.Next() {
+	c := t.bpt.Seek(key)
+	for ; c.Valid() && c.Key() == key; c.Next() {
 		obj, err := t.raf.Read(c.Val())
 		if err != nil {
 			return err
@@ -102,8 +103,8 @@ func (t *Tree) Delete(o metric.Object) error {
 			return nil
 		}
 	}
-	if c := t.bpt.Seek(key); c.Err() != nil {
-		return c.Err()
+	if err := c.Err(); err != nil {
+		return err
 	}
 	return fmt.Errorf("%w: id %d", ErrNotFound, o.ID())
 }
@@ -135,7 +136,8 @@ func (t *Tree) Get(o metric.Object) (metric.Object, error) {
 			return nil, fmt.Errorf("%w: id %d", ErrNotFound, o.ID())
 		}
 	}
-	for c := t.bpt.Seek(key); c.Valid() && c.Key() == key; c.Next() {
+	c := t.bpt.Seek(key)
+	for ; c.Valid() && c.Key() == key; c.Next() {
 		obj, err := t.raf.Read(c.Val())
 		if err != nil {
 			return nil, err
@@ -143,6 +145,9 @@ func (t *Tree) Get(o metric.Object) (metric.Object, error) {
 		if obj.ID() == o.ID() {
 			return obj, nil
 		}
+	}
+	if err := c.Err(); err != nil {
+		return nil, err
 	}
 	return nil, fmt.Errorf("%w: id %d", ErrNotFound, o.ID())
 }

@@ -36,15 +36,16 @@ func (t *Tree) Rebuild(indexStore, dataStore page.Store) error {
 	}
 	// Collect live entries in key order from the leaf chain.
 	var live []keyed
-	for c := t.bpt.SeekFirst(); c.Valid(); c.Next() {
+	c := t.bpt.SeekFirst()
+	for ; c.Valid(); c.Next() {
 		obj, err := t.raf.Read(c.Val())
 		if err != nil {
 			return err
 		}
 		live = append(live, keyed{key: c.Key(), obj: obj})
 	}
-	if c := t.bpt.SeekFirst(); c.Err() != nil {
-		return c.Err()
+	if err := c.Err(); err != nil {
+		return err
 	}
 	sub, err := bulkLoad(indexStore, dataStore, t.idxCache.Capacity(), t.dataCache.Capacity(), t.curve, t.codec, live)
 	if err != nil {

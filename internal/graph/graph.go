@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -52,11 +54,6 @@ type Options struct {
 	// cluster), and a beam search can only ever reach components it starts
 	// in, so full coverage is a correctness matter, not a tuning knob.
 	Entries int
-	// Workers is the number of goroutines evaluating candidate distances; 0
-	// or 1 is serial. Results are identical for every worker count: pair
-	// generation and update application stay sequential, only the pure
-	// distance evaluations fan out.
-	Workers int
 	// Seed seeds the sampling; 0 means 1.
 	Seed int64
 }
@@ -186,11 +183,18 @@ func nbrLess(a, b nbr) bool {
 	return a.idx < b.idx
 }
 
-// Build runs NN-descent over n nodes. The distance callback must be safe for
-// concurrent use when opts.Workers > 1. On ctx cancellation Build returns
-// nil and the context's error once every worker has exited — construction is
+// Build runs NN-descent over n nodes, fanning the phases that can be split
+// out over runtime.GOMAXPROCS(0) goroutines; the distance callback must be
+// safe for concurrent use. The graph, and the set of distance calls made, is
+// the same for every core count. On ctx cancellation Build returns nil and
+// the context's error once every worker has exited — construction is
 // all-or-nothing.
 func Build(ctx context.Context, n int, dist DistAtMost, opts Options) (*Graph, error) {
+	return build(ctx, n, dist, opts, runtime.GOMAXPROCS(0))
+}
+
+// build is Build on a given number of workers.
+func build(ctx context.Context, n int, dist DistAtMost, opts Options, workers int) (*Graph, error) {
 	opts = opts.withDefaults()
 	k := opts.K
 	if k > n-1 {
@@ -209,10 +213,11 @@ func Build(ctx context.Context, n int, dist DistAtMost, opts Options) (*Graph, e
 		return g, nil
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	b := &builder{n: n, k: k, dist: dist, workers: opts.Workers, lists: make([][]nbr, n)}
+	b := &builder{n: n, k: k, dist: dist, workers: workers, lists: make([][]nbr, n)}
 
-	// Random initialization: k distinct neighbors per node, evaluated with no
-	// threshold so every initial entry carries an exact distance.
+	// Random initialization: k distinct neighbors per node. Every list is
+	// still empty, so every threshold is +Inf and every initial entry carries
+	// an exact distance.
 	var pairs []uint64
 	seen := make(map[int32]struct{}, k)
 	for v := 0; v < n; v++ {
@@ -229,7 +234,8 @@ func Build(ctx context.Context, n int, dist DistAtMost, opts Options) (*Graph, e
 			pairs = append(pairs, pairKey(int32(v), u))
 		}
 	}
-	if _, err := b.joinPairs(ctx, dedupPairs(pairs), true); err != nil {
+	b.pairs = pairs
+	if _, err := b.join(ctx); err != nil {
 		return nil, err
 	}
 
@@ -241,8 +247,8 @@ func Build(ctx context.Context, n int, dist DistAtMost, opts Options) (*Graph, e
 	}
 	budget := int(opts.Delta * float64(k) * float64(n))
 	for iter := 0; iter < opts.MaxIters; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("graph: build canceled: %w", context.Cause(ctx))
+		if ctx.Err() != nil {
+			return nil, buildCanceled(ctx)
 		}
 		updates, err := b.iterate(ctx, rng, s)
 		if err != nil {
@@ -337,12 +343,65 @@ func coverComponents(g *Graph, entries []int32) []int32 {
 	return append(entries, missing...)
 }
 
-// builder is the NN-descent working state.
+// builder is the NN-descent working state. The round buffers below it grow
+// to the largest round and are reused by every later one; they die with the
+// builder when Build returns.
 type builder struct {
 	n, k    int
 	dist    DistAtMost
 	workers int
 	lists   [][]nbr
+
+	pairs  []uint64  // the round's candidate pairs; dedup sorts and uniques them
+	sorted []uint64  // dedup's bucket-sorted copy of pairs
+	bucket []int     // bucket[v] is where pairs with smaller endpoint v start in sorted; n+1 entries
+	next   []int     // next[v] is where bucket v's filled part ends in sorted
+	thr    []float64 // worst(v) for every node, as the round began
+	ds     []float64 // join's distance for each pair
+	within []bool    // whether the pair was evaluated and came within its threshold
+}
+
+// grain is the least number of items a goroutine is handed: below it,
+// starting the goroutine costs more than the work saves.
+const grain = 256
+
+// buildCanceled is the error every canceled construction phase returns.
+func buildCanceled(ctx context.Context) error {
+	return fmt.Errorf("graph: build canceled: %w", context.Cause(ctx))
+}
+
+// fanOut splits [0, total) into at most b.workers contiguous chunks of at
+// least grain items, runs fn on each on its own goroutine, and returns once
+// every chunk has, with the first error in chunk order. The chunks must
+// write disjoint state, so the result cannot depend on the split.
+func (b *builder) fanOut(ctx context.Context, total int, fn func(lo, hi int) error) error {
+	w := min(b.workers, total/grain)
+	if w <= 1 {
+		if ctx.Err() != nil {
+			return buildCanceled(ctx)
+		}
+		return fn(0, total)
+	}
+	errs := make([]error, w)
+	var wg sync.WaitGroup
+	for j := 0; j < w; j++ {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			if ctx.Err() != nil {
+				errs[j] = buildCanceled(ctx)
+				return
+			}
+			errs[j] = fn(j*total/w, (j+1)*total/w)
+		}(j)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // worst returns node v's current k-th neighbor distance (+Inf while the list
@@ -403,102 +462,112 @@ func pairKey(a, b int32) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
-// dedupPairs sorts and uniques a packed pair list in place.
-func dedupPairs(pairs []uint64) []uint64 {
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
-	out := pairs[:0]
-	for i, p := range pairs {
-		if i == 0 || p != pairs[i-1] {
-			out = append(out, p)
-		}
+// resize returns buf with length n, reusing its array when it is big enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	return out
+	return buf[:n]
 }
 
-// joinPairs evaluates a deduplicated pair list — in parallel when configured
-// — and applies the updates sequentially in list order, so the result is
-// independent of the worker count. It returns how many neighbor-list
-// insertions the pairs caused. When init is true every pair is evaluated
-// exactly (no threshold), for the random initialization.
-func (b *builder) joinPairs(ctx context.Context, pairs []uint64, init bool) (int, error) {
-	if len(pairs) == 0 {
-		return 0, nil
+// dedup sorts b.pairs ascending and drops repeats. A counting sort on the
+// smaller endpoint (a pair's high word) scatters the list into n buckets,
+// the buckets are sorted and uniqued in parallel, and the unique runs are
+// packed back into b.pairs in bucket order. It is the same order one
+// slices.Sort of the whole list gives, but that sort is serial and made
+// construction about a third slower (DESIGN.md §14.1).
+func (b *builder) dedup(ctx context.Context) error {
+	n, pairs := b.n, b.pairs
+	b.bucket = resize(b.bucket, n+1)
+	clear(b.bucket)
+	for _, p := range pairs {
+		b.bucket[p>>32+1]++
 	}
-	thrs := make([]float64, len(pairs))
-	for i, p := range pairs {
-		u, v := int32(p>>32), int32(uint32(p))
-		if !init && b.contains(u, v) {
-			thrs[i] = -1 // distance already known; skip the evaluation
-			continue
-		}
-		if init {
-			thrs[i] = math.Inf(1)
-			continue
-		}
-		// An insertion into either list only happens below that list's worst;
-		// past max(worst_u, worst_v) the pair cannot update anything.
-		thrs[i] = math.Max(b.worst(u), b.worst(v))
+	for v := 0; v < n; v++ {
+		b.bucket[v+1] += b.bucket[v]
 	}
-
-	ds := make([]float64, len(pairs))
-	within := make([]bool, len(pairs))
-	eval := func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if i%256 == 0 {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("graph: build canceled: %w", context.Cause(ctx))
-				}
-			}
-			if thrs[i] < 0 {
-				continue
-			}
-			u, v := int32(pairs[i]>>32), int32(uint32(pairs[i]))
-			ds[i], within[i] = b.dist(int(u), int(v), thrs[i])
+	// next[v] serves as bucket v's scatter cursor, then marks the end of its
+	// unique run.
+	b.next = append(b.next[:0], b.bucket[:n]...)
+	b.sorted = resize(b.sorted, len(pairs))
+	for _, p := range pairs {
+		v := p >> 32
+		b.sorted[b.next[v]] = p
+		b.next[v]++
+	}
+	err := b.fanOut(ctx, len(pairs), func(lo, hi int) error {
+		// A chunk takes the buckets starting inside it, so none is split.
+		for v := sort.SearchInts(b.bucket[:n], lo); v < n && b.bucket[v] < hi; v++ {
+			run := b.sorted[b.bucket[v]:b.next[v]]
+			slices.Sort(run)
+			b.next[v] = b.bucket[v] + len(slices.Compact(run))
 		}
 		return nil
+	})
+	if err != nil {
+		return err
 	}
-	w := b.workers
-	if w > len(pairs)/256 {
-		w = len(pairs) / 256 // not worth fanning out tiny chunks
+	pairs = pairs[:0]
+	for v := 0; v < n; v++ {
+		pairs = append(pairs, b.sorted[b.bucket[v]:b.next[v]]...)
 	}
-	if w <= 1 {
-		if err := eval(0, len(pairs)); err != nil {
-			return 0, err
+	b.pairs = pairs
+	return nil
+}
+
+// join deduplicates the round's pairs, evaluates them in parallel, and
+// applies the updates serially in ascending pair order, returning how many
+// neighbor-list insertions they made. A pair already adjacent is skipped; any
+// other is evaluated against max(worst(u), worst(v)) as the round began —
+// an insertion into either list only happens below that list's worst, so
+// past it the pair cannot update anything. Thresholds are snapshotted before
+// any update of the round is applied and updates are applied in one fixed
+// order, so the result is independent of the worker count.
+func (b *builder) join(ctx context.Context) (int, error) {
+	if err := b.dedup(ctx); err != nil {
+		return 0, err
+	}
+	pairs := b.pairs
+	b.thr = resize(b.thr, b.n)
+	err := b.fanOut(ctx, b.n, func(lo, hi int) error {
+		for v := lo; v < hi; v++ {
+			b.thr[v] = b.worst(int32(v))
 		}
-	} else {
-		var wg sync.WaitGroup
-		errs := make([]error, w)
-		chunk := (len(pairs) + w - 1) / w
-		for j := 0; j < w; j++ {
-			lo := j * chunk
-			hi := lo + chunk
-			if hi > len(pairs) {
-				hi = len(pairs)
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	b.ds = resize(b.ds, len(pairs))
+	b.within = resize(b.within, len(pairs))
+	err = b.fanOut(ctx, len(pairs), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			if i%grain == 0 && ctx.Err() != nil {
+				return buildCanceled(ctx)
 			}
-			wg.Add(1)
-			go func(j, lo, hi int) {
-				defer wg.Done()
-				errs[j] = eval(lo, hi)
-			}(j, lo, hi)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return 0, err
+			u, v := int32(pairs[i]>>32), int32(uint32(pairs[i]))
+			if b.contains(u, v) {
+				b.within[i] = false
+				continue
 			}
+			b.ds[i], b.within[i] = b.dist(int(u), int(v), math.Max(b.thr[u], b.thr[v]))
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 
 	updates := 0
 	for i, p := range pairs {
-		if thrs[i] < 0 || !within[i] {
+		if !b.within[i] {
 			continue
 		}
 		u, v := int32(p>>32), int32(uint32(p))
-		if b.insert(u, v, ds[i]) {
+		if b.insert(u, v, b.ds[i]) {
 			updates++
 		}
-		if b.insert(v, u, ds[i]) {
+		if b.insert(v, u, b.ds[i]) {
 			updates++
 		}
 	}
@@ -544,7 +613,7 @@ func (b *builder) iterate(ctx context.Context, rng *rand.Rand, s int) (int, erro
 		}
 	}
 
-	var pairs []uint64
+	pairs := b.pairs[:0]
 	var news, olds []int32
 	for v := 0; v < n; v++ {
 		news = append(news[:0], fwdNew[v]...)
@@ -564,7 +633,8 @@ func (b *builder) iterate(ctx context.Context, rng *rand.Rand, s int) (int, erro
 			}
 		}
 	}
-	return b.joinPairs(ctx, dedupPairs(pairs), false)
+	b.pairs = pairs
+	return b.join(ctx)
 }
 
 // appendSample appends up to s elements of src (sampled without replacement)

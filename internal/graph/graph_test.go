@@ -2,12 +2,15 @@ package graph
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -127,22 +130,42 @@ func TestSearchSortedAndDeduped(t *testing.T) {
 	}
 }
 
+// buildGoldens froze the single-goroutine NN-descent build before its
+// phases fanned out: the sha256 of Encode() and the number of distance calls
+// of a build over testPoints(2000, seed) with Options{K: k, Seed: seed}.
+var buildGoldens = []struct {
+	seed  int64
+	k     int
+	sha   string
+	calls int64
+}{
+	{seed: 1, k: 8, sha: "4bd36f26b2881b214a1795c03bdc0080251b7dcfaa5cdb169758187f924fb2a6", calls: 188409},
+	{seed: 1, k: 16, sha: "d743fe1eed67b5fc4961f6610d8f312d2e4b4e1289a78ad89a313b39d1652daf", calls: 392955},
+	{seed: 2, k: 8, sha: "2b3bb65bb9e2a994c0e354f0b523dad8fdc0443740d6949e76a6059a9b92addc", calls: 186421},
+	{seed: 2, k: 16, sha: "6c60828e5bed642b0aefe9a1782e0a99b7ab8c974ddee889efddee3a3b6660f4", calls: 391556},
+}
+
+// TestBuildDeterministicAcrossWorkers: at 1, 2 and 4 workers the build
+// encodes to the frozen bytes and makes the frozen number of distance calls.
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
-	const n = 400
-	_, dist := testPoints(n, 11)
-	var graphs []*Graph
-	for _, w := range []int{1, 4} {
-		g, err := Build(context.Background(), n, dist, Options{K: 8, Seed: 2, Workers: w})
-		if err != nil {
-			t.Fatal(err)
+	const n = 2000
+	for _, gc := range buildGoldens {
+		_, dist := testPoints(n, gc.seed)
+		for _, w := range []int{1, 2, 4} {
+			var calls atomic.Int64
+			counted := func(i, j int, thr float64) (float64, bool) {
+				calls.Add(1)
+				return dist(i, j, thr)
+			}
+			g, err := build(context.Background(), n, counted, Options{K: gc.k, Seed: gc.seed}, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sha := fmt.Sprintf("%x", sha256.Sum256(g.Encode())); sha != gc.sha || calls.Load() != gc.calls {
+				t.Errorf("seed %d, K %d, %d workers: sha256 %s after %d distance calls, want %s after %d",
+					gc.seed, gc.k, w, sha, calls.Load(), gc.sha, gc.calls)
+			}
 		}
-		graphs = append(graphs, g)
-	}
-	if !reflect.DeepEqual(graphs[0].Nbrs, graphs[1].Nbrs) {
-		t.Fatal("adjacency differs between 1 and 4 construction workers")
-	}
-	if !reflect.DeepEqual(graphs[0].Entries, graphs[1].Entries) {
-		t.Fatal("entry points differ between 1 and 4 construction workers")
 	}
 }
 
@@ -178,7 +201,7 @@ func TestBuildCancelNoLeak(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := Build(ctx, n, slow, Options{K: 16, Workers: 4})
+		_, err := build(ctx, n, slow, Options{K: 16}, 4)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -191,6 +214,39 @@ func TestBuildCancelNoLeak(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Build did not return after cancel")
 	}
+	checkNoLeak(t, before)
+}
+
+// TestBuildCancelInLocalJoin cancels at the N-th distance call with a finite
+// threshold. Initialization evaluates with +Inf only and leaves every list
+// full, so that call lies inside the first local-join round, while its pairs
+// are fanned out over the workers.
+func TestBuildCancelInLocalJoin(t *testing.T) {
+	const n, nth = 2000, 1000
+	_, dist := testPoints(n, 19)
+	for _, w := range []int{1, 2, 4} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		var joined atomic.Int64
+		cancelling := func(i, j int, thr float64) (float64, bool) {
+			if !math.IsInf(thr, 1) && joined.Add(1) == nth {
+				cancel()
+			}
+			return dist(i, j, thr)
+		}
+		g, err := build(ctx, n, cancelling, Options{K: 16, Seed: 3}, w)
+		cancel()
+		if !errors.Is(err, context.Canceled) || g != nil {
+			t.Fatalf("%d workers: Build = (%v, %v), want (nil, context.Canceled)", w, g, err)
+		}
+		checkNoLeak(t, before)
+	}
+}
+
+// checkNoLeak waits up to five seconds for the goroutine count to fall back
+// to before.
+func checkNoLeak(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

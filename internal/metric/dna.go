@@ -7,16 +7,21 @@ import (
 
 // Seq is a DNA sequence object over the alphabet {A, C, G, T}, used for the
 // DNA workload. Its tri-gram count profile (4^3 = 64 dimensions) is computed
-// once and cached, since every distance computation needs it.
+// once, when the object is made, since every distance computation needs it;
+// Distance only reads it, so one Seq may be compared on many goroutines.
 type Seq struct {
 	Id  uint64
 	S   string
-	pro *[64]float64 // lazily built tri-gram profile
-	nrm float64      // cached Euclidean norm of pro
+	pro *[64]float64 // tri-gram profile, set by NewSeq and SeqCodec.Decode
+	nrm float64      // Euclidean norm of pro
 }
 
 // NewSeq returns a DNA-sequence object.
-func NewSeq(id uint64, s string) *Seq { return &Seq{Id: id, S: s} }
+func NewSeq(id uint64, s string) *Seq {
+	q := &Seq{Id: id, S: s}
+	q.pro, q.nrm = trigramProfile(s)
+	return q
+}
 
 // ID returns the object identifier.
 func (s *Seq) ID() uint64 { return s.Id }
@@ -27,26 +32,32 @@ func (s *Seq) AppendBinary(dst []byte) []byte { return append(dst, s.S...) }
 // String implements fmt.Stringer.
 func (s *Seq) String() string { return fmt.Sprintf("Seq(%d, len=%d)", s.Id, len(s.S)) }
 
-// profile returns the cached tri-gram count vector and its norm.
+// profile returns the tri-gram count vector and its norm: the stored one, or,
+// for a Seq written as a bare literal, one computed afresh. It never writes s.
 func (s *Seq) profile() (*[64]float64, float64) {
 	if s.pro == nil {
-		var p [64]float64
-		for i := 0; i+3 <= len(s.S); i++ {
-			a, okA := baseIndex(s.S[i])
-			b, okB := baseIndex(s.S[i+1])
-			c, okC := baseIndex(s.S[i+2])
-			if okA && okB && okC {
-				p[a<<4|b<<2|c]++
-			}
-		}
-		var n float64
-		for _, v := range p {
-			n += v * v
-		}
-		s.pro = &p
-		s.nrm = math.Sqrt(n)
+		return trigramProfile(s.S)
 	}
 	return s.pro, s.nrm
+}
+
+// trigramProfile counts the tri-grams of s and returns them with their
+// Euclidean norm.
+func trigramProfile(s string) (*[64]float64, float64) {
+	var p [64]float64
+	for i := 0; i+3 <= len(s); i++ {
+		a, okA := baseIndex(s[i])
+		b, okB := baseIndex(s[i+1])
+		c, okC := baseIndex(s[i+2])
+		if okA && okB && okC {
+			p[a<<4|b<<2|c]++
+		}
+	}
+	var n float64
+	for _, v := range p {
+		n += v * v
+	}
+	return &p, math.Sqrt(n)
 }
 
 func baseIndex(c byte) (int, bool) {
@@ -68,7 +79,7 @@ type SeqCodec struct{}
 
 // Decode implements Codec.
 func (SeqCodec) Decode(id uint64, data []byte) (Object, error) {
-	return &Seq{Id: id, S: string(data)}, nil
+	return NewSeq(id, string(data)), nil
 }
 
 // TrigramAngular is the angular distance between tri-gram count profiles of

@@ -227,7 +227,8 @@ func (t *Tree) rangeInto(q metric.Object, qvec []float64, r float64, emit func(R
 		}
 		lo := t.key(cluster, math.Max(0, dq-r))
 		hi := t.key(cluster, math.Min(t.dPlus, dq+r))
-		for c := t.bpt.Seek(lo); c.Valid() && c.Key() <= hi; c.Next() {
+		c := t.bpt.Seek(lo)
+		for ; c.Valid() && c.Key() <= hi; c.Next() {
 			obj, err := t.raf.Read(c.Val())
 			if err != nil {
 				return err
@@ -249,8 +250,8 @@ func (t *Tree) rangeInto(q metric.Object, qvec []float64, r float64, emit func(R
 				emit(Result{Object: rec.obj, Dist: d})
 			}
 		}
-		if c := t.bpt.Seek(lo); c.Err() != nil {
-			return c.Err()
+		if err := c.Err(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -276,7 +277,8 @@ func (t *Tree) KNN(q metric.Object, k int) ([]Result, error) {
 			}
 			lo := t.key(cluster, math.Max(0, dq-r))
 			hi := t.key(cluster, math.Min(t.dPlus, dq+r))
-			for c := t.bpt.Seek(lo); c.Valid() && c.Key() <= hi; c.Next() {
+			c := t.bpt.Seek(lo)
+			for ; c.Valid() && c.Key() <= hi; c.Next() {
 				obj, err := t.raf.Read(c.Val())
 				if err != nil {
 					return nil, err
@@ -296,6 +298,9 @@ func (t *Tree) KNN(q metric.Object, k int) ([]Result, error) {
 					continue
 				}
 				verified[rec.obj.ID()] = Result{Object: rec.obj, Dist: t.dist.Distance(q, rec.obj)}
+			}
+			if err := c.Err(); err != nil {
+				return nil, err
 			}
 		}
 		within := make([]Result, 0, len(verified))

@@ -1,12 +1,15 @@
 package mindex
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"spbtree/internal/bptree"
 	"spbtree/internal/metric"
+	"spbtree/internal/page"
 )
 
 func vectors(n, dim int, seed int64) []metric.Object {
@@ -179,6 +182,43 @@ func TestStorageIncludesDistanceVectors(t *testing.T) {
 	// vector: the data file alone must exceed 160 KB.
 	if tr.StorageBytes() < 190_000 {
 		t.Errorf("StorageBytes = %d, expected the distance-vector overhead", tr.StorageBytes())
+	}
+}
+
+// TestScansSurfaceLeafReadFaults: a range or kNN scan that crosses into a
+// leaf which fails to read returns the fault, not the answers found before it.
+func TestScansSurfaceLeafReadFaults(t *testing.T) {
+	// One pivot makes one cluster, so a full-radius ring is one scan that
+	// starts on the first leaf and must cross into the second.
+	objs := vectors(700, 6, 1)
+	idx := page.NewFaultStore(page.NewMemStore(), -1)
+	tr, err := Build(objs, Options{
+		Distance: metric.L2(6), Codec: metric.VectorCodec{Dim: 6}, NumPivots: 1,
+		IndexStore: idx, CacheSize: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		second page.ID
+		found  bool
+	)
+	err = tr.bpt.Walk(func(_ int, _ bptree.NodeRef, n *bptree.Node) error {
+		// Walk visits children in order, so the first leaf is the chain's head.
+		if n.Leaf && !found {
+			second, found = n.Next, n.HasNext()
+		}
+		return nil
+	})
+	if err != nil || !found {
+		t.Fatalf("no second leaf: %v", err)
+	}
+	idx.FailPage(second, page.OpRead)
+	if _, err := tr.RangeQuery(objs[0], tr.dPlus); !errors.Is(err, page.ErrInjected) {
+		t.Errorf("RangeQuery err = %v, want the injected leaf fault", err)
+	}
+	if _, err := tr.KNN(objs[0], len(objs)); !errors.Is(err, page.ErrInjected) {
+		t.Errorf("KNN err = %v, want the injected leaf fault", err)
 	}
 }
 
