@@ -7,6 +7,7 @@
 package spbtree_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -388,14 +389,12 @@ func BenchmarkFig17Join(b *testing.B) {
 		var pa, cd int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tq.ResetStats()
-			to.ResetStats()
-			if _, err := core.Join(tq, to, eps); err != nil {
+			_, qs, err := core.Join(context.Background(), tq, to, eps)
+			if err != nil {
 				b.Fatal(err)
 			}
-			sq, so := tq.TakeStats(), to.TakeStats()
-			pa += sq.PageAccesses + so.PageAccesses
-			cd += sq.DistanceComputations + so.DistanceComputations
+			pa += qs.PageAccesses()
+			cd += qs.Compdists
 		}
 		b.ReportMetric(float64(pa)/float64(b.N), "PA/op")
 		b.ReportMetric(float64(cd)/float64(b.N), "dists/op")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -124,14 +125,12 @@ func fig18(cfg config) error {
 			if err != nil {
 				return err
 			}
-			tq.ResetStats()
-			to.ResetStats()
-			if _, err := core.Join(tq, to, eps); err != nil {
+			_, qs, err := core.Join(context.Background(), tq, to, eps)
+			if err != nil {
 				return err
 			}
-			sq, so := tq.TakeStats(), to.TakeStats()
-			actCD := float64(sq.DistanceComputations + so.DistanceComputations)
-			actPA := float64(sq.PageAccesses + so.PageAccesses)
+			actCD := float64(qs.Compdists)
+			actPA := float64(qs.PageAccesses())
 			fmt.Fprintf(cfg.out, "%5g %12.1f %12.1f %6.0f%% %10.1f %10.1f %6.0f%%\n",
 				ep, actCD, est.EDC, 100*accuracy(actCD, est.EDC), actPA, est.EPA, 100*accuracy(actPA, est.EPA))
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -46,19 +47,14 @@ func fig17(cfg config) error {
 		}
 		for _, ep := range epsPcts {
 			eps := ep / 100 * ds.Distance.MaxDistance()
-			tq.ResetStats()
-			to.ResetStats()
 			start := time.Now()
-			pairs, err := core.Join(tq, to, eps)
+			pairs, qs, err := core.Join(context.Background(), tq, to, eps)
 			if err != nil {
 				return err
 			}
 			elapsed := time.Since(start)
-			sq, so := tq.TakeStats(), to.TakeStats()
 			fmt.Fprintf(cfg.out, "%-9s %6g %10d %12d %12v %10d\n", "SPB-tree", ep,
-				sq.PageAccesses+so.PageAccesses,
-				sq.DistanceComputations+so.DistanceComputations,
-				elapsed.Round(time.Microsecond), len(pairs))
+				qs.PageAccesses(), qs.Compdists, elapsed.Round(time.Microsecond), len(pairs))
 		}
 
 		// eD-index: rebuilt per ε (ε-overloading is baked in at build time).
@@ -119,7 +115,7 @@ func joinSanity(ds dataset.Dataset, eps float64, seed int64) error {
 	if err != nil {
 		return err
 	}
-	spb, err := core.Join(tq, to, eps)
+	spb, _, err := core.Join(context.Background(), tq, to, eps)
 	if err != nil {
 		return err
 	}

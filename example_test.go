@@ -1,6 +1,7 @@
 package spbtree_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -75,7 +76,7 @@ func ExampleJoin() {
 	if err != nil {
 		panic(err)
 	}
-	pairs, err := spbtree.Join(tq, to, 1)
+	pairs, _, err := spbtree.Join(context.Background(), tq, to, 1)
 	if err != nil {
 		panic(err)
 	}

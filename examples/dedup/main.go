@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -59,19 +60,14 @@ func main() {
 	}
 
 	const eps = 3 // tolerate up to three edits
-	tq.ResetStats()
-	to.ResetStats()
-	pairs, err := spbtree.Join(tq, to, eps)
+	pairs, stats, err := spbtree.Join(context.Background(), tq, to, eps)
 	if err != nil {
 		log.Fatal(err)
 	}
-	stQ, stO := tq.TakeStats(), to.TakeStats()
 	fmt.Printf("SJ(master, sales, ε=%d): %d matches out of %d×%d candidate pairs\n",
 		eps, len(pairs), len(master), len(sales))
 	fmt.Printf("one merge pass: PA=%d, compdists=%d (nested loop would need %d)\n\n",
-		stQ.PageAccesses+stO.PageAccesses,
-		stQ.DistanceComputations+stO.DistanceComputations,
-		len(master)*len(sales))
+		stats.PageAccesses(), stats.Compdists, len(master)*len(sales))
 
 	matched := map[string]int{}
 	for _, p := range pairs {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -67,11 +68,10 @@ func main() {
 		log.Fatal(err)
 	}
 	eps := 0.06 * dist.MaxDistance()
-	start = time.Now()
-	pairs, err := spbtree.JoinForests(fp, f, eps)
+	pairs, stats, err := spbtree.JoinForests(context.Background(), fp, f, eps)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nSJ(probes, base, ε=%.3f): %d pairs via %d parallel shard joins in %v\n",
-		eps, len(pairs), len(fp.Shards())*len(f.Shards()), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("\nSJ(probes, base, ε=%.3f): %d pairs via %d parallel shard joins in %v (compdists=%d)\n",
+		eps, len(pairs), len(fp.Shards())*len(f.Shards()), stats.Elapsed.Round(time.Millisecond), stats.Compdists)
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"spbtree/internal/core"
@@ -18,8 +17,9 @@ import (
 // single-tree server already emits.
 type ServerBackend struct {
 	R *Router
-	// Curve names the cluster's SFC family for /v1/stats ("hilbert" or
-	// "zorder") and gates joins.
+	// Curve names the cluster's SFC family ("hilbert" or "zorder") for
+	// /v1/stats; it is reported, not enforced. A join on a cluster that is not
+	// Z-order is refused by its nodes (core.ErrInvalidQuery, a 400).
 	Curve string
 }
 
@@ -36,21 +36,10 @@ func (b *ServerBackend) Query(ctx context.Context, q core.Query) ([]core.Result,
 	return b.R.Query(ctx, q)
 }
 
-// SelfJoinWithStatsCtx implements the backend join surface as the cluster
-// self-join.
-func (b *ServerBackend) SelfJoinWithStatsCtx(ctx context.Context, eps float64) ([]core.IDPair, core.QueryStats, error) {
-	start := time.Now()
-	pairs, err := b.R.Join(ctx, eps)
-	qs := core.QueryStats{Op: core.OpJoin, Results: len(pairs), Elapsed: time.Since(start)}
-	return pairs, qs, err
-}
-
-// CanJoin reports whether the cluster's curve supports similarity joins.
-func (b *ServerBackend) CanJoin() error {
-	if b.Curve != "zorder" {
-		return fmt.Errorf("similarity joins need a Z-order cluster (this one uses %s)", b.Curve)
-	}
-	return nil
+// Join implements the backend join surface as the cluster self-join
+// (Router.Join): pairs in (QID, OID) order, the nodes' counters added up.
+func (b *ServerBackend) Join(ctx context.Context, eps float64) ([]core.IDPair, core.QueryStats, error) {
+	return b.R.Join(ctx, eps)
 }
 
 // Insert implements the backend write surface.

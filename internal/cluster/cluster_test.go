@@ -116,9 +116,10 @@ func sameResults(t *testing.T, label string, got, want []core.Result) {
 // equivalenceCase runs the full equivalence suite for one dataset: range,
 // kNN and join answers from the 3-node cluster must match the
 // single-process forest byte for byte, and — queries being deterministic —
-// so must the compdists work counters: a range query's equal the forest's
-// (pruning is per shard), a kNN's equal its nodes' shard groups run as local
-// forests (each node stages on its own).
+// so must the compdists work counters: a range query's and a join's equal
+// the forest's (pruning is per shard, a join runs every shard pair), a kNN's
+// equal its nodes' shard groups run as local forests (each node stages on
+// its own).
 func equivalenceCase(t *testing.T, ds dataset.Dataset, radii []float64, eps float64) {
 	tc := startCluster(t, ds, 4)
 	ctx := context.Background()
@@ -156,16 +157,19 @@ func equivalenceCase(t *testing.T, ds dataset.Dataset, radii []float64, eps floa
 		}
 	}
 
-	gotPairs, err := tc.router.Join(ctx, eps)
+	gotPairs, gotStats, err := tc.router.Join(ctx, eps)
 	if err != nil {
 		t.Fatalf("cluster join: %v", err)
 	}
-	refPairs, err := forest.Join(tc.ref, tc.ref, eps)
+	refPairs, refStats, err := forest.Join(ctx, tc.ref, tc.ref, eps)
 	if err != nil {
 		t.Fatalf("forest join: %v", err)
 	}
+	if gotStats.Compdists != refStats.Compdists || gotStats.Verified != refStats.Verified {
+		t.Fatalf("join: cluster compdists/verified %d/%d, forest %d/%d",
+			gotStats.Compdists, gotStats.Verified, refStats.Compdists, refStats.Verified)
+	}
 	wantPairs := core.IDPairs(refPairs)
-	core.SortIDPairs(wantPairs)
 	if len(gotPairs) != len(wantPairs) {
 		t.Fatalf("join: %d pairs, want %d", len(gotPairs), len(wantPairs))
 	}

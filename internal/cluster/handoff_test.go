@@ -93,26 +93,57 @@ func TestHandoffMovesShard(t *testing.T) {
 
 // TestHandoffStaleRouterRetries: a router still holding the old placement
 // learns about a completed handoff from ErrNotOwner, refreshes, and
-// retries — the caller sees a complete answer, not an error.
+// retries — the caller sees a complete answer, not an error. This holds for a
+// join too, where a second node fails as well: the one whose partner export
+// went to the old owner.
 func TestHandoffStaleRouterRetries(t *testing.T) {
 	ds := dataset.Words(700, 31)
 	tc := startCluster(t, ds, 4)
 	ctx := context.Background()
 	shard, target := pickHandoff(tc)
 
-	// A second router keeps the pre-handoff placement; its Refresh pulls the
-	// fresh one from the first router.
-	stale, err := NewRouter(tc.router.Placement(), ds.Codec)
-	if err != nil {
-		t.Fatal(err)
+	// Two more routers keep the pre-handoff placement, one for the range
+	// query and one for the join (a router that has refreshed is no longer
+	// stale); their Refresh pulls the fresh placement from the first router.
+	staleRouter := func() *Router {
+		r, err := NewRouter(tc.router.Placement(), ds.Codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		r.Refresh = func(context.Context) (*Placement, error) {
+			return tc.router.Placement(), nil
+		}
+		return r
 	}
-	defer stale.Close()
-	stale.Refresh = func(context.Context) (*Placement, error) {
-		return tc.router.Placement(), nil
-	}
+	stale, staleJoin := staleRouter(), staleRouter()
 
 	if err := tc.router.Handoff(ctx, shard, target); err != nil {
 		t.Fatalf("handoff: %v", err)
+	}
+
+	const eps = 1
+	gotPairs, gotStats, err := staleJoin.Join(ctx, eps)
+	if err != nil {
+		t.Fatalf("stale router join: %v", err)
+	}
+	wantPairs, wantStats, err := tc.router.Join(ctx, eps)
+	if err != nil {
+		t.Fatalf("fresh router join: %v", err)
+	}
+	if len(wantPairs) == 0 {
+		t.Fatal("join produced no pairs; raise eps so the test asserts something")
+	}
+	if len(gotPairs) != len(wantPairs) {
+		t.Fatalf("stale router join: %d pairs, fresh router %d", len(gotPairs), len(wantPairs))
+	}
+	for i := range gotPairs {
+		if gotPairs[i] != wantPairs[i] {
+			t.Fatalf("stale router join pair %d = %+v, fresh router %+v", i, gotPairs[i], wantPairs[i])
+		}
+	}
+	if gotStats.Compdists != wantStats.Compdists {
+		t.Fatalf("stale router join compdists %d, fresh router %d", gotStats.Compdists, wantStats.Compdists)
 	}
 
 	q := tc.objs[7]

@@ -527,87 +527,78 @@ func (n *Node) handleExport(req rpcExportReq) (interface{}, bool) {
 }
 
 // handleJoin computes this node's slice of the cluster self-join: its owned
-// QShards against every cluster shard. Local partners join directly; remote
-// partners are fetched once via kExport and rebuilt into the shared mapped
-// space (ShareMapping guarantees identical pruning geometry, so the pairs
-// match a single-process join exactly).
+// QShards against every cluster shard, as one forest.Join — the scatter a
+// single-process forest join runs. The partners are resolved first (see
+// joinPartners); ShareMapping gives a rebuilt partner the identical pruning
+// geometry, so the pairs and counters match a single-process join exactly. A
+// join on a cluster that is not Z-order is refused before any partner is
+// fetched, with an error matching core.ErrInvalidQuery. Partial pairs travel
+// with the error, as in runQuery.
 func (n *Node) handleJoin(req rpcJoinReq) (interface{}, bool) {
 	qTrees, err := n.ownedTrees(req.QShards)
 	if err != nil {
-		return rpcJoinResp{Err: toWireErr(err)}, true
+		return rpcQueryResp{Err: toWireErr(err)}, true
 	}
-	if qTrees[0].CurveKind() != sfc.ZOrder {
-		err := fmt.Errorf("cluster: similarity joins need a Z-order cluster (this one uses %v)", qTrees[0].CurveKind())
-		return rpcJoinResp{Err: toWireErr(err)}, true
+	if kind := qTrees[0].CurveKind(); kind != sfc.ZOrder {
+		err := fmt.Errorf("%w: similarity joins need a Z-order cluster (this one uses %v)", core.ErrInvalidQuery, kind)
+		return rpcQueryResp{Err: toWireErr(err)}, true
 	}
 	ctx, cancel := reqContext(req.DeadlineUS)
 	defer cancel()
-
-	// Resolve every O-shard to a tree: owned ones directly, remote ones via
-	// a one-shot export + rebuild, cached for the request (a shard pairs
-	// with every local Q-shard, but ships only once).
-	partners := make(map[int]*core.Tree, len(req.OShards))
-	var fetched []*core.Tree
+	partners, fetched, err := n.joinPartners(ctx, req.OShards, qTrees[0])
 	defer func() {
 		for _, t := range fetched {
 			t.Close()
 		}
 	}()
-	var pairs []core.IDPair
-	var firstErr error
-	for _, ref := range req.OShards {
-		oTree, oerr := n.joinPartner(ctx, ref, qTrees[0], partners, &fetched)
-		if oerr != nil {
-			firstErr = oerr
-			break
-		}
-		for _, qTree := range qTrees {
-			jp, jerr := core.JoinCtx(ctx, qTree, oTree, req.Eps)
-			pairs = append(pairs, core.IDPairs(jp)...)
-			if jerr != nil {
-				firstErr = jerr
-				break
-			}
-		}
-		if firstErr != nil {
-			break
-		}
+	if err != nil {
+		return rpcQueryResp{Err: toWireErr(err)}, true
 	}
-	core.SortIDPairs(pairs)
-	return rpcJoinResp{Pairs: pairs, Err: toWireErr(firstErr)}, firstErr != nil
+	fq, err := forest.FromShards(qTrees, n.cfg.Parallel)
+	if err != nil {
+		return rpcQueryResp{Err: toWireErr(err)}, true
+	}
+	fo, err := forest.FromShards(partners, n.cfg.Parallel)
+	if err != nil {
+		return rpcQueryResp{Err: toWireErr(err)}, true
+	}
+	pairs, qs, err := forest.Join(ctx, fq, fo, req.Eps)
+	err = n.staleClosed(err, req.QShards)
+	return rpcQueryResp{Pairs: core.IDPairs(pairs), Stats: qs, Err: toWireErr(err)}, err != nil
 }
 
-// joinPartner resolves one O-shard reference to a queryable tree.
-func (n *Node) joinPartner(ctx context.Context, ref shardRef, share *core.Tree,
-	cache map[int]*core.Tree, fetched *[]*core.Tree) (*core.Tree, error) {
-	if t, ok := cache[ref.Shard]; ok {
-		return t, nil
+// joinPartners resolves the O-shard references of a join to trees, in
+// request order: owned shards directly, remote ones through a one-shot
+// export, rebuilt into share's mapped space. The caller closes fetched (the
+// rebuilt trees) once the join is done, also on error.
+func (n *Node) joinPartners(ctx context.Context, refs []shardRef, share *core.Tree) (partners, fetched []*core.Tree, err error) {
+	for _, ref := range refs {
+		n.mu.RLock()
+		st, owned := n.shards[ref.Shard]
+		n.mu.RUnlock()
+		if owned {
+			partners = append(partners, st.tree)
+			continue
+		}
+		if ref.Addr == "" {
+			return partners, fetched, fmt.Errorf("cluster: join: no address for remote shard %d", ref.Shard)
+		}
+		objs, err := n.fetchExport(ctx, ref)
+		if err != nil {
+			return partners, fetched, err
+		}
+		t, err := core.Build(objs, core.Options{
+			Distance: n.cfg.Load.Distance, Codec: n.cfg.Load.Codec,
+			Curve: sfc.ZOrder, ShareMapping: share,
+			CacheSize: n.cfg.Load.CacheSize,
+		})
+		if err != nil {
+			return partners, fetched, fmt.Errorf("cluster: join: rebuild shard %d: %w", ref.Shard, err)
+		}
+		partners = append(partners, t)
+		fetched = append(fetched, t)
 	}
-	n.mu.RLock()
-	st, owned := n.shards[ref.Shard]
-	n.mu.RUnlock()
-	if owned {
-		cache[ref.Shard] = st.tree
-		return st.tree, nil
-	}
-	if ref.Addr == "" {
-		return nil, fmt.Errorf("cluster: join: no address for remote shard %d", ref.Shard)
-	}
-	objs, err := n.fetchExport(ctx, ref)
-	if err != nil {
-		return nil, err
-	}
-	t, err := core.Build(objs, core.Options{
-		Distance: n.cfg.Load.Distance, Codec: n.cfg.Load.Codec,
-		Curve: sfc.ZOrder, ShareMapping: share,
-		CacheSize: n.cfg.Load.CacheSize,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: join: rebuild shard %d: %w", ref.Shard, err)
-	}
-	cache[ref.Shard] = t
-	*fetched = append(*fetched, t)
-	return t, nil
+	return partners, fetched, nil
 }
 
 // peer returns (dialing lazily) the node's export client for addr.

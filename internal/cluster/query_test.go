@@ -10,11 +10,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"spbtree/internal/core"
 	"spbtree/internal/dataset"
+	"spbtree/internal/forest"
 	"spbtree/internal/metric"
 	"spbtree/internal/server"
 	"spbtree/internal/sfc"
@@ -56,8 +58,9 @@ func bruteForce(ds dataset.Dataset, q core.Query) []core.Result {
 	return core.MergeResults(core.OpKNN, q.K, [][]core.Result{out})
 }
 
-// httpLayer answers a core.Query through srv's JSON endpoints.
-func httpLayer(t *testing.T, srv *server.Server) func(core.Query) ([]core.Result, core.QueryStats, error) {
+// serveHTTP serves srv on a loopback listener until the test ends and
+// returns its base URL.
+func serveHTTP(t *testing.T, srv *server.Server) string {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -65,6 +68,12 @@ func httpLayer(t *testing.T, srv *server.Server) func(core.Query) ([]core.Result
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
+	return ts.URL
+}
+
+// httpLayer answers a core.Query through srv's JSON endpoints.
+func httpLayer(t *testing.T, srv *server.Server) func(core.Query) ([]core.Result, core.QueryStats, error) {
+	url := serveHTTP(t, srv)
 	return func(q core.Query) ([]core.Result, core.QueryStats, error) {
 		if q.Bounded || q.MaxVerify < 0 || !q.Timed {
 			return nil, core.QueryStats{}, errInexpressible
@@ -85,7 +94,7 @@ func httpLayer(t *testing.T, srv *server.Server) func(core.Query) ([]core.Result
 		if err != nil {
 			return nil, core.QueryStats{}, err
 		}
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+		resp, err := http.Post(url+path, "application/json", bytes.NewReader(raw))
 		if err != nil {
 			return nil, core.QueryStats{}, err
 		}
@@ -416,6 +425,181 @@ func TestElapsedCoversTheGather(t *testing.T) {
 		if qs.PlanTime+qs.VerifyTime+qs.FilterTime >= qs.Elapsed {
 			t.Errorf("%s: stage clocks %v+%v+%v are not per-shard times within Elapsed %v",
 				l.name, qs.PlanTime, qs.VerifyTime, qs.FilterTime, qs.Elapsed)
+		}
+	}
+}
+
+// bruteJoin is the join oracle: a nested loop over every ordered pair of ds
+// within eps, in (QID, OID) order.
+func bruteJoin(ds dataset.Dataset, eps float64) []core.IDPair {
+	var out []core.IDPair
+	for _, q := range ds.Objects {
+		for _, o := range ds.Objects {
+			if d := ds.Distance.Distance(q, o); d <= eps {
+				out = append(out, core.IDPair{QID: q.ID(), OID: o.ID(), Dist: d})
+			}
+		}
+	}
+	core.SortIDPairs(out)
+	return out
+}
+
+// httpJoin answers a self-join through srv's /v1/join.
+func httpJoin(t *testing.T, srv *server.Server) func(eps float64) ([]core.IDPair, core.QueryStats, error) {
+	url := serveHTTP(t, srv)
+	return func(eps float64) ([]core.IDPair, core.QueryStats, error) {
+		resp, err := http.Post(url+"/v1/join", "application/json",
+			bytes.NewReader([]byte(fmt.Sprintf(`{"eps":%v}`, eps))))
+		if err != nil {
+			return nil, core.QueryStats{}, err
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Pairs []struct {
+				QID  uint64  `json:"q_id"`
+				OID  uint64  `json:"o_id"`
+				Dist float64 `json:"dist"`
+			} `json:"pairs"`
+			Error     string `json:"error"`
+			Compdists int64  `json:"compdists"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			return nil, core.QueryStats{}, err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return nil, core.QueryStats{}, fmt.Errorf("HTTP %d: %s", resp.StatusCode, out.Error)
+		}
+		pairs := make([]core.IDPair, len(out.Pairs))
+		for i, p := range out.Pairs {
+			pairs[i] = core.IDPair{QID: p.QID, OID: p.OID, Dist: p.Dist}
+		}
+		return pairs, core.QueryStats{Compdists: out.Compdists, Results: len(pairs)}, nil
+	}
+}
+
+// TestJoinEquivalenceAcrossLayers is the join's row of the cross-layer suite:
+// one self-join per ε through every layer that answers one — a tree, a tree
+// with a live durable write buffer, a forest, the loopback router and both
+// HTTP backends — each checked against a nested loop. The tree returns merge
+// order; every gathering layer returns (QID, OID) order. Layers over the same
+// shards must also agree on compdists.
+func TestJoinEquivalenceAcrossLayers(t *testing.T) {
+	ds := dataset.Words(900, 43)
+	tc := startCluster(t, ds, 5)
+	opts := core.Options{Distance: ds.Distance, Codec: ds.Codec, Curve: sfc.ZOrder, Seed: 1}
+	tree, err := core.Build(ds.Objects, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The durable tree holds the same live set, a tenth of it in the write
+	// buffer: buffered inserts, plus upserts that shadow base records.
+	base := len(ds.Objects) * 9 / 10
+	durable, err := core.CreateDurable(t.TempDir(), ds.Objects[:base], opts, core.DurableOptions{CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { durable.Close() })
+	for _, o := range ds.Objects[base:] {
+		if err := durable.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, o := range ds.Objects[:40] {
+		if err := durable.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if durable.DeltaLen() == 0 {
+		t.Fatal("write buffer is empty; the durable row would not cover the delta pass")
+	}
+	parse := func(id uint64, line string) (metric.Object, error) { return metric.NewStr(id, line), nil }
+	overTree, err := server.New(server.Config{Tree: tree, ParseQuery: server.TextParser(parse)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	overCluster, err := server.New(server.Config{
+		Backend:    &ServerBackend{R: tc.router, Curve: "zorder"},
+		ParseQuery: server.TextParser(parse)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	selfJoin := func(t *core.Tree) func(float64) ([]core.IDPair, core.QueryStats, error) {
+		return func(eps float64) ([]core.IDPair, core.QueryStats, error) {
+			pairs, qs, err := core.Join(ctx, t, t, eps)
+			return core.IDPairs(pairs), qs, err
+		}
+	}
+	layers := []struct {
+		name string
+		run  func(eps float64) ([]core.IDPair, core.QueryStats, error)
+		// sorted layers promise (QID, OID) order; http layers refuse ε < 0.
+		sorted, http bool
+	}{
+		{name: "tree", run: selfJoin(tree)},
+		{name: "tree/durable", run: selfJoin(durable)},
+		{name: "forest", sorted: true, run: func(eps float64) ([]core.IDPair, core.QueryStats, error) {
+			pairs, qs, err := forest.Join(ctx, tc.ref, tc.ref, eps)
+			return core.IDPairs(pairs), qs, err
+		}},
+		{name: "router", sorted: true, run: func(eps float64) ([]core.IDPair, core.QueryStats, error) {
+			return tc.router.Join(ctx, eps)
+		}},
+		{name: "http/tree", sorted: true, http: true, run: httpJoin(t, overTree)},
+		{name: "http/cluster", sorted: true, http: true, run: httpJoin(t, overCluster)},
+	}
+
+	all := bruteJoin(ds, 2)
+	for _, eps := range []float64{-1, 0, 1, 2} {
+		var want []core.IDPair
+		for _, p := range all {
+			if p.Dist <= eps {
+				want = append(want, p)
+			}
+		}
+		compdists := map[string]int64{}
+		for _, l := range layers {
+			label := fmt.Sprintf("%s eps=%v", l.name, eps)
+			got, qs, err := l.run(eps)
+			if eps < 0 {
+				if l.http {
+					if err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+						t.Fatalf("%s: err = %v, want HTTP 400", label, err)
+					}
+				} else if err != nil || len(got) != 0 {
+					t.Fatalf("%s: %d pairs, err %v; a negative eps matches nothing", label, len(got), err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !l.sorted {
+				core.SortIDPairs(got)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d pairs, want %d", label, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s: pair %d = %+v, want %+v", label, i, got[i], want[i])
+				}
+			}
+			if qs.Compdists <= 0 || qs.Results != len(got) {
+				t.Fatalf("%s: stats report %d compdists, %d results for %d pairs", label, qs.Compdists, qs.Results, len(got))
+			}
+			compdists[l.name] = qs.Compdists
+		}
+		if eps < 0 {
+			continue
+		}
+		// The HTTP backends report their library layer's work, and the
+		// cluster's nodes do exactly the reference forest's.
+		for _, same := range [][2]string{{"http/tree", "tree"}, {"router", "forest"}, {"http/cluster", "router"}} {
+			if compdists[same[0]] != compdists[same[1]] {
+				t.Fatalf("eps=%v: %s reports %d compdists, %s %d", eps,
+					same[0], compdists[same[0]], same[1], compdists[same[1]])
+			}
 		}
 	}
 }

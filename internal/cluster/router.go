@@ -167,14 +167,16 @@ func plan(p *Placement, shards []int) []nodeCall {
 	return calls
 }
 
-// scatterQuery fans one query RPC out to every node in calls and gathers
-// per-node results and errors. Failed nodes become NodeErrors; healthy
-// nodes' answers always come back. A node answering ErrNotOwner triggers
-// one placement refresh and one retry of that node's shards against the
-// new owners (the handoff-during-query path).
-func (r *Router) scatterQuery(ctx context.Context, op string, calls []nodeCall,
-	build func(shards []int) (byte, interface{})) ([]rpcQueryResp, error) {
+// scatterQuery fans one query RPC out to every node owning shards under p
+// and gathers per-node answers and errors; build renders the request for a
+// node's shard group under the placement that call is planned on. Failed
+// nodes become NodeErrors; healthy nodes' answers always come back. A node
+// answering ErrNotOwner triggers one placement refresh and one retry of that
+// node's shards against the new owners (the handoff-during-query path).
+func (r *Router) scatterQuery(ctx context.Context, op string, p *Placement,
+	build func(p *Placement, shards []int) (byte, interface{})) ([]rpcQueryResp, error) {
 
+	calls := plan(p, nil)
 	resps := make([]rpcQueryResp, len(calls))
 	errs := make([]error, len(calls))
 	var wg sync.WaitGroup
@@ -187,7 +189,7 @@ func (r *Router) scatterQuery(ctx context.Context, op string, calls []nodeCall,
 		wg.Add(1)
 		go func(i int, call nodeCall) {
 			defer wg.Done()
-			kind, req := build(call.shards)
+			kind, req := build(p, call.shards)
 			err := r.callNode(ctx, call.node, call.addr, op, true, kind, req, &resps[i])
 			if err == nil {
 				err = fromWireErr(resps[i].Err)
@@ -212,7 +214,7 @@ func (r *Router) scatterQuery(ctx context.Context, op string, calls []nodeCall,
 				resps[i], errs[i] = rpcQueryResp{}, nil
 				for _, rc := range plan(np, calls[i].shards) {
 					var resp rpcQueryResp
-					kind, req := build(rc.shards)
+					kind, req := build(np, rc.shards)
 					rerr := r.callNode(ctx, rc.node, rc.addr, op, true, kind, req, &resp)
 					if rerr == nil {
 						rerr = fromWireErr(resp.Err)
@@ -222,6 +224,7 @@ func (r *Router) scatterQuery(ctx context.Context, op string, calls []nodeCall,
 						errs[i] = &NodeError{Node: rc.node, Addr: rc.addr, Err: rerr}
 					}
 					resps[i].Results = append(resps[i].Results, resp.Results...)
+					resps[i].Pairs = append(resps[i].Pairs, resp.Pairs...)
 					resps[i].Stats.Merge(resp.Stats)
 				}
 			}
@@ -297,7 +300,7 @@ func (r *Router) Query(ctx context.Context, q core.Query) ([]core.Result, core.Q
 	start := time.Now()
 	wq := wireObj{ID: q.Q.ID(), Data: q.Q.AppendBinary(nil)}
 	p := r.placement.Load()
-	resps, err := r.scatterQuery(ctx, q.Op, plan(p, nil), func(shards []int) (byte, interface{}) {
+	resps, err := r.scatterQuery(ctx, q.Op, p, func(_ *Placement, shards []int) (byte, interface{}) {
 		return wireQuery(shards, wq, q, deadlineUS(ctx))
 	})
 	res, qs, err := r.gather(q, resps, err)
@@ -331,47 +334,35 @@ func (r *Router) Range(ctx context.Context, q metric.Object, radius float64) ([]
 	return r.Query(ctx, core.Query{Op: core.OpRange, Q: q, Radius: radius, Timed: true})
 }
 
-// Join computes the cluster self-join SJ(C, C, ε): each node joins its
-// owned shards against every cluster shard (shipping remote partners via
-// export), and the router concatenates and ID-sorts the pair lists. Failed
-// nodes cost exactly their Q-shards' pairs, reported as NodeErrors.
-func (r *Router) Join(ctx context.Context, eps float64) ([]core.IDPair, error) {
-	p := r.placement.Load()
-	refs := make([]shardRef, 0, p.Shards)
-	for s := 0; s < p.Shards; s++ {
-		refs = append(refs, shardRef{Shard: s, Addr: p.Nodes[p.Owners[s]]})
-	}
-	calls := plan(p, nil)
-	resps := make([]rpcJoinResp, len(calls))
-	errs := make([]error, len(calls))
-	var wg sync.WaitGroup
-	for i, call := range calls {
-		if ctx.Err() != nil {
-			errs[i] = &NodeError{Node: call.node, Addr: call.addr,
-				Err: fmt.Errorf("%w: %w", core.ErrCanceled, context.Cause(ctx))}
-			continue
+// Join computes the cluster self-join SJ(C, C, ε) through the same one
+// scatter as Query: one kJoin RPC per owning node, each node joining its owned
+// shards against every cluster shard with forest.Join (remote partners
+// shipped via kExport). The router concatenates the pair lists and sorts them
+// by (QID, OID). In the stats the nodes' counters add, and Elapsed is the
+// router's clock around the gather. A node answering ErrNotOwner — its own
+// shards or a partner's export moved in a handoff — is retried once after a
+// placement refresh, with every shard's address taken from the new
+// placement. Failed nodes cost exactly their Q-shards' pairs, reported as
+// NodeErrors.
+func (r *Router) Join(ctx context.Context, eps float64) ([]core.IDPair, core.QueryStats, error) {
+	start := time.Now()
+	resps, err := r.scatterQuery(ctx, core.OpJoin, r.placement.Load(), func(p *Placement, shards []int) (byte, interface{}) {
+		refs := make([]shardRef, p.Shards)
+		for s := range refs {
+			refs[s] = shardRef{Shard: s, Addr: p.Nodes[p.Owners[s]]}
 		}
-		wg.Add(1)
-		go func(i int, call nodeCall) {
-			defer wg.Done()
-			req := rpcJoinReq{QShards: call.shards, OShards: refs, Eps: eps,
-				DeadlineUS: deadlineUS(ctx)}
-			err := r.callNode(ctx, call.node, call.addr, "join", true, kJoin, req, &resps[i])
-			if err == nil {
-				err = fromWireErr(resps[i].Err)
-			}
-			if err != nil {
-				errs[i] = &NodeError{Node: call.node, Addr: call.addr, Err: err}
-			}
-		}(i, call)
-	}
-	wg.Wait()
+		return kJoin, rpcJoinReq{QShards: shards, OShards: refs, Eps: eps, DeadlineUS: deadlineUS(ctx)}
+	})
 	var pairs []core.IDPair
+	stats := core.QueryStats{Op: core.OpJoin}
 	for _, resp := range resps {
 		pairs = append(pairs, resp.Pairs...)
+		stats.Merge(resp.Stats)
 	}
 	core.SortIDPairs(pairs)
-	return pairs, errors.Join(errs...)
+	stats.Results = len(pairs)
+	stats.Elapsed = time.Since(start)
+	return pairs, stats, err
 }
 
 // mutate routes one insert/delete to the owning node. Inserts are

@@ -189,12 +189,16 @@ type rpcKNNReq struct {
 	Bound      float64
 }
 
-// rpcQueryResp carries a query's answers. Err and Results are NOT mutually
-// exclusive: a canceled or failed query returns the partial results
-// gathered before the failure alongside the typed error, preserving the
-// library's partials contract across the wire.
+// rpcQueryResp carries a query's answers: Results for range and kNN, Pairs
+// for a join — ID pairs, the objects themselves stay put. Err and the answers
+// are NOT mutually exclusive: a canceled or failed query returns the partial
+// answers gathered before the failure alongside the typed error, preserving
+// the library's partials contract across the wire. Pairs was added after the
+// other fields; gob matches fields by name, so a join reply from a node that
+// predates it (which sent Pairs and Err only) still decodes, without stats.
 type rpcQueryResp struct {
 	Results []wireResult
+	Pairs   []core.IDPair
 	Stats   core.QueryStats
 	Err     *wireErr
 }
@@ -209,19 +213,12 @@ type shardRef struct {
 // rpcJoinReq asks the receiving node to self-join its owned QShards against
 // every shard of the cluster (OShards): local partners join directly,
 // remote partners are fetched once via kExport and rebuilt into the shared
-// mapped space (DESIGN.md §12.5).
+// mapped space (DESIGN.md §12.5). The node answers with an rpcQueryResp.
 type rpcJoinReq struct {
 	QShards    []int
 	OShards    []shardRef
 	Eps        float64
 	DeadlineUS int64
-}
-
-// rpcJoinResp carries join pairs as ID pairs — the objects themselves stay
-// put. Partials accompany Err, as in rpcQueryResp.
-type rpcJoinResp struct {
-	Pairs []core.IDPair
-	Err   *wireErr
 }
 
 // rpcMutateReq inserts (or, with Delete set, deletes) one object into the

@@ -184,7 +184,7 @@ func TestBoundedJoinMatchesExact(t *testing.T) {
 		t.Fatal("join baseline empty; widen eps")
 	}
 
-	got, qs, err := JoinWithStats(tq, to, eps)
+	got, qs, err := Join(context.Background(), tq, to, eps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func TestJoinCostModel(t *testing.T) {
 	}
 	tq.ResetStats()
 	to.ResetStats()
-	if _, err := Join(tq, to, eps); err != nil {
+	if _, _, err := Join(context.Background(), tq, to, eps); err != nil {
 		t.Fatal(err)
 	}
 	actualCD := float64(tq.TakeStats().DistanceComputations + to.TakeStats().DistanceComputations)

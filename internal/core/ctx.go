@@ -22,9 +22,9 @@ func canceledErr(ctx context.Context) error {
 }
 
 // ctxDone reports a pending cancellation as a typed error, or nil. It is the
-// cancellation check compiled into the query loops: for the default
-// context.Background() of the non-Ctx entry points it is a single nil
-// comparison, so uncancellable queries pay nothing measurable.
+// cancellation check compiled into the query loops: for context.Background()
+// it is a single nil comparison, so uncancellable queries pay nothing
+// measurable.
 func ctxDone(ctx context.Context) error {
 	if ctx.Err() != nil {
 		return canceledErr(ctx)
@@ -50,37 +50,4 @@ func rlockPair(a, b *Tree) func() {
 	a.mu.RLock()
 	b.mu.RLock()
 	return func() { b.mu.RUnlock(); a.mu.RUnlock() }
-}
-
-// JoinCtx computes SJ(Q, O, ε) like Join, honoring ctx: cancellation is
-// checked at every merge step and before every distance computation, and the
-// pairs verified so far are returned with an error matching ErrCanceled.
-func JoinCtx(ctx context.Context, tq, to *Tree, eps float64) ([]JoinPair, error) {
-	qs := QueryStats{Op: OpJoin}
-	return runJoin(ctx, tq, to, eps, &qs)
-}
-
-// JoinWithStatsCtx is JoinCtx plus the join's QueryStats (page accesses
-// aggregate both trees' stores, once for a self-join).
-func JoinWithStatsCtx(ctx context.Context, tq, to *Tree, eps float64) ([]JoinPair, QueryStats, error) {
-	qs := QueryStats{Op: OpJoin, timed: true}
-	pairs, err := runJoin(ctx, tq, to, eps, &qs)
-	return pairs, qs, err
-}
-
-// runJoin executes one join under both trees' read locks (id-ordered).
-func runJoin(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats) ([]JoinPair, error) {
-	unlock := rlockPair(tq, to)
-	defer unlock()
-	if tq.closed || to.closed {
-		return nil, ErrClosed
-	}
-	var beforeTo ioSnapshot
-	if to != tq {
-		beforeTo = to.takeIOSnapshot()
-	}
-	qt := tq.beginQuery(qs)
-	pairs, err := joinImpl(ctx, tq, to, eps, qs)
-	qt.finishJoin(to, beforeTo, len(pairs), err)
-	return pairs, err
 }

@@ -44,9 +44,10 @@ func buildCtxTree(t *testing.T, n, dim int, seed int64) ([]metric.Object, *Tree)
 	return objs, tree
 }
 
-// TestCtxBackgroundEquivalence: the paper-named conveniences (RangeQuery, KNN,
-// Join) answer exactly like Query / JoinCtx under context.Background — the
-// delegation adds no behavior.
+// TestCtxBackgroundEquivalence: the paper-named conveniences (RangeQuery, KNN)
+// answer exactly like Query under context.Background — the delegation adds no
+// behavior — and Join answers the same under an uncanceled context as under
+// context.Background.
 func TestCtxBackgroundEquivalence(t *testing.T) {
 	objs, tree := buildCtxTree(t, 300, 4, 41)
 	q := objs[7]
@@ -72,8 +73,8 @@ func TestCtxBackgroundEquivalence(t *testing.T) {
 		t.Fatal("kNN: ctx variant disagrees with plain")
 	}
 
-	plainJ, err1 := Join(tree, tree, 0.05*dist.MaxDistance())
-	ctxJ, err2 := JoinCtx(ctx, tree, tree, 0.05*dist.MaxDistance())
+	plainJ, _, err1 := Join(context.Background(), tree, tree, 0.05*dist.MaxDistance())
+	ctxJ, _, err2 := Join(ctx, tree, tree, 0.05*dist.MaxDistance())
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -113,7 +114,7 @@ func TestCtxAlreadyCanceled(t *testing.T) {
 	if _, _, err := tree.Query(ctx, Query{Op: OpKNNApprox, Q: q, K: 5, MaxVerify: 50}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("knn approx: %v", err)
 	}
-	if _, err := JoinCtx(ctx, tree, tree, 0.1); !errors.Is(err, ErrCanceled) {
+	if _, _, err := Join(ctx, tree, tree, 0.1); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("join: %v", err)
 	}
 	// A Timed query carries the same contract and still fills stats.
@@ -265,7 +266,7 @@ func TestCtxStressQueriesRebuildCancel(t *testing.T) {
 						wrong.Add(1)
 					}
 				case 3:
-					_, err = JoinCtx(ctx, tree, tree, 0.02*dist.MaxDistance())
+					_, _, err = Join(ctx, tree, tree, 0.02*dist.MaxDistance())
 				}
 				cancel()
 				if err != nil && !errors.Is(err, ErrCanceled) {

@@ -153,7 +153,7 @@ func TestJoinSurfacesCorruptionWithPartialPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Join(tq, to, 0.2)
+	full, _, err := Join(context.Background(), tq, to, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestJoinSurfacesCorruptionWithPartialPairs(t *testing.T) {
 	}
 
 	flipAllPages(dataFault, tq.raf.PagesUsed())
-	partial, err := Join(tq, to, 0.2)
+	partial, _, err := Join(context.Background(), tq, to, 0.2)
 	if !errors.Is(err, page.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}

@@ -252,11 +252,11 @@ func (fx *durableFixture) checkEquivalence(t *testing.T, qs ...metric.Object) {
 
 	// Self-join equivalence: pair sets with exact distances must coincide.
 	const eps = 0.3
-	wantPairs, err := Join(ref, ref, eps)
+	wantPairs, _, err := Join(context.Background(), ref, ref, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotPairs, err := Join(dur, dur, eps)
+	gotPairs, _, err := Join(context.Background(), dur, dur, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -655,7 +655,7 @@ func TestDurableClosedEntryPoints(t *testing.T) {
 	_, err = fx.tree.Get(q)
 	assertClosed("Get", err)
 	assertClosed("CompactNow", fx.tree.CompactNow())
-	_, err = Join(fx.tree, fx.tree, 0.3)
+	_, _, err = Join(context.Background(), fx.tree, fx.tree, 0.3)
 	assertClosed("Join", err)
 	it := fx.tree.NearestIter(q)
 	if _, ok := it.Next(); ok {

@@ -36,6 +36,38 @@ type golden struct {
 	Verified, Compdists, Abandoned, Discarded     int64
 	EntriesScanned, EntriesPruned, Lemma2Included int64
 	TombstonesSkipped, DeltaCandidates, Results   int64
+
+	// EntriesSkipped and ListEvictions are filled by join rows only (addJoin).
+	EntriesSkipped, ListEvictions int64
+}
+
+// addJoin folds one join's outcome into the row: the hash covers every pair's
+// (QID, OID, distance bits) in the order the join returned them.
+func (g *golden) addJoin(pairs []JoinPair, qs QueryStats, err error) {
+	if err != nil {
+		g.Err = err.Error()
+	}
+	h := fnv.New64a()
+	var buf [24]byte
+	binary.LittleEndian.PutUint64(buf[:], g.Hash)
+	h.Write(buf[:8])
+	for _, p := range pairs {
+		binary.LittleEndian.PutUint64(buf[0:], p.Q.ID())
+		binary.LittleEndian.PutUint64(buf[8:], p.O.ID())
+		binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(p.Dist))
+		h.Write(buf[:])
+	}
+	g.Hash = h.Sum64()
+	g.Results += int64(len(pairs))
+	g.Verified += qs.Verified
+	g.Compdists += qs.Compdists
+	g.Abandoned += qs.Abandoned
+	g.Discarded += qs.Discarded
+	g.EntriesScanned += qs.EntriesScanned
+	g.EntriesPruned += qs.EntriesPruned
+	g.EntriesSkipped += qs.EntriesSkipped
+	g.ListEvictions += qs.ListEvictions
+	g.TombstonesSkipped += qs.TombstonesSkipped
 }
 
 // add folds one query's outcome into the row.

@@ -40,9 +40,10 @@ func IDPairs(pairs []JoinPair) []IDPair {
 	return out
 }
 
-// SortIDPairs orders pairs by (QID, OID), the canonical result order every
-// join entry point returns — applying it after a gather makes the merged
-// answer byte-identical to a single-tree join.
+// SortIDPairs orders pairs by (QID, OID), the canonical order of a gathered
+// join: forest.Join, the cluster router and /v1/join return their pairs in
+// it, so a merged answer is byte-identical however its shard pairs were
+// split. Join on two trees does not sort (it returns merge order).
 func SortIDPairs(pairs []IDPair) {
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].QID != pairs[j].QID {
@@ -61,24 +62,41 @@ func SortIDPairs(pairs []IDPair) {
 //
 // Both trees must have been built over the same mapped space: tq built
 // normally with Curve: sfc.ZOrder, and to built with ShareMapping: tq (or
-// vice versa). Self-joins (tq == to) are allowed.
+// vice versa). Self-joins (tq == to) are allowed. Any other pair of trees is
+// refused with an error matching ErrInvalidQuery. A negative eps matches
+// nothing.
 //
-// On a storage or corruption error the pairs verified so far are returned
-// alongside the non-nil error, so callers get a partial answer rather than
-// silently losing pairs.
+// The pairs come back unordered: in merge order, followed by the pairs of
+// the trees' write buffers (joinDelta). Callers that need the canonical
+// (QID, OID) order sort, as every gathering layer does.
 //
-// Use JoinWithStats to additionally observe the join's QueryStats, and
-// JoinCtx for deadline- and cancellation-aware execution.
-func Join(tq, to *Tree, eps float64) ([]JoinPair, error) {
-	return JoinCtx(context.Background(), tq, to, eps)
+// The stats are always filled: the work counters, the page accesses of both
+// trees' stores (once for a self-join), Results and Elapsed. A join carries
+// no stage clocks. The aggregate metrics are recorded on tq.
+//
+// ctx is checked at every merge step and before every distance computation.
+// On cancellation, and on a storage or corruption error, the pairs verified
+// so far are returned with the error (matching ErrCanceled in the first
+// case), and the stats cover the work done.
+func Join(ctx context.Context, tq, to *Tree, eps float64) ([]JoinPair, QueryStats, error) {
+	qs := QueryStats{Op: OpJoin}
+	unlock := rlockPair(tq, to)
+	defer unlock()
+	if tq.closed || to.closed {
+		return nil, qs, ErrClosed
+	}
+	qt := tq.beginQuery(&qs)
+	if to != tq {
+		qt.to, qt.toBefore = to, to.takeIOSnapshot()
+	}
+	pairs, err := joinImpl(ctx, tq, to, eps, &qs)
+	qt.finish(len(pairs), err)
+	return pairs, qs, err
 }
 
 // joinImpl is Algorithm 3, accumulating per-stage counts into qs. Leaf-chain
 // cursor reads are not reflected in NodesRead (the cursors decode nodes
 // internally); the physical side of that traversal still shows up in IndexPA.
-// ctx is checked at every merge step and before every distance computation;
-// on cancellation the pairs verified so far are returned with a typed
-// ErrCanceled.
 func joinImpl(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats) ([]JoinPair, error) {
 	if err := joinCompatible(tq, to); err != nil {
 		return nil, err
@@ -103,15 +121,15 @@ func joinImpl(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats) ([
 //	rule 2:  base-live(tq) × to.delta
 //
 // each computed by running the buffered object as an internal range query
-// against the opposite tree — legal here because runJoin already holds both
+// against the opposite tree — legal here because Join already holds both
 // trees' read locks — with rule 2 dropping hits that are themselves buffered
 // q-side inserts (already paired by rule 1). This covers self-joins too: both
 // orientations of a (buffered, base) pair appear, as in a full merge.
 //
 // Lemma-2 hits carry an upper bound, not a distance; join pairs always report
 // exact distances, so those are recomputed. The pairs are appended in
-// (buffered ID, hit ID) order after the merge pairs — JoinWithStats counters
-// for the delta portion reflect the internal range pipelines, not a merge.
+// (buffered ID, hit ID) order after the merge pairs — the join's counters for
+// the delta portion reflect the internal range pipelines, not a merge.
 func joinDelta(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, pairs []JoinPair) ([]JoinPair, error) {
 	exact := func(t *Tree, a, b metric.Object, r Result) float64 {
 		if r.Exact {
@@ -213,13 +231,14 @@ func joinMerge(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, s
 	return co.Err()
 }
 
-// joinCompatible ensures the two trees share a Z-order mapped space.
+// joinCompatible ensures the two trees share a Z-order mapped space. Its
+// refusals match ErrInvalidQuery: the request, not the index, is at fault.
 func joinCompatible(tq, to *Tree) error {
 	if tq.kind != sfc.ZOrder || to.kind != sfc.ZOrder {
-		return fmt.Errorf("core: similarity joins require Z-order SPB-trees (Lemma 6); got %v and %v", tq.kind, to.kind)
+		return fmt.Errorf("%w: similarity joins require Z-order SPB-trees (Lemma 6); got %v and %v", ErrInvalidQuery, tq.kind, to.kind)
 	}
 	if len(tq.pivots) != len(to.pivots) || tq.bits != to.bits || tq.delta != to.delta {
-		return fmt.Errorf("core: join trees have incompatible mappings; build one with ShareMapping")
+		return fmt.Errorf("%w: join trees have incompatible mappings; build one with ShareMapping", ErrInvalidQuery)
 	}
 	for i := range tq.pivots {
 		a, b := tq.pivots[i], to.pivots[i]
@@ -230,7 +249,7 @@ func joinCompatible(tq, to *Tree) error {
 		// disk) carry distinct pivot objects with identical content; compare
 		// by identity and encoding, not interface equality.
 		if a.ID() != b.ID() || !bytes.Equal(a.AppendBinary(nil), b.AppendBinary(nil)) {
-			return fmt.Errorf("core: join trees use different pivot tables; build one with ShareMapping")
+			return fmt.Errorf("%w: join trees use different pivot tables; build one with ShareMapping", ErrInvalidQuery)
 		}
 	}
 	return nil
@@ -253,9 +272,7 @@ type joinElem struct {
 // by one cell of slack, keeping Lemma 5 conservative and therefore exact.
 func (t *Tree) loadJoinElem(key, val uint64, eps float64, n int, qs *QueryStats) (joinElem, error) {
 	qs.EntriesScanned++
-	st := qs.stageStart()
 	obj, err := t.raf.Read(val)
-	qs.stageAdd(&qs.VerifyTime, st)
 	if err != nil {
 		return joinElem{}, err
 	}
@@ -343,9 +360,7 @@ func (s *joinSerial) pair(cur, other joinElem, flip bool) error {
 		return err
 	}
 	qs := s.qs
-	st := qs.stageStart()
 	d, within := s.t.verifyDist(cur.obj, other.obj, s.eps)
-	qs.stageAdd(&qs.VerifyTime, st)
 	qs.Verified++
 	qs.Compdists++
 	if within {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -50,7 +52,7 @@ func TestJoinMatchesBruteForceVectors(t *testing.T) {
 	tq, to := buildJoinPair(t, Q, O, dist, metric.VectorCodec{Dim: 4}, 3)
 	for _, epsFrac := range []float64{0.02, 0.06, 0.10} {
 		eps := epsFrac * dist.MaxDistance()
-		got, err := Join(tq, to, eps)
+		got, _, err := Join(context.Background(), tq, to, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +88,7 @@ func TestJoinMatchesBruteForceWords(t *testing.T) {
 	dist := metric.EditDistance{MaxLen: 24}
 	tq, to := buildJoinPair(t, Q, O, dist, metric.StrCodec{}, 3)
 	for _, eps := range []float64{1, 2, 3} {
-		got, err := Join(tq, to, eps)
+		got, _, err := Join(context.Background(), tq, to, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +109,7 @@ func TestSelfJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	eps := 0.05 * dist.MaxDistance()
-	got, err := Join(tree, tree, eps)
+	got, _, err := Join(context.Background(), tree, tree, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +126,8 @@ func TestJoinRequiresZOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Join(hil, hil, 0.1); err == nil {
-		t.Error("join over Hilbert trees accepted (Lemma 6 needs Z-order)")
+	if _, _, err := Join(context.Background(), hil, hil, 0.1); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("join over Hilbert trees: err = %v, want ErrInvalidQuery (Lemma 6 needs Z-order)", err)
 	}
 }
 
@@ -141,8 +143,8 @@ func TestJoinRequiresSharedMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Join(ta, tb, 0.1); err == nil {
-		t.Error("join across different pivot tables accepted")
+	if _, _, err := Join(context.Background(), ta, tb, 0.1); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("join across different pivot tables: err = %v, want ErrInvalidQuery", err)
 	}
 }
 
@@ -153,7 +155,7 @@ func TestJoinEpsilonZeroAndNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Join(tree, tree, 0)
+	got, _, err := Join(context.Background(), tree, tree, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func TestJoinEpsilonZeroAndNegative(t *testing.T) {
 	if len(got) != len(want) {
 		t.Errorf("eps=0: got %d, want %d (self-pairs)", len(got), len(want))
 	}
-	if got, _ := Join(tree, tree, -1); got != nil {
+	if got, _, _ := Join(context.Background(), tree, tree, -1); got != nil {
 		t.Errorf("negative eps returned %d pairs", len(got))
 	}
 }
@@ -178,7 +180,7 @@ func TestJoinScansEachTreeOnce(t *testing.T) {
 	tq, to := buildJoinPair(t, Q, O, dist, metric.VectorCodec{Dim: 4}, 3)
 	tq.ResetStats()
 	to.ResetStats()
-	if _, err := Join(tq, to, 0.03*dist.MaxDistance()); err != nil {
+	if _, _, err := Join(context.Background(), tq, to, 0.03*dist.MaxDistance()); err != nil {
 		t.Fatal(err)
 	}
 	paQ := tq.TakeStats().PageAccesses
@@ -229,7 +231,7 @@ func TestJoinSkewedSizes(t *testing.T) {
 	dist := metric.L2(3)
 	tq, to := buildJoinPair(t, Q, O, dist, metric.VectorCodec{Dim: 3}, 3)
 	eps := 0.05 * dist.MaxDistance()
-	got, err := Join(tq, to, eps)
+	got, _, err := Join(context.Background(), tq, to, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +240,7 @@ func TestJoinSkewedSizes(t *testing.T) {
 		t.Fatalf("got %d pairs, want %d", len(got), len(want))
 	}
 	// Symmetry: swapping the roles yields the same pair count.
-	rev, err := Join(to, tq, eps)
+	rev, _, err := Join(context.Background(), to, tq, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +260,7 @@ func TestJoinDiscreteSignatures(t *testing.T) {
 	dist := metric.Hamming{Bytes: 8}
 	tq, to := buildJoinPair(t, Q, O, dist, metric.BitStringCodec{Bytes: 8}, 3)
 	for _, eps := range []float64{2, 5, 8} {
-		got, err := Join(tq, to, eps)
+		got, _, err := Join(context.Background(), tq, to, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,4 +269,56 @@ func TestJoinDiscreteSignatures(t *testing.T) {
 			t.Fatalf("eps=%v: got %d pairs, want %d", eps, len(got), len(want))
 		}
 	}
+}
+
+// TestJoinGoldens pins Join's counters and pair order against rows frozen
+// from the four-variant join family it replaced: seeded vectors and words,
+// two-tree, reversed and self joins, ε = 0 and ε < 0, and a durable tree
+// whose write buffer holds inserts, deletes and upserts.
+func TestJoinGoldens(t *testing.T) {
+	defer writeGoldens(t)
+	run := func(label string, tq, to *Tree, eps float64) {
+		t.Helper()
+		var row golden
+		row.addJoin(Join(context.Background(), tq, to, eps))
+		checkGolden(t, "join/"+label, row)
+	}
+
+	vq := vectorSet(200, 4, 21)
+	vo := vectorSet(250, 4, 22)
+	for i, o := range vo {
+		o.(*metric.Vector).Id = uint64(10000 + i)
+	}
+	l2 := metric.L2(4)
+	tq, to := buildJoinPair(t, vq, vo, l2, metric.VectorCodec{Dim: 4}, 3)
+	for _, frac := range []float64{-0.01, 0, 0.02, 0.06, 0.10} {
+		run(fmt.Sprintf("vectors/QxO/eps=%v", frac), tq, to, frac*l2.MaxDistance())
+	}
+	run("vectors/OxQ/eps=0.06", to, tq, 0.06*l2.MaxDistance())
+	run("vectors/QxQ/eps=0.06", tq, tq, 0.06*l2.MaxDistance())
+
+	wq := wordSet(150, 23)
+	wo := wordSet(180, 24)
+	for i, o := range wo {
+		o.(*metric.Str).Id = uint64(10000 + i)
+	}
+	ed := metric.EditDistance{MaxLen: 24}
+	tq, to = buildJoinPair(t, wq, wo, ed, metric.StrCodec{}, 3)
+	for _, eps := range []float64{-1, 0, 1, 2, 3} {
+		run(fmt.Sprintf("words/QxO/eps=%v", eps), tq, to, eps)
+	}
+	run("words/OxO/eps=2", to, to, 2)
+
+	fx := newDurableFixture(t, 200, DurableOptions{CompactThreshold: -1})
+	defer fx.tree.Close()
+	fx.standardMutations(t)
+	if fx.tree.DeltaLen() == 0 {
+		t.Fatal("write buffer is empty; the durable rows would not cover the delta pass")
+	}
+	ref := fx.refTree(t)
+	for _, eps := range []float64{0, 0.2, 0.3} {
+		run(fmt.Sprintf("durable/self/eps=%v", eps), fx.tree, fx.tree, eps)
+	}
+	run("durable/dur x ref/eps=0.3", fx.tree, ref, 0.3)
+	run("durable/ref x dur/eps=0.3", ref, fx.tree, 0.3)
 }

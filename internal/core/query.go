@@ -59,7 +59,8 @@ type Query struct {
 	Timed bool
 }
 
-// ErrInvalidQuery matches (errors.Is) every request Query.Validate rejects.
+// ErrInvalidQuery matches (errors.Is) every request Query.Validate rejects,
+// and a join whose trees do not share one Z-order mapped space.
 var ErrInvalidQuery = errors.New("core: invalid query")
 
 // Validate checks the request's invariants — the one place they live, called

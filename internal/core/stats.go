@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"spbtree/internal/obs"
@@ -138,8 +137,8 @@ type QueryStats struct {
 	// --- wall clock -------------------------------------------------------
 
 	// PlanTime covers query preparation: the pivot mapping φ(q) and range-
-	// region computation. Populated for Timed queries (and the WithStats join
-	// entry points) only.
+	// region computation. Populated for Timed queries only; a join carries no
+	// stage clocks.
 	PlanTime time.Duration
 	// VerifyTime covers RAF reads plus distance computations. Timed only.
 	VerifyTime time.Duration
@@ -257,6 +256,15 @@ func (t *Tree) takeIOSnapshot() ioSnapshot {
 	return s
 }
 
+// addIO adds the page accesses and cache hits between two snapshots of one
+// tree's counters.
+func (s *QueryStats) addIO(before, after ioSnapshot) {
+	s.IndexPA += after.idxAcc - before.idxAcc
+	s.DataPA += after.dataAcc - before.dataAcc
+	s.IndexCacheHits += after.idxHits - before.idxHits
+	s.DataCacheHits += after.dataHits - before.dataHits
+}
+
 // queryTimer carries one query's begin-state; finish turns it into deltas
 // and folds the query into the tree's aggregate metrics. It lives on the
 // caller's stack — no allocation on the query path.
@@ -265,6 +273,10 @@ type queryTimer struct {
 	qs     *QueryStats
 	before ioSnapshot
 	start  time.Time
+	// to and toBefore are a two-tree join's second tree and its begin-state,
+	// set by Join; to is nil for every other query, a self-join included.
+	to       *Tree
+	toBefore ioSnapshot
 }
 
 // beginQuery snapshots the shared counters and starts the wall clock.
@@ -272,42 +284,16 @@ func (t *Tree) beginQuery(qs *QueryStats) queryTimer {
 	return queryTimer{t: t, qs: qs, before: t.takeIOSnapshot(), start: time.Now()}
 }
 
-// finish computes the I/O deltas, closes the clocks and records the query in
-// the aggregate registry.
+// finish computes the I/O deltas (a two-tree join's second store
+// included), closes the clocks and records the query in the aggregate
+// registry.
 func (qt *queryTimer) finish(results int, err error) {
 	qs := qt.qs
 	qs.Elapsed = time.Since(qt.start)
 	qs.Results = results
-	after := qt.t.takeIOSnapshot()
-	qs.IndexPA = after.idxAcc - qt.before.idxAcc
-	qs.DataPA = after.dataAcc - qt.before.dataAcc
-	qs.IndexCacheHits = after.idxHits - qt.before.idxHits
-	qs.DataCacheHits = after.dataHits - qt.before.dataHits
-	if qs.timed {
-		if ft := qs.Elapsed - qs.PlanTime - qs.VerifyTime; ft > 0 {
-			qs.FilterTime = ft
-		}
-	}
-	qt.t.metrics.Op(qs.Op).Observe(qs.Compdists, qs.IndexPA, qs.DataPA, int64(results), qs.Elapsed, err != nil)
-}
-
-// finishJoin is finish for the two-tree join: I/O deltas come from both
-// trees' stores (once for self-joins).
-func (qt *queryTimer) finishJoin(to *Tree, beforeTo ioSnapshot, results int, err error) {
-	qs := qt.qs
-	qs.Elapsed = time.Since(qt.start)
-	qs.Results = results
-	after := qt.t.takeIOSnapshot()
-	qs.IndexPA = after.idxAcc - qt.before.idxAcc
-	qs.DataPA = after.dataAcc - qt.before.dataAcc
-	qs.IndexCacheHits = after.idxHits - qt.before.idxHits
-	qs.DataCacheHits = after.dataHits - qt.before.dataHits
-	if to != qt.t {
-		afterTo := to.takeIOSnapshot()
-		qs.IndexPA += afterTo.idxAcc - beforeTo.idxAcc
-		qs.DataPA += afterTo.dataAcc - beforeTo.dataAcc
-		qs.IndexCacheHits += afterTo.idxHits - beforeTo.idxHits
-		qs.DataCacheHits += afterTo.dataHits - beforeTo.dataHits
+	qs.addIO(qt.before, qt.t.takeIOSnapshot())
+	if qt.to != nil {
+		qs.addIO(qt.toBefore, qt.to.takeIOSnapshot())
 	}
 	if qs.timed {
 		if ft := qs.Elapsed - qs.PlanTime - qs.VerifyTime; ft > 0 {
@@ -319,7 +305,7 @@ func (qt *queryTimer) finishJoin(to *Tree, beforeTo ioSnapshot, results int, err
 
 // Metrics returns the tree's aggregate observability registry: per-operation
 // query counts, compdists/PA totals and latency histograms, accumulated over
-// the tree's lifetime by every search entry point (plain and WithStats).
+// the tree's lifetime by Query and Join (a join is recorded on its Q tree).
 func (t *Tree) Metrics() *obs.Registry { return &t.metrics }
 
 // PublishExpvar exports the tree's aggregate metrics snapshot under name in
@@ -346,11 +332,4 @@ func (t *Tree) wireTracer() {
 	t.idxCache.SetTracer(t.tracer, obs.SrcIndex)
 	t.dataCache.SetTracer(t.tracer, obs.SrcData)
 	t.raf.SetTracer(t.tracer)
-}
-
-// JoinWithStats computes SJ(Q, O, ε) like Join and additionally returns the
-// join's QueryStats: page accesses aggregate both trees' stores (once for a
-// self-join), and the aggregate metrics are recorded on tq.
-func JoinWithStats(tq, to *Tree, eps float64) ([]JoinPair, QueryStats, error) {
-	return JoinWithStatsCtx(context.Background(), tq, to, eps)
 }

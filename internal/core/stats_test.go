@@ -161,7 +161,7 @@ func TestJoinStatsReconcile(t *testing.T) {
 
 	tq.ResetStats()
 	to.ResetStats()
-	pairs, qs, err := JoinWithStats(tq, to, eps)
+	pairs, qs, err := Join(context.Background(), tq, to, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestJoinStatsReconcile(t *testing.T) {
 
 	// Self-join: both sides are the same store; deltas must not double.
 	tq.ResetStats()
-	_, qs, err = JoinWithStats(tq, tq, eps)
+	_, qs, err = Join(context.Background(), tq, tq, eps)
 	if err != nil {
 		t.Fatal(err)
 	}

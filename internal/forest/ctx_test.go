@@ -27,7 +27,7 @@ func TestScatterStopsOnCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var launched atomic.Int32
-	err = f.scatter(ctx, f.allShards(), func(i int, _ *core.Tree) error {
+	err = f.scatter(ctx, f.NumShards(), func(i int) error {
 		if launched.Add(1) == 1 {
 			cancel() // cancel while the first shard is still running
 		}
@@ -63,7 +63,7 @@ func TestScatterNoDispatchAfterCancelObserved(t *testing.T) {
 	for iter := 0; iter < 50; iter++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		var launched atomic.Int32
-		err := f.scatter(ctx, f.allShards(), func(i int, _ *core.Tree) error {
+		err := f.scatter(ctx, f.NumShards(), func(i int) error {
 			launched.Add(1)
 			cancel() // observable before this shard's slot frees
 			return nil
@@ -79,7 +79,7 @@ func TestScatterNoDispatchAfterCancelObserved(t *testing.T) {
 }
 
 // TestScatterStopsOnError: once one shard fails, un-dispatched shards never
-// start, and the first error (in shard order) is returned.
+// start, and the first error (in task order) is returned.
 func TestScatterStopsOnError(t *testing.T) {
 	objs := vectors(600, 3, 12, 0)
 	f, err := Build(objs, Options{
@@ -94,7 +94,7 @@ func TestScatterStopsOnError(t *testing.T) {
 	}
 	boom := errors.New("shard exploded")
 	var launched atomic.Int32
-	err = f.scatter(context.Background(), f.allShards(), func(i int, _ *core.Tree) error {
+	err = f.scatter(context.Background(), f.NumShards(), func(i int) error {
 		launched.Add(1)
 		if i == 0 {
 			return boom

@@ -125,34 +125,34 @@ func (f *Forest) Len() int {
 	return n
 }
 
-// scatter runs fn for every shard listed in idxs, bounded by the parallelism
-// limit, and returns the first error (in shard order). Dispatch is
-// admission-controlled: once ctx is canceled or any shard has recorded an
-// error, no further shard work is issued — already-running shards wind down
-// through their own ctx checks, but queued ones never start. Cancellation is
-// re-checked after every slot acquisition: a dispatcher that waited for a
-// slot can wake to find both the slot and the cancellation ready, and Go's
-// select picks between ready cases at random, so without the re-check a
-// canceled query could still issue one more shard's worth of work. On
-// cancellation with no shard error the returned error matches
-// core.ErrCanceled.
-func (f *Forest) scatter(ctx context.Context, idxs []int, fn func(i int, t *core.Tree) error) error {
+// scatter runs fn(0), …, fn(n-1) — one task per visited shard of a query,
+// or per shard pair of a join — bounded by the parallelism limit, and
+// returns the first error in task order. Dispatch is admission-controlled:
+// once ctx is canceled or any task has recorded an error, no further task is
+// issued — already-running tasks wind down through their own ctx checks, but
+// queued ones never start. Cancellation is re-checked after every slot
+// acquisition: a dispatcher that waited for a slot can wake to find both the
+// slot and the cancellation ready, and Go's select picks between ready cases
+// at random, so without the re-check a canceled query could still issue one
+// more task's worth of work. On cancellation with no task error the returned
+// error matches core.ErrCanceled.
+func (f *Forest) scatter(ctx context.Context, n int, fn func(i int) error) error {
 	limit := f.parallel
-	if limit <= 0 || limit > len(idxs) {
-		limit = len(idxs)
+	if limit <= 0 || limit > n {
+		limit = n
 	}
 	sem := make(chan struct{}, limit)
-	errs := make([]error, len(f.trees))
+	errs := make([]error, n)
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 dispatch:
-	for _, i := range idxs {
+	for i := 0; i < n; i++ {
 		if failed.Load() || ctx.Err() != nil {
-			break // stop issuing work; un-dispatched shards never run
+			break // stop issuing work; un-dispatched tasks never run
 		}
 		// Acquire the slot before spawning, so a full pipeline blocks the
-		// dispatcher (not a goroutine per shard) and cancellation while
-		// waiting abandons the remaining shards outright.
+		// dispatcher (not a goroutine per task) and cancellation while
+		// waiting abandons the remaining tasks outright.
 		select {
 		case sem <- struct{}{}:
 			if ctx.Err() != nil {
@@ -165,7 +165,7 @@ dispatch:
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if err := fn(i, f.trees[i]); err != nil {
+			if err := fn(i); err != nil {
 				errs[i] = err
 				failed.Store(true)
 			}
@@ -240,7 +240,8 @@ func (f *Forest) Query(ctx context.Context, q core.Query) ([]core.Result, core.Q
 		}
 	}
 	if err == nil {
-		err = f.scatter(ctx, visit, func(i int, t *core.Tree) error {
+		err = f.scatter(ctx, len(visit), func(j int) error {
+			i, t := visit[j], f.trees[visit[j]]
 			res, qs, err := t.Query(ctx, q)
 			if q.Op == core.OpKNNGraph && errors.Is(err, core.ErrNoGraph) {
 				res, qs, err = t.Query(ctx, q.Exact())
@@ -283,73 +284,30 @@ func (f *Forest) KNNWithStatsCtx(ctx context.Context, q metric.Object, k int) ([
 }
 
 // Join computes SJ(Q, O, ε) between two forests sharing one mapped space:
-// every (Q-shard, O-shard) pair runs an independent SJA merge, all pairs in
-// parallel — the shuffle-free join plan a shared-pivot partitioning allows.
-func Join(fq, fo *Forest, eps float64) ([]core.JoinPair, error) {
-	return JoinCtx(context.Background(), fq, fo, eps)
-}
-
-// JoinCtx is Join honoring ctx: shard pairs not yet dispatched when the
-// context is canceled (or an earlier pair failed) never run, running pairs
-// stop at the core join's cancellation checks, and the pairs gathered so far
-// are returned with the first error (matching core.ErrCanceled on
-// cancellation). The cluster router decomposes a cluster-wide join into
-// node-local pair joins of this kind (DESIGN.md §12).
-func JoinCtx(ctx context.Context, fq, fo *Forest, eps float64) ([]core.JoinPair, error) {
-	qTrees, oTrees := fq.trees, fo.trees
-	type task struct{ qi, oi int }
-	var tasks []task
-	for qi := range qTrees {
-		for oi := range oTrees {
-			tasks = append(tasks, task{qi, oi})
-		}
-	}
-	limit := fq.parallel
-	if limit <= 0 || limit > len(tasks) {
-		limit = len(tasks)
-	}
-	sem := make(chan struct{}, limit)
-	per := make([][]core.JoinPair, len(tasks))
-	errs := make([]error, len(tasks))
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-dispatch:
-	for ti, tk := range tasks {
-		if failed.Load() || ctx.Err() != nil {
-			break // stop issuing shard-pair work
-		}
-		select {
-		case sem <- struct{}{}:
-			if ctx.Err() != nil {
-				break dispatch // canceled while waiting; the slot won the race
-			}
-		case <-ctx.Done():
-			break dispatch
-		}
-		wg.Add(1)
-		go func(ti int, tk task) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			per[ti], errs[ti] = core.JoinCtx(ctx, qTrees[tk.qi], oTrees[tk.oi], eps)
-			if errs[ti] != nil {
-				failed.Store(true)
-			}
-		}(ti, tk)
-	}
-	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr == nil && ctx.Err() != nil {
-		firstErr = fmt.Errorf("%w: %w", core.ErrCanceled, context.Cause(ctx))
-	}
+// every (Q-shard, O-shard) pair runs core.Join as one task of fq's scatter,
+// the shuffle-free join plan a shared-pivot partitioning allows. The pairs
+// come back in (QID, OID) order. Cancellation and failures behave as in
+// Query: shard pairs not yet dispatched never run, and the pairs gathered so
+// far return with the first error (matching core.ErrCanceled on
+// cancellation). In the stats, the counters add across shard pairs
+// (core.QueryStats.Merge), and Elapsed is the forest's own wall clock around
+// the gather. A cluster node answers its slice of a cluster join with this
+// (DESIGN.md §12.5).
+func Join(ctx context.Context, fq, fo *Forest, eps float64) ([]core.JoinPair, core.QueryStats, error) {
+	start := time.Now()
+	no := len(fo.trees)
+	per := make([][]core.JoinPair, len(fq.trees)*no)
+	stats := make([]core.QueryStats, len(per))
+	err := fq.scatter(ctx, len(per), func(i int) error {
+		var err error
+		per[i], stats[i], err = core.Join(ctx, fq.trees[i/no], fo.trees[i%no], eps)
+		return err
+	})
 	var out []core.JoinPair
-	for _, pairs := range per {
-		out = append(out, pairs...)
+	total := core.QueryStats{Op: core.OpJoin}
+	for i := range per {
+		out = append(out, per[i]...)
+		total.Merge(stats[i])
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Q.ID() != out[j].Q.ID() {
@@ -357,7 +315,9 @@ dispatch:
 		}
 		return out[i].O.ID() < out[j].O.ID()
 	})
-	return out, firstErr
+	total.Results = len(out)
+	total.Elapsed = time.Since(start)
+	return out, total, err
 }
 
 // BuildPartner builds a second forest over objs sharing f's pivot mapping

@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -107,7 +108,7 @@ func TestForestJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	eps := 0.07 * dist.MaxDistance()
-	got, err := Join(fq, fo, eps)
+	got, qs, err := Join(context.Background(), fq, fo, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +122,21 @@ func TestForestJoin(t *testing.T) {
 	}
 	if len(got) != want {
 		t.Fatalf("forest join: %d pairs, want %d", len(got), want)
+	}
+	// The stats are the shard pairs' counters added up.
+	var sum core.QueryStats
+	for _, tq := range fq.Shards() {
+		for _, to := range fo.Shards() {
+			_, st, err := core.Join(context.Background(), tq, to, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum.Merge(st)
+		}
+	}
+	if qs.Op != core.OpJoin || qs.Results != want || qs.Compdists != sum.Compdists ||
+		qs.Verified != sum.Verified || qs.EntriesScanned != sum.EntriesScanned || qs.Elapsed <= 0 {
+		t.Fatalf("forest join stats %+v, want the shard pairs' sum %+v and %d results", qs, sum, want)
 	}
 	seen := map[[2]uint64]bool{}
 	for _, p := range got {

@@ -17,8 +17,8 @@ func (f *Forest) BuildGraph(opts core.GraphOptions) error {
 // forest's parallelism limit). Query with Op core.OpKNNGraph then answers
 // from the per-shard graphs (DESIGN.md §14).
 func (f *Forest) BuildGraphCtx(ctx context.Context, opts core.GraphOptions) error {
-	return f.scatter(ctx, f.allShards(), func(i int, t *core.Tree) error {
-		if err := t.BuildGraphCtx(ctx, opts); err != nil {
+	return f.scatter(ctx, len(f.trees), func(i int) error {
+		if err := f.trees[i].BuildGraphCtx(ctx, opts); err != nil {
 			return fmt.Errorf("forest: shard %d: %w", i, err)
 		}
 		return nil

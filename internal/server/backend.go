@@ -2,11 +2,9 @@ package server
 
 import (
 	"context"
-	"fmt"
 
 	"spbtree/internal/core"
 	"spbtree/internal/metric"
-	"spbtree/internal/sfc"
 )
 
 // Backend is the index the HTTP layer serves — the seam at which a single
@@ -22,12 +20,11 @@ type Backend interface {
 	// OpKNNGraph request on an index with no live graph answers
 	// core.ErrNoGraph, and the server degrades it to the exact request.
 	Query(ctx context.Context, q core.Query) ([]core.Result, core.QueryStats, error)
-	// SelfJoinWithStatsCtx computes SJ(D, D, eps) over the backend's own
-	// object set, as ID pairs.
-	SelfJoinWithStatsCtx(ctx context.Context, eps float64) ([]core.IDPair, core.QueryStats, error)
-	// CanJoin reports (as an error, for the 400 response) whether the
-	// backend supports similarity joins.
-	CanJoin() error
+	// Join computes the self-join SJ(D, D, eps) over the backend's own object
+	// set, as ID pairs in (QID, OID) order, with the join's stats. A backend
+	// that cannot join (its curve is not Z-order) answers an error matching
+	// core.ErrInvalidQuery, which the server maps to 400.
+	Join(ctx context.Context, eps float64) ([]core.IDPair, core.QueryStats, error)
 	// Insert upserts obj; Delete removes it (core.ErrNotFound when absent).
 	// Both honor ctx where the backend can (a local durable tree runs a
 	// started mutation to its WAL acknowledgement regardless).
@@ -60,19 +57,12 @@ func (b *TreeBackend) Query(ctx context.Context, q core.Query) ([]core.Result, c
 	return b.T.Query(ctx, q)
 }
 
-// SelfJoinWithStatsCtx implements Backend as SJ(T, T, eps).
-func (b *TreeBackend) SelfJoinWithStatsCtx(ctx context.Context, eps float64) ([]core.IDPair, core.QueryStats, error) {
-	pairs, qs, err := core.JoinWithStatsCtx(ctx, b.T, b.T, eps)
-	return core.IDPairs(pairs), qs, err
-}
-
-// CanJoin implements Backend: similarity joins need a Z-order curve
-// (Lemma 6).
-func (b *TreeBackend) CanJoin() error {
-	if b.T.CurveKind() != sfc.ZOrder {
-		return fmt.Errorf("similarity joins need a Z-order index (this index uses %v)", b.T.CurveKind())
-	}
-	return nil
+// Join implements Backend as SJ(T, T, eps), sorted into (QID, OID) order.
+func (b *TreeBackend) Join(ctx context.Context, eps float64) ([]core.IDPair, core.QueryStats, error) {
+	pairs, qs, err := core.Join(ctx, b.T, b.T, eps)
+	ids := core.IDPairs(pairs)
+	core.SortIDPairs(ids)
+	return ids, qs, err
 }
 
 // Insert implements Backend. The context is intentionally ignored: a

@@ -415,6 +415,12 @@ func (s *Server) handleQuery(op string) http.HandlerFunc {
 		status := http.StatusOK
 		switch {
 		case qerr == nil:
+		case errors.Is(qerr, core.ErrInvalidQuery):
+			// The backend refused the request itself, e.g. a join on an
+			// index that is not Z-order.
+			s.badRequests.Add(1)
+			status = http.StatusBadRequest
+			resp.Error = qerr.Error()
 		case errors.Is(qerr, core.ErrCanceled):
 			s.canceledQueries.Add(1)
 			status = http.StatusGatewayTimeout
@@ -503,12 +509,9 @@ func (s *Server) handleMutate(op string) http.HandlerFunc {
 // operation into resp and qs, surfacing parse/config errors before admission.
 func (s *Server) planQuery(op string, req Request, resp *response, qs *core.QueryStats) (func(context.Context) error, error) {
 	if op == core.OpJoin {
-		if err := s.tree.CanJoin(); err != nil {
-			return nil, badf("%s", err)
-		}
 		eps := *req.Eps
 		return func(ctx context.Context) error {
-			pairs, st, err := s.tree.SelfJoinWithStatsCtx(ctx, eps)
+			pairs, st, err := s.tree.Join(ctx, eps)
 			*qs = st
 			resp.Pairs = make([]pairJSON, len(pairs))
 			for i, p := range pairs {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"spbtree/internal/cluster"
 	"spbtree/internal/core"
 	"spbtree/internal/metric"
 	"spbtree/internal/sfc"
@@ -165,28 +167,74 @@ func TestE2EJoin(t *testing.T) {
 }
 
 func TestE2EJoinNeedsZOrder(t *testing.T) {
-	// A Hilbert-curve index must reject /v1/join up front with 400.
+	// A join on a Hilbert-curve index or cluster is refused with 400 and
+	// counted as a bad request.
 	objs := make([]metric.Object, 60)
 	rng := rand.New(rand.NewSource(9))
 	for i := range objs {
 		objs[i] = metric.NewVector(uint64(i), []float64{rng.Float64(), rng.Float64()})
 	}
-	tree, err := core.Build(objs, core.Options{
-		Distance: metric.L2(2), Codec: metric.VectorCodec{Dim: 2}, NumPivots: 2,
-	})
+	opts := core.Options{Distance: metric.L2(2), Codec: metric.VectorCodec{Dim: 2}, NumPivots: 2}
+	for _, row := range []struct {
+		name    string
+		backend func(t *testing.T) Backend
+	}{
+		{"tree", func(t *testing.T) Backend {
+			tree, err := core.Build(objs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return NewTreeBackend(tree)
+		}},
+		{"cluster", func(t *testing.T) Backend { return hilbertCluster(t, objs, opts) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			srv, err := New(Config{Backend: row.backend(t), ParseQuery: VectorParser(2)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Shutdown(context.Background())
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/join", strings.NewReader(`{"eps":0.1}`)))
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("join on Hilbert %s: status %d (%s), want 400", row.name, rec.Code, rec.Body)
+			}
+			if n := srv.badRequests.Load(); n != 1 {
+				t.Fatalf("bad_requests = %d, want 1", n)
+			}
+		})
+	}
+}
+
+// hilbertCluster serves objs from a two-shard, one-node loopback cluster on
+// the Hilbert curve, behind cluster.ServerBackend.
+func hilbertCluster(t *testing.T, objs []metric.Object, opts core.Options) Backend {
+	t.Helper()
+	root := t.TempDir()
+	cfg := &cluster.Config{Type: "vectors", Dim: 2, Shards: 2, Curve: "hilbert",
+		Nodes: []cluster.NodeDef{{Name: "n1", Addr: "pending"}}}
+	placement, err := cluster.Bootstrap(cfg, objs, cluster.BootstrapOptions{Dir: root, Tree: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Tree: tree, ParseQuery: VectorParser(2)})
+	node, err := cluster.OpenNode(cluster.NodeConfig{Name: "n1", Dir: cluster.NodeDir(root, "n1"),
+		Load: core.LoadOptions{Distance: opts.Distance, Codec: opts.Codec}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Shutdown(context.Background())
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/join", strings.NewReader(`{"eps":0.1}`)))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("join on Hilbert tree: status %d, want 400", rec.Code)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	placement.Nodes["n1"] = ln.Addr().String()
+	go node.Serve(ln)
+	t.Cleanup(func() { node.Close() })
+	router, err := cluster.NewRouter(placement, opts.Codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { router.Close() })
+	return &cluster.ServerBackend{R: router, Curve: cfg.Curve}
 }
 
 func TestE2EBadInput(t *testing.T) {

@@ -33,7 +33,7 @@
 //
 //	tq, _ := spbtree.Build(Q, spbtree.Options{Distance: d, Codec: c, Curve: spbtree.ZOrder})
 //	to, _ := spbtree.Build(O, spbtree.Options{Distance: d, Codec: c, Curve: spbtree.ZOrder, ShareMapping: tq})
-//	pairs, _ := spbtree.Join(tq, to, eps)
+//	pairs, stats, err := spbtree.Join(ctx, tq, to, eps)
 //
 // The implementation lives in internal packages; this package re-exports
 // the user-facing surface via type aliases, so godoc for the concrete
@@ -86,8 +86,14 @@ func Build(objs []Object, opts Options) (*Tree, error) { return core.Build(objs,
 
 // Join computes the similarity join SJ(Q, O, ε) = {⟨q, o⟩ | d(q, o) ≤ ε}
 // over two Z-order SPB-trees sharing one mapped space (build the second with
-// Options.ShareMapping). Self-joins (tq == to) are allowed. See core.Join.
-func Join(tq, to *Tree, eps float64) ([]JoinPair, error) { return core.Join(tq, to, eps) }
+// Options.ShareMapping). Self-joins (tq == to) are allowed; other pairs of
+// trees are refused with ErrInvalidQuery. The pairs come back unordered; the
+// stats carry the work counters, both trees' page accesses and Elapsed, but
+// no stage clocks. ctx is honored as described under ErrCanceled. See
+// core.Join.
+func Join(ctx context.Context, tq, to *Tree, eps float64) ([]JoinPair, QueryStats, error) {
+	return core.Join(ctx, tq, to, eps)
+}
 
 // EstimateJoin predicts a join's cost from the trees' cost models.
 func EstimateJoin(tq, to *Tree, eps float64) (CostEstimate, error) {
@@ -303,16 +309,17 @@ func BuildForest(objs []Object, opts ForestOptions) (*Forest, error) {
 }
 
 // JoinForests computes SJ(Q, O, ε) between two forests sharing one mapped
-// space, all shard pairs in parallel. See forest.Join.
-func JoinForests(fq, fo *Forest, eps float64) ([]JoinPair, error) {
-	return forest.Join(fq, fo, eps)
+// space, all shard pairs in parallel. The pairs come back in (QID, OID)
+// order, with the shard pairs' stats added up. See forest.Join.
+func JoinForests(ctx context.Context, fq, fo *Forest, eps float64) ([]JoinPair, QueryStats, error) {
+	return forest.Join(ctx, fq, fo, eps)
 }
 
 // Observability surface: per-query stage statistics, aggregate metrics and
 // structured tracing hooks. DESIGN.md §7 defines every counter and maps it
-// to the paper's metrics. Tree.Query, Forest.Query and JoinWithStats return a
-// QueryStats per query (Query.Timed adds the stage clocks); Tree.Metrics and Tree.PublishExpvar expose the
-// running aggregates; Tree.SetTracer installs a TraceEvent hook on every
+// to the paper's metrics. Tree.Query, Forest.Query, Join and JoinForests
+// return a QueryStats per query (Query.Timed adds the stage clocks to a
+// search); Tree.Metrics and Tree.PublishExpvar expose the running aggregates; Tree.SetTracer installs a TraceEvent hook on every
 // storage layer (no-op and allocation-free when unset).
 type (
 	// QueryStats is one query's per-stage cost breakdown: pruning counts,
@@ -390,15 +397,8 @@ var (
 	ErrGraphStale = core.ErrGraphStale
 )
 
-// JoinWithStats computes the similarity join like Join and additionally
-// returns the join's QueryStats (page accesses aggregate both trees' stores,
-// once for a self-join). See core.JoinWithStats.
-func JoinWithStats(tq, to *Tree, eps float64) ([]JoinPair, QueryStats, error) {
-	return core.JoinWithStats(tq, to, eps)
-}
-
-// Cancellation surface. Tree.Query, Forest.Query, JoinCtx and
-// JoinWithStatsCtx honor their context: cancellation is checked at leaf-scan and
+// Cancellation surface. Tree.Query, Forest.Query, Join and JoinForests honor
+// their context: cancellation is checked at leaf-scan, merge-step and
 // verification granularity, and an interrupted query returns the answers
 // verified so far together with an error matching ErrCanceled — partial
 // results plus a typed error, the same contract the durability layer uses
@@ -409,23 +409,10 @@ var (
 	// context was canceled or its deadline expired; the context's own cause
 	// (e.g. context.DeadlineExceeded) stays matchable through it.
 	ErrCanceled = core.ErrCanceled
-	// ErrInvalidQuery matches every request Query.Validate rejects.
+	// ErrInvalidQuery matches every request Query.Validate rejects, and a
+	// join over trees that are not Z-order or do not share one mapping.
 	ErrInvalidQuery = core.ErrInvalidQuery
 )
-
-// JoinCtx computes the similarity join like Join, honoring ctx: cancellation
-// is checked at every merge step and before every distance computation, and
-// the pairs found so far are returned with an error matching ErrCanceled.
-// See core.JoinCtx.
-func JoinCtx(ctx context.Context, tq, to *Tree, eps float64) ([]JoinPair, error) {
-	return core.JoinCtx(ctx, tq, to, eps)
-}
-
-// JoinWithStatsCtx is JoinCtx plus the join's QueryStats. See
-// core.JoinWithStatsCtx.
-func JoinWithStatsCtx(ctx context.Context, tq, to *Tree, eps float64) ([]JoinPair, QueryStats, error) {
-	return core.JoinWithStatsCtx(ctx, tq, to, eps)
-}
 
 // Pivot selection algorithms for Options.Selector.
 type (

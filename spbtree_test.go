@@ -112,7 +112,7 @@ func TestPublicJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := spbtree.Join(tq, to, 1)
+	pairs, _, err := spbtree.Join(context.Background(), tq, to, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestPublicForest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := spbtree.JoinForests(fp, f, 0)
+	pairs, _, err := spbtree.JoinForests(context.Background(), fp, f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
