@@ -321,6 +321,33 @@ func TestKeyRunScansSurfaceLeafReadFaults(t *testing.T) {
 }
 
 // nextLeaf returns the page of the leaf a cursor from Seek(key) crosses into
+// TestGraphSeedProbeSurfacesLeafReadFaults: a graph query seeds its beam by
+// seeking the B+-tree to the query's key. When that probe cannot read the
+// index, OpKNNGraph must return the fault, as OpKNN does, instead of a full
+// answer from a beam anchored at the last graph node; once the medium heals
+// it answers again.
+func TestGraphSeedProbeSurfacesLeafReadFaults(t *testing.T) {
+	tree, idxFault, _, objs, _ := faultyTree(t, 1200)
+	defer tree.Close()
+	if err := tree.BuildGraph(GraphOptions{Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < idxFault.NumPages(); id++ {
+		idxFault.FailPage(page.ID(id), page.OpRead)
+	}
+	for _, op := range []string{OpKNN, OpKNNGraph} {
+		res, _, err := tree.Query(context.Background(), Query{Op: op, Q: objs[3], K: 8})
+		if !errors.Is(err, page.ErrInjected) {
+			t.Errorf("%s: %d results, err = %v, want the injected fault", op, len(res), err)
+		}
+	}
+	idxFault.ClearPageFaults()
+	res, _, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: objs[3], K: 8})
+	if err != nil || len(res) != 8 {
+		t.Fatalf("after heal: %d results, err = %v, want 8 and none", len(res), err)
+	}
+}
+
 // first, and the last key of the leaf that cursor starts on.
 func nextLeaf(t *testing.T, tree *Tree, key uint64) (page.ID, uint64) {
 	t.Helper()

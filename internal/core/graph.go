@@ -195,13 +195,14 @@ func (t *Tree) BuildGraphCtx(ctx context.Context, opts GraphOptions) error {
 // similar objects on the curve, so the window lands inside the query's
 // cluster even when that cluster shares a weakly-connected graph component
 // with others and the component's entry sits an inter-cluster plateau away.
-// Charges the pivot mapping to Compdists like every exact query. Callers
-// hold t.mu.
-func (t *Tree) graphSeeds(q metric.Object, ef int, qs *QueryStats) []int32 {
+// Charges the pivot mapping to Compdists like every exact query, and returns
+// the B+-tree's read error if the probe could not read a node. Callers hold
+// t.mu.
+func (t *Tree) graphSeeds(q metric.Object, ef int, qs *QueryStats) ([]int32, error) {
 	g := t.graph.g
 	n := g.Len()
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	np := len(t.pivots)
 	qvec := make([]float64, np)
@@ -224,6 +225,9 @@ func (t *Tree) graphSeeds(q metric.Object, ef int, qs *QueryStats) []int32 {
 		}
 		c.Next()
 	}
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
 	lo := center - int32(ef/2)
 	hi := lo + int32(ef)
 	if lo < 0 {
@@ -236,7 +240,7 @@ func (t *Tree) graphSeeds(q metric.Object, ef int, qs *QueryStats) []int32 {
 	for v := lo; v < hi; v++ {
 		seeds = append(seeds, v)
 	}
-	return seeds
+	return seeds, nil
 }
 
 // knnGraph is the beam-search body: graph candidates (each expansion one
@@ -266,8 +270,11 @@ func (t *Tree) knnGraph(ctx context.Context, q metric.Object, k int, opts Search
 	}
 
 	st := qs.stageStart()
-	seeds := t.graphSeeds(q, ef, qs)
+	seeds, err := t.graphSeeds(q, ef, qs)
 	qs.stageAdd(&qs.PlanTime, st)
+	if err != nil {
+		return nil, err
+	}
 
 	sc := t.getScratch()
 	defer sc.release()

@@ -68,7 +68,7 @@ type NearestIter struct {
 
 	sc       *queryScratch // pivot distances, frontier, node and block buffers
 	qs       QueryStats    // sink for the shared push helpers' counters; unread
-	pq       *mindHeap     // sc.pq: unexplored entries by lower bound
+	pq       *frontier     // sc.pq: unexplored entries by lower bound
 	verified resultHeap    // computed but not yet emitted results
 
 	// sc.blk's candidates [pendIdx, pendEnd) are a resolved run of entries
@@ -148,8 +148,9 @@ func (it *NearestIter) Next() (res Result, ok bool) {
 		if item.mind > it.limit {
 			// MIND values pop in nondecreasing order (children's bounds are
 			// never below their parent's), so nothing unexplored can hold an
-			// object within the limit: drain the heap and emit what remains.
-			it.pq.items = it.pq.items[:0]
+			// object within the limit: drain the frontier and emit what
+			// remains.
+			it.pq.reset()
 			continue
 		}
 		if !item.isNode() {

@@ -24,7 +24,7 @@ type queryScratch struct {
 
 	node  bptree.Node
 	cells []uint32 // a leaf's keys, block-decoded: entry i at [i*dims, (i+1)*dims)
-	pq    mindHeap
+	pq    frontier
 	res   knnResults
 	blk   candBlock
 	stack []bptree.NodeRef
@@ -52,12 +52,12 @@ func (t *Tree) getScratch() *queryScratch {
 // are its own and stay — and returns the scratch to the pool.
 func (sc *queryScratch) release() {
 	sc.prep = nil
-	sc.pq.items, sc.pq.delta = sc.pq.items[:0], sc.pq.delta[:0]
+	sc.pq.reset()
 	sc.res.items = sc.res.items[:0]
 	clear(sc.blk.cands[:cap(sc.blk.cands)])
 	sc.blk.cands = sc.blk.cands[:0]
 	clear(sc.res.items[:cap(sc.res.items)])
-	for _, objs := range [][]metric.Object{sc.pq.delta, sc.blk.objs, sc.blk.probeObjs} {
+	for _, objs := range [][]metric.Object{sc.blk.objs, sc.blk.probeObjs} {
 		clear(objs[:cap(objs)])
 	}
 	scratchPool.Put(sc)
@@ -110,21 +110,23 @@ func (t *Tree) pushBox(sc *queryScratch, ref bptree.NodeRef, bound float64, qs *
 }
 
 // pushNode pushes what survives bound of the node just read: an internal
-// node's children, or a leaf's entries (the best-first traversals; greedy
-// callers scan leaves themselves).
+// node's children, or a leaf's entries as one sorted run (the best-first
+// traversals; greedy callers scan leaves themselves).
 func (t *Tree) pushNode(sc *queryScratch, bound float64, qs *QueryStats) {
 	for _, c := range sc.node.Children {
 		t.pushBox(sc, c, bound, qs)
 	}
+	start := len(sc.pq.runs)
 	for i, val := range sc.node.Vals {
-		qs.EntriesScanned++
 		if mind := t.mindToCell(sc.qvec, sc.cellAt(i)); mind <= bound {
-			sc.pq.push(mindItem{mind: mind, ref: val, tag: tagEntry})
-			qs.HeapPushes++
-		} else {
-			qs.EntriesPruned++ // Lemma 3
+			sc.pq.runs = append(sc.pq.runs, runEntry{mind: mind, ref: val})
 		}
 	}
+	admitted := len(sc.pq.runs) - start
+	qs.EntriesScanned += int64(len(sc.node.Vals))
+	qs.EntriesPruned += int64(len(sc.node.Vals) - admitted) // Lemma 3
+	qs.HeapPushes += int64(admitted)
+	sc.pq.pushRun(start)
 }
 
 // seedDelta pushes every buffered insert onto the frontier with its
@@ -135,64 +137,171 @@ func (t *Tree) seedDelta(sc *queryScratch, qs *QueryStats) {
 	for _, e := range t.deltaEntriesSorted() {
 		qs.EntriesScanned++
 		t.curve.Decode(e.key, sc.cell)
-		sc.pq.pushCand(candidate{bound: t.mindToCell(sc.qvec, sc.cell), obj: e.obj})
+		sc.pq.pushDelta(t.mindToCell(sc.qvec, sc.cell), e.obj)
 		qs.HeapPushes++
 	}
 }
 
-// mindItem is a heap element of Algorithm 2, pointer-free so sifting it needs
-// no write barriers and the frontier's backing array is invisible to the
-// garbage collector: ref is a tree node's page, a leaf entry's RAF offset, or
-// a buffered insert's object ID, and tag tells which — tagNode, tagEntry, or
-// tagDelta+i for the buffered insert at index i of the heap's side slice.
+// mindItem is a frontier element of Algorithm 2, pointer-free so sifting it
+// needs no write barriers and the frontier's backing arrays are invisible to
+// the garbage collector. ref is a tree node's page, a leaf entry's RAF
+// offset, or a buffered insert's object ID; tag's low tagKindBits say which
+// (tagNode, tagEntry, tagDelta) and the rest carry the kind's payload: the
+// end of an entry's run in the frontier's arena, or a buffered insert's index
+// in the frontier's side slice. An entry's next is the arena index of its
+// run's successor.
 type mindItem struct {
 	mind float64
 	ref  uint64
 	tag  uint32
+	next uint32
 }
 
 const (
 	tagNode uint32 = iota
 	tagEntry
 	tagDelta
+
+	tagKindBits        = 2
+	tagKind     uint32 = 1<<tagKindBits - 1
 )
 
 func (x mindItem) isNode() bool { return x.tag == tagNode }
 
-// mindLess is a total order on heap items: MIND first, then nodes before
+// mindLess is a total order on frontier items: MIND first, then nodes before
 // entries, then base entries before write-buffer entries, then page, offset
 // or object ID. Totality matters twice — equal-MIND items pop in the same
 // relative order in every execution, so however the pops are cut into
 // blocks the candidate sequence is the same (and with it
-// Verified/Compdists), and results never depend on heap internals.
+// Verified/Compdists), and results never depend on the frontier's
+// internals.
 func mindLess(a, b mindItem) bool {
 	if a.mind != b.mind {
 		return a.mind < b.mind
 	}
-	if ka, kb := min(a.tag, tagDelta), min(b.tag, tagDelta); ka != kb {
+	if ka, kb := a.tag&tagKind, b.tag&tagKind; ka != kb {
 		return ka < kb
 	}
 	return a.ref < b.ref
 }
 
-// mindHeap is a concrete binary min-heap of mindItems (no container/heap
-// boxing: Algorithm 2 pushes once per admitted entry); delta holds the
-// buffered-insert objects the items' tags index.
-type mindHeap struct {
-	items []mindItem
-	delta []metric.Object
+// runEntry is one admitted leaf entry in the frontier's arena.
+type runEntry struct {
+	mind float64
+	ref  uint64
 }
 
-func (h *mindHeap) Len() int { return len(h.items) }
+// before orders a leaf's entries as mindLess orders them.
+func (a runEntry) before(b runEntry) bool {
+	return a.mind < b.mind || a.mind == b.mind && a.ref < b.ref
+}
 
-func (h *mindHeap) push(x mindItem) {
-	h.items = append(h.items, x)
-	h.up(len(h.items)-1, x)
+// sortRun sorts a leaf's entries under before: a quicksort on the median of
+// three down to insertion-sorted slices of 12. A leaf's offsets are distinct,
+// so any correct sort yields the same run; this one inlines the comparison,
+// which slices.SortFunc calls through a function value.
+func sortRun(run []runEntry) {
+	for len(run) > 12 {
+		m, last := len(run)/2, len(run)-1
+		if run[m].before(run[0]) {
+			run[0], run[m] = run[m], run[0]
+		}
+		if run[last].before(run[m]) {
+			run[m], run[last] = run[last], run[m]
+			if run[m].before(run[0]) {
+				run[0], run[m] = run[m], run[0]
+			}
+		}
+		pivot := run[m]
+		i, j := 0, last
+		for i <= j {
+			for run[i].before(pivot) {
+				i++
+			}
+			for pivot.before(run[j]) {
+				j--
+			}
+			if i <= j {
+				run[i], run[j] = run[j], run[i]
+				i++
+				j--
+			}
+		}
+		// Recurse into the shorter side, loop on the longer.
+		if j+1 < len(run)-i {
+			sortRun(run[:j+1])
+			run = run[i:]
+		} else {
+			sortRun(run[i:])
+			run = run[:j+1]
+		}
+	}
+	for i := 1; i < len(run); i++ {
+		x, j := run[i], i
+		for ; j > 0 && x.before(run[j-1]); j-- {
+			run[j] = run[j-1]
+		}
+		run[j] = x
+	}
+}
+
+// frontier is Algorithm 2's priority queue. Nodes and buffered inserts are
+// single items of a binary min-heap under mindLess (no container/heap
+// boxing); a leaf's admitted entries are appended to an arena, sorted, and
+// stand in the heap as one item for the run's head, which a pop replaces
+// with the run's next entry (semadb's append-then-sort DistSet, DESIGN.md
+// §9.7). Every run is sorted under mindLess and the heap holds each run's
+// minimum, so pops come out in exactly the order a heap of single entries
+// gives them, while a leaf costs one sort and one heap item instead of a
+// push per entry. The arena keeps every entry pushed since the last reset;
+// run ends are packed beside the kind bits, so it holds at most 2^30 (16 GB).
+type frontier struct {
+	items []mindItem
+	runs  []runEntry
+	delta []metric.Object // buffered-insert objects the items' tags index
+}
+
+// Len reports the number of heap items; it is zero exactly when the frontier
+// is empty.
+func (f *frontier) Len() int { return len(f.items) }
+
+// reset empties the frontier, dropping its references to buffered inserts.
+func (f *frontier) reset() {
+	f.items, f.runs = f.items[:0], f.runs[:0]
+	clear(f.delta[:cap(f.delta)])
+	f.delta = f.delta[:0]
+}
+
+// push adds one item.
+func (f *frontier) push(x mindItem) {
+	f.items = append(f.items, x)
+	f.up(len(f.items)-1, x)
+}
+
+// pushRun sorts the arena's entries from start on into one run and pushes
+// its head; an empty run pushes nothing.
+func (f *frontier) pushRun(start int) {
+	run := f.runs[start:]
+	if len(run) == 0 {
+		return
+	}
+	if len(f.runs) >= 1<<(32-tagKindBits) {
+		panic("core: frontier arena exceeds its 2^30 entries")
+	}
+	sortRun(run)
+	end := uint32(len(f.runs))
+	f.push(mindItem{mind: run[0].mind, ref: run[0].ref, tag: tagEntry | end<<tagKindBits, next: uint32(start) + 1})
+}
+
+// pushDelta pushes a buffered insert with its MIND bound.
+func (f *frontier) pushDelta(bound float64, obj metric.Object) {
+	f.push(mindItem{mind: bound, ref: obj.ID(), tag: tagDelta | uint32(len(f.delta))<<tagKindBits})
+	f.delta = append(f.delta, obj)
 }
 
 // up sifts x from the hole at i toward the root.
-func (h *mindHeap) up(i int, x mindItem) {
-	items := h.items
+func (f *frontier) up(i int, x mindItem) {
+	items := f.items
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !mindLess(x, items[parent]) {
@@ -204,11 +313,31 @@ func (h *mindHeap) up(i int, x mindItem) {
 	items[i] = x
 }
 
-func (h *mindHeap) pop() mindItem {
-	items := h.items
+// pop removes and returns the minimum; the frontier must be non-empty.
+func (f *frontier) pop() mindItem {
+	items := f.items
 	top := items[0]
+	if top.tag&tagKind == tagEntry && top.next < top.tag>>tagKindBits {
+		// The run's next entry replaces its head: it is no smaller, so it
+		// sifts down from the root, usually not far.
+		e := f.runs[top.next]
+		x := mindItem{mind: e.mind, ref: e.ref, tag: top.tag, next: top.next + 1}
+		i, n := 0, len(items)
+		for c := 1; c < n; c = 2*i + 1 {
+			if c+1 < n && mindLess(items[c+1], items[c]) {
+				c++
+			}
+			if !mindLess(items[c], x) {
+				break
+			}
+			items[i] = items[c]
+			i = c
+		}
+		items[i] = x
+		return top
+	}
 	n := len(items) - 1
-	h.items = items[:n]
+	f.items = items[:n]
 	if n > 0 {
 		// Walk the hole down along the smaller children to the bottom, then
 		// sift the displaced last item up from there: it came from the bottom
@@ -221,33 +350,23 @@ func (h *mindHeap) pop() mindItem {
 			items[i] = items[c]
 			i = c
 		}
-		h.up(i, items[n])
+		f.up(i, items[n])
 	}
 	return top
 }
 
-// pushCand pushes a leaf entry, or — with obj set — a buffered insert.
-func (h *mindHeap) pushCand(c candidate) {
-	if c.obj == nil {
-		h.push(mindItem{mind: c.bound, ref: c.val, tag: tagEntry})
-		return
-	}
-	h.push(mindItem{mind: c.bound, ref: c.obj.ID(), tag: tagDelta + uint32(len(h.delta))})
-	h.delta = append(h.delta, c.obj)
-}
-
 // cand resolves a popped non-node item to the candidate it stands for.
-func (h *mindHeap) cand(x mindItem) candidate {
-	if x.tag >= tagDelta {
-		return candidate{bound: x.mind, obj: h.delta[x.tag-tagDelta]}
+func (f *frontier) cand(x mindItem) candidate {
+	if x.tag&tagKind == tagDelta {
+		return candidate{bound: x.mind, obj: f.delta[x.tag>>tagKindBits]}
 	}
 	return candidate{bound: x.mind, val: x.ref}
 }
 
-// peekMind returns the minimum MIND without popping; the heap must be
+// peekMind returns the minimum MIND without popping; the frontier must be
 // non-empty.
-func (h *mindHeap) peekMind() float64 { return h.items[0].mind }
+func (f *frontier) peekMind() float64 { return f.items[0].mind }
 
-// peekIsNode reports whether the heap minimum is a tree node; the heap must
-// be non-empty.
-func (h *mindHeap) peekIsNode() bool { return h.items[0].isNode() }
+// peekIsNode reports whether the frontier's minimum is a tree node; the
+// frontier must be non-empty.
+func (f *frontier) peekIsNode() bool { return f.items[0].isNode() }

@@ -61,8 +61,10 @@ type QueryStats struct {
 	// the SFC merge step (Algorithm 1 lines 14-20), BIGMIN skip scans, or
 	// the join's Lemma 6 key window.
 	EntriesSkipped int64
-	// HeapPushes counts priority-queue insertions of the kNN traversal
-	// (nodes and leaf entries), the paper's Table 5 memory-pressure signal.
+	// HeapPushes counts admissions to the kNN traversal's frontier: node
+	// references, leaf entries (one each, though a leaf's entries enter as
+	// one sorted run) and buffered inserts — the paper's Table 5
+	// memory-pressure signal.
 	HeapPushes int64
 	// ListEvictions counts merge-list elements retired by Lemma 6 during a
 	// similarity join (join only).

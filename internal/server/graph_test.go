@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"testing"
 
@@ -8,9 +9,10 @@ import (
 )
 
 // TestE2EKNNModeANN pins /v1/knn's mode dial end to end: before a graph is
-// built, mode=ann silently falls back to the exact path (identical answer,
-// 200); after BuildGraph, the same request answers from the graph tier with
-// high overlap against exact; ef widens the beam.
+// built, mode=ann falls back to the exact path (identical answer, 200) and
+// /v1/stats counts the fallback; after BuildGraph, the same request answers
+// from the graph tier with high overlap against exact, and counts none; ef
+// widens the beam.
 func TestE2EKNNModeANN(t *testing.T) {
 	s := newTestService(t, 500, Config{})
 	q := `[0.5,0.5,0.5,0.5]`
@@ -32,6 +34,9 @@ func TestE2EKNNModeANN(t *testing.T) {
 		if r.ID != exact.Results[i].ID {
 			t.Fatalf("ann-without-graph result %d = id %d, exact fallback wants %d", i, r.ID, exact.Results[i].ID)
 		}
+	}
+	if got := s.annExactFallbacks(t); got != 1 {
+		t.Fatalf("ann_exact_fallbacks = %d after one fallback, want 1", got)
 	}
 
 	if err := s.tree.BuildGraph(core.GraphOptions{Seed: 11}); err != nil {
@@ -59,6 +64,9 @@ func TestE2EKNNModeANN(t *testing.T) {
 	}
 	if out.Compdists <= 0 {
 		t.Fatalf("ann answer missing cost metrics: %+v", out)
+	}
+	if got := s.annExactFallbacks(t); got != 1 {
+		t.Fatalf("ann_exact_fallbacks = %d after a graph answer, want it to stay 1", got)
 	}
 
 	// mode=exact is explicit spelling of the default.
@@ -91,4 +99,26 @@ func TestE2EKNNModeValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400 (%+v)", tc.name, code, out)
 		}
 	}
+}
+
+// annExactFallbacks reads the admission block's ann_exact_fallbacks counter
+// from /v1/stats.
+func (s *testService) annExactFallbacks(t *testing.T) int64 {
+	t.Helper()
+	resp, err := http.Get(s.ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Admission map[string]int64 `json:"admission"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	n, ok := stats.Admission["ann_exact_fallbacks"]
+	if !ok {
+		t.Fatalf("/v1/stats admission block lacks ann_exact_fallbacks: %v", stats.Admission)
+	}
+	return n
 }

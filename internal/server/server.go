@@ -96,6 +96,9 @@ type Server struct {
 	rejectedReadOnly atomic.Int64
 	badRequests      atomic.Int64
 	canceledQueries  atomic.Int64
+	// annExactFallbacks counts mode=ann requests answered exactly because
+	// the backend has no live graph.
+	annExactFallbacks atomic.Int64
 }
 
 // task is one admitted query waiting for a pool worker. Its lifecycle is a
@@ -532,6 +535,7 @@ func (s *Server) planQuery(op string, req Request, resp *response, qs *core.Quer
 		results, st, qerr := s.tree.Query(ctx, cq)
 		if cq.Op == core.OpKNNGraph && errors.Is(qerr, core.ErrNoGraph) {
 			// mode=ann is never an error just because no graph was built.
+			s.annExactFallbacks.Add(1)
 			results, st, qerr = s.tree.Query(ctx, cq.Exact())
 		}
 		*qs = st
@@ -575,11 +579,12 @@ func (s *Server) metricsSnapshot() map[string]interface{} {
 		"draining":  s.draining.Load(),
 		"endpoints": s.reg.Snapshot(),
 		"admission": map[string]int64{
-			"rejected_busy":     s.rejectedBusy.Load(),
-			"rejected_draining": s.rejectedDraining.Load(),
-			"rejected_readonly": s.rejectedReadOnly.Load(),
-			"bad_requests":      s.badRequests.Load(),
-			"canceled_queries":  s.canceledQueries.Load(),
+			"rejected_busy":       s.rejectedBusy.Load(),
+			"rejected_draining":   s.rejectedDraining.Load(),
+			"rejected_readonly":   s.rejectedReadOnly.Load(),
+			"bad_requests":        s.badRequests.Load(),
+			"canceled_queries":    s.canceledQueries.Load(),
+			"ann_exact_fallbacks": s.annExactFallbacks.Load(),
 		},
 	}
 	for k, v := range s.tree.StatsFields() {

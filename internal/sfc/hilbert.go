@@ -5,9 +5,13 @@ package sfc
 // Conf. Proc. 707, 2004). Coordinates are first converted to/from the
 // "transposed" Hilbert representation and then bit-interleaved into a single
 // key with dimension 0 holding the most significant bit of each level.
+//
+// Decode runs Skilling's inverse as a top-down transducer over a state table
+// (hilbertTable) when dims ≤ maxTableDims, and his loop otherwise.
 type hilbertCurve struct {
 	dims, bits int
 	tab        unpackTable
+	states     hilbertTable // nil above maxTableDims
 }
 
 func (h *hilbertCurve) Dims() int    { return h.dims }
@@ -29,8 +33,7 @@ func (h *hilbertCurve) Decode(key uint64, p Point) {
 	if len(p) != h.dims {
 		panic("sfc: Decode point has wrong dimensionality")
 	}
-	h.tab.deinterleave(key, p, h.bits)
-	transposeToAxes(p, h.bits)
+	h.decode(key, p)
 }
 
 // DecodeBlock implements Curve.
@@ -39,10 +42,17 @@ func (h *hilbertCurve) DecodeBlock(keys []uint64, out []uint32) {
 		panic("sfc: DecodeBlock output has wrong length")
 	}
 	for i, key := range keys {
-		p := out[i*h.dims : (i+1)*h.dims]
+		h.decode(key, out[i*h.dims:(i+1)*h.dims])
+	}
+}
+
+func (h *hilbertCurve) decode(key uint64, p []uint32) {
+	if h.states == nil {
 		h.tab.deinterleave(key, p, h.bits)
 		transposeToAxes(p, h.bits)
+		return
 	}
+	h.tab.deinterleave(h.states.transposed(key, h.dims, h.bits), p, h.bits)
 }
 
 // maxDims bounds the stack buffer used to avoid allocating per Encode call;

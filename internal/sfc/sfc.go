@@ -66,7 +66,7 @@ func New(kind Kind, dims, bits int) Curve {
 	validate(dims, bits)
 	switch kind {
 	case Hilbert:
-		return &hilbertCurve{dims: dims, bits: bits, tab: unpackTableFor(dims, bits)}
+		return &hilbertCurve{dims: dims, bits: bits, tab: unpackTableFor(dims, bits), states: hilbertTableFor(dims)}
 	case ZOrder:
 		return &zorderCurve{dims: dims, bits: bits, tab: unpackTableFor(dims, bits)}
 	default:

@@ -1,6 +1,7 @@
 package sfc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -309,43 +310,126 @@ func refDeinterleave(key uint64, x []uint32, b int) {
 
 // TestDecodeBlockMatchesReference checks, for every grid of dims 1–9 × bits
 // 1–⌊64/dims⌋ and both curves, that DecodeBlock and Decode agree with the
-// bit-loop reference on every key (small grids) or on edge keys plus a random
-// sample with garbage above the key width (large grids).
+// bit-loop reference — Skilling's transposeToAxes for the Hilbert curve — on
+// every key (grids of at most 2^12 cells, and 2^20 where dims ≤ 5 puts the
+// Hilbert decode on its state table) or on edge keys plus a random sample
+// with garbage above the key width (larger grids).
 func TestDecodeBlockMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for dims := 1; dims <= 9; dims++ {
 		for bits := 1; bits <= 64/dims && bits <= 32; bits++ {
 			width := uint(dims * bits)
-			var keys []uint64
-			if width <= 12 {
-				for k := uint64(0); k < 1<<width; k++ {
-					keys = append(keys, k)
+			for _, kind := range []Kind{Hilbert, ZOrder} {
+				c := New(kind, dims, bits)
+				if width <= 12 || dims <= maxTableDims && width <= 20 {
+					keys := make([]uint64, 0, 1<<12)
+					for k := uint64(0); k < 1<<width; k++ {
+						if keys = append(keys, k); len(keys) == cap(keys) || k == 1<<width-1 {
+							checkDecodeAgainstReference(t, c, keys)
+							keys = keys[:0]
+						}
+					}
+					continue
 				}
-			} else {
-				keys = []uint64{0, 1, 1<<width - 1, ^uint64(0), 0xAAAAAAAAAAAAAAAA, 0x5555555555555555}
+				keys := []uint64{0, 1, 1<<width - 1, ^uint64(0), 0xAAAAAAAAAAAAAAAA, 0x5555555555555555}
 				for i := 0; i < 500; i++ {
 					keys = append(keys, rng.Uint64())
 				}
+				checkDecodeAgainstReference(t, c, keys)
 			}
-			for _, kind := range []Kind{Hilbert, ZOrder} {
-				c := New(kind, dims, bits)
-				block := make([]uint32, len(keys)*dims)
-				c.DecodeBlock(keys, block)
-				want, got := make(Point, dims), make(Point, dims)
-				for i, key := range keys {
-					refDeinterleave(key, want, bits)
-					if kind == Hilbert {
-						transposeToAxes(want, bits)
-					}
-					c.Decode(key, got)
-					for d := range want {
-						if got[d] != want[d] || block[i*dims+d] != want[d] {
-							t.Fatalf("%s(%d,%d) key %#x dim %d: Decode %d, DecodeBlock %d, reference %d",
-								c.Name(), dims, bits, key, d, got[d], block[i*dims+d], want[d])
-						}
-					}
+		}
+	}
+}
+
+// TestHilbertTableRandomKeys runs 300 000 random keys (garbage above the key
+// width included) through the state-table decoder at the benchmark grids and
+// the widest grids of each small dimensionality.
+func TestHilbertTableRandomKeys(t *testing.T) {
+	n := 300000
+	if testing.Short() {
+		n = 20000
+	}
+	rng := rand.New(rand.NewSource(29))
+	keys := make([]uint64, n)
+	for _, g := range [][2]int{{5, 6}, {5, 8}, {5, 12}, {4, 16}, {3, 21}, {2, 32}, {1, 32}} {
+		for i := range keys {
+			keys[i] = rng.Uint64()
+		}
+		c := New(Hilbert, g[0], g[1])
+		if c.(*hilbertCurve).states == nil {
+			t.Fatalf("hilbert(%d,%d) decodes without its state table", g[0], g[1])
+		}
+		checkDecodeAgainstReference(t, c, keys)
+	}
+}
+
+// TestHilbertTableSize pins the state table's footprint: dims! states × 2^dims
+// digits of 4 bytes, at most 16 KB at the largest tabled dimensionality, and
+// no table above it.
+func TestHilbertTableSize(t *testing.T) {
+	fact := 1
+	for dims := 1; dims <= maxTableDims; dims++ {
+		fact *= dims
+		if got, want := len(hilbertTableFor(dims)), fact<<dims; got != want {
+			t.Errorf("dims %d: %d table entries, want %d", dims, got, want)
+		}
+	}
+	if size := len(hilbertTableFor(maxTableDims)) * 4; size > 16<<10 {
+		t.Errorf("dims %d: state table is %d bytes, want at most 16 KB", maxTableDims, size)
+	}
+	if tab := hilbertTableFor(maxTableDims + 1); tab != nil {
+		t.Errorf("dims %d: got a %d-entry table, want Skilling's loop", maxTableDims+1, len(tab))
+	}
+}
+
+// checkDecodeAgainstReference requires DecodeBlock and Decode to match the
+// bit-loop reference on every key.
+func checkDecodeAgainstReference(t *testing.T, c Curve, keys []uint64) {
+	t.Helper()
+	dims, bits := c.Dims(), c.Bits()
+	block := make([]uint32, len(keys)*dims)
+	c.DecodeBlock(keys, block)
+	want, got := make(Point, dims), make(Point, dims)
+	for i, key := range keys {
+		refDeinterleave(key, want, bits)
+		if c.Name() == "hilbert" {
+			transposeToAxes(want, bits)
+		}
+		c.Decode(key, got)
+		for d := range want {
+			if got[d] != want[d] || block[i*dims+d] != want[d] {
+				t.Fatalf("%s(%d,%d) key %#x dim %d: Decode %d, DecodeBlock %d, reference %d",
+					c.Name(), dims, bits, key, d, got[d], block[i*dims+d], want[d])
+			}
+		}
+	}
+}
+
+// BenchmarkDecodeBlock decodes a leaf-sized block of random keys at the two
+// benchmark grids — 5 pivots × 6 bits (words) and 5 × 8 (color32) — through
+// the state table and through Skilling's loop, reporting ns per key.
+func BenchmarkDecodeBlock(b *testing.B) {
+	for _, g := range [][2]int{{5, 6}, {5, 8}} {
+		dims, bits := g[0], g[1]
+		rng := rand.New(rand.NewSource(5))
+		keys := make([]uint64, 256)
+		for i := range keys {
+			keys[i] = rng.Uint64() >> (64 - dims*bits)
+		}
+		out := make([]uint32, len(keys)*dims)
+		table := New(Hilbert, dims, bits).(*hilbertCurve)
+		loop := *table
+		loop.states = nil
+		for _, c := range []struct {
+			name string
+			h    *hilbertCurve
+		}{{"table", table}, {"skilling", &loop}} {
+			b.Run(fmt.Sprintf("%dx%d/%s", dims, bits, c.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c.h.DecodeBlock(keys, out)
 				}
-			}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/key")
+			})
 		}
 	}
 }
