@@ -2,9 +2,11 @@
 // on its caller's goroutine: the traversal admits candidates, and those that
 // can be verified together — a range query's pending block, a greedy kNN
 // leaf, a best-first run of entry pops, an iterator run, a graph expansion —
-// are resolved by resolveBlock: one coalesced RAF read, the write buffer's
+// are resolved by resolveBlock: one coalesced RAF read (or, for best-first
+// pops, a decode of the records their runs copied), the write buffer's
 // tombstone filter, one call of the query's prepared kernel. It is the only
-// place on the query path where a record is read and a distance evaluated.
+// place on the query path where a record is decoded and a distance
+// evaluated.
 // Each caller then commits the verdicts in scan order under its own rule
 // (fixed radius, prune on crossing the bound, terminate on crossing it), which
 // is what keeps results and every counter identical to verifying the
@@ -26,11 +28,13 @@ const rangeBatchSize = 16
 // already in memory. bound is what the filter proved about its distance: the
 // MIND lower bound for kNN and the iterator, and for a range candidate with
 // proved set the Lemma 2 upper bound that includes it without a distance
-// computation.
+// computation. A best-first pop's record is already copied: rec is its
+// runEntry.rec, non-zero.
 type candidate struct {
 	bound  float64
 	val    uint64
 	obj    metric.Object
+	rec    uint32
 	proved bool
 }
 
@@ -94,14 +98,16 @@ func (b *candBlock) keep(i int) metric.Object {
 	return b.objs[i]
 }
 
-// resolveBlock resolves sc.blk.cands: the base candidates' records come from
-// one coalesced RAF read into the block's decode slots (see candBlock: the
-// objects are borrowed), buffered inserts bring their object, records the
-// write buffer supersedes are marked tomb, and the rest — except candidates
-// already proved — are evaluated against bound by one call of the query's
-// prepared kernel (metric.Prepare: the metric's own, or the generic binding
-// of one without), so that within[i] ⇔ d(q, objs[i]) ≤ bound and d[i] is the
-// exact distance when within[i], bit-identical to verifyDist. The evaluation
+// resolveBlock resolves sc.blk.cands: the base candidates' records are
+// decoded into the block's decode slots (see candBlock: the objects are
+// borrowed) from the query's record arena when their run was copied, and
+// from one coalesced RAF read otherwise; buffered inserts bring their
+// object, records the write buffer supersedes are marked tomb, and the rest
+// — except candidates already proved — are evaluated against bound by one
+// call of the query's prepared kernel (metric.Prepare: the metric's own, or
+// the generic binding of one without), so that within[i] ⇔ d(q, objs[i]) ≤
+// bound and d[i] is the exact distance when within[i], bit-identical to
+// verifyDist. The evaluation
 // runs on the unwrapped metric and fires no tracer event: the caller charges
 // the distance counter and emits the record reads for what it commits.
 //
@@ -109,7 +115,8 @@ func (b *candBlock) keep(i int) metric.Object {
 // the kernel evaluated. When the coalesced read fails, the records are read
 // again one at a time in scan order — the coalesced read visits them in
 // offset order, so its failing record need not be the scan's first — up to
-// the first that fails: resolved is that candidate's index and err its error.
+// the first that fails; a copied record fails with the error its copy
+// returned. resolved is the first failing candidate's index and err its error.
 // A caller returns err if and only if its commit loop reaches index resolved,
 // which is where verifying the candidates one at a time would have stopped; a
 // loop that ends earlier (Lemma 3, an exhausted budget) never sees it.
@@ -119,19 +126,22 @@ func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs
 	st := qs.stageStart()
 	m := 0
 	for _, c := range b.cands {
-		if c.obj == nil {
+		if c.obj == nil && c.rec == 0 {
 			b.offsets[m] = c.val
 			m++
 		}
 	}
-	if _, rerr := t.raf.ReadBatch(b.offsets[:m], b.readObjs[:m], b.readPlens[:m]); rerr != nil {
-		for j := 0; j < m; j++ {
-			if _, err = t.raf.ReadBatch(b.offsets[j:j+1], b.readObjs[j:j+1], b.readPlens[j:j+1]); err != nil {
-				m = j // base records read
-				break
+	read := m // base records read; slots [0, m) are the read's, copies decode after them
+	if m > 0 {
+		if _, rerr := t.raf.ReadBatch(b.offsets[:m], b.readObjs[:m], b.readPlens[:m]); rerr != nil {
+			for read = 0; read < m; read++ {
+				if _, err = t.raf.ReadBatch(b.offsets[read:read+1], b.readObjs[read:read+1], b.readPlens[read:read+1]); err != nil {
+					break
+				}
 			}
 		}
 	}
+	copied := m
 	probeIdx, probeObjs := b.probeIdx[:0], b.probeObjs[:0]
 	resolved = len(b.cands)
 	j := 0
@@ -139,12 +149,24 @@ func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs
 		obj := c.obj
 		b.tomb[i], b.slot[i] = false, -1
 		if obj == nil {
-			if j == m {
-				resolved = i // the record that failed
-				break
+			s := j
+			if c.rec == 0 {
+				if j == read {
+					resolved = i // the record that failed
+					break
+				}
+				j++
+			} else {
+				s = copied
+				dobj, plen, derr := sc.pq.recs.decode(t.raf, c, b.readObjs[s])
+				if derr != nil {
+					resolved, err = i, derr
+					break
+				}
+				b.readObjs[s], b.readPlens[s] = dobj, plen
+				copied++
 			}
-			obj, b.plens[i], b.slot[i] = b.readObjs[j], b.readPlens[j], j
-			j++
+			obj, b.plens[i], b.slot[i] = b.readObjs[s], b.readPlens[s], s
 			b.tomb[i] = t.deltaShadowed(obj.ID())
 		}
 		b.objs[i] = obj

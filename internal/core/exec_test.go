@@ -143,6 +143,13 @@ func TestResolveBlockReadFailure(t *testing.T) {
 		// query succeeds.
 		{"knn-greedy-skip", Greedy, false, true, 16, knn},
 		{"knn-incremental", Incremental, false, true, 0, knn},
+		// From base object 3, the first pops of several leaf runs copy
+		// records on data pages 0, 4 and 5 that are within the bound then
+		// but that the search never commits: a failed copy keeps its error
+		// for a commit turn that never comes, and the query succeeds with the
+		// fault-free answer, as entry-at-a-time execution, which never reads
+		// those pages, does.
+		{"knn-incremental-skip", Incremental, false, true, 3, knn},
 		{"knn-approx", Incremental, false, true, 0, func(fx *resolverFixture, q metric.Object, _ float64) (o resolverOutcome) {
 			o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: k, MaxVerify: maxVerify})
 			return o
@@ -171,11 +178,18 @@ func TestResolveBlockReadFailure(t *testing.T) {
 				if c.radius {
 					truth = bfRangeDists(fx.live, q, r, fx.dist)
 				}
-				failed, batched := 0, int64(0)
+				clean := c.run(fx, q, r)
+				failed, batched, skipped := 0, int64(0), 0
 				for pg := 0; pg < fx.tree.raf.PagesUsed(); pg++ {
 					fx.data.FailPage(page.ID(pg), page.OpRead)
 					o := c.run(fx, q, r)
 					fx.data.ClearPageFaults()
+					if o.err == nil && o.qs.DataPA < clean.qs.DataPA {
+						// With the cache off a failed read is the one page
+						// access the faulted run misses: it read the page and
+						// still succeeded.
+						skipped++
+					}
 
 					label := fmt.Sprintf("fault/%s/delta=%v/page %d", c.name, delta, pg)
 					if o.err != nil {
@@ -199,6 +213,9 @@ func TestResolveBlockReadFailure(t *testing.T) {
 				}
 				if failed == 0 {
 					t.Fatal("no failing page was ever reached: the replay was not exercised")
+				}
+				if c.name == "knn-incremental-skip" && skipped == 0 {
+					t.Fatal("no run copy read a failing page in a query that succeeded: the deferred error was not exercised")
 				}
 				// The iterator keeps no stats; for the rest, blocks on healthy
 				// pages must have gone through the kernel.

@@ -59,13 +59,6 @@ func (h *entryHeap) pushDelta(bound float64, obj metric.Object) {
 	h.delta = append(h.delta, obj)
 }
 
-func (h *entryHeap) cand(x mindItem) candidate {
-	if x.tag&tagKind == tagDelta {
-		return candidate{bound: x.mind, obj: h.delta[x.tag>>tagKindBits]}
-	}
-	return candidate{bound: x.mind, val: x.ref}
-}
-
 // TestFrontierRunsPopOrder feeds the same seeded item sequences to the
 // frontier and to the per-entry heap, interleaving pushes and pops the way
 // Algorithm 2 does — buffered inserts and the root first, then pop the
@@ -133,8 +126,10 @@ func TestFrontierRunsPopOrder(t *testing.T) {
 					trial, pops, got.mind, got.tag&tagKind, got.ref, want.mind, want.tag&tagKind, want.ref)
 			}
 			if !got.isNode() {
-				if gc, wc := f.cand(got), ref.cand(want); gc != wc {
-					t.Fatalf("trial %d pop %d: candidate %+v, reference %+v", trial, pops, gc, wc)
+				// The pop sequence is the (MIND, offset) pairs compared
+				// above; a buffered insert must also bring its own object.
+				if got.tag&tagKind == tagDelta && f.delta[got.tag>>tagKindBits] != ref.delta[want.tag>>tagKindBits] {
+					t.Fatalf("trial %d pop %d: insert %v, reference %v", trial, pops, f.delta[got.tag>>tagKindBits], ref.delta[want.tag>>tagKindBits])
 				}
 				continue
 			}

@@ -154,7 +154,7 @@ func (it *NearestIter) Next() (res Result, ok bool) {
 			continue
 		}
 		if !item.isNode() {
-			it.batchRun(it.pq.cand(item))
+			it.batchRun(item)
 			continue
 		}
 		if err := it.t.readNode(it.sc, page.ID(item.ref)); err != nil {
@@ -170,12 +170,14 @@ func (it *NearestIter) Next() (res Result, ok bool) {
 // atop the heap (up to knnIncrementalBlock) and resolves them as one block
 // (DESIGN.md §13) against the iterator's fixed limit — never a moving bound,
 // so every (d, within) pair is what verifying the entry alone would give —
-// leaving the run pending.
-func (it *NearestIter) batchRun(first candidate) {
+// leaving the run pending. A leaf run's records within the limit are copied
+// at the first pop of its unread entry, as in kNN.
+func (it *NearestIter) batchRun(first mindItem) {
 	t, b := it.t, &it.sc.blk
-	b.cands = append(b.cands[:0], first)
+	b.cands = b.cands[:0]
+	t.admit(it.sc, first, it.limit, math.MaxInt64, &it.qs)
 	for len(b.cands) < knnIncrementalBlock && it.pq.Len() > 0 && !it.pq.peekIsNode() && it.pq.peekMind() <= it.limit {
-		b.cands = append(b.cands, it.pq.cand(it.pq.pop()))
+		t.admit(it.sc, it.pq.pop(), it.limit, math.MaxInt64, &it.qs)
 	}
 	var probed int
 	it.pendIdx = 0

@@ -17,9 +17,11 @@ import (
 // and the answer is the canonical (distance, ID) top-k — independent of the
 // traversal strategy, the quantization and any prior bound seeding, which is
 // what makes the forest's staged shard scatter (DESIGN.md §15) byte-identical
-// to a full scatter. With the Greedy strategy (Table 5), reaching a leaf
-// verifies all of its qualifying objects at once, so no RAF page is read
-// twice.
+// to a full scatter. The first pop of a leaf run's unread entry copies the
+// records of that run the search can still verify, so a leaf's RAF pages are
+// read once, not once per block of pops (DESIGN.md §9.4). With the Greedy
+// strategy (Table 5), reaching a leaf verifies all of its qualifying objects
+// at once: it reads as many data pages and computes more distances.
 //
 // On a storage or corruption error the candidates verified so far are
 // returned (sorted by distance) alongside the non-nil error, so callers get
@@ -87,12 +89,17 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 			// A leaf entry (or buffered insert). A run of entry pops with no
 			// tree node between them is verified as one block (DESIGN.md §13)
 			// — identical results and counters to popping one entry at a
-			// time; the budget caps the run so a block never reads a record
-			// the entry-at-a-time search would not reach.
-			blk.cands = append(blk.cands[:0], pq.cand(item))
-			run := min(knnIncrementalBlock, limit-qs.Verified)
+			// time; the budget caps the run, so a block holds no more
+			// candidates than the entry-at-a-time search could still verify.
+			// The first pop of a leaf run's unread entry copies the records
+			// the search can still verify from that run (admit), so a
+			// leaf's RAF pages are read once, not once per block.
+			bound, budget := res.bound(), limit-qs.Verified
+			blk.cands = blk.cands[:0]
+			t.admit(sc, item, bound, budget, qs)
+			run := min(knnIncrementalBlock, budget)
 			for int64(len(blk.cands)) < run && pq.Len() > 0 && !pq.peekIsNode() {
-				blk.cands = append(blk.cands, pq.cand(pq.pop()))
+				t.admit(sc, pq.pop(), bound, budget, qs)
 			}
 			terminated, err := t.verifyKNNBlock(ctx, q, sc, qs, limit, false)
 			if err != nil {

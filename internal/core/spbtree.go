@@ -32,11 +32,13 @@ type TraversalStrategy int
 
 const (
 	// Incremental is best-first traversal over entry MIND values; optimal in
-	// distance computations (Lemma 4) but can re-touch RAF pages when the
-	// verified set is large.
+	// distance computations (Lemma 4). It copies the records of a leaf it can
+	// still verify at the first pop of the leaf's entries, so it reads each
+	// RAF page of a leaf once however its pops interleave.
 	Incremental TraversalStrategy = iota
-	// Greedy verifies a whole leaf as soon as it is reached: never touches a
-	// RAF page twice, at the price of some extra distance computations.
+	// Greedy verifies a whole leaf as soon as it is reached: the paper's
+	// remedy for incremental re-reads (Table 5). It reads as many data pages
+	// as Incremental, at the price of some extra distance computations.
 	Greedy
 )
 

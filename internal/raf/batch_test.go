@@ -1,6 +1,7 @@
 package raf
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -180,5 +181,110 @@ func TestReadBatchErrorIndex(t *testing.T) {
 	}
 	if out[0] == nil || out[2] == nil {
 		t.Error("healthy records before the corrupt one not decoded")
+	}
+}
+
+// TestCopyRecordsMatchesRead: records copied in file order decode to what
+// Read returns — those straddling a page boundary, a record four pages long
+// and one still in the append buffer included. One copy reads each page
+// once; copied into 1 KB chunks, each call stops at the first record that
+// does not fit, and the long record gets a chunk of its own.
+func TestCopyRecordsMatchesRead(t *testing.T) {
+	store := page.NewMemStore()
+	f := New(store, metric.StrCodec{})
+	rng := rand.New(rand.NewSource(5))
+	var offsets []uint64
+	for i := 0; i < 400; i++ {
+		s := strings.Repeat(string(rune('a'+i%26)), 1+rng.Intn(60))
+		if i == 200 {
+			s = strings.Repeat("x", 3*page.Size+100)
+		}
+		off, err := f.Append(metric.NewStr(uint64(i), s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		offsets = append(offsets, off)
+		if i == 398 {
+			if err := f.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(label string, i int, rec []byte) {
+		t.Helper()
+		want, err := f.Read(offsets[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, plen, err := f.DecodeRecord(offsets[i], rec, nil)
+		if err != nil {
+			t.Fatalf("%s: record %d: %v", label, i, err)
+		}
+		if got.ID() != want.ID() || got.(*metric.Str).S != want.(*metric.Str).S || plen != len(want.(*metric.Str).S) {
+			t.Fatalf("%s: record %d: copy decodes to (%d, %d bytes), Read to (%d, %d bytes)",
+				label, i, got.ID(), plen, want.ID(), len(want.(*metric.Str).S))
+		}
+	}
+
+	store.Stats().Reset()
+	at := make([]int, len(offsets))
+	buf, n, err := f.CopyRecords(make([]byte, 0, 1<<20), offsets, at)
+	if err != nil || n != len(offsets) {
+		t.Fatalf("CopyRecords: %d copied, %v", n, err)
+	}
+	if reads := store.Stats().Reads(); reads != int64(f.PagesUsed()-1) {
+		t.Errorf("copy performed %d physical reads, want one per flushed page (%d)", reads, f.PagesUsed()-1)
+	}
+	for i := range offsets {
+		check("one copy", i, buf[at[i]:])
+	}
+
+	const chunk = 1 << 10
+	for i := 0; i < len(offsets); {
+		buf, n, err := f.CopyRecords(make([]byte, 0, chunk), offsets[i:], at[i:])
+		if err != nil || n == 0 {
+			t.Fatalf("chunk from record %d: %d copied, %v", i, n, err)
+		}
+		if long := i <= 200 && 200 < i+n; long != (len(buf) > chunk) || long && (i != 200 || n != 1) {
+			t.Fatalf("chunk from record %d: %d records in %d bytes", i, n, len(buf))
+		}
+		if j := i + n; j+1 < len(offsets) && len(buf) <= chunk {
+			if size := int(offsets[j+1] - offsets[j]); len(buf)+size <= chunk {
+				t.Fatalf("chunk from record %d stopped before record %d, which fits (%d + %d bytes)", i, j, len(buf), size)
+			}
+		}
+		for j := i; j < i+n; j++ {
+			check("chunked", j, buf[at[j]:])
+		}
+		i += n
+	}
+}
+
+// TestCopyRecordsErrorIndex: a copy stops at the first record it cannot
+// read and reports its index; the records before it stay valid.
+func TestCopyRecordsErrorIndex(t *testing.T) {
+	f, store, offsets, want := batchFixture(t, 50)
+	at := make([]int, 3)
+	buf, n, err := f.CopyRecords(make([]byte, 0, 1<<10), []uint64{offsets[5], f.Size() + 64, offsets[2]}, at)
+	if err == nil || n != 1 {
+		t.Fatalf("out-of-range offset: %d copied, %v", n, err)
+	}
+	obj, _, err := f.DecodeRecord(offsets[5], buf[at[0]:], nil)
+	if err != nil || obj.ID() != want[5].Id {
+		t.Fatalf("record before the failure: %v, %v", obj, err)
+	}
+
+	fs := page.NewFaultStore(store, -1)
+	g := New(fs, metric.VectorCodec{Dim: 8})
+	g.size, g.count = f.size, f.count
+	victim := page.ID(offsets[40] / page.Size)
+	fs.FailPage(victim, page.OpRead)
+	first := 0 // the first record with a byte on the victim page
+	for offsets[first+1]-1 < uint64(victim)*page.Size {
+		first++
+	}
+	at = make([]int, len(offsets))
+	if _, n, err = g.CopyRecords(make([]byte, 0, 1<<20), offsets, at); !errors.Is(err, page.ErrInjected) || n != first {
+		t.Fatalf("unreadable page %d: %d copied, %v; want %d copied and the injected fault", victim, n, err, first)
 	}
 }

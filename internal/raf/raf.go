@@ -244,9 +244,9 @@ func (r *pageReader) readRecord(offset uint64, slot metric.Object) (metric.Objec
 		return nil, 0, err
 	}
 	id := binary.LittleEndian.Uint64(hdr[0:8])
-	plen := binary.LittleEndian.Uint32(hdr[8:12])
-	if uint64(plen) > maxPayload || offset+headerSize+uint64(plen) > f.size {
-		return nil, 0, fmt.Errorf("raf: corrupt record at %d: payload length %d", offset, plen)
+	plen, err := f.payloadLen(offset, hdr)
+	if err != nil {
+		return nil, 0, err
 	}
 	at := offset + headerSize
 	var payload []byte
@@ -267,6 +267,16 @@ func (r *pageReader) readRecord(offset uint64, slot metric.Object) (metric.Objec
 		return nil, 0, fmt.Errorf("raf: decode record at %d: %w", offset, err)
 	}
 	return obj, int(plen), nil
+}
+
+// payloadLen returns the payload length in the header hdr of the record at
+// offset, or an error when the record would not fit the file.
+func (f *File) payloadLen(offset uint64, hdr []byte) (uint32, error) {
+	plen := binary.LittleEndian.Uint32(hdr[8:12])
+	if uint64(plen) > maxPayload || offset+headerSize+uint64(plen) > f.size {
+		return 0, fmt.Errorf("raf: corrupt record at %d: payload length %d", offset, plen)
+	}
+	return plen, nil
 }
 
 // stitchPool holds the buffers a record that straddles a page boundary is
@@ -299,8 +309,8 @@ func (f *File) ReadBatch(offsets []uint64, out []metric.Object, plens []int) (in
 		return -1, fmt.Errorf("raf: ReadBatch output length %d, want %d", len(out), len(offsets))
 	}
 	// A leaf's entries are already in offset order and need no visiting
-	// permutation; a best-first run of pops does, and blocks are small enough
-	// for it to live on the stack.
+	// permutation; a block of graph neighbours does, and blocks are small
+	// enough for it to live on the stack.
 	var stack [32]int
 	order := stack[:0]
 	if !slices.IsSorted(offsets) {
@@ -326,6 +336,112 @@ func (f *File) ReadBatch(offsets []uint64, out []metric.Object, plens []int) (in
 		}
 	}
 	return -1, nil
+}
+
+// CopyRecords appends the records at offsets to dst as stored, header and
+// payload, in the given order, and sets at[i] to where record i starts in
+// the returned slice; DecodeRecord decodes such a copy. Consecutive records
+// that share a page are copied from a single fetch, so offsets in file order
+// read each page once. A caller that copies the records it may verify once,
+// and decodes them as it needs them, never fetches a page again for them
+// however its reads interleave. Like ReadBatch, it fires no tracer events.
+//
+// It copies while the records fit in dst's capacity, so that a caller can
+// fill fixed-size chunks, and returns the extended dst and how many records
+// it copied: fewer than len(offsets) with a nil error when the next one does
+// not fit. A record larger than the capacity is copied into an empty dst all
+// the same, growing it, and ends the call. On a failure the count is the
+// failing record's index, returned with its error; the records before it
+// stay valid.
+func (f *File) CopyRecords(dst []byte, offsets []uint64, at []int) ([]byte, int, error) {
+	pr := pageReader{f: f}
+	defer pr.release()
+	size := cap(dst)
+	for i, off := range offsets {
+		start := len(dst)
+		out, fits, err := pr.appendRecord(dst, off)
+		if err != nil {
+			return dst[:start], i, err
+		}
+		if !fits {
+			return dst, i, nil
+		}
+		dst, at[i] = out, start
+		if len(dst) > size {
+			return dst, i + 1, nil
+		}
+	}
+	return dst, len(offsets), nil
+}
+
+// DecodeRecord decodes the record CopyRecords copied from offset into rec,
+// which starts at its header, and returns it with its payload length. slot
+// is a decode slot, as in ReadBatch.
+func (f *File) DecodeRecord(offset uint64, rec []byte, slot metric.Object) (metric.Object, int, error) {
+	id := binary.LittleEndian.Uint64(rec[0:8])
+	plen := int(binary.LittleEndian.Uint32(rec[8:12]))
+	obj, err := metric.DecodeInto(f.codec, slot, id, rec[headerSize:headerSize+plen])
+	if err != nil {
+		return nil, 0, fmt.Errorf("raf: decode record at %d: %w", offset, err)
+	}
+	return obj, plen, nil
+}
+
+// appendRecord appends the record at offset, header and payload, to dst,
+// unless it does not fit in dst's spare capacity (a record always fits an
+// empty dst); on an error dst may hold part of it.
+func (r *pageReader) appendRecord(dst []byte, offset uint64) ([]byte, bool, error) {
+	f := r.f
+	at := int(offset % page.Size)
+	if pg := r.pg; pg != nil && page.ID(offset/page.Size) == r.id && at+headerSize <= page.Size {
+		// On the page the reader holds, as most records after a page's first
+		// are: when the payload is too, the record is one copy.
+		n := headerSize + int(binary.LittleEndian.Uint32(pg[at+8:at+headerSize]))
+		if at+n <= page.Size && offset+uint64(n) <= f.size {
+			if len(dst) > 0 && len(dst)+n > cap(dst) {
+				return dst, false, nil
+			}
+			return append(dst, pg[at:at+n]...), true, nil
+		}
+	}
+	if offset+headerSize > f.size {
+		return dst, false, fmt.Errorf("raf: offset %d out of range (size %d)", offset, f.size)
+	}
+	var hbuf [headerSize]byte
+	hdr, err := r.bytes(offset, headerSize, hbuf[:])
+	if err != nil {
+		return dst, false, err
+	}
+	plen, err := f.payloadLen(offset, hdr)
+	if err != nil {
+		return dst, false, err
+	}
+	n := headerSize + int(plen)
+	if len(dst) > 0 && len(dst)+n > cap(dst) {
+		return dst, false, nil
+	}
+	if at+n <= page.Size {
+		return append(dst, r.pg[at:at+n]...), true, nil // one page: one copy
+	}
+	dst = append(dst, hdr...)
+	dst, err = r.appendBytes(dst, offset+headerSize, int(plen))
+	return dst, true, err
+}
+
+// appendBytes appends the n file bytes starting at offset to dst.
+func (r *pageReader) appendBytes(dst []byte, offset uint64, n int) ([]byte, error) {
+	for n > 0 {
+		pg, err := r.view(page.ID(offset / page.Size))
+		if err != nil {
+			return dst, err
+		}
+		b := pg[offset%page.Size:]
+		b = b[:min(n, len(b))]
+		dst = append(dst, b...)
+		offset += uint64(len(b))
+		n -= len(b)
+	}
+	return dst, nil
 }
 
 // pageReader decodes file bytes out of pinned cache frames, keeping the last
