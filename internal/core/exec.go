@@ -124,15 +124,17 @@ func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs
 	b := &sc.blk
 	b.grow(len(b.cands))
 	st := qs.stageStart()
-	m := 0
+	// A block's base records are all copied (best-first pops) or none are.
+	m, copied := 0, false
 	for _, c := range b.cands {
-		if c.obj == nil && c.rec == 0 {
+		if c.obj == nil {
 			b.offsets[m] = c.val
 			m++
+			copied = c.rec != 0
 		}
 	}
-	read := m // base records read; slots [0, m) are the read's, copies decode after them
-	if m > 0 {
+	read := m // base records read
+	if m > 0 && !copied {
 		if _, rerr := t.raf.ReadBatch(b.offsets[:m], b.readObjs[:m], b.readPlens[:m]); rerr != nil {
 			for read = 0; read < m; read++ {
 				if _, err = t.raf.ReadBatch(b.offsets[read:read+1], b.readObjs[read:read+1], b.readPlens[read:read+1]); err != nil {
@@ -141,7 +143,6 @@ func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs
 			}
 		}
 	}
-	copied := m
 	probeIdx, probeObjs := b.probeIdx[:0], b.probeObjs[:0]
 	resolved = len(b.cands)
 	j := 0
@@ -149,24 +150,18 @@ func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs
 		obj := c.obj
 		b.tomb[i], b.slot[i] = false, -1
 		if obj == nil {
-			s := j
-			if c.rec == 0 {
-				if j == read {
-					resolved = i // the record that failed
+			if copied {
+				if obj, b.readPlens[j], err = sc.pq.recs.decode(t.raf, c, b.readObjs[j]); err != nil {
+					resolved = i // the record whose copy failed
 					break
 				}
-				j++
-			} else {
-				s = copied
-				dobj, plen, derr := sc.pq.recs.decode(t.raf, c, b.readObjs[s])
-				if derr != nil {
-					resolved, err = i, derr
-					break
-				}
-				b.readObjs[s], b.readPlens[s] = dobj, plen
-				copied++
+				b.readObjs[j] = obj
+			} else if j == read {
+				resolved = i // the record that failed
+				break
 			}
-			obj, b.plens[i], b.slot[i] = b.readObjs[s], b.readPlens[s], s
+			obj, b.plens[i], b.slot[i] = b.readObjs[j], b.readPlens[j], j
+			j++
 			b.tomb[i] = t.deltaShadowed(obj.ID())
 		}
 		b.objs[i] = obj

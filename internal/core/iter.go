@@ -97,8 +97,11 @@ func (it *NearestIter) frontier() (float64, bool) {
 	return 0, false
 }
 
-// release drops the pinned read lock, once.
+// release drops the pinned read lock, once, and hands the record arena's
+// chunks back to their free list: the iterator's scratch never returns to
+// the pool.
 func (it *NearestIter) release() {
+	it.pq.dropRecs()
 	if it.locked {
 		it.locked = false
 		it.t.mu.RUnlock()
@@ -106,9 +109,10 @@ func (it *NearestIter) release() {
 }
 
 // Close releases the tree read lock a durable-tree iterator holds, ending
-// the scan. It is idempotent, safe after exhaustion, and a no-op for
-// iterators over non-durable trees. Abandoning a durable iterator without
-// closing it blocks mutators and Close on the tree indefinitely.
+// the scan, and hands back the records the scan copied ahead (DESIGN.md
+// §9.7). It is idempotent and safe after exhaustion; over a non-durable tree
+// that is all it does. Abandoning a durable iterator without closing it
+// blocks mutators and Close on the tree indefinitely.
 func (it *NearestIter) Close() { it.release() }
 
 // Next returns the next nearest object; ok is false when the index is

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"spbtree/internal/dataset"
 	"spbtree/internal/metric"
 	"spbtree/internal/page"
 )
@@ -315,4 +316,56 @@ func TestNearestIterBatchMatchesScalar(t *testing.T) {
 	}
 	compare("durable-delta", tree, live, dist, objs[5], math.Inf(1))
 	compare("durable-delta-limited", tree, live, dist, objs[5], 0.25*dist.MaxDistance())
+}
+
+// TestNearestIterArenaBounded: an iterator with no limit copies every leaf
+// run it starts whole (DESIGN.md §9.7), so a full scan would keep a copy of
+// every record it reached; instead a block's first pop empties an arena grown
+// past maxArenaChunks. Over a full scan of 40 000 Color32 objects — some
+// 3 MB of records — the arena must stay within twice that cap, be emptied on
+// the way, and the scan must still emit every object in brute-force order.
+func TestNearestIterArenaBounded(t *testing.T) {
+	const n = 40000
+	ds, _ := dataset.ByName("color32", n, 1)
+	tree, err := Build(ds.Objects, Options{Distance: ds.Distance, Codec: ds.Codec, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	q := ds.Objects[3]
+	it := tree.NearestIter(q)
+	defer it.Close()
+	var dists []float64
+	last, peak, emptied := 0, 0, 0
+	for {
+		res, ok := it.Next()
+		if !ok {
+			break
+		}
+		dists = append(dists, res.Dist)
+		chunks := len(it.sc.pq.recs.chunks)
+		if chunks < last { // only emptying shrinks the arena
+			emptied++
+		}
+		last, peak = chunks, max(peak, chunks)
+	}
+	if it.Err() != nil {
+		t.Fatal(it.Err())
+	}
+	t.Logf("arena peak %d chunks of %d KB, emptied %d times", peak, chunkSize>>10, emptied)
+	if peak > 2*maxArenaChunks {
+		t.Errorf("arena peaked at %d chunks, more than twice the %d-chunk cap", peak, maxArenaChunks)
+	}
+	if emptied == 0 {
+		t.Error("a full scan never emptied its arena")
+	}
+	want := bfKNNDists(ds.Objects, q, n, ds.Distance)
+	if len(dists) != len(want) {
+		t.Fatalf("iterator yielded %d of %d objects", len(dists), len(want))
+	}
+	for i := range dists {
+		if dists[i] != want[i] {
+			t.Fatalf("dist[%d] = %v, want %v", i, dists[i], want[i])
+		}
+	}
 }

@@ -108,27 +108,32 @@ func TestKNNCanonicalAcrossStrategies(t *testing.T) {
 // index of 100 000 objects, a hundred times its 32-page cache, eight held-out
 // exact 10-NN queries run from flushed caches. Their answers and distance
 // counts must be those of the commit before the copy (recorded below with its
-// data page accesses). Their data page accesses must total at most a third of
-// that commit's and at most 1.05 times those of the Greedy traversal, which
-// reads each leaf it reaches whole (Table 5); each query must make at most
-// half its own before. The bounds are on the totals because the easiest
-// query misses both on its own: 125 accesses against 354 before and 119 for
-// Greedy, which reads the same 34 nodes in another order.
+// data page accesses), and each query's data page accesses must be at most a
+// third of that commit's and at most 1.05 times those of the Greedy
+// traversal, which reads each leaf it reaches whole (Table 5).
+//
+// Query 0 misses both bounds and is held to its measured 125 accesses
+// instead: its leaves span 118 distinct data pages, which is already a third
+// of its 354 before, and 7 of them — pages two leaves share — are read again
+// after the cache evicted them. Greedy reads the same 34 nodes in another
+// order, touches 115 pages, re-reads 4 and makes 119 accesses; 1.05 × 119 is
+// 124.95.
 func TestKNNReadsEachRunOnce(t *testing.T) {
 	const n, k = 100000, 10
 	before := []struct {
 		hash      uint64
 		compdists int64
 		dataPA    int64
+		miss      int64 // a query that misses the bounds: its accesses, pinned
 	}{
-		{0xd2a7ef14f52bd767, 3363, 354},
-		{0x3ae46f19f96a3e49, 7942, 1209},
-		{0xe921c0ef54ef21b4, 7192, 880},
-		{0x9933210bc07273db, 7955, 1037},
-		{0x84e17b2a0927df89, 7748, 1513},
-		{0x9dc70f74f20c306e, 6570, 991},
-		{0x9b95cccb626ae299, 4495, 849},
-		{0xe6dd353691cbda16, 7502, 1317},
+		{0xd2a7ef14f52bd767, 3363, 354, 125},
+		{0x3ae46f19f96a3e49, 7942, 1209, 0},
+		{0xe921c0ef54ef21b4, 7192, 880, 0},
+		{0x9933210bc07273db, 7955, 1037, 0},
+		{0x84e17b2a0927df89, 7748, 1513, 0},
+		{0x9dc70f74f20c306e, 6570, 991, 0},
+		{0x9b95cccb626ae299, 4495, 849, 0},
+		{0xe6dd353691cbda16, 7502, 1317, 0},
 	}
 	ds, _ := dataset.ByName("color32", n+len(before), 1)
 	opts := Options{Distance: ds.Distance, Codec: ds.Codec, CacheSize: 32, Seed: 1}
@@ -156,7 +161,6 @@ func TestKNNReadsEachRunOnce(t *testing.T) {
 		row.add(res, QueryStats{}, nil)
 		return row, qs
 	}
-	var total, totalBefore, totalGreedy int64
 	for i, want := range before {
 		got, qs := query(i, Incremental)
 		_, greedy := query(i, Greedy)
@@ -164,17 +168,15 @@ func TestKNNReadsEachRunOnce(t *testing.T) {
 		if got.Hash != want.hash || qs.Compdists != want.compdists {
 			t.Errorf("query %d: answer hash %#x and %d compdists, want %#x and %d", i, got.Hash, qs.Compdists, want.hash, want.compdists)
 		}
-		if 2*qs.DataPA > want.dataPA {
-			t.Errorf("query %d: %d data page accesses, more than half the %d before the run copy", i, qs.DataPA, want.dataPA)
+		switch {
+		case want.miss > 0:
+			if qs.DataPA > want.miss {
+				t.Errorf("query %d: %d data page accesses, more than its %d", i, qs.DataPA, want.miss)
+			}
+		case 3*qs.DataPA > want.dataPA:
+			t.Errorf("query %d: %d data page accesses, more than a third of the %d before the run copy", i, qs.DataPA, want.dataPA)
+		case float64(qs.DataPA) > 1.05*float64(greedy.DataPA):
+			t.Errorf("query %d: %d data page accesses, more than 1.05 × Greedy's %d", i, qs.DataPA, greedy.DataPA)
 		}
-		total += qs.DataPA
-		totalBefore += want.dataPA
-		totalGreedy += greedy.DataPA
-	}
-	if 3*total > totalBefore {
-		t.Errorf("%d data page accesses in all, more than a third of the %d before the run copy", total, totalBefore)
-	}
-	if float64(total) > 1.05*float64(totalGreedy) {
-		t.Errorf("%d data page accesses in all, more than 1.05 × Greedy's %d", total, totalGreedy)
 	}
 }

@@ -186,9 +186,9 @@ func TestReadBatchErrorIndex(t *testing.T) {
 
 // TestCopyRecordsMatchesRead: records copied in file order decode to what
 // Read returns — those straddling a page boundary, a record four pages long
-// and one still in the append buffer included. One copy reads each page
-// once; copied into 1 KB chunks, each call stops at the first record that
-// does not fit, and the long record gets a chunk of its own.
+// and one still in the append buffer included. Placed in 1 KB chunks, as the
+// query's record arena places them, the copy still reads each page once:
+// one page reader serves the whole call however often the chunk changes.
 func TestCopyRecordsMatchesRead(t *testing.T) {
 	store := page.NewMemStore()
 	f := New(store, metric.StrCodec{})
@@ -227,36 +227,28 @@ func TestCopyRecordsMatchesRead(t *testing.T) {
 	}
 
 	store.Stats().Reset()
-	at := make([]int, len(offsets))
-	buf, n, err := f.CopyRecords(make([]byte, 0, 1<<20), offsets, at)
+	const chunk = 1 << 10
+	var chunks [][]byte
+	recs := make([][]byte, len(offsets))
+	n, err := f.CopyRecords(offsets, func(i, n int) []byte {
+		c := len(chunks) - 1
+		if c < 0 || len(chunks[c])+n > cap(chunks[c]) {
+			chunks = append(chunks, make([]byte, 0, max(n, chunk)))
+			c++
+		}
+		at := len(chunks[c])
+		chunks[c] = chunks[c][:at+n]
+		recs[i] = chunks[c][at:]
+		return recs[i]
+	})
 	if err != nil || n != len(offsets) {
 		t.Fatalf("CopyRecords: %d copied, %v", n, err)
 	}
 	if reads := store.Stats().Reads(); reads != int64(f.PagesUsed()-1) {
-		t.Errorf("copy performed %d physical reads, want one per flushed page (%d)", reads, f.PagesUsed()-1)
+		t.Errorf("copy into %d chunks performed %d physical reads, want one per flushed page (%d)", len(chunks), reads, f.PagesUsed()-1)
 	}
 	for i := range offsets {
-		check("one copy", i, buf[at[i]:])
-	}
-
-	const chunk = 1 << 10
-	for i := 0; i < len(offsets); {
-		buf, n, err := f.CopyRecords(make([]byte, 0, chunk), offsets[i:], at[i:])
-		if err != nil || n == 0 {
-			t.Fatalf("chunk from record %d: %d copied, %v", i, n, err)
-		}
-		if long := i <= 200 && 200 < i+n; long != (len(buf) > chunk) || long && (i != 200 || n != 1) {
-			t.Fatalf("chunk from record %d: %d records in %d bytes", i, n, len(buf))
-		}
-		if j := i + n; j+1 < len(offsets) && len(buf) <= chunk {
-			if size := int(offsets[j+1] - offsets[j]); len(buf)+size <= chunk {
-				t.Fatalf("chunk from record %d stopped before record %d, which fits (%d + %d bytes)", i, j, len(buf), size)
-			}
-		}
-		for j := i; j < i+n; j++ {
-			check("chunked", j, buf[at[j]:])
-		}
-		i += n
+		check("copy", i, recs[i])
 	}
 }
 
@@ -264,12 +256,16 @@ func TestCopyRecordsMatchesRead(t *testing.T) {
 // read and reports its index; the records before it stay valid.
 func TestCopyRecordsErrorIndex(t *testing.T) {
 	f, store, offsets, want := batchFixture(t, 50)
-	at := make([]int, 3)
-	buf, n, err := f.CopyRecords(make([]byte, 0, 1<<10), []uint64{offsets[5], f.Size() + 64, offsets[2]}, at)
+	var recs [][]byte
+	place := func(i, n int) []byte {
+		recs = append(recs[:i], make([]byte, n))
+		return recs[i]
+	}
+	n, err := f.CopyRecords([]uint64{offsets[5], f.Size() + 64, offsets[2]}, place)
 	if err == nil || n != 1 {
 		t.Fatalf("out-of-range offset: %d copied, %v", n, err)
 	}
-	obj, _, err := f.DecodeRecord(offsets[5], buf[at[0]:], nil)
+	obj, _, err := f.DecodeRecord(offsets[5], recs[0], nil)
 	if err != nil || obj.ID() != want[5].Id {
 		t.Fatalf("record before the failure: %v, %v", obj, err)
 	}
@@ -283,8 +279,7 @@ func TestCopyRecordsErrorIndex(t *testing.T) {
 	for offsets[first+1]-1 < uint64(victim)*page.Size {
 		first++
 	}
-	at = make([]int, len(offsets))
-	if _, n, err = g.CopyRecords(make([]byte, 0, 1<<20), offsets, at); !errors.Is(err, page.ErrInjected) || n != first {
+	if n, err = g.CopyRecords(offsets, place); !errors.Is(err, page.ErrInjected) || n != first {
 		t.Fatalf("unreadable page %d: %d copied, %v; want %d copied and the injected fault", victim, n, err, first)
 	}
 }

@@ -338,40 +338,26 @@ func (f *File) ReadBatch(offsets []uint64, out []metric.Object, plens []int) (in
 	return -1, nil
 }
 
-// CopyRecords appends the records at offsets to dst as stored, header and
-// payload, in the given order, and sets at[i] to where record i starts in
-// the returned slice; DecodeRecord decodes such a copy. Consecutive records
-// that share a page are copied from a single fetch, so offsets in file order
-// read each page once. A caller that copies the records it may verify once,
-// and decodes them as it needs them, never fetches a page again for them
-// however its reads interleave. Like ReadBatch, it fires no tracer events.
+// CopyRecords copies the records at offsets as stored, header and payload,
+// in the given order: record i goes into place(i, n), which returns the n
+// bytes the caller keeps it in. DecodeRecord decodes such a copy. One page
+// reader serves the whole call, so consecutive records that share a page
+// are copied from a single fetch and offsets in file order read each page
+// once: a caller that copies the records it may verify once, and decodes
+// them as it needs them, never fetches a page again for them however its
+// reads interleave. Like ReadBatch, it fires no tracer events.
 //
-// It copies while the records fit in dst's capacity, so that a caller can
-// fill fixed-size chunks, and returns the extended dst and how many records
-// it copied: fewer than len(offsets) with a nil error when the next one does
-// not fit. A record larger than the capacity is copied into an empty dst all
-// the same, growing it, and ends the call. On a failure the count is the
-// failing record's index, returned with its error; the records before it
-// stay valid.
-func (f *File) CopyRecords(dst []byte, offsets []uint64, at []int) ([]byte, int, error) {
+// On a failure it returns the failing record's index with its error; the
+// records before it are copied. Otherwise it returns len(offsets).
+func (f *File) CopyRecords(offsets []uint64, place func(i, n int) []byte) (int, error) {
 	pr := pageReader{f: f}
 	defer pr.release()
-	size := cap(dst)
 	for i, off := range offsets {
-		start := len(dst)
-		out, fits, err := pr.appendRecord(dst, off)
-		if err != nil {
-			return dst[:start], i, err
-		}
-		if !fits {
-			return dst, i, nil
-		}
-		dst, at[i] = out, start
-		if len(dst) > size {
-			return dst, i + 1, nil
+		if err := pr.copyRecord(off, i, place); err != nil {
+			return i, err
 		}
 	}
-	return dst, len(offsets), nil
+	return len(offsets), nil
 }
 
 // DecodeRecord decodes the record CopyRecords copied from offset into rec,
@@ -387,61 +373,29 @@ func (f *File) DecodeRecord(offset uint64, rec []byte, slot metric.Object) (metr
 	return obj, plen, nil
 }
 
-// appendRecord appends the record at offset, header and payload, to dst,
-// unless it does not fit in dst's spare capacity (a record always fits an
-// empty dst); on an error dst may hold part of it.
-func (r *pageReader) appendRecord(dst []byte, offset uint64) ([]byte, bool, error) {
-	f := r.f
-	at := int(offset % page.Size)
-	if pg := r.pg; pg != nil && page.ID(offset/page.Size) == r.id && at+headerSize <= page.Size {
-		// On the page the reader holds, as most records after a page's first
-		// are: when the payload is too, the record is one copy.
-		n := headerSize + int(binary.LittleEndian.Uint32(pg[at+8:at+headerSize]))
-		if at+n <= page.Size && offset+uint64(n) <= f.size {
-			if len(dst) > 0 && len(dst)+n > cap(dst) {
-				return dst, false, nil
-			}
-			return append(dst, pg[at:at+n]...), true, nil
-		}
-	}
-	if offset+headerSize > f.size {
-		return dst, false, fmt.Errorf("raf: offset %d out of range (size %d)", offset, f.size)
+// copyRecord copies the record at offset, header and payload, into
+// place(i, n); on an error the placed bytes may hold part of it.
+func (r *pageReader) copyRecord(offset uint64, i int, place func(i, n int) []byte) error {
+	if offset+headerSize > r.f.size {
+		return fmt.Errorf("raf: offset %d out of range (size %d)", offset, r.f.size)
 	}
 	var hbuf [headerSize]byte
 	hdr, err := r.bytes(offset, headerSize, hbuf[:])
 	if err != nil {
-		return dst, false, err
+		return err
 	}
-	plen, err := f.payloadLen(offset, hdr)
+	plen, err := r.f.payloadLen(offset, hdr)
 	if err != nil {
-		return dst, false, err
+		return err
 	}
 	n := headerSize + int(plen)
-	if len(dst) > 0 && len(dst)+n > cap(dst) {
-		return dst, false, nil
+	dst := place(i, n)
+	if at := int(offset % page.Size); at+n <= page.Size {
+		copy(dst, r.pg[at:]) // on the page hdr came from: one copy
+		return nil
 	}
-	if at+n <= page.Size {
-		return append(dst, r.pg[at:at+n]...), true, nil // one page: one copy
-	}
-	dst = append(dst, hdr...)
-	dst, err = r.appendBytes(dst, offset+headerSize, int(plen))
-	return dst, true, err
-}
-
-// appendBytes appends the n file bytes starting at offset to dst.
-func (r *pageReader) appendBytes(dst []byte, offset uint64, n int) ([]byte, error) {
-	for n > 0 {
-		pg, err := r.view(page.ID(offset / page.Size))
-		if err != nil {
-			return dst, err
-		}
-		b := pg[offset%page.Size:]
-		b = b[:min(n, len(b))]
-		dst = append(dst, b...)
-		offset += uint64(len(b))
-		n -= len(b)
-	}
-	return dst, nil
+	copy(dst, hdr) // hdr may be stitched from two pages: the payload goes on from the second
+	return r.copyBytes(dst[headerSize:], offset+headerSize)
 }
 
 // pageReader decodes file bytes out of pinned cache frames, keeping the last
@@ -480,16 +434,24 @@ func (r *pageReader) bytes(offset uint64, n int, buf []byte) ([]byte, error) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	for b := buf; len(b) > 0; {
-		pg, err := r.view(page.ID(offset / page.Size))
-		if err != nil {
-			return nil, err
-		}
-		c := copy(b, pg[offset%page.Size:])
-		b = b[c:]
-		offset += uint64(c)
+	if err := r.copyBytes(buf, offset); err != nil {
+		return nil, err
 	}
 	return buf, nil
+}
+
+// copyBytes fills dst with the file bytes starting at offset.
+func (r *pageReader) copyBytes(dst []byte, offset uint64) error {
+	for len(dst) > 0 {
+		pg, err := r.view(page.ID(offset / page.Size))
+		if err != nil {
+			return err
+		}
+		c := copy(dst, pg[offset%page.Size:])
+		dst = dst[c:]
+		offset += uint64(c)
+	}
+	return nil
 }
 
 // view returns page id, from the reader's last fetch, the append buffer, or
