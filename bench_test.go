@@ -123,27 +123,6 @@ func BenchmarkFig10Cache(b *testing.B) {
 	}
 }
 
-// BenchmarkTable5Traversal — Table 5: incremental vs greedy kNN traversal.
-func BenchmarkTable5Traversal(b *testing.B) {
-	for _, dsName := range []string{"color", "dna"} {
-		n := benchN
-		if dsName == "dna" {
-			n = benchN / 2
-		}
-		ds, _ := dataset.ByName(dsName, n, benchSeed)
-		tree := buildCoreTree(b, ds, core.Options{})
-		for _, strat := range []core.TraversalStrategy{core.Incremental, core.Greedy} {
-			b.Run(fmt.Sprintf("%s/%v", ds.Name, strat), func(b *testing.B) {
-				tree.SetTraversal(strat)
-				reportSPB(b, tree, func(q metric.Object) error {
-					_, err := tree.KNN(q, 8)
-					return err
-				}, ds.Queries(100))
-			})
-		}
-	}
-}
-
 // BenchmarkFig11Delta — Fig. 11: kNN under varying δ granularity.
 func BenchmarkFig11Delta(b *testing.B) {
 	ds, _ := dataset.ByName("synthetic", benchN, benchSeed)

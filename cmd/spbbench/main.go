@@ -9,7 +9,7 @@
 //	spbbench [flags] <experiment>...
 //	spbbench -n 20000 -q 100 all
 //
-// Experiments: table2 table4 table5 table6 table7 fig9 fig10 fig11 fig12
+// Experiments: table2 table4 table6 table7 fig9 fig10 fig11 fig12
 // fig13 fig14 fig15 fig16 fig17 fig18 ablation forest all
 package main
 
@@ -45,14 +45,13 @@ func main() {
 
 	if flag.NArg() == 0 {
 		flag.Usage()
-		fmt.Fprintln(os.Stderr, "\nexperiments: table2 table4 table5 table6 table7 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 ablation forest all")
+		fmt.Fprintln(os.Stderr, "\nexperiments: table2 table4 table6 table7 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 ablation forest all")
 		os.Exit(2)
 	}
 
 	experiments := map[string]func(config) error{
 		"table2":   table2,
 		"table4":   table4,
-		"table5":   table5,
 		"table6":   table6,
 		"table7":   table7,
 		"fig9":     fig9,
@@ -68,7 +67,7 @@ func main() {
 		"ablation": ablation,
 		"forest":   forestExp,
 	}
-	order := []string{"table2", "table4", "fig9", "fig10", "table5", "fig11",
+	order := []string{"table2", "table4", "fig9", "fig10", "fig11",
 		"table6", "table7", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "ablation", "forest"}
 
 	var names []string

@@ -17,7 +17,7 @@ func tinyConfig() config {
 func TestExperimentsRun(t *testing.T) {
 	cfg := tinyConfig()
 	experiments := map[string]func(config) error{
-		"table2": table2, "table4": table4, "table5": table5,
+		"table2": table2, "table4": table4,
 		"table6": table6, "table7": table7,
 		"fig10": fig10, "fig11": fig11, "fig12": fig12, "fig13": fig13,
 		"fig14": fig14, "fig15": fig15, "fig16": fig16, "fig17": fig17, "fig18": fig18,

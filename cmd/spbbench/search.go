@@ -81,28 +81,6 @@ func fig10(cfg config) error {
 	return nil
 }
 
-// table5 — kNN search with incremental vs greedy traversal.
-func table5(cfg config) error {
-	header(cfg.out, "Table 5: kNN search with different traversal strategies (k=8)")
-	fmt.Fprintf(cfg.out, "%-10s %-12s %10s %12s %12s\n", "dataset", "traversal", "PA", "compdists", "time")
-	for _, name := range []string{"color", "words", "dna"} {
-		ds := scaledDataset(cfg, name)
-		tree, err := buildSPB(ds, cfg.seed, core.Options{})
-		if err != nil {
-			return err
-		}
-		for _, strat := range []core.TraversalStrategy{core.Incremental, core.Greedy} {
-			tree.SetTraversal(strat)
-			m, err := runKNN(spbAdapter{tree}, ds.Queries(cfg.queries), 8)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(cfg.out, "%-10s %-12v %10.1f %12.1f %12v\n", ds.Name, strat, m.pa, m.cd, m.t)
-		}
-	}
-	return nil
-}
-
 // fig11 — effect of the δ-approximation granularity on Color and Synthetic
 // (the two real-valued metrics).
 func fig11(cfg config) error {

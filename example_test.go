@@ -94,31 +94,3 @@ func ExampleJoin() {
 	// ⟨defoliate, defoliated⟩ d=1
 	// ⟨defoliates, defoliated⟩ d=1
 }
-
-// ExampleTree_NearestIter consumes neighbors lazily in distance order.
-func ExampleTree_NearestIter() {
-	objs := []spbtree.Object{
-		spbtree.NewVector(0, []float64{0.1, 0.1}),
-		spbtree.NewVector(1, []float64{0.2, 0.1}),
-		spbtree.NewVector(2, []float64{0.9, 0.9}),
-		spbtree.NewVector(3, []float64{0.15, 0.1}),
-	}
-	tree, err := spbtree.Build(objs, spbtree.Options{
-		Distance: spbtree.L2(2), Codec: spbtree.VectorCodec{Dim: 2}, NumPivots: 2,
-	})
-	if err != nil {
-		panic(err)
-	}
-	it := tree.NearestIter(spbtree.NewVector(9, []float64{0.1, 0.1}))
-	for i := 0; i < 3; i++ {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		fmt.Printf("id=%d d=%.2f\n", r.Object.ID(), r.Dist)
-	}
-	// Output:
-	// id=0 d=0.00
-	// id=3 d=0.05
-	// id=1 d=0.10
-}

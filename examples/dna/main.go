@@ -37,9 +37,8 @@ func main() {
 	}
 
 	tree, err := spbtree.Build(objs, spbtree.Options{
-		Distance:  spbtree.TrigramAngular{},
-		Codec:     spbtree.SeqCodec{},
-		Traversal: spbtree.Greedy,
+		Distance: spbtree.TrigramAngular{},
+		Codec:    spbtree.SeqCodec{},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -71,19 +70,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ngreedy traversal: PA=%d compdists=%d time=%s\n",
+	fmt.Printf("\n10-NN: PA=%d compdists=%d time=%s\n",
 		st.PageAccesses, st.DistanceComputations, st.Elapsed.Round(1000))
-
-	tree.SetTraversal(spbtree.Incremental)
-	st2, err := tree.Measure(func() error {
-		_, err := tree.KNN(q, 10)
-		return err
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("incremental:      PA=%d compdists=%d time=%s\n",
-		st2.PageAccesses, st2.DistanceComputations, st2.Elapsed.Round(1000))
 }
 
 func mutate(s string, rng *rand.Rand, edits int) string {

@@ -66,21 +66,6 @@ func main() {
 			qi, k, est.EDC, st.DistanceComputations, est.EPA, st.PageAccesses, st.Elapsed.Round(1000))
 	}
 
-	// Traversal strategies (paper Table 5): greedy never revisits a RAF
-	// page; incremental is optimal in distance computations.
-	q := objs[7]
-	fmt.Println("\ntraversal   PA  compdists")
-	for _, strat := range []spbtree.TraversalStrategy{spbtree.Incremental, spbtree.Greedy} {
-		tree.SetTraversal(strat)
-		st, err := tree.Measure(func() error {
-			_, err := tree.KNN(q, 16)
-			return err
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-11v %3d %10d\n", strat, st.PageAccesses, st.DistanceComputations)
-	}
 }
 
 func clamp(x float64) float64 {

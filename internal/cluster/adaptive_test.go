@@ -123,10 +123,10 @@ func TestClusterAdaptiveVsFlat(t *testing.T) {
 
 // TestClusterRangePruningOverWire: the plan survives the wire as the nodes
 // made it. A query provably outside every shard's summary box costs one
-// kRange per owning node and nothing else — each node's forest prunes its
+// kQuery per owning node and nothing else — each node's forest prunes its
 // whole group and computes no distance — and the router reports all four
-// shards pruned; a kNN costs one kKNN per owning node and reports the staging
-// the nodes did.
+// shards pruned; a kNN costs one kQuery per owning node and reports the
+// staging the nodes did.
 func TestClusterRangePruningOverWire(t *testing.T) {
 	ds := dataset.Color(600, 43)
 	tc := startCluster(t, ds, 4)
@@ -180,7 +180,7 @@ func TestClusterRangePruningOverWire(t *testing.T) {
 	if qs.Compdists != 0 {
 		t.Fatalf("pruned-out query still computed %d distances", qs.Compdists)
 	}
-	onePerOwner("far range", kRange)
+	onePerOwner("far range", kQuery)
 
 	_, qs, err = tc.router.Query(ctx, core.Query{Op: core.OpKNN, Q: tc.objs[7], K: 10, Timed: true})
 	if err != nil {
@@ -189,7 +189,7 @@ func TestClusterRangePruningOverWire(t *testing.T) {
 	if !qs.Plan.Staged || qs.Plan.ShardsTotal != 4 || qs.Plan.ShardsPruned != 0 {
 		t.Fatalf("kNN plan lost on the wire: %+v", qs.Plan)
 	}
-	onePerOwner("knn", kKNN)
+	onePerOwner("knn", kQuery)
 }
 
 // TestClusterStagedMatchesForest: a cluster kNN reproduces the local

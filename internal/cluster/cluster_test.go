@@ -281,7 +281,7 @@ func TestClusterMidQueryKill(t *testing.T) {
 	node := tc.node(victim)
 	var once sync.Once
 	node.OnRequest = func(kind byte) {
-		if kind == kRange {
+		if kind == kQuery {
 			once.Do(func() { node.Close() }) // die mid-request
 		}
 	}

@@ -234,8 +234,8 @@ func (n *Node) serveConn(conn net.Conn) {
 				hook(kind)
 			}
 			start := time.Now()
-			resp, failed := n.dispatch(kind, payload)
-			n.reg.Op(kindName(kind)).Observe(0, 0, 0, 0, time.Since(start), failed)
+			resp, label, failed := n.dispatch(kind, payload)
+			n.reg.Op(label).Observe(0, 0, 0, 0, time.Since(start), failed)
 			writeMu.Lock()
 			writeFrame(conn, reqID, kind, resp)
 			writeMu.Unlock()
@@ -243,13 +243,10 @@ func (n *Node) serveConn(conn net.Conn) {
 	}
 }
 
-// kindName labels RPC kinds for the node's metrics registry.
+// kindName labels RPC kinds for the node's metrics registry; a query is
+// labeled by its operation (queryLabel).
 func kindName(kind byte) string {
 	switch kind {
-	case kRange:
-		return "rpc.range"
-	case kKNN:
-		return "rpc.knn"
 	case kJoin:
 		return "rpc.join"
 	case kMutate:
@@ -265,70 +262,77 @@ func kindName(kind byte) string {
 	}
 }
 
+// queryLabel labels a query RPC by its operation: rpc.range, or rpc.knn for
+// every kNN flavour.
+func queryLabel(op string) string {
+	if op == core.OpRange {
+		return "rpc.range"
+	}
+	return "rpc.knn"
+}
+
 // errOnly is the kErr payload shape: gob matches fields by name, so any
 // response struct with an Err field decodes it.
 type errOnly struct {
 	Err *wireErr
 }
 
-// dispatch decodes and executes one request, returning the response payload
-// and whether the operation failed (for metrics).
-func (n *Node) dispatch(kind byte, payload []byte) (resp interface{}, failed bool) {
+// dispatch decodes and executes one request, returning the response payload,
+// the registry label of the operation and whether it failed (for metrics).
+func (n *Node) dispatch(kind byte, payload []byte) (interface{}, string, bool) {
+	label := kindName(kind)
+	done := func(resp interface{}, failed bool) (interface{}, string, bool) { return resp, label, failed }
 	var err error
 	switch kind {
-	case kRange:
-		var req rpcRangeReq
+	case kQuery:
+		var req rpcQueryReq
 		if err = decodePayload(payload, &req); err == nil {
-			return n.handleRange(req)
-		}
-	case kKNN:
-		var req rpcKNNReq
-		if err = decodePayload(payload, &req); err == nil {
-			return n.handleKNN(req)
+			label = queryLabel(req.Query.Op)
+			return done(n.handleQuery(req))
 		}
 	case kJoin:
 		var req rpcJoinReq
 		if err = decodePayload(payload, &req); err == nil {
-			return n.handleJoin(req)
+			return done(n.handleJoin(req))
 		}
 	case kMutate:
 		var req rpcMutateReq
 		if err = decodePayload(payload, &req); err == nil {
-			return n.handleMutate(req)
+			return done(n.handleMutate(req))
 		}
 	case kStats:
-		return n.handleStats()
+		return done(n.handleStats())
 	case kExport:
 		var req rpcExportReq
 		if err = decodePayload(payload, &req); err == nil {
-			return n.handleExport(req)
+			return done(n.handleExport(req))
 		}
 	case kFreeze:
 		var req rpcFreezeReq
 		if err = decodePayload(payload, &req); err == nil {
-			return n.handleFreeze(req)
+			return done(n.handleFreeze(req))
 		}
 	case kListFiles:
 		var req rpcListFilesReq
 		if err = decodePayload(payload, &req); err == nil {
-			return n.handleListFiles(req)
+			return done(n.handleListFiles(req))
 		}
 	case kReadFile:
 		var req rpcReadFileReq
 		if err = decodePayload(payload, &req); err == nil {
-			return n.handleReadFile(req)
+			return done(n.handleReadFile(req))
 		}
 	case kBeginInstall, kInstallChunk, kFinishInstall, kActivate, kDrop:
 		var req rpcInstallReq
 		if err = decodePayload(payload, &req); err == nil {
-			return n.handleInstall(kind, req)
+			return done(n.handleInstall(kind, req))
 		}
 	case kPing:
-		return rpcPingResp{Name: n.cfg.Name}, false
+		return done(rpcPingResp{Name: n.cfg.Name}, false)
 	default:
 		err = fmt.Errorf("cluster: unknown frame kind %d", kind)
 	}
-	return errOnly{Err: toWireErr(err)}, true
+	return done(errOnly{Err: toWireErr(err)}, true)
 }
 
 // reqContext arms the request's remaining deadline budget as a local
@@ -393,46 +397,29 @@ func toWireResults(results []core.Result) []wireResult {
 	return out
 }
 
-// handleRange answers a range RPC as a core.Query.
-func (n *Node) handleRange(req rpcRangeReq) (interface{}, bool) {
-	return n.runQuery(req.Shards, req.Q, req.DeadlineUS,
-		core.Query{Op: core.OpRange, Radius: req.R, Timed: req.WithStats})
-}
-
-// handleKNN answers an exact, bounded or budgeted-approximate kNN RPC as a
-// core.Query. Flag combinations the wire can spell but the library rejects
-// (Bounded with Approx) fail core.Query.Validate inside runQuery.
-func (n *Node) handleKNN(req rpcKNNReq) (interface{}, bool) {
-	q := core.Query{Op: core.OpKNN, K: req.K, MaxVerify: req.MaxVerify,
-		Bounded: req.Bounded, Bound: req.Bound, Timed: req.WithStats}
-	if req.Approx {
-		q.Op = core.OpKNNApprox
-	}
-	return n.runQuery(req.Shards, req.Q, req.DeadlineUS, q)
-}
-
-// runQuery executes one query RPC: q arrives from outside the process, so it
-// is validated (forest.Query does, before any shard work) and then answered
-// by a per-request forest over the named owned shards — the same gather body
-// a single-process forest runs, and the only place a cluster query's visit
-// list is pruned or its kNN staged (DESIGN.md §15.4). Partial results travel
-// alongside the error, preserving the library contract.
-func (n *Node) runQuery(shards []int, wq wireObj, deadlineUS int64, q core.Query) (interface{}, bool) {
-	trees, err := n.ownedTrees(shards)
+// handleQuery answers a query RPC: the request's query arrives from outside
+// the process, so it is validated (forest.Query does, before any shard work)
+// and then answered by a per-request forest over the named owned shards — the
+// same gather body a single-process forest runs, and the only place a cluster
+// query's visit list is pruned or its kNN staged (DESIGN.md §15.4). Partial
+// results travel alongside the error, preserving the library contract.
+func (n *Node) handleQuery(req rpcQueryReq) (interface{}, bool) {
+	trees, err := n.ownedTrees(req.Shards)
 	if err != nil {
 		return rpcQueryResp{Err: toWireErr(err)}, true
 	}
-	if q.Q, err = n.decodeQuery(wq); err != nil {
+	q := req.Query
+	if q.Q, err = n.decodeQuery(req.Q); err != nil {
 		return rpcQueryResp{Err: toWireErr(err)}, true
 	}
 	f, err := forest.FromShards(trees, n.cfg.Parallel)
 	if err != nil {
 		return rpcQueryResp{Err: toWireErr(err)}, true
 	}
-	ctx, cancel := reqContext(deadlineUS)
+	ctx, cancel := reqContext(req.DeadlineUS)
 	defer cancel()
 	results, qs, err := f.Query(ctx, q)
-	err = n.staleClosed(err, shards)
+	err = n.staleClosed(err, req.Shards)
 	return rpcQueryResp{Results: toWireResults(results), Stats: qs, Err: toWireErr(err)}, err != nil
 }
 

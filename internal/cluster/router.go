@@ -309,15 +309,11 @@ func (r *Router) Query(ctx context.Context, q core.Query) ([]core.Result, core.Q
 	return res, qs, err
 }
 
-// wireQuery renders q as the wire request for one node's shard group.
+// wireQuery renders q as the wire request for one node's shard group; the
+// query object travels encoded as wq.
 func wireQuery(shards []int, wq wireObj, q core.Query, deadlineUS int64) (byte, interface{}) {
-	if q.Op == core.OpRange {
-		return kRange, rpcRangeReq{Shards: shards, Q: wq, R: q.Radius,
-			DeadlineUS: deadlineUS, WithStats: q.Timed}
-	}
-	return kKNN, rpcKNNReq{Shards: shards, Q: wq, K: q.K, MaxVerify: q.MaxVerify,
-		Approx: q.Op == core.OpKNNApprox, DeadlineUS: deadlineUS, WithStats: q.Timed,
-		Bounded: q.Bounded, Bound: q.Bound}
+	q.Q = nil
+	return kQuery, rpcQueryReq{Shards: shards, Q: wq, Query: q, DeadlineUS: deadlineUS}
 }
 
 // The two methods below are kept only because the frozen benchmark harness

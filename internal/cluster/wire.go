@@ -46,8 +46,10 @@ const (
 // the matching response struct either way (every response struct carries
 // its Err field).
 const (
-	kRange byte = iota + 1
-	kKNN
+	// 1 and 2 are reserved: they were the separate range and kNN requests
+	// that kQuery replaced.
+	_ byte = iota + 1
+	_
 	kJoin
 	kMutate
 	kStats
@@ -67,6 +69,7 @@ const (
 	// other value stays wire-stable and an old sender's frame gets the
 	// unknown-kind error.
 	_
+	kQuery
 )
 
 // Error codes carried by wireErr, mapping wire failures back onto the
@@ -156,37 +159,20 @@ type wireResult struct {
 	Exact bool
 }
 
-// rpcRangeReq asks the receiving node to answer RQ(Q, r) over the listed
-// shards (which it must own). DeadlineUS is the caller's remaining budget in
-// microseconds at send time (0 = none): the receiver re-arms it as a local
-// context deadline, so cancellation semantics survive the hop without
-// clock synchronization.
-type rpcRangeReq struct {
+// rpcQueryReq asks the receiving node to answer one search request over the
+// listed shards (which it must own). Query is the caller's core.Query as it
+// is, except that its object travels as Q (core.Query.Q stays nil), so a new
+// query parameter crosses the wire without a protocol change; the receiver
+// validates it before any shard work. A kNN request that arrives bounded is
+// scattered flat, not staged again (DESIGN.md §15.4). DeadlineUS is the
+// caller's remaining budget in microseconds at send time (0 = none): the
+// receiver re-arms it as a local context deadline, so cancellation semantics
+// survive the hop without clock synchronization.
+type rpcQueryReq struct {
 	Shards     []int
 	Q          wireObj
-	R          float64
+	Query      core.Query
 	DeadlineUS int64
-	WithStats  bool
-}
-
-// rpcKNNReq asks for kNN (or budgeted approximate kNN when Approx is set)
-// over the listed shards. Bounded and Bound carry core.Query's fields of the
-// same names: with Bounded set the receiver answers the canonical top-k among
-// objects within Bound of Q instead of the unrestricted top-k, and scatters
-// it flat — a request that arrives bounded is not staged again (DESIGN.md
-// §15.4). Bounded and Approx are mutually exclusive. The router sends what
-// its caller's query says, and gob decodes the fields' absence as false/0 —
-// plain kNN — on old senders.
-type rpcKNNReq struct {
-	Shards     []int
-	Q          wireObj
-	K          int
-	MaxVerify  int
-	Approx     bool
-	DeadlineUS int64
-	WithStats  bool
-	Bounded    bool
-	Bound      float64
 }
 
 // rpcQueryResp carries a query's answers: Results for range and kNN, Pairs

@@ -16,28 +16,29 @@ import (
 // TestFrameRoundTrip: a frame written with writeFrame reads back with the
 // same request id, kind, and an intact gob payload.
 func TestFrameRoundTrip(t *testing.T) {
-	req := rpcRangeReq{
-		Shards: []int{0, 2, 5},
-		Q:      wireObj{ID: 42, Data: []byte("query")},
-		R:      1.5, DeadlineUS: 123456, WithStats: true,
+	req := rpcQueryReq{
+		Shards:     []int{0, 2, 5},
+		Q:          wireObj{ID: 42, Data: []byte("query")},
+		Query:      core.Query{Op: core.OpKNN, K: 4, Bounded: true, Bound: 1.5, Timed: true},
+		DeadlineUS: 123456,
 	}
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, 7, kRange, req); err != nil {
+	if err := writeFrame(&buf, 7, kQuery, req); err != nil {
 		t.Fatal(err)
 	}
 	reqID, kind, payload, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reqID != 7 || kind != kRange {
-		t.Fatalf("header = (%d, %d), want (7, %d)", reqID, kind, kRange)
+	if reqID != 7 || kind != kQuery {
+		t.Fatalf("header = (%d, %d), want (7, %d)", reqID, kind, kQuery)
 	}
-	var got rpcRangeReq
+	var got rpcQueryReq
 	if err := decodePayload(payload, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Q.ID != 42 || string(got.Q.Data) != "query" || got.R != 1.5 ||
-		got.DeadlineUS != 123456 || !got.WithStats || len(got.Shards) != 3 {
+	if got.Q.ID != 42 || string(got.Q.Data) != "query" || got.Query != req.Query ||
+		got.DeadlineUS != 123456 || len(got.Shards) != 3 {
 		t.Fatalf("payload mangled: %+v", got)
 	}
 }
@@ -79,7 +80,8 @@ func TestWireErrPreservesIs(t *testing.T) {
 
 // TestNodeRejectsInvalidWireQuery: a node treats a query RPC as input from
 // outside the process. Requests the wire structs can spell but the library
-// rejects — a bounded approximate kNN, a NaN radius — come back as
+// rejects — a bounded approximate kNN, a NaN radius, an unknown operation —
+// come back as
 // core.ErrInvalidQuery over the wire, without a panic, and the node keeps
 // serving.
 func TestNodeRejectsInvalidWireQuery(t *testing.T) {
@@ -91,17 +93,15 @@ func TestNodeRejectsInvalidWireQuery(t *testing.T) {
 	for node, shards := range p.ByOwner() {
 		c := NewClient(p.Nodes[node])
 		defer c.Close()
-		for name, call := range map[string]struct {
-			kind byte
-			req  interface{}
-		}{
-			"bounded+approx":  {kKNN, rpcKNNReq{Shards: shards, Q: wq, K: 5, MaxVerify: 10, Approx: true, Bounded: true, Bound: 1}},
-			"budget on exact": {kKNN, rpcKNNReq{Shards: shards, Q: wq, K: 5, MaxVerify: 10}},
-			"NaN bound":       {kKNN, rpcKNNReq{Shards: shards, Q: wq, K: 5, Bounded: true, Bound: math.NaN()}},
-			"NaN radius":      {kRange, rpcRangeReq{Shards: shards, Q: wq, R: math.NaN()}},
+		for name, q := range map[string]core.Query{
+			"bounded+approx":  {Op: core.OpKNNApprox, K: 5, MaxVerify: 10, Bounded: true, Bound: 1},
+			"budget on exact": {Op: core.OpKNN, K: 5, MaxVerify: 10},
+			"NaN bound":       {Op: core.OpKNN, K: 5, Bounded: true, Bound: math.NaN()},
+			"NaN radius":      {Op: core.OpRange, Radius: math.NaN()},
+			"unknown op":      {Op: "scan", K: 5},
 		} {
 			var resp rpcQueryResp
-			if err := c.Call(ctx, call.kind, call.req, &resp); err != nil {
+			if err := c.Call(ctx, kQuery, rpcQueryReq{Shards: shards, Q: wq, Query: q}, &resp); err != nil {
 				t.Fatalf("%s/%s: transport: %v", node, name, err)
 			}
 			if err := fromWireErr(resp.Err); !errors.Is(err, core.ErrInvalidQuery) {
@@ -113,7 +113,7 @@ func TestNodeRejectsInvalidWireQuery(t *testing.T) {
 		}
 		// The same connection still answers a well-formed request.
 		var resp rpcQueryResp
-		if err := c.Call(ctx, kKNN, rpcKNNReq{Shards: shards, Q: wq, K: 5}, &resp); err != nil || resp.Err != nil {
+		if err := c.Call(ctx, kQuery, rpcQueryReq{Shards: shards, Q: wq, Query: core.Query{Op: core.OpKNN, K: 5}}, &resp); err != nil || resp.Err != nil {
 			t.Fatalf("%s: node stopped serving after invalid requests: %v %v", node, err, resp.Err)
 		}
 		if len(resp.Results) != 5 {
@@ -122,24 +122,41 @@ func TestNodeRejectsInvalidWireQuery(t *testing.T) {
 	}
 }
 
-// TestNodeRejectsRetiredHintKind: kind 17 carried the router-side planner's
-// hint request and stays reserved. A frame with it — an old router's —
-// answers the unknown-kind error, and the connection keeps serving.
+// TestNodeRejectsRetiredHintKind: the retired kinds stay reserved — 17
+// carried the router-side planner's hint request, 1 and 2 the separate range
+// and kNN requests kQuery replaced. A frame with one of them — an old
+// router's — answers the unknown-kind error, and the connection keeps
+// serving.
 func TestNodeRejectsRetiredHintKind(t *testing.T) {
-	const retiredHint = kErr + 1
+	const retiredRange, retiredKNN, retiredHint = 1, 2, kErr + 1
 	tc := startCluster(t, dataset.Words(300, 53), 4)
 	p := tc.router.Placement()
 	ctx := context.Background()
+	wq := wireObj{ID: tc.objs[0].ID(), Data: tc.objs[0].AppendBinary(nil)}
 	for node, addr := range p.Nodes {
 		c := NewClient(addr)
 		defer c.Close()
-		var resp errOnly
-		if err := c.Call(ctx, retiredHint, struct{ Shards []int }{p.ShardsOf(node)}, &resp); err != nil {
-			t.Fatalf("%s: transport: %v", node, err)
-		}
-		want := fmt.Sprintf("unknown frame kind %d", retiredHint)
-		if err := fromWireErr(resp.Err); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("%s: err = %v, want %q", node, err, want)
+		for kind, req := range map[byte]interface{}{
+			retiredRange: struct {
+				Shards []int
+				Q      wireObj
+				R      float64
+			}{p.ShardsOf(node), wq, 2},
+			retiredKNN: struct {
+				Shards []int
+				Q      wireObj
+				K      int
+			}{p.ShardsOf(node), wq, 5},
+			retiredHint: struct{ Shards []int }{p.ShardsOf(node)},
+		} {
+			var resp errOnly
+			if err := c.Call(ctx, kind, req, &resp); err != nil {
+				t.Fatalf("%s: kind %d: transport: %v", node, kind, err)
+			}
+			want := fmt.Sprintf("unknown frame kind %d", kind)
+			if err := fromWireErr(resp.Err); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: err = %v, want %q", node, err, want)
+			}
 		}
 		var pong rpcPingResp
 		if err := c.Call(ctx, kPing, rpcPingReq{}, &pong); err != nil || pong.Name != node {

@@ -17,7 +17,7 @@ import (
 // brute-force scan of the live set; results (hashed) and every counter the
 // verification stage owns are checked against goldens — the entry-at-a-time
 // scalar path, frozen at the last commit that had one (golden_test.go) — for
-// every setup, both traversals, range / kNN / budgeted kNN, with the write
+// every setup, range / kNN / budgeted kNN, with the write
 // buffer empty and live. It also pins that the block path is the one that
 // runs: BatchedCandidates is positive for range and kNN on every metric, the
 // two without a kernel of their own included.
@@ -27,71 +27,68 @@ func TestBatchMatchesScalar(t *testing.T) {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
 			maxD := s.dist.MaxDistance()
-			for _, trav := range []TraversalStrategy{Incremental, Greedy} {
-				for _, delta := range []bool{false, true} {
-					base, extra := s.objs, []metric.Object(nil)
-					if delta {
-						base, extra = s.objs[:len(s.objs)-20], s.objs[len(s.objs)-20:]
-					}
-					opts := s.opts
-					opts.Traversal = trav
-					opts.Distance = s.dist
-					tree, err := Build(base, opts)
-					if err != nil {
-						t.Fatalf("Build: %v", err)
-					}
-					live := base
-					if delta {
-						live = addWriteBuffer(t, tree, base, extra)
-					}
-					for _, op := range []Query{
-						{Op: OpRange, Radius: 0.15 * maxD},
-						{Op: OpKNN, K: 6},
-						{Op: OpKNNApprox, K: 4, MaxVerify: 40},
-					} {
-						label := fmt.Sprintf("query/%s/%s/%s/delta=%v", s.name, trav, op.Op, delta)
-						var row golden
-						var batched int64
-						for _, q := range s.objs[:4] {
-							op.Q = q
-							res, qs, err := tree.Query(context.Background(), op)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							row.add(res, qs, nil)
-							batched += qs.BatchedCandidates
-							truth := bfRangeDists(live, q, maxD, s.dist)
-							subsetOfTruth(t, label, res, truth)
-							switch op.Op {
-							case OpRange:
-								if want := bfRange(live, q, op.Radius, s.dist); len(res) != len(want) || len(resultIDs(res)) != len(want) {
-									t.Fatalf("%s: %d results, brute force %d", label, len(res), len(want))
-								}
-							case OpKNN:
-								want := bfKNNDists(live, q, op.K, s.dist)
-								if len(res) != len(want) {
-									t.Fatalf("%s: %d results, brute force %d", label, len(res), len(want))
-								}
-								for i, x := range res {
-									if x.Dist != want[i] {
-										t.Fatalf("%s: rank %d at distance %v, brute force %v", label, i, x.Dist, want[i])
-									}
-								}
-							}
-							if !delta && qs.BatchedCandidates < qs.Verified {
-								t.Errorf("%s: %d candidates verified, only %d through a block", label, qs.Verified, qs.BatchedCandidates)
-							}
-						}
-						checkGolden(t, label, row)
-						if batched == 0 {
-							t.Errorf("%s: no candidate went through the block path", label)
-						}
-						if !metric.IsBounded(s.dist) && row.Abandoned != 0 {
-							t.Errorf("%s: %d evaluations abandoned by a metric that cannot abandon", label, row.Abandoned)
-						}
-					}
-					tree.Close()
+			for _, delta := range []bool{false, true} {
+				base, extra := s.objs, []metric.Object(nil)
+				if delta {
+					base, extra = s.objs[:len(s.objs)-20], s.objs[len(s.objs)-20:]
 				}
+				opts := s.opts
+				opts.Distance = s.dist
+				tree, err := Build(base, opts)
+				if err != nil {
+					t.Fatalf("Build: %v", err)
+				}
+				live := base
+				if delta {
+					live = addWriteBuffer(t, tree, base, extra)
+				}
+				for _, op := range []Query{
+					{Op: OpRange, Radius: 0.15 * maxD},
+					{Op: OpKNN, K: 6},
+					{Op: OpKNNApprox, K: 4, MaxVerify: 40},
+				} {
+					label := fmt.Sprintf("query/%s/%s/delta=%v", s.name, op.Op, delta)
+					var row golden
+					var batched int64
+					for _, q := range s.objs[:4] {
+						op.Q = q
+						res, qs, err := tree.Query(context.Background(), op)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						row.add(res, qs, nil)
+						batched += qs.BatchedCandidates
+						truth := bfRangeDists(live, q, maxD, s.dist)
+						subsetOfTruth(t, label, res, truth)
+						switch op.Op {
+						case OpRange:
+							if want := bfRange(live, q, op.Radius, s.dist); len(res) != len(want) || len(resultIDs(res)) != len(want) {
+								t.Fatalf("%s: %d results, brute force %d", label, len(res), len(want))
+							}
+						case OpKNN:
+							want := bfKNNDists(live, q, op.K, s.dist)
+							if len(res) != len(want) {
+								t.Fatalf("%s: %d results, brute force %d", label, len(res), len(want))
+							}
+							for i, x := range res {
+								if x.Dist != want[i] {
+									t.Fatalf("%s: rank %d at distance %v, brute force %v", label, i, x.Dist, want[i])
+								}
+							}
+						}
+						if !delta && qs.BatchedCandidates < qs.Verified {
+							t.Errorf("%s: %d candidates verified, only %d through a block", label, qs.Verified, qs.BatchedCandidates)
+						}
+					}
+					checkGolden(t, label, row)
+					if batched == 0 {
+						t.Errorf("%s: no candidate went through the block path", label)
+					}
+					if !metric.IsBounded(s.dist) && row.Abandoned != 0 {
+						t.Errorf("%s: %d evaluations abandoned by a metric that cannot abandon", label, row.Abandoned)
+					}
+				}
+				tree.Close()
 			}
 		})
 	}

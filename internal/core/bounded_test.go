@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"sort"
 	"sync"
 	"testing"
 
@@ -81,69 +80,66 @@ func checkAbandoned(t *testing.T, s setup, qs QueryStats) {
 // once — sharing the tree's read lock, its page caches and the scratch pool
 // their prepared kernels and candidate blocks come from — return
 // byte-identical results and identical verification counters (Abandoned
-// included) to issuing them one after another, for every setup and both
-// traversal strategies. Run with -race.
+// included) to issuing them one after another, for every setup. Run with
+// -race.
 func TestBoundedParallelMatchesSerial(t *testing.T) {
 	for _, s := range setups() {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
-			for _, trav := range []TraversalStrategy{Incremental, Greedy} {
-				opts := s.opts
-				opts.Traversal = trav
-				opts.Distance = s.dist
-				tree, err := Build(s.objs, opts)
-				if err != nil {
-					t.Fatalf("%s: Build: %v", s.name, err)
-				}
-				maxD := s.dist.MaxDistance()
-
-				type outcome struct {
-					res []Result
-					qs  QueryStats
-					err error
-				}
-				tags := []string{"range", "knn1", "knn8", "approx"}
-				run := func(job int) (o outcome) {
-					q := s.objs[job/len(tags)]
-					switch tags[job%len(tags)] {
-					case "range":
-						o.res, o.qs, o.err = tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: 0.12 * maxD, Timed: true})
-					case "knn1":
-						o.res, o.qs, o.err = tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 1, Timed: true})
-					case "knn8":
-						o.res, o.qs, o.err = tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 8, Timed: true})
-					case "approx":
-						o.res, o.qs, o.err = tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: 5, MaxVerify: 40, Timed: true})
-					}
-					return o
-				}
-				serial := make([]outcome, 5*len(tags))
-				for job := range serial {
-					serial[job] = run(job)
-				}
-				const clients = 4
-				parallel := make([]outcome, len(serial))
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						for job := c; job < len(parallel); job += clients {
-							parallel[job] = run(job)
-						}
-					}(c)
-				}
-				wg.Wait()
-				for job := range serial {
-					label := s.name + "/" + trav.String() + "/" + tags[job%len(tags)]
-					if serial[job].err != nil || parallel[job].err != nil {
-						t.Fatalf("%s: serial err %v, parallel err %v", label, serial[job].err, parallel[job].err)
-					}
-					sameResults(t, label, serial[job].res, parallel[job].res)
-					sameVerification(t, label, serial[job].qs, parallel[job].qs)
-				}
-				tree.Close()
+			opts := s.opts
+			opts.Distance = s.dist
+			tree, err := Build(s.objs, opts)
+			if err != nil {
+				t.Fatalf("%s: Build: %v", s.name, err)
 			}
+			maxD := s.dist.MaxDistance()
+
+			type outcome struct {
+				res []Result
+				qs  QueryStats
+				err error
+			}
+			tags := []string{"range", "knn1", "knn8", "approx"}
+			run := func(job int) (o outcome) {
+				q := s.objs[job/len(tags)]
+				switch tags[job%len(tags)] {
+				case "range":
+					o.res, o.qs, o.err = tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: 0.12 * maxD, Timed: true})
+				case "knn1":
+					o.res, o.qs, o.err = tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 1, Timed: true})
+				case "knn8":
+					o.res, o.qs, o.err = tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 8, Timed: true})
+				case "approx":
+					o.res, o.qs, o.err = tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: 5, MaxVerify: 40, Timed: true})
+				}
+				return o
+			}
+			serial := make([]outcome, 5*len(tags))
+			for job := range serial {
+				serial[job] = run(job)
+			}
+			const clients = 4
+			parallel := make([]outcome, len(serial))
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for job := c; job < len(parallel); job += clients {
+						parallel[job] = run(job)
+					}
+				}(c)
+			}
+			wg.Wait()
+			for job := range serial {
+				label := s.name + "/" + tags[job%len(tags)]
+				if serial[job].err != nil || parallel[job].err != nil {
+					t.Fatalf("%s: serial err %v, parallel err %v", label, serial[job].err, parallel[job].err)
+				}
+				sameResults(t, label, serial[job].res, parallel[job].res)
+				sameVerification(t, label, serial[job].qs, parallel[job].qs)
+			}
+			tree.Close()
 		})
 	}
 }
@@ -201,73 +197,5 @@ func TestBoundedJoinMatchesExact(t *testing.T) {
 	}
 	if qs.Abandoned == 0 || qs.Abandoned != qs.Discarded {
 		t.Fatalf("join Abandoned = %d, Discarded = %d: every discarded pair should abandon", qs.Abandoned, qs.Discarded)
-	}
-}
-
-// TestNearestIterWithin pins the limited iterator: it emits exactly the
-// range-query answer set in ascending distance order (objects at the limit
-// included), and a +Inf limit degenerates to the full NearestIter scan.
-func TestNearestIterWithin(t *testing.T) {
-	s := setupNamed(t, "vectors-L2-hilbert")
-	tree := buildSetup(t, s)
-	defer tree.Close()
-	q := s.objs[11]
-	limit := 0.2 * s.dist.MaxDistance()
-
-	want, err := tree.RangeQuery(q, limit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(want, func(i, j int) bool {
-		if want[i].Dist != want[j].Dist {
-			return want[i].Dist < want[j].Dist
-		}
-		return want[i].Object.ID() < want[j].Object.ID()
-	})
-	// Range answers proved by Lemma 2 carry upper bounds, not exact
-	// distances; recompute so the comparison is distance-exact.
-	for i := range want {
-		want[i].Dist = s.dist.Distance(q, want[i].Object)
-		want[i].Exact = true
-	}
-
-	it := tree.NearestIterWithin(q, limit)
-	var got []Result
-	for {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		got = append(got, r)
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("NearestIterWithin emitted %d objects, range query found %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Object.ID() != want[i].Object.ID() || got[i].Dist != want[i].Dist {
-			t.Fatalf("item %d: got (id=%d d=%v), want (id=%d d=%v)",
-				i, got[i].Object.ID(), got[i].Dist, want[i].Object.ID(), want[i].Dist)
-		}
-		if got[i].Dist > limit {
-			t.Fatalf("item %d at distance %v beyond limit %v", i, got[i].Dist, limit)
-		}
-	}
-
-	full := tree.NearestIterWithin(q, math.Inf(1))
-	n := 0
-	for {
-		if _, ok := full.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if err := full.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n != len(s.objs) {
-		t.Fatalf("+Inf limit enumerated %d objects, want %d", n, len(s.objs))
 	}
 }

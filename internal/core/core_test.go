@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -354,30 +355,33 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestGreedyTraversalSameResults: exact kNN, which verifies each leaf whole
+// when it reaches it (the paper's greedy traversal), answers what best-first
+// search over single entries answers — run here as a budgeted search whose
+// budget does not bind.
 func TestGreedyTraversalSameResults(t *testing.T) {
 	for _, s := range setups() {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
 			tree := buildSetup(t, s)
 			rng := rand.New(rand.NewSource(13))
+			ctx := context.Background()
 			for trial := 0; trial < 10; trial++ {
 				q := s.objs[rng.Intn(len(s.objs))]
-				tree.SetTraversal(Incremental)
-				inc, err := tree.KNN(q, 8)
+				gre, _, err := tree.Query(ctx, Query{Op: OpKNN, Q: q, K: 8})
 				if err != nil {
 					t.Fatal(err)
 				}
-				tree.SetTraversal(Greedy)
-				gre, err := tree.KNN(q, 8)
+				inc, _, err := tree.Query(ctx, Query{Op: OpKNNApprox, Q: q, K: 8, MaxVerify: len(s.objs)})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(inc) != len(gre) {
-					t.Fatalf("incremental %d vs greedy %d results", len(inc), len(gre))
+					t.Fatalf("best-first %d vs greedy %d results", len(inc), len(gre))
 				}
 				for i := range inc {
 					if inc[i].Dist != gre[i].Dist {
-						t.Fatalf("dist[%d]: incremental %v, greedy %v", i, inc[i].Dist, gre[i].Dist)
+						t.Fatalf("dist[%d]: best-first %v, greedy %v", i, inc[i].Dist, gre[i].Dist)
 					}
 				}
 			}
@@ -503,6 +507,62 @@ func TestInsertDeleteThenQuery(t *testing.T) {
 	}
 	if err := tree.Delete(objs[0]); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double delete = %v, want ErrNotFound", err)
+	}
+}
+
+func TestRebuildCompacts(t *testing.T) {
+	objs := vectorSet(600, 4, 107)
+	dist := metric.L2(4)
+	tree, err := Build(objs[:400], Options{Distance: dist, Codec: metric.VectorCodec{Dim: 4}, NumPivots: 3, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Churn: insert the rest, delete a third.
+	for _, o := range objs[400:] {
+		if err := tree.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		if err := tree.Delete(objs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tree.FragmentationBytes() == 0 {
+		t.Error("no fragmentation reported after 200 deletes")
+	}
+	sizeBefore := tree.StorageBytes()
+
+	if err := tree.Rebuild(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if tree.Len() != 400 {
+		t.Fatalf("Len after rebuild = %d", tree.Len())
+	}
+	if tree.FragmentationBytes() != 0 {
+		t.Errorf("fragmentation after rebuild = %d", tree.FragmentationBytes())
+	}
+	if tree.StorageBytes() >= sizeBefore {
+		t.Errorf("rebuild did not shrink storage: %d -> %d", sizeBefore, tree.StorageBytes())
+	}
+	// Queries remain exact.
+	live := objs[200:]
+	for qi := 0; qi < 10; qi++ {
+		q := live[qi*31%len(live)]
+		got, err := tree.RangeQuery(q, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(bfRange(live, q, 0.25, dist)) {
+			t.Fatal("rebuilt tree returns wrong results")
+		}
+	}
+	// Mutations still work on the rebuilt tree.
+	if err := tree.Insert(objs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Delete(objs[0]); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -116,25 +116,6 @@ func TestKNNSurfacesCorruptionWithPartialResults(t *testing.T) {
 	}
 }
 
-func TestNearestIterSurfacesCorruption(t *testing.T) {
-	tree, _, dataFault, objs, _ := faultyTree(t, 300)
-	flipAllPages(dataFault, tree.raf.PagesUsed())
-	it := tree.NearestIter(objs[0])
-	n := 0
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		n++
-		if n > 300 {
-			t.Fatal("iterator did not terminate")
-		}
-	}
-	if !errors.Is(it.Err(), page.ErrCorrupt) {
-		t.Fatalf("iter err = %v, want ErrCorrupt", it.Err())
-	}
-}
-
 func TestJoinSurfacesCorruptionWithPartialPairs(t *testing.T) {
 	objs := vectorSet(250, 4, 21)
 	dist := metric.L2(4)

@@ -197,14 +197,6 @@ func (fx *durableFixture) checkEquivalence(t *testing.T, qs ...metric.Object) {
 			}
 		}
 
-		cnt, err := dur.RangeCount(q, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cnt != len(want) {
-			t.Fatalf("%s: RangeCount = %d, want %d", label, cnt, len(want))
-		}
-
 		// The budgeted search has no rebuilt-tree analogue (its answer depends
 		// on traversal order; TestBatchMatchesScalar pins it over a write
 		// buffer against goldens): here it must stay within its budget and
@@ -222,20 +214,8 @@ func (fx *durableFixture) checkEquivalence(t *testing.T, qs ...metric.Object) {
 			}
 		}
 
-		// Incremental scan: the full ascending-distance sequence must match.
-		wantIter := collectIter(t, ref.NearestIterWithin(q, r))
-		gotIter := collectIter(t, dur.NearestIterWithin(q, r))
-		if len(gotIter) != len(wantIter) {
-			t.Fatalf("q=%d: iterator emitted %d, want %d", q.ID(), len(gotIter), len(wantIter))
-		}
-		for i := range wantIter {
-			if gotIter[i] != wantIter[i] {
-				t.Fatalf("q=%d: iterator position %d: got %+v, want %+v", q.ID(), i, gotIter[i], wantIter[i])
-			}
-		}
-
-		// RangeIDs over everything doubles as a live-set identity check.
-		ids, err := dur.RangeIDs(q, allRadius)
+		// Range IDs over everything double as a live-set identity check.
+		ids, err := rangeIDs(dur, q, allRadius)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,26 +256,15 @@ func (fx *durableFixture) checkEquivalence(t *testing.T, qs ...metric.Object) {
 	}
 }
 
-type iterHit struct {
-	id   uint64
-	dist float64
-}
-
-func collectIter(t *testing.T, it *NearestIter) []iterHit {
-	t.Helper()
-	defer it.Close()
-	var out []iterHit
-	for {
-		res, ok := it.Next()
-		if !ok {
-			break
-		}
-		out = append(out, iterHit{res.Object.ID(), res.Dist})
+// rangeIDs returns the identifiers of RQ(q, r) on tree, sorted.
+func rangeIDs(tree *Tree, q metric.Object, r float64) ([]uint64, error) {
+	res, _, err := tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: r})
+	ids := make([]uint64, len(res))
+	for i, x := range res {
+		ids[i] = x.Object.ID()
 	}
-	if err := it.Err(); err != nil {
-		t.Fatalf("iterator: %v", err)
-	}
-	return out
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids, err
 }
 
 func joinPairMap(pairs []JoinPair) map[[2]uint64]float64 {
@@ -414,7 +383,7 @@ func TestDurableRecoveryAckedPrefix(t *testing.T) {
 	if re.DeltaLen() == 0 {
 		t.Fatal("recovery replayed nothing into the write buffer")
 	}
-	ids, err := re.RangeIDs(fx.liveObjs()[0], allRadius)
+	ids, err := rangeIDs(re, fx.liveObjs()[0], allRadius)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +434,7 @@ func TestDurableRecoveryTornWALTail(t *testing.T) {
 		t.Fatalf("OpenDurable over torn tail: %v", err)
 	}
 	defer re.Close()
-	ids, err := re.RangeIDs(fx.liveObjs()[0], allRadius)
+	ids, err := rangeIDs(re, fx.liveObjs()[0], allRadius)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +512,7 @@ func TestDurableCrashMidCompaction(t *testing.T) {
 			}
 
 			// The in-memory tree must keep serving the exact live set.
-			ids, err := fx.tree.RangeIDs(fx.liveObjs()[0], allRadius)
+			ids, err := rangeIDs(fx.tree, fx.liveObjs()[0], allRadius)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -560,7 +529,7 @@ func TestDurableCrashMidCompaction(t *testing.T) {
 				t.Fatalf("OpenDurable after mid-compaction crash: %v", err)
 			}
 			defer re.Close()
-			ids, err = re.RangeIDs(fx.liveObjs()[0], allRadius)
+			ids, err = rangeIDs(re, fx.liveObjs()[0], allRadius)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -648,20 +617,11 @@ func TestDurableClosedEntryPoints(t *testing.T) {
 	assertClosed("KNN", err)
 	_, _, err = fx.tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: 5, MaxVerify: 10})
 	assertClosed("Query(knn_approx)", err)
-	_, err = fx.tree.RangeCount(q, 0.4)
-	assertClosed("RangeCount", err)
-	_, err = fx.tree.RangeIDs(q, 0.4)
-	assertClosed("RangeIDs", err)
 	_, err = fx.tree.Get(q)
 	assertClosed("Get", err)
 	assertClosed("CompactNow", fx.tree.CompactNow())
 	_, _, err = Join(context.Background(), fx.tree, fx.tree, 0.3)
 	assertClosed("Join", err)
-	it := fx.tree.NearestIter(q)
-	if _, ok := it.Next(); ok {
-		t.Fatal("closed-tree iterator yielded a result")
-	}
-	assertClosed("NearestIter", it.Err())
 }
 
 func TestDurableCloseStopsGoroutines(t *testing.T) {
@@ -686,34 +646,6 @@ func TestDurableCloseStopsGoroutines(t *testing.T) {
 			t.Fatalf("goroutines leaked after Close: %d, baseline %d", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-func TestDurableIteratorCloseUnblocksMutators(t *testing.T) {
-	fx := newDurableFixture(t, 120, DurableOptions{CompactThreshold: -1})
-	defer fx.tree.Close()
-
-	it := fx.tree.NearestIter(fx.live[0])
-	if _, ok := it.Next(); !ok {
-		t.Fatal("iterator yielded nothing")
-	}
-	it.Close()
-
-	// With the iterator's read lock released, a mutator must get through; run
-	// it under a watchdog so a regression fails instead of hanging the suite.
-	done := make(chan error, 1)
-	go func() {
-		nv := vectorSet(1, 5, 800)[0].(*metric.Vector)
-		nv.Id = 60000
-		done <- fx.tree.Insert(nv)
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Insert after iterator Close: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Insert deadlocked behind a closed iterator")
 	}
 }
 
@@ -827,7 +759,7 @@ func TestDurableWriteStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantIDs := fx.liveIDs()
-	ids, err := tree.RangeIDs(fx.liveObjs()[0], allRadius)
+	ids, err := rangeIDs(tree, fx.liveObjs()[0], allRadius)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -852,7 +784,7 @@ func TestDurableWriteStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err = re.RangeIDs(fx.liveObjs()[0], allRadius)
+	ids, err = rangeIDs(re, fx.liveObjs()[0], allRadius)
 	if err != nil {
 		re.Close()
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 // Verification stage of the query algorithms (DESIGN.md §9). Every query runs
 // on its caller's goroutine: the traversal admits candidates, and those that
-// can be verified together — a range query's pending block, a greedy kNN
-// leaf, a best-first run of entry pops, an iterator run, a graph expansion —
-// are resolved by resolveBlock: one coalesced RAF read (or, for best-first
-// pops, a decode of the records their runs copied), the write buffer's
+// can be verified together — a range query's pending block, a kNN leaf, a
+// budgeted search's run of entry pops, a graph expansion — are resolved by
+// resolveBlock: one coalesced RAF read (or, for a budgeted search's pops, a
+// decode of the records their runs copied), the write buffer's
 // tombstone filter, one call of the query's prepared kernel. It is the only
 // place on the query path where a record is decoded and a distance
 // evaluated.
@@ -26,10 +26,10 @@ const rangeBatchSize = 16
 // candidate is one entry a traversal admitted for verification: a base leaf
 // entry at RAF offset val or, with obj set, a buffered insert whose object is
 // already in memory. bound is what the filter proved about its distance: the
-// MIND lower bound for kNN and the iterator, and for a range candidate with
+// MIND lower bound for kNN, and for a range candidate with
 // proved set the Lemma 2 upper bound that includes it without a distance
-// computation. A best-first pop's record is already copied: rec is its
-// runEntry.rec, non-zero.
+// computation. A budgeted search's pop has its record already copied: rec is
+// its runEntry.rec, non-zero.
 type candidate struct {
 	bound  float64
 	val    uint64
@@ -124,7 +124,8 @@ func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs
 	b := &sc.blk
 	b.grow(len(b.cands))
 	st := qs.stageStart()
-	// A block's base records are all copied (best-first pops) or none are.
+	// A block's base records are all copied (a budgeted search's pops) or
+	// none are.
 	m, copied := 0, false
 	for _, c := range b.cands {
 		if c.obj == nil {

@@ -25,7 +25,7 @@ type resolverFixture struct {
 	query metric.Object
 }
 
-func newResolverFixture(t *testing.T, trav TraversalStrategy, delta bool) *resolverFixture {
+func newResolverFixture(t *testing.T, delta bool) *resolverFixture {
 	t.Helper()
 	const dim = 5
 	objs := vectorSet(600, dim, 11)
@@ -37,7 +37,7 @@ func newResolverFixture(t *testing.T, trav TraversalStrategy, delta bool) *resol
 	var err error
 	fx.tree, err = Build(objs, Options{
 		Distance: fx.dist, Codec: metric.VectorCodec{Dim: dim},
-		DataStore: fx.data, CacheSize: -1, Seed: 7, Traversal: trav,
+		DataStore: fx.data, CacheSize: -1, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,17 +113,15 @@ type resolverOutcome struct {
 // error, same Verified / Compdists / Abandoned / TombstonesSkipped /
 // DeltaCandidates / Lemma2Included as the goldens, which are that execution
 // frozen (golden_test.go) — and the partials must be true answers over the
-// live set. A best-first run that terminates before the bad record reports no
-// error. Every data page takes a turn as the failing one, with the write
+// live set. A run of a budgeted search's pops that terminates before the bad
+// record reports no error. Every data page takes a turn as the failing one, with the write
 // buffer empty and live.
 func TestResolveBlockReadFailure(t *testing.T) {
 	defer writeGoldens(t)
 	const k, maxVerify = 6, 25
 	type caller struct {
 		name   string
-		trav   TraversalStrategy
 		radius bool // answers are bounded by r, not by k
-		stats  bool // reports QueryStats
 		from   int  // query from this base object; 0 = the fixture's own query point
 		run    func(fx *resolverFixture, q metric.Object, r float64) resolverOutcome
 	}
@@ -131,44 +129,40 @@ func TestResolveBlockReadFailure(t *testing.T) {
 		o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: k})
 		return o
 	}
+	approx := func(budget int) func(fx *resolverFixture, q metric.Object, _ float64) resolverOutcome {
+		return func(fx *resolverFixture, q metric.Object, _ float64) (o resolverOutcome) {
+			o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: k, MaxVerify: budget})
+			return o
+		}
+	}
 	callers := []caller{
-		{"range", Incremental, true, true, 0, func(fx *resolverFixture, q metric.Object, r float64) (o resolverOutcome) {
+		{"range", true, 0, func(fx *resolverFixture, q metric.Object, r float64) (o resolverOutcome) {
 			o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpRange, Q: q, Radius: r})
 			return o
 		}},
-		{"knn-greedy", Greedy, false, true, 0, knn},
+		{"knn-greedy", false, 0, knn},
 		// From base object 16, with data page 2 unreadable, the greedy leaf
 		// scan prunes the unreadable record at its turn and goes on to
 		// readable ones: entry-at-a-time execution never reads it, and the
 		// query succeeds.
-		{"knn-greedy-skip", Greedy, false, true, 16, knn},
-		{"knn-incremental", Incremental, false, true, 0, knn},
+		{"knn-greedy-skip", false, 16, knn},
+		// A budget that does not bind: best-first search over single
+		// entries, whose pops copy leaf runs.
+		{"approx", false, 0, approx(math.MaxInt32)},
 		// From base object 3, the first pops of several leaf runs copy
 		// records on data pages 0, 4 and 5 that are within the bound then
 		// but that the search never commits: a failed copy keeps its error
 		// for a commit turn that never comes, and the query succeeds with the
 		// fault-free answer, as entry-at-a-time execution, which never reads
 		// those pages, does.
-		{"knn-incremental-skip", Incremental, false, true, 3, knn},
-		{"knn-approx", Incremental, false, true, 0, func(fx *resolverFixture, q metric.Object, _ float64) (o resolverOutcome) {
-			o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: k, MaxVerify: maxVerify})
-			return o
-		}},
-		{"nearest-iter", Incremental, true, false, 0, func(fx *resolverFixture, q metric.Object, r float64) (o resolverOutcome) {
-			it := fx.tree.NearestIterWithin(q, r)
-			defer it.Close()
-			for x, ok := it.Next(); ok; x, ok = it.Next() {
-				o.res = append(o.res, x)
-			}
-			o.err = it.Err()
-			return o
-		}},
+		{"approx-skip", false, 3, approx(math.MaxInt32)},
+		{"knn-approx", false, 0, approx(maxVerify)},
 	}
 	for _, c := range callers {
 		for _, delta := range []bool{false, true} {
 			c, delta := c, delta
 			t.Run(fmt.Sprintf("%s/delta=%v", c.name, delta), func(t *testing.T) {
-				fx := newResolverFixture(t, c.trav, delta)
+				fx := newResolverFixture(t, delta)
 				r := 0.3 * fx.dist.MaxDistance()
 				q := fx.query
 				if c.from > 0 {
@@ -214,15 +208,14 @@ func TestResolveBlockReadFailure(t *testing.T) {
 				if failed == 0 {
 					t.Fatal("no failing page was ever reached: the replay was not exercised")
 				}
-				if c.name == "knn-incremental-skip" && skipped == 0 {
+				if c.name == "approx-skip" && skipped == 0 {
 					t.Fatal("no run copy read a failing page in a query that succeeded: the deferred error was not exercised")
 				}
-				// The iterator keeps no stats; for the rest, blocks on healthy
-				// pages must have gone through the kernel.
-				if c.stats && batched == 0 {
+				// Blocks on healthy pages must have gone through the kernel.
+				if batched == 0 {
 					t.Fatal("no candidate went through resolveBlock")
 				}
-				if delta && c.stats && c.from == 0 {
+				if delta && c.from == 0 {
 					if o := c.run(fx, q, r); o.err != nil || o.qs.TombstonesSkipped == 0 || o.qs.DeltaCandidates == 0 {
 						t.Fatalf("healthy run over the write buffer: err %v, %d tombstones skipped, %d delta candidates",
 							o.err, o.qs.TombstonesSkipped, o.qs.DeltaCandidates)
@@ -244,7 +237,7 @@ func TestKNNApproxBudgetOverWriteBuffer(t *testing.T) {
 		40: goldenApprox40,
 	}
 	for _, m := range []int{7, 40} {
-		fx := newResolverFixture(t, Incremental, true)
+		fx := newResolverFixture(t, true)
 		res, qs, err := fx.tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: fx.query, K: 5, MaxVerify: m, Timed: true})
 		if err != nil {
 			t.Fatal(err)
@@ -297,11 +290,11 @@ func snapshotResult(r Result) string {
 // TestResultsOwnTheirObjects is the slot rule (DESIGN.md §9.7) from the
 // caller's side: candidates are decoded into slots that the next block
 // overwrites, so every object that leaves a query — a kNN or approximate kNN
-// result, a range result verified or included by Lemma 2, an iterator
-// emission, a graph-search result, a partial answer returned with an error —
-// must have been taken out of its slot. The test keeps such answers, runs
-// fifty more queries on the same goroutine (same pooled scratch, every slot
-// overwritten many times; the kept iterators advance too), then requires each
+// result — from a leaf block or from a run's copied records —, a range result
+// verified or included by Lemma 2, a graph-search result, a partial answer
+// returned with an error — must have been taken out of its slot. The test
+// keeps such answers, runs fifty more queries on the same goroutine (same
+// pooled scratch, every slot overwritten many times), then requires each
 // kept result to equal the copy made when it was returned, to lie at its
 // reported distance from its query, and to be the brute-force answer.
 func TestResultsOwnTheirObjects(t *testing.T) {
@@ -311,18 +304,17 @@ func TestResultsOwnTheirObjects(t *testing.T) {
 		objs  []metric.Object
 		dist  metric.DistanceFunc
 		codec metric.Codec
-		trav  TraversalStrategy
 	}{
-		{"vector", vectorSet(n+60, 6, 71), metric.L2(6), metric.VectorCodec{Dim: 6}, Incremental},
-		{"vector32-greedy", vector32Set(n+60, 6, 72), metric.L2(6), metric.Vector32Codec{Dim: 6}, Greedy},
-		{"words", wordSet(n+60, 73), metric.EditDistance{MaxLen: 15}, metric.StrCodec{}, Incremental},
+		{"vector", vectorSet(n+60, 6, 71), metric.L2(6), metric.VectorCodec{Dim: 6}},
+		{"vector32-greedy", vector32Set(n+60, 6, 72), metric.L2(6), metric.Vector32Codec{Dim: 6}},
+		{"words", wordSet(n+60, 73), metric.EditDistance{MaxLen: 15}, metric.StrCodec{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			objs, queries := tc.objs[:n], tc.objs[n:]
 			data := page.NewFaultStore(page.NewMemStore(), -1)
 			tree, err := Build(objs, Options{
 				Distance: tc.dist, Codec: tc.codec, DataStore: data,
-				CacheSize: 8, NumPivots: 3, Seed: 71, Traversal: tc.trav,
+				CacheSize: 8, NumPivots: 3, Seed: 71,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -375,7 +367,6 @@ func TestResultsOwnTheirObjects(t *testing.T) {
 				}
 				kept = append(kept, a)
 			}
-			var iters []*NearestIter
 			var lemma2 int64
 			for qi, q := range queries[:6] {
 				res, err := tree.KNN(q, k)
@@ -403,22 +394,16 @@ func TestResultsOwnTheirObjects(t *testing.T) {
 				}
 				keep(fmt.Sprintf("approx %d", qi), q, res, subset(q, math.Inf(1)))
 
+				// A budget that does not bind: verified from copied runs.
+				if res, _, err = tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: k, MaxVerify: n}); err != nil {
+					t.Fatal(err)
+				}
+				keep(fmt.Sprintf("best-first %d", qi), q, res, topK(q))
+
 				if res, _, err = tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: q, K: k}); err != nil {
 					t.Fatal(err)
 				}
 				keep(fmt.Sprintf("graph %d", qi), q, res, subset(q, math.Inf(1)))
-
-				it := tree.NearestIter(q)
-				iters = append(iters, it)
-				res = nil
-				for len(res) < k {
-					x, ok := it.Next()
-					if !ok {
-						t.Fatalf("iterator %d ended after %d results: %v", qi, len(res), it.Err())
-					}
-					res = append(res, x)
-				}
-				keep(fmt.Sprintf("iter %d", qi), q, res, topK(q))
 			}
 			if lemma2 == 0 && !tc.dist.Discrete() {
 				t.Error("no range result was included by Lemma 2: the proved path is not covered")
@@ -455,7 +440,7 @@ func TestResultsOwnTheirObjects(t *testing.T) {
 				t.Fatal("no query returned a partial answer with its error")
 			}
 
-			// Fifty more queries, and the iterators move on.
+			// Fifty more queries.
 			for i := 0; i < 50; i++ {
 				q := queries[10+i]
 				if _, err := tree.KNN(q, k); err != nil {
@@ -467,12 +452,9 @@ func TestResultsOwnTheirObjects(t *testing.T) {
 				if _, _, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: q, K: k}); err != nil {
 					t.Fatal(err)
 				}
-				for _, it := range iters {
-					it.Next()
+				if _, _, err := tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: k, MaxVerify: n}); err != nil {
+					t.Fatal(err)
 				}
-			}
-			for _, it := range iters {
-				it.Close()
 			}
 
 			for _, a := range kept {

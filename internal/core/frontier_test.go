@@ -115,9 +115,9 @@ func TestFrontierRunsPopOrder(t *testing.T) {
 			if f.Len() == 0 || ref.Len() == 0 {
 				t.Fatalf("trial %d pop %d: frontier has %d items, reference %d", trial, pops, f.Len(), ref.Len())
 			}
-			if f.peekMind() != ref.items[0].mind || f.peekIsNode() != ref.items[0].isNode() {
+			if f.items[0].mind != ref.items[0].mind || f.peekIsNode() != ref.items[0].isNode() {
 				t.Fatalf("trial %d pop %d: peek (%v, node %v), reference (%v, node %v)",
-					trial, pops, f.peekMind(), f.peekIsNode(), ref.items[0].mind, ref.items[0].isNode())
+					trial, pops, f.items[0].mind, f.peekIsNode(), ref.items[0].mind, ref.items[0].isNode())
 			}
 			got, want := f.pop(), ref.pop()
 			pops++

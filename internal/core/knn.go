@@ -10,18 +10,16 @@ import (
 )
 
 // KNN answers kNN(q, k) with the paper's Algorithm 2 (NNA): a best-first
-// traversal over B+-tree entries ordered by their minimum mapped-space
-// distance MIND to q, pruning entries with MIND > curND_k (Lemma 3) and
-// terminating as soon as the heap's minimum crosses that bound. The pruning
+// traversal over B+-tree nodes ordered by their minimum mapped-space distance
+// MIND to q, pruning entries with MIND > curND_k (Lemma 3) and terminating as
+// soon as the heap's minimum crosses that bound. A leaf is verified whole when
+// the search reaches it — the paper's greedy rule (Table 5) — so its RAF pages
+// are read once and its entries never pass through the frontier. The pruning
 // comparison is strict, so candidates tied with the bound are still verified
 // and the answer is the canonical (distance, ID) top-k — independent of the
-// traversal strategy, the quantization and any prior bound seeding, which is
-// what makes the forest's staged shard scatter (DESIGN.md §15) byte-identical
-// to a full scatter. The first pop of a leaf run's unread entry copies the
-// records of that run the search can still verify, so a leaf's RAF pages are
-// read once, not once per block of pops (DESIGN.md §9.4). With the Greedy
-// strategy (Table 5), reaching a leaf verifies all of its qualifying objects
-// at once: it reads as many data pages and computes more distances.
+// visit order, the quantization and any prior bound seeding, which is what
+// makes the forest's staged shard scatter (DESIGN.md §15) byte-identical to a
+// full scatter.
 //
 // On a storage or corruption error the candidates verified so far are
 // returned (sorted by distance) alongside the non-nil error, so callers get
@@ -43,10 +41,12 @@ func (t *Tree) KNN(q metric.Object, k int) ([]Result, error) {
 // unbounded. The forest's staged kNN scatter passes the first shard's k-th
 // distance here so the remaining shards run bounded probes.
 //
-// maxVerify > 0 makes the search approximate (OpKNNApprox): the traversal is
-// the best-first one whatever the tree's strategy, and it stops once
-// maxVerify distances have been computed. A record the write buffer
-// supersedes verifies nothing and spends no budget.
+// maxVerify > 0 makes the search approximate (OpKNNApprox), and its budget
+// must go to the globally best candidates: a leaf's entries are pushed onto
+// the frontier as one sorted run and verified in MIND order across leaves
+// (DESIGN.md §9.4), and the search stops once maxVerify distances have been
+// computed. A record the write buffer supersedes verifies nothing and spends
+// no budget.
 func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, maxVerify int, qs *QueryStats) ([]Result, error) {
 	if k <= 0 || t.count == 0 {
 		return nil, nil
@@ -62,9 +62,9 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 	if !rootOK && !t.deltaActive() {
 		return nil, nil
 	}
-	greedy := t.traversal == Greedy && maxVerify <= 0
+	approx := maxVerify > 0
 	limit := int64(math.MaxInt64) // on qs.Verified
-	if maxVerify > 0 {
+	if approx {
 		limit = qs.Verified + int64(maxVerify)
 	}
 
@@ -86,18 +86,19 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 			break // Lemma 3 early termination
 		}
 		if !item.isNode() {
-			// A leaf entry (or buffered insert). A run of entry pops with no
-			// tree node between them is verified as one block (DESIGN.md §13)
-			// — identical results and counters to popping one entry at a
-			// time; the budget caps the run, so a block holds no more
-			// candidates than the entry-at-a-time search could still verify.
-			// The first pop of a leaf run's unread entry copies the records
-			// the search can still verify from that run (admit), so a
-			// leaf's RAF pages are read once, not once per block.
+			// A buffered insert or, under a budget, a leaf entry. A run of
+			// entry pops with no tree node between them is verified as one
+			// block (DESIGN.md §13) — identical results and counters to
+			// popping one entry at a time; the budget caps the run, so a
+			// block holds no more candidates than the entry-at-a-time search
+			// could still verify. The first pop of a leaf run's unread entry
+			// copies the records the search can still verify from that run
+			// (admit), so a leaf's RAF pages are read once, not once per
+			// block.
 			bound, budget := res.bound(), limit-qs.Verified
 			blk.cands = blk.cands[:0]
 			t.admit(sc, item, bound, budget, qs)
-			run := min(knnIncrementalBlock, budget)
+			run := min(knnRunBlock, budget)
 			for int64(len(blk.cands)) < run && pq.Len() > 0 && !pq.peekIsNode() {
 				t.admit(sc, pq.pop(), bound, budget, qs)
 			}
@@ -114,11 +115,11 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 			return res.sorted(), err
 		}
 		qs.NodesRead++
-		if !sc.node.Leaf || !greedy {
+		if !sc.node.Leaf || approx {
 			t.pushNode(sc, res.bound(), qs)
 			continue
 		}
-		// Greedy: verify the whole leaf now, as one block: scan-time pruning
+		// Verify the whole leaf now, as one block: scan-time pruning
 		// uses the pre-leaf bound, and the commit replays each survivor at its
 		// own turn's bound — identical results and counters to a loop whose
 		// bound tightens entry by entry.
@@ -157,12 +158,12 @@ func (r *knnResults) sorted() []Result {
 	return out
 }
 
-// knnIncrementalBlock caps how many consecutive entry pops the best-first
-// traversal buffers into one block.
-const knnIncrementalBlock = 16
+// knnRunBlock caps how many consecutive entry pops a budgeted search buffers
+// into one block.
+const knnRunBlock = 16
 
-// verifyKNNBlock verifies sc.blk.cands — a greedy leaf's admitted entries in
-// scan order, or a best-first run of consecutive entry pops (no tree node
+// verifyKNNBlock verifies sc.blk.cands — a leaf's admitted entries in scan
+// order (leaf set), or a best-first run of consecutive entry pops (no tree node
 // between them, so verifying them pushes nothing onto the frontier and the
 // run is exactly the prefix a one-at-a-time loop would pop next). The ctx
 // check gives verification-block granularity: a canceled query stops before
@@ -170,7 +171,7 @@ const knnIncrementalBlock = 16
 // before its first candidate; each candidate then commits at its own turn
 // against the live bound, which only tightens:
 //
-//   - its MIND is re-checked first. In a greedy leaf a crossing is the Lemma 3
+//   - its MIND is re-checked first. In a leaf a crossing is the Lemma 3
 //     prune an entry-by-entry loop applies at that entry's turn (EntriesPruned
 //     totals match); in a best-first run it ends the query — a one-at-a-time
 //     loop would have broken there and never popped the rest — as does an
@@ -178,7 +179,7 @@ const knnIncrementalBlock = 16
 //     reports either.
 //   - a record resolveBlock could not read ends the query with its error —
 //     at this turn, not before: a run that terminates first reports none, and
-//     a greedy leaf that prunes the record never read it.
+//     a leaf that prunes the record never read it.
 //   - a base record superseded by the write buffer is skipped after its read:
 //     it counts no verification and spends no budget.
 //   - a completed distance is re-checked against the live bound: an excess is
@@ -191,7 +192,7 @@ const knnIncrementalBlock = 16
 // lifetime distance counter, so every counter and the result set equal those
 // of verifying one candidate at a time; the reads and evaluations of
 // candidates a commit pruned stay invisible.
-func (t *Tree) verifyKNNBlock(ctx context.Context, q metric.Object, sc *queryScratch, qs *QueryStats, limit int64, greedy bool) (terminated bool, err error) {
+func (t *Tree) verifyKNNBlock(ctx context.Context, q metric.Object, sc *queryScratch, qs *QueryStats, limit int64, leaf bool) (terminated bool, err error) {
 	if err := ctxDone(ctx); err != nil {
 		return false, err
 	}
@@ -200,7 +201,7 @@ func (t *Tree) verifyKNNBlock(ctx context.Context, q metric.Object, sc *queryScr
 	qs.BatchedCandidates += int64(probed)
 	for i, c := range b.cands {
 		if c.bound > res.bound() {
-			if greedy {
+			if leaf {
 				qs.EntriesPruned++
 				continue
 			}
@@ -213,10 +214,10 @@ func (t *Tree) verifyKNNBlock(ctx context.Context, q metric.Object, sc *queryScr
 			return false, rerr
 		}
 		if i > resolved {
-			// The greedy scan pruned the unreadable record and goes on: the
+			// The leaf scan pruned the unreadable record and goes on: the
 			// rest of the leaf is a block of its own.
 			b.cands = b.cands[:copy(b.cands, b.cands[i:])]
-			return t.verifyKNNBlock(ctx, q, sc, qs, limit, greedy)
+			return t.verifyKNNBlock(ctx, q, sc, qs, limit, leaf)
 		}
 		if c.obj != nil {
 			qs.DeltaCandidates++
@@ -265,8 +266,8 @@ func (r *knnResults) reset(k int, bound0 float64) *knnResults {
 // resultWorse reports whether a ranks strictly after b in the (Dist, ID)
 // total order. Using it as the heap priority makes the k-th boundary
 // deterministic under distance ties: of two equal-distance candidates the
-// smaller ID wins a slot, regardless of arrival order — so every traversal
-// strategy and every shard visit order returns the same result set.
+// smaller ID wins a slot, regardless of arrival order — so every visit order,
+// of leaves or of shards, returns the same result set.
 func resultWorse(a, b Result) bool {
 	if a.Dist != b.Dist {
 		return a.Dist > b.Dist

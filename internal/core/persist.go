@@ -62,8 +62,11 @@ func checkMetaFooter(raw []byte) ([]byte, error) {
 // B+-tree and RAF bookkeeping, and the cost-model distributions — followed
 // by a checksummed footer so that any truncation or bit flip of the blob is
 // detected by Open. Pair it with persistent stores (page.FileStore) and
-// Open, or use SaveAtomic for a crash-safe on-disk layout.
+// Open, or use SaveAtomic for a crash-safe on-disk layout. It flushes the
+// RAF's tail page first, under the write lock.
 func (t *Tree) WriteMeta(w io.Writer) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if err := t.raf.Flush(); err != nil {
 		return err
 	}
@@ -149,8 +152,6 @@ type OpenOptions struct {
 	// CacheSize is the buffer-cache capacity (default 32; negative
 	// disables).
 	CacheSize int
-	// Traversal selects the kNN strategy.
-	Traversal TraversalStrategy
 }
 
 // Open reopens a tree persisted with WriteMeta.
@@ -174,11 +175,10 @@ func Open(meta io.Reader, opts OpenOptions) (*Tree, error) {
 		return nil, fmt.Errorf("%w: version %d, want %d", ErrCorruptMeta, v, treeMetaVersion)
 	}
 	t := &Tree{
-		id:        treeIDs.Add(1),
-		dist:      metric.NewCounter(opts.Distance),
-		codec:     opts.Codec,
-		traversal: opts.Traversal,
-		bounded:   metric.IsBounded(opts.Distance),
+		id:      treeIDs.Add(1),
+		dist:    metric.NewCounter(opts.Distance),
+		codec:   opts.Codec,
+		bounded: metric.IsBounded(opts.Distance),
 	}
 	t.kind = sfc.Kind(r.u8())
 	t.bits = int(r.u8())

@@ -65,6 +65,8 @@ func (t *Tree) Rebuild(indexStore, dataStore page.Store) error {
 // file's average record size — when this grows large relative to
 // Tree.StorageBytes, a Rebuild pays off. It reads no pages.
 func (t *Tree) FragmentationBytes() int64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	if t.raf.Count() == 0 {
 		return 0
 	}

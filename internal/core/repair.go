@@ -72,7 +72,7 @@ func Repair(dir string, opts LoadOptions) (RepairReport, error) {
 		Distance: opts.Distance, Codec: opts.Codec,
 		NumPivots: numPivots, Curve: curve,
 		IndexStore: idx, DataStore: data,
-		CacheSize: opts.CacheSize, Traversal: opts.Traversal,
+		CacheSize: opts.CacheSize,
 	})
 	if err != nil {
 		idx.Close()

@@ -136,8 +136,6 @@ type LoadOptions struct {
 	// CacheSize is the buffer-cache capacity (default 32; negative
 	// disables).
 	CacheSize int
-	// Traversal selects the kNN strategy.
-	Traversal TraversalStrategy
 }
 
 // Load reopens an index directory written by SaveAtomic (or spbtool build):
@@ -164,7 +162,7 @@ func Load(dir string, opts LoadOptions) (*Tree, error) {
 	t, err := Open(mf, OpenOptions{
 		Distance: opts.Distance, Codec: opts.Codec,
 		IndexStore: idx, DataStore: data,
-		CacheSize: opts.CacheSize, Traversal: opts.Traversal,
+		CacheSize: opts.CacheSize,
 	})
 	if err != nil {
 		idx.Close()

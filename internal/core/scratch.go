@@ -112,8 +112,8 @@ func (t *Tree) pushBox(sc *queryScratch, ref bptree.NodeRef, bound float64, qs *
 }
 
 // pushNode pushes what survives bound of the node just read: an internal
-// node's children, or a leaf's entries as one sorted run (the best-first
-// traversals; greedy callers scan leaves themselves).
+// node's children, or a leaf's entries as one sorted run (a budgeted search;
+// an exact one verifies a leaf when it reaches it).
 func (t *Tree) pushNode(sc *queryScratch, bound float64, qs *QueryStats) {
 	for _, c := range sc.node.Children {
 		t.pushBox(sc, c, bound, qs)
@@ -253,7 +253,8 @@ func sortRun(run []runEntry) {
 
 // frontier is Algorithm 2's priority queue. Nodes and buffered inserts are
 // single items of a binary min-heap under mindLess (no container/heap
-// boxing); a leaf's admitted entries are appended to an arena, sorted, and
+// boxing); under a budget a leaf's admitted entries are appended to an
+// arena, sorted, and
 // stand in the heap as one item for the run's head, which a pop replaces
 // with the run's next entry (semadb's append-then-sort DistSet, DESIGN.md
 // §9.7). Every run is sorted under mindLess and the heap holds each run's
@@ -363,10 +364,6 @@ func (f *frontier) pop() mindItem {
 	return top
 }
 
-// peekMind returns the minimum MIND without popping; the frontier must be
-// non-empty.
-func (f *frontier) peekMind() float64 { return f.items[0].mind }
-
 // peekIsNode reports whether the frontier's minimum is a tree node; the
 // frontier must be non-empty.
 func (f *frontier) peekIsNode() bool { return f.items[0].isNode() }
@@ -376,17 +373,8 @@ func (f *frontier) peekIsNode() bool { return f.items[0].isNode() }
 // copied copies its run's reachable records first (copyRun): the entry's and
 // those of the run's later entries whose MIND is within bound, at most budget
 // of them. The copy is RAF I/O, on the verification clock.
-//
-// At a block's first pop, an arena grown past maxArenaChunks is emptied
-// (dropRecs): no candidate holds a copied record between blocks, and every
-// entry still to pop is copied again at its pop. Only a long scan gets that
-// far — an iterator with no limit copies every run it starts whole — and its
-// arena stays bounded however far it runs.
 func (t *Tree) admit(sc *queryScratch, x mindItem, bound float64, budget int64, qs *QueryStats) {
 	f, b := &sc.pq, &sc.blk
-	if len(b.cands) == 0 && len(f.recs.chunks) > maxArenaChunks {
-		f.dropRecs()
-	}
 	if x.tag&tagKind == tagDelta {
 		b.cands = append(b.cands, candidate{bound: x.mind, obj: f.delta[x.tag>>tagKindBits]})
 		return
@@ -400,24 +388,14 @@ func (t *Tree) admit(sc *queryScratch, x mindItem, bound float64, budget int64, 
 	b.cands = append(b.cands, candidate{bound: x.mind, val: x.ref, rec: e.rec})
 }
 
-// dropRecs empties the record arena, handing its chunks back to the free
-// list, and marks every run entry uncopied: one still to pop is copied again
-// at its pop.
-func (f *frontier) dropRecs() {
-	for i := range f.runs {
-		f.runs[i].rec = 0
-	}
-	f.recs.reset()
-}
-
 // copyRun copies the records of the run entries [from, end) that the search
 // can still verify into the record arena, in leaf order, and marks each entry
 // with where its record went. Those are the entry at from — just popped —
 // and the ones after it whose MIND is within bound, up to budget entries: the
 // run is sorted and a kNN bound only tightens, so no later entry of the run
-// is ever verified (a best-first search terminates at the first pop beyond
-// its bound, and a budgeted one once the budget is spent; an entry it pops
-// all the same is copied at that pop). Selecting by leaf position keeps the
+// is ever verified (the search terminates at the first pop beyond its bound,
+// and once its budget is spent; an entry it pops all the same is copied at
+// that pop). Selecting by leaf position keeps the
 // copy in the leaf's RAF order without sorting.
 func (f *frontier) copyRun(file *raf.File, from, end int, bound float64, budget int64) {
 	a := &f.recs
@@ -459,7 +437,7 @@ func (f *frontier) copyRun(file *raf.File, from, end int, bound float64, budget 
 	}
 }
 
-// recArena holds the records a best-first search copied (DESIGN.md §9.4):
+// recArena holds the records a budgeted search copied (DESIGN.md §9.4):
 // raw, header and payload as the RAF stores them, in fixed-size chunks of
 // bytes that the garbage collector never scans. An entry's runEntry.rec is
 // its record's chunk and offset plus one, or recFailed with the index of the
@@ -479,11 +457,6 @@ const (
 	chunkBits = 15
 	chunkSize = 1 << chunkBits
 	recFailed = 1 << 31 // marks an entry whose record could not be copied
-
-	// maxArenaChunks caps the arena a search keeps between blocks (admit):
-	// 1 MB, above the some 20 chunks an exact 10-NN on Color32 at
-	// n = 100 000 fills.
-	maxArenaChunks = 32
 )
 
 // reset empties the arena and hands its chunks back to the free list.
@@ -531,7 +504,8 @@ func (a *recArena) decode(file *raf.File, c candidate, slot metric.Object) (metr
 
 // Record chunks outlive the scratch that uses them: a scratch the pool drops
 // at a garbage collection would otherwise regrow its arena — some 170 KB per
-// exact 10-NN on Words and 550 KB on Color32 at n = 100 000 — from nothing.
+// 10-NN whose budget does not bind on Words, and 550 KB on Color32 at
+// n = 100 000 — from nothing.
 // The free list is bounded, and the collector does not empty it. A chunk a
 // long record grew is not recycled.
 const maxFreeChunks = 128 // 4 MB

@@ -1,8 +1,8 @@
 // Package core implements the SPB-tree — the Space-filling curve and
 // Pivot-based B+-tree of Chen et al. — and its query algorithms: range
-// queries (Algorithm 1), kNN queries (Algorithm 2, incremental and greedy
-// traversal), similarity joins (Algorithm 3), and the I/O and CPU cost
-// models of Sections 4.4 and 5.3.
+// queries (Algorithm 1), kNN queries (Algorithm 2, verifying each leaf when
+// the search reaches it), similarity joins (Algorithm 3), and the I/O and CPU
+// cost models of Sections 4.4 and 5.3.
 //
 // An SPB-tree has three parts (paper Fig. 4): a pivot table mapping the
 // metric space to an L∞ vector space, a B+-tree with MBB-augmented entries
@@ -26,29 +26,6 @@ import (
 	"spbtree/internal/raf"
 	"spbtree/internal/sfc"
 )
-
-// TraversalStrategy selects how kNN search walks the tree (paper Table 5).
-type TraversalStrategy int
-
-const (
-	// Incremental is best-first traversal over entry MIND values; optimal in
-	// distance computations (Lemma 4). It copies the records of a leaf it can
-	// still verify at the first pop of the leaf's entries, so it reads each
-	// RAF page of a leaf once however its pops interleave.
-	Incremental TraversalStrategy = iota
-	// Greedy verifies a whole leaf as soon as it is reached: the paper's
-	// remedy for incremental re-reads (Table 5). It reads as many data pages
-	// as Incremental, at the price of some extra distance computations.
-	Greedy
-)
-
-// String implements fmt.Stringer.
-func (s TraversalStrategy) String() string {
-	if s == Greedy {
-		return "greedy"
-	}
-	return "incremental"
-}
 
 // Options configures Build. How a candidate is verified is not configurable:
 // every metric is evaluated at the caller's live bound through its prepared
@@ -74,8 +51,6 @@ type Options struct {
 	// CacheSize is the buffer cache capacity in pages for each of the index
 	// and data stores; the paper's default is 32. Negative disables caching.
 	CacheSize int
-	// Traversal is the kNN strategy; Incremental by default.
-	Traversal TraversalStrategy
 	// IndexStore and DataStore are the page stores for the B+-tree and RAF.
 	// nil selects fresh in-memory stores.
 	IndexStore, DataStore page.Store
@@ -101,8 +76,9 @@ type Options struct {
 // the structural mutators (Insert, Delete, Rebuild, Close) are serialized
 // against them by an internal reader-writer lock, so a Rebuild can swap the
 // storage substrates under live traffic without readers observing a torn
-// tree. NearestIter is the exception: an open iterator holds no lock and must
-// not overlap a mutator.
+// tree. Every method that reads the substrates holds that lock until it
+// returns; only the getters of what construction fixes (Pivots, CurveKind,
+// Bits, Delta) read without it.
 type Tree struct {
 	// mu serializes structural mutation (Rebuild's substrate swap, Insert,
 	// Delete, Close) against in-flight queries, which hold it in read mode.
@@ -127,7 +103,6 @@ type Tree struct {
 	dataSums  *page.ChecksumStore
 	idxCache  *page.Cache
 	dataCache *page.Cache
-	traversal TraversalStrategy
 
 	noLemma2   bool // ablation: skip Lemma 2 inclusion
 	noSFCMerge bool // ablation: skip the computeSFC merge step
@@ -205,7 +180,6 @@ func Build(objs []metric.Object, opts Options) (*Tree, error) {
 		dist:       metric.NewCounter(opts.Distance),
 		codec:      opts.Codec,
 		kind:       opts.Curve,
-		traversal:  opts.Traversal,
 		dPlus:      opts.Distance.MaxDistance(),
 		noLemma2:   opts.DisableLemma2,
 		noSFCMerge: opts.DisableSFCMerge,
@@ -461,12 +435,6 @@ func (t *Tree) Bits() int { return t.bits }
 // Delta returns the effective cell width in distance units.
 func (t *Tree) Delta() float64 { return t.delta }
 
-// Traversal returns the configured kNN traversal strategy.
-func (t *Tree) Traversal() TraversalStrategy { return t.traversal }
-
-// SetTraversal switches the kNN traversal strategy.
-func (t *Tree) SetTraversal(s TraversalStrategy) { t.traversal = s }
-
 // SetWorkers does nothing: every query runs on its caller's goroutine. It
 // exists only because the frozen benchmark harness (bench/) still calls it
 // for its tree / tree.serial rung; it goes with that rung in the next
@@ -474,7 +442,7 @@ func (t *Tree) SetTraversal(s TraversalStrategy) { t.traversal = s }
 func (t *Tree) SetWorkers(int) {}
 
 // verifyDist is the pairwise evaluator of the paths that verify one pair at
-// a time — the join, RangeCount and the write buffer's delta passes; query
+// a time — the join and the write buffer's delta passes; query
 // candidates go through resolveBlock. It evaluates d(q, obj) against the
 // caller's live bound: a metric with a bounded kernel may stop as soon as the
 // distance provably exceeds the bound (within = false, d unspecified), any
@@ -529,6 +497,8 @@ func (t *Tree) WarmReset() {
 // store below the checksum layer, so neither checksumming nor cache hits
 // inflate PA (see DESIGN.md §7).
 func (t *Tree) TakeStats() Stats {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	idx := t.idxCache.Stats().Accesses()
 	data := t.dataCache.Stats().Accesses()
 	return Stats{
@@ -542,6 +512,8 @@ func (t *Tree) TakeStats() Stats {
 // StorageBytes returns the index footprint: B+-tree pages plus RAF pages
 // plus the pivot table, in bytes (paper Table 6's Storage column).
 func (t *Tree) StorageBytes() int64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	pivotBytes := 0
 	for _, p := range t.pivots {
 		pivotBytes += len(p.AppendBinary(nil)) + 12

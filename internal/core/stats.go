@@ -98,13 +98,13 @@ type QueryStats struct {
 	Abandoned int64
 	// BatchedCandidates counts the candidates a range, kNN or budgeted-kNN
 	// query evaluated in blocks through its prepared kernel (DESIGN.md §13):
-	// a pending range block, a greedy leaf, a best-first run of entry pops,
+	// a pending range block, a kNN leaf, a budgeted search's run of entry pops,
 	// down to a run of one. Every such query verifies its tree candidates
 	// this way, so it is ≥ the Verified they account for, and can exceed it
 	// for kNN, where an evaluated candidate may still be pruned at commit
 	// (counted under EntriesPruned, as an entry-at-a-time scan counts it).
-	// Buffered inserts a range query verifies in its delta pass, the join,
-	// RangeCount and the graph tier do not count here.
+	// Buffered inserts a range query verifies in its delta pass, the join
+	// and the graph tier do not count here.
 	BatchedCandidates int64
 	// GraphHops counts beam-search expansions of a graph-tier query
 	// (DESIGN.md §14): nodes whose neighbor list was explored. Zero on every
@@ -320,9 +320,11 @@ func (t *Tree) PublishExpvar(name string) bool { return t.metrics.Publish(name) 
 // (EvNodeRead), both buffer caches (EvCacheHit/EvCacheMiss/EvPageRead/
 // EvPageWrite, labeled index vs data) and the RAF (EvRecordRead). A nil tr
 // removes tracing; the default is no tracer, whose entire cost is one nil
-// check per site. Install tracers before issuing queries — the hook is not
-// synchronized with in-flight operations.
+// check per site. It takes the write lock, so it waits for in-flight
+// operations.
 func (t *Tree) SetTracer(tr obs.Tracer) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.tracer = tr
 	t.wireTracer()
 }

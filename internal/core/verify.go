@@ -68,8 +68,11 @@ func (e *IntegrityError) Is(target error) bool { return target == page.ErrCorrup
 // listing the findings (with corrupt page IDs pinpointed) otherwise.
 //
 // It reads every page, so cost is proportional to the index size; caches
-// are flushed first so resident copies cannot mask on-disk damage.
+// are flushed first so resident copies cannot mask on-disk damage. It holds
+// the write lock throughout: queries and mutators wait for the audit.
 func (t *Tree) VerifyIntegrity() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var cs []Corruption
 	add := func(component string, err error) *Corruption {
 		c := Corruption{Component: component, Detail: err.Error()}

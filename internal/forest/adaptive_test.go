@@ -55,8 +55,8 @@ func planned(t *testing.T, f *Forest, q core.Query) ([]core.Result, core.QuerySt
 }
 
 // TestAdaptiveEquivalenceMatrix is the §15.6 CI matrix: the pruned/staged
-// scatter versus the flat reference gather, across traversal strategies ×
-// continuous and discrete metrics, for range and kNN. Byte identity, not set
+// scatter versus the flat reference gather, on continuous and discrete
+// metrics, for range and kNN. Byte identity, not set
 // equality.
 func TestAdaptiveEquivalenceMatrix(t *testing.T) {
 	type space struct {
@@ -71,30 +71,27 @@ func TestAdaptiveEquivalenceMatrix(t *testing.T) {
 	}
 	for _, sp := range spaces {
 		maxD := sp.dist.MaxDistance()
-		for _, trav := range []core.TraversalStrategy{core.Incremental, core.Greedy} {
-			f, err := Build(sp.objs, Options{
-				Tree: core.Options{
-					Distance: sp.dist, Codec: sp.codec, Seed: 2,
-					Traversal: trav,
-				},
-				Shards: 5,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := sp.name + "/" + trav.String()
-			for trial := 0; trial < 8; trial++ {
-				rq := core.Query{Op: core.OpRange, Q: sp.objs[trial*13], Radius: (0.05 + 0.03*float64(trial)) * maxD, Timed: true}
-				kq := core.Query{Op: core.OpKNN, Q: sp.objs[trial*13], K: 10, Timed: true}
-				ar, _ := planned(t, f, rq)
-				ak, aqs := planned(t, f, kq)
-				fr, _ := flatGather(t, f, rq)
-				fk, _ := flatGather(t, f, kq)
-				sameResultSlices(t, label+"/range", fr, ar)
-				sameResultSlices(t, label+"/knn", fk, ak)
-				if !aqs.Plan.Staged || aqs.Plan.ShardsTotal != 5 {
-					t.Fatalf("%s: kNN plan not staged: %+v", label, aqs.Plan)
-				}
+		f, err := Build(sp.objs, Options{
+			Tree: core.Options{
+				Distance: sp.dist, Codec: sp.codec, Seed: 2,
+			},
+			Shards: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := sp.name
+		for trial := 0; trial < 8; trial++ {
+			rq := core.Query{Op: core.OpRange, Q: sp.objs[trial*13], Radius: (0.05 + 0.03*float64(trial)) * maxD, Timed: true}
+			kq := core.Query{Op: core.OpKNN, Q: sp.objs[trial*13], K: 10, Timed: true}
+			ar, _ := planned(t, f, rq)
+			ak, aqs := planned(t, f, kq)
+			fr, _ := flatGather(t, f, rq)
+			fk, _ := flatGather(t, f, kq)
+			sameResultSlices(t, label+"/range", fr, ar)
+			sameResultSlices(t, label+"/knn", fk, ak)
+			if !aqs.Plan.Staged || aqs.Plan.ShardsTotal != 5 {
+				t.Fatalf("%s: kNN plan not staged: %+v", label, aqs.Plan)
 			}
 		}
 	}

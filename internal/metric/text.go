@@ -39,17 +39,26 @@ func (c StrCodec) Decode(id uint64, data []byte) (Object, error) {
 // its string. A string must never change while it exists: the slot's old S is
 // dropped before its bytes are overwritten, and by the SlotCodec contract
 // nobody else still holds it. Only bytes the codec allocated are ever written
-// — a Str from anywhere else has no buf and gets one.
+// — a Str from anywhere else has no buf and gets one. A new buffer holds at
+// least minStrBuf bytes: a slot refilled after its object was kept then
+// decodes the longer words of the blocks that follow without regrowing.
 func (StrCodec) DecodeInto(slot Object, id uint64, data []byte) (Object, error) {
 	s, ok := slot.(*Str)
 	if !ok {
 		s = new(Str)
 	}
 	s.Id, s.S = id, ""
+	if cap(s.buf) < len(data) {
+		s.buf = make([]byte, 0, max(len(data), minStrBuf))
+	}
 	s.buf = append(s.buf[:0], data...)
 	s.S = unsafe.String(unsafe.SliceData(s.buf), len(s.buf))
 	return s, nil
 }
+
+// minStrBuf is the smallest buffer DecodeInto allocates: a word of the
+// Words datasets fits it.
+const minStrBuf = 32
 
 // EditDistance is the Levenshtein distance over byte strings. Distances are
 // integers, so the space is discrete and indexed with δ = 1.

@@ -71,10 +71,6 @@ type (
 	Stats = core.Stats
 	// CostEstimate carries the cost models' EDC/EPA predictions.
 	CostEstimate = core.CostEstimate
-	// TraversalStrategy selects incremental or greedy kNN traversal.
-	TraversalStrategy = core.TraversalStrategy
-	// NearestIter yields neighbors in ascending distance order, lazily.
-	NearestIter = core.NearestIter
 )
 
 // Build constructs an SPB-tree over objs: it selects pivots, maps every
@@ -99,12 +95,6 @@ func Join(ctx context.Context, tq, to *Tree, eps float64) ([]JoinPair, QueryStat
 func EstimateJoin(tq, to *Tree, eps float64) (CostEstimate, error) {
 	return core.EstimateJoin(tq, to, eps)
 }
-
-// kNN traversal strategies (paper Table 5).
-const (
-	Incremental = core.Incremental
-	Greedy      = core.Greedy
-)
 
 // ErrNotFound is returned by Tree.Delete and Tree.Get for missing objects.
 var ErrNotFound = core.ErrNotFound

@@ -85,6 +85,16 @@ func TestPublicAPI(t *testing.T) {
 	if s := tree.TakeStats(); s.DistanceComputations == 0 {
 		t.Error("stats not counting through the façade")
 	}
+
+	if _, _, err := tree.Query(context.Background(), spbtree.Query{Op: spbtree.OpKNNApprox, Q: q, K: 2, MaxVerify: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Rebuild(spbtree.NewMemStore(), spbtree.NewMemStore()); err != nil {
+		t.Fatal(err)
+	}
+	if tree.Len() != len(objs) {
+		t.Fatalf("Len after rebuild = %d, want %d", tree.Len(), len(objs))
+	}
 }
 
 // TestPublicJoin runs the documented join flow through the façade.
@@ -355,44 +365,5 @@ func TestPublicForest(t *testing.T) {
 	}
 	if len(pairs) < 50 {
 		t.Fatalf("self-overlap join returned %d pairs", len(pairs))
-	}
-}
-
-// TestPublicIterAndCount exercises the extension APIs via the façade.
-func TestPublicIterAndCount(t *testing.T) {
-	objs := make([]spbtree.Object, 150)
-	for i := range objs {
-		objs[i] = spbtree.NewVector(uint64(i), []float64{float64(i) / 150, float64((i*7)%150) / 150})
-	}
-	tree, err := spbtree.Build(objs, spbtree.Options{
-		Distance: spbtree.L2(2), Codec: spbtree.VectorCodec{Dim: 2}, NumPivots: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var it *spbtree.NearestIter = tree.NearestIter(objs[3])
-	res, ok := it.Next()
-	if !ok || res.Dist != 0 {
-		t.Fatalf("first neighbor: %+v ok=%v", res, ok)
-	}
-	n, err := tree.RangeCount(objs[3], 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := tree.RangeQuery(objs[3], 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(full) {
-		t.Fatalf("RangeCount %d != RangeQuery %d", n, len(full))
-	}
-	if _, _, err := tree.Query(context.Background(), spbtree.Query{Op: spbtree.OpKNNApprox, Q: objs[3], K: 5, MaxVerify: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Rebuild(spbtree.NewMemStore(), spbtree.NewMemStore()); err != nil {
-		t.Fatal(err)
-	}
-	if tree.Len() != 150 {
-		t.Fatalf("Len after rebuild = %d", tree.Len())
 	}
 }
