@@ -126,7 +126,8 @@ func TestClusterAdaptiveVsFlat(t *testing.T) {
 // kQuery per owning node and nothing else — each node's forest prunes its
 // whole group and computes no distance — and the router reports all four
 // shards pruned; a kNN costs one kQuery per owning node and reports the
-// staging the nodes did.
+// staging the nodes did. The nodes' registries label the two rpc.range and
+// rpc.knn.
 func TestClusterRangePruningOverWire(t *testing.T) {
 	ds := dataset.Color(600, 43)
 	tc := startCluster(t, ds, 4)
@@ -190,6 +191,14 @@ func TestClusterRangePruningOverWire(t *testing.T) {
 		t.Fatalf("kNN plan lost on the wire: %+v", qs.Plan)
 	}
 	onePerOwner("knn", kQuery)
+
+	// One message kind, two registry labels, taken from the query's Op.
+	for name := range tc.router.Placement().ByOwner() {
+		ops := tc.node(name).reg.Snapshot()
+		if ops["rpc.range"].Queries != 1 || ops["rpc.knn"].Queries != 1 {
+			t.Fatalf("node %s: rpc.range %d, rpc.knn %d queries, want 1 each", name, ops["rpc.range"].Queries, ops["rpc.knn"].Queries)
+		}
+	}
 }
 
 // TestClusterStagedMatchesForest: a cluster kNN reproduces the local

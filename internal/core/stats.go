@@ -62,8 +62,9 @@ type QueryStats struct {
 	// the join's Lemma 6 key window.
 	EntriesSkipped int64
 	// HeapPushes counts admissions to the kNN traversal's frontier: node
-	// references, leaf entries (one each, though a leaf's entries enter as
-	// one sorted run) and buffered inserts — the paper's Table 5
+	// references, buffered inserts and, under a verification budget, leaf
+	// entries (one each, though a leaf's entries enter as one sorted run;
+	// exact kNN verifies a leaf when it reaches it) — the paper's Table 5
 	// memory-pressure signal.
 	HeapPushes int64
 	// ListEvictions counts merge-list elements retired by Lemma 6 during a
