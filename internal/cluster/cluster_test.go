@@ -258,6 +258,34 @@ func TestClusterNodeDownPartials(t *testing.T) {
 	}
 }
 
+// TestNodeCloseBeforeServe: a node closed before its Serve goroutine stored
+// the listener — a node reopened and torn down at once, or one that owns no
+// shard and so got no request in between — still stops: Serve closes the
+// listener and returns net.ErrClosed instead of accepting forever, which
+// left a caller waiting for Serve to return hung.
+func TestNodeCloseBeforeServe(t *testing.T) {
+	node, err := OpenNode(NodeConfig{Name: "n1", Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	node.Close()
+	served := make(chan error, 1)
+	go func() { served <- node.Serve(ln) }()
+	select {
+	case err := <-served:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("Serve after Close = %v, want net.ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve kept accepting on a closed node")
+	}
+}
+
 // TestClusterMidQueryKill: a node dying while serving a query (not before)
 // still yields partials plus a typed per-node error within the deadline.
 func TestClusterMidQueryKill(t *testing.T) {

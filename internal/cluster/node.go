@@ -146,11 +146,18 @@ func (n *Node) Shards() []int {
 }
 
 // Serve accepts connections on ln until Close. It always returns a non-nil
-// error (net.ErrClosed after a clean Close).
+// error (net.ErrClosed after a clean Close). A node closed before Serve
+// stored its listener — a goroutine started just before Close — closes ln
+// and returns at once: Close found no listener to shut.
 func (n *Node) Serve(ln net.Listener) error {
 	n.lnMu.Lock()
 	n.ln = ln
+	closed := n.closed.Load()
 	n.lnMu.Unlock()
+	if closed {
+		ln.Close()
+		return net.ErrClosed
+	}
 	n.reg.Publish("spbcluster_node_" + n.cfg.Name)
 	for {
 		conn, err := ln.Accept()
