@@ -99,21 +99,7 @@ func fig18(cfg config) error {
 	header(cfg.out, "Fig. 18: similarity join cost model vs eps (% of d+)")
 	for _, name := range []string{"color", "signature"} {
 		ds := scaledDataset(cfg, name)
-		half := len(ds.Objects) / 2
-		Q, O := ds.Objects[:half], ds.Objects[half:]
-		opts := zorderOpts()
-		opts.Distance = ds.Distance
-		opts.Codec = ds.Codec
-		opts.Seed = cfg.seed
-		tq, err := core.Build(Q, opts)
-		if err != nil {
-			return err
-		}
-		oOpts := zorderOpts()
-		oOpts.Distance = ds.Distance
-		oOpts.Codec = ds.Codec
-		oOpts.ShareMapping = tq
-		to, err := core.Build(O, oOpts)
+		tq, to, err := joinTrees(ds, cfg.seed)
 		if err != nil {
 			return err
 		}
@@ -125,6 +111,8 @@ func fig18(cfg config) error {
 			if err != nil {
 				return err
 			}
+			tq.ResetStats()
+			to.ResetStats()
 			_, qs, err := core.Join(context.Background(), tq, to, eps)
 			if err != nil {
 				return err

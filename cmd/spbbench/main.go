@@ -2,7 +2,9 @@
 // evaluation (Section 6) on synthetic stand-ins for its datasets. Each
 // subcommand prints the same rows or series the paper reports; DESIGN.md §4
 // maps experiment ids to the modules under test and EXPERIMENTS.md records
-// paper-vs-measured values.
+// paper-vs-measured values. Where an experiment runs several access methods
+// or SPB-tree variants on the same queries, their answers must agree: the
+// first disagreement stops the run with exit status 1.
 //
 // Usage:
 //
@@ -10,7 +12,7 @@
 //	spbbench -n 20000 -q 100 all
 //
 // Experiments: table2 table4 table6 table7 fig9 fig10 fig11 fig12
-// fig13 fig14 fig15 fig16 fig17 fig18 ablation forest all
+// fig13 fig14 fig15 fig16 fig17 fig18 forest all
 package main
 
 import (
@@ -45,30 +47,29 @@ func main() {
 
 	if flag.NArg() == 0 {
 		flag.Usage()
-		fmt.Fprintln(os.Stderr, "\nexperiments: table2 table4 table6 table7 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 ablation forest all")
+		fmt.Fprintln(os.Stderr, "\nexperiments: table2 table4 table6 table7 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 forest all")
 		os.Exit(2)
 	}
 
 	experiments := map[string]func(config) error{
-		"table2":   table2,
-		"table4":   table4,
-		"table6":   table6,
-		"table7":   table7,
-		"fig9":     fig9,
-		"fig10":    fig10,
-		"fig11":    fig11,
-		"fig12":    fig12,
-		"fig13":    fig13,
-		"fig14":    fig14,
-		"fig15":    fig15,
-		"fig16":    fig16,
-		"fig17":    fig17,
-		"fig18":    fig18,
-		"ablation": ablation,
-		"forest":   forestExp,
+		"table2": table2,
+		"table4": table4,
+		"table6": table6,
+		"table7": table7,
+		"fig9":   fig9,
+		"fig10":  fig10,
+		"fig11":  fig11,
+		"fig12":  fig12,
+		"fig13":  fig13,
+		"fig14":  fig14,
+		"fig15":  fig15,
+		"fig16":  fig16,
+		"fig17":  fig17,
+		"fig18":  fig18,
+		"forest": forestExp,
 	}
 	order := []string{"table2", "table4", "fig9", "fig10", "fig11",
-		"table6", "table7", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "ablation", "forest"}
+		"table6", "table7", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "forest"}
 
 	var names []string
 	for _, arg := range flag.Args() {

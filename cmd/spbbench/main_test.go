@@ -4,8 +4,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"spbtree/internal/dataset"
 )
 
 func tinyConfig() config {
@@ -21,7 +19,7 @@ func TestExperimentsRun(t *testing.T) {
 		"table6": table6, "table7": table7,
 		"fig10": fig10, "fig11": fig11, "fig12": fig12, "fig13": fig13,
 		"fig14": fig14, "fig15": fig15, "fig16": fig16, "fig17": fig17, "fig18": fig18,
-		"ablation": ablation, "forest": forestExp,
+		"forest": forestExp,
 	}
 	for name, fn := range experiments {
 		name, fn := name, fn
@@ -44,15 +42,32 @@ func TestFig9Runs(t *testing.T) {
 	}
 }
 
-// TestJoinSanity cross-checks the three join implementations on every
-// dataset kind — they must agree pair for pair.
-func TestJoinSanity(t *testing.T) {
-	for _, name := range []string{"color", "words", "signature", "dna"} {
-		ds, _ := dataset.ByName(name, 300, 3)
-		eps := 0.05 * ds.Distance.MaxDistance()
-		if err := joinSanity(ds, eps, 3); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
+// TestWrongAnswerFailsTheRun plants one wrong answer — the last answer of
+// one query, dropped — in one method of each kind of experiment, and
+// requires the experiment to fail with an error that names that method.
+func TestWrongAnswerFailsTheRun(t *testing.T) {
+	for _, tc := range []struct {
+		exp    string
+		fn     func(config) error
+		method string
+	}{
+		{"fig12", fig12, "OmniR-tree"}, // a baseline, after the reference
+		{"fig13", fig13, "M-tree"},     // the reference method itself
+		{"fig17", fig17, "eD-index"},
+		{"table4", table4, "zorder"},
+		{"forest", forestExp, "shards=4"},
+	} {
+		t.Run(tc.exp, func(t *testing.T) {
+			cfg := tinyConfig()
+			cfg.plant = tc.method
+			err := tc.fn(cfg)
+			if err == nil {
+				t.Fatalf("%s with a wrong answer from %s succeeded", tc.exp, tc.method)
+			}
+			if !strings.Contains(err.Error(), tc.method) || !strings.Contains(err.Error(), "query") {
+				t.Fatalf("error %q does not name %s and the query", err, tc.method)
+			}
+		})
 	}
 }
 

@@ -132,18 +132,17 @@ func TestCtxAlreadyCanceled(t *testing.T) {
 func TestCtxDeadlinePartials(t *testing.T) {
 	objs := vectorSet(800, 4, 43)
 	sd := &slowDist{DistanceFunc: metric.L2(4)}
-	// Lemma 2 would admit most of this wide scan computation-free, letting
-	// the query finish before the deadline; disable it so every candidate
-	// pays the throttled distance and mid-query expiry is guaranteed.
 	tree, err := Build(objs, Options{
 		Distance: sd, Codec: metric.VectorCodec{Dim: 4}, NumPivots: 3, Seed: 43,
-		DisableLemma2: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := objs[11]
-	r := 0.9 * sd.MaxDistance() // near-full scan: plenty to interrupt
+	// A wide scan, but not so wide that Lemma 2 admits most candidates
+	// computation-free: at 0.4·d+ it admits 6 of them and 783 pay the
+	// throttled distance, so there is plenty to interrupt.
+	r := 0.4 * sd.MaxDistance()
 
 	sd.delay.Store(int64(100 * time.Microsecond)) // ~80ms uncancelled
 	defer sd.delay.Store(0)

@@ -490,8 +490,7 @@ func (d *durableState) compactOnce(t *Tree) error {
 	// its cost model the snapshot copy.
 	shadow := &Tree{
 		codec: t.codec, pivots: t.pivots, curve: t.curve, kind: t.kind,
-		delta: t.delta, exact: t.exact, bits: t.bits, dPlus: t.dPlus,
-		noLemma2: t.noLemma2, noSFCMerge: t.noSFCMerge, cm: cmSnap,
+		delta: t.delta, exact: t.exact, bits: t.bits, dPlus: t.dPlus, cm: cmSnap,
 	}
 	shadow.adopt(sub, len(live))
 	if err := shadow.SaveAtomic(genDir); err != nil {

@@ -201,9 +201,7 @@ type rangeSerial struct {
 // the caller and valid only during the call.
 func (s *rangeSerial) add(val uint64, cell sfc.Point) error {
 	c := candidate{val: val}
-	if !s.t.noLemma2 {
-		c.bound, c.proved = s.t.lemma2Bound(s.sc.qvec, cell, s.r)
-	}
+	c.bound, c.proved = s.t.lemma2Bound(s.sc.qvec, cell, s.r)
 	b := &s.sc.blk
 	b.cands = append(b.cands, c)
 	if len(b.cands) >= rangeBatchSize {

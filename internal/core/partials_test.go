@@ -44,19 +44,18 @@ func bfRangeDists(objs []metric.Object, q metric.Object, r float64, d metric.Dis
 func TestParallelCancellationPartials(t *testing.T) {
 	objs := vectorSet(800, 4, 53)
 	sd := &slowDist{DistanceFunc: metric.L2(4)}
-	// DisableLemma2 keeps every candidate on the throttled verification
-	// path, so the deadline reliably expires mid-block (see the matching
-	// note in TestCtxDeadlinePartials).
 	tree, err := Build(objs, Options{
 		Distance: sd, Codec: metric.VectorCodec{Dim: 4}, NumPivots: 3, Seed: 53,
-		DisableLemma2: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tree.Close()
 	q := objs[29]
-	r := 0.9 * sd.MaxDistance()
+	// At 0.4·d+ Lemma 2 admits 219 candidates computation-free and 454 pay
+	// the throttled distance, so the deadline reliably expires mid-block
+	// (see the matching note in TestCtxDeadlinePartials).
+	r := 0.4 * sd.MaxDistance()
 	rangeTruth := bfRangeDists(objs, q, r, metric.L2(4))
 	allTruth := bfRangeDists(objs, q, sd.MaxDistance(), metric.L2(4))
 

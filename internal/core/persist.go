@@ -79,16 +79,9 @@ func (t *Tree) WriteMeta(w io.Writer) error {
 	} else {
 		b = append(b, 0)
 	}
-	if t.noLemma2 {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	if t.noSFCMerge {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
+	// Two reserved bytes: they held flags that switched off Lemma 2 and the
+	// computeSFC merge, which never changed an answer. Open skips them.
+	b = append(b, 0, 0)
 	b = appendF64(b, t.delta)
 	b = appendF64(b, t.dPlus)
 	b = binary.LittleEndian.AppendUint64(b, uint64(t.count))
@@ -183,8 +176,8 @@ func Open(meta io.Reader, opts OpenOptions) (*Tree, error) {
 	t.kind = sfc.Kind(r.u8())
 	t.bits = int(r.u8())
 	t.exact = r.u8() == 1
-	t.noLemma2 = r.u8() == 1
-	t.noSFCMerge = r.u8() == 1
+	r.u8() // two reserved bytes (see WriteMeta)
+	r.u8()
 	t.delta = r.f64()
 	t.dPlus = r.f64()
 	t.count = int(r.u64())

@@ -89,12 +89,10 @@ func (t *Tree) rangeDelta(ctx context.Context, s *rangeSerial) error {
 			continue // Lemma 1
 		}
 		qs.DeltaCandidates++
-		if !t.noLemma2 {
-			if ub, ok := t.lemma2Bound(sc.qvec, sc.cell, s.r); ok {
-				qs.Lemma2Included++
-				s.results = append(s.results, Result{Object: e.obj, Dist: ub, Exact: false})
-				continue
-			}
+		if ub, ok := t.lemma2Bound(sc.qvec, sc.cell, s.r); ok {
+			qs.Lemma2Included++
+			s.results = append(s.results, Result{Object: e.obj, Dist: ub, Exact: false})
+			continue
 		}
 		st := qs.stageStart()
 		d, within := t.verifyDist(s.q, e.obj, s.r)
@@ -155,7 +153,7 @@ func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, sc *query
 			}
 		default:
 			merged := false
-			if !t.noSFCMerge && sfc.IntersectBox(rrLo, rrHi, boxLo, boxHi, iLo, iHi) {
+			if sfc.IntersectBox(rrLo, rrHi, boxLo, boxHi, iLo, iHi) {
 				if t.kind == sfc.ZOrder {
 					// Z-order leaves support BIGMIN skip scans (Tropf &
 					// Herzog): jump directly to the next entry key inside

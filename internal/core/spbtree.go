@@ -29,8 +29,8 @@ import (
 
 // Options configures Build. How a candidate is verified is not configurable:
 // every metric is evaluated at the caller's live bound through its prepared
-// kernel (DESIGN.md §9.8); the Disable* fields below are the paper's own
-// ablations.
+// kernel (DESIGN.md §9.8), and range queries always apply Lemma 2 and
+// Algorithm 1's computeSFC merge.
 type Options struct {
 	// Distance is the metric; required.
 	Distance metric.DistanceFunc
@@ -62,14 +62,6 @@ type Options struct {
 	// CostSample is the reservoir size for the union distance distribution
 	// used by the cost models; 0 means 1024.
 	CostSample int
-	// DisableLemma2 turns off the computation-free result inclusion of
-	// Lemma 2 in range queries. Results are identical; the flag exists for
-	// the ablation benchmarks quantifying the lemma's savings.
-	DisableLemma2 bool
-	// DisableSFCMerge turns off Algorithm 1's computeSFC merge step (lines
-	// 14-20), falling back to per-entry region tests. Results are
-	// identical; the flag exists for the ablation benchmarks.
-	DisableSFCMerge bool
 }
 
 // Tree is a built SPB-tree. Queries may run concurrently with each other;
@@ -103,9 +95,6 @@ type Tree struct {
 	dataSums  *page.ChecksumStore
 	idxCache  *page.Cache
 	dataCache *page.Cache
-
-	noLemma2   bool // ablation: skip Lemma 2 inclusion
-	noSFCMerge bool // ablation: skip the computeSFC merge step
 
 	// bounded records that the metric implements metric.BoundedDistanceFunc,
 	// so an evaluation that ends over its bound was abandoned early and
@@ -176,14 +165,12 @@ func Build(objs []metric.Object, opts Options) (*Tree, error) {
 	rng := rand.New(rand.NewSource(seed))
 
 	t := &Tree{
-		id:         treeIDs.Add(1),
-		dist:       metric.NewCounter(opts.Distance),
-		codec:      opts.Codec,
-		kind:       opts.Curve,
-		dPlus:      opts.Distance.MaxDistance(),
-		noLemma2:   opts.DisableLemma2,
-		noSFCMerge: opts.DisableSFCMerge,
-		bounded:    metric.IsBounded(opts.Distance),
+		id:      treeIDs.Add(1),
+		dist:    metric.NewCounter(opts.Distance),
+		codec:   opts.Codec,
+		kind:    opts.Curve,
+		dPlus:   opts.Distance.MaxDistance(),
+		bounded: metric.IsBounded(opts.Distance),
 	}
 
 	// Pivot table: either shared with a partner tree (joins need a common

@@ -13,15 +13,16 @@ import (
 // TestQueryStatsExactSmallTree pins the exact, hand-computed cost of a range
 // query over a tree small enough to reason about on paper: 8 objects fit one
 // B+-tree leaf (255-entry capacity) and one RAF page, so a cold full-space
-// range query reads exactly 2 physical pages (the root leaf + the RAF page),
-// and with Lemma 2 disabled computes exactly |P| + 8 distances (the pivot
-// mapping of q plus one verification per object).
+// range query reads exactly 2 physical pages (the root leaf + the RAF page).
+// Each object is either verified or admitted by Lemma 2, so the query
+// computes exactly |P| + Verified distances (the pivot mapping of q plus one
+// per verified object). At a radius of d+ the lemma admits all 8.
 func TestQueryStatsExactSmallTree(t *testing.T) {
 	objs := vectorSet(8, 3, 7)
 	dist := metric.L2(3)
 	tree, err := Build(objs, Options{
 		Distance: dist, Codec: metric.VectorCodec{Dim: 3},
-		NumPivots: 2, DisableLemma2: true,
+		NumPivots: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,12 +43,15 @@ func TestQueryStatsExactSmallTree(t *testing.T) {
 	if qs.IndexPA != 1 || qs.DataPA != 1 {
 		t.Errorf("PA = %d index + %d data, want 1 + 1", qs.IndexPA, qs.DataPA)
 	}
-	if qs.EntriesScanned != 8 || qs.Verified != 8 || qs.Discarded != 0 {
-		t.Errorf("scanned/verified/discarded = %d/%d/%d, want 8/8/0",
-			qs.EntriesScanned, qs.Verified, qs.Discarded)
+	if qs.EntriesScanned != 8 || qs.Verified+qs.Lemma2Included != 8 || qs.Discarded != 0 {
+		t.Errorf("scanned/verified+lemma2/discarded = %d/%d+%d/%d, want 8/8/0",
+			qs.EntriesScanned, qs.Verified, qs.Lemma2Included, qs.Discarded)
 	}
-	if want := int64(2 + 8); qs.Compdists != want {
-		t.Errorf("Compdists = %d, want %d (|P| + one per object)", qs.Compdists, want)
+	if qs.Verified != 0 || qs.Lemma2Included != 8 {
+		t.Errorf("verified/lemma2 = %d/%d, want 0/8", qs.Verified, qs.Lemma2Included)
+	}
+	if want := 2 + qs.Verified; qs.Compdists != want {
+		t.Errorf("Compdists = %d, want %d (|P| + one per verified object)", qs.Compdists, want)
 	}
 	st := tree.TakeStats()
 	if qs.Compdists != st.DistanceComputations || qs.PageAccesses() != st.PageAccesses {
@@ -320,4 +324,33 @@ func benchTree(b *testing.B) (*Tree, metric.Object) {
 		b.Fatal(err)
 	}
 	return tree, metric.NewVector(90000, []float64{0.5, 0.4, 0.6, 0.5})
+}
+
+// TestLemma2SavesComputations freezes what Lemma 2 saves on a fixed input:
+// twenty Words range queries at radius 8 compute 10 630 distances and admit
+// 1 206 answers computation-free. Without the lemma the same queries
+// computed 11 836 distances (measured before the switch that turned it off
+// was removed); every admitted answer is one verification saved.
+func TestLemma2SavesComputations(t *testing.T) {
+	objs := wordSet(600, 72)
+	tree, err := Build(objs, Options{
+		Distance: metric.EditDistance{MaxLen: 24}, Codec: metric.StrCodec{},
+		NumPivots: 3, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compdists, included int64
+	for qi := 0; qi < 20; qi++ {
+		// Large radius: many answers, so Lemma 2 has chances to fire.
+		_, qs, err := tree.Query(context.Background(), Query{Op: OpRange, Q: objs[qi*17], Radius: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		compdists += qs.Compdists
+		included += qs.Lemma2Included
+	}
+	if compdists != 10630 || included != 1206 {
+		t.Errorf("compdists/lemma2 = %d/%d, want 10630/1206", compdists, included)
+	}
 }

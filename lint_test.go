@@ -14,7 +14,8 @@ package spbtree
 //
 // Two repository-hygiene lints ride along: TestNoTrackedBinaries (no build
 // output is committed) and TestWorkflowRunPatterns (every test CI names
-// exists).
+// exists). TestNoDisableOptions keeps the build and open options free of
+// switches that turn part of the algorithm off.
 
 import (
 	"go/ast"
@@ -24,9 +25,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"spbtree/internal/core"
 )
 
 // modulePackages walks the repo and returns one representative non-test Go
@@ -434,5 +438,21 @@ func TestWorkflowRunPatterns(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("found no -run patterns in ci.yml; the matcher is out of date")
+	}
+}
+
+// TestNoDisableOptions checks that no build or open option switches part of
+// the algorithm off: an option needs two callers that want different values,
+// and a Disable* switch has only benchmarks and tests. Lemma 2's savings are
+// pinned by frozen counts instead, and the ablation's result is recorded in
+// EXPERIMENTS.md.
+func TestNoDisableOptions(t *testing.T) {
+	for _, opts := range []any{core.Options{}, core.OpenOptions{}, core.LoadOptions{}} {
+		typ := reflect.TypeOf(opts)
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() && strings.HasPrefix(f.Name, "Disable") {
+				t.Errorf("%s has a field %s", typ, f.Name)
+			}
+		}
 	}
 }
