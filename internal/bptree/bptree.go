@@ -1,8 +1,15 @@
 // Package bptree implements the disk-based B+-tree underlying the SPB-tree:
-// a B+-tree over uint64 space-filling-curve keys whose non-leaf entries are
-// augmented with minimum bounding boxes (MBBs) of their subtrees, encoded —
-// exactly as in the paper's Fig. 4 — as the SFC values of the box's lower and
-// upper corner points.
+// a B+-tree ordered by uint64 space-filling-curve keys whose non-leaf entries
+// are augmented with minimum bounding boxes (MBBs) of their subtrees.
+//
+// A leaf entry and a box corner store a grid point as its cell word — the
+// point's coordinates packed side by side (sfc.Pack) — where the paper's
+// Fig. 4 stores the point's SFC value. The curve is a bijection, so the
+// 8-byte word holds the same information; but the query algorithms filter in
+// cell space and read the word with a shift and mask per dimension instead
+// of inverting the curve. The key is computed from the cells (Geometry)
+// wherever order is needed: leaf binary searches, parent min pairs and
+// cursors.
 //
 // Entries are ordered by the composite pair (key, val); val is the RAF
 // pointer of the object and is unique, so duplicate SFC keys (distinct
@@ -19,26 +26,36 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 
 	"spbtree/internal/obs"
 	"spbtree/internal/page"
 )
 
-// Geometry decodes SFC keys into grid points and re-encodes box corners; the
-// tree uses it to maintain node MBBs. sfc.Curve satisfies Geometry. A nil
-// Geometry degrades boxes to raw key intervals [min key, max key], which is
-// what plain one-dimensional users (e.g. the M-Index baseline) need.
+// Geometry describes the grid the stored cell words pack and orders them:
+// a cell word holds Dims coordinates of Bits bits, dimension d at bits
+// [d·Bits, (d+1)·Bits), and EncodeCell returns its curve key. sfc.Curve
+// satisfies Geometry. With a nil Geometry the stored word is the key itself
+// and boxes are raw key intervals [min key, max key], which is what plain
+// one-dimensional users (e.g. the M-Index baseline) need.
 type Geometry interface {
-	// Dims returns the dimensionality of decoded points.
+	// Dims returns the number of coordinates in a cell word.
 	Dims() int
-	// Decode fills p (length Dims) with the grid point of key.
-	Decode(key uint64, p []uint32)
-	// Encode returns the key of grid point p.
-	Encode(p []uint32) uint64
+	// Bits returns the width of one coordinate.
+	Bits() int
+	// EncodeCell returns the curve key of the point packed in cell.
+	EncodeCell(cell uint64) uint64
 }
 
-// Pair is a composite entry identifier: the SFC key plus the unique value
-// (RAF pointer). Pairs order lexicographically.
+// Entry is a leaf entry: a grid point's cell word (with a nil Geometry, the
+// key) and the unique value (RAF pointer).
+type Entry struct {
+	Cell uint64
+	Val  uint64
+}
+
+// Pair is a composite order identifier: the SFC key plus the unique value
+// (RAF pointer). Pairs order lexicographically; a parent's min pair is one.
 type Pair struct {
 	Key uint64
 	Val uint64
@@ -71,7 +88,10 @@ type Options struct {
 type Tree struct {
 	store *page.Cache
 	geo   Geometry
-	dims  int
+	// Cell words hold dims fields of bits bits each; mask is one field's. A
+	// nil Geometry makes the whole word one field.
+	dims, bits int
+	mask       uint64
 
 	maxLeaf, maxInternal int
 
@@ -98,7 +118,7 @@ func (t *Tree) SetTracer(tr obs.Tracer) { t.tracer = tr }
 func (t *Tree) FreePages() int { return len(t.free) }
 
 // child references a node from its parent: the minimum pair of its subtree,
-// its page, and its subtree MBB as SFC corner encodings.
+// its page, and its subtree MBB as the cell words of its corners.
 type child struct {
 	min   Pair
 	page  page.ID
@@ -117,9 +137,11 @@ func New(store page.Store, opts Options) (*Tree, error) {
 		maxInternal: opts.MaxInternal,
 		root:        child{page: invalidPage},
 	}
+	t.dims, t.bits = 1, 64
 	if t.geo != nil {
-		t.dims = t.geo.Dims()
+		t.dims, t.bits = t.geo.Dims(), t.geo.Bits()
 	}
+	t.mask = ^uint64(0) >> (64 - t.bits)
 	if t.maxLeaf == 0 {
 		t.maxLeaf = maxLeafCap
 	}
@@ -160,7 +182,7 @@ type NodeRef struct {
 	MinKey, MinVal uint64
 	// Page locates the node.
 	Page page.ID
-	// BoxLo and BoxHi are the SFC encodings of the subtree MBB's lower and
+	// BoxLo and BoxHi are the cell words of the subtree MBB's lower and
 	// upper corner points.
 	BoxLo, BoxHi uint64
 }
@@ -173,8 +195,8 @@ type Node struct {
 	Leaf bool
 	// Next is the following leaf's page, or false via HasNext for the last.
 	Next page.ID
-	// Keys and Vals hold the entries of a leaf node.
-	Keys, Vals []uint64
+	// Cells and Vals hold the entries of a leaf node, in (key, val) order.
+	Cells, Vals []uint64
 	// Children holds the child references of a non-leaf node.
 	Children []NodeRef
 }
@@ -208,13 +230,13 @@ func (t *Tree) decodeNode(id page.ID, buf *[page.Size]byte, n *Node) error {
 	n.Leaf = buf[0]&1 != 0
 	cnt := int(binary.LittleEndian.Uint16(buf[1:3]))
 	n.Next = page.ID(binary.LittleEndian.Uint32(buf[3:7]))
-	n.Keys, n.Vals, n.Children = n.Keys[:0], n.Vals[:0], n.Children[:0]
+	n.Cells, n.Vals, n.Children = n.Cells[:0], n.Vals[:0], n.Children[:0]
 	if n.Leaf {
 		if cnt > maxLeafCap {
 			return fmt.Errorf("bptree: corrupt leaf %d: count %d", id, cnt)
 		}
 		for e := buf[headerSize : headerSize+cnt*leafEntrySize]; len(e) > 0; e = e[leafEntrySize:] {
-			n.Keys = append(n.Keys, binary.LittleEndian.Uint64(e))
+			n.Cells = append(n.Cells, binary.LittleEndian.Uint64(e))
 			n.Vals = append(n.Vals, binary.LittleEndian.Uint64(e[8:]))
 		}
 		return nil
@@ -239,8 +261,26 @@ type node struct {
 	page        page.ID
 	leaf        bool
 	next        page.ID
-	leafEntries []Pair  // leaf only
+	leafEntries []Entry // leaf only
 	children    []child // internal only
+}
+
+// key returns the curve key of a stored cell word.
+func (t *Tree) key(cell uint64) uint64 {
+	if t.geo == nil {
+		return cell
+	}
+	return t.geo.EncodeCell(cell)
+}
+
+// pair returns the order pair of a leaf entry.
+func (t *Tree) pair(e Entry) Pair { return Pair{Key: t.key(e.Cell), Val: e.Val} }
+
+// leafSearch returns the smallest index i of entries for which f(pair of
+// entries[i]) holds (f must be monotone). It computes the key of just the
+// entries its binary search probes, never of the whole leaf.
+func (t *Tree) leafSearch(entries []Entry, f func(Pair) bool) int {
+	return sort.Search(len(entries), func(i int) bool { return f(t.pair(entries[i])) })
 }
 
 // Walk visits every node reference top-down (parents before children),

@@ -1,9 +1,13 @@
 package bptree
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"spbtree/internal/page"
@@ -212,11 +216,11 @@ func TestModelEquivalence(t *testing.T) {
 func TestBulkLoad(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 4, 5, 16, 17, 100, 1000} {
 		tr := newTestTree(t, smallOpts())
-		entries := make([]Pair, n)
+		entries := make([]Entry, n)
 		for i := range entries {
-			entries[i] = Pair{Key: uint64(i / 3), Val: uint64(i)}
+			entries[i] = Entry{Cell: uint64(i / 3), Val: uint64(i)}
 		}
-		if err := tr.BulkLoad(entries); err != nil {
+		if err := tr.BulkLoad(entries, nil); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if tr.Len() != n {
@@ -227,7 +231,7 @@ func TestBulkLoad(t *testing.T) {
 		}
 		i := 0
 		for c := tr.SeekFirst(); c.Valid(); c.Next() {
-			if (Pair{Key: c.Key(), Val: c.Val()}) != entries[i] {
+			if (Entry{Cell: c.Key(), Val: c.Val()}) != entries[i] {
 				t.Fatalf("n=%d: scan[%d] mismatch", n, i)
 			}
 			i++
@@ -240,25 +244,32 @@ func TestBulkLoad(t *testing.T) {
 
 func TestBulkLoadRejectsUnsortedAndNonEmpty(t *testing.T) {
 	tr := newTestTree(t, smallOpts())
-	if err := tr.BulkLoad([]Pair{{2, 0}, {1, 0}}); err == nil {
+	if err := tr.BulkLoad([]Entry{{2, 0}, {1, 0}}, nil); err == nil {
 		t.Error("unsorted input accepted")
+	}
+	// Given keys, the order is checked on them, not on the cells.
+	if err := tr.BulkLoad([]Entry{{1, 0}, {2, 0}}, []uint64{2, 1}); err == nil {
+		t.Error("input out of order by the given keys accepted")
+	}
+	if err := tr.BulkLoad([]Entry{{1, 0}, {2, 0}}, []uint64{1}); err == nil {
+		t.Error("one key for two entries accepted")
 	}
 	tr = newTestTree(t, smallOpts())
 	if err := tr.Insert(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.BulkLoad([]Pair{{1, 0}}); err == nil {
+	if err := tr.BulkLoad([]Entry{{1, 0}}, nil); err == nil {
 		t.Error("BulkLoad on non-empty tree accepted")
 	}
 }
 
 func TestBulkLoadThenMutate(t *testing.T) {
 	tr := newTestTree(t, smallOpts())
-	entries := make([]Pair, 300)
+	entries := make([]Entry, 300)
 	for i := range entries {
-		entries[i] = Pair{Key: uint64(2 * i), Val: uint64(i)}
+		entries[i] = Entry{Cell: uint64(2 * i), Val: uint64(i)}
 	}
-	if err := tr.BulkLoad(entries); err != nil {
+	if err := tr.BulkLoad(entries, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Interleave inserts and deletes after a bulk load.
@@ -280,39 +291,45 @@ func TestBulkLoadThenMutate(t *testing.T) {
 
 func TestGeometryBoxes(t *testing.T) {
 	curve := sfc.New(sfc.Hilbert, 2, 4)
-	tr := newTestTree(t, Options{Geometry: geoAdapter{curve}, MaxLeaf: 4, MaxInternal: 4})
+	tr := newTestTree(t, Options{Geometry: curve, MaxLeaf: 4, MaxInternal: 4})
 	rng := rand.New(rand.NewSource(9))
 	p := make(sfc.Point, 2)
 	for i := 0; i < 200; i++ {
 		p[0] = rng.Uint32() % 16
 		p[1] = rng.Uint32() % 16
-		if err := tr.Insert(curve.Encode(p), uint64(i)); err != nil {
+		if err := tr.Insert(sfc.Pack(p, 4), uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// CheckInvariants recomputes every box via the geometry and compares.
+	// CheckInvariants recomputes every box from the cells and compares.
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// The root box must contain every inserted point.
+	// The root box must contain every inserted point, and the leaf chain
+	// must run in key order with each key the curve's key of its cell.
 	root, _ := tr.Root()
 	lo := make(sfc.Point, 2)
 	hi := make(sfc.Point, 2)
-	curve.Decode(root.BoxLo, lo)
-	curve.Decode(root.BoxHi, hi)
+	sfc.Unpack(root.BoxLo, 4, lo)
+	sfc.Unpack(root.BoxHi, 4, hi)
+	var prev uint64
 	for c := tr.SeekFirst(); c.Valid(); c.Next() {
-		curve.Decode(c.Key(), p)
+		sfc.Unpack(c.Cell(), 4, p)
 		if !sfc.Contains(lo, hi, p) {
 			t.Fatalf("point %v outside root box [%v, %v]", p, lo, hi)
 		}
+		if c.Key() != curve.Encode(p) || c.Key() < prev {
+			t.Fatalf("cursor key %d for point %v (curve key %d, previous %d)", c.Key(), p, curve.Encode(p), prev)
+		}
+		prev = c.Key()
 	}
 	// Delete half and re-verify boxes shrink consistently.
-	var pairs []Pair
+	var entries []Entry
 	for c := tr.SeekFirst(); c.Valid(); c.Next() {
-		pairs = append(pairs, Pair{Key: c.Key(), Val: c.Val()})
+		entries = append(entries, Entry{Cell: c.Cell(), Val: c.Val()})
 	}
-	for i := 0; i < len(pairs); i += 2 {
-		if err := tr.Delete(pairs[i].Key, pairs[i].Val); err != nil {
+	for i := 0; i < len(entries); i += 2 {
+		if err := tr.Delete(entries[i].Cell, entries[i].Val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,13 +338,49 @@ func TestGeometryBoxes(t *testing.T) {
 	}
 }
 
-// geoAdapter adapts sfc.Curve (whose Point type is a named slice) to the
-// Geometry interface.
-type geoAdapter struct{ c sfc.Curve }
+// countingGeometry counts the keys a tree computes from cells.
+type countingGeometry struct {
+	sfc.Curve
+	calls int
+}
 
-func (g geoAdapter) Dims() int                   { return g.c.Dims() }
-func (g geoAdapter) Decode(k uint64, p []uint32) { g.c.Decode(k, sfc.Point(p)) }
-func (g geoAdapter) Encode(p []uint32) uint64    { return g.c.Encode(sfc.Point(p)) }
+func (g *countingGeometry) EncodeCell(cell uint64) uint64 {
+	g.calls++
+	return g.Curve.EncodeCell(cell)
+}
+
+// TestSeekEncodesOnlyProbes pins what Seek costs in curve work: the entries
+// its leaf binary search probes, about log2 of a full leaf, not the leaf.
+func TestSeekEncodesOnlyProbes(t *testing.T) {
+	geo := &countingGeometry{Curve: sfc.New(sfc.Hilbert, 5, 6)}
+	tr := newTestTree(t, Options{Geometry: geo})
+	rng := rand.New(rand.NewSource(4))
+	entries := make([]Entry, 3*maxLeafCap)
+	p := make(sfc.Point, 5)
+	for i := range entries {
+		for d := range p {
+			p[d] = rng.Uint32() % 64
+		}
+		entries[i] = Entry{Cell: sfc.Pack(p, 6), Val: uint64(i)}
+	}
+	slices.SortFunc(entries, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(geo.Curve.EncodeCell(a.Cell), geo.Curve.EncodeCell(b.Cell)), cmp.Compare(a.Val, b.Val))
+	})
+	if err := tr.BulkLoad(entries, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		key := rng.Uint64() >> 34
+		geo.calls = 0
+		c := tr.Seek(key)
+		if geo.calls > 9 {
+			t.Fatalf("Seek(%d) encoded %d cells, want at most 9 (a leaf holds %d)", key, geo.calls, maxLeafCap)
+		}
+		if c.Valid() && c.Key() < key {
+			t.Fatalf("Seek(%d) landed on key %d", key, c.Key())
+		}
+	}
+}
 
 func TestWalk(t *testing.T) {
 	tr := newTestTree(t, smallOpts())
@@ -368,11 +421,11 @@ func TestPageCapacityDefaults(t *testing.T) {
 		t.Errorf("defaults: leaf=%d internal=%d", tr.maxLeaf, tr.maxInternal)
 	}
 	// A full page of entries must serialize and round trip.
-	entries := make([]Pair, maxLeafCap)
+	entries := make([]Entry, maxLeafCap)
 	for i := range entries {
-		entries[i] = Pair{Key: uint64(i), Val: uint64(i)}
+		entries[i] = Entry{Cell: uint64(i), Val: uint64(i)}
 	}
-	if err := tr.BulkLoad(entries); err != nil {
+	if err := tr.BulkLoad(entries, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -464,5 +517,68 @@ func TestCorruptNodeRejected(t *testing.T) {
 	}
 	if err := tr.ReadNode(0, &Node{}); err == nil {
 		t.Error("corrupt node decoded without error")
+	}
+}
+
+// TestCheckInvariantsReadsCells rewrites a leaf's stored cells and requires
+// CheckInvariants, which derives order and boxes from the cells, to report
+// the damage: two entries swapped out of key order, and every cell replaced
+// by its key — a leaf in the format before cells, read as cells.
+func TestCheckInvariantsReadsCells(t *testing.T) {
+	curve := sfc.New(sfc.Hilbert, 2, 4)
+	for _, tc := range []struct {
+		name, want string
+		rewrite    func(cells []uint64)
+	}{
+		{"swapped entries", "out of key order", func(cells []uint64) { cells[1], cells[2] = cells[2], cells[1] }},
+		{"keys for cells", "", func(cells []uint64) {
+			for i, c := range cells {
+				cells[i] = curve.EncodeCell(c)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := newTestTree(t, Options{Geometry: curve, MaxLeaf: 8, MaxInternal: 4})
+			for i, c := range rand.New(rand.NewSource(6)).Perm(256)[:60] {
+				if err := tr.Insert(uint64(c), uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if tr.Height() < 2 {
+				t.Fatalf("height %d, want a leaf below the root", tr.Height())
+			}
+			var leaf page.ID
+			found := false
+			if err := tr.Walk(func(_ int, ref NodeRef, n *Node) error {
+				if n.Leaf && !found {
+					leaf, found = ref.Page, true
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var n Node
+			if err := tr.ReadNode(leaf, &n); err != nil {
+				t.Fatal(err)
+			}
+			tc.rewrite(n.Cells)
+			buf := make([]byte, page.Size)
+			if err := tr.store.Read(leaf, buf); err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range n.Cells {
+				binary.LittleEndian.PutUint64(buf[headerSize+i*leafEntrySize:], c)
+			}
+			if err := tr.store.Write(leaf, buf); err != nil {
+				t.Fatal(err)
+			}
+			err := tr.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckInvariants = %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }

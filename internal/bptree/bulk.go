@@ -2,19 +2,34 @@ package bptree
 
 import "fmt"
 
-// BulkLoad builds the tree from entries sorted ascending by (Key, Val). It
+// BulkLoad builds the tree from entries sorted ascending by (key, val). It
 // packs leaves fully (the last two leaves are balanced so no node is
 // underfull) and builds upper levels bottom-up, which is the construction
 // path the paper credits for the SPB-tree's low build cost. The tree must be
 // empty.
-func (t *Tree) BulkLoad(entries []Pair) error {
+//
+// keys, if not nil, holds each entry's key — the order the caller sorted by
+// — and BulkLoad checks the order on it instead of encoding every cell
+// again; nil computes the keys from the Geometry.
+func (t *Tree) BulkLoad(entries []Entry, keys []uint64) error {
 	if t.root.page != invalidPage {
 		return fmt.Errorf("bptree: BulkLoad on non-empty tree")
 	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Less(entries[i-1]) {
+	if keys != nil && len(keys) != len(entries) {
+		return fmt.Errorf("bptree: BulkLoad given %d keys for %d entries", len(keys), len(entries))
+	}
+	var prev Pair
+	for i, e := range entries {
+		var p Pair
+		if keys != nil {
+			p = Pair{Key: keys[i], Val: e.Val}
+		} else {
+			p = t.pair(e)
+		}
+		if i > 0 && p.Less(prev) {
 			return fmt.Errorf("bptree: BulkLoad input not sorted at %d", i)
 		}
+		prev = p
 	}
 	if len(entries) == 0 {
 		return nil

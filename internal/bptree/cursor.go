@@ -1,7 +1,5 @@
 package bptree
 
-import "sort"
-
 // Cursor iterates leaf entries in ascending (key, val) order, following the
 // leaf chain. The similarity-join algorithm's merge pass is built on it.
 type Cursor struct {
@@ -16,7 +14,8 @@ func (t *Tree) SeekFirst() *Cursor {
 	return t.seek(Pair{}, true)
 }
 
-// Seek positions a cursor at the first entry with Key >= key.
+// Seek positions a cursor at the first entry with Key >= key. In the leaf it
+// lands on, only the entries its binary search probes are encoded.
 func (t *Tree) Seek(key uint64) *Cursor {
 	return t.seek(Pair{Key: key}, false)
 }
@@ -38,7 +37,7 @@ func (t *Tree) seek(e Pair, first bool) *Cursor {
 			if first {
 				c.idx = 0
 			} else {
-				c.idx = sort.Search(len(n.leafEntries), func(i int) bool { return !n.leafEntries[i].Less(e) })
+				c.idx = t.leafSearch(n.leafEntries, func(p Pair) bool { return !p.Less(e) })
 			}
 			c.skipExhausted()
 			return c
@@ -72,8 +71,12 @@ func (c *Cursor) skipExhausted() {
 // Valid reports whether the cursor is positioned on an entry.
 func (c *Cursor) Valid() bool { return c.node != nil && c.err == nil }
 
-// Key returns the current entry's key. The cursor must be Valid.
-func (c *Cursor) Key() uint64 { return c.node.leafEntries[c.idx].Key }
+// Key returns the current entry's key, encoded from its cell. The cursor must
+// be Valid.
+func (c *Cursor) Key() uint64 { return c.t.key(c.node.leafEntries[c.idx].Cell) }
+
+// Cell returns the current entry's cell word. The cursor must be Valid.
+func (c *Cursor) Cell() uint64 { return c.node.leafEntries[c.idx].Cell }
 
 // Val returns the current entry's value. The cursor must be Valid.
 func (c *Cursor) Val() uint64 { return c.node.leafEntries[c.idx].Val }

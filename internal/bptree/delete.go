@@ -1,18 +1,16 @@
 package bptree
 
-import "sort"
-
-// Delete removes the entry (key, val). It returns ErrNotFound if no such
+// Delete removes the entry (cell, val). It returns ErrNotFound if no such
 // entry exists. Underfull nodes are rebalanced by borrowing from or merging
 // with an adjacent sibling; freed pages are not recycled (the store has no
 // free list), matching the simple manipulation profile of the paper's
 // Appendix C.
-func (t *Tree) Delete(key, val uint64) error {
+func (t *Tree) Delete(cell, val uint64) error {
 	if t.root.page == invalidPage {
 		return ErrNotFound
 	}
-	e := Pair{Key: key, Val: val}
-	found, rootNode, err := t.deleteFrom(&t.root, e)
+	e := Entry{Cell: cell, Val: val}
+	found, rootNode, err := t.deleteFrom(&t.root, e, t.pair(e))
 	if err != nil {
 		return err
 	}
@@ -44,16 +42,17 @@ func (t *Tree) Delete(key, val uint64) error {
 func (t *Tree) minLeaf() int     { return t.maxLeaf / 2 }
 func (t *Tree) minInternal() int { return t.maxInternal / 2 }
 
-// deleteFrom removes e from the subtree referenced by c. It returns whether
-// the entry was found and the (already written) in-memory node of c, so the
-// caller can rebalance it against a sibling without re-reading the page.
-func (t *Tree) deleteFrom(c *child, e Pair) (bool, *node, error) {
+// deleteFrom removes e, whose order pair is ep, from the subtree referenced
+// by c. It returns whether the entry was found and the (already written)
+// in-memory node of c, so the caller can rebalance it against a sibling
+// without re-reading the page.
+func (t *Tree) deleteFrom(c *child, e Entry, ep Pair) (bool, *node, error) {
 	n, err := t.readNode(c.page)
 	if err != nil {
 		return false, nil, err
 	}
 	if n.leaf {
-		pos := sort.Search(len(n.leafEntries), func(i int) bool { return !n.leafEntries[i].Less(e) })
+		pos := t.leafSearch(n.leafEntries, func(p Pair) bool { return !p.Less(ep) })
 		if pos >= len(n.leafEntries) || n.leafEntries[pos] != e {
 			return false, n, nil
 		}
@@ -65,8 +64,8 @@ func (t *Tree) deleteFrom(c *child, e Pair) (bool, *node, error) {
 		return true, n, nil
 	}
 
-	idx := childIndex(n.children, e)
-	found, childNode, err := t.deleteFrom(&n.children[idx], e)
+	idx := childIndex(n.children, ep)
+	found, childNode, err := t.deleteFrom(&n.children[idx], e, ep)
 	if err != nil {
 		return false, nil, err
 	}
@@ -131,7 +130,7 @@ func (t *Tree) rebalance(parent *node, idx int, cur *node) error {
 			} else {
 				last := left.leafEntries[len(left.leafEntries)-1]
 				left.leafEntries = left.leafEntries[:len(left.leafEntries)-1]
-				right.leafEntries = append([]Pair{last}, right.leafEntries...)
+				right.leafEntries = append([]Entry{last}, right.leafEntries...)
 			}
 		} else {
 			if size(left) < size(right) {

@@ -2,16 +2,17 @@ package bptree
 
 import "sort"
 
-// Insert adds the entry (key, val). Duplicate pairs are permitted and stored
-// as a multiset, though SPB-tree usage always supplies unique vals.
-func (t *Tree) Insert(key, val uint64) error {
-	e := Pair{Key: key, Val: val}
+// Insert adds the entry (cell, val), ordered by (key of cell, val).
+// Duplicate entries are permitted and stored as a multiset, though SPB-tree
+// usage always supplies unique vals.
+func (t *Tree) Insert(cell, val uint64) error {
+	e := Entry{Cell: cell, Val: val}
 	if t.root.page == invalidPage {
 		leaf, err := t.allocNode(true)
 		if err != nil {
 			return err
 		}
-		leaf.leafEntries = []Pair{e}
+		leaf.leafEntries = []Entry{e}
 		if err := t.writeNode(leaf); err != nil {
 			return err
 		}
@@ -22,7 +23,7 @@ func (t *Tree) Insert(key, val uint64) error {
 		t.nLeaves = 1
 		return nil
 	}
-	split, err := t.insertInto(&t.root, e)
+	split, err := t.insertInto(&t.root, e, t.pair(e))
 	if err != nil {
 		return err
 	}
@@ -44,17 +45,18 @@ func (t *Tree) Insert(key, val uint64) error {
 	return nil
 }
 
-// insertInto inserts e into the subtree referenced by c, updating c's min
-// pair and box in place. If the subtree's root node split, the new right
-// sibling's reference is returned for the caller to adopt.
-func (t *Tree) insertInto(c *child, e Pair) (*child, error) {
+// insertInto inserts e, whose order pair is ep, into the subtree referenced
+// by c, updating c's min pair and box in place. If the subtree's root node
+// split, the new right sibling's reference is returned for the caller to
+// adopt.
+func (t *Tree) insertInto(c *child, e Entry, ep Pair) (*child, error) {
 	n, err := t.readNode(c.page)
 	if err != nil {
 		return nil, err
 	}
 	if n.leaf {
-		pos := sort.Search(len(n.leafEntries), func(i int) bool { return e.Less(n.leafEntries[i]) })
-		n.leafEntries = append(n.leafEntries, Pair{})
+		pos := t.leafSearch(n.leafEntries, ep.Less)
+		n.leafEntries = append(n.leafEntries, Entry{})
 		copy(n.leafEntries[pos+1:], n.leafEntries[pos:])
 		n.leafEntries[pos] = e
 		if len(n.leafEntries) <= t.maxLeaf {
@@ -88,8 +90,8 @@ func (t *Tree) insertInto(c *child, e Pair) (*child, error) {
 		return &rc, nil
 	}
 
-	idx := childIndex(n.children, e)
-	split, err := t.insertInto(&n.children[idx], e)
+	idx := childIndex(n.children, ep)
+	split, err := t.insertInto(&n.children[idx], e, ep)
 	if err != nil {
 		return nil, err
 	}

@@ -7,9 +7,11 @@ import (
 	"spbtree/internal/page"
 )
 
-// metaVersion versions the Meta encoding. Version 2 added the free-page
-// list.
-const metaVersion = 2
+// metaVersion versions the Meta encoding and the node format it describes.
+// Version 2 added the free-page list; version 3 stores cell words, not SFC
+// keys, in leaf entries and box corners (the root box included), so a tree
+// written before it is refused rather than read with keys taken for cells.
+const metaVersion = 3
 
 // metaFixed is the fixed prefix size: version + root child (min pair, page,
 // boxes) + height/count/nLeaves + fan-outs + free-list length.

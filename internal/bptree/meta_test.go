@@ -1,6 +1,7 @@
 package bptree
 
 import (
+	"strings"
 	"testing"
 
 	"spbtree/internal/page"
@@ -79,6 +80,17 @@ func TestOpenRejectsBadMeta(t *testing.T) {
 	}
 	if _, err := Open(store, Options{}, make([]byte, metaFixed)); err == nil {
 		t.Error("zero-version meta accepted")
+	}
+	// A tree of the format before cell words (version 2, keys in leaves and
+	// box corners) is refused by version, not read with keys taken for cells.
+	prev, err := New(page.NewMemStore(), Options{MaxLeaf: 4, MaxInternal: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := prev.Meta()
+	meta[0] = 2
+	if _, err := Open(store, Options{}, meta); err == nil || !strings.Contains(err.Error(), "meta version 2, want 3") {
+		t.Errorf("previous-format meta: Open = %v, want a version error", err)
 	}
 	// A meta pointing at a page beyond the store.
 	tr, err := New(page.NewMemStore(), Options{MaxLeaf: 4, MaxInternal: 4})

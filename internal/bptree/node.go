@@ -15,8 +15,12 @@ import (
 //	byte 7     reserved
 //	bytes 8-   entries
 //
-// Leaf entry (16 bytes):    key u64 | val u64
+// Leaf entry (16 bytes):    cell u64 | val u64
 // Internal entry (36 bytes): minKey u64 | minVal u64 | page u32 | boxLo u64 | boxHi u64
+//
+// cell, boxLo and boxHi are cell words (a grid point's coordinates packed
+// side by side, see Geometry), not SFC keys; a leaf's entries are in
+// (key, val) order and minKey is a key, so routing reads no cells.
 const (
 	headerSize        = 8
 	leafEntrySize     = 16
@@ -26,7 +30,7 @@ const (
 )
 
 // maxInternalCap returns the page-capacity internal fan-out. The box corners
-// are fixed-width SFC keys, so capacity does not depend on dimensionality.
+// are fixed-width cell words, so capacity does not depend on dimensionality.
 func maxInternalCap(dims int) int {
 	return (page.Size - headerSize) / internalEntrySize
 }
@@ -40,9 +44,9 @@ func (t *Tree) readNode(id page.ID) (*node, error) {
 	}
 	n := &node{page: id, leaf: in.Leaf, next: in.Next}
 	if n.leaf {
-		n.leafEntries = make([]Pair, len(in.Keys))
+		n.leafEntries = make([]Entry, len(in.Cells))
 		for i := range n.leafEntries {
-			n.leafEntries[i] = Pair{Key: in.Keys[i], Val: in.Vals[i]}
+			n.leafEntries[i] = Entry{Cell: in.Cells[i], Val: in.Vals[i]}
 		}
 		return n, nil
 	}
@@ -64,7 +68,7 @@ func (t *Tree) writeNode(n *node) error {
 		binary.LittleEndian.PutUint32(buf[3:7], uint32(n.next))
 		off := headerSize
 		for _, e := range n.leafEntries {
-			binary.LittleEndian.PutUint64(buf[off:], e.Key)
+			binary.LittleEndian.PutUint64(buf[off:], e.Cell)
 			binary.LittleEndian.PutUint64(buf[off+8:], e.Val)
 			off += leafEntrySize
 		}
@@ -108,7 +112,7 @@ func (t *Tree) releaseNode(id page.ID) {
 	t.free = append(t.free, id)
 }
 
-// box computes the node's MBB as SFC corner encodings.
+// box computes the node's MBB as corner cell words.
 func (t *Tree) box(n *node) (uint64, uint64) {
 	if n.leaf {
 		return t.leafBox(n.leafEntries)
@@ -116,33 +120,16 @@ func (t *Tree) box(n *node) (uint64, uint64) {
 	return t.unionBox(n.children)
 }
 
-// leafBox computes a leaf MBB from its keys.
-func (t *Tree) leafBox(entries []Pair) (uint64, uint64) {
+// leafBox computes a leaf MBB from its cells.
+func (t *Tree) leafBox(entries []Entry) (uint64, uint64) {
 	if len(entries) == 0 {
 		return 0, 0
 	}
-	if t.geo == nil {
-		// Entries are ordered, so the key interval is [first, last].
-		return entries[0].Key, entries[len(entries)-1].Key
-	}
-	lo := make([]uint32, t.dims)
-	hi := make([]uint32, t.dims)
-	p := make([]uint32, t.dims)
-	t.geo.Decode(entries[0].Key, p)
-	copy(lo, p)
-	copy(hi, p)
+	lo, hi := entries[0].Cell, entries[0].Cell
 	for _, e := range entries[1:] {
-		t.geo.Decode(e.Key, p)
-		for i, v := range p {
-			if v < lo[i] {
-				lo[i] = v
-			}
-			if v > hi[i] {
-				hi[i] = v
-			}
-		}
+		lo, hi = t.widen(lo, hi, e.Cell, e.Cell)
 	}
-	return t.geo.Encode(lo), t.geo.Encode(hi)
+	return lo, hi
 }
 
 // unionBox computes an internal node MBB as the union of its children's.
@@ -150,39 +137,22 @@ func (t *Tree) unionBox(children []child) (uint64, uint64) {
 	if len(children) == 0 {
 		return 0, 0
 	}
-	if t.geo == nil {
-		lo := children[0].boxLo
-		hi := children[0].boxHi
-		for _, c := range children[1:] {
-			if c.boxLo < lo {
-				lo = c.boxLo
-			}
-			if c.boxHi > hi {
-				hi = c.boxHi
-			}
-		}
-		return lo, hi
-	}
-	lo := make([]uint32, t.dims)
-	hi := make([]uint32, t.dims)
-	p := make([]uint32, t.dims)
-	t.geo.Decode(children[0].boxLo, lo)
-	t.geo.Decode(children[0].boxHi, hi)
+	lo, hi := children[0].boxLo, children[0].boxHi
 	for _, c := range children[1:] {
-		t.geo.Decode(c.boxLo, p)
-		for i, v := range p {
-			if v < lo[i] {
-				lo[i] = v
-			}
-		}
-		t.geo.Decode(c.boxHi, p)
-		for i, v := range p {
-			if v > hi[i] {
-				hi[i] = v
-			}
-		}
+		lo, hi = t.widen(lo, hi, c.boxLo, c.boxHi)
 	}
-	return t.geo.Encode(lo), t.geo.Encode(hi)
+	return lo, hi
+}
+
+// widen returns the box [lo, hi] grown to cover [clo, chi], field by field.
+func (t *Tree) widen(lo, hi, clo, chi uint64) (uint64, uint64) {
+	var nlo, nhi uint64
+	for d := 0; d < t.dims; d++ {
+		sh := uint(d * t.bits)
+		nlo |= min(lo>>sh&t.mask, clo>>sh&t.mask) << sh
+		nhi |= max(hi>>sh&t.mask, chi>>sh&t.mask) << sh
+	}
+	return nlo, nhi
 }
 
 // refresh recomputes a child reference's min pair and box from the node's
@@ -190,7 +160,7 @@ func (t *Tree) unionBox(children []child) (uint64, uint64) {
 func (t *Tree) refresh(c *child, n *node) {
 	if n.leaf {
 		if len(n.leafEntries) > 0 {
-			c.min = n.leafEntries[0]
+			c.min = t.pair(n.leafEntries[0])
 		}
 	} else {
 		if len(n.children) > 0 {

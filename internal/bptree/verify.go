@@ -4,7 +4,9 @@ import "fmt"
 
 // CheckInvariants validates the full structural health of the tree: entry
 // ordering, parent min-pair and MBB correctness, occupancy bounds, uniform
-// leaf depth, and leaf-chain consistency. It reads the whole tree and exists
+// leaf depth, and leaf-chain consistency. Order, min pairs and boxes are
+// derived from the stored cells: each entry's key is encoded from its cell
+// and each box is recomputed field by field. It reads the whole tree and exists
 // for tests; production code never calls it.
 func (t *Tree) CheckInvariants() error {
 	if t.root.page == invalidPage {
@@ -42,14 +44,14 @@ func (t *Tree) CheckInvariants() error {
 				return fmt.Errorf("leaf %d empty", n.page)
 			}
 			for i, e := range n.leafEntries {
-				if prevPair != nil && e.Less(*prevPair) {
-					return fmt.Errorf("leaf %d entry %d out of order", n.page, i)
+				p := t.pair(e)
+				if prevPair != nil && p.Less(*prevPair) {
+					return fmt.Errorf("leaf %d entry %d out of key order: key %d after %d", n.page, i, p.Key, prevPair.Key)
 				}
-				p := e
 				prevPair = &p
 			}
-			if len(n.leafEntries) > 0 && n.leafEntries[0] != c.min {
-				return fmt.Errorf("leaf %d min %v != parent ref %v", n.page, n.leafEntries[0], c.min)
+			if len(n.leafEntries) > 0 && t.pair(n.leafEntries[0]) != c.min {
+				return fmt.Errorf("leaf %d min %v != parent ref %v", n.page, t.pair(n.leafEntries[0]), c.min)
 			}
 			wantLo, wantHi := t.leafBox(n.leafEntries)
 			if wantLo != c.boxLo || wantHi != c.boxHi {

@@ -152,8 +152,8 @@ func (cm *costModel) snapshotBoxes(t *Tree) error {
 	lo := make(sfc.Point, cm.nPivots)
 	hi := make(sfc.Point, cm.nPivots)
 	err := t.bpt.Walk(func(depth int, ref bptree.NodeRef, n *bptree.Node) error {
-		t.curve.Decode(ref.BoxLo, lo)
-		t.curve.Decode(ref.BoxHi, hi)
+		sfc.Unpack(ref.BoxLo, t.bits, lo)
+		sfc.Unpack(ref.BoxHi, t.bits, hi)
 		box := [2][]float64{make([]float64, cm.nPivots), make([]float64, cm.nPivots)}
 		for i := range lo {
 			box[0][i] = t.cellLower(lo[i])

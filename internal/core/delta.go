@@ -29,8 +29,9 @@ type deltaState struct {
 type deltaEntry struct {
 	// obj is the live object.
 	obj metric.Object
-	// key is its SFC key, computed once at append time.
-	key uint64
+	// cell is its cell word (sfc.Pack of its quantized pivot distances),
+	// computed once at append time or replay; reads unpack it.
+	cell uint64
 	// lsn is the WAL position that made it durable; last-writer-wins ties
 	// between racing mutators are resolved by it so in-memory apply order
 	// always matches WAL replay order.
@@ -88,10 +89,10 @@ func (t *Tree) deltaEntriesSorted() []deltaEntry {
 }
 
 // baseHasLocked reports whether the base tree indexes an object with this
-// SFC key and ID, by the same leaf scan Delete uses. Callers hold t.mu.
-func (t *Tree) baseHasLocked(key, id uint64) (bool, error) {
-	c := t.bpt.Seek(key)
-	for ; c.Valid() && c.Key() == key; c.Next() {
+// cell word and ID, by the same leaf scan Delete uses. Callers hold t.mu.
+func (t *Tree) baseHasLocked(cell, id uint64) (bool, error) {
+	c := t.bpt.Seek(t.curve.EncodeCell(cell))
+	for ; c.Valid() && c.Cell() == cell; c.Next() {
 		obj, err := t.raf.Read(c.Val())
 		if err != nil {
 			return false, err
@@ -108,14 +109,14 @@ func (t *Tree) baseHasLocked(key, id uint64) (bool, error) {
 // WAL race) are dropped, which makes in-memory state a pure function of the
 // WAL order — crash replay reproduces it exactly. Callers hold t.mu in write
 // mode.
-func (t *Tree) applyInsertLocked(obj metric.Object, key, lsn uint64) error {
+func (t *Tree) applyInsertLocked(obj metric.Object, cell, lsn uint64) error {
 	id := obj.ID()
 	if old, ok := t.wbuf.entries[id]; ok {
 		if old.lsn >= lsn {
 			return nil
 		}
 		// Upsert of a buffered insert: still one live object.
-		t.wbuf.entries[id] = deltaEntry{obj: obj, key: key, lsn: lsn}
+		t.wbuf.entries[id] = deltaEntry{obj: obj, cell: cell, lsn: lsn}
 		return nil
 	}
 	if tlsn, ok := t.wbuf.tombs[id]; ok {
@@ -124,15 +125,15 @@ func (t *Tree) applyInsertLocked(obj metric.Object, key, lsn uint64) error {
 		}
 		// The ID was dead (tombstoned); this insert resurrects it.
 		delete(t.wbuf.tombs, id)
-		t.wbuf.entries[id] = deltaEntry{obj: obj, key: key, lsn: lsn}
+		t.wbuf.entries[id] = deltaEntry{obj: obj, cell: cell, lsn: lsn}
 		t.count++
 		return nil
 	}
-	inBase, err := t.baseHasLocked(key, id)
+	inBase, err := t.baseHasLocked(cell, id)
 	if err != nil {
 		return err
 	}
-	t.wbuf.entries[id] = deltaEntry{obj: obj, key: key, lsn: lsn}
+	t.wbuf.entries[id] = deltaEntry{obj: obj, cell: cell, lsn: lsn}
 	if !inBase {
 		t.count++
 	}
@@ -143,7 +144,7 @@ func (t *Tree) applyInsertLocked(obj metric.Object, key, lsn uint64) error {
 // maintains t.count. Deletes of already-dead or never-present IDs are
 // no-ops beyond refreshing the tombstone, so replaying a redundant record is
 // harmless. Callers hold t.mu in write mode.
-func (t *Tree) applyDeleteLocked(id, key, lsn uint64) error {
+func (t *Tree) applyDeleteLocked(id, cell, lsn uint64) error {
 	if old, ok := t.wbuf.entries[id]; ok {
 		if old.lsn >= lsn {
 			return nil
@@ -159,7 +160,7 @@ func (t *Tree) applyDeleteLocked(id, key, lsn uint64) error {
 		}
 		return nil
 	}
-	inBase, err := t.baseHasLocked(key, id)
+	inBase, err := t.baseHasLocked(cell, id)
 	if err != nil {
 		return err
 	}
@@ -171,42 +172,43 @@ func (t *Tree) applyDeleteLocked(id, key, lsn uint64) error {
 }
 
 // WAL payload encoding. Records carry everything apply needs, so replay
-// never computes a distance: insert = ID, SFC key, object bytes; delete =
-// ID, SFC key (the key lets apply re-check base membership for the live
-// count).
+// never computes a distance: insert = ID, cell word, object bytes; delete =
+// ID, cell word (the cell lets apply re-check base membership for the live
+// count). The cell word is the form the B+-tree stores, so neither writing
+// nor replaying a record runs the curve.
 
 // encodeInsertPayload builds a RecInsert payload.
-func encodeInsertPayload(obj metric.Object, key uint64) []byte {
+func encodeInsertPayload(obj metric.Object, cell uint64) []byte {
 	b := make([]byte, 16, 16+32)
 	binary.LittleEndian.PutUint64(b[0:8], obj.ID())
-	binary.LittleEndian.PutUint64(b[8:16], key)
+	binary.LittleEndian.PutUint64(b[8:16], cell)
 	return obj.AppendBinary(b)
 }
 
 // decodeInsertPayload parses a RecInsert payload back into an object.
-func decodeInsertPayload(codec metric.Codec, p []byte) (obj metric.Object, key uint64, err error) {
+func decodeInsertPayload(codec metric.Codec, p []byte) (obj metric.Object, cell uint64, err error) {
 	if len(p) < 16 {
 		return nil, 0, fmt.Errorf("core: wal insert payload is %d bytes, want ≥ 16", len(p))
 	}
 	id := binary.LittleEndian.Uint64(p[0:8])
-	key = binary.LittleEndian.Uint64(p[8:16])
+	cell = binary.LittleEndian.Uint64(p[8:16])
 	obj, err = codec.Decode(id, p[16:])
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: wal insert payload: %w", err)
 	}
-	return obj, key, nil
+	return obj, cell, nil
 }
 
 // encodeDeletePayload builds a RecDelete payload.
-func encodeDeletePayload(id, key uint64) []byte {
+func encodeDeletePayload(id, cell uint64) []byte {
 	b := make([]byte, 16)
 	binary.LittleEndian.PutUint64(b[0:8], id)
-	binary.LittleEndian.PutUint64(b[8:16], key)
+	binary.LittleEndian.PutUint64(b[8:16], cell)
 	return b
 }
 
 // decodeDeletePayload parses a RecDelete payload.
-func decodeDeletePayload(p []byte) (id, key uint64, err error) {
+func decodeDeletePayload(p []byte) (id, cell uint64, err error) {
 	if len(p) != 16 {
 		return 0, 0, fmt.Errorf("core: wal delete payload is %d bytes, want 16", len(p))
 	}

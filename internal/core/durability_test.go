@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"spbtree/internal/bptree"
@@ -339,13 +341,17 @@ func nextLeaf(t *testing.T, tree *Tree, key uint64) (page.ID, uint64) {
 	)
 	err := tree.bpt.Walk(func(_ int, _ bptree.NodeRef, n *bptree.Node) error {
 		// Walk visits children in order, so leaves come in chain order.
-		if !n.Leaf || found || len(n.Keys) == 0 || n.Keys[len(n.Keys)-1] < key {
+		if !n.Leaf || found || len(n.Cells) == 0 {
+			return nil
+		}
+		lastKey := tree.curve.EncodeCell(n.Cells[len(n.Cells)-1])
+		if lastKey < key {
 			return nil
 		}
 		if !n.HasNext() {
 			return errors.New("the cursor starts on the last leaf")
 		}
-		next, last, found = n.Next, n.Keys[len(n.Keys)-1], true
+		next, last, found = n.Next, lastKey, true
 		return nil
 	})
 	if err == nil && !found {
@@ -468,6 +474,43 @@ func TestVerifyIntegrityCatchesCounterDrift(t *testing.T) {
 	if !found {
 		t.Fatalf("counter drift not reported: %v", ie)
 	}
+}
+
+// TestVerifyIntegrityReportsOutOfKeyOrderLeaf swaps two cells of a leaf —
+// the page checksum stays valid — and requires the audit, which orders
+// entries by the keys of their stored cells, to report the leaf.
+func TestVerifyIntegrityReportsOutOfKeyOrderLeaf(t *testing.T) {
+	tree, _, _, _, _ := faultyTree(t, 600)
+	var leaf page.ID
+	var cells []uint64
+	if err := tree.bpt.Walk(func(_ int, ref bptree.NodeRef, n *bptree.Node) error {
+		if n.Leaf && cells == nil && len(n.Cells) > 2 && n.Cells[1] != n.Cells[2] {
+			leaf, cells = ref.Page, append([]uint64(nil), n.Cells...)
+		}
+		return nil
+	}); err != nil || cells == nil {
+		t.Fatalf("no leaf with two distinct cells: %v", err)
+	}
+	buf := make([]byte, page.Size)
+	if err := tree.idxCache.Read(leaf, buf); err != nil {
+		t.Fatal(err)
+	}
+	const header, entrySize = 8, 16 // node header and leaf entry sizes
+	binary.LittleEndian.PutUint64(buf[header+1*entrySize:], cells[2])
+	binary.LittleEndian.PutUint64(buf[header+2*entrySize:], cells[1])
+	if err := tree.idxCache.Write(leaf, buf); err != nil {
+		t.Fatal(err)
+	}
+	var ie *IntegrityError
+	if err := tree.VerifyIntegrity(); !errors.As(err, &ie) {
+		t.Fatalf("err = %v, want *IntegrityError", err)
+	}
+	for _, c := range ie.Corruptions {
+		if c.Component == "bptree-structure" && strings.Contains(c.Detail, "out of key order") {
+			return
+		}
+	}
+	t.Fatalf("swapped leaf cells not reported: %v", ie)
 }
 
 // buildDir builds a tree whose page stores live as files in dir and persists

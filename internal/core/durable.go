@@ -237,17 +237,17 @@ func OpenDurable(dir string, lopts LoadOptions, dopts DurableOptions) (*Tree, er
 	_, err = wal.Replay(walDir, dopts.FS, applied, func(rec wal.Record) error {
 		switch rec.Type {
 		case wal.RecInsert:
-			obj, key, err := decodeInsertPayload(t.codec, rec.Payload)
+			obj, cell, err := decodeInsertPayload(t.codec, rec.Payload)
 			if err != nil {
 				return err
 			}
-			return t.applyInsertLocked(obj, key, rec.LSN)
+			return t.applyInsertLocked(obj, cell, rec.LSN)
 		case wal.RecDelete:
-			id, key, err := decodeDeletePayload(rec.Payload)
+			id, cell, err := decodeDeletePayload(rec.Payload)
 			if err != nil {
 				return err
 			}
-			return t.applyDeleteLocked(id, key, rec.LSN)
+			return t.applyDeleteLocked(id, cell, rec.LSN)
 		default:
 			return fmt.Errorf("core: wal replay: unknown record type %d at LSN %d", rec.Type, rec.LSN)
 		}
@@ -443,14 +443,14 @@ func (d *durableState) compactOnce(t *Tree) error {
 		if t.deltaShadowed(obj.ID()) {
 			continue
 		}
-		live = append(live, keyed{key: c.Key(), obj: obj})
+		live = append(live, keyed{key: c.Key(), cell: c.Cell(), obj: obj})
 	}
 	if err := c.Err(); err != nil {
 		snapDone()
 		return err
 	}
 	for _, e := range t.wbuf.entries {
-		live = append(live, keyed{key: e.key, obj: e.obj})
+		live = append(live, keyed{key: t.curve.EncodeCell(e.cell), cell: e.cell, obj: e.obj})
 	}
 	countSnap := t.count
 	cmSnap := t.cm.snapshot()

@@ -61,17 +61,17 @@ func newResolverFixture(t *testing.T, delta bool) *resolverFixture {
 func addWriteBuffer(t *testing.T, tree *Tree, base, extra []metric.Object) (live []metric.Object) {
 	t.Helper()
 	tree.wbuf = newDeltaState()
-	key := func(o metric.Object) uint64 {
+	cell := func(o metric.Object) uint64 {
 		vec := make([]float64, len(tree.pivots))
 		tree.phi(o, vec)
 		cells := make(sfc.Point, len(vec))
 		tree.cells(vec, cells)
-		return tree.curve.Encode(cells)
+		return sfc.Pack(cells, tree.bits)
 	}
 	lsn := uint64(0)
 	insert := func(o metric.Object) {
 		lsn++
-		if err := tree.applyInsertLocked(o, key(o), lsn); err != nil {
+		if err := tree.applyInsertLocked(o, cell(o), lsn); err != nil {
 			t.Fatal(err)
 		}
 		live = append(live, o)
@@ -80,7 +80,7 @@ func addWriteBuffer(t *testing.T, tree *Tree, base, extra []metric.Object) (live
 		switch {
 		case i%5 == 2: // tombstone
 			lsn++
-			if err := tree.applyDeleteLocked(o.ID(), key(o), lsn); err != nil {
+			if err := tree.applyDeleteLocked(o.ID(), cell(o), lsn); err != nil {
 				t.Fatal(err)
 			}
 		case i%25 == 0: // re-insert of a base ID

@@ -41,7 +41,6 @@ func (t *Tree) Insert(o metric.Object) error {
 	}
 	cells := make(sfc.Point, n)
 	t.cells(vec, cells)
-	key := t.curve.Encode(cells)
 
 	off, err := t.raf.Append(o)
 	if err != nil {
@@ -50,7 +49,7 @@ func (t *Tree) Insert(o metric.Object) error {
 	if err := t.raf.Flush(); err != nil {
 		return err
 	}
-	if err := t.bpt.Insert(key, off); err != nil {
+	if err := t.bpt.Insert(sfc.Pack(cells, t.bits), off); err != nil {
 		return err
 	}
 	t.count++
@@ -80,16 +79,16 @@ func (t *Tree) Delete(o metric.Object) error {
 	t.phi(o, vec)
 	cells := make(sfc.Point, n)
 	t.cells(vec, cells)
-	key := t.curve.Encode(cells)
+	cell := sfc.Pack(cells, t.bits)
 
-	c := t.bpt.Seek(key)
-	for ; c.Valid() && c.Key() == key; c.Next() {
+	c := t.bpt.Seek(t.curve.EncodeCell(cell))
+	for ; c.Valid() && c.Cell() == cell; c.Next() {
 		obj, err := t.raf.Read(c.Val())
 		if err != nil {
 			return err
 		}
 		if obj.ID() == o.ID() {
-			if err := t.bpt.Delete(key, c.Val()); err != nil {
+			if err := t.bpt.Delete(cell, c.Val()); err != nil {
 				if errors.Is(err, bptree.ErrNotFound) {
 					return fmt.Errorf("%w: index entry vanished for object %d", ErrNotFound, o.ID())
 				}
@@ -124,10 +123,10 @@ func (t *Tree) Get(o metric.Object) (metric.Object, error) {
 	t.phi(o, vec)
 	cells := make(sfc.Point, n)
 	t.cells(vec, cells)
-	key := t.curve.Encode(cells)
+	cell := sfc.Pack(cells, t.bits)
 	if t.wbuf != nil {
 		if e, ok := t.wbuf.entries[o.ID()]; ok {
-			if e.key == key {
+			if e.cell == cell {
 				return e.obj, nil
 			}
 			return nil, fmt.Errorf("%w: id %d", ErrNotFound, o.ID())
@@ -136,8 +135,8 @@ func (t *Tree) Get(o metric.Object) (metric.Object, error) {
 			return nil, fmt.Errorf("%w: id %d", ErrNotFound, o.ID())
 		}
 	}
-	c := t.bpt.Seek(key)
-	for ; c.Valid() && c.Key() == key; c.Next() {
+	c := t.bpt.Seek(t.curve.EncodeCell(cell))
+	for ; c.Valid() && c.Cell() == cell; c.Next() {
 		obj, err := t.raf.Read(c.Val())
 		if err != nil {
 			return nil, err
@@ -172,7 +171,7 @@ func (t *Tree) durableInsert(o metric.Object) error {
 	}
 	cells := make(sfc.Point, n)
 	t.cells(vec, cells)
-	key := t.curve.Encode(cells)
+	cell := sfc.Pack(cells, t.bits)
 	d := t.dur
 	t.mu.RUnlock()
 
@@ -181,7 +180,7 @@ func (t *Tree) durableInsert(o metric.Object) error {
 	// durableState.inflight).
 	d.inflight.RLock()
 	defer d.inflight.RUnlock()
-	lsn, err := d.log.Append(wal.RecInsert, encodeInsertPayload(o, key))
+	lsn, err := d.log.Append(wal.RecInsert, encodeInsertPayload(o, cell))
 	if err != nil {
 		if errors.Is(err, wal.ErrClosed) {
 			return ErrClosed
@@ -197,7 +196,7 @@ func (t *Tree) durableInsert(o metric.Object) error {
 		t.mu.Unlock()
 		return ErrClosed
 	}
-	if err := t.applyInsertLocked(o, key, lsn); err != nil {
+	if err := t.applyInsertLocked(o, cell, lsn); err != nil {
 		t.mu.Unlock()
 		return err
 	}
@@ -224,14 +223,14 @@ func (t *Tree) durableDelete(o metric.Object) error {
 	t.phi(o, vec)
 	cells := make(sfc.Point, n)
 	t.cells(vec, cells)
-	key := t.curve.Encode(cells)
+	cell := sfc.Pack(cells, t.bits)
 	id := o.ID()
 	exists := false
 	if _, ok := t.wbuf.entries[id]; ok {
 		exists = true
 	} else if _, ok := t.wbuf.tombs[id]; !ok {
 		var err error
-		exists, err = t.baseHasLocked(key, id)
+		exists, err = t.baseHasLocked(cell, id)
 		if err != nil {
 			t.mu.RUnlock()
 			return err
@@ -247,7 +246,7 @@ func (t *Tree) durableDelete(o metric.Object) error {
 	// compaction snapshot's watermark.
 	d.inflight.RLock()
 	defer d.inflight.RUnlock()
-	lsn, err := d.log.Append(wal.RecDelete, encodeDeletePayload(id, key))
+	lsn, err := d.log.Append(wal.RecDelete, encodeDeletePayload(id, cell))
 	if err != nil {
 		if errors.Is(err, wal.ErrClosed) {
 			return ErrClosed
@@ -260,7 +259,7 @@ func (t *Tree) durableDelete(o metric.Object) error {
 		t.mu.Unlock()
 		return ErrClosed
 	}
-	if err := t.applyDeleteLocked(id, key, lsn); err != nil {
+	if err := t.applyDeleteLocked(id, cell, lsn); err != nil {
 		t.mu.Unlock()
 		return err
 	}

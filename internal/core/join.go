@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 
+	"spbtree/internal/bptree"
 	"spbtree/internal/metric"
 	"spbtree/internal/sfc"
 )
@@ -170,8 +171,17 @@ func joinMerge(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, s
 	n := len(tq.pivots)
 	var listQ, listO []joinElem
 
+	// The merge orders by key, which each cursor encodes from its cell once
+	// per entry.
 	cq := tq.bpt.SeekFirst()
 	co := to.bpt.SeekFirst()
+	keyOf := func(c *bptree.Cursor) uint64 {
+		if c.Valid() {
+			return c.Key()
+		}
+		return 0
+	}
+	kq, ko := keyOf(cq), keyOf(co)
 	for cq.Valid() || co.Valid() {
 		if err := ctxDone(ctx); err != nil {
 			return err
@@ -189,10 +199,10 @@ func joinMerge(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, s
 		case !cq.Valid():
 			takeQ = false
 		default:
-			takeQ = cq.Key() <= co.Key()
+			takeQ = kq <= ko
 		}
 		if takeQ {
-			elem, err := tq.loadJoinElem(cq.Key(), cq.Val(), eps, n, qs)
+			elem, err := tq.loadJoinElem(kq, cq.Cell(), cq.Val(), eps, n, qs)
 			if err != nil {
 				return err
 			}
@@ -201,6 +211,7 @@ func joinMerge(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, s
 				// live replacement (if any) is paired by joinDelta.
 				qs.TombstonesSkipped++
 				cq.Next()
+				kq = keyOf(cq)
 				continue
 			}
 			if err := sink.verifyJoin(elem, &listO, false); err != nil {
@@ -208,14 +219,16 @@ func joinMerge(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, s
 			}
 			listQ = append(listQ, elem)
 			cq.Next()
+			kq = keyOf(cq)
 		} else {
-			elem, err := to.loadJoinElem(co.Key(), co.Val(), eps, n, qs)
+			elem, err := to.loadJoinElem(ko, co.Cell(), co.Val(), eps, n, qs)
 			if err != nil {
 				return err
 			}
 			if to.deltaShadowed(elem.obj.ID()) {
 				qs.TombstonesSkipped++
 				co.Next()
+				ko = keyOf(co)
 				continue
 			}
 			if err := sink.verifyJoin(elem, &listQ, true); err != nil {
@@ -223,6 +236,7 @@ func joinMerge(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, s
 			}
 			listO = append(listO, elem)
 			co.Next()
+			ko = keyOf(co)
 		}
 	}
 	if err := cq.Err(); err != nil {
@@ -266,11 +280,12 @@ type joinElem struct {
 	rrLo, rrHi   sfc.Point
 }
 
-// loadJoinElem reads the object behind a leaf entry and precomputes its join
-// geometry. The pivot distances come from the quantized cells already stored
-// in the index — no distance computations — so the range region is widened
-// by one cell of slack, keeping Lemma 5 conservative and therefore exact.
-func (t *Tree) loadJoinElem(key, val uint64, eps float64, n int, qs *QueryStats) (joinElem, error) {
+// loadJoinElem reads the object behind the leaf entry (cell, val), whose key
+// is key, and precomputes its join geometry. The pivot distances come from
+// the quantized cells already stored in the index — no distance
+// computations — so the range region is widened by one cell of slack,
+// keeping Lemma 5 conservative and therefore exact.
+func (t *Tree) loadJoinElem(key, cell, val uint64, eps float64, n int, qs *QueryStats) (joinElem, error) {
 	qs.EntriesScanned++
 	obj, err := t.raf.Read(val)
 	if err != nil {
@@ -283,7 +298,7 @@ func (t *Tree) loadJoinElem(key, val uint64, eps float64, n int, qs *QueryStats)
 		rrLo:  make(sfc.Point, n),
 		rrHi:  make(sfc.Point, n),
 	}
-	t.curve.Decode(key, e.cells)
+	sfc.Unpack(cell, t.bits, e.cells)
 	maxCell := uint32(uint64(1)<<t.bits - 1)
 	for i, c := range e.cells {
 		lower := t.cellLower(c) - eps

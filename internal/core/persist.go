@@ -235,7 +235,7 @@ func Open(meta io.Reader, opts OpenOptions) (*Tree, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: truncated B+-tree meta", ErrCorruptMeta)
 	}
-	t.bpt, err = bptree.Open(t.idxCache, bptree.Options{Geometry: curveGeometry{t.curve}}, bm)
+	t.bpt, err = bptree.Open(t.idxCache, bptree.Options{Geometry: t.curve}, bm)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptMeta, err)
 	}

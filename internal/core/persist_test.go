@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"spbtree/internal/metric"
@@ -216,5 +218,38 @@ func TestOpenRejectsGarbage(t *testing.T) {
 		}); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestLoadRejectsPreviousLeafFormat: an index whose B+-tree meta carries the
+// version before cell words (leaves and box corners holding SFC keys) fails
+// Load with ErrCorruptMeta naming the version, instead of reading its keys as
+// cells.
+func TestLoadRejectsPreviousLeafFormat(t *testing.T) {
+	dir := t.TempDir()
+	dist := metric.L2(5)
+	tree := buildDir(t, dir, vectorSet(300, 5, 63), dist)
+	bm := tree.bpt.Meta()
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	metaPath := filepath.Join(dir, MetaFile)
+	raw, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := raw[:len(raw)-12]
+	at := bytes.Index(payload, bm)
+	if at < 0 || bytes.Count(payload, bm) != 1 {
+		t.Fatalf("B+-tree meta found %d times in the tree meta", bytes.Count(payload, bm))
+	}
+	old := append([]byte(nil), payload...)
+	old[at] = 2 // the B+-tree meta version before cell words
+	if err := os.WriteFile(metaPath, appendMetaFooter(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(dir, LoadOptions{Distance: dist, Codec: metric.VectorCodec{Dim: 5}})
+	if !errors.Is(err, ErrCorruptMeta) || !strings.Contains(err.Error(), "meta version 2, want 3") {
+		t.Fatalf("Load = %v, want ErrCorruptMeta naming B+-tree meta version 2", err)
 	}
 }

@@ -12,9 +12,9 @@ import (
 // RangeQuery answers RQ(q, O, r) = {o ∈ O | d(q, o) ≤ r} with the paper's
 // Algorithm 1 (RQA): nodes whose MBBs miss the mapped range region RR(q, r)
 // are pruned (Lemma 1); leaves fully inside RR skip the per-entry region
-// test; sparse intersections are resolved by enumerating the region's SFC
-// values instead of decoding every entry; and Lemma 2 proves some answers
-// without computing their distances.
+// test; sparse intersections are merged with the cells of the leaf MBB ∩ RR
+// (Algorithm 1's computeSFC step, a box test on the stored cells); and
+// Lemma 2 proves some answers without computing their distances.
 //
 // On a storage or corruption error the verified answers found so far are
 // returned (sorted) alongside the non-nil error — objects are never
@@ -83,7 +83,7 @@ func (t *Tree) rangeDelta(ctx context.Context, s *rangeSerial) error {
 			return err
 		}
 		qs.EntriesScanned++
-		t.curve.Decode(e.key, sc.cell)
+		sfc.Unpack(e.cell, t.bits, sc.cell)
 		if !sfc.Contains(sc.rrLo, sc.rrHi, sc.cell) {
 			qs.EntriesPruned++
 			continue // Lemma 1
@@ -102,8 +102,8 @@ func (t *Tree) rangeDelta(ctx context.Context, s *rangeSerial) error {
 	return nil
 }
 
-// rangeTraverse walks the B+-tree, pruning with Lemma 1 and the SFC merge
-// strategies, and hands surviving leaf entries to the sink. A corrupt page
+// rangeTraverse walks the B+-tree, pruning with Lemma 1 and the merge of
+// Algorithm 1, and hands surviving leaf entries to the sink. A corrupt page
 // or cancellation stops the walk; the answers verified so far survive in the
 // sink.
 func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, sc *queryScratch, sink *rangeSerial, qs *QueryStats) error {
@@ -117,8 +117,8 @@ func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, sc *query
 		}
 		ref := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		t.curve.Decode(ref.BoxLo, boxLo)
-		t.curve.Decode(ref.BoxHi, boxHi)
+		sfc.Unpack(ref.BoxLo, t.bits, boxLo)
+		sfc.Unpack(ref.BoxHi, t.bits, boxHi)
 		if !sfc.Intersects(rrLo, rrHi, boxLo, boxHi) {
 			qs.NodesPruned++
 			continue // Lemma 1
@@ -129,8 +129,8 @@ func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, sc *query
 		qs.NodesRead++
 		if !node.Leaf {
 			for _, c := range node.Children {
-				t.curve.Decode(c.BoxLo, boxLo)
-				t.curve.Decode(c.BoxHi, boxHi)
+				sfc.Unpack(c.BoxLo, t.bits, boxLo)
+				sfc.Unpack(c.BoxHi, t.bits, boxHi)
 				if sfc.Intersects(rrLo, rrHi, boxLo, boxHi) {
 					stack = append(stack, c)
 				} else {
@@ -142,75 +142,27 @@ func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, sc *query
 
 		// Leaf handling, Algorithm 1 lines 11-23. boxLo/boxHi still hold
 		// this leaf's MBB — the non-leaf path above continues the loop.
+		// MBB(N) ⊆ RR implies every entry's region test. Otherwise the leaf
+		// is merged with the cells of MBB(N) ∩ RR (lines 14-20) — on the
+		// Z-order curve always, on the Hilbert curve when that box holds
+		// fewer cells than the leaf entries — or scanned with the region
+		// test. The merge scans an entry whose cell lies in the box without
+		// re-testing it and skips the rest; the entries and cells are those
+		// the paper's computeSFC merge (and the Z-order BIGMIN jump) would
+		// reach, read from the stored cells instead of enumerated keys.
 		contained := sfc.Contains(rrLo, rrHi, boxLo) && sfc.Contains(rrLo, rrHi, boxHi)
-		switch {
-		case contained:
-			// MBB(N) ⊆ RR: every entry's region test is implied.
-			for i := range node.Keys {
-				if err := t.scanRQ(ctx, sink, node.Keys[i], node.Vals[i], false, cell, rrLo, rrHi, qs); err != nil {
-					return err
-				}
+		merged := false
+		if !contained && sfc.IntersectBox(rrLo, rrHi, boxLo, boxHi, iLo, iHi) {
+			merged = t.kind == sfc.ZOrder || sfc.BoxVolume(iLo, iHi) < uint64(len(node.Cells))
+		}
+		for i, c := range node.Cells {
+			sfc.Unpack(c, t.bits, cell)
+			if merged && !sfc.Contains(iLo, iHi, cell) {
+				qs.EntriesSkipped++
+				continue
 			}
-		default:
-			merged := false
-			if sfc.IntersectBox(rrLo, rrHi, boxLo, boxHi, iLo, iHi) {
-				if t.kind == sfc.ZOrder {
-					// Z-order leaves support BIGMIN skip scans (Tropf &
-					// Herzog): jump directly to the next entry key inside
-					// the region instead of enumerating cells — the
-					// UB/ZB-tree technique the paper cites as related work.
-					merged = true
-					ei := 0
-					for ei < len(node.Keys) {
-						z, ok := sfc.NextInBox(t.curve, iLo, iHi, node.Keys[ei])
-						if !ok {
-							qs.EntriesSkipped += int64(len(node.Keys) - ei)
-							break
-						}
-						if node.Keys[ei] < z {
-							jump := sort.Search(len(node.Keys)-ei, func(j int) bool { return node.Keys[ei+j] >= z })
-							qs.EntriesSkipped += int64(jump)
-							ei += jump
-							continue
-						}
-						if err := t.scanRQ(ctx, sink, node.Keys[ei], node.Vals[ei], false, cell, rrLo, rrHi, qs); err != nil {
-							return err
-						}
-						ei++
-					}
-				} else if vol := sfc.BoxVolume(iLo, iHi); vol < uint64(len(node.Keys)) {
-					// Hilbert: fewer cells than entries, so enumerate the
-					// region's SFC values and merge with the sorted leaf
-					// entries — no entry outside the region is ever decoded
-					// (Algorithm 1, lines 14-20).
-					keys := sfc.KeysInBox(t.curve, iLo, iHi, len(node.Keys))
-					if keys != nil {
-						merged = true
-						ki, ei := 0, 0
-						for ki < len(keys) && ei < len(node.Keys) {
-							switch {
-							case node.Keys[ei] == keys[ki]:
-								if err := t.scanRQ(ctx, sink, node.Keys[ei], node.Vals[ei], false, cell, rrLo, rrHi, qs); err != nil {
-									return err
-								}
-								ei++
-							case node.Keys[ei] > keys[ki]:
-								ki++
-							default:
-								qs.EntriesSkipped++
-								ei++
-							}
-						}
-						qs.EntriesSkipped += int64(len(node.Keys) - ei)
-					}
-				}
-			}
-			if !merged {
-				for i := range node.Keys {
-					if err := t.scanRQ(ctx, sink, node.Keys[i], node.Vals[i], true, cell, rrLo, rrHi, qs); err != nil {
-						return err
-					}
-				}
+			if err := t.scanRQ(ctx, sink, node.Vals[i], !contained && !merged, cell, rrLo, rrHi, qs); err != nil {
+				return err
 			}
 		}
 	}
@@ -222,17 +174,17 @@ func sortByID(results []Result) {
 	sort.Slice(results, func(i, j int) bool { return results[i].Object.ID() < results[j].Object.ID() })
 }
 
-// scanRQ is the traversal side of VerifyRQ (Algorithm 1): cancellation
-// check, scan count, and the optional Lemma 1 region re-check; the surviving
-// candidate goes to the sink, which verifies it. The ctx check here gives
-// verification-batch granularity: a canceled query stops before the next RAF
-// page read and distance computation.
-func (t *Tree) scanRQ(ctx context.Context, sink *rangeSerial, key, val uint64, checkRegion bool, cell, rrLo, rrHi sfc.Point, qs *QueryStats) error {
+// scanRQ is the traversal side of VerifyRQ (Algorithm 1) for the entry val
+// with unpacked cell: cancellation check, scan count, and the optional
+// Lemma 1 region re-check; the surviving candidate goes to the sink, which
+// verifies it. The ctx check here gives verification-batch granularity: a
+// canceled query stops before the next RAF page read and distance
+// computation.
+func (t *Tree) scanRQ(ctx context.Context, sink *rangeSerial, val uint64, checkRegion bool, cell, rrLo, rrHi sfc.Point, qs *QueryStats) error {
 	if err := ctxDone(ctx); err != nil {
 		return err
 	}
 	qs.EntriesScanned++
-	t.curve.Decode(key, cell)
 	if checkRegion && !sfc.Contains(rrLo, rrHi, cell) {
 		qs.EntriesPruned++
 		return nil // Lemma 1

@@ -42,7 +42,7 @@ func (t *Tree) Rebuild(indexStore, dataStore page.Store) error {
 		if err != nil {
 			return err
 		}
-		live = append(live, keyed{key: c.Key(), obj: obj})
+		live = append(live, keyed{key: c.Key(), cell: c.Cell(), obj: obj})
 	}
 	if err := c.Err(); err != nil {
 		return err

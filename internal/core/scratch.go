@@ -11,8 +11,8 @@ import (
 )
 
 // queryScratch holds everything one query builds that depends only on the
-// query or is reused block after block — the pivot distances, the SFC cell
-// and box buffers, the decoded node, the kNN frontier and result heap, the
+// query or is reused block after block — the pivot distances, the cell and
+// box buffers, the decoded node, the kNN frontier and result heap, the
 // candidate block with its decode slots and the prepared distance kernel — so
 // the read path allocates per accepted candidate, not per node, block or
 // verified candidate (DESIGN.md §9.7). A scratch belongs to one query at a time and is recycled
@@ -24,7 +24,7 @@ type queryScratch struct {
 	boxLo, boxHi, cell, rrLo, rrHi, iLo, iHi sfc.Point
 
 	node  bptree.Node
-	cells []uint32 // a leaf's keys, block-decoded: entry i at [i*dims, (i+1)*dims)
+	cells []uint32 // a leaf's cells, unpacked: entry i at [i*dims, (i+1)*dims)
 	pq    frontier
 	res   knnResults
 	blk   candBlock
@@ -75,24 +75,27 @@ func (sc *queryScratch) kernel(t *Tree, q metric.Object) metric.PreparedQuery {
 	return sc.prep
 }
 
-// readNode decodes node id into sc.node; a leaf's keys are decoded into
-// sc.cells in one block call.
+// readNode decodes node id into sc.node; a leaf's cell words are unpacked
+// into sc.cells, a shift and mask per coordinate.
 func (t *Tree) readNode(sc *queryScratch, id page.ID) error {
 	if err := t.bpt.ReadNode(id, &sc.node); err != nil {
 		return err
 	}
 	if sc.node.Leaf {
-		n := len(sc.node.Keys) * len(sc.cell)
+		dims := len(sc.cell)
+		n := len(sc.node.Cells) * dims
 		if cap(sc.cells) < n {
 			sc.cells = make([]uint32, n)
 		}
 		sc.cells = sc.cells[:n]
-		t.curve.DecodeBlock(sc.node.Keys, sc.cells)
+		for i, c := range sc.node.Cells {
+			sfc.Unpack(c, t.bits, sc.cells[i*dims:(i+1)*dims])
+		}
 	}
 	return nil
 }
 
-// cellAt returns the decoded cell of the current leaf's entry i.
+// cellAt returns the unpacked cell of the current leaf's entry i.
 func (sc *queryScratch) cellAt(i int) sfc.Point {
 	n := len(sc.cell)
 	return sc.cells[i*n : (i+1)*n : (i+1)*n]
@@ -101,8 +104,8 @@ func (sc *queryScratch) cellAt(i int) sfc.Point {
 // pushBox pushes a node reference onto the frontier if its MBB's MIND is
 // within bound (Lemma 3), counting the push or the prune.
 func (t *Tree) pushBox(sc *queryScratch, ref bptree.NodeRef, bound float64, qs *QueryStats) {
-	t.curve.Decode(ref.BoxLo, sc.boxLo)
-	t.curve.Decode(ref.BoxHi, sc.boxHi)
+	sfc.Unpack(ref.BoxLo, t.bits, sc.boxLo)
+	sfc.Unpack(ref.BoxHi, t.bits, sc.boxHi)
 	if mind := t.mindToBox(sc.qvec, sc.boxLo, sc.boxHi); mind <= bound {
 		sc.pq.push(mindItem{mind: mind, ref: uint64(ref.Page), tag: tagNode})
 		qs.HeapPushes++
@@ -138,7 +141,7 @@ func (t *Tree) pushNode(sc *queryScratch, bound float64, qs *QueryStats) {
 func (t *Tree) seedDelta(sc *queryScratch, qs *QueryStats) {
 	for _, e := range t.deltaEntriesSorted() {
 		qs.EntriesScanned++
-		t.curve.Decode(e.key, sc.cell)
+		sfc.Unpack(e.cell, t.bits, sc.cell)
 		sc.pq.pushDelta(t.mindToCell(sc.qvec, sc.cell), e.obj)
 		qs.HeapPushes++
 	}

@@ -263,7 +263,8 @@ func Build(objs []metric.Object, opts Options) (*Tree, error) {
 		}
 		t.cm.observe(vec, rng)
 		t.cells(vec, cells)
-		ms[i] = keyed{key: t.curve.Encode(cells), obj: o}
+		cell := sfc.Pack(cells, t.bits)
+		ms[i] = keyed{key: t.curve.EncodeCell(cell), cell: cell, obj: o}
 	}
 	// Second stage: RAF in ascending SFC order, then the B+-tree
 	// bulk-loaded with (key, offset).
@@ -280,10 +281,10 @@ func Build(objs []metric.Object, opts Options) (*Tree, error) {
 	return t, nil
 }
 
-// keyed is one live object under its SFC key.
+// keyed is one live object under its SFC key and cell word.
 type keyed struct {
-	key uint64
-	obj metric.Object
+	key, cell uint64
+	obj       metric.Object
 }
 
 // sortKeyed orders by SFC value; ties broken by id for determinism.
@@ -306,9 +307,10 @@ type substrates struct {
 	raf                 *raf.File
 }
 
-// bulkLoad builds fresh substrates over the two stores and loads live into
-// them: the objects appended to the RAF in the order given, the RAF flushed,
-// the B+-tree bulk-loaded with the sorted (key, offset) pairs. Every page
+// bulkLoad builds fresh substrates over the two stores and loads live, in
+// key order, into them: the objects appended to the RAF in the order given,
+// the RAF flushed, the B+-tree bulk-loaded with the (cell, offset) entries,
+// which are (key, offset) sorted because the offsets ascend. Every page
 // write is checksummed below the buffer cache, so cache misses validate the
 // bytes the moment they come off the store. The stores stay the caller's to
 // close, on failure too.
@@ -319,23 +321,23 @@ func bulkLoad(idxStore, dataStore page.Store, idxCap, dataCap int, curve sfc.Cur
 	s.idxCache = page.NewCache(s.idxSums, idxCap)
 	s.dataCache = page.NewCache(s.dataSums, dataCap)
 	var err error
-	if s.bpt, err = bptree.New(s.idxCache, bptree.Options{Geometry: curveGeometry{curve}}); err != nil {
+	if s.bpt, err = bptree.New(s.idxCache, bptree.Options{Geometry: curve}); err != nil {
 		return s, err
 	}
 	s.raf = raf.New(s.dataCache, codec)
-	entries := make([]bptree.Pair, len(live))
+	entries := make([]bptree.Entry, len(live))
+	keys := make([]uint64, len(live))
 	for i, e := range live {
 		off, err := s.raf.Append(e.obj)
 		if err != nil {
 			return s, err
 		}
-		entries[i] = bptree.Pair{Key: e.key, Val: off}
+		entries[i], keys[i] = bptree.Entry{Cell: e.cell, Val: off}, e.key
 	}
 	if err := s.raf.Flush(); err != nil {
 		return s, err
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
-	return s, s.bpt.BulkLoad(entries)
+	return s, s.bpt.BulkLoad(entries, keys)
 }
 
 // adopt switches the tree onto s and its count of live objects.
@@ -576,10 +578,3 @@ func (t *Tree) Measure(fn func() error) (Stats, error) {
 	s.Elapsed = time.Since(start)
 	return s, err
 }
-
-// curveGeometry adapts sfc.Curve to bptree.Geometry.
-type curveGeometry struct{ c sfc.Curve }
-
-func (g curveGeometry) Dims() int                   { return g.c.Dims() }
-func (g curveGeometry) Decode(k uint64, p []uint32) { g.c.Decode(k, sfc.Point(p)) }
-func (g curveGeometry) Encode(p []uint32) uint64    { return g.c.Encode(sfc.Point(p)) }

@@ -51,15 +51,16 @@ type QueryStats struct {
 	// NodesPruned counts subtrees discarded by their MBB: the Lemma 1
 	// region test for range queries, the Lemma 3 MIND bound for kNN.
 	NodesPruned int64
-	// EntriesScanned counts leaf entries examined (their SFC key decoded).
+	// EntriesScanned counts leaf entries examined (their stored cell
+	// unpacked).
 	EntriesScanned int64
 	// EntriesPruned counts examined entries discarded by the pivot filter
 	// without touching the object: the per-entry Lemma 1 region test, the
 	// per-entry Lemma 3 MIND bound, or the join's Lemma 5 cell test.
 	EntriesPruned int64
-	// EntriesSkipped counts leaf entries never examined at all thanks to
-	// the SFC merge step (Algorithm 1 lines 14-20), BIGMIN skip scans, or
-	// the join's Lemma 6 key window.
+	// EntriesSkipped counts leaf entries the range merge step (Algorithm 1
+	// lines 14-20) passes over because their cell lies outside MBB ∩ RR,
+	// or the join's Lemma 6 key window excludes.
 	EntriesSkipped int64
 	// HeapPushes counts admissions to the kNN traversal's frontier: node
 	// references, buffered inserts and, under a verification budget, leaf

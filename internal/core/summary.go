@@ -46,8 +46,8 @@ func (t *Tree) summaryLocked() ShardSummary {
 	if root, ok := t.bpt.Root(); ok {
 		bl := make(sfc.Point, n)
 		bh := make(sfc.Point, n)
-		t.curve.Decode(root.BoxLo, bl)
-		t.curve.Decode(root.BoxHi, bh)
+		sfc.Unpack(root.BoxLo, t.bits, bl)
+		sfc.Unpack(root.BoxHi, t.bits, bh)
 		for i := 0; i < n; i++ {
 			lo[i] = t.cellLower(bl[i])
 			hi[i] = t.cellUpper(bh[i])
@@ -56,7 +56,7 @@ func (t *Tree) summaryLocked() ShardSummary {
 	if t.deltaActive() {
 		cell := make(sfc.Point, n)
 		for _, e := range t.deltaEntriesSorted() {
-			t.curve.Decode(e.key, cell)
+			sfc.Unpack(e.cell, t.bits, cell)
 			for i := 0; i < n; i++ {
 				if l := t.cellLower(cell[i]); l < lo[i] {
 					lo[i] = l

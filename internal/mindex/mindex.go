@@ -127,19 +127,20 @@ func Build(objs []metric.Object, opts Options) (*Tree, error) {
 		}
 		return ms[i].rec.obj.ID() < ms[j].rec.obj.ID()
 	})
-	entries := make([]bptree.Pair, len(ms))
+	// The tree has no Geometry, so an entry's stored word is its key. The
+	// RAF offsets ascend in key order, so the entries are (key, val) sorted.
+	entries := make([]bptree.Entry, len(ms))
 	for i, m := range ms {
 		off, err := t.raf.Append(m.rec)
 		if err != nil {
 			return nil, err
 		}
-		entries[i] = bptree.Pair{Key: m.key, Val: off}
+		entries[i] = bptree.Entry{Cell: m.key, Val: off}
 	}
 	if err := t.raf.Flush(); err != nil {
 		return nil, err
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Less(entries[j]) })
-	if err := t.bpt.BulkLoad(entries); err != nil {
+	if err := t.bpt.BulkLoad(entries, nil); err != nil {
 		return nil, err
 	}
 	t.count = len(objs)

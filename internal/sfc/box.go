@@ -1,9 +1,6 @@
 package sfc
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // BoxVolume returns the number of grid cells in the axis-aligned box
 // [lo, hi] (inclusive corners), or 0 if the box is empty. The result
@@ -25,40 +22,6 @@ func BoxVolume(lo, hi Point) uint64 {
 		vol *= side
 	}
 	return vol
-}
-
-// KeysInBox returns the curve keys of every grid cell in the inclusive box
-// [lo, hi], sorted ascending. It is the computeSFC step of the paper's range
-// query algorithm (Algorithm 1, line 15), invoked only when the box holds
-// fewer cells than a leaf node holds entries, so enumeration stays cheap.
-// The limit argument bounds the enumeration; if the box volume exceeds it,
-// KeysInBox returns nil to signal the caller to fall back to per-entry
-// verification.
-func KeysInBox(c Curve, lo, hi Point, limit int) []uint64 {
-	vol := BoxVolume(lo, hi)
-	if vol == 0 || (limit >= 0 && vol > uint64(limit)) {
-		return nil
-	}
-	keys := make([]uint64, 0, vol)
-	cur := make(Point, len(lo))
-	copy(cur, lo)
-	for {
-		keys = append(keys, c.Encode(cur))
-		// Odometer increment across dimensions.
-		i := len(cur) - 1
-		for ; i >= 0; i-- {
-			if cur[i] < hi[i] {
-				cur[i]++
-				break
-			}
-			cur[i] = lo[i]
-		}
-		if i < 0 {
-			break
-		}
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	return keys
 }
 
 // Contains reports whether point p lies in the inclusive box [lo, hi].

@@ -2,38 +2,42 @@ package sfc
 
 import "sync"
 
-// maxTableDims is the largest dimensionality whose Hilbert decode runs
+// maxTableDims is the largest dimensionality whose Hilbert encode runs
 // through a state table: dims! × 2^dims entries is 3 840 (15 KB) at 5 and
 // 46 080 (180 KB) at 6, past what stays in a core's L1 cache.
 const maxTableDims = 5
 
-// hilbertTable is Skilling's inverse (transposeToAxes) run top-down, one
-// dims-bit digit per level instead of one bit per level and dimension.
+// hilbertTable is the forward state table of the Hilbert curve: the encoder
+// runs Skilling's inverse (transposeToAxes, the decode direction) top-down
+// and backwards, one dims-bit digit per level instead of one bit per level
+// and dimension.
 //
-// After the Gray decode, Skilling's loop visits levels from the bottom; the
-// step at level l reads the Gray digit g_l (the level-l bits of every
-// dimension, which no earlier step touched) and applies to every lower level
-// the same signed permutation T(g_l) of the dimensions — exchanges with
-// dimension 0 and inversions of it. So the output digit at level l is
-// S_l(g_l) with S_l = T(g_{b-1}) ∘ … ∘ T(g_{l+1}), and S_{l-1} = S_l ∘ T(g_l).
-// A signed permutation is a permutation π of the digit's bits and a flip
-// mask f; composing, S ∘ T has permutation π_T∘π_S and flip
-// f_S ^ π_S(f_T). The flip mask needs no table: the decoder keeps it in a
-// register. The table, indexed by (state π_S, digit g), holds the three
-// things one level needs:
+// After the Gray decode, Skilling's inverse visits levels from the bottom;
+// the step at level l reads the Gray digit g_l (the level-l bits of every
+// dimension, which no earlier step touched) and applies to every lower
+// level the same signed permutation T(g_l) of the dimensions — exchanges
+// with dimension 0 and inversions of it. So the coordinate digit at level l
+// is c_l = S_l(g_l) with S_l = T(g_{b-1}) ∘ … ∘ T(g_{l+1}), and
+// S_{l-1} = S_l ∘ T(g_l). A signed permutation is a permutation π of the
+// digit's bits and a flip mask f; composing, S ∘ T has permutation π_T∘π_S
+// and flip f_S ^ π_S(f_T). The flip mask needs no table: the encoder keeps
+// it in a register. Given c_l and f, π_S(g_l) = c_l ^ f, so the table,
+// indexed by (state π_S, c_l ^ f), holds the three things one level needs:
 //
-//	bits [0, dims)        π_S(g), the output digit before the flip mask
-//	bits [dims, 2·dims)   π_S(f_T(g)), the flip-mask delta
+//	bits [0, dims)        g_l, the Gray digit
+//	bits [dims, 2·dims)   π_S(f_T(g_l)), the flip-mask delta
 //	bits [2·dims, …)      the next state's index, premultiplied by 2^dims
 //
-// Digits use the key's bit order: dimension i is bit dims-1-i.
+// Digits use the key's bit order: dimension i is bit dims-1-i. The Gray
+// digits come out top-down, and the key is their inverse Gray code.
 type hilbertTable []uint32
 
-// hilbertTables shares one table per dimensionality across the process.
+// hilbertTables shares one forward table per dimensionality across the
+// process.
 var hilbertTables sync.Map
 
-// hilbertTableFor returns the state table of a dims-dimensional curve, or nil
-// above maxTableDims.
+// hilbertTableFor returns the forward state table of a dims-dimensional
+// curve, or nil above maxTableDims.
 func hilbertTableFor(dims int) hilbertTable {
 	if dims > maxTableDims {
 		return nil
@@ -54,40 +58,44 @@ func hilbertTableFor(dims int) hilbertTable {
 			for k := 0; k < dims; k++ {
 				next[k] = pt[ps[k]]
 			}
-			out, delta := permuteBits(ps, g, dims), permuteBits(ps, ft, dims)
-			tab[s<<dims|int(g)] = out | delta<<dims | index[next]<<dims<<(2*dims)
+			digit, delta := permuteBits(ps, g, dims), permuteBits(ps, ft, dims)
+			tab[s<<dims|int(digit)] = g | delta<<dims | index[next]<<dims<<(2*dims)
 		}
 	}
 	t, _ := hilbertTables.LoadOrStore(dims, tab)
 	return t.(hilbertTable)
 }
 
-// transposed returns key's transposed Hilbert index, interleaved like a key:
-// the de-interleaved output equals transposeToAxes of the de-interleaved
-// input. Key bits at or above dims*bits are ignored.
-func (tab hilbertTable) transposed(key uint64, dims, bits int) uint64 {
+// key returns the Hilbert key of the point whose coordinates are
+// interleaved in coords (a cell word through packTable). Bits at or above
+// dims*bits are ignored.
+func (tab hilbertTable) key(coords uint64, dims, bits int) uint64 {
 	// Shift counts are masked to their range so that they compile to bare
 	// shifts: dims ≤ maxTableDims and 0 < dims*bits ≤ 64.
 	n := uint(dims) & 7
 	width := uint(dims * bits)
-	key &= ^uint64(0) >> ((64 - width) & 63)
-	g := key ^ key>>1 // Skilling's Gray decode, across every dimension at once
 	dmask := uint32(1)<<n - 1
-	var out uint64
+	var g uint64
 	var flip, state uint32
 	for sh := width; sh > 0; {
 		sh -= n
-		e := tab[state|uint32(g>>(sh&63))&dmask]
-		out = out<<n | uint64(e&dmask^flip)
+		e := tab[state|(uint32(coords>>(sh&63))&dmask^flip)]
+		g = g<<n | uint64(e&dmask)
 		flip ^= e >> n & dmask
 		state = e >> (2 * n)
 	}
-	return out
+	// Undo the Gray decode g = key ^ key>>1: each key bit is the XOR of the
+	// Gray bits at and above it.
+	for s := uint(1); s < 64; s <<= 1 {
+		g ^= g >> s
+	}
+	return g
 }
 
-// skillingStep returns the signed permutation one level of transposeToAxes
-// applies to the levels below it, given that level's Gray digit g: output bit
-// k of the map is input bit perm[k] XOR bit k of flip.
+// skillingStep returns the signed permutation one level of Skilling's
+// inverse (transposeToAxes) applies to the levels below it, given that
+// level's Gray digit g: output bit k of the map is input bit perm[k] XOR bit
+// k of flip.
 func skillingStep(g uint32, dims int) (perm [maxTableDims]uint8, flip uint32) {
 	for k := range perm[:dims] {
 		perm[k] = uint8(k)

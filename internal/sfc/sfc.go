@@ -18,6 +18,11 @@ import (
 type Point []uint32
 
 // Curve is a bijection between grid points and one-dimensional keys.
+//
+// A point is also held as its cell word (Pack): dimension d's coordinate at
+// bits [d·Bits, (d+1)·Bits) of a uint64. The cell word is what the B+-tree
+// and the write-ahead log store; the key only orders it, so no caller maps a
+// key back to its point.
 type Curve interface {
 	// Dims returns the grid dimensionality.
 	Dims() int
@@ -25,16 +30,30 @@ type Curve interface {
 	Bits() int
 	// Encode maps a point to its curve key. Coordinates must be < 1<<Bits.
 	Encode(p Point) uint64
-	// Decode fills p (which must have length Dims) with the coordinates of
-	// the given key.
-	Decode(key uint64, p Point)
-	// DecodeBlock decodes every key in one call: the coordinates of keys[i]
-	// land in out[i*Dims : (i+1)*Dims], exactly as Decode would fill them.
-	// out must have length len(keys)*Dims. Traversals decode a whole leaf's
-	// keys this way.
-	DecodeBlock(keys []uint64, out []uint32)
+	// EncodeCell returns the key of the point whose cell word is cell:
+	// Encode of Unpack(cell). Cell bits at or above Dims·Bits are ignored.
+	EncodeCell(cell uint64) uint64
 	// Name returns "hilbert" or "zorder".
 	Name() string
+}
+
+// Pack returns the cell word of p: p[d] at bits [d·bits, (d+1)·bits).
+// Coordinates must be < 1<<bits and len(p)·bits ≤ 64.
+func Pack(p Point, bits int) uint64 {
+	var cell uint64
+	for d, v := range p {
+		cell |= uint64(v) << (d * bits)
+	}
+	return cell
+}
+
+// Unpack fills p with the coordinates of cell word cell, one shift and mask
+// per dimension: the inverse of Pack.
+func Unpack(cell uint64, bits int, p Point) {
+	mask := uint64(1)<<bits - 1
+	for d := range p {
+		p[d] = uint32(cell >> (d * bits) & mask)
+	}
 }
 
 // Kind selects a curve family.
@@ -66,9 +85,9 @@ func New(kind Kind, dims, bits int) Curve {
 	validate(dims, bits)
 	switch kind {
 	case Hilbert:
-		return &hilbertCurve{dims: dims, bits: bits, tab: unpackTableFor(dims, bits), states: hilbertTableFor(dims)}
+		return &hilbertCurve{dims: dims, bits: bits, pack: packTableFor(dims, bits), fwd: hilbertTableFor(dims)}
 	case ZOrder:
-		return &zorderCurve{dims: dims, bits: bits, tab: unpackTableFor(dims, bits)}
+		return &zorderCurve{dims: dims, bits: bits, pack: packTableFor(dims, bits)}
 	default:
 		panic(fmt.Sprintf("sfc: unknown curve kind %d", kind))
 	}
@@ -90,56 +109,50 @@ func checkPoint(c Curve, p Point) {
 	if len(p) != c.Dims() {
 		panic(fmt.Sprintf("sfc: point has %d dims, curve has %d", len(p), c.Dims()))
 	}
-	limit := uint32(1) << c.Bits()
+	limit := uint64(1) << c.Bits()
 	for i, v := range p {
-		if v >= limit {
+		if uint64(v) >= limit {
 			panic(fmt.Sprintf("sfc: coordinate %d = %d out of range [0, %d)", i, v, limit))
 		}
 	}
 }
 
-// unpackTable de-interleaves keys of one (dims, bits) grid a byte at a time:
-// row j maps the value of key byte j to where its bits land, with dimension
-// d's coordinate packed at bits [d*bits, (d+1)*bits) of the word — dims*bits
-// ≤ 64, so a whole point fits. OR-ing one lookup per key byte replaces the
-// dims*bits-iteration bit loop (two divisions per bit) on the per-entry path
-// of every traversal. Key bits at or above dims*bits are ignored.
-type unpackTable [][256]uint64
+// packTable interleaves the cell words of one (dims, bits) grid a byte at a
+// time: row j maps the value of cell byte j to where its bits land in the
+// interleaved key, in which key bit pos is level pos/dims of dimension
+// dims-1-pos%dims. OR-ing one lookup per cell byte replaces the
+// dims*bits-iteration bit loop. Cell bits at or above dims*bits are ignored.
+type packTable [][256]uint64
 
-// unpackTables shares one table per (dims, bits) across every curve of the
+// packTables shares one table per (dims, bits) across every curve of the
 // process (a forest's shards all use the same grid).
-var unpackTables sync.Map
+var packTables sync.Map
 
-func unpackTableFor(dims, bits int) unpackTable {
+func packTableFor(dims, bits int) packTable {
 	id := dims<<8 | bits
-	if t, ok := unpackTables.Load(id); ok {
-		return t.(unpackTable)
+	if t, ok := packTables.Load(id); ok {
+		return t.(packTable)
 	}
-	tab := make(unpackTable, (dims*bits+7)/8)
+	tab := make(packTable, (dims*bits+7)/8)
 	for j := range tab {
 		for v := 0; v < 256; v++ {
 			for b := 0; b < 8 && 8*j+b < dims*bits; b++ {
 				if v>>b&1 != 0 {
-					pos := 8*j + b
-					level, dim := pos/dims, dims-1-pos%dims
-					tab[j][v] |= 1 << (dim*bits + level)
+					dim, level := (8*j+b)/bits, (8*j+b)%bits
+					tab[j][v] |= 1 << (level*dims + dims - 1 - dim)
 				}
 			}
 		}
 	}
-	t, _ := unpackTables.LoadOrStore(id, tab)
-	return t.(unpackTable)
+	t, _ := packTables.LoadOrStore(id, tab)
+	return t.(packTable)
 }
 
-// deinterleave splits key into per-dimension coordinates: the bit at key
-// position pos belongs to level pos/dims of dimension dims-1-pos%dims.
-func (tab unpackTable) deinterleave(key uint64, x []uint32, bits int) {
-	var packed uint64
+// key returns the interleaved key of cell word cell.
+func (tab packTable) key(cell uint64) uint64 {
+	var key uint64
 	for j := range tab {
-		packed |= tab[j][byte(key>>(8*j))]
+		key |= tab[j][byte(cell>>(8*j))]
 	}
-	mask := uint64(1)<<bits - 1
-	for d := range x {
-		x[d] = uint32(packed >> (d * bits) & mask)
-	}
+	return key
 }

@@ -7,7 +7,7 @@ package sfc
 // for similarity joins.
 type zorderCurve struct {
 	dims, bits int
-	tab        unpackTable
+	pack       packTable
 }
 
 func (z *zorderCurve) Dims() int    { return z.dims }
@@ -17,31 +17,10 @@ func (z *zorderCurve) Name() string { return "zorder" }
 // Encode maps a grid point to its Z-order key.
 func (z *zorderCurve) Encode(p Point) uint64 {
 	checkPoint(z, p)
-	var key uint64
-	for l := z.bits - 1; l >= 0; l-- {
-		for i := 0; i < z.dims; i++ {
-			key = key<<1 | uint64((p[i]>>l)&1)
-		}
-	}
-	return key
+	return z.pack.key(Pack(p, z.bits))
 }
 
-// Decode fills p with the coordinates of key.
-func (z *zorderCurve) Decode(key uint64, p Point) {
-	if len(p) != z.dims {
-		panic("sfc: Decode point has wrong dimensionality")
-	}
-	z.tab.deinterleave(key, p, z.bits)
-}
-
-// DecodeBlock implements Curve.
-func (z *zorderCurve) DecodeBlock(keys []uint64, out []uint32) {
-	if len(out) != len(keys)*z.dims {
-		panic("sfc: DecodeBlock output has wrong length")
-	}
-	for i, key := range keys {
-		z.tab.deinterleave(key, out[i*z.dims:(i+1)*z.dims], z.bits)
-	}
-}
+// EncodeCell implements Curve.
+func (z *zorderCurve) EncodeCell(cell uint64) uint64 { return z.pack.key(cell) }
 
 var _ Curve = (*zorderCurve)(nil)
