@@ -124,8 +124,9 @@ func TestKernelsWiredIn(t *testing.T) {
 }
 
 // TestBatchStressQueriesMutation hammers batch-path queries (parallel range
-// and kNN, which exercise ReadBatch + blocked verification concurrently with
-// the RAF) against concurrent inserts and compactions on a durable tree.
+// and kNN, which exercise the raw record copies and blocked verification
+// concurrently with the RAF) against concurrent inserts and compactions on a
+// durable tree.
 // Run with -race it is the batch read path's data-race check; functionally
 // it pins that batch verification keeps answering correctly while the RAF
 // underneath it is being rewritten.

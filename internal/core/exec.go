@@ -2,11 +2,12 @@
 // on its caller's goroutine: the traversal admits candidates, and those that
 // can be verified together — a range query's pending block, a kNN leaf, a
 // budgeted search's run of entry pops, a graph expansion — are resolved by
-// resolveBlock: one coalesced RAF read (or, for a budgeted search's pops, a
-// decode of the records their runs copied), the write buffer's
-// tombstone filter, one call of the query's prepared kernel. It is the only
-// place on the query path where a record is decoded and a distance
-// evaluated.
+// resolveBlock: the block's raw records (copied from the RAF in one pass over
+// their pages, or, for a budgeted search's pops, taken from the copies their
+// runs made), the write buffer's tombstone filter on the record headers, the
+// query's prepared kernel on each payload, and a decode of only what the
+// kernel accepts or Lemma 2 proves. It is the only place on the query path
+// where a record is decoded and a distance evaluated.
 // Each caller then commits the verdicts in scan order under its own rule
 // (fixed radius, prune on crossing the bound, terminate on crossing it), which
 // is what keeps results and every counter identical to verifying the
@@ -14,13 +15,17 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"spbtree/internal/metric"
+	"spbtree/internal/raf"
 	"spbtree/internal/sfc"
 )
 
 // rangeBatchSize is how many surviving candidates a range traversal buffers
-// per block — large enough for ReadBatch to coalesce a leaf's page-sharing
-// records.
+// per block — large enough for one copy pass to read a leaf's page-sharing
+// records from one page fetch.
 const rangeBatchSize = 16
 
 // candidate is one entry a traversal admitted for verification: a base leaf
@@ -28,11 +33,13 @@ const rangeBatchSize = 16
 // already in memory. bound is what the filter proved about its distance: the
 // MIND lower bound for kNN, and for a range candidate with
 // proved set the Lemma 2 upper bound that includes it without a distance
-// computation. A budgeted search's pop has its record already copied: rec is
-// its runEntry.rec, non-zero.
+// computation. An exact kNN leaf's entry carries its cell word instead, which
+// its commit tests against the window of the live bound. A budgeted search's
+// pop has its record already copied: rec is its runEntry.rec, non-zero.
 type candidate struct {
 	bound  float64
 	val    uint64
+	cell   uint64
 	obj    metric.Object
 	rec    uint32
 	proved bool
@@ -44,7 +51,9 @@ type candidate struct {
 // A base candidate's object is borrowed: it is a decode slot that the next
 // resolveBlock overwrites, good for evaluating the candidate and reading its
 // ID. A caller that accepts the candidate — into a result list, the kNN heap,
-// the graph search's node table — takes the object with keep.
+// the graph search's node table — takes the object with keep. Only a
+// candidate that is within the bound, proved by Lemma 2 or a buffered insert
+// has an object; the others were rejected on their payload.
 type candBlock struct {
 	cands  []candidate
 	objs   []metric.Object
@@ -54,15 +63,16 @@ type candBlock struct {
 	d      []float64
 	within []bool
 
-	// Compact staging for the coalesced read and the kernel call. readObjs
-	// are the decode slots, kept from block to block and query to query.
-	offsets   []uint64
-	readObjs  []metric.Object
-	readPlens []int
-	probeIdx  []int
-	probeObjs []metric.Object
-	pd        []float64
-	pw        []bool
+	// The raw records, header and payload, that fetchRecords copied from
+	// the RAF: base candidate i's starts at raw[recAt[i]] unless its record
+	// is in the query's record arena. offsets and order stage the copy in
+	// offset order. readObjs are the decode slots, kept from block to block
+	// and query to query.
+	raw      []byte
+	recAt    []int
+	offsets  []uint64
+	order    []int
+	readObjs []metric.Object
 }
 
 // grow sizes the per-candidate slices for n candidates; the decode slots
@@ -78,12 +88,7 @@ func (b *candBlock) grow(n int) {
 		b.slot = make([]int, n)
 		b.d = make([]float64, n)
 		b.within = make([]bool, n)
-		b.offsets = make([]uint64, n)
-		b.readPlens = make([]int, n)
-		b.probeIdx = make([]int, n)
-		b.probeObjs = make([]metric.Object, n)
-		b.pd = make([]float64, n)
-		b.pw = make([]bool, n)
+		b.recAt = make([]int, n)
 	}
 }
 
@@ -98,89 +103,135 @@ func (b *candBlock) keep(i int) metric.Object {
 	return b.objs[i]
 }
 
-// resolveBlock resolves sc.blk.cands: the base candidates' records are
-// decoded into the block's decode slots (see candBlock: the objects are
-// borrowed) from the query's record arena when their run was copied, and
-// from one coalesced RAF read otherwise; buffered inserts bring their
-// object, records the write buffer supersedes are marked tomb, and the rest
-// — except candidates already proved — are evaluated against bound by one
-// call of the query's prepared kernel (metric.Prepare: the metric's own, or
-// the generic binding of one without), so that within[i] ⇔ d(q, objs[i]) ≤
-// bound and d[i] is the exact distance when within[i], bit-identical to
-// verifyDist. The evaluation
-// runs on the unwrapped metric and fires no tracer event: the caller charges
-// the distance counter and emits the record reads for what it commits.
+// resolveBlock resolves sc.blk.cands. Each base candidate's raw record comes
+// from fetchRecords; a record the write buffer supersedes is marked tomb by
+// the ID in its header, without a decode. The rest — except candidates
+// already proved — are evaluated against bound by the query's prepared
+// kernel (metric.Prepare) on their payloads, so that within[i] ⇔ d(q,
+// candidate) ≤ bound and d[i] is the exact distance when within[i],
+// bit-identical to verifyDist; a buffered insert is evaluated on its object
+// by the metric's DistanceAtMost, which has the same contract. A base
+// candidate is decoded into the block's decode slots (see candBlock: the
+// objects are borrowed) only when it is within or proved, unless the kernel
+// decoded it to evaluate it. The evaluation runs on the unwrapped metric and
+// fires no tracer event: the caller charges the distance counter and emits
+// the record reads for what it commits.
 //
 // It returns how many leading candidates are resolved and how many of those
-// the kernel evaluated. When the coalesced read fails, the records are read
-// again one at a time in scan order — the coalesced read visits them in
-// offset order, so its failing record need not be the scan's first — up to
-// the first that fails; a copied record fails with the error its copy
-// returned. resolved is the first failing candidate's index and err its error.
-// A caller returns err if and only if its commit loop reaches index resolved,
-// which is where verifying the candidates one at a time would have stopped; a
-// loop that ends earlier (Lemma 3, an exhausted budget) never sees it.
+// were evaluated. resolved is the first candidate, in scan order, whose
+// record could not be read or decoded, and err its error: a caller returns
+// err if and only if its commit loop reaches index resolved, which is where
+// verifying the candidates one at a time would have stopped; a loop that ends
+// earlier (Lemma 3, an exhausted budget) never sees it.
 func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs *QueryStats) (resolved, probed int, err error) {
 	b := &sc.blk
 	b.grow(len(b.cands))
 	st := qs.stageStart()
-	// A block's base records are all copied (a budgeted search's pops) or
-	// none are.
-	m, copied := 0, false
-	for _, c := range b.cands {
-		if c.obj == nil {
-			b.offsets[m] = c.val
-			m++
-			copied = c.rec != 0
+	defer qs.stageAdd(&qs.VerifyTime, st)
+	resolved, err = t.fetchRecords(sc)
+	kern := sc.kernel(t, q)
+	j := 0 // the next decode slot
+	for i, c := range b.cands[:resolved] {
+		b.tomb[i], b.slot[i], b.within[i], b.objs[i] = false, -1, false, c.obj
+		if c.obj != nil {
+			b.d[i], b.within[i] = metric.DistanceAtMost(t.dist.Unwrap(), q, c.obj, bound)
+			probed++
+			continue
 		}
-	}
-	read := m // base records read
-	if m > 0 && !copied {
-		if _, rerr := t.raf.ReadBatch(b.offsets[:m], b.readObjs[:m], b.readPlens[:m]); rerr != nil {
-			for read = 0; read < m; read++ {
-				if _, err = t.raf.ReadBatch(b.offsets[read:read+1], b.readObjs[read:read+1], b.readPlens[read:read+1]); err != nil {
-					break
-				}
+		rec := sc.record(i)
+		id, payload := raf.RecordPayload(rec)
+		b.plens[i], b.slot[i] = len(payload), j
+		j++
+		if b.tomb[i] = t.deltaShadowed(id); b.tomb[i] {
+			continue
+		}
+		var obj metric.Object
+		if !c.proved {
+			d, within, kobj, kerr := kern.PayloadAtMost(id, payload, b.readObjs[b.slot[i]], bound)
+			if kerr != nil {
+				return i, probed, fmt.Errorf("core: decode record at %d: %w", c.val, kerr)
+			}
+			probed++
+			b.d[i], b.within[i] = d, within
+			if obj = kobj; obj != nil {
+				b.readObjs[b.slot[i]] = obj
+			}
+			if !within {
+				continue
 			}
 		}
-	}
-	probeIdx, probeObjs := b.probeIdx[:0], b.probeObjs[:0]
-	resolved = len(b.cands)
-	j := 0
-	for i, c := range b.cands {
-		obj := c.obj
-		b.tomb[i], b.slot[i] = false, -1
 		if obj == nil {
-			if copied {
-				if obj, b.readPlens[j], err = sc.pq.recs.decode(t.raf, c, b.readObjs[j]); err != nil {
-					resolved = i // the record whose copy failed
-					break
-				}
-				b.readObjs[j] = obj
-			} else if j == read {
-				resolved = i // the record that failed
-				break
+			if obj, _, err = t.raf.DecodeRecord(c.val, rec, b.readObjs[b.slot[i]]); err != nil {
+				return i, probed, err
 			}
-			obj, b.plens[i], b.slot[i] = b.readObjs[j], b.readPlens[j], j
-			j++
-			b.tomb[i] = t.deltaShadowed(obj.ID())
+			b.readObjs[b.slot[i]] = obj
 		}
 		b.objs[i] = obj
-		if !b.tomb[i] && !c.proved {
-			probeIdx = append(probeIdx, i)
-			probeObjs = append(probeObjs, obj)
-		}
 	}
-	probed = len(probeObjs)
-	if probed > 0 {
-		pd, pw := b.pd[:probed], b.pw[:probed]
-		sc.kernel(t, q).BatchAtMost(probeObjs, bound, pd, pw)
-		for j, i := range probeIdx {
-			b.d[i], b.within[i] = pd[j], pw[j]
-		}
-	}
-	qs.stageAdd(&qs.VerifyTime, st)
 	return resolved, probed, err
+}
+
+// fetchRecords gets the raw record of every base candidate of the block
+// (record). A budgeted search's pops have theirs in the query's record arena,
+// where their runs copied them; a block's base records are all copied or
+// none are. Otherwise the records are copied from the RAF into the block's
+// buffer in ascending offset order — a leaf's order, unless writes appended
+// some of its records — so consecutive records that share a page are copied
+// from one fetch. A record that fails to copy does not stop the others: the
+// copy goes on after it, so every record is read or has failed on its own.
+// fetchRecords returns the first candidate in scan order whose record
+// failed, with its error, or len(cands).
+func (t *Tree) fetchRecords(sc *queryScratch) (int, error) {
+	b := &sc.blk
+	failed, ferr := len(b.cands), error(nil)
+	b.raw, b.offsets, b.order = b.raw[:0], b.offsets[:0], b.order[:0]
+	for i, c := range b.cands {
+		switch {
+		case c.obj != nil:
+		case c.rec != 0:
+			if err := sc.pq.recs.failure(c.rec); err != nil && i < failed {
+				failed, ferr = i, err
+			}
+		default:
+			b.order = append(b.order, i)
+		}
+	}
+	// An insertion sort: a leaf's block is in offset order but for records
+	// writes appended, and a graph expansion's block is a few dozen.
+	for x, i := range b.order {
+		off := b.cands[i].val
+		b.offsets = append(b.offsets, off)
+		y := x
+		for ; y > 0 && b.offsets[y-1] > off; y-- {
+			b.offsets[y], b.order[y] = b.offsets[y-1], b.order[y-1]
+		}
+		b.offsets[y], b.order[y] = off, i
+	}
+	for k := 0; k < len(b.order); {
+		n, err := t.raf.CopyRecords(b.offsets[k:], func(i, n int) []byte {
+			at := len(b.raw)
+			b.raw = slices.Grow(b.raw, n)[:at+n]
+			b.recAt[b.order[k+i]] = at
+			return b.raw[at:]
+		})
+		if err == nil {
+			break
+		}
+		if i := b.order[k+n]; i < failed {
+			failed, ferr = i, err
+		}
+		k += n + 1
+	}
+	return failed, ferr
+}
+
+// record returns the raw record of base candidate i, which fetchRecords
+// copied.
+func (sc *queryScratch) record(i int) []byte {
+	if rec := sc.blk.cands[i].rec; rec != 0 {
+		return sc.pq.recs.record(rec)
+	}
+	return sc.blk.raw[sc.blk.recAt[i]:]
 }
 
 // rangeSerial is the verification tail of the paper's VerifyRQ for the

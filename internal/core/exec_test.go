@@ -106,9 +106,9 @@ type resolverOutcome struct {
 }
 
 // TestResolveBlockReadFailure covers the read-failure contract of every
-// caller of resolveBlock. A data page is made unreadable, so the coalesced
-// read of a block that touches it fails and resolveBlock re-reads the block
-// record by record up to the failing one: the query must stop at the scan
+// caller of resolveBlock. A data page is made unreadable, so the copy of a
+// block that touches it fails on that page's records and copies on past
+// them: the query must stop at the scan
 // position entry-at-a-time execution stops at — same partial results, same
 // error, same Verified / Compdists / Abandoned / TombstonesSkipped /
 // DeltaCandidates / Lemma2Included as the goldens, which are that execution

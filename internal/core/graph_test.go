@@ -72,6 +72,35 @@ func TestGraphKNNRecallFloor(t *testing.T) {
 	}
 }
 
+// TestGraphQueryReportsNoFilterTime: a timed graph query reads no index
+// node, so it reports no filter time — the beam search is not index
+// filtering — while the exact kNN on the same tree still does.
+func TestGraphQueryReportsNoFilterTime(t *testing.T) {
+	objs, tree := buildGraphTree(t, 2000, 11)
+	defer tree.Close()
+	for qi := 0; qi < 10; qi++ {
+		q := objs[qi*97]
+		_, qs, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: q, K: 10, Timed: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qs.FilterTime != 0 || qs.NodesRead != 0 || qs.Elapsed <= 0 {
+			t.Fatalf("graph query %d: FilterTime %v, %d nodes read, Elapsed %v", qi, qs.FilterTime, qs.NodesRead, qs.Elapsed)
+		}
+	}
+	var filter time.Duration
+	for qi := 0; qi < 10; qi++ {
+		_, qs, err := tree.Query(context.Background(), Query{Op: OpKNN, Q: objs[qi*97], K: 10, Timed: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		filter += qs.FilterTime
+	}
+	if filter <= 0 {
+		t.Fatal("exact kNN reports no filter time")
+	}
+}
+
 // TestGraphLeavesExactPathUnchanged: building the graph tier perturbs nothing
 // on the exact path. On each of the four benchmark datasets the exact kNN
 // answers and their distance-computation counts are the same before and after

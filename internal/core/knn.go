@@ -111,7 +111,7 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 			}
 			continue
 		}
-		if err := t.readNode(sc, page.ID(item.ref)); err != nil {
+		if err := t.bpt.ReadNode(page.ID(item.ref), &sc.node); err != nil {
 			return res.sorted(), err
 		}
 		qs.NodesRead++
@@ -122,17 +122,17 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 		// Verify the whole leaf now, as one block: scan-time pruning
 		// uses the pre-leaf bound, and the commit replays each survivor at its
 		// own turn's bound — identical results and counters to a loop whose
-		// bound tightens entry by entry.
+		// bound tightens entry by entry. Both Lemma 3 tests run on the packed
+		// cell words; no entry is unpacked.
 		blk.cands = blk.cands[:0]
-		for i, val := range sc.node.Vals {
-			qs.EntriesScanned++
-			c := candidate{bound: t.mindToCell(sc.qvec, sc.cellAt(i)), val: val}
-			if c.bound > res.bound() {
-				qs.EntriesPruned++ // Lemma 3
-			} else {
-				blk.cands = append(blk.cands, c)
+		bound := res.bound()
+		for i, cell := range sc.node.Cells {
+			if t.leafAdmits(sc, cell, bound) {
+				blk.cands = append(blk.cands, candidate{val: sc.node.Vals[i], cell: cell})
 			}
 		}
+		qs.EntriesScanned += int64(len(sc.node.Cells))
+		qs.EntriesPruned += int64(len(sc.node.Cells) - len(blk.cands)) // Lemma 3
 		if len(blk.cands) > 0 {
 			if _, err := t.verifyKNNBlock(ctx, q, sc, qs, limit, true); err != nil {
 				return res.sorted(), err
@@ -171,12 +171,13 @@ const knnRunBlock = 16
 // before its first candidate; each candidate then commits at its own turn
 // against the live bound, which only tightens:
 //
-//   - its MIND is re-checked first. In a leaf a crossing is the Lemma 3
-//     prune an entry-by-entry loop applies at that entry's turn (EntriesPruned
-//     totals match); in a best-first run it ends the query — a one-at-a-time
-//     loop would have broken there and never popped the rest — as does an
-//     exhausted verification budget (limit, on qs.Verified). terminated
-//     reports either.
+//   - its MIND is re-checked first — for a leaf entry on its cell word,
+//     against the window of the live bound (leafAdmits). In a leaf a
+//     crossing is the Lemma 3 prune an entry-by-entry loop applies at that
+//     entry's turn (EntriesPruned totals match); in a best-first run it ends
+//     the query — a one-at-a-time loop would have broken there and never
+//     popped the rest — as does an exhausted verification budget (limit, on
+//     qs.Verified). terminated reports either.
 //   - a record resolveBlock could not read ends the query with its error —
 //     at this turn, not before: a run that terminates first reports none, and
 //     a leaf that prunes the record never read it.
@@ -200,11 +201,12 @@ func (t *Tree) verifyKNNBlock(ctx context.Context, q metric.Object, sc *queryScr
 	resolved, probed, rerr := t.resolveBlock(sc, q, res.bound(), qs)
 	qs.BatchedCandidates += int64(probed)
 	for i, c := range b.cands {
-		if c.bound > res.bound() {
-			if leaf {
+		if leaf {
+			if !t.leafAdmits(sc, c.cell, res.bound()) {
 				qs.EntriesPruned++
 				continue
 			}
+		} else if c.bound > res.bound() {
 			return true, nil
 		}
 		if qs.Verified >= limit {

@@ -49,6 +49,7 @@ func (t *Tree) rangeQuery(ctx context.Context, q metric.Object, r float64, qs *Q
 		// are region-tested like any entry), so the delta needs no pass.
 		return nil, nil
 	}
+	sc.rrWin.setBox(rrLo, rrHi)
 	sink := &rangeSerial{t: t, q: q, r: r, qs: qs, sc: sc}
 	var err error
 	if root, ok := t.bpt.Root(); ok {
@@ -83,11 +84,11 @@ func (t *Tree) rangeDelta(ctx context.Context, s *rangeSerial) error {
 			return err
 		}
 		qs.EntriesScanned++
-		sfc.Unpack(e.cell, t.bits, sc.cell)
-		if !sfc.Contains(sc.rrLo, sc.rrHi, sc.cell) {
+		if !sc.rrWin.admits(e.cell) {
 			qs.EntriesPruned++
 			continue // Lemma 1
 		}
+		sfc.Unpack(e.cell, t.bits, sc.cell)
 		qs.DeltaCandidates++
 		if ub, ok := t.lemma2Bound(sc.qvec, sc.cell, s.r); ok {
 			qs.Lemma2Included++
@@ -107,7 +108,7 @@ func (t *Tree) rangeDelta(ctx context.Context, s *rangeSerial) error {
 // or cancellation stops the walk; the answers verified so far survive in the
 // sink.
 func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, sc *queryScratch, sink *rangeSerial, qs *QueryStats) error {
-	rrLo, rrHi, boxLo, boxHi, cell, iLo, iHi := sc.rrLo, sc.rrHi, sc.boxLo, sc.boxHi, sc.cell, sc.iLo, sc.iHi
+	rrLo, rrHi, boxLo, boxHi, iLo, iHi := sc.rrLo, sc.rrHi, sc.boxLo, sc.boxHi, sc.iLo, sc.iHi
 	node := &sc.node
 	stack := append(sc.stack[:0], root)
 	defer func() { sc.stack = stack }()
@@ -149,19 +150,22 @@ func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, sc *query
 		// test. The merge scans an entry whose cell lies in the box without
 		// re-testing it and skips the rest; the entries and cells are those
 		// the paper's computeSFC merge (and the Z-order BIGMIN jump) would
-		// reach, read from the stored cells instead of enumerated keys.
+		// reach, read from the stored cells instead of enumerated keys. Both
+		// tests run on the packed cell words (cellWindow).
 		contained := sfc.Contains(rrLo, rrHi, boxLo) && sfc.Contains(rrLo, rrHi, boxHi)
 		merged := false
 		if !contained && sfc.IntersectBox(rrLo, rrHi, boxLo, boxHi, iLo, iHi) {
 			merged = t.kind == sfc.ZOrder || sfc.BoxVolume(iLo, iHi) < uint64(len(node.Cells))
 		}
+		if merged {
+			sc.boxWin.setBox(iLo, iHi)
+		}
 		for i, c := range node.Cells {
-			sfc.Unpack(c, t.bits, cell)
-			if merged && !sfc.Contains(iLo, iHi, cell) {
+			if merged && !sc.boxWin.admits(c) {
 				qs.EntriesSkipped++
 				continue
 			}
-			if err := t.scanRQ(ctx, sink, node.Vals[i], !contained && !merged, cell, rrLo, rrHi, qs); err != nil {
+			if err := t.scanRQ(ctx, sink, node.Vals[i], c, !contained && !merged, qs); err != nil {
 				return err
 			}
 		}
@@ -175,19 +179,20 @@ func sortByID(results []Result) {
 }
 
 // scanRQ is the traversal side of VerifyRQ (Algorithm 1) for the entry val
-// with unpacked cell: cancellation check, scan count, and the optional
-// Lemma 1 region re-check; the surviving candidate goes to the sink, which
-// verifies it. The ctx check here gives verification-batch granularity: a
-// canceled query stops before the next RAF page read and distance
-// computation.
-func (t *Tree) scanRQ(ctx context.Context, sink *rangeSerial, val uint64, checkRegion bool, cell, rrLo, rrHi sfc.Point, qs *QueryStats) error {
+// with cell word cell: cancellation check, scan count, and the optional
+// Lemma 1 region re-check on the word; the surviving candidate's cell is
+// unpacked and goes to the sink, which verifies it. The ctx check here gives
+// verification-batch granularity: a canceled query stops before the next RAF
+// page read and distance computation.
+func (t *Tree) scanRQ(ctx context.Context, sink *rangeSerial, val, cell uint64, checkRegion bool, qs *QueryStats) error {
 	if err := ctxDone(ctx); err != nil {
 		return err
 	}
 	qs.EntriesScanned++
-	if checkRegion && !sfc.Contains(rrLo, rrHi, cell) {
+	if checkRegion && !sink.sc.rrWin.admits(cell) {
 		qs.EntriesPruned++
 		return nil // Lemma 1
 	}
-	return sink.add(val, cell)
+	sfc.Unpack(cell, t.bits, sink.sc.cell)
+	return sink.add(val, sink.sc.cell)
 }

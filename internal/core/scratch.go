@@ -1,11 +1,11 @@
 package core
 
 import (
+	"math"
 	"sync"
 
 	"spbtree/internal/bptree"
 	"spbtree/internal/metric"
-	"spbtree/internal/page"
 	"spbtree/internal/raf"
 	"spbtree/internal/sfc"
 )
@@ -23,8 +23,13 @@ type queryScratch struct {
 	// intersection with a leaf MBB.
 	boxLo, boxHi, cell, rrLo, rrHi, iLo, iHi sfc.Point
 
+	// Windows tested on packed cell words: the range region RR, a merged
+	// range leaf's MBB ∩ RR, and the Lemma 3 window of the bound mindBound
+	// (leafAdmits).
+	rrWin, boxWin, mindWin cellWindow
+	mindBound              float64
+
 	node  bptree.Node
-	cells []uint32 // a leaf's cells, unpacked: entry i at [i*dims, (i+1)*dims)
 	pq    frontier
 	res   knnResults
 	blk   candBlock
@@ -45,6 +50,10 @@ func (t *Tree) getScratch() *queryScratch {
 			*p, pts = pts[:n:n], pts[n:]
 		}
 	}
+	for _, w := range []*cellWindow{&sc.rrWin, &sc.boxWin, &sc.mindWin} {
+		w.size(len(t.pivots), t.bits)
+	}
+	sc.mindBound = math.NaN() // no bound's window yet
 	return sc
 }
 
@@ -59,46 +68,18 @@ func (sc *queryScratch) release() {
 	clear(sc.blk.cands[:cap(sc.blk.cands)])
 	sc.blk.cands = sc.blk.cands[:0]
 	clear(sc.res.items[:cap(sc.res.items)])
-	for _, objs := range [][]metric.Object{sc.blk.objs, sc.blk.probeObjs} {
-		clear(objs[:cap(objs)])
-	}
+	clear(sc.blk.objs[:cap(sc.blk.objs)])
 	scratchPool.Put(sc)
 }
 
-// kernel returns the query's prepared batch kernel on the unwrapped metric,
-// building it on first use (per-query work such as the Myers bitmaps is done
-// once per query, not per block).
+// kernel returns the query's prepared kernel on the unwrapped metric and the
+// tree's codec, building it on first use (per-query work such as the Myers
+// bitmaps is done once per query, not per block).
 func (sc *queryScratch) kernel(t *Tree, q metric.Object) metric.PreparedQuery {
 	if sc.prep == nil {
-		sc.prep = metric.Prepare(t.dist.Unwrap(), q)
+		sc.prep = metric.Prepare(t.dist.Unwrap(), t.codec, q)
 	}
 	return sc.prep
-}
-
-// readNode decodes node id into sc.node; a leaf's cell words are unpacked
-// into sc.cells, a shift and mask per coordinate.
-func (t *Tree) readNode(sc *queryScratch, id page.ID) error {
-	if err := t.bpt.ReadNode(id, &sc.node); err != nil {
-		return err
-	}
-	if sc.node.Leaf {
-		dims := len(sc.cell)
-		n := len(sc.node.Cells) * dims
-		if cap(sc.cells) < n {
-			sc.cells = make([]uint32, n)
-		}
-		sc.cells = sc.cells[:n]
-		for i, c := range sc.node.Cells {
-			sfc.Unpack(c, t.bits, sc.cells[i*dims:(i+1)*dims])
-		}
-	}
-	return nil
-}
-
-// cellAt returns the unpacked cell of the current leaf's entry i.
-func (sc *queryScratch) cellAt(i int) sfc.Point {
-	n := len(sc.cell)
-	return sc.cells[i*n : (i+1)*n : (i+1)*n]
 }
 
 // pushBox pushes a node reference onto the frontier if its MBB's MIND is
@@ -122,9 +103,10 @@ func (t *Tree) pushNode(sc *queryScratch, bound float64, qs *QueryStats) {
 		t.pushBox(sc, c, bound, qs)
 	}
 	start := len(sc.pq.runs)
-	for i, val := range sc.node.Vals {
-		if mind := t.mindToCell(sc.qvec, sc.cellAt(i)); mind <= bound {
-			sc.pq.runs = append(sc.pq.runs, runEntry{mind: mind, ref: val, pos: uint32(i)})
+	for i, cell := range sc.node.Cells {
+		if t.leafAdmits(sc, cell, bound) {
+			sfc.Unpack(cell, t.bits, sc.cell)
+			sc.pq.runs = append(sc.pq.runs, runEntry{mind: t.mindToCell(sc.qvec, sc.cell), ref: sc.node.Vals[i], pos: uint32(i)})
 		}
 	}
 	admitted := len(sc.pq.runs) - start
@@ -132,6 +114,17 @@ func (t *Tree) pushNode(sc *queryScratch, bound float64, qs *QueryStats) {
 	qs.EntriesPruned += int64(len(sc.node.Vals) - admitted) // Lemma 3
 	qs.HeapPushes += int64(admitted)
 	sc.pq.pushRun(start)
+}
+
+// leafAdmits reports whether the leaf entry with cell word cell passes
+// Lemma 3 at bound — mindToCell(qvec, cell) ≤ bound — on the window of bound,
+// which it derives again only when the bound has moved since the last call.
+func (t *Tree) leafAdmits(sc *queryScratch, cell uint64, bound float64) bool {
+	if bound != sc.mindBound {
+		t.setMIND(&sc.mindWin, sc.qvec, bound)
+		sc.mindBound = bound
+	}
+	return sc.mindWin.admits(cell)
 }
 
 // seedDelta pushes every buffered insert onto the frontier with its
@@ -495,14 +488,20 @@ func (a *recArena) alloc(e *runEntry, n int) []byte {
 	return ch[at : at+n]
 }
 
-// decode decodes the copied record of a base candidate into slot; a record
-// whose copy failed returns that failure.
-func (a *recArena) decode(file *raf.File, c candidate, slot metric.Object) (metric.Object, int, error) {
-	if c.rec&recFailed != 0 {
-		return nil, 0, a.errs[c.rec&^recFailed]
+// failure returns the error the copy of the entry whose runEntry.rec is rec
+// failed with, or nil.
+func (a *recArena) failure(rec uint32) error {
+	if rec&recFailed != 0 {
+		return a.errs[rec&^recFailed]
 	}
-	pos := c.rec - 1
-	return file.DecodeRecord(c.val, a.chunks[pos>>chunkBits][pos&(chunkSize-1):], slot)
+	return nil
+}
+
+// record returns the copied raw record, header and payload, of the entry
+// whose runEntry.rec is rec; its copy must not have failed.
+func (a *recArena) record(rec uint32) []byte {
+	pos := rec - 1
+	return a.chunks[pos>>chunkBits][pos&(chunkSize-1):]
 }
 
 // Record chunks outlive the scratch that uses them: a scratch the pool drops

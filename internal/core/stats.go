@@ -147,7 +147,8 @@ type QueryStats struct {
 	// VerifyTime covers RAF reads plus distance computations. Timed only.
 	VerifyTime time.Duration
 	// FilterTime is the remainder of Elapsed: index traversal and pruning.
-	// Timed only.
+	// Timed only, and zero for an OpKNNGraph query, whose remainder is the
+	// beam search over the graph, not a traversal of the index.
 	FilterTime time.Duration
 	// Elapsed is the query's total wall time at the level that returned the
 	// stats: a tree's own clock, and for a scatter-gather query the forest's
@@ -299,7 +300,7 @@ func (qt *queryTimer) finish(results int, err error) {
 	if qt.to != nil {
 		qs.addIO(qt.toBefore, qt.to.takeIOSnapshot())
 	}
-	if qs.timed {
+	if qs.timed && qs.Op != OpKNNGraph {
 		if ft := qs.Elapsed - qs.PlanTime - qs.VerifyTime; ft > 0 {
 			qs.FilterTime = ft
 		}

@@ -1,11 +1,14 @@
 package metric
 
+import "unsafe"
+
 // BatchDistanceFunc is an optional extension of DistanceFunc for evaluating
-// one query against a block of candidates — the shape raf.ReadBatch hands the
-// verification stage when a leaf's candidates land together (DESIGN.md §13).
-// A batch kernel hoists the per-query work out of the per-candidate loop:
-// the query's coordinate slice and the powered threshold budget for the Lp
-// norms, the interned Myers Peq bitmaps for edit distance.
+// one query against a block of candidates (DESIGN.md §13). A batch kernel
+// hoists the per-query work out of the per-candidate loop: the query's
+// coordinate slice and the powered threshold budget for the Lp norms, the
+// interned Myers Peq bitmaps and the bag screen's histogram for edit
+// distance. The query path evaluates stored candidates through a
+// PreparedQuery instead.
 //
 // The contract is the BoundedDistanceFunc contract, element-wise and bit for
 // bit: for every i, (d[i], within[i]) must equal what DistanceAtMost(q,
@@ -139,59 +142,73 @@ func (h Hamming) BatchDistanceAtMost(q Object, objs []Object, t float64, d []flo
 	}
 }
 
-// PreparedQuery is a batch kernel bound to one query object: whatever depends
-// only on the query — for edit distance the Myers equality bitmaps, the
-// dominant per-block cost for dictionary-length strings — is built once by
-// Prepare and reused for every candidate block that query verifies.
-// BatchAtMost has exactly BatchDistanceFunc.BatchDistanceAtMost's contract
-// for that query. A PreparedQuery is immutable once built.
+// PreparedQuery is a distance kernel bound to one query object and to the
+// codec of its candidates: whatever depends only on the query — for edit
+// distance the Myers equality bitmaps and the byte histogram of the bag
+// screen — is built once by Prepare and reused for every candidate the query
+// verifies. It evaluates a candidate in its stored form, the payload its
+// AppendBinary wrote, as the random access file keeps it, so a candidate the
+// kernel rejects need not be decoded at all (DESIGN.md §13.1). A
+// PreparedQuery is used by one goroutine at a time.
 type PreparedQuery interface {
-	BatchAtMost(objs []Object, t float64, d []float64, within []bool)
+	// PayloadAtMost evaluates d(q, o) against t, o being the object with ID
+	// id whose payload is payload: (d, within) is what DistanceAtMost(fn, q,
+	// o, t) returns, bit for bit, including the unspecified d when within is
+	// false. A kernel that reads the payload in place (edit distance) returns
+	// a nil obj and no error. The generic binding decodes the payload into
+	// slot — a decode slot, as in DecodeInto — and returns the decoded object,
+	// which the caller then owns, or the codec's error. The payload is not
+	// retained.
+	PayloadAtMost(id uint64, payload []byte, slot Object, t float64) (d float64, within bool, obj Object, err error)
 }
 
-// Prepare binds fn's batch kernel to q. Kernels with per-query state build it
-// here; the vector norms and Hamming have none worth keeping (one type
-// assertion per block — their powered budget depends on the moving
-// threshold), so they, and metrics without a batch kernel, are bound as is.
-func Prepare(fn DistanceFunc, q Object) PreparedQuery {
-	if p, ok := fn.(interface{ Prepare(q Object) PreparedQuery }); ok {
-		return p.Prepare(q)
+// Prepare binds fn's kernel to q for candidates that codec decodes. Edit
+// distance over StrCodec payloads, which are the string's bytes, is evaluated
+// in place by the prepared Myers kernel; every other metric is bound as is
+// and evaluates the decoded candidate with DistanceAtMost.
+func Prepare(fn DistanceFunc, codec Codec, q Object) PreparedQuery {
+	if _, ok := fn.(EditDistance); ok {
+		if _, raw := codec.(StrCodec); raw {
+			sq, ok := q.(*Str)
+			if !ok {
+				panic(badType("EditDistance", "*Str", q))
+			}
+			eq := new(editQuery)
+			eq.init(sq.S)
+			return eq
+		}
 	}
-	return boundQuery{fn, q}
+	return boundQuery{fn, codec, q}
 }
 
-// boundQuery is Prepare's stateless binding: BatchDistanceAtMost on (fn, q).
+// boundQuery is Prepare's generic binding: decode, then DistanceAtMost.
 type boundQuery struct {
-	fn DistanceFunc
-	q  Object
+	fn    DistanceFunc
+	codec Codec
+	q     Object
 }
 
-func (b boundQuery) BatchAtMost(objs []Object, t float64, d []float64, within []bool) {
-	BatchDistanceAtMost(b.fn, b.q, objs, t, d, within)
+func (b boundQuery) PayloadAtMost(id uint64, payload []byte, slot Object, t float64) (float64, bool, Object, error) {
+	o, err := DecodeInto(b.codec, slot, id, payload)
+	if err != nil {
+		return 0, false, nil, err
+	}
+	d, within := DistanceAtMost(b.fn, b.q, o, t)
+	return d, within, o, nil
 }
 
-// Prepare builds the query's Myers equality bitmaps (single-word or interned
-// multi-block) once; every exact evaluation in the decision tree then replays
-// the prebuilt kernel. The narrow-band case still runs Ukkonen's banded DP
-// per pair (a band has no hoistable pattern state).
-func (e EditDistance) Prepare(q Object) PreparedQuery {
+// BatchDistanceAtMost implements BatchDistanceFunc for edit distance: the
+// query's bitmaps and histogram are built once per call, on the stack, and
+// each (d[i], within[i]) pair equals the scalar DistanceAtMost result — both
+// sides take the same branches and compute the same exact integer distance
+// against the same ⌊t⌋.
+func (e EditDistance) BatchDistanceAtMost(q Object, objs []Object, t float64, d []float64, within []bool) {
 	sq, ok := q.(*Str)
 	if !ok {
 		panic(badType("EditDistance", "*Str", q))
 	}
-	return newEditQuery(sq.S)
-}
-
-// BatchDistanceAtMost implements BatchDistanceFunc for edit distance through
-// a one-block PreparedQuery.
-func (e EditDistance) BatchDistanceAtMost(q Object, objs []Object, t float64, d []float64, within []bool) {
-	e.Prepare(q).BatchAtMost(objs, t, d, within)
-}
-
-// BatchAtMost implements PreparedQuery. Each (d[i], within[i]) pair equals
-// the scalar DistanceAtMost result: both sides compute the same exact integer
-// distance and compare it against the same ⌊t⌋.
-func (eq *editQuery) BatchAtMost(objs []Object, t float64, d []float64, within []bool) {
+	var eq editQuery
+	eq.init(sq.S)
 	for i, o := range objs {
 		so, ok := o.(*Str)
 		if !ok {
@@ -202,42 +219,71 @@ func (eq *editQuery) BatchAtMost(objs []Object, t float64, d []float64, within [
 	}
 }
 
-// editQuery is a query string with its Myers equality bitmaps interned for
-// batch evaluation: p64 for patterns within one machine word, the
-// slot/peq/w trio for longer ones (see myers.go).
-type editQuery struct {
-	q    string
-	p64  [256]uint64
-	slot [256]uint16
-	peq  []uint64
-	w    int
+// PayloadAtMost implements PreparedQuery on the payload bytes in place: a
+// StrCodec payload is the string itself.
+func (e *editQuery) PayloadAtMost(_ uint64, payload []byte, _ Object, t float64) (float64, bool, Object, error) {
+	d, within := e.atMost(unsafe.String(unsafe.SliceData(payload), len(payload)), t)
+	return float64(d), within, nil, nil
 }
 
-// newEditQuery builds the interned bitmaps for q once.
-func newEditQuery(q string) *editQuery {
-	e := &editQuery{q: q}
+// editQuery is a query string with its Myers equality bitmaps interned — p64
+// for patterns within one machine word, slot, w and the bitmaps for longer
+// ones (see myers.go) — and its byte histogram, for the bag screen.
+type editQuery struct {
+	q    string
+	hist [256]int
+	p64  [256]uint64
+	slot [256]uint16
+	w    int
+
+	// The bitmaps of a pattern over 64 bytes: in peqBuf when they fit (8
+	// blocks of 16 distinct bytes), else in peq.
+	peqBuf [myersBlockStackWords]uint64
+	peq    []uint64
+}
+
+// init builds the histogram and the interned bitmaps for q.
+func (e *editQuery) init(q string) {
+	e.q = q
+	for i := 0; i < len(q); i++ {
+		e.hist[q[i]]++
+	}
 	if len(q) == 0 {
-		return e
+		return
 	}
 	if len(q) <= 64 {
 		for i := 0; i < len(q); i++ {
 			e.p64[q[i]] |= 1 << uint(i)
 		}
-		return e
+		return
 	}
 	w := (len(q) + 63) / 64
 	e.w = w
 	distinct := 0
 	for i := 0; i < len(q); i++ {
-		c := q[i]
-		if e.slot[c] == 0 {
+		if c := q[i]; e.slot[c] == 0 {
 			distinct++
 			e.slot[c] = uint16(distinct)
-			e.peq = append(e.peq, make([]uint64, w)...)
 		}
-		e.peq[(int(e.slot[c])-1)*w+i/64] |= 1 << uint(i%64)
 	}
-	return e
+	peq := e.peqBuf[:]
+	if distinct*w > len(peq) {
+		e.peq = make([]uint64, distinct*w)
+		peq = e.peq
+	}
+	for i := 0; i < len(q); i++ {
+		peq[(int(e.slot[q[i]])-1)*w+i/64] |= 1 << uint(i%64)
+	}
+}
+
+// bitmaps returns the interned equality bitmaps of a pattern over 64 bytes.
+// They are not kept as a slice of peqBuf: a pointer into itself would move
+// a stack-allocated editQuery to the heap.
+func (e *editQuery) bitmaps() []uint64 {
+	if e.peq != nil {
+		return e.peq
+	}
+	return e.peqBuf[:]
 }
 
 // exact returns the exact Levenshtein distance to text through the prebuilt
@@ -255,13 +301,14 @@ func (e *editQuery) exact(text string) int {
 	case len(e.q) <= 64:
 		return myersRun64(&e.p64, len(e.q), text)
 	}
-	return myersRunBlock(&e.slot, e.peq, e.w, len(e.q), text)
+	return myersRunBlock(&e.slot, e.bitmaps(), e.w, len(e.q), text)
 }
 
-// atMost evaluates the bounded contract for one candidate, mirroring
-// boundedEditDistance's screening branches; the branches needing an exact
-// distance replay the prebuilt kernel, and the narrow-band branch defers to
-// the banded DP (whose screens are cheap to repeat).
+// atMost evaluates the bounded contract for one candidate, taking
+// boundedEditDistance's branches in its order: the length screen, the bag
+// screen on the query's histogram (the whole strings have the bag distance
+// of their affix-stripped remainders), then the prebuilt kernel where the
+// distance is needed exactly or the banded DP on the stripped strings.
 func (e *editQuery) atMost(text string, t float64) (int, bool) {
 	if t < 0 {
 		return 0, false
@@ -284,11 +331,14 @@ func (e *editQuery) atMost(text string, t float64) (int, bool) {
 	if m == 0 {
 		return n, true // n = |len(a)-len(b)| ≤ k here
 	}
+	if bag := bagFrom(&e.hist, len(e.q), text); bag > k {
+		return bag, false
+	}
 	if 2*k+1 >= m {
 		d := e.exact(text)
 		return d, d <= k
 	}
-	return boundedEditDistance(e.q, text, t)
+	return bandedEditDistance(a, b, k)
 }
 
 var (

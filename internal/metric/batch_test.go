@@ -9,9 +9,10 @@ import (
 
 // batchCase is one metric with a compatible object population.
 type batchCase struct {
-	name string
-	fn   DistanceFunc
-	objs []Object
+	name  string
+	fn    DistanceFunc
+	codec Codec
+	objs  []Object
 }
 
 func batchCases(seed int64) []batchCase {
@@ -50,26 +51,33 @@ func batchCases(seed int64) []batchCase {
 		}
 		strs = append(strs, NewStr(uint64(i), string(w)))
 	}
+	vc, v32c := VectorCodec{Dim: 9}, Vector32Codec{Dim: 9}
 	return []batchCase{
-		{"L2-vec64", L2(9), vecs},
-		{"L5-vec64", L5(9), vecs},
-		{"L2-vec32", L2(9), vecs32},
-		{"L5-vec32", L5(9), vecs32},
-		{"LInf-vec64", LInf{Dim: 9}, vecs},
-		{"LInf-vec32", LInf{Dim: 9}, vecs32},
-		{"hamming", Hamming{Bytes: 11}, sigs},
-		{"edit", EditDistance{MaxLen: 120}, strs},
+		{"L2-vec64", L2(9), vc, vecs},
+		{"L5-vec64", L5(9), vc, vecs},
+		{"L2-vec32", L2(9), v32c, vecs32},
+		{"L5-vec32", L5(9), v32c, vecs32},
+		{"LInf-vec64", LInf{Dim: 9}, vc, vecs},
+		{"LInf-vec32", LInf{Dim: 9}, v32c, vecs32},
+		{"hamming", Hamming{Bytes: 11}, BitStringCodec{Bytes: 11}, sigs},
+		{"edit", EditDistance{MaxLen: 120}, StrCodec{}, strs},
 	}
 }
 
 // checkBatchAgainstScalar asserts the element-wise batch contract for one
 // (query, threshold): every (d[i], within[i]) pair is bit-identical to the
-// scalar DistanceAtMost result.
-func checkBatchAgainstScalar(t *testing.T, name string, fn DistanceFunc, q Object, objs []Object, thr float64) {
+// scalar DistanceAtMost result. It asserts the same of the prepared kernel's
+// payload entry point on each candidate's stored bytes, decoding into one
+// reused slot: in place for edit distance, which hands back no object, and
+// through codec for every other metric, which hands back the candidate.
+func checkBatchAgainstScalar(t *testing.T, name string, fn DistanceFunc, codec Codec, q Object, objs []Object, thr float64) {
 	t.Helper()
 	d := make([]float64, len(objs))
 	within := make([]bool, len(objs))
 	BatchDistanceAtMost(fn, q, objs, thr, d, within)
+	prep := Prepare(fn, codec, q)
+	_, inPlace := fn.(EditDistance)
+	var slot Object
 	for i, o := range objs {
 		sd, sw := DistanceAtMost(fn, q, o, thr)
 		if math.Float64bits(d[i]) != math.Float64bits(sd) || within[i] != sw {
@@ -83,14 +91,25 @@ func checkBatchAgainstScalar(t *testing.T, name string, fn DistanceFunc, q Objec
 					name, q.ID(), o.ID(), thr, d[i], exact)
 			}
 		}
+		pd, pw, obj, err := prep.PayloadAtMost(o.ID(), o.AppendBinary(nil), slot, thr)
+		if err != nil || math.Float64bits(pd) != math.Float64bits(sd) || pw != sw {
+			t.Fatalf("%s: q=%d cand=%d t=%v: payload (%v, %v, %v) != scalar (%v, %v)",
+				name, q.ID(), o.ID(), thr, pd, pw, err, sd, sw)
+		}
+		if inPlace != (obj == nil) || obj != nil && (obj.ID() != o.ID() || string(obj.AppendBinary(nil)) != string(o.AppendBinary(nil))) {
+			t.Fatalf("%s: q=%d cand=%d: payload evaluation handed back %v", name, q.ID(), o.ID(), obj)
+		}
+		if obj != nil {
+			slot = obj
+		}
 	}
 }
 
 // TestBatchMatchesScalarKernels is the metric-layer half of the equivalence
 // harness (DESIGN.md §13): for every batch kernel and object kind, the block
-// evaluation is bit-identical to the scalar bounded path at thresholds
-// covering degenerate (< 0, +Inf), abandoning, and exactly-at-the-distance
-// cases.
+// evaluation and the prepared kernel's evaluation of the stored payloads are
+// bit-identical to the scalar bounded path at thresholds covering degenerate
+// (< 0, +Inf), abandoning, and exactly-at-the-distance cases.
 func TestBatchMatchesScalarKernels(t *testing.T) {
 	for _, c := range batchCases(42) {
 		c := c
@@ -107,10 +126,43 @@ func TestBatchMatchesScalarKernels(t *testing.T) {
 				ref := c.fn.Distance(q, c.objs[len(c.objs)-1])
 				thresholds = append(thresholds, ref, math.Nextafter(ref, 0), ref/2)
 				for _, thr := range thresholds {
-					checkBatchAgainstScalar(t, c.name, c.fn, q, c.objs, thr)
+					checkBatchAgainstScalar(t, c.name, c.fn, c.codec, q, c.objs, thr)
+				}
+			}
+			// A payload its codec rejects is the payload entry's error.
+			if _, inPlace := c.fn.(EditDistance); !inPlace {
+				if _, _, _, err := Prepare(c.fn, c.codec, c.objs[0]).PayloadAtMost(1, []byte{1, 2, 3}, nil, 1); err == nil {
+					t.Fatal("a 3-byte payload decoded")
 				}
 			}
 		})
+	}
+}
+
+// TestEditBatchAllocationFree: the unprepared batch call builds the query's
+// bitmaps and histogram on its stack, for one-word patterns and for blocked
+// ones of up to 8 blocks and 16 distinct bytes, so a block costs no
+// allocation. (The banded DP keeps its rows on the stack only for texts under
+// 64 bytes, so the long query runs at a threshold that takes the blocked
+// Myers kernel.)
+func TestEditBatchAllocationFree(t *testing.T) {
+	ed := EditDistance{MaxLen: 600}
+	for _, c := range []struct {
+		q   string
+		thr float64
+	}{{"interrelationships", 4}, {strings.Repeat("acgtn", 100), 300}} {
+		qs := c.q
+		q := NewStr(0, qs)
+		objs := make([]Object, 16)
+		for i := range objs {
+			objs[i] = NewStr(uint64(i+1), qs[i%3:len(qs)-i%5]+"xy"[:i%3])
+		}
+		d, within := make([]float64, len(objs)), make([]bool, len(objs))
+		if allocs := testing.AllocsPerRun(50, func() {
+			ed.BatchDistanceAtMost(q, objs, c.thr, d, within)
+		}); allocs != 0 {
+			t.Errorf("query of %d bytes: %v allocations per block, want 0", len(qs), allocs)
+		}
 	}
 }
 
@@ -132,7 +184,7 @@ func TestBatchFallbackAndCounter(t *testing.T) {
 	if _, ok := DistanceFunc(ta).(BatchDistanceFunc); ok {
 		t.Fatal("TrigramAngular unexpectedly has a batch kernel")
 	}
-	checkBatchAgainstScalar(t, "trigram-fallback", ta, seqs[0], seqs, 0.4*ta.MaxDistance())
+	checkBatchAgainstScalar(t, "trigram-fallback", ta, SeqCodec{}, seqs[0], seqs, 0.4*ta.MaxDistance())
 
 	for _, c := range []struct {
 		fn   DistanceFunc
@@ -177,7 +229,8 @@ func TestEditQueryBranches(t *testing.T) {
 	}
 	ed := EditDistance{MaxLen: 120}
 	for _, c := range cases {
-		eq := newEditQuery(c.q)
+		var eq editQuery
+		eq.init(c.q)
 		gd, gw := eq.atMost(c.text, c.t)
 		sd, sw := ed.DistanceAtMost(NewStr(0, c.q), NewStr(1, c.text), c.t)
 		if float64(gd) != sd || gw != sw {

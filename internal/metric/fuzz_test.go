@@ -2,7 +2,9 @@ package metric
 
 import (
 	"math"
+	"math/bits"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -47,16 +49,52 @@ func FuzzLevenshtein(f *testing.F) {
 // Distance ≤ t, and a bit-identical distance when within — for arbitrary
 // strings, vectors, signatures, and thresholds. The threshold is also
 // derived from the exact distance itself (scaled and nudged) so the fuzzer
-// exercises the boundary cases that matter most.
+// exercises the boundary cases that matter most. For edit distance it also
+// checks the bag screen on any bytes: the bag distance never exceeds the
+// Levenshtein distance, so the screen never rejects a candidate within the
+// threshold; the prepared query's histogram gives the same bag distance; and
+// a histogram of a repeated 2^32 + 1 times, counts a narrower integer would
+// wrap, gives the bag distance of that length.
 func FuzzBoundedDistance(f *testing.F) {
 	f.Add("kitten", "sitting", 2.0)
 	f.Add("", "abc", 3.0)
 	f.Add("same", "same", 0.0)
 	f.Add("a\x00b", "\xffxyz", -1.0)
 	f.Add("longer string with some shared words", "longer string with other shared words", 5.5)
+	f.Add("\x80\x81\xfe\xff\xff", "\xff\xfe\x80", 1.0)
+	f.Add(strings.Repeat("acgt", 20)+"x", strings.Repeat("acgt", 19)+"tgca", 3.0)
 	f.Fuzz(func(t *testing.T, a, b string, thr float64) {
 		if len(a) > 256 || len(b) > 256 || math.IsNaN(thr) {
 			return
+		}
+		lev := Levenshtein(a, b)
+		bag := bagDistance(a, b)
+		if bag > lev {
+			t.Fatalf("bag distance %d of %q, %q exceeds the edit distance %d", bag, a, b, lev)
+		}
+		var eq editQuery
+		eq.init(a)
+		if got := bagFrom(&eq.hist, len(a), b); got != bag {
+			t.Fatalf("prepared bag distance %d of %q, %q, want %d", got, a, b, bag)
+		}
+		// The histogram of a repeated r times: counts past 32 bits on a
+		// 64-bit int, for strings no memory holds. A byte of b that a has
+		// is then always matched, so the bag distance is known in closed
+		// form, and bagFrom must leave the histogram as it found it.
+		const r = 1<<(bits.UintSize/2) + 1
+		big := eq.hist
+		for c := range big {
+			big[c] *= r
+		}
+		miss := 0
+		for i := 0; i < len(b); i++ {
+			if eq.hist[b[i]] == 0 {
+				miss++
+			}
+		}
+		before := big
+		if got, want := bagFrom(&big, len(a)*r, b), max(miss, miss+len(a)*r-len(b)); got != want || big != before {
+			t.Fatalf("bag distance of %q repeated %d times and %q = %d, want %d (histogram restored: %v)", a, r, b, got, want, big == before)
 		}
 		check := func(fn BoundedDistanceFunc, oa, ob Object, thr float64) {
 			exact := fn.Distance(oa, ob)
@@ -74,6 +112,9 @@ func FuzzBoundedDistance(f *testing.F) {
 		exact := ed.Distance(sa, sb)
 		for _, tt := range []float64{thr, exact, exact - 1, exact + 0.5, exact * 0.5} {
 			check(ed, sa, sb, tt)
+			if tt >= exact && tt < math.MaxInt32 && bag > int(tt) {
+				t.Fatalf("bag screen %d rejects %q, %q at t=%v, distance %v", bag, a, b, tt, exact)
+			}
 		}
 
 		// Reinterpret the strings as vector coordinates and bit signatures so
@@ -110,7 +151,10 @@ func FuzzBoundedDistance(f *testing.F) {
 
 // FuzzBatchDistance asserts the BatchDistanceFunc contract — every (d[i],
 // within[i]) pair bit-identical to the scalar DistanceAtMost — for arbitrary
-// candidate blocks, queries, and thresholds across every kernel. The corpus
+// candidate blocks, queries, and thresholds across every kernel, and the same
+// of the prepared kernel's payload entry point, PayloadAtMost, on each
+// candidate's stored bytes: in place for edit distance, through the codec
+// for the vectors and signatures. The corpus
 // strings are reinterpreted as vectors (both float64 and float32) and bit
 // signatures, the same trick FuzzBoundedDistance uses, so one corpus drives
 // the Lp, Chebyshev, Hamming and Myers batch kernels at once.
@@ -120,20 +164,27 @@ func FuzzBatchDistance(f *testing.F) {
 	f.Add("same", "same", "same", 0.0)
 	f.Add("a\x00b", "\xffxyz", "pq", -1.0)
 	f.Add("interrelationship", "interrelationships", "relations", 5.0)
+	f.Add(strings.Repeat("\xf0\x9f", 40), strings.Repeat("\x9f\xf0", 41), "\xff", 6.0)
 	f.Fuzz(func(t *testing.T, q, c1, c2 string, thr float64) {
 		if len(q) > 200 || len(c1) > 200 || len(c2) > 200 || math.IsNaN(thr) {
 			return
 		}
-		check := func(fn DistanceFunc, oq Object, objs []Object, thr float64) {
+		check := func(fn DistanceFunc, codec Codec, oq Object, objs []Object, thr float64) {
 			t.Helper()
 			d := make([]float64, len(objs))
 			within := make([]bool, len(objs))
 			BatchDistanceAtMost(fn, oq, objs, thr, d, within)
+			prep := Prepare(fn, codec, oq)
 			for i, o := range objs {
 				sd, sw := DistanceAtMost(fn, oq, o, thr)
 				if math.Float64bits(d[i]) != math.Float64bits(sd) || within[i] != sw {
 					t.Fatalf("%s: cand %d t=%v: batch (%v, %v) != scalar (%v, %v)",
 						fn.Name(), i, thr, d[i], within[i], sd, sw)
+				}
+				pd, pw, _, err := prep.PayloadAtMost(o.ID(), o.AppendBinary(nil), nil, thr)
+				if err != nil || math.Float64bits(pd) != math.Float64bits(sd) || pw != sw {
+					t.Fatalf("%s: cand %d t=%v: payload (%v, %v, %v) != scalar (%v, %v)",
+						fn.Name(), i, thr, pd, pw, err, sd, sw)
 				}
 			}
 		}
@@ -143,7 +194,7 @@ func FuzzBatchDistance(f *testing.F) {
 		strCands := []Object{NewStr(1, c1), NewStr(2, c2), NewStr(3, q), NewStr(4, "")}
 		exact := ed.Distance(sq, strCands[0])
 		for _, tt := range []float64{thr, exact, exact - 1, exact + 0.5} {
-			check(ed, sq, strCands, tt)
+			check(ed, StrCodec{}, sq, strCands, tt)
 		}
 
 		dim := 8
@@ -161,8 +212,8 @@ func FuzzBatchDistance(f *testing.F) {
 		for _, fn := range []DistanceFunc{L2(dim), L5(dim), LInf{Dim: dim, Scale: 1}} {
 			e := fn.Distance(vq, vCands[0])
 			for _, tt := range []float64{thr, e, e * (1 - 1e-9)} {
-				check(fn, vq, vCands, tt)
-				check(fn, vq32, v32Cands, tt)
+				check(fn, VectorCodec{Dim: dim}, vq, vCands, tt)
+				check(fn, Vector32Codec{Dim: dim}, vq32, v32Cands, tt)
 			}
 		}
 
@@ -176,7 +227,7 @@ func FuzzBatchDistance(f *testing.F) {
 		bCands := []Object{sig(1, c1), sig(2, c2), sig(3, q)}
 		he := ham.Distance(bq, bCands[0])
 		for _, tt := range []float64{thr, he, he - 1} {
-			check(ham, bq, bCands, tt)
+			check(ham, BitStringCodec{Bytes: 12}, bq, bCands, tt)
 		}
 	})
 }

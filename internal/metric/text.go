@@ -174,13 +174,14 @@ func stripCommonAffixes(a, b string) (string, string) {
 }
 
 // boundedEditDistance reports whether Levenshtein(a, b) ≤ t, returning the
-// exact distance when it is. The kernel short-circuits on the length
-// difference (every length gap costs at least one edit), strips common
-// affixes, and then runs Ukkonen's banded DP: with k = ⌊t⌋, any alignment of
-// cost ≤ k only visits cells with |i-j| ≤ k, so each row evaluates at most
-// 2k+1 cells and the whole computation abandons once an entire band row
-// exceeds k. When the band would cover most of the matrix, the exact
-// bit-parallel kernel is cheaper and is used instead.
+// exact distance when it is. The kernel strips common affixes and then
+// screens without a dynamic program: on the length difference (every length
+// gap costs at least one edit), then on the bag distance (bagDistance), which
+// rejects most candidates of a tight bound. A survivor runs Ukkonen's banded
+// DP (bandedEditDistance) or, when the band would cover most of the matrix,
+// the exact bit-parallel kernel, which is then cheaper. The prepared kernel
+// (editQuery.atMost) takes the same branches in the same order, so both
+// return the same d even when it is not within.
 func boundedEditDistance(a, b string, t float64) (int, bool) {
 	if t < 0 {
 		return 0, false
@@ -205,13 +206,56 @@ func boundedEditDistance(a, b string, t float64) (int, bool) {
 	if m == 0 {
 		return n, true // n = |len(a)-len(b)| ≤ k here
 	}
+	if bag := bagDistance(a, b); bag > k {
+		return bag, false
+	}
 	// A band of half-width k covers the whole matrix when 2k+1 ≥ m; the
 	// bit-parallel exact kernel is then at least as cheap as the banded DP.
 	if 2*k+1 >= m {
 		d := editDistance(a, b)
 		return d, d <= k
 	}
+	return bandedEditDistance(a, b, k)
+}
 
+// bagDistance returns the bag distance of a and b: the larger of the sizes of
+// the multiset differences a∖b and b∖a of their bytes. An edit removes at
+// most one byte from each difference, so the bag distance never exceeds the
+// Levenshtein distance, and it costs one pass over each string and no
+// dynamic program. Common affixes do not change it.
+func bagDistance(a, b string) int {
+	var h [256]int
+	for i := 0; i < len(a); i++ {
+		h[a[i]]++
+	}
+	return bagFrom(&h, len(a), b)
+}
+
+// bagFrom returns the bag distance of b and a string of n bytes whose byte
+// histogram is h, and leaves h as it found it. A count is an int and never
+// exceeds its string's length, itself an int, so no length overflows it.
+func bagFrom(h *[256]int, n int, b string) int {
+	miss := 0 // |b∖a|: the bytes of b that a has no copy left for
+	for i := 0; i < len(b); i++ {
+		c := b[i]
+		if h[c]--; h[c] < 0 {
+			miss++
+		}
+	}
+	for i := 0; i < len(b); i++ {
+		h[b[i]]++
+	}
+	// |a∖b| = n − (len(b) − miss).
+	return max(miss, miss+n-len(b))
+}
+
+// bandedEditDistance is Ukkonen's banded DP over a and b, affix-stripped with
+// a the shorter, for a threshold k with 2k+1 < len(a): with k = ⌊t⌋, any
+// alignment of cost ≤ k only visits cells with |i-j| ≤ k, so each row
+// evaluates at most 2k+1 cells and the whole computation abandons once an
+// entire band row exceeds k.
+func bandedEditDistance(a, b string, k int) (int, bool) {
+	m, n := len(a), len(b)
 	// Banded two-row DP. inf = k+1 acts as the out-of-band sentinel: any
 	// cell holding a value > k can never contribute to an alignment of cost
 	// ≤ k, so its exact value is irrelevant.

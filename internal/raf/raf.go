@@ -7,10 +7,8 @@
 package raf
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"sync"
 
 	"spbtree/internal/metric"
@@ -216,9 +214,9 @@ func (f *File) read(offset uint64) (metric.Object, int, error) {
 	return obj, plen, nil
 }
 
-// EmitRecordRead fires the EvRecordRead tracer event for a record ReadBatch
-// decoded (a no-op without a tracer). A block's records may be read and then
-// not used — a kNN block candidate pruned at its commit turn — so the caller
+// EmitRecordRead fires the EvRecordRead tracer event for a record
+// CopyRecords copied (a no-op without a tracer). A block's records may be
+// read and then not used — a kNN block candidate pruned at its commit turn — so the caller
 // emits only for those it does use, and traced record reads count the same
 // records as reading them one at a time.
 func (f *File) EmitRecordRead(offset uint64, payloadLen int) {
@@ -284,60 +282,6 @@ func (f *File) payloadLen(offset uint64, hdr []byte) (uint32, error) {
 // goes back as soon as its record is decoded.
 var stitchPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// ReadBatch decodes the records at offsets, filling out[i] (and, when plens
-// is non-nil, plens[i]) from offsets[i]. Offsets are visited in ascending
-// order and records sharing a page are decoded from a single page fetch —
-// the coalescing that restores the paper's "nearby SFC keys touch nearby RAF
-// pages" locality when a batch of candidates from one leaf is verified
-// together. No tracer events fire; callers emit per-record events via
-// EmitRecordRead once a record's fate is decided.
-//
-// out is also an input: a non-nil out[i] is a decode slot, an object of an
-// earlier ReadBatch that the caller no longer uses, and the codec may
-// overwrite it in place instead of allocating (metric.DecodeInto). A caller
-// that keeps a decoded object beyond its next ReadBatch over the same out
-// sets that entry to nil, which hands the object over and leaves the slot to
-// be filled afresh.
-//
-// On the first failing record (first in ascending-offset order, which need
-// not be the first input index) ReadBatch stops and returns that record's
-// input index with the error; entries already decoded remain valid, the rest
-// of out is as it was. Callers needing input-order error semantics fall back
-// to per-record reads — the pages are warm by then.
-func (f *File) ReadBatch(offsets []uint64, out []metric.Object, plens []int) (int, error) {
-	if len(out) != len(offsets) || (plens != nil && len(plens) != len(offsets)) {
-		return -1, fmt.Errorf("raf: ReadBatch output length %d, want %d", len(out), len(offsets))
-	}
-	// A leaf's entries are already in offset order and need no visiting
-	// permutation; a block of graph neighbours does, and blocks are small
-	// enough for it to live on the stack.
-	var stack [32]int
-	order := stack[:0]
-	if !slices.IsSorted(offsets) {
-		for i := range offsets {
-			order = append(order, i)
-		}
-		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(offsets[a], offsets[b]) })
-	}
-	pr := pageReader{f: f}
-	defer pr.release()
-	for k := range offsets {
-		i := k
-		if len(order) > 0 {
-			i = order[k]
-		}
-		obj, plen, err := pr.readRecord(offsets[i], out[i])
-		if err != nil {
-			return i, err
-		}
-		out[i] = obj
-		if plens != nil {
-			plens[i] = plen
-		}
-	}
-	return -1, nil
-}
-
 // CopyRecords copies the records at offsets as stored, header and payload,
 // in the given order: record i goes into place(i, n), which returns the n
 // bytes the caller keeps it in. DecodeRecord decodes such a copy. One page
@@ -345,7 +289,8 @@ func (f *File) ReadBatch(offsets []uint64, out []metric.Object, plens []int) (in
 // are copied from a single fetch and offsets in file order read each page
 // once: a caller that copies the records it may verify once, and decodes
 // them as it needs them, never fetches a page again for them however its
-// reads interleave. Like ReadBatch, it fires no tracer events.
+// reads interleave. It fires no tracer events; the caller emits them
+// (EmitRecordRead).
 //
 // On a failure it returns the failing record's index with its error; the
 // records before it are copied. Otherwise it returns len(offsets).
@@ -360,17 +305,24 @@ func (f *File) CopyRecords(offsets []uint64, place func(i, n int) []byte) (int, 
 	return len(offsets), nil
 }
 
+// RecordPayload returns the ID and the payload of a record CopyRecords
+// copied into rec, which starts at its header.
+func RecordPayload(rec []byte) (id uint64, payload []byte) {
+	plen := binary.LittleEndian.Uint32(rec[8:12])
+	return binary.LittleEndian.Uint64(rec[0:8]), rec[headerSize : headerSize+plen]
+}
+
 // DecodeRecord decodes the record CopyRecords copied from offset into rec,
-// which starts at its header, and returns it with its payload length. slot
-// is a decode slot, as in ReadBatch.
+// which starts at its header, and returns it with its payload length. slot,
+// when non-nil, is an object the caller is done with that the codec may
+// decode into (metric.DecodeInto).
 func (f *File) DecodeRecord(offset uint64, rec []byte, slot metric.Object) (metric.Object, int, error) {
-	id := binary.LittleEndian.Uint64(rec[0:8])
-	plen := int(binary.LittleEndian.Uint32(rec[8:12]))
-	obj, err := metric.DecodeInto(f.codec, slot, id, rec[headerSize:headerSize+plen])
+	id, payload := RecordPayload(rec)
+	obj, err := metric.DecodeInto(f.codec, slot, id, payload)
 	if err != nil {
 		return nil, 0, fmt.Errorf("raf: decode record at %d: %w", offset, err)
 	}
-	return obj, plen, nil
+	return obj, len(payload), nil
 }
 
 // copyRecord copies the record at offset, header and payload, into

@@ -63,22 +63,3 @@ func IntersectBox(alo, ahi, blo, bhi, olo, ohi Point) bool {
 	}
 	return true
 }
-
-// MinDistLInf returns the minimum L∞ distance, in whole cells, between point
-// p and the inclusive box [lo, hi]; 0 if p is inside.
-func MinDistLInf(lo, hi, p Point) uint32 {
-	var m uint32
-	for i := range p {
-		var d uint32
-		switch {
-		case p[i] < lo[i]:
-			d = lo[i] - p[i]
-		case p[i] > hi[i]:
-			d = p[i] - hi[i]
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}

@@ -197,19 +197,6 @@ func TestBoxPredicates(t *testing.T) {
 	}
 }
 
-func TestMinDistLInf(t *testing.T) {
-	lo, hi := Point{2, 2}, Point{5, 5}
-	if d := MinDistLInf(lo, hi, Point{3, 4}); d != 0 {
-		t.Errorf("inside point dist = %d", d)
-	}
-	if d := MinDistLInf(lo, hi, Point{0, 3}); d != 2 {
-		t.Errorf("dist = %d, want 2", d)
-	}
-	if d := MinDistLInf(lo, hi, Point{9, 0}); d != 4 {
-		t.Errorf("dist = %d, want 4", d)
-	}
-}
-
 func TestHilbertClusteringBeatsZOrder(t *testing.T) {
 	// The paper's Table 4 premise: the Hilbert curve clusters query regions
 	// into fewer contiguous key runs than the Z-curve (Moon et al., "Analysis

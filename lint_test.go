@@ -386,16 +386,17 @@ func TestReadmeArchitectureTable(t *testing.T) {
 var workflowRun = regexp.MustCompile(`-run '([^']+)'`)
 
 // TestWorkflowRunPatterns checks that every alternative of every `-run`
-// pattern in the CI workflow matches at least one test function: `go test
-// -run` with a pattern that matches nothing passes silently, so a renamed
-// test would otherwise drop out of its CI step unnoticed.
+// pattern in the CI workflow matches at least one test function or fuzz
+// target (whose seed corpus `-run` runs): `go test -run` with a pattern that
+// matches nothing passes silently, so a renamed test would otherwise drop
+// out of its CI step unnoticed.
 func TestWorkflowRunPatterns(t *testing.T) {
 	data, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
 		t.Skipf("no workflow to check: %v", err)
 	}
 	var tests []string
-	testFunc := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
 			return err
