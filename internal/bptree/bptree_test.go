@@ -315,7 +315,7 @@ func TestGeometryBoxes(t *testing.T) {
 	var prev uint64
 	for c := tr.SeekFirst(); c.Valid(); c.Next() {
 		sfc.Unpack(c.Cell(), 4, p)
-		if !sfc.Contains(lo, hi, p) {
+		if p[0] < lo[0] || p[0] > hi[0] || p[1] < lo[1] || p[1] > hi[1] {
 			t.Fatalf("point %v outside root box [%v, %v]", p, lo, hi)
 		}
 		if c.Key() != curve.Encode(p) || c.Key() < prev {

@@ -44,7 +44,8 @@ func countCurve(t *testing.T, tree *Tree) *countingCurve {
 }
 
 // TestQueryPathRunsNoCurve requires exact kNN (plain and bounded), range
-// queries through every leaf case Algorithm 1 takes, and budgeted kNN to
+// queries through both leaf cases Algorithm 1 takes (contained and
+// region-checked), and budgeted kNN to
 // filter on the stored cells without one curve encode, on both curves and
 // on a durable tree whose write buffer holds inserts and tombstones. The
 // graph's seed probe is the one query that orders by key: it encodes the
@@ -77,7 +78,7 @@ func TestQueryPathRunsNoCurve(t *testing.T) {
 			buffered := int64(len(extra))
 			cc := countCurve(t, tree)
 
-			var contained, merged, checked bool
+			var contained, checked bool
 			for _, q := range objs[2650:2750] {
 				for _, qr := range []Query{
 					{Op: OpKNN, Q: q, K: 10},
@@ -95,12 +96,9 @@ func TestQueryPathRunsNoCurve(t *testing.T) {
 					if qr.Op != OpRange {
 						continue
 					}
-					switch {
-					case qr.Radius == allRadius:
+					if qr.Radius == allRadius {
 						// The region covers the root box: every leaf is contained.
-						contained = qs.EntriesPruned == 0 && qs.EntriesSkipped == 0 && len(res) == tree.Len()
-					case qs.EntriesSkipped > 0:
-						merged = true
+						contained = qs.EntriesPruned == 0 && len(res) == tree.Len()
 					}
 					// Beyond the buffered inserts' region tests, a prune is a
 					// leaf scanned with the region test.
@@ -112,8 +110,8 @@ func TestQueryPathRunsNoCurve(t *testing.T) {
 					t.Fatalf("queries made %d encodes, want none", n)
 				}
 			}
-			if !contained || !merged || checked != (kind == sfc.Hilbert) {
-				t.Fatalf("leaf cases: contained %v, merged %v, region-checked %v", contained, merged, checked)
+			if !contained || !checked {
+				t.Fatalf("leaf cases: contained %v, region-checked %v", contained, checked)
 			}
 
 			for _, q := range objs[2650:2670] {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"spbtree/internal/bptree"
@@ -168,7 +167,6 @@ func joinDelta(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, p
 // joinMerge is the merge pass of Algorithm 3, feeding candidate pairs to the
 // sink.
 func joinMerge(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, sink *joinSerial) error {
-	n := len(tq.pivots)
 	var listQ, listO []joinElem
 
 	// The merge orders by key, which each cursor encodes from its cell once
@@ -202,7 +200,7 @@ func joinMerge(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, s
 			takeQ = kq <= ko
 		}
 		if takeQ {
-			elem, err := tq.loadJoinElem(kq, cq.Cell(), cq.Val(), eps, n, qs)
+			elem, err := tq.loadJoinElem(kq, cq.Cell(), cq.Val(), eps, qs)
 			if err != nil {
 				return err
 			}
@@ -221,7 +219,7 @@ func joinMerge(ctx context.Context, tq, to *Tree, eps float64, qs *QueryStats, s
 			cq.Next()
 			kq = keyOf(cq)
 		} else {
-			elem, err := to.loadJoinElem(ko, co.Cell(), co.Val(), eps, n, qs)
+			elem, err := to.loadJoinElem(ko, co.Cell(), co.Val(), eps, qs)
 			if err != nil {
 				return err
 			}
@@ -269,15 +267,14 @@ func joinCompatible(tq, to *Tree) error {
 	return nil
 }
 
-// joinElem is a visited object kept in a merge list: its SFC key, quantized
-// cell point, the object itself, its Lemma 6 window [minRR, maxRR], and its
-// cell-space range region [rrLo, rrHi] for the Lemma 5 test.
+// joinElem is a visited object kept in a merge list: its SFC key, its
+// packed cell, the object itself, its Lemma 6 window [minRR, maxRR], and its
+// cell-space range region for the Lemma 5 test.
 type joinElem struct {
-	key          uint64
-	cells        sfc.Point
+	key, cell    uint64
 	obj          metric.Object
 	minRR, maxRR uint64
-	rrLo, rrHi   sfc.Point
+	rr           cellWindow
 }
 
 // loadJoinElem reads the object behind the leaf entry (cell, val), whose key
@@ -285,40 +282,34 @@ type joinElem struct {
 // the quantized cells already stored in the index — no distance
 // computations — so the range region is widened by one cell of slack,
 // keeping Lemma 5 conservative and therefore exact.
-func (t *Tree) loadJoinElem(key, cell, val uint64, eps float64, n int, qs *QueryStats) (joinElem, error) {
+func (t *Tree) loadJoinElem(key, cell, val uint64, eps float64, qs *QueryStats) (joinElem, error) {
 	qs.EntriesScanned++
 	obj, err := t.raf.Read(val)
 	if err != nil {
 		return joinElem{}, err
 	}
-	e := joinElem{
-		key:   key,
-		cells: make(sfc.Point, n),
-		obj:   obj,
-		rrLo:  make(sfc.Point, n),
-		rrHi:  make(sfc.Point, n),
-	}
-	sfc.Unpack(cell, t.bits, e.cells)
-	maxCell := uint32(uint64(1)<<t.bits - 1)
-	for i, c := range e.cells {
-		lower := t.cellLower(c) - eps
-		if lower < 0 {
-			lower = 0
-		}
-		if t.exact {
-			e.rrLo[i] = uint32(math.Ceil(lower))
-		} else {
-			e.rrLo[i] = t.cellOf(lower)
-		}
-		hc := uint64(math.Floor((t.cellUpper(c) + eps) / t.delta))
-		if hc > uint64(maxCell) {
-			hc = uint64(maxCell)
-		}
-		e.rrHi[i] = uint32(hc)
-	}
-	e.minRR = t.curve.Encode(e.rrLo)
-	e.maxRR = t.curve.Encode(e.rrHi)
+	e := joinElem{key: key, cell: cell, obj: obj, rr: t.joinWindow(cell, eps)}
+	e.minRR = t.curve.EncodeCell(e.rr.lo)
+	e.maxRR = t.curve.EncodeCell(e.rr.hi)
 	return e, nil
+}
+
+// joinWindow returns the Lemma 5 region of the object in cell cell at eps:
+// dimension i spans every cell whose distance interval meets
+// [cellLower(c_i) − eps, cellUpper(c_i) + eps], where c_i is the cell's
+// coordinate i and the interval around it every pivot distance it stands for.
+func (t *Tree) joinWindow(cell uint64, eps float64) cellWindow {
+	w := t.window()
+	mask := uint64(1)<<t.bits - 1
+	for i := range t.pivots {
+		c := uint32(cell >> (i * t.bits) & mask)
+		lo, hi, ok := t.cellSpan(t.cellLower(c)-eps, t.cellUpper(c)+eps)
+		if !ok {
+			return t.emptyWindow()
+		}
+		w.set(i, lo, hi)
+	}
+	return w
 }
 
 // verifyJoin is the Verify function of Algorithm 3: walk the opposite list
@@ -347,7 +338,7 @@ func (sink *joinSerial) verifyJoin(cur joinElem, list *[]joinElem, flip bool) er
 			qs.EntriesSkipped++ // Lemma 6 key window
 			continue
 		}
-		if !sfc.Contains(cur.rrLo, cur.rrHi, o.cells) {
+		if !cur.rr.admits(o.cell) {
 			qs.EntriesPruned++ // Lemma 5
 			continue
 		}

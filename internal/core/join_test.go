@@ -207,8 +207,8 @@ func TestJoinListEviction(t *testing.T) {
 	}
 	cur := joinElem{
 		key: 10, minRR: 95, // no verification matches
-		rrLo: sfc.Point{15, 15}, rrHi: sfc.Point{15, 15},
-		cells: sfc.Point{0, 0},
+		rr:   cellWindow{lo: sfc.Pack(sfc.Point{15, 15}, 4), hi: sfc.Pack(sfc.Point{15, 15}, 4), dims: 2, bits: 4},
+		cell: sfc.Pack(sfc.Point{0, 0}, 4),
 	}
 	sink := &joinSerial{ctx: context.Background(), t: tDummy, eps: 1, qs: &QueryStats{}}
 	if err := sink.verifyJoin(cur, &list, false); err != nil {

@@ -65,31 +65,44 @@ func (t *Tree) cellUpper(c uint32) float64 {
 	return float64(uint64(c)+1) * t.delta
 }
 
-// rangeRegion computes the mapped range region RR(q, r) of Lemma 1 in cell
-// space: dimension i spans every cell whose distance interval intersects
-// [d(q,p_i)−r, d(q,p_i)+r].
-func (t *Tree) rangeRegion(qvec []float64, r float64, lo, hi sfc.Point) {
-	maxCell := uint32(uint64(1)<<t.bits - 1)
-	for i, dq := range qvec {
-		lower := dq - r
-		if lower < 0 {
-			lower = 0
-		}
-		if t.exact {
-			lo[i] = uint32(math.Ceil(lower))
-		} else {
-			lo[i] = t.cellOf(lower)
-		}
-		upper := dq + r
-		c := uint64(math.Floor(upper / t.delta))
-		if c > uint64(maxCell) {
-			c = uint64(maxCell)
-		}
-		hi[i] = uint32(c)
-		if lo[i] > maxCell {
-			lo[i] = maxCell + 1 // empty dimension ⇒ empty region
-		}
+// cellSpan returns the cells of one dimension whose distance interval meets
+// [lower, upper], clamped to the grid, as its first and last cell lo and hi:
+// on an exact grid the cells c with
+// lower ≤ c ≤ upper, otherwise those with ⌊lower/δ⌋ ≤ c ≤ ⌊upper/δ⌋, the
+// cells [cδ, (c+1)δ) that meet the interval. The ends are rounded and clamped
+// as floats and converted only once inside the grid, so a distance beyond the
+// grid, a negative one or an infinite one cannot wrap. ok is false when no
+// cell qualifies: the interval lies beyond the grid on either side, is empty
+// or has a NaN end.
+func (t *Tree) cellSpan(lower, upper float64) (lo, hi uint64, ok bool) {
+	if !(lower <= upper) {
+		return 0, 0, false
 	}
+	if t.exact {
+		lower, upper = math.Ceil(lower), math.Floor(upper)
+	} else {
+		lower, upper = math.Floor(lower/t.delta), math.Floor(upper/t.delta)
+	}
+	lower, upper = max(lower, 0), min(upper, float64(uint64(1)<<t.bits-1))
+	if !(lower <= upper) {
+		return 0, 0, false
+	}
+	return uint64(lower), uint64(upper), true
+}
+
+// rangeWindow returns the mapped range region RR(q, r) of Lemma 1 as a
+// window: dimension i spans every cell whose distance interval meets
+// [d(q,p_i) − r, d(q,p_i) + r].
+func (t *Tree) rangeWindow(qvec []float64, r float64) cellWindow {
+	w := t.window()
+	for i, dq := range qvec {
+		lo, hi, ok := t.cellSpan(dq-r, dq+r)
+		if !ok {
+			return t.emptyWindow()
+		}
+		w.set(i, lo, hi)
+	}
+	return w
 }
 
 // mindToCell returns the L∞ lower bound MIND between the query (raw pivot
@@ -141,51 +154,67 @@ func (t *Tree) lemma2Bound(qvec []float64, p sfc.Point, r float64) (float64, boo
 }
 
 // cellWindow is a box in cell space that is tested on packed cell words
-// (sfc.Pack): a word is inside when each of its coordinates c satisfies
-// c − lo[d] ≤ span[d] in uint64 arithmetic — one shift, mask and compare per
-// dimension, since a coordinate below lo wraps past every span. Only the
-// entries inside are unpacked. An empty window has lo[0] above every
-// coordinate.
+// (sfc.Pack): its corners lo and hi are packed the same way, which fits
+// because dims × bits ≤ 64 holds for every stored cell, so a window is a
+// value. A word is inside when each of its coordinates lies between the
+// corners' — one mask and two compares per dimension, made where the
+// coordinate sits in the word, so nothing is shifted but the mask. An empty
+// window has lo above hi in its first dimension, which no coordinate lies
+// between.
 type cellWindow struct {
-	bits     int
-	lo, span []uint64
+	lo, hi     uint64
+	dims, bits uint8
 }
 
-// size readies w for dims dimensions of bits bits each.
-func (w *cellWindow) size(dims, bits int) {
-	if len(w.lo) != dims {
-		w.lo, w.span = make([]uint64, dims), make([]uint64, dims)
-	}
-	w.bits = bits
+// window returns a window of the tree's grid whose dimensions are all still
+// to be set.
+func (t *Tree) window() cellWindow {
+	return cellWindow{dims: uint8(len(t.pivots)), bits: uint8(t.bits)}
+}
+
+// emptyWindow returns the window of the tree's grid that admits no cell.
+func (t *Tree) emptyWindow() cellWindow {
+	w := t.window()
+	w.lo = uint64(1)<<t.bits - 1 // the first dimension's last cell; hi is 0
+	return w
+}
+
+// set makes dimension d, still unset, span the cells lo through hi.
+func (w *cellWindow) set(d int, lo, hi uint64) {
+	shift := uint(d) * uint(w.bits)
+	w.lo |= lo << shift
+	w.hi |= hi << shift
+}
+
+// empty reports whether w admits no cell.
+func (w *cellWindow) empty() bool {
+	mask := uint64(1)<<w.bits - 1
+	return w.lo&mask > w.hi&mask
 }
 
 // admits reports whether the cell whose word is cell lies in w.
 func (w *cellWindow) admits(cell uint64) bool {
 	mask := uint64(1)<<w.bits - 1
-	for d, lo := range w.lo {
-		if cell&mask-lo > w.span[d] {
+	for range w.dims {
+		if c := cell & mask; c < w.lo&mask || c > w.hi&mask {
 			return false
 		}
-		cell >>= w.bits
+		mask <<= w.bits
 	}
 	return true
 }
 
-// setEmpty makes w admit no cell.
-func (w *cellWindow) setEmpty() {
-	w.lo[0], w.span[0] = 1<<w.bits, 0
-}
-
-// setBox sets w to the inclusive box [lo, hi]: w.admits(Pack(c)) ⇔
-// sfc.Contains(lo, hi, c).
-func (w *cellWindow) setBox(lo, hi sfc.Point) {
-	for d := range lo {
-		if hi[d] < lo[d] {
-			w.setEmpty()
-			return
+// meets reports whether w, which is not empty, and the box with packed
+// corners boxLo and boxHi share a cell — Lemma 1's node test.
+func (w *cellWindow) meets(boxLo, boxHi uint64) bool {
+	mask := uint64(1)<<w.bits - 1
+	for range w.dims {
+		if boxHi&mask < w.lo&mask || boxLo&mask > w.hi&mask {
+			return false
 		}
-		w.lo[d], w.span[d] = uint64(lo[d]), uint64(hi[d]-lo[d])
+		mask <<= w.bits
 	}
+	return true
 }
 
 // setMIND sets w to the cells whose MIND to the query (raw pivot distances
@@ -194,32 +223,33 @@ func (w *cellWindow) setBox(lo, hi sfc.Point) {
 // and dimension i keeps c exactly when cellLower(c) − dq ≤ bound and
 // dq − cellUpper(c) ≤ bound, mindToCell's own float expressions. The first
 // never decreases as c grows and the second never increases, so each bounds
-// c on one side; the bound is guessed by a division and then settled by
-// evaluating the expression itself on both sides of it, so rounding cannot
-// make the window and the float test disagree.
+// c on one side. cellSpan of [dq − bound − δ, dq + bound] clamps the guess to
+// the grid: the extra cell below covers the second test's closed edge, and
+// a dimension it finds empty keeps no cell. The guess is then settled by
+// evaluating the expressions themselves on both sides of it, so rounding
+// cannot make the window and the float test disagree.
 func (t *Tree) setMIND(w *cellWindow, qvec []float64, bound float64) {
 	if !(bound >= 0) {
-		w.setEmpty()
+		*w = t.emptyWindow()
 		return
 	}
+	*w = t.window()
 	maxCell := int64(1)<<t.bits - 1
 	for i, dq := range qvec {
-		hi := maxCell // the last cell with cellLower(c) − dq ≤ bound
-		if x := (dq + bound) / t.delta; x < float64(maxCell) {
-			hi = int64(x)
+		lo64, hi64, ok := t.cellSpan(dq-bound-t.delta, dq+bound)
+		if !ok {
+			*w = t.emptyWindow()
+			return
 		}
+		lo, hi := int64(lo64), int64(hi64)
+		// hi: the last cell with cellLower(c) − dq ≤ bound.
 		for hi >= 0 && t.cellLower(uint32(hi))-dq > bound {
 			hi--
 		}
 		for hi < maxCell && t.cellLower(uint32(hi+1))-dq <= bound {
 			hi++
 		}
-		lo := int64(0) // the first cell with dq − cellUpper(c) ≤ bound
-		if x := (dq - bound) / t.delta; x > float64(maxCell) {
-			lo = maxCell + 1
-		} else if x > 1 {
-			lo = int64(x) - 1
-		}
+		// lo: the first cell with dq − cellUpper(c) ≤ bound.
 		for lo <= maxCell && dq-t.cellUpper(uint32(lo)) > bound {
 			lo++
 		}
@@ -227,9 +257,9 @@ func (t *Tree) setMIND(w *cellWindow, qvec []float64, bound float64) {
 			lo--
 		}
 		if lo > hi {
-			w.setEmpty()
+			*w = t.emptyWindow()
 			return
 		}
-		w.lo[i], w.span[i] = uint64(lo), uint64(hi-lo)
+		w.set(i, uint64(lo), uint64(hi))
 	}
 }

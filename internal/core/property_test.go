@@ -46,35 +46,51 @@ func TestLowerBoundProperty(t *testing.T) {
 }
 
 // TestRangeRegionContainsAnswers — Lemma 1 as a property: any object within
-// r of q has its quantized cell inside RR(q, r).
+// r of q has its quantized cell inside the window of RR(q, r), on an exact
+// grid (edit distance) and on a continuous one (L2).
 func TestRangeRegionContainsAnswers(t *testing.T) {
-	objs := wordSet(300, 62)
-	dist := metric.EditDistance{MaxLen: 24}
-	tree, err := Build(objs, Options{Distance: dist, Codec: metric.StrCodec{}, NumPivots: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(tree.pivots)
-	qvec := make([]float64, n)
-	ovec := make([]float64, n)
-	cell := make(sfc.Point, n)
-	lo := make(sfc.Point, n)
-	hi := make(sfc.Point, n)
-	f := func(qi, oi uint16, rRaw uint8) bool {
-		q := objs[int(qi)%len(objs)]
-		o := objs[int(oi)%len(objs)]
-		r := float64(rRaw % 12)
-		tree.phi(q, qvec)
-		tree.rangeRegion(qvec, r, lo, hi)
-		if dist.Distance(q, o) > r {
-			return true // nothing to check
-		}
-		tree.phi(o, ovec)
-		tree.cells(ovec, cell)
-		return sfc.Contains(lo, hi, cell)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 800}); err != nil {
-		t.Fatal(err)
+	words, vecs := wordSet(300, 62), vectorSet(300, 4, 62)
+	for _, c := range []struct {
+		name   string
+		objs   []metric.Object
+		opts   Options
+		radius func(uint8) float64
+	}{
+		{"edit", words, Options{Distance: metric.EditDistance{MaxLen: 24}, Codec: metric.StrCodec{}, NumPivots: 3},
+			func(r uint8) float64 { return float64(r % 12) }},
+		{"L2", vecs, Options{Distance: metric.L2(4), Codec: metric.VectorCodec{Dim: 4}, NumPivots: 3},
+			func(r uint8) float64 { return float64(r) / 255 * 0.5 * metric.L2(4).MaxDistance() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			objs, dist := c.objs, c.opts.Distance
+			tree, err := Build(objs, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tree.exact != (c.name == "edit") {
+				t.Fatalf("%s: exact grid %v", c.name, tree.exact)
+			}
+			n := len(tree.pivots)
+			qvec := make([]float64, n)
+			ovec := make([]float64, n)
+			cell := make(sfc.Point, n)
+			f := func(qi, oi uint16, rRaw uint8) bool {
+				q := objs[int(qi)%len(objs)]
+				o := objs[int(oi)%len(objs)]
+				r := c.radius(rRaw)
+				if dist.Distance(q, o) > r {
+					return true // nothing to check
+				}
+				tree.phi(q, qvec)
+				tree.phi(o, ovec)
+				tree.cells(ovec, cell)
+				rr := tree.rangeWindow(qvec, r)
+				return rr.admits(sfc.Pack(cell, tree.bits))
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 800}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 // RangeQuery answers RQ(q, O, r) = {o ∈ O | d(q, o) ≤ r} with the paper's
 // Algorithm 1 (RQA): nodes whose MBBs miss the mapped range region RR(q, r)
 // are pruned (Lemma 1); leaves fully inside RR skip the per-entry region
-// test; sparse intersections are merged with the cells of the leaf MBB ∩ RR
-// (Algorithm 1's computeSFC step, a box test on the stored cells); and
+// test, and the entries of the other leaves are tested against RR on their
+// stored cells — with cells in the leaves this is Algorithm 1's computeSFC
+// merge of MBB ∩ RR, whose cells are exactly those of RR in the leaf; and
 // Lemma 2 proves some answers without computing their distances.
 //
 // On a storage or corruption error the verified answers found so far are
@@ -39,17 +40,15 @@ func (t *Tree) rangeQuery(ctx context.Context, q metric.Object, r float64, qs *Q
 	sc := t.getScratch()
 	defer sc.release()
 	st := qs.stageStart()
-	qvec, rrLo, rrHi := sc.qvec, sc.rrLo, sc.rrHi
-	t.phi(q, qvec)
-	qs.Compdists += int64(len(qvec))
-	t.rangeRegion(qvec, r, rrLo, rrHi)
+	t.phi(q, sc.qvec)
+	qs.Compdists += int64(len(sc.qvec))
+	sc.rrWin = t.rangeWindow(sc.qvec, r)
 	qs.stageAdd(&qs.PlanTime, st)
-	if sfc.BoxVolume(rrLo, rrHi) == 0 {
+	if sc.rrWin.empty() {
 		// An empty region excludes buffered inserts identically (their cells
 		// are region-tested like any entry), so the delta needs no pass.
 		return nil, nil
 	}
-	sc.rrWin.setBox(rrLo, rrHi)
 	sink := &rangeSerial{t: t, q: q, r: r, qs: qs, sc: sc}
 	var err error
 	if root, ok := t.bpt.Root(); ok {
@@ -75,8 +74,7 @@ func (t *Tree) rangeQuery(ctx context.Context, q metric.Object, r float64, qs *Q
 // inserts, in ascending ID order: per-entry Lemma 1 region test on the
 // quantized cell, Lemma 2 computation-free inclusion, exact verification
 // for the rest. Exactly what the entries would cost had they been in the
-// base tree — only the traversal-side diagnostics (node reads, merge skips)
-// differ.
+// base tree — only the traversal-side diagnostic, node reads, differs.
 func (t *Tree) rangeDelta(ctx context.Context, s *rangeSerial) error {
 	sc, qs := s.sc, s.qs
 	for _, e := range t.deltaEntriesSorted() {
@@ -103,12 +101,12 @@ func (t *Tree) rangeDelta(ctx context.Context, s *rangeSerial) error {
 	return nil
 }
 
-// rangeTraverse walks the B+-tree, pruning with Lemma 1 and the merge of
-// Algorithm 1, and hands surviving leaf entries to the sink. A corrupt page
-// or cancellation stops the walk; the answers verified so far survive in the
-// sink.
+// rangeTraverse walks the B+-tree, pruning with Lemma 1 on the stored box
+// corners and cells, and hands surviving leaf entries to the sink. A corrupt
+// page or cancellation stops the walk; the answers verified so far survive
+// in the sink.
 func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, sc *queryScratch, sink *rangeSerial, qs *QueryStats) error {
-	rrLo, rrHi, boxLo, boxHi, iLo, iHi := sc.rrLo, sc.rrHi, sc.boxLo, sc.boxHi, sc.iLo, sc.iHi
+	rr := sc.rrWin
 	node := &sc.node
 	stack := append(sc.stack[:0], root)
 	defer func() { sc.stack = stack }()
@@ -118,9 +116,7 @@ func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, sc *query
 		}
 		ref := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		sfc.Unpack(ref.BoxLo, t.bits, boxLo)
-		sfc.Unpack(ref.BoxHi, t.bits, boxHi)
-		if !sfc.Intersects(rrLo, rrHi, boxLo, boxHi) {
+		if !rr.meets(ref.BoxLo, ref.BoxHi) {
 			qs.NodesPruned++
 			continue // Lemma 1
 		}
@@ -130,9 +126,7 @@ func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, sc *query
 		qs.NodesRead++
 		if !node.Leaf {
 			for _, c := range node.Children {
-				sfc.Unpack(c.BoxLo, t.bits, boxLo)
-				sfc.Unpack(c.BoxHi, t.bits, boxHi)
-				if sfc.Intersects(rrLo, rrHi, boxLo, boxHi) {
+				if rr.meets(c.BoxLo, c.BoxHi) {
 					stack = append(stack, c)
 				} else {
 					qs.NodesPruned++
@@ -140,32 +134,12 @@ func (t *Tree) rangeTraverse(ctx context.Context, root bptree.NodeRef, sc *query
 			}
 			continue
 		}
-
-		// Leaf handling, Algorithm 1 lines 11-23. boxLo/boxHi still hold
-		// this leaf's MBB — the non-leaf path above continues the loop.
-		// MBB(N) ⊆ RR implies every entry's region test. Otherwise the leaf
-		// is merged with the cells of MBB(N) ∩ RR (lines 14-20) — on the
-		// Z-order curve always, on the Hilbert curve when that box holds
-		// fewer cells than the leaf entries — or scanned with the region
-		// test. The merge scans an entry whose cell lies in the box without
-		// re-testing it and skips the rest; the entries and cells are those
-		// the paper's computeSFC merge (and the Z-order BIGMIN jump) would
-		// reach, read from the stored cells instead of enumerated keys. Both
-		// tests run on the packed cell words (cellWindow).
-		contained := sfc.Contains(rrLo, rrHi, boxLo) && sfc.Contains(rrLo, rrHi, boxHi)
-		merged := false
-		if !contained && sfc.IntersectBox(rrLo, rrHi, boxLo, boxHi, iLo, iHi) {
-			merged = t.kind == sfc.ZOrder || sfc.BoxVolume(iLo, iHi) < uint64(len(node.Cells))
-		}
-		if merged {
-			sc.boxWin.setBox(iLo, iHi)
-		}
+		// Leaf handling, Algorithm 1 lines 11-23: MBB(N) ⊆ RR — both corners
+		// admitted — implies every entry's region test; otherwise each entry
+		// is tested on its cell word.
+		contained := rr.admits(ref.BoxLo) && rr.admits(ref.BoxHi)
 		for i, c := range node.Cells {
-			if merged && !sc.boxWin.admits(c) {
-				qs.EntriesSkipped++
-				continue
-			}
-			if err := t.scanRQ(ctx, sink, node.Vals[i], c, !contained && !merged, qs); err != nil {
+			if err := t.scanRQ(ctx, sink, node.Vals[i], c, !contained, qs); err != nil {
 				return err
 			}
 		}

@@ -19,15 +19,13 @@ import (
 // through scratchPool.
 type queryScratch struct {
 	qvec []float64
-	// Cell buffers: a node MBB, one entry's cell, the range region and its
-	// intersection with a leaf MBB.
-	boxLo, boxHi, cell, rrLo, rrHi, iLo, iHi sfc.Point
+	// Cell buffers: a node MBB and one entry's cell.
+	boxLo, boxHi, cell sfc.Point
 
-	// Windows tested on packed cell words: the range region RR, a merged
-	// range leaf's MBB ∩ RR, and the Lemma 3 window of the bound mindBound
-	// (leafAdmits).
-	rrWin, boxWin, mindWin cellWindow
-	mindBound              float64
+	// Windows tested on packed cell words: the range region RR, and the
+	// Lemma 3 window of the bound mindBound (leafAdmits).
+	rrWin, mindWin cellWindow
+	mindBound      float64
 
 	node  bptree.Node
 	pq    frontier
@@ -45,13 +43,10 @@ func (t *Tree) getScratch() *queryScratch {
 	sc := scratchPool.Get().(*queryScratch)
 	if n := len(t.pivots); len(sc.qvec) != n {
 		sc.qvec = make([]float64, n)
-		pts := make(sfc.Point, 7*n)
-		for _, p := range []*sfc.Point{&sc.boxLo, &sc.boxHi, &sc.cell, &sc.rrLo, &sc.rrHi, &sc.iLo, &sc.iHi} {
+		pts := make(sfc.Point, 3*n)
+		for _, p := range []*sfc.Point{&sc.boxLo, &sc.boxHi, &sc.cell} {
 			*p, pts = pts[:n:n], pts[n:]
 		}
-	}
-	for _, w := range []*cellWindow{&sc.rrWin, &sc.boxWin, &sc.mindWin} {
-		w.size(len(t.pivots), t.bits)
 	}
 	sc.mindBound = math.NaN() // no bound's window yet
 	return sc

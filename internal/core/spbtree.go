@@ -29,8 +29,9 @@ import (
 
 // Options configures Build. How a candidate is verified is not configurable:
 // every metric is evaluated at the caller's live bound through its prepared
-// kernel (DESIGN.md §9.8), and range queries always apply Lemma 2 and
-// Algorithm 1's computeSFC merge.
+// kernel (DESIGN.md §9.8), and range queries always apply Lemma 2 and test
+// the entries of a partly covered leaf against RR on their stored cells
+// (DESIGN.md §9.9).
 type Options struct {
 	// Distance is the metric; required.
 	Distance metric.DistanceFunc

@@ -52,15 +52,15 @@ type QueryStats struct {
 	// region test for range queries, the Lemma 3 MIND bound for kNN.
 	NodesPruned int64
 	// EntriesScanned counts leaf entries examined (their stored cell
-	// unpacked).
+	// tested).
 	EntriesScanned int64
 	// EntriesPruned counts examined entries discarded by the pivot filter
 	// without touching the object: the per-entry Lemma 1 region test, the
 	// per-entry Lemma 3 MIND bound, or the join's Lemma 5 cell test.
 	EntriesPruned int64
-	// EntriesSkipped counts leaf entries the range merge step (Algorithm 1
-	// lines 14-20) passes over because their cell lies outside MBB ∩ RR,
-	// or the join's Lemma 6 key window excludes.
+	// EntriesSkipped counts merge-list entries the join's Lemma 6 key window
+	// excludes before their Lemma 5 cell test. Only a join sets it; a range
+	// query counts an entry outside RR as scanned and pruned.
 	EntriesSkipped int64
 	// HeapPushes counts admissions to the kNN traversal's frontier: node
 	// references, buffered inserts and, under a verification budget, leaf

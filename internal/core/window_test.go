@@ -4,62 +4,98 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"spbtree/internal/metric"
 	"spbtree/internal/sfc"
 )
 
-// TestCellWindowMatchesMIND pins the packed-word entry tests to the float
-// tests they replace. The kNN window setMIND builds for a bound must admit a
-// cell exactly when mindToCell(qvec, cell) ≤ bound, and the box window of the
-// range region exactly when sfc.Contains does — on exact (δ = 1) and
-// continuous grids up to one 32-bit dimension, for bounds of 0, +Inf, below
-// 0, random, and exactly on a cell's edge (and one ulp either side), with
-// cells drawn at random and around each dimension's window edges.
+// cellMeets is the brute-force region reference: whether cell c's distance
+// interval meets [lower, upper]. It works in the grid's own units, a
+// distance over δ, where c covers [c, c] on an exact grid and [c, c+1)
+// otherwise, so no floor, clamp or integer conversion enters it.
+func cellMeets(tr *Tree, c uint32, lower, upper float64) bool {
+	x := float64(c)
+	if tr.exact {
+		return lower <= upper && lower <= x && x <= upper
+	}
+	return lower <= upper && x <= upper/tr.delta && lower/tr.delta < x+1
+}
+
+// TestCellWindowMatchesMIND pins each window tested on packed cell words to
+// a per-cell reference, at every bit width from 1 to 32 on exact (δ = 1) and
+// continuous grids:
+//   - setMIND's kNN window for a bound admits a cell exactly when
+//     mindToCell(qvec, cell) ≤ bound (Lemma 3);
+//   - rangeWindow's RR(q, r) admits it exactly when, in every dimension, the
+//     cell's distance interval meets [d(q,p_i) − r, d(q,p_i) + r] (Lemma 1);
+//   - joinWindow's region of an element in cell e at eps admits it exactly
+//     when, in every dimension, its interval meets
+//     [cellLower(e_i) − eps, cellUpper(e_i) + eps] (Lemma 5).
+//
+// Pivot distances run from −1e10 through the grid to 1e10, and bounds are 1,
+// 0, d+, +Inf, below 0, random, and exactly on a cell's edge (and one ulp
+// either side); cells are the grid's first and last, cells around each
+// window edge, and random ones.
 func TestCellWindowMatchesMIND(t *testing.T) {
-	grids := []struct {
+	type grid struct {
 		dims, bits int
 		exact      bool
-		dPlus      float64
-	}{
-		{5, 6, true, 34},
-		{3, 8, true, 255},
-		{1, 32, true, math.MaxUint32},
-		{5, 8, false, 1},
-		{4, 16, false, 3.7},
-		{2, 32, false, 1},
-		{1, 32, false, 1e6},
 	}
-	rng := rand.New(rand.NewSource(40))
+	var grids []grid
+	for bits := 1; bits <= 32; bits++ {
+		for _, exact := range []bool{true, false} {
+			for _, dims := range []int{1, min(3, 64/bits), min(5, 64/bits)} {
+				if g := (grid{dims, bits, exact}); !slices.Contains(grids, g) {
+					grids = append(grids, g)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
 	for _, g := range grids {
 		t.Run(fmt.Sprintf("%dx%d/exact=%v", g.dims, g.bits, g.exact), func(t *testing.T) {
-			tr := &Tree{bits: g.bits, exact: g.exact, delta: 1}
 			maxCell := uint64(1)<<g.bits - 1
+			tr := &Tree{bits: g.bits, exact: g.exact, delta: 1, pivots: make([]metric.Object, g.dims)}
+			dPlus := float64(maxCell)
 			if !g.exact {
-				tr.delta = g.dPlus / float64(maxCell)
+				dPlus = []float64{1, 3.7, 1e6}[g.bits%3]
+				tr.delta = dPlus / float64(maxCell)
 			}
-			var w, rr cellWindow
-			w.size(g.dims, g.bits)
-			rr.size(g.dims, g.bits)
+			extremes := []float64{6e9, -1e10, 1e10, -1, dPlus, 1.5 * dPlus}
 			qvec := make([]float64, g.dims)
-			cell := make(sfc.Point, g.dims)
-			rrLo, rrHi := make(sfc.Point, g.dims), make(sfc.Point, g.dims)
-			// near returns a coordinate within two cells of c, or at random.
+			cell, elem := make(sfc.Point, g.dims), make(sfc.Point, g.dims)
+			// near returns a coordinate within two cells of c, the grid's first
+			// or last cell, or one at random.
 			near := func(c float64) uint32 {
-				if rng.Intn(3) == 0 || math.IsInf(c, 0) || math.IsNaN(c) {
+				switch k := rng.Intn(8); {
+				case k == 0:
+					return 0
+				case k == 1:
+					return uint32(maxCell)
+				case k == 2 || math.IsInf(c, 0) || math.IsNaN(c):
 					return uint32(rng.Uint64() & maxCell)
 				}
 				x := math.Floor(c) + float64(rng.Intn(5)-2)
 				return uint32(min(max(x, 0), float64(maxCell)))
 			}
+			var mindWin cellWindow
 			checked, admitted := 0, 0
-			for trial := 0; trial < 400; trial++ {
+			for trial := 0; trial < 60; trial++ {
 				for i := range qvec {
-					qvec[i] = rng.Float64() * g.dPlus * 1.05
+					switch {
+					case trial < len(extremes):
+						qvec[i] = extremes[trial]
+					case rng.Intn(4) == 0:
+						qvec[i] = extremes[rng.Intn(len(extremes))]
+					default:
+						qvec[i] = (rng.Float64()*1.2 - 0.1) * dPlus
+					}
 				}
-				var bounds []float64
+				bounds := []float64{1, 0, dPlus, math.Inf(1), -1}
 				for range 3 {
-					bounds = append(bounds, rng.Float64()*g.dPlus*0.3)
+					bounds = append(bounds, rng.Float64()*dPlus*0.3)
 				}
 				for i := range qvec {
 					c := uint32(rng.Uint64() & maxCell)
@@ -69,13 +105,13 @@ func TestCellWindowMatchesMIND(t *testing.T) {
 						}
 					}
 				}
-				bounds = append(bounds, 0, math.Inf(1), -1)
 				for _, bound := range bounds {
-					tr.setMIND(&w, qvec, bound)
-					tr.rangeRegion(qvec, bound, rrLo, rrHi)
-					if bound >= 0 {
-						rr.setBox(rrLo, rrHi)
+					tr.setMIND(&mindWin, qvec, bound)
+					rr := tr.rangeWindow(qvec, bound)
+					for i, dq := range qvec {
+						elem[i] = near(dq / tr.delta)
 					}
+					jw := tr.joinWindow(sfc.Pack(elem, g.bits), bound)
 					for range 24 {
 						for i, dq := range qvec {
 							switch rng.Intn(3) {
@@ -89,19 +125,41 @@ func TestCellWindowMatchesMIND(t *testing.T) {
 						}
 						word := sfc.Pack(cell, g.bits)
 						want := tr.mindToCell(qvec, cell) <= bound
-						if got := w.admits(word); got != want {
-							t.Fatalf("q=%v bound=%v cell=%v: window admits %v, mindToCell = %v",
+						if got := mindWin.admits(word); got != want {
+							t.Fatalf("q=%v bound=%v cell=%v: kNN window admits %v, mindToCell = %v",
 								qvec, bound, cell, got, tr.mindToCell(qvec, cell))
 						}
-						if bound >= 0 {
-							if got, want := rr.admits(word), sfc.Contains(rrLo, rrHi, cell); got != want {
-								t.Fatalf("q=%v r=%v cell=%v: range window admits %v, Contains %v (RR %v..%v)",
-									qvec, bound, cell, got, want, rrLo, rrHi)
-							}
+						inRR := true
+						for i, dq := range qvec {
+							inRR = inRR && cellMeets(tr, cell[i], dq-bound, dq+bound)
+						}
+						if got := rr.admits(word); got != inRR {
+							t.Fatalf("q=%v r=%v cell=%v: range window admits %v, Lemma 1 says %v",
+								qvec, bound, cell, got, inRR)
 						}
 						checked++
 						if want {
 							admitted++
+						}
+
+						// The join window, on cells around the element's region.
+						for i, e := range elem {
+							switch rng.Intn(3) {
+							case 0:
+								cell[i] = near((tr.cellLower(e) - bound) / tr.delta)
+							case 1:
+								cell[i] = near((tr.cellUpper(e) + bound) / tr.delta)
+							default:
+								cell[i] = near(float64(e))
+							}
+						}
+						inJoin := true
+						for i, e := range elem {
+							inJoin = inJoin && cellMeets(tr, cell[i], tr.cellLower(e)-bound, tr.cellUpper(e)+bound)
+						}
+						if got := jw.admits(sfc.Pack(cell, g.bits)); got != inJoin {
+							t.Fatalf("element %v eps=%v cell=%v: join window admits %v, Lemma 5 says %v",
+								elem, bound, cell, got, inJoin)
 						}
 					}
 				}

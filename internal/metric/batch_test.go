@@ -141,16 +141,16 @@ func TestBatchMatchesScalarKernels(t *testing.T) {
 
 // TestEditBatchAllocationFree: the unprepared batch call builds the query's
 // bitmaps and histogram on its stack, for one-word patterns and for blocked
-// ones of up to 8 blocks and 16 distinct bytes, so a block costs no
-// allocation. (The banded DP keeps its rows on the stack only for texts under
-// 64 bytes, so the long query runs at a threshold that takes the blocked
-// Myers kernel.)
+// ones of up to 8 blocks and 16 distinct bytes, and the banded DP keeps its
+// band on the stack at any text length, so a block costs no allocation. The
+// long query runs at a threshold that takes the blocked Myers kernel and at
+// one that takes the band.
 func TestEditBatchAllocationFree(t *testing.T) {
 	ed := EditDistance{MaxLen: 600}
 	for _, c := range []struct {
 		q   string
 		thr float64
-	}{{"interrelationships", 4}, {strings.Repeat("acgtn", 100), 300}} {
+	}{{"interrelationships", 4}, {strings.Repeat("acgtn", 100), 300}, {strings.Repeat("acgtn", 100), 4}} {
 		qs := c.q
 		q := NewStr(0, qs)
 		objs := make([]Object, 16)
@@ -161,7 +161,7 @@ func TestEditBatchAllocationFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, func() {
 			ed.BatchDistanceAtMost(q, objs, c.thr, d, within)
 		}); allocs != 0 {
-			t.Errorf("query of %d bytes: %v allocations per block, want 0", len(qs), allocs)
+			t.Errorf("query of %d bytes at t=%v: %v allocations per block, want 0", len(qs), c.thr, allocs)
 		}
 	}
 }

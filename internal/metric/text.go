@@ -254,66 +254,69 @@ func bagFrom(h *[256]int, n int, b string) int {
 // alignment of cost ≤ k only visits cells with |i-j| ≤ k, so each row
 // evaluates at most 2k+1 cells and the whole computation abandons once an
 // entire band row exceeds k.
+//
+// Only the band is stored, one row at a time: cell (i, j) sits at
+// band[j−i+k+1], so a row's diagonal and upper neighbours of (i, j) are the
+// previous row's values at the same index and the next, and its left
+// neighbour the value just written below it. The row is rewritten in place,
+// left to right. band[0] and band[2k+2] stand just outside the band and hold
+// inf = k+1, which no alignment of cost ≤ k can pass through, so its exact
+// value is irrelevant. The 2k+3 cells fit the stack buffer for every k ≤ 62,
+// whatever the strings' lengths.
 func bandedEditDistance(a, b string, k int) (int, bool) {
 	m, n := len(a), len(b)
-	// Banded two-row DP. inf = k+1 acts as the out-of-band sentinel: any
-	// cell holding a value > k can never contribute to an alignment of cost
-	// ≤ k, so its exact value is irrelevant.
 	inf := k + 1
 	var stack [128]int
-	var prev, cur []int
-	if 2*(n+1) <= len(stack) {
-		prev, cur = stack[:n+1], stack[n+1:2*(n+1)]
+	var band []int
+	if w := 2*k + 3; w <= len(stack) {
+		band = stack[:w]
 	} else {
-		buf := make([]int, 2*(n+1))
-		prev, cur = buf[:n+1], buf[n+1:]
+		band = make([]int, w)
+	}
+	// Row 0: D[0][j] = j for j ≤ k (k < n because 2k+1 < m ≤ n); the cells
+	// left of column 0 and right of column k are outside.
+	for off := range band {
+		band[off] = inf
 	}
 	for j := 0; j <= k; j++ {
-		prev[j] = j
+		band[j+k+1] = j
 	}
-	prev[k+1] = inf // k+1 ≤ n because 2k+1 < m ≤ n
 
 	for i := 1; i <= m; i++ {
 		lo, hi := i-k, i+k
 		if lo < 1 {
 			lo = 1
-			cur[0] = i
-		} else {
-			cur[lo-1] = inf
+			band[k+1-i] = i // D[i][0], the left neighbour of column 1
 		}
 		if hi > n {
 			hi = n
 		}
 		rowMin := inf
 		ca := a[i-1]
-		for j := lo; j <= hi; j++ {
+		for off, end := lo-i+k+1, hi-i+k+1; off <= end; off++ {
 			cost := 1
-			if ca == b[j-1] {
+			if ca == b[off+i-k-2] {
 				cost = 0
 			}
-			best := prev[j-1] + cost
-			if d := prev[j] + 1; d < best { // deletion
+			best := band[off] + cost
+			if d := band[off+1] + 1; d < best { // deletion
 				best = d
 			}
-			if d := cur[j-1] + 1; d < best { // insertion
+			if d := band[off-1] + 1; d < best { // insertion
 				best = d
 			}
-			cur[j] = best
+			band[off] = best
 			if best < rowMin {
 				rowMin = best
 			}
-		}
-		if hi < n {
-			cur[hi+1] = inf // re-fence the band edge over the stale cell
 		}
 		if rowMin > k {
 			// Every in-band cell of this row exceeds k, and any alignment of
 			// cost ≤ k must pass through the band in every row: abandon.
 			return rowMin, false
 		}
-		prev, cur = cur, prev
 	}
-	d := prev[n]
+	d := band[n-m+k+1]
 	return d, d <= k
 }
 

@@ -160,43 +160,6 @@ func TestZOrderMonotonicity(t *testing.T) {
 	}
 }
 
-func TestBoxVolume(t *testing.T) {
-	if v := BoxVolume(Point{0, 0}, Point{3, 1}); v != 8 {
-		t.Errorf("BoxVolume = %d, want 8", v)
-	}
-	if v := BoxVolume(Point{2}, Point{1}); v != 0 {
-		t.Errorf("empty box volume = %d", v)
-	}
-	// Saturation instead of overflow.
-	big := Point{^uint32(0), ^uint32(0)}
-	if v := BoxVolume(Point{0, 0}, big); v != uint64(1)<<62 {
-		t.Errorf("saturated volume = %d", v)
-	}
-}
-
-func TestBoxPredicates(t *testing.T) {
-	lo, hi := Point{2, 2}, Point{5, 5}
-	if !Contains(lo, hi, Point{2, 5}) || Contains(lo, hi, Point{1, 3}) || Contains(lo, hi, Point{3, 6}) {
-		t.Error("Contains is wrong")
-	}
-	if !Intersects(lo, hi, Point{5, 5}, Point{9, 9}) {
-		t.Error("touching boxes should intersect")
-	}
-	if Intersects(lo, hi, Point{6, 0}, Point{9, 9}) {
-		t.Error("disjoint boxes reported intersecting")
-	}
-	olo, ohi := make(Point, 2), make(Point, 2)
-	if !IntersectBox(lo, hi, Point{4, 0}, Point{9, 3}, olo, ohi) {
-		t.Fatal("IntersectBox reported empty for overlapping boxes")
-	}
-	if olo[0] != 4 || olo[1] != 2 || ohi[0] != 5 || ohi[1] != 3 {
-		t.Errorf("IntersectBox = [%v, %v]", olo, ohi)
-	}
-	if IntersectBox(lo, hi, Point{6, 6}, Point{7, 7}, olo, ohi) {
-		t.Error("IntersectBox reported non-empty for disjoint boxes")
-	}
-}
-
 func TestHilbertClusteringBeatsZOrder(t *testing.T) {
 	// The paper's Table 4 premise: the Hilbert curve clusters query regions
 	// into fewer contiguous key runs than the Z-curve (Moon et al., "Analysis
