@@ -23,7 +23,7 @@ import (
 )
 
 // errInexpressible marks a request a layer has no way to spell (HTTP has no
-// bound field, no negative max_verify and no untimed mode).
+// bound field and no untimed mode).
 var errInexpressible = errors.New("layer cannot express this request")
 
 // queryLayer is one place a core.Query can be handed to: a tree, a forest, a
@@ -75,7 +75,7 @@ func serveHTTP(t *testing.T, srv *server.Server) string {
 func httpLayer(t *testing.T, srv *server.Server) func(core.Query) ([]core.Result, core.QueryStats, error) {
 	url := serveHTTP(t, srv)
 	return func(q core.Query) ([]core.Result, core.QueryStats, error) {
-		if q.Bounded || q.MaxVerify < 0 || !q.Timed {
+		if q.Bounded || !q.Timed {
 			return nil, core.QueryStats{}, errInexpressible
 		}
 		body := map[string]interface{}{"query": q.Q.(*metric.Str).S}
@@ -83,8 +83,6 @@ func httpLayer(t *testing.T, srv *server.Server) func(core.Query) ([]core.Result
 		switch q.Op {
 		case core.OpRange:
 			path, body["radius"] = "/v1/range", q.Radius
-		case core.OpKNNApprox:
-			path, body["k"], body["max_verify"] = "/v1/knn/approx", q.K, q.MaxVerify
 		case core.OpKNNGraph:
 			body["k"], body["mode"], body["ef"] = q.K, "ann", q.Search.Ef
 		default:
@@ -232,18 +230,6 @@ func TestQueryEquivalenceAcrossLayers(t *testing.T) {
 		{"knn/bound=inf", func(q metric.Object, _ float64) core.Query {
 			return core.Query{Op: core.OpKNN, Q: q, K: k, Bounded: true, Bound: math.Inf(1)}
 		}},
-		{"approx/1", func(q metric.Object, _ float64) core.Query {
-			return core.Query{Op: core.OpKNNApprox, Q: q, K: k, MaxVerify: 1}
-		}},
-		{"approx/50", func(q metric.Object, _ float64) core.Query {
-			return core.Query{Op: core.OpKNNApprox, Q: q, K: k, MaxVerify: 50}
-		}},
-		{"approx/0", func(q metric.Object, _ float64) core.Query {
-			return core.Query{Op: core.OpKNNApprox, Q: q, K: k}
-		}},
-		{"approx/-3", func(q metric.Object, _ float64) core.Query {
-			return core.Query{Op: core.OpKNNApprox, Q: q, K: k, MaxVerify: -3}
-		}},
 		{"graph", func(q metric.Object, _ float64) core.Query {
 			return core.Query{Op: core.OpKNNGraph, Q: q, K: k}
 		}},
@@ -286,8 +272,6 @@ func TestQueryEquivalenceAcrossLayers(t *testing.T) {
 					}
 					mode := "exact"
 					switch {
-					case req.Op == core.OpKNNApprox && req.MaxVerify > 0:
-						mode = "approx"
 					case req.Op == core.OpKNNGraph && graphBuilt && l.graph == "fallback":
 						mode = "graph"
 					case req.Op == core.OpKNNGraph && !graphBuilt && l.graph == "fallback":

@@ -80,9 +80,8 @@ func TestWireErrPreservesIs(t *testing.T) {
 
 // TestNodeRejectsInvalidWireQuery: a node treats a query RPC as input from
 // outside the process. Requests the wire structs can spell but the library
-// rejects — a bounded approximate kNN, a NaN radius, an unknown operation —
-// come back as
-// core.ErrInvalidQuery over the wire, without a panic, and the node keeps
+// rejects — a bounded graph kNN, a NaN radius, an unknown operation — come
+// back as core.ErrInvalidQuery over the wire, without a panic, and the node keeps
 // serving.
 func TestNodeRejectsInvalidWireQuery(t *testing.T) {
 	tc := startCluster(t, dataset.Words(300, 51), 4)
@@ -94,11 +93,10 @@ func TestNodeRejectsInvalidWireQuery(t *testing.T) {
 		c := NewClient(p.Nodes[node])
 		defer c.Close()
 		for name, q := range map[string]core.Query{
-			"bounded+approx":  {Op: core.OpKNNApprox, K: 5, MaxVerify: 10, Bounded: true, Bound: 1},
-			"budget on exact": {Op: core.OpKNN, K: 5, MaxVerify: 10},
-			"NaN bound":       {Op: core.OpKNN, K: 5, Bounded: true, Bound: math.NaN()},
-			"NaN radius":      {Op: core.OpRange, Radius: math.NaN()},
-			"unknown op":      {Op: "scan", K: 5},
+			"bounded graph": {Op: core.OpKNNGraph, K: 5, Bounded: true},
+			"NaN bound":     {Op: core.OpKNN, K: 5, Bounded: true, Bound: math.NaN()},
+			"NaN radius":    {Op: core.OpRange, Radius: math.NaN()},
+			"unknown op":    {Op: "scan", K: 5},
 		} {
 			var resp rpcQueryResp
 			if err := c.Call(ctx, kQuery, rpcQueryReq{Shards: shards, Q: wq, Query: q}, &resp); err != nil {

@@ -45,7 +45,6 @@ func TestBatchMatchesScalar(t *testing.T) {
 				for _, op := range []Query{
 					{Op: OpRange, Radius: 0.15 * maxD},
 					{Op: OpKNN, K: 6},
-					{Op: OpKNNApprox, K: 4, MaxVerify: 40},
 				} {
 					label := fmt.Sprintf("query/%s/%s/delta=%v", s.name, op.Op, delta)
 					var row golden

@@ -99,7 +99,7 @@ func TestBoundedParallelMatchesSerial(t *testing.T) {
 				qs  QueryStats
 				err error
 			}
-			tags := []string{"range", "knn1", "knn8", "approx"}
+			tags := []string{"range", "knn1", "knn8"}
 			run := func(job int) (o outcome) {
 				q := s.objs[job/len(tags)]
 				switch tags[job%len(tags)] {
@@ -109,8 +109,6 @@ func TestBoundedParallelMatchesSerial(t *testing.T) {
 					o.res, o.qs, o.err = tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 1, Timed: true})
 				case "knn8":
 					o.res, o.qs, o.err = tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 8, Timed: true})
-				case "approx":
-					o.res, o.qs, o.err = tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: 5, MaxVerify: 40, Timed: true})
 				}
 				return o
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -348,40 +347,6 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 						if diff := got[i].Dist - want[i]; diff > 1e-9 || diff < -1e-9 {
 							t.Fatalf("k=%d trial %d: dist[%d] = %v, want %v", k, trial, i, got[i].Dist, want[i])
 						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestGreedyTraversalSameResults: exact kNN, which verifies each leaf whole
-// when it reaches it (the paper's greedy traversal), answers what best-first
-// search over single entries answers — run here as a budgeted search whose
-// budget does not bind.
-func TestGreedyTraversalSameResults(t *testing.T) {
-	for _, s := range setups() {
-		s := s
-		t.Run(s.name, func(t *testing.T) {
-			tree := buildSetup(t, s)
-			rng := rand.New(rand.NewSource(13))
-			ctx := context.Background()
-			for trial := 0; trial < 10; trial++ {
-				q := s.objs[rng.Intn(len(s.objs))]
-				gre, _, err := tree.Query(ctx, Query{Op: OpKNN, Q: q, K: 8})
-				if err != nil {
-					t.Fatal(err)
-				}
-				inc, _, err := tree.Query(ctx, Query{Op: OpKNNApprox, Q: q, K: 8, MaxVerify: len(s.objs)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(inc) != len(gre) {
-					t.Fatalf("best-first %d vs greedy %d results", len(inc), len(gre))
-				}
-				for i := range inc {
-					if inc[i].Dist != gre[i].Dist {
-						t.Fatalf("dist[%d]: best-first %v, greedy %v", i, inc[i].Dist, gre[i].Dist)
 					}
 				}
 			}

@@ -111,9 +111,6 @@ func TestCtxAlreadyCanceled(t *testing.T) {
 	if _, _, err := tree.Query(ctx, Query{Op: OpKNN, Q: q, K: 5}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("knn: %v", err)
 	}
-	if _, _, err := tree.Query(ctx, Query{Op: OpKNNApprox, Q: q, K: 5, MaxVerify: 50}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("knn approx: %v", err)
-	}
 	if _, _, err := Join(ctx, tree, tree, 0.1); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("join: %v", err)
 	}

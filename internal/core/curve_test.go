@@ -83,7 +83,6 @@ func TestQueryPathRunsNoCurve(t *testing.T) {
 				for _, qr := range []Query{
 					{Op: OpKNN, Q: q, K: 10},
 					{Op: OpKNN, Q: q, K: 10, Bounded: true, Bound: 0.2},
-					{Op: OpKNNApprox, Q: q, K: 10, MaxVerify: 40},
 					{Op: OpRange, Q: q, Radius: 0.02},
 					{Op: OpRange, Q: q, Radius: 0.1},
 					{Op: OpRange, Q: q, Radius: 0.3},

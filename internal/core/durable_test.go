@@ -197,23 +197,6 @@ func (fx *durableFixture) checkEquivalence(t *testing.T, qs ...metric.Object) {
 			}
 		}
 
-		// The budgeted search has no rebuilt-tree analogue (its answer depends
-		// on traversal order; TestBatchMatchesScalar pins it over a write
-		// buffer against goldens): here it must stay within its budget and
-		// answer with live objects at their true distances.
-		approx, approxQS, err := dur.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: k, MaxVerify: 25})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if approxQS.Verified > 25 || len(approx) > k {
-			t.Fatalf("%s: budgeted kNN verified %d candidates for %d results, budget 25, k %d", label, approxQS.Verified, len(approx), k)
-		}
-		for i, x := range approx {
-			if o, ok := fx.live[x.Object.ID()]; !ok || fx.dist.Distance(q, o) != x.Dist {
-				t.Fatalf("%s: budgeted kNN rank %d (id %d, d=%v) is not a live object at its distance", label, i, x.Object.ID(), x.Dist)
-			}
-		}
-
 		// Range IDs over everything double as a live-set identity check.
 		ids, err := rangeIDs(dur, q, allRadius)
 		if err != nil {
@@ -615,8 +598,6 @@ func TestDurableClosedEntryPoints(t *testing.T) {
 	assertClosed("Query(range)", err)
 	_, err = fx.tree.KNN(q, 5)
 	assertClosed("KNN", err)
-	_, _, err = fx.tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: 5, MaxVerify: 10})
-	assertClosed("Query(knn_approx)", err)
 	_, err = fx.tree.Get(q)
 	assertClosed("Get", err)
 	assertClosed("CompactNow", fx.tree.CompactNow())

@@ -1,10 +1,9 @@
 // Verification stage of the query algorithms (DESIGN.md §9). Every query runs
 // on its caller's goroutine: the traversal admits candidates, and those that
 // can be verified together — a range query's pending block, a kNN leaf, a
-// budgeted search's run of entry pops, a graph expansion — are resolved by
+// kNN run of buffered-insert pops, a graph expansion — are resolved by
 // resolveBlock: the block's raw records (copied from the RAF in one pass over
-// their pages, or, for a budgeted search's pops, taken from the copies their
-// runs made), the write buffer's tombstone filter on the record headers, the
+// their pages), the write buffer's tombstone filter on the record headers, the
 // query's prepared kernel on each payload, and a decode of only what the
 // kernel accepts or Lemma 2 proves. It is the only place on the query path
 // where a record is decoded and a distance evaluated.
@@ -33,15 +32,13 @@ const rangeBatchSize = 16
 // already in memory. bound is what the filter proved about its distance: the
 // MIND lower bound for kNN, and for a range candidate with
 // proved set the Lemma 2 upper bound that includes it without a distance
-// computation. An exact kNN leaf's entry carries its cell word instead, which
-// its commit tests against the window of the live bound. A budgeted search's
-// pop has its record already copied: rec is its runEntry.rec, non-zero.
+// computation. A kNN leaf's entry carries its cell word instead, which its
+// commit tests against the window of the live bound.
 type candidate struct {
 	bound  float64
 	val    uint64
 	cell   uint64
 	obj    metric.Object
-	rec    uint32
 	proved bool
 }
 
@@ -64,10 +61,9 @@ type candBlock struct {
 	within []bool
 
 	// The raw records, header and payload, that fetchRecords copied from
-	// the RAF: base candidate i's starts at raw[recAt[i]] unless its record
-	// is in the query's record arena. offsets and order stage the copy in
-	// offset order. readObjs are the decode slots, kept from block to block
-	// and query to query.
+	// the RAF: base candidate i's starts at raw[recAt[i]]. offsets and order
+	// stage the copy in offset order. readObjs are the decode slots, kept
+	// from block to block and query to query.
 	raw      []byte
 	recAt    []int
 	offsets  []uint64
@@ -122,13 +118,13 @@ func (b *candBlock) keep(i int) metric.Object {
 // record could not be read or decoded, and err its error: a caller returns
 // err if and only if its commit loop reaches index resolved, which is where
 // verifying the candidates one at a time would have stopped; a loop that ends
-// earlier (Lemma 3, an exhausted budget) never sees it.
+// earlier (Lemma 3) never sees it.
 func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs *QueryStats) (resolved, probed int, err error) {
 	b := &sc.blk
 	b.grow(len(b.cands))
 	st := qs.stageStart()
 	defer qs.stageAdd(&qs.VerifyTime, st)
-	resolved, err = t.fetchRecords(sc)
+	resolved, err = t.fetchRecords(b)
 	kern := sc.kernel(t, q)
 	j := 0 // the next decode slot
 	for i, c := range b.cands[:resolved] {
@@ -138,7 +134,7 @@ func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs
 			probed++
 			continue
 		}
-		rec := sc.record(i)
+		rec := b.raw[b.recAt[i]:]
 		id, payload := raf.RecordPayload(rec)
 		b.plens[i], b.slot[i] = len(payload), j
 		j++
@@ -147,7 +143,7 @@ func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs
 		}
 		var obj metric.Object
 		if !c.proved {
-			d, within, kobj, kerr := kern.PayloadAtMost(id, payload, b.readObjs[b.slot[i]], bound)
+			d, within, kobj, kerr := kern.PayloadAtMost(q, id, payload, b.readObjs[b.slot[i]], bound)
 			if kerr != nil {
 				return i, probed, fmt.Errorf("core: decode record at %d: %w", c.val, kerr)
 			}
@@ -171,28 +167,19 @@ func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs
 	return resolved, probed, err
 }
 
-// fetchRecords gets the raw record of every base candidate of the block
-// (record). A budgeted search's pops have theirs in the query's record arena,
-// where their runs copied them; a block's base records are all copied or
-// none are. Otherwise the records are copied from the RAF into the block's
-// buffer in ascending offset order — a leaf's order, unless writes appended
-// some of its records — so consecutive records that share a page are copied
-// from one fetch. A record that fails to copy does not stop the others: the
-// copy goes on after it, so every record is read or has failed on its own.
+// fetchRecords copies the raw record of every base candidate of the block
+// from the RAF into the block's buffer, in ascending offset order — a leaf's
+// order, unless writes appended some of its records — so consecutive records
+// that share a page are copied from one fetch. A record that fails to copy
+// does not stop the others: the copy goes on after it, so every record is
+// read or has failed on its own.
 // fetchRecords returns the first candidate in scan order whose record
 // failed, with its error, or len(cands).
-func (t *Tree) fetchRecords(sc *queryScratch) (int, error) {
-	b := &sc.blk
+func (t *Tree) fetchRecords(b *candBlock) (int, error) {
 	failed, ferr := len(b.cands), error(nil)
 	b.raw, b.offsets, b.order = b.raw[:0], b.offsets[:0], b.order[:0]
 	for i, c := range b.cands {
-		switch {
-		case c.obj != nil:
-		case c.rec != 0:
-			if err := sc.pq.recs.failure(c.rec); err != nil && i < failed {
-				failed, ferr = i, err
-			}
-		default:
+		if c.obj == nil {
 			b.order = append(b.order, i)
 		}
 	}
@@ -223,15 +210,6 @@ func (t *Tree) fetchRecords(sc *queryScratch) (int, error) {
 		k += n + 1
 	}
 	return failed, ferr
-}
-
-// record returns the raw record of base candidate i, which fetchRecords
-// copied.
-func (sc *queryScratch) record(i int) []byte {
-	if rec := sc.blk.cands[i].rec; rec != 0 {
-		return sc.pq.recs.record(rec)
-	}
-	return sc.blk.raw[sc.blk.recAt[i]:]
 }
 
 // rangeSerial is the verification tail of the paper's VerifyRQ for the

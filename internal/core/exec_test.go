@@ -113,12 +113,11 @@ type resolverOutcome struct {
 // error, same Verified / Compdists / Abandoned / TombstonesSkipped /
 // DeltaCandidates / Lemma2Included as the goldens, which are that execution
 // frozen (golden_test.go) — and the partials must be true answers over the
-// live set. A run of a budgeted search's pops that terminates before the bad
-// record reports no error. Every data page takes a turn as the failing one, with the write
+// live set. Every data page takes a turn as the failing one, with the write
 // buffer empty and live.
 func TestResolveBlockReadFailure(t *testing.T) {
 	defer writeGoldens(t)
-	const k, maxVerify = 6, 25
+	const k = 6
 	type caller struct {
 		name   string
 		radius bool // answers are bounded by r, not by k
@@ -128,12 +127,6 @@ func TestResolveBlockReadFailure(t *testing.T) {
 	knn := func(fx *resolverFixture, q metric.Object, _ float64) (o resolverOutcome) {
 		o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: k})
 		return o
-	}
-	approx := func(budget int) func(fx *resolverFixture, q metric.Object, _ float64) resolverOutcome {
-		return func(fx *resolverFixture, q metric.Object, _ float64) (o resolverOutcome) {
-			o.res, o.qs, o.err = fx.tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: k, MaxVerify: budget})
-			return o
-		}
 	}
 	callers := []caller{
 		{"range", true, 0, func(fx *resolverFixture, q metric.Object, r float64) (o resolverOutcome) {
@@ -146,17 +139,6 @@ func TestResolveBlockReadFailure(t *testing.T) {
 		// readable ones: entry-at-a-time execution never reads it, and the
 		// query succeeds.
 		{"knn-greedy-skip", false, 16, knn},
-		// A budget that does not bind: best-first search over single
-		// entries, whose pops copy leaf runs.
-		{"approx", false, 0, approx(math.MaxInt32)},
-		// From base object 3, the first pops of several leaf runs copy
-		// records on data pages 0, 4 and 5 that are within the bound then
-		// but that the search never commits: a failed copy keeps its error
-		// for a commit turn that never comes, and the query succeeds with the
-		// fault-free answer, as entry-at-a-time execution, which never reads
-		// those pages, does.
-		{"approx-skip", false, 3, approx(math.MaxInt32)},
-		{"knn-approx", false, 0, approx(maxVerify)},
 	}
 	for _, c := range callers {
 		for _, delta := range []bool{false, true} {
@@ -172,18 +154,11 @@ func TestResolveBlockReadFailure(t *testing.T) {
 				if c.radius {
 					truth = bfRangeDists(fx.live, q, r, fx.dist)
 				}
-				clean := c.run(fx, q, r)
-				failed, batched, skipped := 0, int64(0), 0
+				failed, batched := 0, int64(0)
 				for pg := 0; pg < fx.tree.raf.PagesUsed(); pg++ {
 					fx.data.FailPage(page.ID(pg), page.OpRead)
 					o := c.run(fx, q, r)
 					fx.data.ClearPageFaults()
-					if o.err == nil && o.qs.DataPA < clean.qs.DataPA {
-						// With the cache off a failed read is the one page
-						// access the faulted run misses: it read the page and
-						// still succeeded.
-						skipped++
-					}
 
 					label := fmt.Sprintf("fault/%s/delta=%v/page %d", c.name, delta, pg)
 					if o.err != nil {
@@ -208,9 +183,6 @@ func TestResolveBlockReadFailure(t *testing.T) {
 				if failed == 0 {
 					t.Fatal("no failing page was ever reached: the replay was not exercised")
 				}
-				if c.name == "approx-skip" && skipped == 0 {
-					t.Fatal("no run copy read a failing page in a query that succeeded: the deferred error was not exercised")
-				}
 				// Blocks on healthy pages must have gone through the kernel.
 				if batched == 0 {
 					t.Fatal("no candidate went through resolveBlock")
@@ -225,52 +197,6 @@ func TestResolveBlockReadFailure(t *testing.T) {
 		}
 	}
 }
-
-// TestKNNApproxBudgetOverWriteBuffer: the budgeted search spends its budget
-// on distance computations only. Over a live write buffer it verifies exactly
-// maxVerify candidates however many superseded base records it meets on the
-// way, and returns what the entry-at-a-time search of the commit before block
-// verification replaced it returned (golden IDs; the fixture is seeded).
-func TestKNNApproxBudgetOverWriteBuffer(t *testing.T) {
-	want := map[int][]uint64{
-		7:  goldenApprox7,
-		40: goldenApprox40,
-	}
-	for _, m := range []int{7, 40} {
-		fx := newResolverFixture(t, true)
-		res, qs, err := fx.tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: fx.query, K: 5, MaxVerify: m, Timed: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("maxVerify=%d", m)
-		if qs.Verified != int64(m) {
-			t.Fatalf("%s: verified %d candidates, want exactly %d", label, qs.Verified, m)
-		}
-		if qs.Compdists != int64(m+len(fx.tree.pivots)) {
-			t.Fatalf("%s: compdists %d, want %d", label, qs.Compdists, m+len(fx.tree.pivots))
-		}
-		if m == 40 && (qs.TombstonesSkipped == 0 || qs.DeltaCandidates == 0) {
-			t.Fatalf("%s: met %d superseded records and %d buffered inserts; the fixture should supply both",
-				label, qs.TombstonesSkipped, qs.DeltaCandidates)
-		}
-		if len(res) != len(want[m]) {
-			t.Fatalf("%s: %d results, want %d", label, len(res), len(want[m]))
-		}
-		for i, x := range res {
-			if x.Object.ID() != want[m][i] {
-				t.Fatalf("%s: rank %d is id %d, want %d", label, i, x.Object.ID(), want[m][i])
-			}
-			if d := fx.dist.Distance(fx.query, x.Object); math.Abs(d-x.Dist) > 0 {
-				t.Fatalf("%s: rank %d reports distance %v, true %v", label, i, x.Dist, d)
-			}
-		}
-	}
-}
-
-var (
-	goldenApprox7  = []uint64{366, 118, 26, 306, 318}
-	goldenApprox40 = []uint64{366, 314, 186, 118, 26}
-)
 
 // keptAnswer is one query's answer held on to while later queries run: the
 // results as returned, a copy of each made at once (encoded payload and all),
@@ -289,10 +215,9 @@ func snapshotResult(r Result) string {
 
 // TestResultsOwnTheirObjects is the slot rule (DESIGN.md §9.7) from the
 // caller's side: candidates are decoded into slots that the next block
-// overwrites, so every object that leaves a query — a kNN or approximate kNN
-// result — from a leaf block or from a run's copied records —, a range result
-// verified or included by Lemma 2, a graph-search result, a partial answer
-// returned with an error — must have been taken out of its slot. The test
+// overwrites, so every object that leaves a query — a kNN result, a range
+// result verified or included by Lemma 2, a graph-search result, a partial
+// answer returned with an error — must have been taken out of its slot. The test
 // keeps such answers, runs fifty more queries on the same goroutine (same
 // pooled scratch, every slot overwritten many times), then requires each
 // kept result to equal the copy made when it was returned, to lie at its
@@ -389,17 +314,6 @@ func TestResultsOwnTheirObjects(t *testing.T) {
 					subset(q, r)(t, label, res)
 				})
 
-				if res, _, err = tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: k, MaxVerify: 60}); err != nil {
-					t.Fatal(err)
-				}
-				keep(fmt.Sprintf("approx %d", qi), q, res, subset(q, math.Inf(1)))
-
-				// A budget that does not bind: verified from copied runs.
-				if res, _, err = tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: k, MaxVerify: n}); err != nil {
-					t.Fatal(err)
-				}
-				keep(fmt.Sprintf("best-first %d", qi), q, res, topK(q))
-
 				if res, _, err = tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: q, K: k}); err != nil {
 					t.Fatal(err)
 				}
@@ -450,9 +364,6 @@ func TestResultsOwnTheirObjects(t *testing.T) {
 					t.Fatal(err)
 				}
 				if _, _, err := tree.Query(context.Background(), Query{Op: OpKNNGraph, Q: q, K: k}); err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: k, MaxVerify: n}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -19,6 +19,16 @@ import (
 	"spbtree/internal/sfc"
 )
 
+// resultIDList projects a result list to its object IDs, the form the shared
+// recall helper consumes.
+func resultIDList(res []Result) []uint64 {
+	ids := make([]uint64, len(res))
+	for i, r := range res {
+		ids[i] = r.Object.ID()
+	}
+	return ids
+}
+
 // buildGraphTree builds a non-durable vector tree and its approximate graph.
 func buildGraphTree(t *testing.T, n int, seed int64) ([]metric.Object, *Tree) {
 	t.Helper()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sort"
 
 	"spbtree/internal/metric"
@@ -26,7 +25,7 @@ import (
 // a best-effort partial answer rather than silently losing objects.
 //
 // KNN is Query with Op OpKNN under context.Background(); use Query for the
-// query's QueryStats, a deadline, a seed bound or a verification budget.
+// query's QueryStats, a deadline or a seed bound.
 func (t *Tree) KNN(q metric.Object, k int) ([]Result, error) {
 	return answers(t.Query(context.Background(), Query{Op: OpKNN, Q: q, K: k}))
 }
@@ -40,14 +39,7 @@ func (t *Tree) KNN(q metric.Object, k int) ([]Result, error) {
 // distance bound0 (with infinite IDs) preceded the search. +Inf means
 // unbounded. The forest's staged kNN scatter passes the first shard's k-th
 // distance here so the remaining shards run bounded probes.
-//
-// maxVerify > 0 makes the search approximate (OpKNNApprox), and its budget
-// must go to the globally best candidates: a leaf's entries are pushed onto
-// the frontier as one sorted run and verified in MIND order across leaves
-// (DESIGN.md §9.4), and the search stops once maxVerify distances have been
-// computed. A record the write buffer supersedes verifies nothing and spends
-// no budget.
-func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, maxVerify int, qs *QueryStats) ([]Result, error) {
+func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, qs *QueryStats) ([]Result, error) {
 	if k <= 0 || t.count == 0 {
 		return nil, nil
 	}
@@ -62,11 +54,6 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 	if !rootOK && !t.deltaActive() {
 		return nil, nil
 	}
-	approx := maxVerify > 0
-	limit := int64(math.MaxInt64) // on qs.Verified
-	if approx {
-		limit = qs.Verified + int64(maxVerify)
-	}
 
 	res := sc.res.reset(k, bound0)
 	pq, blk := &sc.pq, &sc.blk
@@ -77,7 +64,7 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 		t.seedDelta(sc, qs)
 	}
 
-	for pq.Len() > 0 && qs.Verified < limit {
+	for pq.Len() > 0 {
 		if err := ctxDone(ctx); err != nil {
 			return res.sorted(), err
 		}
@@ -86,28 +73,20 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 			break // Lemma 3 early termination
 		}
 		if !item.isNode() {
-			// A buffered insert or, under a budget, a leaf entry. A run of
-			// entry pops with no tree node between them is verified as one
-			// block (DESIGN.md §13) — identical results and counters to
-			// popping one entry at a time; the budget caps the run, so a
-			// block holds no more candidates than the entry-at-a-time search
-			// could still verify. The first pop of a leaf run's unread entry
-			// copies the records the search can still verify from that run
-			// (admit), so a leaf's RAF pages are read once, not once per
-			// block.
-			bound, budget := res.bound(), limit-qs.Verified
-			blk.cands = blk.cands[:0]
-			t.admit(sc, item, bound, budget, qs)
-			run := min(knnRunBlock, budget)
-			for int64(len(blk.cands)) < run && pq.Len() > 0 && !pq.peekIsNode() {
-				t.admit(sc, pq.pop(), bound, budget, qs)
+			// A buffered insert. A run of insert pops with no tree node
+			// between them is verified as one block of up to knnRunBlock
+			// (DESIGN.md §13) — identical results and counters to popping
+			// one insert at a time.
+			blk.cands = append(blk.cands[:0], pq.candidate(item))
+			for len(blk.cands) < knnRunBlock && pq.Len() > 0 && !pq.peekIsNode() {
+				blk.cands = append(blk.cands, pq.candidate(pq.pop()))
 			}
-			terminated, err := t.verifyKNNBlock(ctx, q, sc, qs, limit, false)
+			terminated, err := t.verifyKNNBlock(ctx, q, sc, qs, false)
 			if err != nil {
 				return res.sorted(), err
 			}
 			if terminated {
-				break // Lemma 3 early termination, or the budget, mid-run
+				break // Lemma 3 early termination mid-run
 			}
 			continue
 		}
@@ -115,8 +94,11 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 			return res.sorted(), err
 		}
 		qs.NodesRead++
-		if !sc.node.Leaf || approx {
-			t.pushNode(sc, res.bound(), qs)
+		if !sc.node.Leaf {
+			bound := res.bound()
+			for _, c := range sc.node.Children {
+				t.pushBox(sc, c, bound, qs)
+			}
 			continue
 		}
 		// Verify the whole leaf now, as one block: scan-time pruning
@@ -134,7 +116,7 @@ func (t *Tree) knn(ctx context.Context, q metric.Object, k int, bound0 float64, 
 		qs.EntriesScanned += int64(len(sc.node.Cells))
 		qs.EntriesPruned += int64(len(sc.node.Cells) - len(blk.cands)) // Lemma 3
 		if len(blk.cands) > 0 {
-			if _, err := t.verifyKNNBlock(ctx, q, sc, qs, limit, true); err != nil {
+			if _, err := t.verifyKNNBlock(ctx, q, sc, qs, true); err != nil {
 				return res.sorted(), err
 			}
 		}
@@ -158,16 +140,16 @@ func (r *knnResults) sorted() []Result {
 	return out
 }
 
-// knnRunBlock caps how many consecutive entry pops a budgeted search buffers
-// into one block.
+// knnRunBlock caps how many consecutive buffered-insert pops are verified as
+// one block.
 const knnRunBlock = 16
 
 // verifyKNNBlock verifies sc.blk.cands — a leaf's admitted entries in scan
-// order (leaf set), or a best-first run of consecutive entry pops (no tree node
-// between them, so verifying them pushes nothing onto the frontier and the
-// run is exactly the prefix a one-at-a-time loop would pop next). The ctx
-// check gives verification-block granularity: a canceled query stops before
-// the next RAF read and kernel call. The block is resolved against the bound
+// order (leaf set), or a best-first run of consecutive buffered-insert pops
+// (no tree node between them, so verifying them pushes nothing onto the
+// frontier and the run is exactly the prefix a one-at-a-time loop would pop
+// next). The ctx check gives verification-block granularity: a canceled
+// query stops before the next RAF read and kernel call. The block is resolved against the bound
 // before its first candidate; each candidate then commits at its own turn
 // against the live bound, which only tightens:
 //
@@ -176,13 +158,12 @@ const knnRunBlock = 16
 //     crossing is the Lemma 3 prune an entry-by-entry loop applies at that
 //     entry's turn (EntriesPruned totals match); in a best-first run it ends
 //     the query — a one-at-a-time loop would have broken there and never
-//     popped the rest — as does an exhausted verification budget (limit, on
-//     qs.Verified). terminated reports either.
-//   - a record resolveBlock could not read ends the query with its error —
-//     at this turn, not before: a run that terminates first reports none, and
-//     a leaf that prunes the record never read it.
+//     popped the rest — which terminated reports.
+//   - a leaf record resolveBlock could not read ends the query with its
+//     error — at this turn, not before: a leaf that prunes the record never
+//     read it.
 //   - a base record superseded by the write buffer is skipped after its read:
-//     it counts no verification and spends no budget.
+//     it counts no verification.
 //   - a completed distance is re-checked against the live bound: an excess is
 //     the abandon a bounded evaluation at that bound would have reported. An
 //     offer would reject such a candidate anyway (its distance ranks after
@@ -193,7 +174,7 @@ const knnRunBlock = 16
 // lifetime distance counter, so every counter and the result set equal those
 // of verifying one candidate at a time; the reads and evaluations of
 // candidates a commit pruned stay invisible.
-func (t *Tree) verifyKNNBlock(ctx context.Context, q metric.Object, sc *queryScratch, qs *QueryStats, limit int64, leaf bool) (terminated bool, err error) {
+func (t *Tree) verifyKNNBlock(ctx context.Context, q metric.Object, sc *queryScratch, qs *QueryStats, leaf bool) (terminated bool, err error) {
 	if err := ctxDone(ctx); err != nil {
 		return false, err
 	}
@@ -209,9 +190,6 @@ func (t *Tree) verifyKNNBlock(ctx context.Context, q metric.Object, sc *queryScr
 		} else if c.bound > res.bound() {
 			return true, nil
 		}
-		if qs.Verified >= limit {
-			return true, nil
-		}
 		if i == resolved {
 			return false, rerr
 		}
@@ -219,7 +197,7 @@ func (t *Tree) verifyKNNBlock(ctx context.Context, q metric.Object, sc *queryScr
 			// The leaf scan pruned the unreadable record and goes on: the
 			// rest of the leaf is a block of its own.
 			b.cands = b.cands[:copy(b.cands, b.cands[i:])]
-			return t.verifyKNNBlock(ctx, q, sc, qs, limit, leaf)
+			return t.verifyKNNBlock(ctx, q, sc, qs, leaf)
 		}
 		if c.obj != nil {
 			qs.DeltaCandidates++

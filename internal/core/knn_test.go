@@ -73,11 +73,9 @@ func TestKNNWithinMatchesKNN(t *testing.T) {
 
 // TestKNNCanonicalAcrossStrategies pins the §15.1 canonicalization: on a
 // discrete metric riddled with distance ties, exact kNN — which visits
-// leaves in MIND order and verifies each whole — and a budgeted search whose
-// budget does not bind — which verifies entries in MIND order across leaves
-// — both return the brute-force (dist, ID) top-k, whatever order they meet
-// the tied candidates in. It is the property the forest's staged scatter is
-// built on.
+// leaves in MIND order and verifies each whole — returns the brute-force
+// (dist, ID) top-k, whatever order it meets the tied candidates in. It is the
+// property the forest's staged scatter is built on.
 func TestKNNCanonicalAcrossStrategies(t *testing.T) {
 	objs := wordSet(1500, 63)
 	dist := metric.EditDistance{MaxLen: 24}
@@ -91,16 +89,11 @@ func TestKNNCanonicalAcrossStrategies(t *testing.T) {
 	for qi := 0; qi < 8; qi++ {
 		q := objs[qi*11]
 		want := bfSorted(objs, q, math.Inf(1), dist)[:10]
-		for _, req := range []Query{
-			{Op: OpKNN, Q: q, K: 10},
-			{Op: OpKNNApprox, Q: q, K: 10, MaxVerify: len(objs)},
-		} {
-			res, _, err := tree.Query(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, req.Op, want, res)
+		res, _, err := tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 10})
+		if err != nil {
+			t.Fatal(err)
 		}
+		sameResults(t, OpKNN, want, res)
 	}
 }
 

@@ -17,19 +17,17 @@ import (
 // than a new method on each layer. The zero value of every optional field
 // means "off": a Query{Op: OpKNN, Q: q, K: k} is the paper's plain kNN(q, k).
 //
-//	field      OpRange  OpKNN  OpKNNApprox  OpKNNGraph
-//	Q          yes      yes    yes          yes
-//	Radius     yes      -      -            -
-//	K          -        yes    yes          yes
-//	Bounded    -        opt    -            -
-//	MaxVerify  -        -      opt          -
-//	Search     -        -      -            opt
-//	Timed      opt      opt    opt          opt
+//	field    OpRange  OpKNN  OpKNNGraph
+//	Q        yes      yes    yes
+//	Radius   yes      -      -
+//	K        -        yes    yes
+//	Bounded  -        opt    -
+//	Search   -        -      opt
+//	Timed    opt      opt    opt
 type Query struct {
-	// Op selects the operation: OpRange (Algorithm 1), OpKNN (Algorithm 2),
-	// OpKNNApprox (Algorithm 2 under a verification budget) or OpKNNGraph
-	// (beam search over the graph tier, DESIGN.md §14; ErrNoGraph when the
-	// tree has none).
+	// Op selects the operation: OpRange (Algorithm 1), OpKNN (Algorithm 2)
+	// or OpKNNGraph (beam search over the graph tier, DESIGN.md §14; a tree
+	// with no live graph answers it with ErrNoGraph).
 	Op string
 	// Q is the query object.
 	Q metric.Object
@@ -46,11 +44,6 @@ type Query struct {
 	// the value because 0 is a legal, maximally tight bound.
 	Bounded bool
 	Bound   float64
-	// MaxVerify is OpKNNApprox's budget: the best-first traversal stops after
-	// verifying this many objects. Candidates are visited in ascending
-	// mapped-space MIND order, so recall degrades gracefully as the budget
-	// shrinks. Zero or less runs (and reports as) the exact OpKNN.
-	MaxVerify int
 	// Search tunes OpKNNGraph's beam search.
 	Search SearchOptions
 	// Timed turns on the per-stage wall clocks of the returned QueryStats
@@ -67,11 +60,11 @@ var ErrInvalidQuery = errors.New("core: invalid query")
 // by every Query entry point and by the layers that accept requests from
 // outside the process. It rejects an unknown Op, a NaN radius or bound, and a
 // parameter set on an operation that does not take it (a bound outside
-// OpKNN, a verification budget outside OpKNNApprox, search options outside
-// OpKNNGraph). K ≤ 0 and a negative radius are legal and answer empty.
+// OpKNN, search options outside OpKNNGraph). K ≤ 0 and a negative radius are
+// legal and answer empty.
 func (q Query) Validate() error {
 	switch q.Op {
-	case OpRange, OpKNN, OpKNNApprox, OpKNNGraph:
+	case OpRange, OpKNN, OpKNNGraph:
 	default:
 		return fmt.Errorf("%w: unknown operation %q", ErrInvalidQuery, q.Op)
 	}
@@ -82,8 +75,6 @@ func (q Query) Validate() error {
 		return fmt.Errorf("%w: bound is NaN", ErrInvalidQuery)
 	case q.Bounded && q.Op != OpKNN:
 		return fmt.Errorf("%w: a distance bound applies only to %s, not %s", ErrInvalidQuery, OpKNN, q.Op)
-	case q.MaxVerify != 0 && q.Op != OpKNNApprox:
-		return fmt.Errorf("%w: a verification budget applies only to %s, not %s", ErrInvalidQuery, OpKNNApprox, q.Op)
 	case q.Search != (SearchOptions{}) && q.Op != OpKNNGraph:
 		return fmt.Errorf("%w: search options apply only to %s, not %s", ErrInvalidQuery, OpKNNGraph, q.Op)
 	}
@@ -123,16 +114,11 @@ func (t *Tree) Query(ctx context.Context, q Query) ([]Result, QueryStats, error)
 	case OpKNNGraph:
 		res, err = t.knnGraph(ctx, q.Q, q.K, q.Search, &qs)
 	default:
-		bound, budget := math.Inf(1), 0
+		bound := math.Inf(1)
 		if q.Bounded {
 			bound = q.Bound
 		}
-		if q.MaxVerify > 0 {
-			budget = q.MaxVerify
-		} else {
-			qs.Op = OpKNN // an approximate request without a budget is the exact search
-		}
-		res, err = t.knn(ctx, q.Q, q.K, bound, budget, &qs)
+		res, err = t.knn(ctx, q.Q, q.K, bound, &qs)
 	}
 	qt.finish(len(res), err)
 	return res, qs, err

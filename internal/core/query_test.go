@@ -23,8 +23,6 @@ func TestQueryValidate(t *testing.T) {
 		{"knn", Query{Op: OpKNN, Q: q, K: 3}, true},
 		{"knn zero bound", Query{Op: OpKNN, Q: q, K: 3, Bounded: true}, true},
 		{"knn infinite bound", Query{Op: OpKNN, Q: q, K: 3, Bounded: true, Bound: math.Inf(1)}, true},
-		{"approx", Query{Op: OpKNNApprox, Q: q, K: 3, MaxVerify: 10}, true},
-		{"approx non-positive budget", Query{Op: OpKNNApprox, Q: q, K: 3, MaxVerify: -1}, true},
 		{"graph", Query{Op: OpKNNGraph, Q: q, K: 3, Search: SearchOptions{Ef: 16}}, true},
 		{"k zero", Query{Op: OpKNN, Q: q}, true},
 		{"negative radius", Query{Op: OpRange, Q: q, Radius: -1}, true},
@@ -35,12 +33,8 @@ func TestQueryValidate(t *testing.T) {
 		{"NaN radius", Query{Op: OpRange, Q: q, Radius: nan}, false},
 		{"NaN bound", Query{Op: OpKNN, Q: q, K: 3, Bounded: true, Bound: nan}, false},
 		{"bound on range", Query{Op: OpRange, Q: q, Radius: 1, Bounded: true, Bound: 1}, false},
-		{"bound on approx", Query{Op: OpKNNApprox, Q: q, K: 3, MaxVerify: 5, Bounded: true, Bound: 1}, false},
 		{"bound on graph", Query{Op: OpKNNGraph, Q: q, K: 3, Bounded: true, Bound: 1}, false},
-		{"budget on exact", Query{Op: OpKNN, Q: q, K: 3, MaxVerify: 5}, false},
-		{"budget on range", Query{Op: OpRange, Q: q, Radius: 1, MaxVerify: 5}, false},
 		{"search on exact", Query{Op: OpKNN, Q: q, K: 3, Search: SearchOptions{Ef: 16}}, false},
-		{"search on approx", Query{Op: OpKNNApprox, Q: q, K: 3, MaxVerify: 5, Search: SearchOptions{TargetRecall: 0.9}}, false},
 	} {
 		err := c.q.Validate()
 		if (err == nil) != c.ok {
@@ -62,18 +56,5 @@ func TestQueryValidate(t *testing.T) {
 		if err != nil || len(res) != 0 {
 			t.Errorf("%+v: got %d results, err %v; want empty, nil", empty, len(res), err)
 		}
-	}
-	// A non-positive budget runs, and reports as, the exact search.
-	want, _, err := tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, qs, err := tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: 5, MaxVerify: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "approx with no budget", want, got)
-	if qs.Op != OpKNN {
-		t.Errorf("approx with no budget reported Op %q, want %q", qs.Op, OpKNN)
 	}
 }

@@ -12,8 +12,6 @@ const (
 	OpRange = "range"
 	// OpKNN labels exact kNN queries (Algorithm 2).
 	OpKNN = "knn"
-	// OpKNNApprox labels budgeted approximate kNN queries.
-	OpKNNApprox = "knn_approx"
 	// OpJoin labels similarity joins (Algorithm 3).
 	OpJoin = "join"
 	// OpKNNGraph labels approximate kNN queries answered by beam search over
@@ -36,8 +34,7 @@ const (
 // A query runs on its caller's goroutine (DESIGN.md §9), so the stage clocks
 // partition Elapsed.
 type QueryStats struct {
-	// Op identifies the operation: OpRange, OpKNN, OpKNNApprox, OpKNNGraph
-	// or OpJoin.
+	// Op identifies the operation: OpRange, OpKNN, OpKNNGraph or OpJoin.
 	Op string
 
 	// Plan records how a scatter-gather query visited its shards (plan.go):
@@ -63,9 +60,8 @@ type QueryStats struct {
 	// query counts an entry outside RR as scanned and pruned.
 	EntriesSkipped int64
 	// HeapPushes counts admissions to the kNN traversal's frontier: node
-	// references, buffered inserts and, under a verification budget, leaf
-	// entries (one each, though a leaf's entries enter as one sorted run;
-	// exact kNN verifies a leaf when it reaches it) — the paper's Table 5
+	// references and buffered inserts (a leaf's entries never enter it; kNN
+	// verifies a leaf when it reaches it) — the paper's Table 5
 	// memory-pressure signal.
 	HeapPushes int64
 	// ListEvictions counts merge-list elements retired by Lemma 6 during a
@@ -98,10 +94,10 @@ type QueryStats struct {
 	// evaluations, so Compdists does not depend on how many were abandoned.
 	// Zero when the metric has no bounded kernel.
 	Abandoned int64
-	// BatchedCandidates counts the candidates a range, kNN or budgeted-kNN
-	// query evaluated in blocks through its prepared kernel (DESIGN.md §13):
-	// a pending range block, a kNN leaf, a budgeted search's run of entry pops,
-	// down to a run of one. Every such query verifies its tree candidates
+	// BatchedCandidates counts the candidates a range or kNN query evaluated
+	// in blocks through its prepared kernel (DESIGN.md §13): a pending range
+	// block, a kNN leaf or a run of buffered-insert pops, down to a run of
+	// one. Every such query verifies its tree candidates
 	// this way, so it is ≥ the Verified they account for, and can exceed it
 	// for kNN, where an evaluated candidate may still be pruned at commit
 	// (counted under EntriesPruned, as an entry-at-a-time scan counts it).

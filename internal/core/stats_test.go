@@ -136,19 +136,6 @@ func TestQueryStatsReconcile(t *testing.T) {
 		t.Errorf("kNN HeapPushes=%d NodesRead=%d, want both > 0", qs.HeapPushes, qs.NodesRead)
 	}
 	check("knn", qs)
-
-	tree.ResetStats()
-	_, qs, err = tree.Query(context.Background(), Query{Op: OpKNNApprox, Q: q, K: 10, MaxVerify: 25, Timed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qs.Op != OpKNNApprox {
-		t.Errorf("Op = %q, want %q", qs.Op, OpKNNApprox)
-	}
-	if qs.Verified > 25 {
-		t.Errorf("approx Verified = %d, exceeds budget 25", qs.Verified)
-	}
-	check("knn_approx", qs)
 }
 
 // TestJoinStatsReconcile checks the two-tree (and self-join) PA aggregation.

@@ -204,8 +204,6 @@ func (f *Forest) allShards() []int {
 //     Bound of the same request sent to the rest. A request that already
 //     carries a bound is scattered flat with it. The per-shard top-k sets
 //     merge under the total (dist, ID) order.
-//   - OpKNNApprox scatters flat: every shard verifies at most MaxVerify
-//     candidates, so the forest-wide budget is shards×MaxVerify.
 //   - OpKNNGraph scatters flat, and a shard with no live graph
 //     (core.ErrNoGraph) answers the exact request instead, so the merged
 //     result is never worse than the weakest shard's exact answer.

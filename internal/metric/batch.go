@@ -148,52 +148,60 @@ func (h Hamming) BatchDistanceAtMost(q Object, objs []Object, t float64, d []flo
 // screen — is built once by Prepare and reused for every candidate the query
 // verifies. It evaluates a candidate in its stored form, the payload its
 // AppendBinary wrote, as the random access file keeps it, so a candidate the
-// kernel rejects need not be decoded at all (DESIGN.md §13.1). A
-// PreparedQuery is used by one goroutine at a time.
+// kernel rejects need not be decoded at all (DESIGN.md §13.1). It keeps no
+// reference to the query object: the caller passes q to every evaluation and
+// may hold on to the kernel after its query, for Prepare to re-initialise for
+// the next. A PreparedQuery is used by one goroutine at a time.
 type PreparedQuery interface {
-	// PayloadAtMost evaluates d(q, o) against t, o being the object with ID
-	// id whose payload is payload: (d, within) is what DistanceAtMost(fn, q,
-	// o, t) returns, bit for bit, including the unspecified d when within is
-	// false. A kernel that reads the payload in place (edit distance) returns
-	// a nil obj and no error. The generic binding decodes the payload into
+	// PayloadAtMost evaluates d(q, o) against t, q being the object the
+	// kernel was prepared for and o the object with ID id whose payload is
+	// payload: (d, within) is what DistanceAtMost(fn, q, o, t) returns, bit
+	// for bit, including the unspecified d when within is false. A kernel
+	// that reads the payload in place (edit distance) returns a nil obj and
+	// no error. The generic binding decodes the payload into
 	// slot — a decode slot, as in DecodeInto — and returns the decoded object,
 	// which the caller then owns, or the codec's error. The payload is not
 	// retained.
-	PayloadAtMost(id uint64, payload []byte, slot Object, t float64) (d float64, within bool, obj Object, err error)
+	PayloadAtMost(q Object, id uint64, payload []byte, slot Object, t float64) (d float64, within bool, obj Object, err error)
 }
 
-// Prepare binds fn's kernel to q for candidates that codec decodes. Edit
+// Prepare prepares fn's kernel for q and candidates that codec decodes. Edit
 // distance over StrCodec payloads, which are the string's bytes, is evaluated
 // in place by the prepared Myers kernel; every other metric is bound as is
-// and evaluates the decoded candidate with DistanceAtMost.
-func Prepare(fn DistanceFunc, codec Codec, q Object) PreparedQuery {
+// and evaluates the decoded candidate with DistanceAtMost. prev is a kernel
+// an earlier Prepare returned, whose query is done, or nil: a Myers kernel is
+// re-initialised in place rather than allocated again, so a caller that
+// keeps its kernel from query to query prepares each query for free.
+func Prepare(fn DistanceFunc, codec Codec, q Object, prev PreparedQuery) PreparedQuery {
 	if _, ok := fn.(EditDistance); ok {
 		if _, raw := codec.(StrCodec); raw {
 			sq, ok := q.(*Str)
 			if !ok {
 				panic(badType("EditDistance", "*Str", q))
 			}
-			eq := new(editQuery)
-			eq.init(sq.S)
+			eq, _ := prev.(*editQuery)
+			if eq == nil {
+				eq = new(editQuery)
+			}
+			eq.prepare(sq.S)
 			return eq
 		}
 	}
-	return boundQuery{fn, codec, q}
+	return boundQuery{fn, codec}
 }
 
 // boundQuery is Prepare's generic binding: decode, then DistanceAtMost.
 type boundQuery struct {
 	fn    DistanceFunc
 	codec Codec
-	q     Object
 }
 
-func (b boundQuery) PayloadAtMost(id uint64, payload []byte, slot Object, t float64) (float64, bool, Object, error) {
+func (b boundQuery) PayloadAtMost(q Object, id uint64, payload []byte, slot Object, t float64) (float64, bool, Object, error) {
 	o, err := DecodeInto(b.codec, slot, id, payload)
 	if err != nil {
 		return 0, false, nil, err
 	}
-	d, within := DistanceAtMost(b.fn, b.q, o, t)
+	d, within := DistanceAtMost(b.fn, q, o, t)
 	return d, within, o, nil
 }
 
@@ -221,7 +229,7 @@ func (e EditDistance) BatchDistanceAtMost(q Object, objs []Object, t float64, d 
 
 // PayloadAtMost implements PreparedQuery on the payload bytes in place: a
 // StrCodec payload is the string itself.
-func (e *editQuery) PayloadAtMost(_ uint64, payload []byte, _ Object, t float64) (float64, bool, Object, error) {
+func (e *editQuery) PayloadAtMost(_ Object, _ uint64, payload []byte, _ Object, t float64) (float64, bool, Object, error) {
 	d, within := e.atMost(unsafe.String(unsafe.SliceData(payload), len(payload)), t)
 	return float64(d), within, nil, nil
 }
@@ -231,6 +239,7 @@ func (e *editQuery) PayloadAtMost(_ uint64, payload []byte, _ Object, t float64)
 // ones (see myers.go) — and its byte histogram, for the bag screen.
 type editQuery struct {
 	q    string
+	own  []byte // the copy of the query's bytes q points into, once prepared
 	hist [256]int
 	p64  [256]uint64
 	slot [256]uint16
@@ -242,7 +251,29 @@ type editQuery struct {
 	peq    []uint64
 }
 
-// init builds the histogram and the interned bitmaps for q.
+// prepare re-initialises e in place for q, on a copy of q's bytes that it
+// owns, so that a kernel kept after its query pins none of it.
+func (e *editQuery) prepare(q string) {
+	e.reset()
+	e.own = append(e.own[:0], q...)
+	e.init(unsafe.String(unsafe.SliceData(e.own), len(e.own)))
+}
+
+// reset undoes init: it clears the entries of the histogram and the bitmaps
+// that e's query set, so that init can run again.
+func (e *editQuery) reset() {
+	for i := 0; i < len(e.q); i++ {
+		c := e.q[i]
+		e.hist[c], e.p64[c], e.slot[c] = 0, 0, 0
+	}
+	if e.w > 0 {
+		clear(e.peqBuf[:])
+	}
+	e.q, e.w, e.peq = "", 0, nil
+}
+
+// init builds the histogram and the interned bitmaps for q; e must be zero or
+// reset.
 func (e *editQuery) init(q string) {
 	e.q = q
 	for i := 0; i < len(q); i++ {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // batchCase is one metric with a compatible object population.
@@ -75,7 +76,7 @@ func checkBatchAgainstScalar(t *testing.T, name string, fn DistanceFunc, codec C
 	d := make([]float64, len(objs))
 	within := make([]bool, len(objs))
 	BatchDistanceAtMost(fn, q, objs, thr, d, within)
-	prep := Prepare(fn, codec, q)
+	prep := Prepare(fn, codec, q, nil)
 	_, inPlace := fn.(EditDistance)
 	var slot Object
 	for i, o := range objs {
@@ -91,7 +92,7 @@ func checkBatchAgainstScalar(t *testing.T, name string, fn DistanceFunc, codec C
 					name, q.ID(), o.ID(), thr, d[i], exact)
 			}
 		}
-		pd, pw, obj, err := prep.PayloadAtMost(o.ID(), o.AppendBinary(nil), slot, thr)
+		pd, pw, obj, err := prep.PayloadAtMost(q, o.ID(), o.AppendBinary(nil), slot, thr)
 		if err != nil || math.Float64bits(pd) != math.Float64bits(sd) || pw != sw {
 			t.Fatalf("%s: q=%d cand=%d t=%v: payload (%v, %v, %v) != scalar (%v, %v)",
 				name, q.ID(), o.ID(), thr, pd, pw, err, sd, sw)
@@ -131,7 +132,7 @@ func TestBatchMatchesScalarKernels(t *testing.T) {
 			}
 			// A payload its codec rejects is the payload entry's error.
 			if _, inPlace := c.fn.(EditDistance); !inPlace {
-				if _, _, _, err := Prepare(c.fn, c.codec, c.objs[0]).PayloadAtMost(1, []byte{1, 2, 3}, nil, 1); err == nil {
+				if _, _, _, err := Prepare(c.fn, c.codec, c.objs[0], nil).PayloadAtMost(c.objs[0], 1, []byte{1, 2, 3}, nil, 1); err == nil {
 					t.Fatal("a 3-byte payload decoded")
 				}
 			}
@@ -239,6 +240,53 @@ func TestEditQueryBranches(t *testing.T) {
 		}
 		if want := ed.Distance(NewStr(0, c.q), NewStr(1, c.text)); float64(eq.exact(c.text)) != want {
 			t.Errorf("exact(%q, %q) = %d, want %v", c.q, c.text, eq.exact(c.text), want)
+		}
+	}
+}
+
+// TestPrepareReusesEditKernel: Prepare re-initialises a kept Myers kernel in
+// place, through patterns of one word, of blocked bitmaps on the stack and on
+// the heap, and the empty one, in every order: each re-prepared kernel
+// evaluates every text as a fresh one does, and points at its own copy of the
+// query's bytes, not at the query's.
+func TestPrepareReusesEditKernel(t *testing.T) {
+	ed := EditDistance{MaxLen: 600}
+	var wide strings.Builder
+	for c := byte('!'); c < '!'+90; c++ {
+		wide.WriteByte(c) // 90 distinct bytes: the bitmaps outgrow peqBuf
+	}
+	queries := []string{
+		"kitten", strings.Repeat("abcdefgh", 12), "", wide.String(),
+		"sitting", wide.String()[:70], "kitten", strings.Repeat("acgt", 30),
+	}
+	texts := append([]string{"", "kitchen", "abcdefgh", wide.String()[3:80]}, queries...)
+	var prev PreparedQuery
+	for round := 0; round < 2; round++ {
+		for i, qs := range queries {
+			q := NewStr(uint64(i), strings.Clone(qs))
+			prep := Prepare(ed, StrCodec{}, q, prev)
+			if prev != nil && prep != prev {
+				t.Fatalf("query %d: Prepare allocated a new kernel instead of re-initialising the kept one", i)
+			}
+			prev = prep
+			eq := prep.(*editQuery)
+			if len(q.S) > 0 && unsafe.StringData(eq.q) == unsafe.StringData(q.S) {
+				t.Fatalf("query %d: the kernel points at the query's bytes", i)
+			}
+			var fresh editQuery
+			fresh.init(q.S)
+			for _, text := range texts {
+				for _, thr := range []float64{0, 3, 20, math.Inf(1)} {
+					gd, gw := eq.atMost(text, thr)
+					wd, ww := fresh.atMost(text, thr)
+					if gd != wd || gw != ww {
+						t.Fatalf("query %q, text %q, t=%v: re-prepared (%d, %v), fresh (%d, %v)", q.S, text, thr, gd, gw, wd, ww)
+					}
+				}
+				if got, want := eq.exact(text), fresh.exact(text); got != want {
+					t.Fatalf("query %q, text %q: re-prepared exact %d, fresh %d", q.S, text, got, want)
+				}
+			}
 		}
 	}
 }

@@ -174,14 +174,14 @@ func FuzzBatchDistance(f *testing.F) {
 			d := make([]float64, len(objs))
 			within := make([]bool, len(objs))
 			BatchDistanceAtMost(fn, oq, objs, thr, d, within)
-			prep := Prepare(fn, codec, oq)
+			prep := Prepare(fn, codec, oq, nil)
 			for i, o := range objs {
 				sd, sw := DistanceAtMost(fn, oq, o, thr)
 				if math.Float64bits(d[i]) != math.Float64bits(sd) || within[i] != sw {
 					t.Fatalf("%s: cand %d t=%v: batch (%v, %v) != scalar (%v, %v)",
 						fn.Name(), i, thr, d[i], within[i], sd, sw)
 				}
-				pd, pw, _, err := prep.PayloadAtMost(o.ID(), o.AppendBinary(nil), nil, thr)
+				pd, pw, _, err := prep.PayloadAtMost(oq, o.ID(), o.AppendBinary(nil), nil, thr)
 				if err != nil || math.Float64bits(pd) != math.Float64bits(sd) || pw != sw {
 					t.Fatalf("%s: cand %d t=%v: payload (%v, %v, %v) != scalar (%v, %v)",
 						fn.Name(), i, thr, pd, pw, err, sd, sw)

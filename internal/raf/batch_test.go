@@ -79,9 +79,9 @@ func TestCopyRecordsCorruptLength(t *testing.T) {
 
 // TestCopyRecordsMatchesRead: records copied in file order decode to what
 // Read returns — those straddling a page boundary, a record four pages long
-// and one still in the append buffer included. Placed in 1 KB chunks, as the
-// query's record arena places them, the copy still reads each page once:
-// one page reader serves the whole call however often the chunk changes.
+// and one still in the append buffer included. Placed in 1 KB chunks, the
+// copy still reads each page once: one page reader serves the whole call
+// however often the chunk changes.
 func TestCopyRecordsMatchesRead(t *testing.T) {
 	store := page.NewMemStore()
 	f := New(store, metric.StrCodec{})

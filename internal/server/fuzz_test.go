@@ -18,7 +18,6 @@ import (
 var fuzzOps = []struct{ op, path string }{
 	{core.OpRange, "/v1/range"},
 	{core.OpKNN, "/v1/knn"},
-	{core.OpKNNApprox, "/v1/knn/approx"},
 	{core.OpJoin, "/v1/join"},
 }
 
@@ -50,6 +49,17 @@ func FuzzDecodeRequest(f *testing.F) {
 		`[]`, `null`, `0`, `"str"`, `{`, ``, "\x00\xff\xfe",
 		`{"vector":"not an array","k":1}`,
 		`{"eps":null}`,
+		// The graph tier's knobs, and a verification budget on every
+		// endpoint, which no request carries any more.
+		`{"vector":[0.1,0.2,0.3,0.4],"k":3,"mode":"ann"}`,
+		`{"vector":[0.1,0.2,0.3,0.4],"k":3,"mode":"ann","ef":16}`,
+		`{"vector":[0.1,0.2,0.3,0.4],"k":3,"mode":"exact"}`,
+		`{"vector":[0.1,0.2,0.3,0.4],"k":3,"mode":"fast"}`,
+		`{"vector":[0.1,0.2,0.3,0.4],"k":3,"mode":"ann","ef":-1}`,
+		`{"vector":[0.1,0.2,0.3,0.4],"radius":0.5,"max_verify":10}`,
+		`{"vector":[0.1,0.2,0.3,0.4],"k":3,"max_verify":0}`,
+		`{"eps":0.25,"max_verify":10}`,
+		`{"query":"abc","k":3,"max_verify":-1}`,
 	}
 	for _, s := range seeds {
 		for opIdx := range fuzzOps {

@@ -93,7 +93,6 @@ func TestE2EKNNModeValidation(t *testing.T) {
 		{"huge ef", "/v1/knn", `{"vector":` + q + `,"k":3,"mode":"ann","ef":1000001}`},
 		{"ef without ann", "/v1/knn", `{"vector":` + q + `,"k":3,"ef":32}`},
 		{"mode on range", "/v1/range", `{"vector":` + q + `,"radius":0.2,"mode":"ann"}`},
-		{"ef on approx", "/v1/knn/approx", `{"vector":` + q + `,"k":3,"max_verify":10,"ef":8}`},
 	} {
 		if code, out := s.post(t, tc.path, tc.body); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%+v)", tc.name, code, out)

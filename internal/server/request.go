@@ -12,13 +12,13 @@ import (
 )
 
 // Request bounds: a decoded body may not carry a query vector longer than
-// MaxVectorDim, ask for more than MaxK neighbors, or budget more than MaxK
-// verifications — caps that keep a single malicious request from turning
-// into an unbounded allocation or an effectively unbounded scan.
+// MaxVectorDim or ask for more than MaxK neighbors — caps that keep a single
+// malicious request from turning into an unbounded allocation or an
+// effectively unbounded scan.
 const (
 	// MaxVectorDim caps the query vector length a request may carry.
 	MaxVectorDim = 4096
-	// MaxK caps k and max_verify.
+	// MaxK caps k and ef.
 	MaxK = 100_000
 	// MaxQueryLen caps the textual query form's length in bytes.
 	MaxQueryLen = 1 << 16
@@ -38,9 +38,9 @@ const (
 
 // Request is the JSON body accepted by the query endpoints. Exactly the
 // fields the endpoint needs must validate: /v1/range needs a query object and
-// radius, /v1/knn a query object and k, /v1/knn/approx additionally
-// max_verify, /v1/join only eps. timeout_ms optionally tightens (never
-// extends beyond the server's MaxTimeout) the per-request deadline.
+// radius, /v1/knn a query object and k, /v1/join only eps. timeout_ms
+// optionally tightens (never extends beyond the server's MaxTimeout) the
+// per-request deadline.
 type Request struct {
 	// Vector is the query object for vector-valued trees.
 	Vector []float64 `json:"vector,omitempty"`
@@ -53,11 +53,8 @@ type Request struct {
 	ID *uint64 `json:"id,omitempty"`
 	// Radius is the range-query radius (required for /v1/range; 0 is legal).
 	Radius *float64 `json:"radius,omitempty"`
-	// K is the neighbor count for /v1/knn and /v1/knn/approx.
+	// K is the neighbor count for /v1/knn.
 	K int `json:"k,omitempty"`
-	// MaxVerify is the verification budget for /v1/knn/approx (0 falls back
-	// to the exact search).
-	MaxVerify int `json:"max_verify,omitempty"`
 	// Mode selects /v1/knn's search tier: "exact" (the default) or "ann",
 	// which answers from the approximate graph tier (DESIGN.md §14) and
 	// falls back to exact search when the index has no graph.
@@ -139,33 +136,23 @@ func (req *Request) validate(op string) error {
 		if !finiteNonNegative(*req.Radius) {
 			return badf("radius must be finite and non-negative")
 		}
-	case core.OpKNN, core.OpKNNApprox:
+	case core.OpKNN:
 		if req.K <= 0 {
 			return badf("k must be positive")
 		}
 		if req.K > MaxK {
 			return badf("k is %d, limit %d", req.K, MaxK)
 		}
-		if op == core.OpKNNApprox {
-			if req.MaxVerify < 0 {
-				return badf("max_verify must be non-negative")
-			}
-			if req.MaxVerify > MaxK {
-				return badf("max_verify is %d, limit %d", req.MaxVerify, MaxK)
-			}
+		switch req.Mode {
+		case "", "exact", "ann":
+		default:
+			return badf("mode must be \"exact\" or \"ann\", got %q", req.Mode)
 		}
-		if op == core.OpKNN {
-			switch req.Mode {
-			case "", "exact", "ann":
-			default:
-				return badf("mode must be \"exact\" or \"ann\", got %q", req.Mode)
-			}
-			if req.Ef < 0 {
-				return badf("ef must be non-negative")
-			}
-			if req.Ef > MaxK {
-				return badf("ef is %d, limit %d", req.Ef, MaxK)
-			}
+		if req.Ef < 0 {
+			return badf("ef must be non-negative")
+		}
+		if req.Ef > MaxK {
+			return badf("ef is %d, limit %d", req.Ef, MaxK)
 		}
 	case core.OpJoin:
 		if hasObject {
@@ -187,7 +174,7 @@ func (req *Request) validate(op string) error {
 	default:
 		return badf("unknown operation %q", op)
 	}
-	if op == core.OpRange || op == core.OpKNN || op == core.OpKNNApprox {
+	if op == core.OpRange || op == core.OpKNN {
 		// The library's own request invariants (ef only with mode=ann, ...).
 		if err := req.coreQuery(op, nil).Validate(); err != nil {
 			return badf("%v", err)
@@ -206,9 +193,6 @@ func (req *Request) coreQuery(op string, q metric.Object) core.Query {
 	}
 	if op == core.OpKNN && req.Mode == "ann" {
 		cq.Op = core.OpKNNGraph
-	}
-	if op == core.OpKNNApprox {
-		cq.MaxVerify = req.MaxVerify
 	}
 	return cq
 }

@@ -195,7 +195,6 @@ func (s *Server) routes() {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/range", s.handleQuery(core.OpRange))
 	s.mux.HandleFunc("POST /v1/knn", s.handleQuery(core.OpKNN))
-	s.mux.HandleFunc("POST /v1/knn/approx", s.handleQuery(core.OpKNNApprox))
 	s.mux.HandleFunc("POST /v1/join", s.handleQuery(core.OpJoin))
 	s.mux.HandleFunc("POST /v1/insert", s.handleMutate(opInsert))
 	s.mux.HandleFunc("POST /v1/delete", s.handleMutate(opDelete))

@@ -113,7 +113,7 @@ func (s *testService) post(t *testing.T, path, body string) (int, response) {
 	return resp.StatusCode, out
 }
 
-func TestE2ERangeKNNApprox(t *testing.T) {
+func TestE2ERangeKNN(t *testing.T) {
 	s := newTestService(t, 400, Config{})
 	q := `[0.5,0.5,0.5,0.5]`
 
@@ -141,11 +141,6 @@ func TestE2ERangeKNNApprox(t *testing.T) {
 		if out.Results[i-1].Dist > out.Results[i].Dist {
 			t.Fatal("knn results not sorted")
 		}
-	}
-
-	code, out = s.post(t, "/v1/knn/approx", `{"vector":`+q+`,"k":7,"max_verify":20}`)
-	if code != http.StatusOK || len(out.Results) != 7 {
-		t.Fatalf("approx: status %d, %d results", code, len(out.Results))
 	}
 }
 
@@ -253,7 +248,8 @@ func TestE2EBadInput(t *testing.T) {
 		{"zero k", "/v1/knn", `{"vector":[0.1,0.2,0.3,0.4],"k":0}`, 400},
 		{"huge k", "/v1/knn", `{"vector":[0.1,0.2,0.3,0.4],"k":100000000}`, 400},
 		{"wrong dim", "/v1/knn", `{"vector":[0.1,0.2],"k":3}`, 400},
-		{"negative budget", "/v1/knn/approx", `{"vector":[0.1,0.2,0.3,0.4],"k":3,"max_verify":-1}`, 400},
+		{"verification budget", "/v1/knn", `{"vector":[0.1,0.2,0.3,0.4],"k":3,"max_verify":10}`, 400},
+		{"retired approx route", "/v1/knn/approx", `{"vector":[0.1,0.2,0.3,0.4],"k":3}`, 404},
 		{"unknown field", "/v1/range", `{"vector":[0.1,0.2,0.3,0.4],"radius":0.1,"bogus":1}`, 400},
 		{"trailing data", "/v1/range", `{"vector":[0.1,0.2,0.3,0.4],"radius":0.1} extra`, 400},
 		{"join with vector", "/v1/join", `{"vector":[0.1,0.2,0.3,0.4],"eps":0.1}`, 400},
@@ -509,10 +505,10 @@ func TestServerLoad(t *testing.T) {
 		bodies := []string{
 			`{"vector":[0.5,0.5,0.5,0.5],"radius":0.6}`,
 			`{"vector":[0.2,0.4,0.6,0.8],"k":10}`,
-			`{"vector":[0.9,0.1,0.9,0.1],"k":5,"max_verify":30}`,
+			`{"vector":[0.9,0.1,0.9,0.1],"k":5,"mode":"ann"}`,
 			`{"vector":[0.5,0.5,0.5,0.5],"radius":1.5,"timeout_ms":1}`,
 		}
-		paths := []string{"/v1/range", "/v1/knn", "/v1/knn/approx", "/v1/range"}
+		paths := []string{"/v1/range", "/v1/knn", "/v1/knn", "/v1/range"}
 		client := &http.Client{Timeout: 30 * time.Second}
 		for i := 0; i < 60; i++ {
 			wg.Add(1)

@@ -21,8 +21,8 @@
 //	nn, err := tree.KNN(spbtree.NewStr(99, "defoliates"), 3)
 //
 // RangeQuery and KNN are the paper's two operations by name; everything else
-// a search can carry — a deadline, per-stage statistics, a verification
-// budget, the graph tier, a seed bound — is a field of one request value:
+// a search can carry — a deadline, per-stage statistics, the graph tier, a
+// seed bound — is a field of one request value:
 //
 //	nn, stats, err := tree.Query(ctx, spbtree.Query{
 //		Op: spbtree.OpKNN, Q: spbtree.NewStr(99, "defoliates"), K: 3, Timed: true,
@@ -353,11 +353,10 @@ const (
 
 // Operation names used in QueryStats.Op and the metrics registry.
 const (
-	OpRange     = core.OpRange
-	OpKNN       = core.OpKNN
-	OpKNNApprox = core.OpKNNApprox
-	OpKNNGraph  = core.OpKNNGraph
-	OpJoin      = core.OpJoin
+	OpRange    = core.OpRange
+	OpKNN      = core.OpKNN
+	OpKNNGraph = core.OpKNNGraph
+	OpJoin     = core.OpJoin
 )
 
 // Approximate graph tier: an NN-descent k-neighbor graph over the tree's

@@ -86,9 +86,6 @@ func TestPublicAPI(t *testing.T) {
 		t.Error("stats not counting through the façade")
 	}
 
-	if _, _, err := tree.Query(context.Background(), spbtree.Query{Op: spbtree.OpKNNApprox, Q: q, K: 2, MaxVerify: 4}); err != nil {
-		t.Fatal(err)
-	}
 	if err := tree.Rebuild(spbtree.NewMemStore(), spbtree.NewMemStore()); err != nil {
 		t.Fatal(err)
 	}
