@@ -157,8 +157,10 @@ func (t *Tree) resolveBlock(sc *queryScratch, q metric.Object, bound float64, qs
 			}
 		}
 		if obj == nil {
-			if obj, _, err = t.raf.DecodeRecord(c.val, rec, b.readObjs[b.slot[i]]); err != nil {
-				return i, probed, err
+			// Not err: that holds the failed copy at resolved, if any.
+			var derr error
+			if obj, _, derr = t.raf.DecodeRecord(c.val, rec, b.readObjs[b.slot[i]]); derr != nil {
+				return i, probed, derr
 			}
 			b.readObjs[b.slot[i]] = obj
 		}

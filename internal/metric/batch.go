@@ -63,36 +63,20 @@ func (l LpNorm) BatchDistanceAtMost(q Object, objs []Object, t float64, d []floa
 	budget := l.budget(t)
 	switch vq := q.(type) {
 	case *Vector:
-		qc := vq.Coords
 		for i, o := range objs {
 			vo, ok := o.(*Vector)
 			if !ok {
 				panic(badType("LpNorm", "*Vector", o))
 			}
-			l.checkDims(len(qc), len(vo.Coords))
-			s, w := l.powSum64AtMost(qc, vo.Coords, budget)
-			if !w {
-				d[i], within[i] = s, false
-				continue
-			}
-			dist := l.root(s)
-			d[i], within[i] = dist, dist <= t
+			d[i], within[i] = l.atMost64(vq.Coords, vo.Coords, t, budget)
 		}
 	case *Vector32:
-		qc := vq.Coords
 		for i, o := range objs {
 			vo, ok := o.(*Vector32)
 			if !ok {
 				panic(badType("LpNorm", "*Vector32", o))
 			}
-			l.checkDims(len(qc), len(vo.Coords))
-			s, w := l.powSum32AtMost(qc, vo.Coords, budget)
-			if !w {
-				d[i], within[i] = s, false
-				continue
-			}
-			dist := l.root(s)
-			d[i], within[i] = dist, dist <= t
+			d[i], within[i] = l.atMost32(vq.Coords, vo.Coords, t, budget)
 		}
 	default:
 		panic(badType("LpNorm", "*Vector or *Vector32", q))
@@ -145,7 +129,8 @@ func (h Hamming) BatchDistanceAtMost(q Object, objs []Object, t float64, d []flo
 // PreparedQuery is a distance kernel bound to one query object and to the
 // codec of its candidates: whatever depends only on the query — for edit
 // distance the Myers equality bitmaps and the byte histogram of the bag
-// screen — is built once by Prepare and reused for every candidate the query
+// screen, for the Minkowski norms the powered budget of the last threshold —
+// is built once by Prepare and reused for every candidate the query
 // verifies. It evaluates a candidate in its stored form, the payload its
 // AppendBinary wrote, as the random access file keeps it, so a candidate the
 // kernel rejects need not be decoded at all (DESIGN.md §13.1). It keeps no
@@ -157,21 +142,28 @@ type PreparedQuery interface {
 	// kernel was prepared for and o the object with ID id whose payload is
 	// payload: (d, within) is what DistanceAtMost(fn, q, o, t) returns, bit
 	// for bit, including the unspecified d when within is false. A kernel
-	// that reads the payload in place (edit distance) returns a nil obj and
-	// no error. The generic binding decodes the payload into
-	// slot — a decode slot, as in DecodeInto — and returns the decoded object,
-	// which the caller then owns, or the codec's error. The payload is not
-	// retained.
+	// that reads the payload in place (edit distance, and every metric over
+	// a fixed-width codec) returns a nil obj, or the codec's error for a
+	// payload of the wrong size. The generic binding decodes the payload
+	// into slot — a decode slot, as in DecodeInto — and returns the decoded
+	// object, which the caller then owns, or the codec's error. The payload
+	// is not retained.
 	PayloadAtMost(q Object, id uint64, payload []byte, slot Object, t float64) (d float64, within bool, obj Object, err error)
 }
 
-// Prepare prepares fn's kernel for q and candidates that codec decodes. Edit
-// distance over StrCodec payloads, which are the string's bytes, is evaluated
-// in place by the prepared Myers kernel; every other metric is bound as is
-// and evaluates the decoded candidate with DistanceAtMost. prev is a kernel
-// an earlier Prepare returned, whose query is done, or nil: a Myers kernel is
-// re-initialised in place rather than allocated again, so a caller that
-// keeps its kernel from query to query prepares each query for free.
+// Prepare prepares fn's kernel for q and candidates that codec decodes. A
+// kernel that reads the payload in place serves edit distance over StrCodec
+// payloads, which are the string's bytes (the prepared Myers kernel),
+// Hamming over BitStringCodec payloads and, on a host that can read a vector
+// payload as its coordinate array (vectorsInPlace), an integer-order LpNorm
+// and LInf over VectorCodec and Vector32Codec payloads (see fixedQuery).
+// Every other metric — Jaccard, TrigramAngular, a non-integer order, vectors
+// on any other host — is bound as is and evaluates the decoded candidate
+// with DistanceAtMost. prev is a kernel
+// an earlier Prepare returned, whose query is done, or nil: an in-place
+// kernel of the same kind is re-initialised in place rather than allocated
+// again, so a caller that keeps its kernel from query to query prepares each
+// query for free.
 func Prepare(fn DistanceFunc, codec Codec, q Object, prev PreparedQuery) PreparedQuery {
 	if _, ok := fn.(EditDistance); ok {
 		if _, raw := codec.(StrCodec); raw {
@@ -186,6 +178,9 @@ func Prepare(fn DistanceFunc, codec Codec, q Object, prev PreparedQuery) Prepare
 			eq.prepare(sq.S)
 			return eq
 		}
+	}
+	if k := prepareFixed(fn, codec, q, prev); k != nil {
+		return k
 	}
 	return boundQuery{fn, codec}
 }

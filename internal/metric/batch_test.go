@@ -69,15 +69,16 @@ func batchCases(seed int64) []batchCase {
 // (query, threshold): every (d[i], within[i]) pair is bit-identical to the
 // scalar DistanceAtMost result. It asserts the same of the prepared kernel's
 // payload entry point on each candidate's stored bytes, decoding into one
-// reused slot: in place for edit distance, which hands back no object, and
-// through codec for every other metric, which hands back the candidate.
+// reused slot: in place for edit distance and the fixed-width metrics
+// (inPlace), which hand back no object, and through codec for every other
+// metric, which hands back the candidate.
 func checkBatchAgainstScalar(t *testing.T, name string, fn DistanceFunc, codec Codec, q Object, objs []Object, thr float64) {
 	t.Helper()
 	d := make([]float64, len(objs))
 	within := make([]bool, len(objs))
 	BatchDistanceAtMost(fn, q, objs, thr, d, within)
 	prep := Prepare(fn, codec, q, nil)
-	_, inPlace := fn.(EditDistance)
+	noObj := inPlace(fn)
 	var slot Object
 	for i, o := range objs {
 		sd, sw := DistanceAtMost(fn, q, o, thr)
@@ -97,13 +98,29 @@ func checkBatchAgainstScalar(t *testing.T, name string, fn DistanceFunc, codec C
 			t.Fatalf("%s: q=%d cand=%d t=%v: payload (%v, %v, %v) != scalar (%v, %v)",
 				name, q.ID(), o.ID(), thr, pd, pw, err, sd, sw)
 		}
-		if inPlace != (obj == nil) || obj != nil && (obj.ID() != o.ID() || string(obj.AppendBinary(nil)) != string(o.AppendBinary(nil))) {
+		if noObj != (obj == nil) || obj != nil && (obj.ID() != o.ID() || string(obj.AppendBinary(nil)) != string(o.AppendBinary(nil))) {
 			t.Fatalf("%s: q=%d cand=%d: payload evaluation handed back %v", name, q.ID(), o.ID(), obj)
 		}
 		if obj != nil {
 			slot = obj
 		}
 	}
+}
+
+// inPlace reports whether Prepare reads fn's payloads in place: edit distance
+// and Hamming on every host, an integer-order Minkowski norm and L∞ where a
+// vector payload is readable as its coordinates (vectorsInPlace).
+func inPlace(fn DistanceFunc) bool {
+	switch f := fn.(type) {
+	case EditDistance, Hamming:
+		return true
+	case LInf:
+		return vectorsInPlace
+	case LpNorm:
+		_, ok := f.intP()
+		return ok && vectorsInPlace
+	}
+	return false
 }
 
 // TestBatchMatchesScalarKernels is the metric-layer half of the equivalence
@@ -131,9 +148,53 @@ func TestBatchMatchesScalarKernels(t *testing.T) {
 				}
 			}
 			// A payload its codec rejects is the payload entry's error.
-			if _, inPlace := c.fn.(EditDistance); !inPlace {
+			if _, edit := c.fn.(EditDistance); !edit {
 				if _, _, _, err := Prepare(c.fn, c.codec, c.objs[0], nil).PayloadAtMost(c.objs[0], 1, []byte{1, 2, 3}, nil, 1); err == nil {
 					t.Fatal("a 3-byte payload decoded")
+				}
+			}
+		})
+	}
+}
+
+// TestPayloadKernelsMisaligned runs every fixed-width case's prepared kernel
+// on payloads that start at each byte offset 0–7 of a larger buffer, as a
+// record's payload starts wherever its record does: each (d, within) is
+// DistanceAtMost's bit for bit, below, at and just under a realized distance
+// and at both degenerate thresholds, and a payload one byte short or long is
+// the codec's error. Under -race the runtime checks every view it makes.
+func TestPayloadKernelsMisaligned(t *testing.T) {
+	for _, c := range batchCases(44) {
+		if _, edit := c.fn.(EditDistance); edit {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			for qi := 0; qi < 3; qi++ {
+				q := c.objs[qi]
+				prep := Prepare(c.fn, c.codec, q, nil)
+				for _, o := range c.objs {
+					payload := o.AppendBinary(nil)
+					d := c.fn.Distance(q, o)
+					for off := 0; off < 8; off++ {
+						buf := make([]byte, off+len(payload)+1)
+						copy(buf[off:], payload)
+						for _, thr := range []float64{-1, 0, d, math.Nextafter(d, 0), math.Inf(1)} {
+							sd, sw := DistanceAtMost(c.fn, q, o, thr)
+							pd, pw, obj, err := prep.PayloadAtMost(q, o.ID(), buf[off:off+len(payload)], nil, thr)
+							if err != nil || math.Float64bits(pd) != math.Float64bits(sd) || pw != sw {
+								t.Fatalf("q=%d cand=%d offset %d t=%v: payload (%v, %v, %v) != scalar (%v, %v)",
+									q.ID(), o.ID(), off, thr, pd, pw, err, sd, sw)
+							}
+							if inPlace(c.fn) && obj != nil {
+								t.Fatalf("q=%d cand=%d: the in-place kernel handed back %v", q.ID(), o.ID(), obj)
+							}
+						}
+						for _, bad := range [][]byte{buf[off : off+len(payload)-1], buf[off : off+len(payload)+1]} {
+							if _, _, _, err := prep.PayloadAtMost(q, o.ID(), bad, nil, 1); err == nil {
+								t.Fatalf("q=%d cand=%d offset %d: a %d-byte payload for a %d-byte kind was evaluated", q.ID(), o.ID(), off, len(bad), len(payload))
+							}
+						}
+					}
 				}
 			}
 		})

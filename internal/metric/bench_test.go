@@ -3,6 +3,7 @@ package metric
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -176,5 +177,82 @@ func BenchmarkDistanceHammingBounded(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		fn.DistanceAtMost(sigs[i%len(sigs)], sigs[(i+1)%len(sigs)], 100)
+	}
+}
+
+// BenchmarkPayloadAtMost is the cost of evaluating one stored candidate, the
+// query path's unit of verification work: the generic binding (decode into a
+// slot, then DistanceAtMost) against the kernel Prepare returns, which reads
+// the payload in place. The candidates lie in one buffer as the random access
+// file lays records out, a 12-byte header before each payload, so most
+// vector payloads are misaligned, and the bound admits about 1 % of them.
+// ns/op is per candidate.
+func BenchmarkPayloadAtMost(b *testing.B) {
+	const n = 1024
+	rng := rand.New(rand.NewSource(46))
+	vecs := func(dim int, wide bool) []Object {
+		out := make([]Object, n)
+		for i := range out {
+			v := NewVector(uint64(i), randCoords(rng, dim))
+			if wide {
+				out[i] = v
+			} else {
+				out[i] = NewVector32From64(v.Id, v.Coords)
+			}
+		}
+		return out
+	}
+	sigs := make([]Object, n)
+	for i := range sigs {
+		s := make([]byte, 64)
+		rng.Read(s)
+		sigs[i] = NewBitString(uint64(i), s)
+	}
+	for _, c := range []struct {
+		name  string
+		fn    DistanceFunc
+		codec Codec
+		objs  []Object
+	}{
+		{"L5-vec32", L5(16), Vector32Codec{Dim: 16}, vecs(16, false)},
+		{"L5-vec64", L5(16), VectorCodec{Dim: 16}, vecs(16, true)},
+		{"L2-vec64", L2(16), VectorCodec{Dim: 16}, vecs(16, true)},
+		{"hamming", Hamming{Bytes: 64}, BitStringCodec{Bytes: 64}, sigs},
+	} {
+		q := c.objs[0]
+		var raw []byte
+		payloads := make([][]byte, n)
+		dists := make([]float64, n)
+		for i, o := range c.objs {
+			raw = append(raw, make([]byte, 12)...)
+			at := len(raw)
+			raw = o.AppendBinary(raw)
+			payloads[i] = raw[at:len(raw):len(raw)]
+			dists[i] = c.fn.Distance(q, o)
+		}
+		sort.Float64s(dists)
+		bound := dists[n/100]
+		for _, k := range []struct {
+			name string
+			prep PreparedQuery
+		}{
+			{"generic", boundQuery{c.fn, c.codec}},
+			{"in-place", Prepare(c.fn, c.codec, q, nil)},
+		} {
+			b.Run(c.name+"/"+k.name, func(b *testing.B) {
+				var slot Object
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					j := i % n
+					_, _, obj, err := k.prep.PayloadAtMost(q, uint64(j), payloads[j], slot, bound)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if obj != nil {
+						slot = obj
+					}
+				}
+			})
+		}
 	}
 }

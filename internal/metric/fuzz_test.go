@@ -153,8 +153,8 @@ func FuzzBoundedDistance(f *testing.F) {
 // within[i]) pair bit-identical to the scalar DistanceAtMost — for arbitrary
 // candidate blocks, queries, and thresholds across every kernel, and the same
 // of the prepared kernel's payload entry point, PayloadAtMost, on each
-// candidate's stored bytes: in place for edit distance, through the codec
-// for the vectors and signatures. The corpus
+// candidate's stored bytes, which every kernel here reads in place (on a
+// host where vectors are not readable in place, through the codec). The corpus
 // strings are reinterpreted as vectors (both float64 and float32) and bit
 // signatures, the same trick FuzzBoundedDistance uses, so one corpus drives
 // the Lp, Chebyshev, Hamming and Myers batch kernels at once.
@@ -209,11 +209,32 @@ func FuzzBatchDistance(f *testing.F) {
 		vCands := []Object{NewVector(1, coords(c1)), NewVector(2, coords(c2)), NewVector(3, coords(q))}
 		vq32 := NewVector32From64(0, coords(q))
 		v32Cands := []Object{NewVector32From64(1, coords(c1)), NewVector32From64(2, coords(c2)), NewVector32From64(3, coords(q))}
+		// The strings' bytes read as raw coordinate bits as well: NaNs,
+		// infinities, subnormals and negative zeros reach the in-place views.
+		bits64 := func(id uint64, s string) Object {
+			v, err := VectorCodec{Dim: dim}.Decode(id, []byte((s + strings.Repeat("\x00", 8*dim))[:8*dim]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		bits32 := func(id uint64, s string) Object {
+			v, err := Vector32Codec{Dim: dim}.Decode(id, []byte((s + strings.Repeat("\x00", 4*dim))[:4*dim]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		rq, rq32 := bits64(0, q), bits32(0, q)
+		rCands := []Object{bits64(1, c1), bits64(2, c2), bits64(3, q)}
+		r32Cands := []Object{bits32(1, c1), bits32(2, c2), bits32(3, q)}
 		for _, fn := range []DistanceFunc{L2(dim), L5(dim), LInf{Dim: dim, Scale: 1}} {
 			e := fn.Distance(vq, vCands[0])
 			for _, tt := range []float64{thr, e, e * (1 - 1e-9)} {
 				check(fn, VectorCodec{Dim: dim}, vq, vCands, tt)
 				check(fn, Vector32Codec{Dim: dim}, vq32, v32Cands, tt)
+				check(fn, VectorCodec{Dim: dim}, rq, rCands, tt)
+				check(fn, Vector32Codec{Dim: dim}, rq32, r32Cands, tt)
 			}
 		}
 

@@ -169,3 +169,42 @@ func TestVector32DistanceTolerance(t *testing.T) {
 		}
 	}
 }
+
+// TestIntPowMatchesLoop: intPow with its low bits unrolled returns the
+// textbook binary exponentiation loop's value bit for bit, for every order
+// the Minkowski norms accept and over random bases plus the special values —
+// signed zeros, subnormals, the largest float, infinities and NaN (compared
+// by IsNaN, since NaN payloads need not survive a multiplication).
+func TestIntPowMatchesLoop(t *testing.T) {
+	loop := func(x float64, p int) float64 {
+		r := 1.0
+		for p > 0 {
+			if p&1 == 1 {
+				r *= x
+			}
+			x *= x
+			p >>= 1
+		}
+		return r
+	}
+	xs := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1030, 0x1p-1022, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 1, -1, 0.5, 2}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 200; i++ {
+		xs = append(xs, rng.Float64(), -rng.Float64()*4, rng.NormFloat64()*1e3)
+	}
+	for p := 0; p <= 64; p++ {
+		for _, x := range xs {
+			got, want := intPow(x, p), loop(x, p)
+			if math.IsNaN(want) {
+				if !math.IsNaN(got) {
+					t.Fatalf("intPow(%v, %d) = %v, want NaN", x, p, got)
+				}
+				continue
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("intPow(%v, %d) = %v (%#x), loop %v (%#x)", x, p, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}

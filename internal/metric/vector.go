@@ -198,34 +198,45 @@ func (l LpNorm) DistanceAtMost(a, b Object, t float64) (float64, bool) {
 		d := l.Distance(a, b)
 		return d, d <= t
 	}
-	budget := l.budget(t)
 	switch va := a.(type) {
 	case *Vector:
 		vb, ok := b.(*Vector)
 		if !ok {
 			panic(badType("LpNorm", "*Vector", b))
 		}
-		l.checkDims(len(va.Coords), len(vb.Coords))
-		s, within := l.powSum64AtMost(va.Coords, vb.Coords, budget)
-		if !within {
-			return s, false
-		}
-		d := l.root(s)
-		return d, d <= t
+		return l.atMost64(va.Coords, vb.Coords, t, l.budget(t))
 	case *Vector32:
 		vb, ok := b.(*Vector32)
 		if !ok {
 			panic(badType("LpNorm", "*Vector32", b))
 		}
-		l.checkDims(len(va.Coords), len(vb.Coords))
-		s, within := l.powSum32AtMost(va.Coords, vb.Coords, budget)
-		if !within {
-			return s, false
-		}
-		d := l.root(s)
-		return d, d <= t
+		return l.atMost32(va.Coords, vb.Coords, t, l.budget(t))
 	}
 	panic(badType("LpNorm", "*Vector or *Vector32", a))
+}
+
+// atMost64 is DistanceAtMost on two coordinate slices, for t ≥ 0, an integer
+// order and budget = l.budget(t). Every bounded Lp evaluation of float64
+// coordinates — scalar, batch and the prepared payload kernel — ends here.
+func (l LpNorm) atMost64(a, b []float64, t, budget float64) (float64, bool) {
+	l.checkDims(len(a), len(b))
+	s, within := l.powSum64AtMost(a, b, budget)
+	if !within {
+		return s, false
+	}
+	d := l.root(s)
+	return d, d <= t
+}
+
+// atMost32 is atMost64 over float32 coordinates.
+func (l LpNorm) atMost32(a, b []float32, t, budget float64) (float64, bool) {
+	l.checkDims(len(a), len(b))
+	s, within := l.powSum32AtMost(a, b, budget)
+	if !within {
+		return s, false
+	}
+	d := l.root(s)
+	return d, d <= t
 }
 
 // powSum64AtMost is powSum64 under a powered budget; l.P must be integer.
@@ -274,15 +285,30 @@ func (l LpNorm) intP() (int, bool) {
 // intPow raises x to the non-negative integer power p by binary
 // exponentiation — for L5, three multiplications instead of a math.Pow call.
 // Both the exact and bounded Lp paths use it, so their per-coordinate terms
-// are bit-identical.
+// are bit-identical. The first three bits of p are unrolled: for p ≤ 7 it is
+// straight-line code whose branches all go one way for a given p, and it
+// performs exactly the multiplications of the textbook loop, in its order —
+// for p = 5, x·((x·x)·(x·x)) — so it returns the loop's value bit for bit
+// (TestIntPowMatchesLoop). Written this way it stays small enough to inline
+// into the kernels' per-coordinate lanes.
 func intPow(x float64, p int) float64 {
 	r := 1.0
-	for p > 0 {
-		if p&1 == 1 {
+	if p&1 != 0 {
+		r *= x
+	}
+	x *= x
+	if p&2 != 0 {
+		r *= x
+	}
+	x *= x
+	if p&4 != 0 {
+		r *= x
+	}
+	for p >>= 3; p > 0; p >>= 1 {
+		x *= x
+		if p&1 != 0 {
 			r *= x
 		}
-		x *= x
-		p >>= 1
 	}
 	return r
 }
