@@ -1,7 +1,7 @@
-// Benchmarks of the exact-kNN hot path: warm (caches filled) and cold (file
-// stores far larger than their buffer caches). They report ns/op, B/op and
-// allocs/op for profiling; cmd/spbbench reproduces the paper's tables and
-// figures.
+// Benchmarks of the exact-kNN hot path — warm (caches filled) and cold (file
+// stores far larger than their buffer caches) — and of the approximate tier's
+// graph construction. They report ns/op, B/op and allocs/op for profiling;
+// cmd/spbbench reproduces the paper's tables and figures.
 package spbtree_test
 
 import (
@@ -81,6 +81,24 @@ func BenchmarkKNNCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tree.KNN(queries[i%nq], 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildGraph — one NN-descent construction of the approximate tier
+// (Color32, n = 20 000, default graph options) on GOMAXPROCS goroutines: the
+// build that dominates the setup of a graph-serving index. Run it with
+// -cpuprofile to see where construction spends its time.
+func BenchmarkBuildGraph(b *testing.B) {
+	const n = 20000
+	ds, _ := dataset.ByName("color32", n, benchSeed)
+	tree := buildCoreTree(b, ds, core.Options{})
+	defer tree.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tree.BuildGraph(core.GraphOptions{Seed: benchSeed}); err != nil {
 			b.Fatal(err)
 		}
 	}

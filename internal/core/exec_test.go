@@ -198,6 +198,41 @@ func TestResolveBlockReadFailure(t *testing.T) {
 	}
 }
 
+// TestKNNChargesLifetimeCounter: a kNN advances the tree's lifetime distance
+// counter by exactly its QueryStats.Compdists — healthy, over a write buffer,
+// and with each data page unreadable in turn, where a block ends at its
+// unreadable record or, in a leaf that prunes that record, resumes after it
+// (the rows of TestResolveBlockReadFailure). The counter is charged once per
+// block, so a resumed block must charge neither less nor twice.
+func TestKNNChargesLifetimeCounter(t *testing.T) {
+	for _, delta := range []bool{false, true} {
+		fx := newResolverFixture(t, delta)
+		for _, from := range []int{0, 16} {
+			q := fx.query
+			if from > 0 {
+				q = fx.base[from]
+			}
+			check := func(label string) {
+				t.Helper()
+				before := fx.tree.dist.Count()
+				_, qs, err := fx.tree.Query(context.Background(), Query{Op: OpKNN, Q: q, K: 6})
+				if err != nil && !errors.Is(err, page.ErrInjected) {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got := fx.tree.dist.Count() - before; got != qs.Compdists || qs.Compdists == 0 {
+					t.Errorf("%s: the lifetime counter advanced by %d, QueryStats.Compdists = %d (err %v)", label, got, qs.Compdists, err)
+				}
+			}
+			check(fmt.Sprintf("delta=%v/from %d/healthy", delta, from))
+			for pg := 0; pg < fx.tree.raf.PagesUsed(); pg++ {
+				fx.data.FailPage(page.ID(pg), page.OpRead)
+				check(fmt.Sprintf("delta=%v/from %d/page %d unreadable", delta, from, pg))
+				fx.data.ClearPageFaults()
+			}
+		}
+	}
+}
+
 // keptAnswer is one query's answer held on to while later queries run: the
 // results as returned, a copy of each made at once (encoded payload and all),
 // and how to check them against brute force.

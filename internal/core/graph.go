@@ -122,9 +122,11 @@ func (t *Tree) BuildGraph(opts GraphOptions) error {
 // Non-durable Insert/Delete and Rebuild invalidate the graph immediately.
 //
 // Construction runs on runtime.GOMAXPROCS(0) goroutines and builds the same
-// graph at any setting. Its distances are evaluated through the tree's
-// counted metric — threshold-aware when the metric has a bounded kernel — so
-// the lifetime compdists counter covers construction cost.
+// graph at any setting. Its distances are evaluated on the tree's unwrapped
+// metric — threshold-aware when the metric has a bounded kernel — and the
+// number graph.Build reports is charged to the lifetime compdists counter in
+// one step, so the counter covers construction cost (a canceled build
+// charges the calls it made) without the workers sharing it per pair.
 func (t *Tree) BuildGraphCtx(ctx context.Context, opts GraphOptions) error {
 	t.mu.RLock()
 	if t.closed {
@@ -162,10 +164,12 @@ func (t *Tree) BuildGraphCtx(ctx context.Context, opts GraphOptions) error {
 		K: opts.K, Rho: opts.Rho, MaxIters: opts.MaxIters, Delta: opts.Delta,
 		Entries: opts.Entries, Seed: opts.Seed,
 	}
+	fn := t.dist.Unwrap()
 	dist := func(i, j int, thr float64) (float64, bool) {
-		return t.dist.DistanceAtMost(objs[i], objs[j], thr)
+		return metric.DistanceAtMost(fn, objs[i], objs[j], thr)
 	}
-	g, err := graph.Build(ctx, len(objs), dist, gopts)
+	g, calls, err := graph.Build(ctx, len(objs), dist, gopts)
+	t.dist.Add(calls)
 	if err != nil {
 		return err
 	}

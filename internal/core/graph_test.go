@@ -632,7 +632,7 @@ func testOtherGraph(t *testing.T) *graph.Graph {
 		d := l2.Distance(pts[i], pts[j])
 		return d, d <= thr
 	}
-	g, err := graph.Build(context.Background(), 30, dist, graph.Options{K: 4, Seed: 1})
+	g, _, err := graph.Build(context.Background(), 30, dist, graph.Options{K: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,11 +173,19 @@ const knnRunBlock = 16
 // Only committed verifications count Verified/Compdists and advance the
 // lifetime distance counter, so every counter and the result set equal those
 // of verifying one candidate at a time; the reads and evaluations of
-// candidates a commit pruned stay invisible.
+// candidates a commit pruned stay invisible. The lifetime counter is advanced
+// once per block, on return, by this call's own commits: the call that
+// resumes the leaf after an unreadable record charges its commits itself.
 func (t *Tree) verifyKNNBlock(ctx context.Context, q metric.Object, sc *queryScratch, qs *QueryStats, leaf bool) (terminated bool, err error) {
 	if err := ctxDone(ctx); err != nil {
 		return false, err
 	}
+	committed := int64(0)
+	defer func() {
+		if committed > 0 {
+			t.dist.Add(committed)
+		}
+	}()
 	res, b := &sc.res, &sc.blk
 	resolved, probed, rerr := t.resolveBlock(sc, q, res.bound(), qs)
 	qs.BatchedCandidates += int64(probed)
@@ -210,7 +218,7 @@ func (t *Tree) verifyKNNBlock(ctx context.Context, q metric.Object, sc *queryScr
 		}
 		qs.Verified++
 		qs.Compdists++
-		t.dist.Add(1)
+		committed++
 		if b.within[i] && b.d[i] <= res.bound() {
 			res.offer(Result{Object: b.keep(i), Dist: b.d[i], Exact: true})
 		} else if t.bounded {

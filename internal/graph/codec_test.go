@@ -11,7 +11,7 @@ func testGraph(t *testing.T) *Graph {
 	t.Helper()
 	const n = 120
 	_, dist := testPoints(n, 3)
-	g, err := Build(context.Background(), n, dist, Options{K: 6, Seed: 9})
+	g, _, err := Build(context.Background(), n, dist, Options{K: 6, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func FuzzGraphCodec(f *testing.F) {
 	f.Add([]byte("SPBG"))
 	const n = 40
 	_, dist := testPoints(n, 3)
-	g, err := Build(context.Background(), n, dist, Options{K: 4})
+	g, _, err := Build(context.Background(), n, dist, Options{K: 4})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // DistAtMost evaluates the distance between nodes i and j against an
@@ -186,15 +187,17 @@ func nbrLess(a, b nbr) bool {
 // Build runs NN-descent over n nodes, fanning the phases that can be split
 // out over runtime.GOMAXPROCS(0) goroutines; the distance callback must be
 // safe for concurrent use. The graph, and the set of distance calls made, is
-// the same for every core count. On ctx cancellation Build returns nil and
-// the context's error once every worker has exited — construction is
-// all-or-nothing.
-func Build(ctx context.Context, n int, dist DistAtMost, opts Options) (*Graph, error) {
+// the same for every core count. Build also returns how many times it called
+// dist, so a caller can charge the whole construction to a shared counter at
+// once instead of on every call. On ctx cancellation Build returns a nil
+// graph, the calls made so far and the context's error once every worker has
+// exited — construction is all-or-nothing.
+func Build(ctx context.Context, n int, dist DistAtMost, opts Options) (*Graph, int64, error) {
 	return build(ctx, n, dist, opts, runtime.GOMAXPROCS(0))
 }
 
 // build is Build on a given number of workers.
-func build(ctx context.Context, n int, dist DistAtMost, opts Options, workers int) (*Graph, error) {
+func build(ctx context.Context, n int, dist DistAtMost, opts Options, workers int) (*Graph, int64, error) {
 	opts = opts.withDefaults()
 	k := opts.K
 	if k > n-1 {
@@ -210,10 +213,10 @@ func build(ctx context.Context, n int, dist DistAtMost, opts Options, workers in
 			g.Entries = []int32{0}
 		}
 		g.buildReverse()
-		return g, nil
+		return g, 0, nil
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	b := &builder{n: n, k: k, dist: dist, workers: workers, lists: make([][]nbr, n)}
+	b := &builder{n: n, k: k, dist: dist, workers: workers, lists: make([][]nbr, n), worstNbr: make([]nbr, n)}
 
 	// Random initialization: k distinct neighbors per node. Every list is
 	// still empty, so every threshold is +Inf and every initial entry carries
@@ -236,7 +239,7 @@ func build(ctx context.Context, n int, dist DistAtMost, opts Options, workers in
 	}
 	b.pairs = pairs
 	if _, err := b.join(ctx); err != nil {
-		return nil, err
+		return nil, b.calls, err
 	}
 
 	// Local-join iterations: sampled new/old forward and reverse candidates,
@@ -248,11 +251,11 @@ func build(ctx context.Context, n int, dist DistAtMost, opts Options, workers in
 	budget := int(opts.Delta * float64(k) * float64(n))
 	for iter := 0; iter < opts.MaxIters; iter++ {
 		if ctx.Err() != nil {
-			return nil, buildCanceled(ctx)
+			return nil, b.calls, buildCanceled(ctx)
 		}
 		updates, err := b.iterate(ctx, rng, s)
 		if err != nil {
-			return nil, err
+			return nil, b.calls, err
 		}
 		if updates <= budget {
 			break
@@ -290,7 +293,7 @@ func build(ctx context.Context, n int, dist DistAtMost, opts Options, workers in
 	g.Entries = coverComponents(g, g.Entries)
 	sort.Slice(g.Entries, func(i, j int) bool { return g.Entries[i] < g.Entries[j] })
 	g.buildReverse()
-	return g, nil
+	return g, b.calls, nil
 }
 
 // coverComponents extends entries so every weakly-connected component of the
@@ -351,6 +354,10 @@ type builder struct {
 	dist    DistAtMost
 	workers int
 	lists   [][]nbr
+	// worstNbr[v] is the largest entry of lists[v] by (distance, index) once
+	// the list holds k; insert keeps it current.
+	worstNbr []nbr
+	calls    int64 // distance calls made so far
 
 	pairs  []uint64  // the round's candidate pairs; dedup sorts and uniques them
 	sorted []uint64  // dedup's bucket-sorted copy of pairs
@@ -407,17 +414,10 @@ func (b *builder) fanOut(ctx context.Context, total int, fn func(lo, hi int) err
 // worst returns node v's current k-th neighbor distance (+Inf while the list
 // is not full) — the insertion threshold.
 func (b *builder) worst(v int32) float64 {
-	list := b.lists[v]
-	if len(list) < b.k {
+	if len(b.lists[v]) < b.k {
 		return math.Inf(1)
 	}
-	w := list[0].d
-	for _, e := range list[1:] {
-		if e.d > w {
-			w = e.d
-		}
-	}
-	return w
+	return b.worstNbr[v].d
 }
 
 // contains reports whether u is already in v's list.
@@ -431,26 +431,41 @@ func (b *builder) contains(v, u int32) bool {
 }
 
 // insert offers (u, d) to v's list, keeping the k best by (distance, index).
+// A full list rejects a candidate that does not rank before its cached worst
+// entry without a scan: a duplicate of an entry ranks no better than that
+// entry either way, so the scan would have rejected it too.
 func (b *builder) insert(v, u int32, d float64) bool {
+	cand := nbr{idx: u, d: d, fresh: true}
 	list := b.lists[v]
-	wi := -1 // index of the current worst
+	full := len(list) == b.k
+	if full && !nbrLess(cand, b.worstNbr[v]) {
+		return false
+	}
+	wi := -1 // slot of the cached worst entry
 	for i, e := range list {
 		if e.idx == u {
 			return false
 		}
-		if wi < 0 || nbrLess(list[wi], e) {
+		if full && e.idx == b.worstNbr[v].idx {
 			wi = i
 		}
 	}
-	cand := nbr{idx: u, d: d, fresh: true}
-	if len(list) < b.k {
-		b.lists[v] = append(list, cand)
-		return true
+	if full {
+		list[wi] = cand
+	} else {
+		list = append(list, cand)
+		b.lists[v] = list
+		if len(list) < b.k {
+			return true
+		}
 	}
-	if !nbrLess(cand, list[wi]) {
-		return false
+	w := list[0]
+	for _, e := range list[1:] {
+		if nbrLess(w, e) {
+			w = e
+		}
 	}
-	list[wi] = cand
+	b.worstNbr[v] = w
 	return true
 }
 
@@ -529,18 +544,17 @@ func (b *builder) join(ctx context.Context) (int, error) {
 	}
 	pairs := b.pairs
 	b.thr = resize(b.thr, b.n)
-	err := b.fanOut(ctx, b.n, func(lo, hi int) error {
-		for v := lo; v < hi; v++ {
-			b.thr[v] = b.worst(int32(v))
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
+	for v := range b.thr {
+		b.thr[v] = b.worst(int32(v))
 	}
 	b.ds = resize(b.ds, len(pairs))
 	b.within = resize(b.within, len(pairs))
-	err = b.fanOut(ctx, len(pairs), func(lo, hi int) error {
+	// Each chunk counts its distance calls locally and adds them to the
+	// round's total once, so the workers share no counter per pair.
+	var calls atomic.Int64
+	err := b.fanOut(ctx, len(pairs), func(lo, hi int) error {
+		n := int64(0)
+		defer func() { calls.Add(n) }()
 		for i := lo; i < hi; i++ {
 			if i%grain == 0 && ctx.Err() != nil {
 				return buildCanceled(ctx)
@@ -551,9 +565,11 @@ func (b *builder) join(ctx context.Context) (int, error) {
 				continue
 			}
 			b.ds[i], b.within[i] = b.dist(int(u), int(v), math.Max(b.thr[u], b.thr[v]))
+			n++
 		}
 		return nil
 	})
+	b.calls += calls.Load()
 	if err != nil {
 		return 0, err
 	}

@@ -69,7 +69,7 @@ func queryEval(pts [][2]float64, q [2]float64) EvalBatch {
 func TestBuildAndSearchRecall(t *testing.T) {
 	const n, k, queries = 600, 10, 40
 	pts, dist := testPoints(n, 7)
-	g, err := Build(context.Background(), n, dist, Options{K: 12, Seed: 3})
+	g, _, err := Build(context.Background(), n, dist, Options{K: 12, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestBuildAndSearchRecall(t *testing.T) {
 func TestSearchSortedAndDeduped(t *testing.T) {
 	const n = 300
 	pts, dist := testPoints(n, 5)
-	g, err := Build(context.Background(), n, dist, Options{K: 8})
+	g, _, err := Build(context.Background(), n, dist, Options{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +157,17 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 				calls.Add(1)
 				return dist(i, j, thr)
 			}
-			g, err := build(context.Background(), n, counted, Options{K: gc.k, Seed: gc.seed}, w)
+			g, reported, err := build(context.Background(), n, counted, Options{K: gc.k, Seed: gc.seed}, w)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if sha := fmt.Sprintf("%x", sha256.Sum256(g.Encode())); sha != gc.sha || calls.Load() != gc.calls {
 				t.Errorf("seed %d, K %d, %d workers: sha256 %s after %d distance calls, want %s after %d",
 					gc.seed, gc.k, w, sha, calls.Load(), gc.sha, gc.calls)
+			}
+			if reported != calls.Load() {
+				t.Errorf("seed %d, K %d, %d workers: Build reported %d distance calls, the callback counted %d",
+					gc.seed, gc.k, w, reported, calls.Load())
 			}
 		}
 	}
@@ -172,7 +176,7 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 func TestSearchDeterministic(t *testing.T) {
 	const n = 400
 	pts, dist := testPoints(n, 13)
-	g, err := Build(context.Background(), n, dist, Options{K: 8, Seed: 2})
+	g, _, err := Build(context.Background(), n, dist, Options{K: 8, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +205,7 @@ func TestBuildCancelNoLeak(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := build(ctx, n, slow, Options{K: 16}, 4)
+		_, _, err := build(ctx, n, slow, Options{K: 16}, 4)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -227,19 +231,85 @@ func TestBuildCancelInLocalJoin(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
-		var joined atomic.Int64
+		var joined, calls atomic.Int64
 		cancelling := func(i, j int, thr float64) (float64, bool) {
+			calls.Add(1)
 			if !math.IsInf(thr, 1) && joined.Add(1) == nth {
 				cancel()
 			}
 			return dist(i, j, thr)
 		}
-		g, err := build(ctx, n, cancelling, Options{K: 16, Seed: 3}, w)
+		g, reported, err := build(ctx, n, cancelling, Options{K: 16, Seed: 3}, w)
 		cancel()
 		if !errors.Is(err, context.Canceled) || g != nil {
 			t.Fatalf("%d workers: Build = (%v, %v), want (nil, context.Canceled)", w, g, err)
 		}
+		if reported != calls.Load() {
+			t.Errorf("%d workers: canceled Build reported %d distance calls, the callback counted %d", w, reported, calls.Load())
+		}
 		checkNoLeak(t, before)
+	}
+}
+
+// refInsert is insert as a full scan of the list: the reference for the
+// cached worst entry.
+func refInsert(list []nbr, k int, u int32, d float64) ([]nbr, bool) {
+	wi := -1
+	for i, e := range list {
+		if e.idx == u {
+			return list, false
+		}
+		if wi < 0 || nbrLess(list[wi], e) {
+			wi = i
+		}
+	}
+	cand := nbr{idx: u, d: d, fresh: true}
+	if len(list) < k {
+		return append(list, cand), true
+	}
+	if !nbrLess(cand, list[wi]) {
+		return list, false
+	}
+	list[wi] = cand
+	return list, true
+}
+
+// TestInsertMatchesScan offers random sequences to insert and to the
+// scanning reference: every verdict, every list (in slot order) and every
+// threshold must agree. Distances come from a handful of values and indices
+// from a small range, so ties on distance and duplicate offers are common;
+// now and then a list starts over, so lists keep filling.
+func TestInsertMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, k := range []int{1, 2, 3, 8} {
+		const n = 6
+		b := &builder{n: n, k: k, lists: make([][]nbr, n), worstNbr: make([]nbr, n)}
+		ref := make([][]nbr, n)
+		for step := 0; step < 20000; step++ {
+			v := int32(rng.Intn(n))
+			if rng.Intn(100) == 0 { // start v over, so lists keep filling and ties keep arising
+				b.lists[v], ref[v] = nil, nil
+			}
+			u := int32(rng.Intn(3 * k))
+			d := float64(rng.Intn(5))
+			got := b.insert(v, u, d)
+			var want bool
+			ref[v], want = refInsert(ref[v], k, u, d)
+			if got != want || !reflect.DeepEqual(b.lists[v], ref[v]) {
+				t.Fatalf("K %d, step %d: insert(%d, %d, %v) = %v, list %v; the scan gives %v, list %v",
+					k, step, v, u, d, got, b.lists[v], want, ref[v])
+			}
+			wantThr := math.Inf(1)
+			if len(ref[v]) == k {
+				wantThr = ref[v][0].d
+				for _, e := range ref[v] {
+					wantThr = math.Max(wantThr, e.d)
+				}
+			}
+			if thr := b.worst(v); thr != wantThr {
+				t.Fatalf("K %d, step %d: worst(%d) = %v, the scan gives %v", k, step, v, thr, wantThr)
+			}
+		}
 	}
 }
 
@@ -259,7 +329,7 @@ func checkNoLeak(t *testing.T, before int) {
 func TestSearchCancelReturnsPartial(t *testing.T) {
 	const n = 500
 	pts, dist := testPoints(n, 23)
-	g, err := Build(context.Background(), n, dist, Options{K: 8})
+	g, _, err := Build(context.Background(), n, dist, Options{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +354,7 @@ func TestSearchCancelReturnsPartial(t *testing.T) {
 func TestBuildTinyInputs(t *testing.T) {
 	_, dist := testPoints(4, 1)
 	for n := 0; n <= 4; n++ {
-		g, err := Build(context.Background(), n, dist, Options{K: 16})
+		g, _, err := Build(context.Background(), n, dist, Options{K: 16})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

@@ -228,6 +228,43 @@ func TestEditBatchAllocationFree(t *testing.T) {
 	}
 }
 
+// TestBandedEditDistanceOnTheStack: the banded DP runs only when 2k+1 < m,
+// m the shorter string's length, so its 2k+3 cells fit the 128-int stack
+// array for every m ≤ 126 — DNA reads of 108 and 110 bytes included, at the
+// thresholds of a short, a middling and the widest band such a read allows.
+// It makes no allocation at the widest band of every such m.
+func TestBandedEditDistanceOnTheStack(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	read := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "ACGT"[rng.Intn(4)]
+		}
+		return string(b)
+	}
+	type run struct{ m, n, k int }
+	var runs []run
+	for _, m := range []int{108, 110} {
+		for _, k := range []int{10, 40, 53} {
+			runs = append(runs, run{m, m, k}, run{m, m + 3, k})
+		}
+	}
+	for m := 3; m <= 126; m++ {
+		runs = append(runs, run{m, m + 1, (m - 2) / 2})
+	}
+	for _, r := range runs {
+		if 2*r.k+1 >= r.m {
+			t.Fatalf("m %d, k %d: outside the banded DP's domain", r.m, r.k)
+		}
+		a, b := read(r.m), read(r.n)
+		if allocs := testing.AllocsPerRun(10, func() {
+			bandedEditDistance(a, b, r.k)
+		}); allocs != 0 {
+			t.Errorf("strings of %d and %d bytes at k = %d: %v allocations, want 0", r.m, r.n, r.k, allocs)
+		}
+	}
+}
+
 // TestBatchFallbackAndCounter pins the package helper on what has no batch
 // kernel of its own: a kernel-less metric falls back to an element-wise scalar
 // loop with identical outputs, and a Counter — which the fallback reaches

@@ -34,12 +34,20 @@ type BitStringCodec struct {
 
 // Decode implements Codec.
 func (c BitStringCodec) Decode(id uint64, data []byte) (Object, error) {
+	return c.DecodeInto(nil, id, data)
+}
+
+// DecodeInto implements SlotCodec, reusing a *BitString slot and its bytes.
+func (c BitStringCodec) DecodeInto(slot Object, id uint64, data []byte) (Object, error) {
 	if len(data) != c.Bytes {
 		return nil, fmt.Errorf("metric: bit-string payload is %d bytes, want %d", len(data), c.Bytes)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return &BitString{Id: id, Bits: cp}, nil
+	b, ok := slot.(*BitString)
+	if !ok {
+		b = new(BitString)
+	}
+	b.Id, b.Bits = id, append(b.Bits[:0], data...)
+	return b, nil
 }
 
 // Hamming is the Hamming distance between equal-width bit strings.
@@ -129,5 +137,5 @@ func (h Hamming) Name() string { return "hamming" }
 var (
 	_ DistanceFunc        = Hamming{}
 	_ BoundedDistanceFunc = Hamming{}
-	_ Codec               = BitStringCodec{}
+	_ SlotCodec           = BitStringCodec{}
 )

@@ -533,6 +533,46 @@ func TestCodecsDoNotRetain(t *testing.T) {
 	}
 }
 
+// TestGenericBindingReusesSlot: the generic binding of a metric to a slot
+// codec decodes each candidate into the slot the previous call returned, so
+// evaluating a candidate on its payload allocates nothing once the slot
+// exists.
+func TestGenericBindingReusesSlot(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	sig := func(id uint64) Object {
+		b := make([]byte, 64)
+		rng.Read(b)
+		return NewBitString(id, b)
+	}
+	for _, c := range []struct {
+		name  string
+		fn    DistanceFunc
+		codec Codec
+		q, o  Object
+	}{
+		{"hamming", Hamming{Bytes: 64}, BitStringCodec{Bytes: 64}, sig(1), sig(2)},
+		{"L2-vec64", L2(4), VectorCodec{Dim: 4}, NewVector(1, []float64{1, 2, 3, 4}), NewVector(2, []float64{4, 3, 2, 1})},
+		{"L5-vec32", L5(4), Vector32Codec{Dim: 4}, NewVector32(1, []float32{1, 2, 3, 4}), NewVector32(2, []float32{4, 3, 2, 1})},
+	} {
+		b := boundQuery{c.fn, c.codec}
+		payload := c.o.AppendBinary(nil)
+		want := c.fn.Distance(c.q, c.o)
+		_, _, slot, err := b.PayloadAtMost(c.q, c.o.ID(), payload, nil, math.Inf(1))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			var d float64
+			d, _, slot, err = b.PayloadAtMost(c.q, c.o.ID(), payload, slot, math.Inf(1))
+			if err != nil || d != want {
+				t.Fatalf("%s: d = %v, err %v; want %v", c.name, d, err, want)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: re-decoding into the slot made %v allocations per candidate, want 0", c.name, allocs)
+		}
+	}
+}
+
 // foreignObject is a slot of a kind no codec of this package decodes into.
 type foreignObject struct{}
 
