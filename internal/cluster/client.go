@@ -22,7 +22,7 @@ type Client struct {
 	pending map[uint64]chan []byte
 	nextID  uint64
 
-	writeMu sync.Mutex // serializes frame writes on conn
+	writeMu sync.Mutex // serializes frame writes on conn (not their encoding)
 }
 
 // NewClient returns a client for the node at addr. No connection is opened
@@ -134,10 +134,7 @@ func (c *Client) Call(ctx context.Context, kind byte, req, resp interface{}) err
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	c.writeMu.Lock()
-	err = writeFrame(conn, id, kind, req)
-	c.writeMu.Unlock()
-	if err != nil {
+	if err = writeFrame(conn, &c.writeMu, id, kind, req); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()

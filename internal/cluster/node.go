@@ -218,8 +218,8 @@ func (n *Node) closeShards() {
 }
 
 // serveConn handles one client connection: frames are read sequentially and
-// handled concurrently (the client multiplexes), responses serialized by a
-// per-connection write mutex.
+// handled concurrently (the client multiplexes), responses encoded in
+// parallel and their writes serialized by a per-connection mutex.
 func (n *Node) serveConn(conn net.Conn) {
 	defer n.conns.Done()
 	defer func() {
@@ -243,9 +243,7 @@ func (n *Node) serveConn(conn net.Conn) {
 			start := time.Now()
 			resp, label, failed := n.dispatch(kind, payload)
 			n.reg.Op(label).Observe(0, 0, 0, 0, time.Since(start), failed)
-			writeMu.Lock()
-			writeFrame(conn, reqID, kind, resp)
-			writeMu.Unlock()
+			writeFrame(conn, &writeMu, reqID, kind, resp)
 		}(reqID, kind, payload)
 	}
 }

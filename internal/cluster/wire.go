@@ -6,7 +6,12 @@
 // a cluster answers byte-identically to the equivalent local forest.
 //
 // The wire layer is hand-rolled on the standard library: length-prefixed
-// frames carrying self-contained gob payloads over TCP. Deadlines travel as
+// frames carrying self-contained gob payloads over TCP. Every payload is
+// byte for byte what a fresh gob.Encoder writes, but the codec pays for a
+// payload type's descriptor once per process, not once per frame: senders
+// prepend the type's cached descriptor to a warm encoder's value message,
+// and receivers hand the value message to a pooled decoder that has already
+// read the same descriptor (see decodePayload). Deadlines travel as
 // remaining-microsecond budgets, results travel alongside typed errors (the
 // partials-plus-typed-error contract survives the network hop), and shard
 // handoff moves a durable tree's files between nodes with reads served by
@@ -22,6 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
+	"sync"
 
 	"spbtree/internal/core"
 )
@@ -313,24 +320,37 @@ type rpcPingResp struct {
 	Err  *wireErr
 }
 
-// writeFrame gob-encodes payload and writes one frame. Callers serialize
-// concurrent writers (the client and the per-connection server loop each
-// hold a write mutex).
-func writeFrame(w io.Writer, reqID uint64, kind byte, payload interface{}) error {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, frameHeaderLen)) // header placeholder
-	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
-		return fmt.Errorf("cluster: encode frame kind %d: %w", kind, err)
+// Frames are pooled while small: a connection mostly carries queries and
+// their answers, and an occasional export snapshot or handoff chunk should
+// not pin its buffer (or its codec's) for the life of the process.
+const maxPooledFrame = 64 << 10
+
+var frameBufs = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+// writeFrame gob-encodes payload into one frame and writes it to w. The
+// frame is encoded before mu is taken, so the senders sharing a connection
+// (the client's callers, a node's per-request handlers) encode in parallel
+// and queue only for the Write.
+func writeFrame(w io.Writer, mu *sync.Mutex, reqID uint64, kind byte, payload interface{}) error {
+	bp := frameBufs.Get().(*[]byte)
+	b := append((*bp)[:0], make([]byte, frameHeaderLen)...) // header placeholder
+	b, err := appendPayload(b, payload)
+	if err != nil {
+		err = fmt.Errorf("cluster: encode frame kind %d: %w", kind, err)
+	} else if n := len(b) - frameHeaderLen; n > maxFramePayload {
+		err = fmt.Errorf("cluster: frame payload %d bytes exceeds limit", n)
+	} else {
+		binary.BigEndian.PutUint32(b[0:4], uint32(n))
+		binary.BigEndian.PutUint64(b[4:12], reqID)
+		b[12] = kind
+		mu.Lock()
+		_, err = w.Write(b)
+		mu.Unlock()
 	}
-	b := buf.Bytes()
-	n := len(b) - frameHeaderLen
-	if n > maxFramePayload {
-		return fmt.Errorf("cluster: frame payload %d bytes exceeds limit", n)
+	if cap(b) <= maxPooledFrame {
+		*bp = b
+		frameBufs.Put(bp)
 	}
-	binary.BigEndian.PutUint32(b[0:4], uint32(n))
-	binary.BigEndian.PutUint64(b[4:12], reqID)
-	b[12] = kind
-	_, err := w.Write(b)
 	return err
 }
 
@@ -354,10 +374,245 @@ func readFrame(r io.Reader) (reqID uint64, kind byte, payload []byte, err error)
 	return reqID, kind, payload, nil
 }
 
-// decodePayload decodes a frame payload into out.
+// A payload is what a fresh gob.Encoder writes for one value: a sequence of
+// messages, each an unsigned byte count and then that many bytes opening
+// with a signed type id (the framing the encoding/gob documentation
+// specifies). The leading messages have negative ids and define the value's
+// types — its descriptor; the last one has a non-negative id and carries
+// the value. Type ids are process-wide in gob, so a payload type's
+// descriptor is the same bytes for every frame a process sends, and the
+// codec below compiles it once per process instead of once per frame.
+
+// gobUint decodes the gob unsigned integer at the front of b and returns it
+// with its width, or width 0 when b does not start with a well-formed one.
+func gobUint(b []byte) (uint64, int) {
+	if len(b) == 0 {
+		return 0, 0
+	}
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	n := -int(int8(b[0]))
+	if n > 8 || len(b) <= n {
+		return 0, 0
+	}
+	var x uint64
+	for _, c := range b[1 : 1+n] {
+		x = x<<8 | uint64(c)
+	}
+	return x, 1 + n
+}
+
+// descriptorLen returns the length of payload's descriptor: its leading
+// messages up to the first whose type id is not negative, read as a gob
+// Decoder reads them (a type id is an int32). It is -1 when those messages
+// are not well framed, which leaves the payload to a fresh decoder.
+func descriptorLen(payload []byte) int {
+	off := 0
+	for {
+		n, w := gobUint(payload[off:])
+		if w == 0 || n == 0 || n > uint64(len(payload)-off-w) {
+			return -1
+		}
+		x, iw := gobUint(payload[off+w : off+w+int(n)])
+		if iw == 0 {
+			return -1
+		}
+		id := int64(x >> 1)
+		if x&1 != 0 {
+			id = ^id
+		}
+		if int32(id) >= 0 {
+			return off
+		}
+		off += w + int(n)
+	}
+}
+
+// frameEncoder is a gob.Encoder that has sent one payload type's descriptor
+// and nothing since, so its next Encode writes exactly what a fresh
+// encoder writes after the descriptor. It appends to out.
+type frameEncoder struct {
+	enc *gob.Encoder
+	out []byte
+}
+
+// Write appends p to out; the encoder writes each message with one call.
+func (e *frameEncoder) Write(p []byte) (int, error) {
+	e.out = append(e.out, p...)
+	return len(p), nil
+}
+
+// typeEncoders caches one payload type's descriptor and pools its warm
+// encoders. err is gob's error on the type's zero value: a type gob cannot
+// encode fails every payload with it, as it fails a fresh encoder.
+type typeEncoders struct {
+	zero interface{}
+	err  error
+	desc []byte
+	pool sync.Pool // *frameEncoder
+}
+
+var encoders sync.Map // reflect.Type → *typeEncoders
+
+// warmEncoder returns an encoder warmed on the type's zero value, which
+// sends the type's whole descriptor (gob describes a type statically) and
+// no interface value's concrete type.
+func (te *typeEncoders) warmEncoder() (*frameEncoder, error) {
+	e := new(frameEncoder)
+	e.enc = gob.NewEncoder(e)
+	return e, e.enc.Encode(te.zero)
+}
+
+func encodersFor(rt reflect.Type) (*typeEncoders, error) {
+	got, ok := encoders.Load(rt)
+	if !ok {
+		te := new(typeEncoders)
+		if rt != nil {
+			base := rt
+			for base.Kind() == reflect.Pointer {
+				base = base.Elem()
+			}
+			te.zero = reflect.New(base).Interface()
+		}
+		var e *frameEncoder
+		if e, te.err = te.warmEncoder(); te.err == nil {
+			te.desc = bytes.Clone(e.out[:descriptorLen(e.out)])
+			e.out = nil
+			te.pool.Put(e)
+		}
+		got, _ = encoders.LoadOrStore(rt, te)
+	}
+	te := got.(*typeEncoders)
+	return te, te.err
+}
+
+// appendPayload appends payload's gob encoding to dst: the type's cached
+// descriptor, then a warm encoder's value message — byte for byte what a
+// fresh gob.Encoder writes. An encoder whose Encode sent a definition of
+// its own (an interface value's concrete type, which the zero value does
+// not carry) knows more than a fresh one would, so it is not pooled again.
+func appendPayload(dst []byte, payload interface{}) ([]byte, error) {
+	te, err := encodersFor(reflect.TypeOf(payload))
+	if err != nil {
+		return dst, err
+	}
+	e, _ := te.pool.Get().(*frameEncoder)
+	if e == nil {
+		if e, err = te.warmEncoder(); err != nil {
+			return dst, err
+		}
+	}
+	dst = append(dst, te.desc...)
+	start := len(dst)
+	e.out = dst
+	err = e.enc.Encode(payload)
+	dst, e.out = e.out, nil
+	if err == nil && descriptorLen(dst[start:]) == 0 && len(dst)-start <= maxPooledFrame {
+		te.pool.Put(e)
+	}
+	return dst, err
+}
+
+// maxDescriptors bounds the descriptors cached per target type. A type
+// normally meets one per sending process (type ids depend on the order a
+// process first used its types); payloads past the bound take a fresh
+// decoder each.
+const maxDescriptors = 8
+
+// frameDecoder is a gob.Decoder that has read one descriptor and since
+// then only value messages.
+type frameDecoder struct {
+	dec *gob.Decoder
+	r   bytes.Reader
+}
+
+// decoderPool pools the decoders that have read desc, for one target type.
+type decoderPool struct {
+	desc []byte
+	pool sync.Pool // *frameDecoder
+}
+
+// typeDecoders holds one target type's decoder pools, one per descriptor.
+type typeDecoders struct {
+	mu    sync.RWMutex
+	pools []*decoderPool // at most maxDescriptors
+}
+
+var decoders sync.Map // reflect.Type → *typeDecoders
+
+func (td *typeDecoders) find(desc []byte) *decoderPool {
+	td.mu.RLock()
+	defer td.mu.RUnlock()
+	for _, p := range td.pools {
+		if bytes.Equal(p.desc, desc) {
+			return p
+		}
+	}
+	return nil
+}
+
+// add returns desc's pool, creating it while the type holds fewer than
+// maxDescriptors; nil past the bound.
+func (td *typeDecoders) add(desc []byte) *decoderPool {
+	td.mu.Lock()
+	defer td.mu.Unlock()
+	for _, p := range td.pools {
+		if bytes.Equal(p.desc, desc) {
+			return p
+		}
+	}
+	if len(td.pools) == maxDescriptors {
+		return nil
+	}
+	p := &decoderPool{desc: bytes.Clone(desc)}
+	td.pools = append(td.pools, p)
+	return p
+}
+
+// decodePayload decodes a frame payload into out. A pooled decoder that has
+// read the payload's descriptor decodes its value message alone; with no
+// such decoder, a fresh one decodes the whole payload and, on success,
+// joins the pool for that descriptor. Either way the outcome is a fresh
+// decoder's: the descriptor bytes are the same, so the pooled decoder knows
+// exactly the types a fresh one knows after reading them. (A value adds a
+// type to a decoder only through a definition inline in an interface value,
+// which an encoder writes only for an interface nested in an interface
+// value; no message here carries one.) A decoder whose Decode failed is
+// dropped.
 func decodePayload(payload []byte, out interface{}) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
+	var td *typeDecoders
+	var p *decoderPool
+	n := descriptorLen(payload)
+	if n >= 0 {
+		rt := reflect.TypeOf(out)
+		got, ok := decoders.Load(rt)
+		if !ok {
+			got, _ = decoders.LoadOrStore(rt, new(typeDecoders))
+		}
+		td = got.(*typeDecoders)
+		p = td.find(payload[:n])
+	}
+	var d *frameDecoder
+	if p != nil {
+		d, _ = p.pool.Get().(*frameDecoder)
+	}
+	if d != nil {
+		d.r.Reset(payload[n:])
+	} else {
+		d = new(frameDecoder)
+		d.r.Reset(payload)
+		d.dec = gob.NewDecoder(&d.r)
+	}
+	if err := d.dec.Decode(out); err != nil {
 		return fmt.Errorf("cluster: decode frame: %w", err)
+	}
+	if p == nil && td != nil {
+		p = td.add(payload[:n])
+	}
+	if p != nil && len(payload) <= maxPooledFrame {
+		d.r.Reset(nil)
+		p.pool.Put(d)
 	}
 	return nil
 }

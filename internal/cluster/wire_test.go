@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"spbtree/internal/core"
@@ -23,7 +24,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		DeadlineUS: 123456,
 	}
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, 7, kQuery, req); err != nil {
+	if err := writeFrame(&buf, new(sync.Mutex), 7, kQuery, req); err != nil {
 		t.Fatal(err)
 	}
 	reqID, kind, payload, err := readFrame(&buf)

@@ -366,6 +366,13 @@ type builder struct {
 	thr    []float64 // worst(v) for every node, as the round began
 	ds     []float64 // join's distance for each pair
 	within []bool    // whether the pair was evaluated and came within its threshold
+
+	// iterate's per-round scratch, reused from round to round.
+	fwdNew, fwdOld adjacency // each node's sampled fresh and its old neighbours
+	revNew, revOld adjacency // their reverses
+	freshIdx       []int
+	news, olds     []int32
+	sample         []int32 // appendSample's copy of the list it samples
 }
 
 // grain is the least number of items a goroutine is handed: below it,
@@ -590,52 +597,78 @@ func (b *builder) join(ctx context.Context) (int, error) {
 	return updates, nil
 }
 
+// adjacency is one list per node in one flat buffer: node v's list is
+// idx[off[v]:off[v+1]]. The builder refills its four in place every round.
+type adjacency struct {
+	off []int32 // n+1 entries
+	idx []int32
+}
+
+func (a *adjacency) row(v int) []int32 { return a.idx[a.off[v]:a.off[v+1]] }
+
+// transpose fills a with t's reverse lists over n nodes: u's list holds
+// every v whose list in t holds u, in ascending v.
+func (a *adjacency) transpose(t *adjacency, n int) {
+	a.off = resize(a.off, n+1)
+	clear(a.off)
+	for _, u := range t.idx {
+		a.off[u]++
+	}
+	for v := 1; v < n; v++ {
+		a.off[v] += a.off[v-1]
+	}
+	a.off[n] = int32(len(t.idx))
+	a.idx = resize(a.idx, len(t.idx))
+	// off[u] is where u's list ends; filling from the back moves it to where
+	// the list starts.
+	for v := n - 1; v >= 0; v-- {
+		r := t.row(v)
+		for i := len(r) - 1; i >= 0; i-- {
+			u := r[i]
+			a.off[u]--
+			a.idx[a.off[u]] = int32(v)
+		}
+	}
+}
+
 // iterate runs one NN-descent local join round and returns its update count.
 func (b *builder) iterate(ctx context.Context, rng *rand.Rand, s int) (int, error) {
 	n := b.n
-	fwdNew := make([][]int32, n)
-	fwdOld := make([][]int32, n)
-	revNew := make([][]int32, n)
-	revOld := make([][]int32, n)
-	var freshIdx []int
+	fwdNew, fwdOld := &b.fwdNew, &b.fwdOld
+	fwdNew.off, fwdOld.off = resize(fwdNew.off, n+1), resize(fwdOld.off, n+1)
+	fwdNew.idx, fwdOld.idx = fwdNew.idx[:0], fwdOld.idx[:0]
+	freshIdx := b.freshIdx
 	for v := 0; v < n; v++ {
+		fwdNew.off[v], fwdOld.off[v] = int32(len(fwdNew.idx)), int32(len(fwdOld.idx))
 		list := b.lists[v]
 		freshIdx = freshIdx[:0]
 		for i, e := range list {
 			if e.fresh {
 				freshIdx = append(freshIdx, i)
 			} else {
-				fwdOld[v] = append(fwdOld[v], e.idx)
+				fwdOld.idx = append(fwdOld.idx, e.idx)
 			}
 		}
 		// Sample up to s fresh neighbors for this round's joins and retire
 		// them (they will have been joined against everything sampled here).
 		rng.Shuffle(len(freshIdx), func(i, j int) { freshIdx[i], freshIdx[j] = freshIdx[j], freshIdx[i] })
-		take := len(freshIdx)
-		if take > s {
-			take = s
-		}
-		for _, i := range freshIdx[:take] {
-			fwdNew[v] = append(fwdNew[v], list[i].idx)
+		for _, i := range freshIdx[:min(len(freshIdx), s)] {
+			fwdNew.idx = append(fwdNew.idx, list[i].idx)
 			list[i].fresh = false
 		}
 	}
-	for v := 0; v < n; v++ {
-		for _, u := range fwdNew[v] {
-			revNew[u] = append(revNew[u], int32(v))
-		}
-		for _, u := range fwdOld[v] {
-			revOld[u] = append(revOld[u], int32(v))
-		}
-	}
+	fwdNew.off[n], fwdOld.off[n] = int32(len(fwdNew.idx)), int32(len(fwdOld.idx))
+	b.freshIdx = freshIdx
+	b.revNew.transpose(fwdNew, n)
+	b.revOld.transpose(fwdOld, n)
 
 	pairs := b.pairs[:0]
-	var news, olds []int32
+	news, olds := b.news, b.olds
 	for v := 0; v < n; v++ {
-		news = append(news[:0], fwdNew[v]...)
-		news = appendSample(news, revNew[v], s, rng)
-		olds = append(olds[:0], fwdOld[v]...)
-		olds = appendSample(olds, revOld[v], s, rng)
+		news = append(news[:0], fwdNew.row(v)...)
+		news = b.appendSample(news, b.revNew.row(v), s, rng)
+		olds = append(olds[:0], fwdOld.row(v)...)
+		olds = b.appendSample(olds, b.revOld.row(v), s, rng)
 		for i := 0; i < len(news); i++ {
 			for j := i + 1; j < len(news); j++ {
 				if news[i] != news[j] {
@@ -649,20 +682,22 @@ func (b *builder) iterate(ctx context.Context, rng *rand.Rand, s int) (int, erro
 			}
 		}
 	}
-	b.pairs = pairs
+	b.pairs, b.news, b.olds = pairs, news, olds
 	return b.join(ctx)
 }
 
 // appendSample appends up to s elements of src (sampled without replacement)
 // to dst, skipping values already present.
-func appendSample(dst, src []int32, s int, rng *rand.Rand) []int32 {
+func (b *builder) appendSample(dst, src []int32, s int, rng *rand.Rand) []int32 {
 	if len(src) > s {
-		// Partial Fisher-Yates over a scratch copy: deterministic given rng.
-		tmp := append([]int32(nil), src...)
+		// Partial Fisher-Yates over the builder's scratch copy: deterministic
+		// given rng.
+		tmp := append(b.sample[:0], src...)
 		for i := 0; i < s; i++ {
 			j := i + rng.Intn(len(tmp)-i)
 			tmp[i], tmp[j] = tmp[j], tmp[i]
 		}
+		b.sample = tmp
 		src = tmp[:s]
 	}
 outer:
