@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// TestExplainSingleTree: explain prints the estimate and (trivial) visit order
-// for one directory, without executing the query.
+// TestExplainSingleTree: explain prints the estimate for one directory,
+// without executing the query.
 func TestExplainSingleTree(t *testing.T) {
 	dir := t.TempDir()
 	words := []string{
@@ -28,7 +28,7 @@ func TestExplainSingleTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"not executed", "estimate: EDC=", "shard visit order", "only shard"} {
+	for _, want := range []string{"not executed", "estimate: EDC=", "(eND_k)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("kNN explain missing %q:\n%s", want, out)
 		}
@@ -39,16 +39,15 @@ func TestExplainSingleTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = sb.String()
-	for _, want := range []string{"range r=1", "shard relevance", "visit"} {
+	for _, want := range []string{"range r=1", "estimate: EDC=", "radius=1\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("range explain missing %q:\n%s", want, out)
 		}
 	}
 }
 
-// TestExplainMultiShard: several -dir entries are treated as forest shards;
-// the kNN explain orders them (stage 1 / stage 2) and the range explain
-// prunes a shard whose summary box provably misses the query.
+// TestExplainMultiShard: several -dir entries are treated as forest shards,
+// and explain estimates each on its own, for kNN and range alike.
 func TestExplainMultiShard(t *testing.T) {
 	dir := t.TempDir()
 	near := []string{"cart", "card", "care", "cars", "carp", "dart", "tart", "wart"}
@@ -69,32 +68,20 @@ func TestExplainMultiShard(t *testing.T) {
 	}
 	both := nearDir + "," + farDir
 
-	sb.Reset()
-	if err := cmdExplain([]string{"-dir", both, "-q", "cart", "-k", "3"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"shard visit order", "stage 1", "stage 2"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("multi-shard kNN explain missing %q:\n%s", want, out)
+	for _, args := range [][]string{{"-k", "3"}, {"-r", "1"}} {
+		sb.Reset()
+		if err := cmdExplain(append([]string{"-dir", both, "-q", "cart"}, args...), &sb); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The near shard holds the query itself (minDist 0), so it must run first.
-	if !strings.Contains(out, "1. shard 0 ("+nearDir) {
-		t.Errorf("near shard not visited first:\n%s", out)
-	}
-
-	sb.Reset()
-	if err := cmdExplain([]string{"-dir", both, "-q", "cart", "-r", "1"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	out = sb.String()
-	// Every far word is ≥ 24 edits from "cart"; its summary box proves it.
-	if !strings.Contains(out, "1 of 2 shard(s) pruned") {
-		t.Errorf("far shard not pruned:\n%s", out)
-	}
-	if !strings.Contains(out, "pruned (minDist > r)") {
-		t.Errorf("prune verdict line missing:\n%s", out)
+		out := sb.String()
+		for _, want := range []string{"shard 0 (" + nearDir + "): 8 objects", "shard 1 (" + farDir + "): 8 objects"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("explain %v missing %q:\n%s", args, want, out)
+			}
+		}
+		if n := strings.Count(out, "estimate: EDC="); n != 2 {
+			t.Errorf("explain %v printed %d estimates, want one per shard:\n%s", args, n, out)
+		}
 	}
 }
 

@@ -68,9 +68,9 @@ func usage() {
           [-pivots N] [-curve {hilbert|zorder}] [-durable]
   query   -dir DIR (-r RADIUS | -k K) -q QUERY [-stats] [-debugaddr ADDR]
   explain -dir DIR[,DIR...] (-r RADIUS | -k K) -q QUERY
-          print the cost model's estimates and — with several
-          directories treated as forest shards — the shard visit order,
-          without executing the query (DESIGN.md §15)
+          print the cost model's estimate for each directory (several
+          are treated as forest shards), without executing the query
+          (DESIGN.md §15)
   stats   -dir DIR [-probe] [-debugaddr ADDR]
   verify -dir DIR    audit every page, record and invariant; list corruptions
   repair -dir DIR    rebuild the index from the objects that survive

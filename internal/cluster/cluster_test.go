@@ -117,7 +117,7 @@ func sameResults(t *testing.T, label string, got, want []core.Result) {
 // kNN and join answers from the 3-node cluster must match the
 // single-process forest byte for byte, and — queries being deterministic —
 // so must the compdists work counters: a range query's and a join's equal
-// the forest's (pruning is per shard, a join runs every shard pair), a kNN's
+// the forest's (range visits every shard, a join every shard pair), a kNN's
 // equal its nodes' shard groups run as local forests (each node stages on
 // its own).
 func equivalenceCase(t *testing.T, ds dataset.Dataset, radii []float64, eps float64) {

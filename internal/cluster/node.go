@@ -406,8 +406,8 @@ func toWireResults(results []core.Result) []wireResult {
 // the process, so it is validated (forest.Query does, before any shard work)
 // and then answered by a per-request forest over the named owned shards — the
 // same gather body a single-process forest runs, and the only place a cluster
-// query's visit list is pruned or its kNN staged (DESIGN.md §15.4). Partial
-// results travel alongside the error, preserving the library contract.
+// kNN is staged (DESIGN.md §15.4). Partial results travel alongside the
+// error, preserving the library contract.
 func (n *Node) handleQuery(req rpcQueryReq) (interface{}, bool) {
 	trees, err := n.ownedTrees(req.Shards)
 	if err != nil {

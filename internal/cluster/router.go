@@ -278,9 +278,9 @@ func (r *Router) gather(q core.Query, resps []rpcQueryResp, err error) ([]core.R
 
 // Query answers one search request across the cluster: one scatter, one query
 // RPC per owning node, gather. The router plans nothing — each node runs its
-// shard group as a forest (forest.Query), which is where a range query's
-// shards are pruned and an exact kNN is staged (DESIGN.md §15.4), and the
-// request travels as the one query value says, Bounded and Bound included.
+// shard group as a forest (forest.Query), which is where an exact kNN is
+// staged (DESIGN.md §15.4), and the request travels as the one query value
+// says, Bounded and Bound included.
 // In the merged QueryStats work counters add across nodes, the stage clocks
 // are per-branch maxima, Plan folds the nodes' plans over the placement's
 // shard count, and Elapsed is the router's own wall clock around the whole

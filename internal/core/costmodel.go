@@ -177,13 +177,6 @@ func (cm *costModel) snapshotBoxes(t *Tree) error {
 // unbiased-in-the-mean point estimate of d. The k-th sample quantile, scaled
 // from sample to population, is eND_k.
 func (cm *costModel) estimateNDk(qvec []float64, k, population int, dPlus float64) float64 {
-	return cm.estimateNDkSampled(qvec, k, population, dPlus, len(cm.vecs))
-}
-
-// estimateNDkSampled is estimateNDk over at most sampleCap reservoir vectors
-// — the planner's cheap per-query profile (the reservoir is a uniform sample,
-// so a prefix of it is too).
-func (cm *costModel) estimateNDkSampled(qvec []float64, k, population int, dPlus float64, sampleCap int) float64 {
 	if population == 0 {
 		return dPlus
 	}
@@ -211,16 +204,13 @@ func (cm *costModel) estimateNDkSampled(qvec []float64, k, population int, dPlus
 	// lower bounds, calibrated by the pivot set's precision. It is biased
 	// low (extreme-value selection on lower bounds) so it only ever raises
 	// the homogeneous estimate.
-	if sampleCap > len(cm.vecs) {
-		sampleCap = len(cm.vecs)
-	}
-	if sampleCap > 0 {
+	if len(cm.vecs) > 0 {
 		prec := cm.precision
 		if prec < 0.05 {
 			prec = 0.05
 		}
-		ests := make([]float64, sampleCap)
-		for j, v := range cm.vecs[:sampleCap] {
+		ests := make([]float64, len(cm.vecs))
+		for j, v := range cm.vecs {
 			var lb float64
 			for i, d := range v {
 				if diff := math.Abs(d - qvec[i]); diff > lb {
@@ -287,9 +277,8 @@ type CostEstimate struct {
 
 // ensureCostBoxes refreshes the cost model's MBB snapshot if writes have
 // dirtied it, under the write lock — the snapshot mutates the model, so it
-// may not run concurrently with queries that read it. Estimation entry
-// points call this before taking the read lock; the in-query planner never
-// does (it falls back to fixed behavior on a dirty model instead).
+// may not run concurrently with queries that read it. Every estimation entry
+// point calls this before taking the read lock.
 func (t *Tree) ensureCostBoxes() error {
 	t.mu.RLock()
 	dirty := t.cm.dirty
@@ -312,27 +301,6 @@ func (t *Tree) ensureCostBoxes() error {
 	return t.cm.snapshotBoxes(t)
 }
 
-// estimateRangeVec is the range cost estimate for an already-mapped query.
-// Callers hold the read lock and guarantee the MBB snapshot is clean.
-func (t *Tree) estimateRangeVec(qvec []float64, r float64) CostEstimate {
-	pr := t.cm.prInRegion(qvec, r)
-	edc := float64(len(t.pivots)) + float64(t.count)*pr
-	epa := t.cm.pageEstimate(qvec, r, edc, t.raf.ObjectsPerPage())
-	return CostEstimate{EDC: edc, EPA: epa, Radius: r}
-}
-
-// estimateKNNVec is the kNN cost estimate for an already-mapped query, with
-// the eND_k reservoir scan capped at sampleCap vectors (the shard hints' cheap
-// profile; pass len(t.cm.vecs) for the full-fidelity estimate). Callers hold
-// the read lock and guarantee the MBB snapshot is clean.
-func (t *Tree) estimateKNNVec(qvec []float64, k, sampleCap int) CostEstimate {
-	eND := t.cm.estimateNDkSampled(qvec, k, t.count, t.dPlus, sampleCap)
-	pr := t.cm.prInRegion(qvec, eND)
-	edc := float64(len(t.pivots)) + float64(t.count)*pr
-	epa := t.cm.pageEstimate(qvec, eND, edc, t.raf.ObjectsPerPage())
-	return CostEstimate{EDC: edc, EPA: epa, Radius: eND}
-}
-
 // EstimateRange predicts the cost of RangeQuery(q, r) per eqs. (3), (4) and
 // (6). The φ(q) computation uses the unwrapped metric so estimation does not
 // disturb the compdists counter. If writes have dirtied the MBB snapshot it
@@ -346,7 +314,7 @@ func (t *Tree) EstimateRange(q metric.Object, r float64) (CostEstimate, error) {
 	if t.closed {
 		return CostEstimate{}, ErrClosed
 	}
-	return t.estimateRangeVec(t.quietPhi(q), r), nil
+	return t.estimateAt(t.quietPhi(q), r), nil
 }
 
 // EstimateKNN predicts the cost of KNN(q, k): eND_k is estimated per eq. (5)
@@ -364,7 +332,18 @@ func (t *Tree) EstimateKNN(q metric.Object, k int) (CostEstimate, error) {
 	if t.closed {
 		return CostEstimate{}, ErrClosed
 	}
-	return t.estimateKNNVec(t.quietPhi(q), k, len(t.cm.vecs)), nil
+	qvec := t.quietPhi(q)
+	return t.estimateAt(qvec, t.cm.estimateNDk(qvec, k, t.count, t.dPlus)), nil
+}
+
+// estimateAt is the range estimate of eqs. (3), (4) and (6) at radius r for
+// an already-mapped query. Callers hold the read lock and guarantee the MBB
+// snapshot is clean.
+func (t *Tree) estimateAt(qvec []float64, r float64) CostEstimate {
+	pr := t.cm.prInRegion(qvec, r)
+	edc := float64(len(t.pivots)) + float64(t.count)*pr
+	epa := t.cm.pageEstimate(qvec, r, edc, t.raf.ObjectsPerPage())
+	return CostEstimate{EDC: edc, EPA: epa, Radius: r}
 }
 
 // EstimateJoin predicts the cost of Join(tq, to, eps) per eqs. (7) and (8):

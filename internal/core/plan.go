@@ -10,11 +10,14 @@ type PlanInfo struct {
 	// with that rung in the next benchmark-only change.
 	Workers int
 
-	// ShardsTotal and ShardsPruned count the scatter's fan-out and how many
-	// shards the per-shard MBB summaries proved irrelevant (range only).
-	ShardsTotal  int
+	// ShardsTotal counts the scatter's fan-out.
+	ShardsTotal int
+	// ShardsPruned is always 0: every shard is visited. It exists only
+	// because the frozen benchmark harness (bench/) still reads it for its
+	// forest.shards_pruned_ratio; it goes with that metric in the next
+	// benchmark-only change.
 	ShardsPruned int
-	// Staged reports the two-stage kNN visit: one shard ran first to obtain
+	// Staged reports the two-stage kNN visit: shard 0 ran first to obtain
 	// the k-th-distance bound the remaining shards were probed with. Behind a
 	// router it says some node staged its shard group.
 	Staged bool

@@ -170,13 +170,13 @@ func (s *QueryStats) PageAccesses() int64 { return s.IndexPA + s.DataPA }
 // branches — the per-shard maximum, each field on its own — which bounds the
 // gather's wall time from below when branches ran side by side and says
 // nothing about the total CPU time spent. Plan folds — the shard counts add
-// and Staged is true if any branch staged — so a router reports the pruning
-// and staging its nodes did; a forest's branches are single trees with a zero
-// Plan, and it sets its own. Elapsed is provisional: the gather side
-// overwrites it with its own clock around the gather. Merge only reads
-// exported fields, so it works identically on stats decoded from a wire
-// payload (gob drops the unexported timing flag, which only gates clock
-// collection, not reporting).
+// (ShardsPruned too, though every branch reports 0) and Staged is true if
+// any branch staged — so a router reports the staging its nodes did; a
+// forest's branches are single trees with a zero Plan, and it sets its own.
+// Elapsed is provisional: the gather side overwrites it with its own clock
+// around the gather. Merge only reads exported fields, so it works
+// identically on stats decoded from a wire payload (gob drops the unexported
+// timing flag, which only gates clock collection, not reporting).
 func (s *QueryStats) Merge(o QueryStats) {
 	if s.Op == "" {
 		s.Op = o.Op

@@ -26,9 +26,9 @@ func words(n int, seed int64, base uint64) []metric.Object {
 	return objs
 }
 
-// flatGather is the reference the planner is checked against: every shard
-// answers q on its own and the answers merge. It prunes nothing, stages
-// nothing and shares only the merge with Forest.Query.
+// flatGather is the reference Forest.Query is checked against: every shard
+// answers q on its own and the answers merge. It stages nothing and shares
+// only the merge with Forest.Query.
 func flatGather(t *testing.T, f *Forest, q core.Query) ([]core.Result, core.QueryStats) {
 	t.Helper()
 	per := make([][]core.Result, f.NumShards())
@@ -54,7 +54,7 @@ func planned(t *testing.T, f *Forest, q core.Query) ([]core.Result, core.QuerySt
 	return res, qs
 }
 
-// TestAdaptiveEquivalenceMatrix is the §15.6 CI matrix: the pruned/staged
+// TestAdaptiveEquivalenceMatrix is the §15.6 CI matrix: the staged
 // scatter versus the flat reference gather, on continuous and discrete
 // metrics, for range and kNN. Byte identity, not set
 // equality.
@@ -97,37 +97,60 @@ func TestAdaptiveEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRangePruning: a query provably outside every shard's summary
-// box skips all shards — zero shard compdists — and still answers correctly
-// (empty, like the flat reference, which pays for every shard).
-func TestAdaptiveRangePruning(t *testing.T) {
-	objs := vectors(800, 4, 35, 0) // coordinates in [0,1)
-	dist := metric.L2(4)
-	f, err := Build(objs, Options{
-		Tree:   core.Options{Distance: dist, Codec: metric.VectorCodec{Dim: 4}, Seed: 2},
-		Shards: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A far-away query at a tiny radius: its ball misses the data cube.
-	q := core.Query{Op: core.OpRange, Q: metric.NewVector(990001, []float64{9, 9, 9, 9}), Radius: 0.05, Timed: true}
-	res, qs := planned(t, f, q)
-	if len(res) != 0 {
-		t.Fatalf("far query returned %d results", len(res))
-	}
-	if qs.Plan.ShardsPruned != 4 || qs.Plan.ShardsTotal != 4 {
-		t.Fatalf("expected all 4 shards pruned: %+v", qs.Plan)
-	}
-	if qs.Compdists != 0 {
-		t.Fatalf("pruned-out query still computed %d distances", qs.Compdists)
-	}
-	fres, fqs := flatGather(t, f, q)
-	if len(fres) != 0 {
-		t.Fatalf("flat reference returned %d results", len(fres))
-	}
-	if fqs.Compdists == 0 {
-		t.Fatal("flat reference computed no distances; pruning saved nothing here")
+// TestStagedFixedOrder pins the one shard rule (DESIGN.md §15.4) by its
+// distance count, at both ends of Parallel. A kNN costs exactly shard 0's
+// plain kNN plus every other shard's kNN bounded by shard 0's k-th distance,
+// and costs the same on every run: the visit depends on nothing but the
+// shard index. A range query visits every shard, so it costs what the flat
+// gather does.
+func TestStagedFixedOrder(t *testing.T) {
+	objs := words(1500, 33, 0)
+	for _, parallel := range []int{0, 1} {
+		f, err := Build(objs, Options{
+			Tree:     core.Options{Distance: metric.EditDistance{MaxLen: 24}, Codec: metric.StrCodec{}, Seed: 2},
+			Shards:   4,
+			Parallel: parallel,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		for trial := 0; trial < 6; trial++ {
+			q := objs[trial*211]
+			kq := core.Query{Op: core.OpKNN, Q: q, K: 10}
+			_, first := planned(t, f, kq)
+			_, again := planned(t, f, kq)
+			if first.Compdists != again.Compdists {
+				t.Fatalf("parallel %d: the same kNN cost %d then %d compdists", parallel, first.Compdists, again.Compdists)
+			}
+			res0, qs0, err := f.Shards()[0].Query(ctx, kq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res0) != kq.K {
+				t.Fatalf("shard 0 answered %d of k=%d", len(res0), kq.K)
+			}
+			want := qs0.Compdists
+			bq := kq
+			bq.Bounded, bq.Bound = true, res0[kq.K-1].Dist
+			for _, sh := range f.Shards()[1:] {
+				_, qs, err := sh.Query(ctx, bq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += qs.Compdists
+			}
+			if first.Compdists != want {
+				t.Fatalf("parallel %d: staged kNN cost %d compdists, shard 0 then the rest at its bound %d", parallel, first.Compdists, want)
+			}
+
+			rq := core.Query{Op: core.OpRange, Q: q, Radius: 3}
+			_, rqs := planned(t, f, rq)
+			_, fqs := flatGather(t, f, rq)
+			if rqs.Compdists != fqs.Compdists {
+				t.Fatalf("parallel %d: range cost %d compdists, the flat gather %d", parallel, rqs.Compdists, fqs.Compdists)
+			}
+		}
 	}
 }
 
@@ -166,9 +189,8 @@ func TestStagedKNNSavesWork(t *testing.T) {
 	}
 }
 
-// TestAdaptiveAfterWrites: equivalence must survive mutation — hints lose
-// their cost estimates on a dirty model but stay sound, and staging keeps
-// working.
+// TestAdaptiveAfterWrites: equivalence must survive mutation — the bound
+// shard 0 hands on covers its buffered inserts, and staging keeps working.
 func TestAdaptiveAfterWrites(t *testing.T) {
 	objs := vectors(1000, 5, 39, 0)
 	dist := metric.L2(5)

@@ -9,17 +9,18 @@
 // counters, exactly as separate nodes would: Build produces them from one
 // object set, and FromShards assembles a Forest over existing trees sharing
 // one pivot mapping. Every search goes through one entry point, Query, which
-// plans the visit (adaptive.go: range pruning, staged kNN — DESIGN.md §15)
-// and gathers it. A cluster node runs exactly this over its locally-owned
-// shards, which makes it the cluster's only planner too; the router scatters
-// once and repeats the same merge (core.MergeResults) one level up, across
-// nodes (DESIGN.md §12).
+// visits the shards by one fixed rule (DESIGN.md §15.4): an exact kNN runs
+// shard 0 alone and seeds the rest with its k-th distance, and everything
+// else scatters to every shard. A cluster node runs exactly this over its
+// locally-owned shards; the router scatters once and repeats the same merge
+// (core.MergeResults) one level up, across nodes (DESIGN.md §12).
 package forest
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -183,27 +184,18 @@ dispatch:
 	return nil
 }
 
-// allShards is the visit list of an unplanned scatter: every shard, in order.
-func (f *Forest) allShards() []int {
-	idxs := make([]int, len(f.trees))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	return idxs
-}
-
-// Query answers one search request across the forest: it plans which shards
-// to visit, scatters the request to them as core.Tree.Query, and merges the
-// per-shard answers and QueryStats. This is the one gather body every
-// operation runs through (DESIGN.md §12.3):
+// Query answers one search request across the forest: it scatters the
+// request to the shards as core.Tree.Query and merges the per-shard answers
+// and QueryStats. This is the one gather body every operation runs through
+// (DESIGN.md §12.3), and its visit follows one fixed rule (§15.4):
 //
-//   - OpRange visits the shards whose summary box can meet the query ball
-//     (rangePlan) and concatenates their answers in ascending ID.
-//   - OpKNN runs the staged visit when knnPlan can order the shards: the
-//     most promising shard answers alone, and its k-th distance becomes the
-//     Bound of the same request sent to the rest. A request that already
-//     carries a bound is scattered flat with it. The per-shard top-k sets
-//     merge under the total (dist, ID) order.
+//   - OpKNN without a bound, over two or more shards, is staged: shard 0
+//     answers alone, and its k-th distance becomes the Bound of the same
+//     request sent to the rest. A request that already carries a bound is
+//     scattered flat with it. The per-shard top-k sets merge under the total
+//     (dist, ID) order, so the answer is the flat scatter's.
+//   - OpRange visits every shard and concatenates their answers in
+//     ascending ID.
 //   - OpKNNGraph scatters flat, and a shard with no live graph
 //     (core.ErrNoGraph) answers the exact request instead, so the merged
 //     result is never worse than the weakest shard's exact answer.
@@ -223,28 +215,23 @@ func (f *Forest) Query(ctx context.Context, q core.Query) ([]core.Result, core.Q
 	per := make([][]core.Result, len(f.trees))
 	stats := make([]core.QueryStats, len(f.trees))
 	plan := core.PlanInfo{ShardsTotal: len(f.trees)}
-	visit := f.allShards()
+	done := 0 // shards the staged round already answered
 	var err error
-	switch {
-	case q.Op == core.OpRange:
-		visit, plan.ShardsPruned = f.rangePlan(q.Q, q.Radius)
-	case q.Op == core.OpKNN && !q.Bounded && q.K > 0:
-		if order, staged := f.knnPlan(q.Q, q.K); staged {
-			first := order[0]
-			plan.Staged = true
-			per[first], stats[first], err = f.trees[first].Query(ctx, q)
-			q.Bounded, q.Bound = true, stageBound(per[first], q.K)
-			visit = order[1:]
-		}
+	if q.Op == core.OpKNN && !q.Bounded && q.K > 0 && len(f.trees) > 1 {
+		plan.Staged = true
+		per[0], stats[0], err = f.trees[0].Query(ctx, q)
+		q.Bounded, q.Bound = true, stageBound(per[0], q.K)
+		done = 1
 	}
 	if err == nil {
-		err = f.scatter(ctx, len(visit), func(j int) error {
-			i, t := visit[j], f.trees[visit[j]]
+		rest := f.trees[done:]
+		err = f.scatter(ctx, len(rest), func(j int) error {
+			t := rest[j]
 			res, qs, err := t.Query(ctx, q)
 			if q.Op == core.OpKNNGraph && errors.Is(err, core.ErrNoGraph) {
 				res, qs, err = t.Query(ctx, q.Exact())
 			}
-			per[i], stats[i] = res, qs
+			per[done+j], stats[done+j] = res, qs
 			return err
 		})
 	}
@@ -257,6 +244,16 @@ func (f *Forest) Query(ctx context.Context, q core.Query) ([]core.Result, core.Q
 	total.Plan = plan
 	total.Elapsed = time.Since(start)
 	return out, total, err
+}
+
+// stageBound extracts the seed bound for the staged kNN's second round: the
+// first shard's k-th distance when it filled k, +∞ otherwise (a shard
+// smaller than k bounds nothing).
+func stageBound(res []core.Result, k int) float64 {
+	if len(res) == k {
+		return res[k-1].Dist
+	}
+	return math.Inf(1)
 }
 
 // answers drops the stats of a Query call, for the conveniences below.

@@ -282,9 +282,8 @@ type response struct {
 
 // planJSON is the wire rendering of core.PlanInfo.
 type planJSON struct {
-	ShardsTotal  int  `json:"shards_total,omitempty"`
-	ShardsPruned int  `json:"shards_pruned,omitempty"`
-	Staged       bool `json:"staged,omitempty"`
+	ShardsTotal int  `json:"shards_total,omitempty"`
+	Staged      bool `json:"staged,omitempty"`
 }
 
 // mutateResponse is the JSON body of /v1/insert and /v1/delete.
@@ -438,7 +437,7 @@ func (s *Server) handleQuery(op string) http.HandlerFunc {
 		resp.PageAccesses = qs.PageAccesses()
 		resp.ElapsedUS = qs.Elapsed.Microseconds()
 		if p := qs.Plan; p != (core.PlanInfo{}) {
-			resp.Plan = &planJSON{ShardsTotal: p.ShardsTotal, ShardsPruned: p.ShardsPruned, Staged: p.Staged}
+			resp.Plan = &planJSON{ShardsTotal: p.ShardsTotal, Staged: p.Staged}
 		}
 		s.reg.Op(op).Observe(qs.Compdists, qs.IndexPA, qs.DataPA, int64(resp.Count), time.Since(start), qerr != nil)
 		w.Header().Set("Content-Type", "application/json")
