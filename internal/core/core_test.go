@@ -213,7 +213,7 @@ func setups() []setup {
 			dist: metric.Hamming{Bytes: 8},
 			opts: Options{Codec: metric.BitStringCodec{Bytes: 8}, NumPivots: 3},
 		},
-		// The two metrics without a bounded or a batch kernel: their
+		// The two metrics without a bounded or an in-place kernel: their
 		// candidates reach the block path through metric.Prepare's fallback.
 		{
 			name: "seqs-trigram",

@@ -18,10 +18,9 @@ import (
 // snapshotted after construction so EPA's indicator sum over tree nodes
 // (eq. 6) runs in memory without touching disk.
 type costModel struct {
-	nPivots   int
-	dPlus     float64
-	sampleCap int
-	rng       *rand.Rand
+	nPivots int
+	dPlus   float64
+	rng     *rand.Rand
 
 	seen  int
 	vecs  [][]float64 // reservoir of raw φ-vectors
@@ -43,6 +42,10 @@ type costModel struct {
 }
 
 const histBins = 256
+
+// costSample is the reservoir size for the union distance distribution the
+// cost models sample.
+const costSample = 1024
 
 type histogram struct {
 	bins  []int
@@ -88,13 +91,9 @@ func (h *histogram) quantileForCount(want float64, scale float64) float64 {
 	return float64(len(h.bins)) * h.width
 }
 
-func (cm *costModel) init(nPivots int, dPlus float64, sampleCap int, seed int64) {
-	if sampleCap == 0 {
-		sampleCap = 1024
-	}
+func (cm *costModel) init(nPivots int, dPlus float64, seed int64) {
 	cm.nPivots = nPivots
 	cm.dPlus = dPlus
-	cm.sampleCap = sampleCap
 	cm.rng = rand.New(rand.NewSource(seed + 1))
 	cm.hists = make([]histogram, nPivots)
 	w := dPlus / histBins
@@ -113,11 +112,11 @@ func (cm *costModel) observe(vec []float64, rng *rand.Rand) {
 		cm.hists[i].add(d)
 	}
 	cm.seen++
-	if len(cm.vecs) < cm.sampleCap {
+	if len(cm.vecs) < costSample {
 		cm.vecs = append(cm.vecs, append([]float64(nil), vec...))
 		return
 	}
-	if j := rng.Intn(cm.seen); j < cm.sampleCap {
+	if j := rng.Intn(cm.seen); j < costSample {
 		cm.vecs[j] = append([]float64(nil), vec...)
 	}
 }

@@ -51,8 +51,6 @@ type DurableOptions struct {
 	// NoSync makes WAL group commits skip their fsync: acknowledged writes
 	// are crash-unsafe. For benchmarks quantifying the cost of durability.
 	NoSync bool
-	// WALSegmentBytes is the WAL segment rotation threshold (default 64 MiB).
-	WALSegmentBytes int64
 	// FS substitutes the WAL's filesystem, for fault injection in tests. nil
 	// selects the host filesystem. The page stores and generation files
 	// always use the host filesystem.
@@ -198,7 +196,7 @@ func CreateDurable(dir string, objects []metric.Object, opts Options, dopts Dura
 		return nil, err
 	}
 	log, err := wal.Open(filepath.Join(dir, WALDir), wal.Options{
-		FS: dopts.FS, NoSync: dopts.NoSync, SegmentBytes: dopts.WALSegmentBytes,
+		FS: dopts.FS, NoSync: dopts.NoSync,
 	})
 	if err != nil {
 		t.Close()
@@ -257,7 +255,7 @@ func OpenDurable(dir string, lopts LoadOptions, dopts DurableOptions) (*Tree, er
 		return nil, err
 	}
 	log, err := wal.Open(walDir, wal.Options{
-		FS: dopts.FS, NoSync: dopts.NoSync, SegmentBytes: dopts.WALSegmentBytes,
+		FS: dopts.FS, NoSync: dopts.NoSync,
 	})
 	if err != nil {
 		t.Close()

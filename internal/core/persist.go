@@ -248,7 +248,7 @@ func Open(meta io.Reader, opts OpenOptions) (*Tree, error) {
 		return nil, err
 	}
 
-	t.cm.init(nPivots, t.dPlus, 0, 1)
+	t.cm.init(nPivots, t.dPlus, 1)
 	t.cm.cellWidth = t.delta
 	t.cm.precision = r.f64()
 	t.cm.pairDists = r.f64s()

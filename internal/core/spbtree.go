@@ -60,9 +60,6 @@ type Options struct {
 	ShareMapping *Tree
 	// Seed seeds pivot selection and cost-model sampling; 0 means 1.
 	Seed int64
-	// CostSample is the reservoir size for the union distance distribution
-	// used by the cost models; 0 means 1024.
-	CostSample int
 }
 
 // Tree is a built SPB-tree. Queries may run concurrently with each other;
@@ -222,7 +219,7 @@ func Build(objs []metric.Object, opts Options) (*Tree, error) {
 	if cacheSize < 0 {
 		cacheSize = 0
 	}
-	t.cm.init(len(t.pivots), t.dPlus, opts.CostSample, seed)
+	t.cm.init(len(t.pivots), t.dPlus, seed)
 	t.cm.cellWidth = t.delta
 	if opts.ShareMapping != nil {
 		t.cm.precision = opts.ShareMapping.cm.precision

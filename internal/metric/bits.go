@@ -2,6 +2,7 @@ package metric
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -57,29 +58,11 @@ type Hamming struct {
 	Bytes int
 }
 
-// Distance implements DistanceFunc.
+// Distance implements DistanceFunc: it is DistanceAtMost at t = +∞, which
+// never abandons.
 func (h Hamming) Distance(a, b Object) float64 {
-	ba, ok := a.(*BitString)
-	if !ok {
-		panic(badType("Hamming", "*BitString", a))
-	}
-	bb, ok := b.(*BitString)
-	if !ok {
-		panic(badType("Hamming", "*BitString", b))
-	}
-	if len(ba.Bits) != len(bb.Bits) {
-		panic(fmt.Sprintf("metric: Hamming on signatures of %d and %d bytes", len(ba.Bits), len(bb.Bits)))
-	}
-	n := 0
-	i := 0
-	for ; i+8 <= len(ba.Bits); i += 8 {
-		x := leUint64(ba.Bits[i:]) ^ leUint64(bb.Bits[i:])
-		n += bits.OnesCount64(x)
-	}
-	for ; i < len(ba.Bits); i++ {
-		n += bits.OnesCount8(ba.Bits[i] ^ bb.Bits[i])
-	}
-	return float64(n)
+	d, _ := h.DistanceAtMost(a, b, math.Inf(1))
+	return d
 }
 
 // DistanceAtMost implements BoundedDistanceFunc. The popcount accumulator
@@ -97,9 +80,8 @@ func (h Hamming) DistanceAtMost(a, b Object, t float64) (float64, bool) {
 	return hammingAtMost(ba.Bits, bb.Bits, t)
 }
 
-// hammingAtMost is the bounded popcount core shared by the scalar and batch
-// paths (the batch kernel hoists only the type assertions, so the per-pair
-// arithmetic is this exact loop either way).
+// hammingAtMost is the popcount loop of every Hamming evaluation: exact,
+// bounded, and the prepared kernel's on payloads in place.
 func hammingAtMost(a, b []byte, t float64) (float64, bool) {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("metric: Hamming on signatures of %d and %d bytes", len(a), len(b)))

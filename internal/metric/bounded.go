@@ -49,6 +49,19 @@ func DistanceAtMost(fn DistanceFunc, a, b Object, t float64) (float64, bool) {
 	return d, d <= t
 }
 
+// BatchDistanceAtMost is harness-kept: a plain loop writing
+// DistanceAtMost(fn, q, objs[i], t) into (d[i], within[i]), with no kernel
+// of its own; len(d) and len(within) must equal len(objs). It exists only
+// because the frozen benchmark harness (bench/) still calls it for its
+// kernel.batch rung, and it goes with that rung in the harness's next
+// revision. No other code calls it: the query path evaluates stored
+// candidates through a PreparedQuery.
+func BatchDistanceAtMost(fn DistanceFunc, q Object, objs []Object, t float64, d []float64, within []bool) {
+	for i, o := range objs {
+		d[i], within[i] = DistanceAtMost(fn, q, o, t)
+	}
+}
+
 // IsBounded reports whether fn has a threshold-aware kernel (implements
 // BoundedDistanceFunc), unwrapping a Counter if needed. Callers use it to
 // decide whether abandoned-evaluation accounting applies.

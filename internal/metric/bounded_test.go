@@ -47,26 +47,6 @@ func TestMyersBlockVariant(t *testing.T) {
 	}
 }
 
-func TestLevenshteinAffixStripAndStack(t *testing.T) {
-	// Strings sharing long affixes and strings longer than the stack buffer
-	// must still agree with the reference.
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 500; trial++ {
-		pre := randString(rng, 20, 3)
-		suf := randString(rng, 20, 3)
-		a := pre + randString(rng, 30, 3) + suf
-		b := pre + randString(rng, 30, 3) + suf
-		if got, want := Levenshtein(a, b), naiveLevenshtein(a, b); got != want {
-			t.Fatalf("Levenshtein(%q, %q) = %d, want %d", a, b, got, want)
-		}
-	}
-	long := strings.Repeat("ab", 100) + "x" + strings.Repeat("cd", 100)
-	long2 := strings.Repeat("ab", 100) + "yz" + strings.Repeat("cd", 100)
-	if got, want := Levenshtein(long, long2), naiveLevenshtein(long, long2); got != want {
-		t.Fatalf("long Levenshtein = %d, want %d", got, want)
-	}
-}
-
 // checkBoundedContract asserts the BoundedDistanceFunc contract for one
 // evaluation: within ⇔ Distance(a,b) ≤ t, and when within, the returned
 // distance is bit-identical to the exact one.

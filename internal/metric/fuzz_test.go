@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// FuzzLevenshtein cross-checks the two-row DP against the full-matrix
-// reference and the metric axioms on arbitrary byte strings.
+// FuzzLevenshtein cross-checks the exact edit kernel, editDistance, against
+// the full-matrix reference and the metric axioms on arbitrary byte strings.
 func FuzzLevenshtein(f *testing.F) {
 	f.Add("kitten", "sitting")
 	f.Add("", "abc")
@@ -19,12 +19,12 @@ func FuzzLevenshtein(f *testing.F) {
 		if len(a) > 64 || len(b) > 64 {
 			return // keep the quadratic reference cheap
 		}
-		got := Levenshtein(a, b)
+		got := editDistance(a, b)
 		want := naiveLevenshtein(a, b)
 		if got != want {
-			t.Fatalf("Levenshtein(%q, %q) = %d, want %d", a, b, got, want)
+			t.Fatalf("editDistance(%q, %q) = %d, want %d", a, b, got, want)
 		}
-		if sym := Levenshtein(b, a); sym != got {
+		if sym := editDistance(b, a); sym != got {
 			t.Fatalf("asymmetric: %d vs %d", got, sym)
 		}
 		if (got == 0) != (a == b) {
@@ -47,14 +47,16 @@ func FuzzLevenshtein(f *testing.F) {
 
 // FuzzBoundedDistance asserts the BoundedDistanceFunc contract — within ⇔
 // Distance ≤ t, and a bit-identical distance when within — for arbitrary
-// strings, vectors, signatures, and thresholds. The threshold is also
-// derived from the exact distance itself (scaled and nudged) so the fuzzer
-// exercises the boundary cases that matter most. For edit distance it also
-// checks the bag screen on any bytes: the bag distance never exceeds the
-// Levenshtein distance, so the screen never rejects a candidate within the
-// threshold; the prepared query's histogram gives the same bag distance; and
-// a histogram of a repeated 2^32 + 1 times, counts a narrower integer would
-// wrap, gives the bag distance of that length.
+// strings, vectors, signatures, and thresholds, and that Distance is
+// DistanceAtMost at t = +∞ bit for bit. The threshold is also derived from
+// the exact distance itself (scaled and nudged) so the fuzzer exercises the
+// boundary cases that matter most. For edit distance it also checks the
+// exact kernel against the full-matrix reference, and the bag screen on any
+// bytes: the bag distance never exceeds the Levenshtein distance, so the
+// screen never rejects a candidate within the threshold; the prepared
+// query's histogram gives the same bag distance; and a histogram of a
+// repeated 2^32 + 1 times, counts a narrower integer would wrap, gives the
+// bag distance of that length.
 func FuzzBoundedDistance(f *testing.F) {
 	f.Add("kitten", "sitting", 2.0)
 	f.Add("", "abc", 3.0)
@@ -67,7 +69,10 @@ func FuzzBoundedDistance(f *testing.F) {
 		if len(a) > 256 || len(b) > 256 || math.IsNaN(thr) {
 			return
 		}
-		lev := Levenshtein(a, b)
+		lev := editDistance(a, b)
+		if want := naiveLevenshtein(a, b); lev != want {
+			t.Fatalf("editDistance(%q, %q) = %d, want %d", a, b, lev, want)
+		}
 		bag := bagDistance(a, b)
 		if bag > lev {
 			t.Fatalf("bag distance %d of %q, %q exceeds the edit distance %d", bag, a, b, lev)
@@ -98,6 +103,9 @@ func FuzzBoundedDistance(f *testing.F) {
 		}
 		check := func(fn BoundedDistanceFunc, oa, ob Object, thr float64) {
 			exact := fn.Distance(oa, ob)
+			if d, within := fn.DistanceAtMost(oa, ob, math.Inf(1)); !within || math.Float64bits(d) != math.Float64bits(exact) {
+				t.Fatalf("%s: DistanceAtMost at +Inf = (%v, %v), Distance %v", fn.Name(), d, within, exact)
+			}
 			d, within := fn.DistanceAtMost(oa, ob, thr)
 			if want := exact <= thr; within != want {
 				t.Fatalf("%s: within=%v at t=%v, exact=%v", fn.Name(), within, thr, exact)
@@ -149,16 +157,15 @@ func FuzzBoundedDistance(f *testing.F) {
 	})
 }
 
-// FuzzBatchDistance asserts the BatchDistanceFunc contract — every (d[i],
-// within[i]) pair bit-identical to the scalar DistanceAtMost — for arbitrary
-// candidate blocks, queries, and thresholds across every kernel, and the same
-// of the prepared kernel's payload entry point, PayloadAtMost, on each
-// candidate's stored bytes, which every kernel here reads in place (on a
-// host where vectors are not readable in place, through the codec). The corpus
-// strings are reinterpreted as vectors (both float64 and float32) and bit
-// signatures, the same trick FuzzBoundedDistance uses, so one corpus drives
-// the Lp, Chebyshev, Hamming and Myers batch kernels at once.
-func FuzzBatchDistance(f *testing.F) {
+// FuzzPayloadDistance asserts the PreparedQuery contract — PayloadAtMost on
+// each candidate's stored bytes returns DistanceAtMost's (d, within) bit for
+// bit — for arbitrary queries, candidates and thresholds across every kernel
+// the query path runs in place (on a host where vectors are not readable in
+// place, through the codec). The corpus strings are reinterpreted as vectors
+// (both float64 and float32, and as raw coordinate bits) and bit signatures,
+// the same trick FuzzBoundedDistance uses, so one corpus drives the Lp,
+// Chebyshev, Hamming and Myers kernels at once.
+func FuzzPayloadDistance(f *testing.F) {
 	f.Add("kitten", "sitting", "mittens", 2.0)
 	f.Add("", "abc", "abd", 3.0)
 	f.Add("same", "same", "same", 0.0)
@@ -171,16 +178,9 @@ func FuzzBatchDistance(f *testing.F) {
 		}
 		check := func(fn DistanceFunc, codec Codec, oq Object, objs []Object, thr float64) {
 			t.Helper()
-			d := make([]float64, len(objs))
-			within := make([]bool, len(objs))
-			BatchDistanceAtMost(fn, oq, objs, thr, d, within)
 			prep := Prepare(fn, codec, oq, nil)
 			for i, o := range objs {
 				sd, sw := DistanceAtMost(fn, oq, o, thr)
-				if math.Float64bits(d[i]) != math.Float64bits(sd) || within[i] != sw {
-					t.Fatalf("%s: cand %d t=%v: batch (%v, %v) != scalar (%v, %v)",
-						fn.Name(), i, thr, d[i], within[i], sd, sw)
-				}
 				pd, pw, _, err := prep.PayloadAtMost(oq, o.ID(), o.AppendBinary(nil), nil, thr)
 				if err != nil || math.Float64bits(pd) != math.Float64bits(sd) || pw != sw {
 					t.Fatalf("%s: cand %d t=%v: payload (%v, %v, %v) != scalar (%v, %v)",

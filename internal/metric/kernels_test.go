@@ -39,10 +39,12 @@ func relClose(got, want float64) bool {
 }
 
 // TestKernelTailPaths checks every unrolled kernel against a naive
-// index-order reference at dimensions that hit each remainder path. The
+// index-order reference at dimensions that hit each remainder path, the
+// bounded loops at an infinite budget, which is how Distance runs them. The
 // unrolled kernels use a fixed pairwise lane reduction, so the comparison is
 // tolerance-based for sums and exact for max-reductions (order-insensitive).
 func TestKernelTailPaths(t *testing.T) {
+	inf := math.Inf(1)
 	for _, dim := range tailDims {
 		a, b := randPair64(dim, int64(100+dim))
 		a32, b32 := toF32(a), toF32(b)
@@ -81,62 +83,76 @@ func TestKernelTailPaths(t *testing.T) {
 				t.Errorf("dim %d: %s = %v, naive reference %v", dim, name, got, want)
 			}
 		}
-		check("l2Sum64", l2Sum64(a, b), l2, false)
-		check("l1Sum64", l1Sum64(a, b), l1, false)
-		check("lpSum64(5)", lpSum64(a, b, 5), l5, false)
+		// full is a bounded loop's sum at an infinite budget, which it must
+		// never abandon.
+		full := func(name string) func(float64, bool) float64 {
+			return func(s float64, within bool) float64 {
+				if !within {
+					t.Errorf("dim %d: %s abandoned at an infinite budget", dim, name)
+				}
+				return s
+			}
+		}
+		check("l2Sum64AtMost", full("l2Sum64AtMost")(l2Sum64AtMost(a, b, inf)), l2, false)
+		check("l1Sum64AtMost", full("l1Sum64AtMost")(l1Sum64AtMost(a, b, inf)), l1, false)
+		check("lpSum64AtMost(5)", full("lpSum64AtMost(5)")(lpSum64AtMost(a, b, 5, inf)), l5, false)
 		check("dot64", dot64(a, b), dot, false)
-		check("maxAbs64", maxAbs64(a, b), linf, true)
-		check("l2Sum32", l2Sum32(a32, b32), l2f, false)
-		check("l1Sum32", l1Sum32(a32, b32), l1f, false)
-		check("lpSum32(5)", lpSum32(a32, b32, 5), l5f, false)
+		check("maxAbs64AtMost", full("maxAbs64AtMost")(maxAbs64AtMost(a, b, inf)), linf, true)
+		check("l2Sum32AtMost", full("l2Sum32AtMost")(l2Sum32AtMost(a32, b32, inf)), l2f, false)
+		check("l1Sum32AtMost", full("l1Sum32AtMost")(l1Sum32AtMost(a32, b32, inf)), l1f, false)
+		check("lpSum32AtMost(5)", full("lpSum32AtMost(5)")(lpSum32AtMost(a32, b32, 5, inf)), l5f, false)
 		check("dot32", dot32(a32, b32), dotf, false)
-		check("maxAbs32", maxAbs32(a32, b32), linff, true)
+		check("maxAbs32AtMost", full("maxAbs32AtMost")(maxAbs32AtMost(a32, b32, inf)), linff, true)
 	}
 }
 
 // TestKernelAtMostBitIdentity is the bounded-kernel contract at the raw
-// kernel layer (DESIGN.md §10, §13): a completed AtMost evaluation — budget
-// at or above the exact value, including +Inf — returns the exact kernel's
-// result bit for bit at every tail alignment, because the bounded loops fold
-// the same lane accumulators in the same order. A budget strictly below the
-// exact value reports within=false.
+// kernel layer (DESIGN.md §10, §13): a run under a finite budget at or above
+// the value — exactly at it, one ulp above, twice it — completes and returns
+// the bits of the run under an infinite budget, the one Distance makes, at
+// every tail alignment, because the abandon test folds the lane accumulators
+// without disturbing them. A budget strictly below the value reports
+// within=false.
 func TestKernelAtMostBitIdentity(t *testing.T) {
 	for _, dim := range tailDims {
 		a, b := randPair64(dim, int64(200+dim))
 		a32, b32 := toF32(a), toF32(b)
 		inf := math.Inf(1)
 
-		type kernel struct {
-			name  string
-			exact float64
-			at    func(budget float64) (float64, bool)
-		}
-		kernels := []kernel{
-			{"l2Sum64", l2Sum64(a, b), func(t float64) (float64, bool) { return l2Sum64AtMost(a, b, t) }},
-			{"l1Sum64", l1Sum64(a, b), func(t float64) (float64, bool) { return l1Sum64AtMost(a, b, t) }},
-			{"lpSum64(5)", lpSum64(a, b, 5), func(t float64) (float64, bool) { return lpSum64AtMost(a, b, 5, t) }},
-			{"maxAbs64", maxAbs64(a, b), func(t float64) (float64, bool) { return maxAbs64AtMost(a, b, t) }},
-			{"l2Sum32", l2Sum32(a32, b32), func(t float64) (float64, bool) { return l2Sum32AtMost(a32, b32, t) }},
-			{"l1Sum32", l1Sum32(a32, b32), func(t float64) (float64, bool) { return l1Sum32AtMost(a32, b32, t) }},
-			{"lpSum32(5)", lpSum32(a32, b32, 5), func(t float64) (float64, bool) { return lpSum32AtMost(a32, b32, 5, t) }},
-			{"maxAbs32", maxAbs32(a32, b32), func(t float64) (float64, bool) { return maxAbs32AtMost(a32, b32, t) }},
+		kernels := []struct {
+			name string
+			at   func(budget float64) (float64, bool)
+		}{
+			{"l2Sum64AtMost", func(t float64) (float64, bool) { return l2Sum64AtMost(a, b, t) }},
+			{"l1Sum64AtMost", func(t float64) (float64, bool) { return l1Sum64AtMost(a, b, t) }},
+			{"lpSum64AtMost(5)", func(t float64) (float64, bool) { return lpSum64AtMost(a, b, 5, t) }},
+			{"maxAbs64AtMost", func(t float64) (float64, bool) { return maxAbs64AtMost(a, b, t) }},
+			{"l2Sum32AtMost", func(t float64) (float64, bool) { return l2Sum32AtMost(a32, b32, t) }},
+			{"l1Sum32AtMost", func(t float64) (float64, bool) { return l1Sum32AtMost(a32, b32, t) }},
+			{"lpSum32AtMost(5)", func(t float64) (float64, bool) { return lpSum32AtMost(a32, b32, 5, t) }},
+			{"maxAbs32AtMost", func(t float64) (float64, bool) { return maxAbs32AtMost(a32, b32, t) }},
 		}
 		for _, k := range kernels {
-			for _, budget := range []float64{inf, k.exact} {
+			full, ok := k.at(inf)
+			if !ok {
+				t.Errorf("dim %d: %s abandoned at an infinite budget", dim, k.name)
+				continue
+			}
+			for _, budget := range []float64{full, math.Nextafter(full, inf), 2 * full} {
 				got, ok := k.at(budget)
 				if !ok {
-					t.Errorf("dim %d: %s abandoned at budget %v ≥ exact %v", dim, k.name, budget, k.exact)
+					t.Errorf("dim %d: %s abandoned at budget %v ≥ value %v", dim, k.name, budget, full)
 					continue
 				}
-				if math.Float64bits(got) != math.Float64bits(k.exact) {
-					t.Errorf("dim %d: %s completed AtMost(%v) = %v, exact = %v (bits differ)",
-						dim, k.name, budget, got, k.exact)
+				if math.Float64bits(got) != math.Float64bits(full) {
+					t.Errorf("dim %d: %s completed AtMost(%v) = %v, AtMost(+Inf) = %v (bits differ)",
+						dim, k.name, budget, got, full)
 				}
 			}
-			if k.exact > 0 {
-				under := math.Nextafter(k.exact, 0)
+			if full > 0 {
+				under := math.Nextafter(full, 0)
 				if _, ok := k.at(under); ok {
-					t.Errorf("dim %d: %s within=true at budget %v < exact %v", dim, k.name, under, k.exact)
+					t.Errorf("dim %d: %s within=true at budget %v < value %v", dim, k.name, under, full)
 				}
 			}
 		}

@@ -27,11 +27,11 @@ func TestLevenshteinKnownValues(t *testing.T) {
 		{"abc", "cba", 2},
 	}
 	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
+		if got := editDistance(c.a, c.b); got != c.want {
+			t.Errorf("editDistance(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
 		}
-		if got := Levenshtein(c.b, c.a); got != c.want {
-			t.Errorf("Levenshtein(%q, %q) = %d, want %d (symmetry)", c.b, c.a, got, c.want)
+		if got := editDistance(c.b, c.a); got != c.want {
+			t.Errorf("editDistance(%q, %q) = %d, want %d (symmetry)", c.b, c.a, got, c.want)
 		}
 	}
 }
@@ -78,8 +78,8 @@ func TestLevenshteinMatchesNaive(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		a, b := randStr(), randStr()
-		if got, want := Levenshtein(a, b), naiveLevenshtein(a, b); got != want {
-			t.Fatalf("Levenshtein(%q, %q) = %d, want %d", a, b, got, want)
+		if got, want := editDistance(a, b), naiveLevenshtein(a, b); got != want {
+			t.Fatalf("editDistance(%q, %q) = %d, want %d", a, b, got, want)
 		}
 	}
 }

@@ -14,8 +14,7 @@ package metric
 //     for DNA-length strings (hundreds of characters).
 //
 // Both return the exact Levenshtein distance; the dispatcher editDistance
-// picks the variant (and falls back to the classic DP only for degenerate
-// inputs).
+// picks the variant.
 
 // editDistance returns the Levenshtein distance between a and b using the
 // fastest applicable kernel. It is the engine behind EditDistance.Distance.
@@ -48,8 +47,8 @@ func myersDistance64(pattern, text string) int {
 }
 
 // myersRun64 is the single-word kernel proper, with the pattern's equality
-// bitmap prebuilt — the batch verification path builds peq once per query
-// and replays this loop per candidate (DESIGN.md §13).
+// bitmap prebuilt — the prepared kernel (editQuery) builds peq once per
+// query and replays this loop per candidate (DESIGN.md §13.1).
 func myersRun64(peq *[256]uint64, m int, text string) int {
 	var pv uint64 = ^uint64(0)
 	var mv uint64
@@ -110,8 +109,8 @@ func myersDistanceBlock(pattern, text string) int {
 }
 
 // myersRunBlock is the multi-block kernel proper, with the interned slot
-// table and equality bitmaps prebuilt; the batch verification path builds
-// them once per query and replays this loop per candidate.
+// table and equality bitmaps prebuilt; the prepared kernel (editQuery)
+// builds them once per query and replays this loop per candidate.
 func myersRunBlock(slot *[256]uint16, peq []uint64, w, m int, text string) int {
 	var vStack [16]uint64 // Pv and Mv for up to 8 blocks
 	var pv, mvec []uint64

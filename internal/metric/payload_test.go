@@ -8,15 +8,15 @@ import (
 	"unsafe"
 )
 
-// batchCase is one metric with a compatible object population.
-type batchCase struct {
+// kernelCase is one metric with a compatible object population.
+type kernelCase struct {
 	name  string
 	fn    DistanceFunc
 	codec Codec
 	objs  []Object
 }
 
-func batchCases(seed int64) []batchCase {
+func kernelCases(seed int64) []kernelCase {
 	rng := rand.New(rand.NewSource(seed))
 	vec := func(id uint64, dim int) *Vector {
 		c := make([]float64, dim)
@@ -53,7 +53,7 @@ func batchCases(seed int64) []batchCase {
 		strs = append(strs, NewStr(uint64(i), string(w)))
 	}
 	vc, v32c := VectorCodec{Dim: 9}, Vector32Codec{Dim: 9}
-	return []batchCase{
+	return []kernelCase{
 		{"L2-vec64", L2(9), vc, vecs},
 		{"L5-vec64", L5(9), vc, vecs},
 		{"L2-vec32", L2(9), v32c, vecs32},
@@ -65,32 +65,25 @@ func batchCases(seed int64) []batchCase {
 	}
 }
 
-// checkBatchAgainstScalar asserts the element-wise batch contract for one
-// (query, threshold): every (d[i], within[i]) pair is bit-identical to the
-// scalar DistanceAtMost result. It asserts the same of the prepared kernel's
-// payload entry point on each candidate's stored bytes, decoding into one
-// reused slot: in place for edit distance and the fixed-width metrics
-// (inPlace), which hand back no object, and through codec for every other
-// metric, which hands back the candidate.
-func checkBatchAgainstScalar(t *testing.T, name string, fn DistanceFunc, codec Codec, q Object, objs []Object, thr float64) {
+// checkPayloadAgainstScalar asserts the prepared kernel's contract for one
+// (query, threshold): PayloadAtMost on each candidate's stored bytes,
+// decoding into one reused slot, is bit-identical to the scalar
+// DistanceAtMost, and within, that is Distance's value. It reads in place for
+// edit distance and the fixed-width metrics (inPlace), which hand back no
+// object, and decodes through codec for every other metric, which hands back
+// the candidate.
+func checkPayloadAgainstScalar(t *testing.T, name string, fn DistanceFunc, codec Codec, q Object, objs []Object, thr float64) {
 	t.Helper()
-	d := make([]float64, len(objs))
-	within := make([]bool, len(objs))
-	BatchDistanceAtMost(fn, q, objs, thr, d, within)
 	prep := Prepare(fn, codec, q, nil)
 	noObj := inPlace(fn)
 	var slot Object
-	for i, o := range objs {
+	for _, o := range objs {
 		sd, sw := DistanceAtMost(fn, q, o, thr)
-		if math.Float64bits(d[i]) != math.Float64bits(sd) || within[i] != sw {
-			t.Fatalf("%s: q=%d cand=%d t=%v: batch (%v, %v) != scalar (%v, %v)",
-				name, q.ID(), o.ID(), thr, d[i], within[i], sd, sw)
-		}
 		if sw {
 			exact := fn.Distance(q, o)
-			if math.Float64bits(d[i]) != math.Float64bits(exact) {
+			if math.Float64bits(sd) != math.Float64bits(exact) {
 				t.Fatalf("%s: q=%d cand=%d t=%v: within d = %v != exact %v",
-					name, q.ID(), o.ID(), thr, d[i], exact)
+					name, q.ID(), o.ID(), thr, sd, exact)
 			}
 		}
 		pd, pw, obj, err := prep.PayloadAtMost(q, o.ID(), o.AppendBinary(nil), slot, thr)
@@ -123,18 +116,16 @@ func inPlace(fn DistanceFunc) bool {
 	return false
 }
 
-// TestBatchMatchesScalarKernels is the metric-layer half of the equivalence
-// harness (DESIGN.md §13): for every batch kernel and object kind, the block
-// evaluation and the prepared kernel's evaluation of the stored payloads are
-// bit-identical to the scalar bounded path at thresholds covering degenerate
-// (< 0, +Inf), abandoning, and exactly-at-the-distance cases.
-func TestBatchMatchesScalarKernels(t *testing.T) {
-	for _, c := range batchCases(42) {
+// TestPayloadMatchesScalarKernels is the metric-layer half of the
+// equivalence harness (DESIGN.md §13.1): for every in-place kernel and object
+// kind, and for the generic binding over a metric with no kernel of its own,
+// the prepared kernel's evaluation of the stored payloads is bit-identical to
+// the scalar bounded path at thresholds covering degenerate (< 0, +Inf),
+// abandoning, and exactly-at-the-distance cases.
+func TestPayloadMatchesScalarKernels(t *testing.T) {
+	for _, c := range kernelCases(42) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			if _, ok := c.fn.(BatchDistanceFunc); !ok {
-				t.Fatalf("%T has no batch kernel", c.fn)
-			}
 			maxD := c.fn.MaxDistance()
 			for qi := 0; qi < 6; qi++ {
 				q := c.objs[qi]
@@ -144,7 +135,7 @@ func TestBatchMatchesScalarKernels(t *testing.T) {
 				ref := c.fn.Distance(q, c.objs[len(c.objs)-1])
 				thresholds = append(thresholds, ref, math.Nextafter(ref, 0), ref/2)
 				for _, thr := range thresholds {
-					checkBatchAgainstScalar(t, c.name, c.fn, c.codec, q, c.objs, thr)
+					checkPayloadAgainstScalar(t, c.name, c.fn, c.codec, q, c.objs, thr)
 				}
 			}
 			// A payload its codec rejects is the payload entry's error.
@@ -155,6 +146,24 @@ func TestBatchMatchesScalarKernels(t *testing.T) {
 			}
 		})
 	}
+	t.Run("trigram-generic", func(t *testing.T) {
+		ta, seqs := TrigramAngular{}, dnaSeqs()
+		checkPayloadAgainstScalar(t, "trigram-generic", ta, SeqCodec{}, seqs[0], seqs, 0.4*ta.MaxDistance())
+	})
+}
+
+// dnaSeqs returns twelve random DNA sequences of 30–49 bases.
+func dnaSeqs() []Object {
+	rng := rand.New(rand.NewSource(7))
+	seqs := make([]Object, 12)
+	for i := range seqs {
+		b := make([]byte, 30+rng.Intn(20))
+		for j := range b {
+			b[j] = "ACGT"[rng.Intn(4)]
+		}
+		seqs[i] = NewSeq(uint64(i), string(b))
+	}
+	return seqs
 }
 
 // TestPayloadKernelsMisaligned runs every fixed-width case's prepared kernel
@@ -164,7 +173,7 @@ func TestBatchMatchesScalarKernels(t *testing.T) {
 // and at both degenerate thresholds, and a payload one byte short or long is
 // the codec's error. Under -race the runtime checks every view it makes.
 func TestPayloadKernelsMisaligned(t *testing.T) {
-	for _, c := range batchCases(44) {
+	for _, c := range kernelCases(44) {
 		if _, edit := c.fn.(EditDistance); edit {
 			continue
 		}
@@ -201,27 +210,30 @@ func TestPayloadKernelsMisaligned(t *testing.T) {
 	}
 }
 
-// TestEditBatchAllocationFree: the unprepared batch call builds the query's
-// bitmaps and histogram on its stack, for one-word patterns and for blocked
-// ones of up to 8 blocks and 16 distinct bytes, and the banded DP keeps its
-// band on the stack at any text length, so a block costs no allocation. The
-// long query runs at a threshold that takes the blocked Myers kernel and at
-// one that takes the band.
-func TestEditBatchAllocationFree(t *testing.T) {
-	ed := EditDistance{MaxLen: 600}
+// TestEditPayloadAllocationFree: a kept edit kernel is re-prepared in place,
+// its bitmaps for one-word patterns and for blocked ones of up to 8 blocks
+// and 16 distinct bytes in its own arrays, and the banded DP keeps its band
+// on the stack at any text length, so preparing a query and evaluating a
+// block of payloads costs no allocation. The long query runs at a threshold
+// that takes the blocked Myers kernel and at one that takes the band.
+func TestEditPayloadAllocationFree(t *testing.T) {
+	var ed DistanceFunc = EditDistance{MaxLen: 600}
 	for _, c := range []struct {
 		q   string
 		thr float64
 	}{{"interrelationships", 4}, {strings.Repeat("acgtn", 100), 300}, {strings.Repeat("acgtn", 100), 4}} {
 		qs := c.q
 		q := NewStr(0, qs)
-		objs := make([]Object, 16)
-		for i := range objs {
-			objs[i] = NewStr(uint64(i+1), qs[i%3:len(qs)-i%5]+"xy"[:i%3])
+		payloads := make([][]byte, 16)
+		for i := range payloads {
+			payloads[i] = []byte(qs[i%3:len(qs)-i%5] + "xy"[:i%3])
 		}
-		d, within := make([]float64, len(objs)), make([]bool, len(objs))
+		prep := Prepare(ed, StrCodec{}, q, nil)
 		if allocs := testing.AllocsPerRun(50, func() {
-			ed.BatchDistanceAtMost(q, objs, c.thr, d, within)
+			prep = Prepare(ed, StrCodec{}, q, prep)
+			for i, p := range payloads {
+				prep.PayloadAtMost(q, uint64(i+1), p, nil, c.thr)
+			}
 		}); allocs != 0 {
 			t.Errorf("query of %d bytes at t=%v: %v allocations per block, want 0", len(qs), c.thr, allocs)
 		}
@@ -265,32 +277,17 @@ func TestBandedEditDistanceOnTheStack(t *testing.T) {
 	}
 }
 
-// TestBatchFallbackAndCounter pins the package helper on what has no batch
-// kernel of its own: a kernel-less metric falls back to an element-wise scalar
-// loop with identical outputs, and a Counter — which the fallback reaches
-// through its DistanceAtMost — counts exactly one computation per candidate.
+// TestBatchFallbackAndCounter pins the package helper the benchmark harness
+// calls: a Counter, which the loop reaches through its DistanceAtMost, counts
+// exactly one computation per candidate, for a metric with a bounded kernel
+// and for one without.
 func TestBatchFallbackAndCounter(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	seqs := make([]Object, 12)
-	for i := range seqs {
-		b := make([]byte, 30+rng.Intn(20))
-		for j := range b {
-			b[j] = "ACGT"[rng.Intn(4)]
-		}
-		seqs[i] = NewSeq(uint64(i), string(b))
-	}
-	ta := TrigramAngular{}
-	if _, ok := DistanceFunc(ta).(BatchDistanceFunc); ok {
-		t.Fatal("TrigramAngular unexpectedly has a batch kernel")
-	}
-	checkBatchAgainstScalar(t, "trigram-fallback", ta, SeqCodec{}, seqs[0], seqs, 0.4*ta.MaxDistance())
-
 	for _, c := range []struct {
 		fn   DistanceFunc
 		objs []Object
 	}{
-		{L2(9), batchCases(43)[0].objs},
-		{ta, seqs},
+		{L2(9), kernelCases(43)[0].objs},
+		{TrigramAngular{}, dnaSeqs()},
 	} {
 		cnt := NewCounter(c.fn)
 		d := make([]float64, len(c.objs))

@@ -2,130 +2,6 @@ package metric
 
 import "unsafe"
 
-// BatchDistanceFunc is an optional extension of DistanceFunc for evaluating
-// one query against a block of candidates (DESIGN.md §13). A batch kernel
-// hoists the per-query work out of the per-candidate loop: the query's
-// coordinate slice and the powered threshold budget for the Lp norms, the
-// interned Myers Peq bitmaps and the bag screen's histogram for edit
-// distance. The query path evaluates stored candidates through a
-// PreparedQuery instead.
-//
-// The contract is the BoundedDistanceFunc contract, element-wise and bit for
-// bit: for every i, (d[i], within[i]) must equal what DistanceAtMost(q,
-// objs[i], t) returns — within[i] ⇔ d(q, objs[i]) ≤ t exactly, and d[i] is
-// then bit-identical to Distance(q, objs[i]). Batch evaluation is therefore
-// invisible to query semantics and counters; only wall time changes. The
-// cross-kernel equivalence suites (core's batch tests, FuzzBatchDistance)
-// enforce this for every kernel and object kind.
-type BatchDistanceFunc interface {
-	DistanceFunc
-	// BatchDistanceAtMost evaluates d(q, objs[i]) against the threshold t
-	// for every candidate, writing the (d[i], within[i]) pairs into the
-	// caller's slices. len(d) and len(within) must equal len(objs). Any t is
-	// allowed: t = +Inf degenerates to exact batch evaluation, t < 0 reports
-	// within[i] == false for every candidate.
-	BatchDistanceAtMost(q Object, objs []Object, t float64, d []float64, within []bool)
-}
-
-// BatchDistanceAtMost evaluates fn against a block of candidates, using the
-// batch kernel when fn implements BatchDistanceFunc and a scalar
-// DistanceAtMost loop otherwise. The fallback preserves the element-wise
-// contract exactly, so callers can treat every DistanceFunc as batchable;
-// only the hoisting savings require a real kernel.
-func BatchDistanceAtMost(fn DistanceFunc, q Object, objs []Object, t float64, d []float64, within []bool) {
-	if bf, ok := fn.(BatchDistanceFunc); ok {
-		bf.BatchDistanceAtMost(q, objs, t, d, within)
-		return
-	}
-	for i, o := range objs {
-		d[i], within[i] = DistanceAtMost(fn, q, o, t)
-	}
-}
-
-// BatchDistanceAtMost implements BatchDistanceFunc for the Minkowski norms:
-// the query's coordinate slice is type-asserted once and the powered abandon
-// budget t^p computed once; each candidate then runs the same shared kernel
-// the scalar path uses, so every (d[i], within[i]) pair is bit-identical to
-// DistanceAtMost(q, objs[i], t) by construction.
-func (l LpNorm) BatchDistanceAtMost(q Object, objs []Object, t float64, d []float64, within []bool) {
-	if _, ok := l.intP(); !ok {
-		for i, o := range objs {
-			d[i], within[i] = l.DistanceAtMost(q, o, t)
-		}
-		return
-	}
-	if t < 0 {
-		for i := range objs {
-			d[i], within[i] = 0, false
-		}
-		return
-	}
-	budget := l.budget(t)
-	switch vq := q.(type) {
-	case *Vector:
-		for i, o := range objs {
-			vo, ok := o.(*Vector)
-			if !ok {
-				panic(badType("LpNorm", "*Vector", o))
-			}
-			d[i], within[i] = l.atMost64(vq.Coords, vo.Coords, t, budget)
-		}
-	case *Vector32:
-		for i, o := range objs {
-			vo, ok := o.(*Vector32)
-			if !ok {
-				panic(badType("LpNorm", "*Vector32", o))
-			}
-			d[i], within[i] = l.atMost32(vq.Coords, vo.Coords, t, budget)
-		}
-	default:
-		panic(badType("LpNorm", "*Vector or *Vector32", q))
-	}
-}
-
-// BatchDistanceAtMost implements BatchDistanceFunc for the Chebyshev
-// distance, hoisting the query's type assertion out of the candidate loop.
-func (l LInf) BatchDistanceAtMost(q Object, objs []Object, t float64, d []float64, within []bool) {
-	switch vq := q.(type) {
-	case *Vector:
-		qc := vq.Coords
-		for i, o := range objs {
-			vo, ok := o.(*Vector)
-			if !ok {
-				panic(badType("LInf", "*Vector", o))
-			}
-			d[i], within[i] = maxAbs64AtMost(qc, vo.Coords, t)
-		}
-	case *Vector32:
-		qc := vq.Coords
-		for i, o := range objs {
-			vo, ok := o.(*Vector32)
-			if !ok {
-				panic(badType("LInf", "*Vector32", o))
-			}
-			d[i], within[i] = maxAbs32AtMost(qc, vo.Coords, t)
-		}
-	default:
-		panic(badType("LInf", "*Vector or *Vector32", q))
-	}
-}
-
-// BatchDistanceAtMost implements BatchDistanceFunc for the Hamming distance,
-// hoisting the query's bit slice out of the candidate loop.
-func (h Hamming) BatchDistanceAtMost(q Object, objs []Object, t float64, d []float64, within []bool) {
-	bq, ok := q.(*BitString)
-	if !ok {
-		panic(badType("Hamming", "*BitString", q))
-	}
-	for i, o := range objs {
-		bo, ok := o.(*BitString)
-		if !ok {
-			panic(badType("Hamming", "*BitString", o))
-		}
-		d[i], within[i] = hammingAtMost(bq.Bits, bo.Bits, t)
-	}
-}
-
 // PreparedQuery is a distance kernel bound to one query object and to the
 // codec of its candidates: whatever depends only on the query — for edit
 // distance the Myers equality bitmaps and the byte histogram of the bag
@@ -198,28 +74,6 @@ func (b boundQuery) PayloadAtMost(q Object, id uint64, payload []byte, slot Obje
 	}
 	d, within := DistanceAtMost(b.fn, q, o, t)
 	return d, within, o, nil
-}
-
-// BatchDistanceAtMost implements BatchDistanceFunc for edit distance: the
-// query's bitmaps and histogram are built once per call, on the stack, and
-// each (d[i], within[i]) pair equals the scalar DistanceAtMost result — both
-// sides take the same branches and compute the same exact integer distance
-// against the same ⌊t⌋.
-func (e EditDistance) BatchDistanceAtMost(q Object, objs []Object, t float64, d []float64, within []bool) {
-	sq, ok := q.(*Str)
-	if !ok {
-		panic(badType("EditDistance", "*Str", q))
-	}
-	var eq editQuery
-	eq.init(sq.S)
-	for i, o := range objs {
-		so, ok := o.(*Str)
-		if !ok {
-			panic(badType("EditDistance", "*Str", o))
-		}
-		di, w := eq.atMost(so.S, t)
-		d[i], within[i] = float64(di), w
-	}
 }
 
 // PayloadAtMost implements PreparedQuery on the payload bytes in place: a
@@ -366,10 +220,3 @@ func (e *editQuery) atMost(text string, t float64) (int, bool) {
 	}
 	return bandedEditDistance(a, b, k)
 }
-
-var (
-	_ BatchDistanceFunc = LpNorm{}
-	_ BatchDistanceFunc = LInf{}
-	_ BatchDistanceFunc = Hamming{}
-	_ BatchDistanceFunc = EditDistance{}
-)

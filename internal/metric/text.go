@@ -111,55 +111,6 @@ func (e EditDistance) Discrete() bool { return true }
 // Name implements DistanceFunc.
 func (e EditDistance) Name() string { return "edit" }
 
-// Levenshtein returns the edit distance between a and b (unit costs for
-// insertion, deletion and substitution) using the classic two-row dynamic
-// program. Common prefixes and suffixes are stripped first — if nothing else
-// remains the distance is just |len(a)-len(b)| and the DP is skipped — and
-// short strings run on a stack buffer instead of allocating the row.
-func Levenshtein(a, b string) int {
-	a, b = stripCommonAffixes(a, b)
-	// Keep the shorter string as the DP row to bound memory.
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
-	// row[j] holds the distance between a[:i] and b[:j] for the current i.
-	var stack [128]int
-	var row []int
-	if len(b) < len(stack) {
-		row = stack[:len(b)+1]
-	} else {
-		row = make([]int, len(b)+1)
-	}
-	for j := range row {
-		row[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		prev := row[0] // row[j-1] of the previous iteration (diagonal)
-		row[0] = i
-		ca := a[i-1]
-		for j := 1; j <= len(b); j++ {
-			cur := row[j]
-			cost := 1
-			if ca == b[j-1] {
-				cost = 0
-			}
-			best := prev + cost
-			if d := row[j] + 1; d < best { // deletion
-				best = d
-			}
-			if d := row[j-1] + 1; d < best { // insertion
-				best = d
-			}
-			row[j] = best
-			prev = cur
-		}
-	}
-	return row[len(b)]
-}
-
 // stripCommonAffixes removes the longest common prefix and suffix of a and b.
 // Both operations preserve the edit distance, and on natural-language and
 // DNA data they routinely shrink the DP matrix substantially.
@@ -173,7 +124,7 @@ func stripCommonAffixes(a, b string) (string, string) {
 	return a, b
 }
 
-// boundedEditDistance reports whether Levenshtein(a, b) ≤ t, returning the
+// boundedEditDistance reports whether editDistance(a, b) ≤ t, returning the
 // exact distance when it is. The kernel strips common affixes and then
 // screens without a dynamic program: on the length difference (every length
 // gap costs at least one edit), then on the bag distance (bagDistance), which

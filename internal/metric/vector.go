@@ -84,66 +84,15 @@ func L2(dim int) LpNorm { return LpNorm{P: 2, Dim: dim, Scale: 1} }
 func L5(dim int) LpNorm { return LpNorm{P: 5, Dim: dim, Scale: 1} }
 
 // Distance implements DistanceFunc over *Vector and *Vector32 (never mixed
-// within one space), through the unrolled inner loops of kernels.go. Integer
-// orders (L5 for the Color workload) take the repeated-multiplication path:
-// intPow is ~5× cheaper than math.Pow per coordinate — see
-// BenchmarkDistanceL5 in bench_test.go.
+// within one space): it is DistanceAtMost at t = +∞, whose budget never
+// abandons, so the exact and the bounded evaluation run one loop of
+// kernels.go and agree bit for bit by construction. Integer orders (L5 for
+// the Color workload) take the repeated-multiplication path: intPow is ~5×
+// cheaper than math.Pow per coordinate — see BenchmarkDistanceL5 in
+// bench_test.go.
 func (l LpNorm) Distance(a, b Object) float64 {
-	switch va := a.(type) {
-	case *Vector:
-		vb, ok := b.(*Vector)
-		if !ok {
-			panic(badType("LpNorm", "*Vector", b))
-		}
-		l.checkDims(len(va.Coords), len(vb.Coords))
-		return l.root(l.powSum64(va.Coords, vb.Coords))
-	case *Vector32:
-		vb, ok := b.(*Vector32)
-		if !ok {
-			panic(badType("LpNorm", "*Vector32", b))
-		}
-		l.checkDims(len(va.Coords), len(vb.Coords))
-		return l.root(l.powSum32(va.Coords, vb.Coords))
-	}
-	panic(badType("LpNorm", "*Vector or *Vector32", a))
-}
-
-// powSum64 returns the powered Lp sum Σ|aᵢ-bᵢ|^p (root not yet applied).
-func (l LpNorm) powSum64(a, b []float64) float64 {
-	switch {
-	case l.P == 2:
-		return l2Sum64(a, b)
-	case l.P == 1:
-		return l1Sum64(a, b)
-	default:
-		if p, ok := l.intP(); ok {
-			return lpSum64(a, b, p)
-		}
-		var s float64
-		for i := range a {
-			s += math.Pow(math.Abs(a[i]-b[i]), l.P)
-		}
-		return s
-	}
-}
-
-// powSum32 is powSum64 over float32 coordinates (widened per element).
-func (l LpNorm) powSum32(a, b []float32) float64 {
-	switch {
-	case l.P == 2:
-		return l2Sum32(a, b)
-	case l.P == 1:
-		return l1Sum32(a, b)
-	default:
-		if p, ok := l.intP(); ok {
-			return lpSum32(a, b, p)
-		}
-		var s float64
-		for i := range a {
-			s += math.Pow(math.Abs(float64(a[i])-float64(b[i])), l.P)
-		}
-		return s
-	}
+	d, _ := l.DistanceAtMost(a, b, math.Inf(1))
+	return d
 }
 
 // root applies the final p-th root to a powered sum.
@@ -160,17 +109,19 @@ func (l LpNorm) root(s float64) float64 {
 
 // budget returns the powered abandon budget for threshold t: t^p, inflated by
 // rootSafetyMargin when a final root will be applied (for L1 the sum is the
-// distance, so the threshold is used as is).
+// distance, so the threshold is used as is). A non-integer order has no cheap
+// power and no budget: its sum runs to the end.
 func (l LpNorm) budget(t float64) float64 {
 	switch l.P {
 	case 1:
 		return t
 	case 2:
 		return t * t * rootSafetyMargin
-	default:
-		p, _ := l.intP()
+	}
+	if p, ok := l.intP(); ok {
 		return intPow(t, p) * rootSafetyMargin
 	}
+	return math.Inf(1)
 }
 
 // checkDims panics on mismatched vector dimensionalities.
@@ -186,17 +137,12 @@ func (l LpNorm) checkDims(na, nb int) {
 // final distance exceeds t), checked at every unroll-block boundary. A tiny
 // relative safety margin on the budget absorbs the rounding of the final
 // root, so a candidate whose rounded distance would land exactly on t is
-// never abandoned — the within ⇔ d ≤ t contract holds bit-exactly. The
-// kernels share their accumulator layout with the exact path (kernels.go), so
-// a completed bounded evaluation returns Distance's value bit for bit.
+// never abandoned — the within ⇔ d ≤ t contract holds bit-exactly. A
+// completed evaluation ran the very loop Distance runs, so it returns
+// Distance's value bit for bit.
 func (l LpNorm) DistanceAtMost(a, b Object, t float64) (float64, bool) {
 	if t < 0 {
 		return 0, false
-	}
-	if _, ok := l.intP(); !ok {
-		// Non-integer order: no cheap power, evaluate exactly.
-		d := l.Distance(a, b)
-		return d, d <= t
 	}
 	switch va := a.(type) {
 	case *Vector:
@@ -215,9 +161,9 @@ func (l LpNorm) DistanceAtMost(a, b Object, t float64) (float64, bool) {
 	panic(badType("LpNorm", "*Vector or *Vector32", a))
 }
 
-// atMost64 is DistanceAtMost on two coordinate slices, for t ≥ 0, an integer
-// order and budget = l.budget(t). Every bounded Lp evaluation of float64
-// coordinates — scalar, batch and the prepared payload kernel — ends here.
+// atMost64 is DistanceAtMost on two coordinate slices, for t ≥ 0 and
+// budget = l.budget(t). Every Lp evaluation of float64 coordinates — exact,
+// bounded and the prepared payload kernel's — ends here.
 func (l LpNorm) atMost64(a, b []float64, t, budget float64) (float64, bool) {
 	l.checkDims(len(a), len(b))
 	s, within := l.powSum64AtMost(a, b, budget)
@@ -239,38 +185,51 @@ func (l LpNorm) atMost32(a, b []float32, t, budget float64) (float64, bool) {
 	return d, d <= t
 }
 
-// powSum64AtMost is powSum64 under a powered budget; l.P must be integer.
+// powSum64AtMost returns the powered Lp sum Σ|aᵢ-bᵢ|^p (root not yet
+// applied) under a powered budget. A non-integer order sums math.Pow terms
+// to the end and reports within; its root decides.
 func (l LpNorm) powSum64AtMost(a, b []float64, budget float64) (float64, bool) {
 	switch {
 	case l.P == 2:
 		return l2Sum64AtMost(a, b, budget)
 	case l.P == 1:
 		return l1Sum64AtMost(a, b, budget)
-	default:
-		p, _ := l.intP()
+	}
+	if p, ok := l.intP(); ok {
 		return lpSum64AtMost(a, b, p, budget)
 	}
+	var s float64
+	for i := range a {
+		s += math.Pow(math.Abs(a[i]-b[i]), l.P)
+	}
+	return s, true
 }
 
-// powSum32AtMost is powSum32 under a powered budget; l.P must be integer.
+// powSum32AtMost is powSum64AtMost over float32 coordinates (widened per
+// element).
 func (l LpNorm) powSum32AtMost(a, b []float32, budget float64) (float64, bool) {
 	switch {
 	case l.P == 2:
 		return l2Sum32AtMost(a, b, budget)
 	case l.P == 1:
 		return l1Sum32AtMost(a, b, budget)
-	default:
-		p, _ := l.intP()
+	}
+	if p, ok := l.intP(); ok {
 		return lpSum32AtMost(a, b, p, budget)
 	}
+	var s float64
+	for i := range a {
+		s += math.Pow(math.Abs(float64(a[i])-float64(b[i])), l.P)
+	}
+	return s, true
 }
 
 // rootSafetyMargin inflates the powered budget t^p by 1+1e-12 before the
 // abandon comparison. The final root (Sqrt or Pow) rounds to ~1 ulp (~1e-16
 // relative), so a partial sum within the margin of t^p could still round to
 // a distance exactly equal to t; the margin — orders of magnitude wider than
-// any rounding — forces such near-boundary candidates down the exact path
-// instead of abandoning them.
+// any rounding — lets such near-boundary candidates run to completion, where
+// the rooted distance decides, instead of abandoning them.
 const rootSafetyMargin = 1 + 1e-12
 
 // intP reports l.P as a small positive integer exponent, if it is one.
@@ -284,8 +243,7 @@ func (l LpNorm) intP() (int, bool) {
 
 // intPow raises x to the non-negative integer power p by binary
 // exponentiation — for L5, three multiplications instead of a math.Pow call.
-// Both the exact and bounded Lp paths use it, so their per-coordinate terms
-// are bit-identical. The first three bits of p are unrolled: for p ≤ 7 it is
+// The first three bits of p are unrolled: for p ≤ 7 it is
 // straight-line code whose branches all go one way for a given p, and it
 // performs exactly the multiplications of the textbook loop, in its order —
 // for p = 5, x·((x·x)·(x·x)) — so it returns the loop's value bit for bit
@@ -339,25 +297,12 @@ type LInf struct {
 	Scale float64
 }
 
-// Distance implements DistanceFunc over *Vector and *Vector32, through the
-// unrolled max-abs loops of kernels.go (max is order-invariant, so the lane
-// split cannot change the result).
+// Distance implements DistanceFunc over *Vector and *Vector32: it is
+// DistanceAtMost at t = +∞, through the unrolled max-abs loops of kernels.go
+// (max is order-invariant, so the lane split cannot change the result).
 func (l LInf) Distance(a, b Object) float64 {
-	switch va := a.(type) {
-	case *Vector:
-		vb, ok := b.(*Vector)
-		if !ok {
-			panic(badType("LInf", "*Vector", b))
-		}
-		return maxAbs64(va.Coords, vb.Coords)
-	case *Vector32:
-		vb, ok := b.(*Vector32)
-		if !ok {
-			panic(badType("LInf", "*Vector32", b))
-		}
-		return maxAbs32(va.Coords, vb.Coords)
-	}
-	panic(badType("LInf", "*Vector or *Vector32", a))
+	d, _ := l.DistanceAtMost(a, b, math.Inf(1))
+	return d
 }
 
 // DistanceAtMost implements BoundedDistanceFunc: the running maximum only

@@ -182,14 +182,9 @@ type (
 	// BoundedDistanceFunc is a DistanceFunc with a threshold-aware kernel
 	// (DistanceAtMost) that may abandon an evaluation once the distance
 	// provably exceeds the caller's bound; trees use it automatically
-	// throughout verification. See metric.BoundedDistanceFunc.
+	// throughout verification, and every built-in metric's Distance is its
+	// DistanceAtMost at an infinite bound. See metric.BoundedDistanceFunc.
 	BoundedDistanceFunc = metric.BoundedDistanceFunc
-	// BatchDistanceFunc is a DistanceFunc with a blocked batch kernel
-	// (BatchDistanceAtMost) that evaluates one query against a block of
-	// candidates, hoisting per-query work out of the per-candidate loop;
-	// trees use it automatically wherever verification lands a whole leaf
-	// page of candidates. See metric.BatchDistanceFunc.
-	BatchDistanceFunc = metric.BatchDistanceFunc
 	// Codec decodes objects from their serialized payloads.
 	Codec = metric.Codec
 
@@ -245,10 +240,6 @@ var (
 	// IsBounded reports whether a DistanceFunc implements a threshold-aware
 	// kernel. See metric.IsBounded.
 	IsBounded = metric.IsBounded
-	// BatchDistanceAtMost evaluates fn against a block of candidates, through
-	// the metric's batch kernel when it implements one and a scalar loop
-	// otherwise. See metric.BatchDistanceAtMost.
-	BatchDistanceAtMost = metric.BatchDistanceAtMost
 )
 
 // Object constructors.
