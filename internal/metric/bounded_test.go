@@ -47,6 +47,35 @@ func TestMyersBlockVariant(t *testing.T) {
 	}
 }
 
+// TestLevenshteinAffixStripAndStack: strings sharing long affixes, which the
+// bounded kernel strips before any dynamic program, and strings longer than
+// the banded DP's 128-int stack array must still agree with the reference,
+// through the exact kernel and through the bounded one at +∞ and at the
+// distance itself.
+func TestLevenshteinAffixStripAndStack(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	check := func(a, b string) {
+		t.Helper()
+		want := naiveLevenshtein(a, b)
+		if got := editDistance(a, b); got != want {
+			t.Fatalf("editDistance(%q, %q) = %d, want %d", a, b, got, want)
+		}
+		for _, thr := range []float64{float64(want), math.Inf(1)} {
+			if got, within := boundedEditDistance(a, b, thr); !within || got != want {
+				t.Fatalf("boundedEditDistance(%q, %q, %v) = (%d, %v), want (%d, true)", a, b, thr, got, within, want)
+			}
+		}
+	}
+	for trial := 0; trial < 500; trial++ {
+		pre := randString(rng, 20, 3)
+		suf := randString(rng, 20, 3)
+		check(pre+randString(rng, 30, 3)+suf, pre+randString(rng, 30, 3)+suf)
+	}
+	long := strings.Repeat("ab", 100) + "x" + strings.Repeat("cd", 100)
+	long2 := strings.Repeat("ab", 100) + "yz" + strings.Repeat("cd", 100)
+	check(long, long2)
+}
+
 // checkBoundedContract asserts the BoundedDistanceFunc contract for one
 // evaluation: within ⇔ Distance(a,b) ≤ t, and when within, the returned
 // distance is bit-identical to the exact one.

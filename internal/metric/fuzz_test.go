@@ -157,7 +157,7 @@ func FuzzBoundedDistance(f *testing.F) {
 	})
 }
 
-// FuzzPayloadDistance asserts the PreparedQuery contract — PayloadAtMost on
+// FuzzBatchDistance asserts the PreparedQuery contract — PayloadAtMost on
 // each candidate's stored bytes returns DistanceAtMost's (d, within) bit for
 // bit — for arbitrary queries, candidates and thresholds across every kernel
 // the query path runs in place (on a host where vectors are not readable in
@@ -165,7 +165,7 @@ func FuzzBoundedDistance(f *testing.F) {
 // (both float64 and float32, and as raw coordinate bits) and bit signatures,
 // the same trick FuzzBoundedDistance uses, so one corpus drives the Lp,
 // Chebyshev, Hamming and Myers kernels at once.
-func FuzzPayloadDistance(f *testing.F) {
+func FuzzBatchDistance(f *testing.F) {
 	f.Add("kitten", "sitting", "mittens", 2.0)
 	f.Add("", "abc", "abd", 3.0)
 	f.Add("same", "same", "same", 0.0)

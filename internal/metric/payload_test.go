@@ -116,13 +116,13 @@ func inPlace(fn DistanceFunc) bool {
 	return false
 }
 
-// TestPayloadMatchesScalarKernels is the metric-layer half of the
+// TestBatchMatchesScalarKernels is the metric-layer half of the
 // equivalence harness (DESIGN.md §13.1): for every in-place kernel and object
 // kind, and for the generic binding over a metric with no kernel of its own,
 // the prepared kernel's evaluation of the stored payloads is bit-identical to
 // the scalar bounded path at thresholds covering degenerate (< 0, +Inf),
 // abandoning, and exactly-at-the-distance cases.
-func TestPayloadMatchesScalarKernels(t *testing.T) {
+func TestBatchMatchesScalarKernels(t *testing.T) {
 	for _, c := range kernelCases(42) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -210,13 +210,13 @@ func TestPayloadKernelsMisaligned(t *testing.T) {
 	}
 }
 
-// TestEditPayloadAllocationFree: a kept edit kernel is re-prepared in place,
+// TestEditBatchAllocationFree: a kept edit kernel is re-prepared in place,
 // its bitmaps for one-word patterns and for blocked ones of up to 8 blocks
 // and 16 distinct bytes in its own arrays, and the banded DP keeps its band
 // on the stack at any text length, so preparing a query and evaluating a
 // block of payloads costs no allocation. The long query runs at a threshold
 // that takes the blocked Myers kernel and at one that takes the band.
-func TestEditPayloadAllocationFree(t *testing.T) {
+func TestEditBatchAllocationFree(t *testing.T) {
 	var ed DistanceFunc = EditDistance{MaxLen: 600}
 	for _, c := range []struct {
 		q   string
